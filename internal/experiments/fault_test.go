@@ -137,6 +137,23 @@ func TestFaultCrashReducesDelivery(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadFaultConfig checks that an out-of-range fault
+// configuration comes back from Run as an error instead of a panic from
+// the injector constructor.
+func TestRunRejectsBadFaultConfig(t *testing.T) {
+	for _, fc := range []fault.Config{
+		{PER: 1.5},
+		{Crash: fault.Crash{MTTF: 1000}}, // no MTTR
+	} {
+		cfg := Defaults(BMMM, 1)
+		cfg.Slots = 10
+		cfg.Fault = fc
+		if _, err := Run(cfg); err == nil {
+			t.Errorf("Run accepted invalid fault config %+v", fc)
+		}
+	}
+}
+
 // TestSeedForPairsProtocols pins the paired-seed design: every protocol
 // at a given (point, run) draws the same seed — hence the same
 // topology, traffic and fault schedule — while distinct points and runs

@@ -226,8 +226,12 @@ func faultFactory(cfg *RunConfig, fseed int64) (func(node int, env *sim.Env) sim
 	return Factory(cfg.Protocol, cfg.MAC)
 }
 
-// Run executes one simulation run to completion.
+// Run executes one simulation run to completion. An out-of-range fault
+// configuration is reported as an error before anything is built.
 func Run(cfg RunConfig) (RunResult, error) {
+	if err := cfg.Fault.Validate(); err != nil {
+		return RunResult{}, err
+	}
 	inj, fseed := faultPieces(&cfg)
 	factory, err := faultFactory(&cfg, fseed)
 	if err != nil {

@@ -27,11 +27,13 @@
 // # Determinism
 //
 // Every random decision derives from Config.Seed through stateless
-// splitmix64 hashing of (seed, stream, key, slot) tuples, never from the
-// engine PRNG. Two consequences: a faulted run is exactly reproducible
-// from its seed, and the zero-value Config is a true no-op — the engine
-// consumes the same random sequence with and without a nil impairment,
-// so metrics are byte-identical to a faultless run.
+// splitmix64 hashing of (seed, stream, key, index) tuples, never from the
+// engine PRNG. The index is the slot for erase decisions and the draw
+// number for Gilbert–Elliott holding times and crash intervals. Two
+// consequences: a faulted run is exactly reproducible from its seed, and
+// the zero-value Config is a true no-op — the engine consumes the same
+// random sequence with and without a nil impairment, so metrics are
+// byte-identical to a faultless run.
 //
 // # Wiring
 //
@@ -54,11 +56,14 @@ import (
 )
 
 // GilbertElliott parameterises the two-state bursty channel: each
-// directed link is an independent Markov chain over {good, bad}, stepped
-// once per slot, erasing frames at the rate of the state the link is in
-// when the frame's last slot lands. Links start in the good state. The
-// expected burst length is 1/PBadGood slots and the stationary
-// bad-state fraction is PGoodBad/(PGoodBad+PBadGood).
+// directed link is an independent Markov chain over {good, bad} with
+// per-slot transition probabilities, erasing frames at the rate of the
+// state the link is in when the frame's last slot lands. Links start in
+// the good state. The chain is simulated by its holding times — a state
+// left with per-slot probability p lasts Geometric(p) slots — so a link
+// costs work per fade, not per slot. The expected burst length is
+// 1/PBadGood slots and the stationary bad-state fraction is
+// PGoodBad/(PGoodBad+PBadGood).
 type GilbertElliott struct {
 	// PGoodBad is the per-slot probability of a good→bad transition.
 	PGoodBad float64
@@ -161,20 +166,28 @@ func (c Config) Validate() error {
 // they share (key, slot) coordinates.
 const (
 	streamIID uint64 = 1 + iota
-	streamGETrans
+	streamGEHold
 	streamGEErase
 	streamCrash
 )
 
-// geLink is the lazily materialised Markov state of one directed link.
+// never is the flip slot of a state that is never left; holding times
+// saturate at it, so a link's flip slot cannot overflow.
+const never = sim.Slot(math.MaxInt64)
+
+// geLink is the lazily materialised Markov state of one directed link:
+// the link is in state bad until slot until (exclusive), with k counting
+// holding-time draws for the hash stream.
 type geLink struct {
-	bad  bool
-	upTo sim.Slot // transitions applied through this slot
+	bad   bool
+	until sim.Slot
+	k     uint64
 }
 
 // nodeSched is the lazily materialised crash schedule of one node: the
 // node is in state down until slot until (exclusive), with k counting
-// interval draws for the hash stream.
+// interval draws for the hash stream. k == 0 marks a schedule not yet
+// drawn.
 type nodeSched struct {
 	down  bool
 	until sim.Slot
@@ -187,7 +200,11 @@ type nodeSched struct {
 type Injector struct {
 	cfg   Config
 	links map[uint64]*geLink
-	nodes map[int]*nodeSched
+	// logStay holds log1p(-p) for the good (index 0) and bad (index 1)
+	// states' per-slot leave probability p, the holding-time scale.
+	logStay [2]float64
+	crash   bool
+	nodes   []nodeSched // indexed by station, grown on demand
 
 	// Degradation counters, exported via FeedRegistry.
 	iidErasures int64 // frames erased by the i.i.d. PER axis
@@ -203,12 +220,10 @@ func NewInjector(cfg Config) *Injector {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	inj := &Injector{cfg: cfg}
+	inj := &Injector{cfg: cfg, crash: cfg.Crash.Enabled()}
 	if cfg.GE.Enabled() {
 		inj.links = make(map[uint64]*geLink)
-	}
-	if cfg.Crash.Enabled() {
-		inj.nodes = make(map[int]*nodeSched)
+		inj.logStay = [2]float64{math.Log1p(-cfg.GE.PGoodBad), math.Log1p(-cfg.GE.PBadGood)}
 	}
 	return inj
 }
@@ -259,27 +274,48 @@ func (inj *Injector) Erase(f *frames.Frame, sender, receiver int, now sim.Slot) 
 }
 
 // linkBad advances the link's Markov chain to the given slot and reports
-// whether it is in the bad state there. Per-slot transition draws are
-// stateless hashes of (link, slot), so interleaved erase queries cannot
-// shift the chain's trajectory.
+// whether it is in the bad state there. The chain jumps from flip to
+// flip: the k-th holding time is a stateless hash of (link, k), so
+// interleaved erase queries cannot shift the chain's trajectory. A link
+// starts good at slot -1, so it is bad at slot 0 with probability
+// PGoodBad, as a per-slot chain would be.
 func (inj *Injector) linkBad(key uint64, now sim.Slot) bool {
 	st := inj.links[key]
 	if st == nil {
-		st = &geLink{upTo: -1}
+		st = &geLink{until: -1}
+		st.until += inj.holdTime(key, st)
 		inj.links[key] = st
 	}
-	for t := st.upTo + 1; t <= now; t++ {
-		u := inj.u01(streamGETrans, key, t)
-		if st.bad {
-			if u < inj.cfg.GE.PBadGood {
-				st.bad = false
-			}
-		} else if u < inj.cfg.GE.PGoodBad {
-			st.bad = true
+	for st.until <= now && st.until != never {
+		st.bad = !st.bad
+		d := inj.holdTime(key, st)
+		if d > never-st.until {
+			d = never - st.until
 		}
+		st.until += d
 	}
-	st.upTo = now
 	return st.bad
+}
+
+// holdTime draws how many slots the link stays in its current state: a
+// Geometric(p) variate on {1, 2, …} by inversion, floor(log1p(-u) /
+// log1p(-p)) + 1, where p is the state's per-slot leave probability.
+// p ≥ 1 (log1p(-p) = -Inf) gives 1; p ≤ 0 (log1p(-p) = 0) and draws
+// past the int64 range give never.
+func (inj *Injector) holdTime(key uint64, st *geLink) sim.Slot {
+	lq := inj.logStay[0]
+	if st.bad {
+		lq = inj.logStay[1]
+	}
+	st.k++
+	if lq == 0 {
+		return never
+	}
+	h := math.Floor(math.Log1p(-inj.u01(streamGEHold, key, sim.Slot(st.k)))/lq) + 1
+	if h >= float64(never) {
+		return never
+	}
+	return sim.Slot(h)
 }
 
 // Down implements sim.Impairment: it reports whether the station is
@@ -288,14 +324,21 @@ func (inj *Injector) linkBad(key uint64, now sim.Slot) bool {
 // nor decodes arriving frames) while its queued requests keep aging
 // toward their deadlines.
 func (inj *Injector) Down(station int, now sim.Slot) bool {
-	if inj.nodes == nil {
+	if !inj.crash {
 		return false
 	}
-	s := inj.nodes[station]
-	if s == nil {
-		s = &nodeSched{}
+	return inj.sched(station, now).down
+}
+
+// sched advances the station's crash schedule to the given slot, drawing
+// its first up interval on first use.
+func (inj *Injector) sched(station int, now sim.Slot) *nodeSched {
+	if station >= len(inj.nodes) {
+		inj.nodes = append(inj.nodes, make([]nodeSched, station+1-len(inj.nodes))...)
+	}
+	s := &inj.nodes[station]
+	if s.k == 0 {
 		s.until = inj.drawInterval(station, s, inj.cfg.Crash.MTTF)
-		inj.nodes[station] = s
 	}
 	for s.until <= now {
 		s.down = !s.down
@@ -306,7 +349,7 @@ func (inj *Injector) Down(station int, now sim.Slot) bool {
 		}
 		s.until += inj.drawInterval(station, s, mean)
 	}
-	return s.down
+	return s
 }
 
 // NextCrashChange implements sim.CrashScheduler: it returns the next
@@ -317,11 +360,10 @@ func (inj *Injector) Down(station int, now sim.Slot) bool {
 // accounting — so the engine's slot-skipping path leaves the injector
 // in the byte-identical state the per-slot reference path reaches.
 func (inj *Injector) NextCrashChange(station int, now sim.Slot) (sim.Slot, bool) {
-	if inj.nodes == nil {
+	if !inj.crash {
 		return 0, false
 	}
-	inj.Down(station, now)
-	return inj.nodes[station].until, true
+	return inj.sched(station, now).until, true
 }
 
 // drawInterval draws an exponential interval (mean slots, minimum one
