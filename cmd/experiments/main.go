@@ -52,7 +52,6 @@ func main() {
 	crashSpec := flag.String("crash", "", "fault: node crash schedule, mttf:mttr in slots")
 	locNoise := flag.Float64("locnoise", 0, "fault: stddev of the Gaussian location error LAMM sees")
 	listen := flag.String("listen", "", "serve live sweep metrics on this address (e.g. :9090): /metrics is Prometheus text (airtime ledger + sweep progress/ETA gauges), /snapshot is JSON")
-	workers := flag.Int("workers", 0, "parallel tile-resolver workers per run (0 = serial engine); trajectories differ from serial but are worker-count independent")
 	phases := flag.Bool("phases", false, "attach the engine phase profiler to every sweep run and print the pooled per-protocol phase breakdown after the sweeps (byte-identical results either way)")
 	flightDir := flag.String("flight-dir", "", fmt.Sprintf("drift experiment: dump per-message lifecycle span traces (JSONL, one file per run) into this directory for any protocol whose weighted drift exceeds experiments.DriftTolerance (%.2f)", experiments.DriftTolerance))
 	flag.Parse()
@@ -69,6 +68,14 @@ func main() {
 	}
 	if ferr = faultCfg.Validate(); ferr != nil {
 		fmt.Fprintln(os.Stderr, ferr)
+		os.Exit(2)
+	}
+	// The sweeps fix every other run parameter; -slots is the one the
+	// flags set, so it is checked before any sweep starts.
+	probe := experiments.Defaults(experiments.BMMM, 0)
+	probe.Slots = *slots
+	if err := probe.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -136,7 +143,7 @@ func main() {
 		}
 	}
 
-	o := experiments.Options{Runs: *runs, Slots: *slots, Fault: faultCfg, FlightDir: *flightDir, Workers: *workers}
+	o := experiments.Options{Runs: *runs, Slots: *slots, Fault: faultCfg, FlightDir: *flightDir}
 	if *withPlain {
 		o.Protocols = experiments.AllProtocols
 	}
@@ -281,14 +288,12 @@ func main() {
 }
 
 // phaseTable pools every sweep run's phase timer per protocol and
-// renders the wall-time decomposition with the measured serial fraction
-// and its Amdahl ceiling.
+// renders the wall-time decomposition.
 func phaseTable(timers map[string][]*prof.PhaseTimer) *report.Table {
 	cols := []string{"protocol", "runs", "wall ms"}
 	for i := 0; i < sim.NumPhases; i++ {
 		cols = append(cols, sim.Phase(i).String())
 	}
-	cols = append(cols, "serial frac", "amdahl limit")
 	tb := report.NewTable("engine phases: fraction of wall time per phase (all sweep runs pooled)", cols...)
 	names := make([]string, 0, len(timers))
 	for name := range timers {
@@ -301,7 +306,6 @@ func phaseTable(timers map[string][]*prof.PhaseTimer) *report.Table {
 		for _, s := range r.Phases {
 			row = append(row, s.Frac)
 		}
-		row = append(row, r.SerialFraction, r.AmdahlLimit)
 		tb.AddRow(row...)
 	}
 	tb.Note = "conservation holds by construction: phase fractions sum to 1"

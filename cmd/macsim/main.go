@@ -60,8 +60,6 @@ func main() {
 	capName := flag.String("capture", "zorzi-rao", "capture model: none|zorzi-rao|sir")
 	runs := flag.Int("runs", 10, "independent runs to average")
 	seed := flag.Int64("seed", 1, "base random seed")
-	workers := flag.Int("workers", 0, "parallel tile-resolver workers per run (0 = serial engine); results are identical for any worker count >= 1 but differ from serial")
-	tileSize := flag.Float64("tilesize", 0, "tile side for -workers (0 = 4x radius; raised to the 2x radius minimum)")
 	chartSlots := flag.Int("chart", 0, "render an ASCII channel-occupancy chart of the first N slots (single protocol, single run)")
 	traceFile := flag.String("trace", "", "write an event trace of a single run to this file: *.jsonl for JSONL, anything else for Chrome trace-event JSON (open at ui.perfetto.dev)")
 	stats := flag.Bool("stats", false, "print the stat registry (per-protocol counters and histograms) after the run table")
@@ -74,7 +72,7 @@ func main() {
 	flightFile := flag.String("flight", "", "write per-message lifecycle span trees of a single run to this file: *.jsonl for span JSONL, anything else for Chrome trace-event JSON (open at ui.perfetto.dev)")
 	flightStats := flag.Bool("flightstats", false, "attach a flight recorder per run and feed stage-decomposed latency histograms (queueing/contention/control/data airtime) into the stat registry; combine with -stats to print them")
 	auditFile := flag.String("audit", "", "run the protocol conformance auditor on every run and write the findings report to this file (\"-\" for stdout); exits 1 if any violation is found")
-	phases := flag.Bool("phases", false, "attach the engine phase profiler and print the phase breakdown after the run table; with -workers also prints worker utilization and the tile shape (byte-identical results either way)")
+	phases := flag.Bool("phases", false, "attach the engine phase profiler and print the phase breakdown after the run table (byte-identical results either way)")
 	listen := flag.String("listen", "", "serve live metrics on this address (e.g. :9090): /metrics is Prometheus text, /snapshot is JSON; implies the airtime ledger")
 	hold := flag.Bool("hold", false, "with -listen: keep serving after the runs complete until interrupted")
 	flag.Parse()
@@ -128,6 +126,25 @@ func main() {
 			fmt.Fprintf(os.Stderr, "unknown protocol %q\n", *proto)
 			os.Exit(2)
 		}
+	}
+
+	// runCfg is one run's configuration from the flags. It is validated
+	// once up front, so a bad value is rejected before anything runs.
+	runCfg := func(p experiments.Protocol, seed int64) experiments.RunConfig {
+		cfg := experiments.Defaults(p, seed)
+		cfg.Nodes = *nodes
+		cfg.Radius = *radius
+		cfg.Slots = *slots
+		cfg.Timeout = *timeout
+		cfg.Rate = *rate
+		cfg.Threshold = *threshold
+		cfg.Capture = capModel
+		cfg.Fault = faultCfg
+		return cfg
+	}
+	if err := runCfg(protos[0], *seed).Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
 
 	if *chartSlots > 0 {
@@ -222,17 +239,7 @@ func main() {
 			}
 		}
 		for r := 0; r < *runs; r++ {
-			cfg := experiments.Defaults(p, *seed+int64(r))
-			cfg.Nodes = *nodes
-			cfg.Radius = *radius
-			cfg.Slots = *slots
-			cfg.Timeout = *timeout
-			cfg.Rate = *rate
-			cfg.Threshold = *threshold
-			cfg.Capture = capModel
-			cfg.Fault = faultCfg
-			cfg.Workers = *workers
-			cfg.TileSize = *tileSize
+			cfg := runCfg(p, *seed+int64(r))
 			if pt != nil {
 				cfg.Profiler = pt
 			}
@@ -303,10 +310,6 @@ func main() {
 			if reg != nil && res.Fault != nil {
 				res.Fault.FeedRegistry(reg, string(p)+".fault")
 			}
-			if pt != nil && reg != nil {
-				tiles, seam, occ := pt.TileShape()
-				obs.FeedTiling(reg, string(p), tiles, seam, occ)
-			}
 			if dm != nil {
 				driftMu.Lock()
 				if acc := driftAccums[string(p)]; acc != nil {
@@ -355,10 +358,6 @@ func main() {
 	if *phases {
 		fmt.Println()
 		phaseTable(protos, phaseTimers).Render(os.Stdout)
-		if *workers > 0 {
-			fmt.Println()
-			workerTable(protos, phaseTimers).Render(os.Stdout)
-		}
 	}
 	if *stats {
 		fmt.Println()
@@ -405,14 +404,12 @@ func main() {
 
 // phaseTable renders the phase breakdown: one row per protocol, one
 // column per engine phase, each cell the fraction of that protocol's
-// pooled wall time (all runs share one timer). The trailing columns
-// give the measured serial fraction and its Amdahl ceiling.
+// pooled wall time (all runs share one timer).
 func phaseTable(protos []experiments.Protocol, timers map[string]*prof.PhaseTimer) *report.Table {
 	cols := []string{"protocol", "wall ms"}
 	for i := 0; i < sim.NumPhases; i++ {
 		cols = append(cols, sim.Phase(i).String())
 	}
-	cols = append(cols, "serial frac", "amdahl limit")
 	tb := report.NewTable("engine phases: fraction of wall time per phase (all runs pooled)", cols...)
 	for _, p := range protos {
 		pt := timers[string(p)]
@@ -424,37 +421,9 @@ func phaseTable(protos []experiments.Protocol, timers map[string]*prof.PhaseTime
 		for _, s := range r.Phases {
 			row = append(row, s.Frac)
 		}
-		row = append(row, r.SerialFraction, r.AmdahlLimit)
 		tb.AddRow(row...)
 	}
 	tb.Note = "conservation holds by construction: phase fractions sum to 1"
-	return tb
-}
-
-// workerTable renders the pool telemetry of a -workers run: per-worker
-// task counts and busy/parked utilization, plus the tile shape behind
-// the load balance (count, seam size, occupancy imbalance).
-func workerTable(protos []experiments.Protocol, timers map[string]*prof.PhaseTimer) *report.Table {
-	tb := report.NewTable("parallel runtime: per-worker utilization and tile shape (all runs pooled)",
-		"protocol", "worker", "tasks", "busy ms", "parked ms", "utilization")
-	for _, p := range protos {
-		pt := timers[string(p)]
-		if pt == nil {
-			continue
-		}
-		r := pt.Report()
-		for _, w := range r.Workers {
-			tb.AddRow(string(p), w.Worker, w.Tasks,
-				float64(w.BusyNs)/1e6, float64(w.ParkedNs)/1e6, w.Utilization)
-		}
-		if t := r.Tiles; t != nil {
-			tb.AddRow(string(p), "tiles", t.Tiles,
-				fmt.Sprintf("seam %d", t.SeamStations),
-				fmt.Sprintf("occ %d-%d", t.MinOccupancy, t.MaxOccupancy),
-				fmt.Sprintf("imbalance %.2f", t.Imbalance))
-		}
-	}
-	tb.Note = "parked time is idle waiting between pool dispatches; utilization = busy / (busy + parked)"
 	return tb
 }
 

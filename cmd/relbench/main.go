@@ -1,13 +1,13 @@
 // Command relbench is the benchmark-regression harness: it measures
 // engine slot throughput on the optimized and reference paths, per-slot
 // allocation pressure, per-protocol sweep wall time, and the engine
-// phase decomposition (serial fraction + Amdahl projection), writes the
-// results to BENCH.json, and compares them against the committed
+// phase decomposition of one profiled dense run, writes the results to
+// BENCH.json, and compares them against the committed
 // BENCH_BASELINE.json.
 //
 // Usage:
 //
-//	go run ./cmd/relbench [-quick|-large] [-json] [-out BENCH.json]
+//	go run ./cmd/relbench [-quick] [-json] [-out BENCH.json]
 //	                      [-baseline BENCH_BASELINE.json] [-tolerance 0.25]
 //	                      [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -15,13 +15,9 @@
 // reference/optimized speedup ratio and exact allocations per slot —
 // so the committed baseline is valid on any machine; absolute
 // nanoseconds are recorded as advisory context, and a host-metadata
-// mismatch against the baseline surfaces as an advisory note. The
-// parallel scaling section additionally enforces an absolute floor on
-// the 1→8-worker speedup, but only on machines with at least 8 CPU
-// cores (below that the scaling number reflects the hardware, not the
-// resolver, and is reported as advisory). -large switches to the
-// 100 000-station profile, sized for the tile resolver's scaling
-// regime. -cpuprofile/-memprofile write pprof profiles of the
+// mismatch against the baseline surfaces as an advisory note. A baseline
+// pinned under another report schema fails the gate until it is
+// re-pinned. -cpuprofile/-memprofile write pprof profiles of the
 // measurement suite itself, for digging into *why* a phase got slower
 // once the phase table says *where*. Exit status is 1 when a regression
 // exceeds the tolerance band, 2 on a measurement failure.
@@ -54,7 +50,6 @@ func main() {
 
 func run() int {
 	quick := flag.Bool("quick", false, "use the CI smoke profile instead of the full profile")
-	large := flag.Bool("large", false, "use the 100k-station scaling profile (parallel tile-resolver stress)")
 	jsonOut := flag.Bool("json", false, "print the report as JSON to stdout")
 	out := flag.String("out", "BENCH.json", "path to write the report (empty disables)")
 	baseline := flag.String("baseline", "BENCH_BASELINE.json", "baseline to compare against (missing file skips the gate)")
@@ -66,13 +61,6 @@ func run() int {
 	profile := relbench.Full
 	if *quick {
 		profile = relbench.Quick
-	}
-	if *large {
-		if *quick {
-			fmt.Fprintln(os.Stderr, "relbench: -quick and -large are mutually exclusive")
-			return 2
-		}
-		profile = relbench.Large
 	}
 
 	if *cpuprofile != "" {
@@ -140,18 +128,8 @@ func run() int {
 				s.Optimized.NsPerSlot, s.Optimized.AllocsPerSlot,
 				s.Reference.NsPerSlot, s.Speedup)
 		}
-		if pa := report.Parallel; pa != nil {
-			fmt.Printf("  parallel: %d nodes, %d tiles, %d cores; serial %.0f ns/slot\n",
-				pa.Nodes, pa.Tiles, pa.Cores, pa.Serial.NsPerSlot)
-			for _, w := range pa.Workers {
-				fmt.Printf("    %d worker(s): %.0f ns/slot (%.0f slots/sec)\n",
-					w.Workers, w.NsPerSlot, w.SlotsPerSec)
-			}
-			fmt.Printf("    1->8 speedup %.2fx\n", pa.SpeedupAt8)
-		}
 		if ph := report.Phases; ph != nil && ph.Serial != nil {
-			fmt.Printf("  phases (serial run): serial fraction %.3f, Amdahl limit %.1fx, max useful workers %d\n",
-				ph.Serial.SerialFraction, ph.Serial.AmdahlLimit, ph.Serial.MaxUsefulWorkers)
+			fmt.Printf("  phases (%d nodes, %d slots):\n", profile.PhaseNodes, profile.PhaseSlots)
 			for _, s := range ph.Serial.Phases {
 				if s.Ns > 0 {
 					fmt.Printf("    %-18s %6.1f%%\n", s.Phase, s.Frac*100)

@@ -8,18 +8,14 @@
 //
 // Usage:
 //
-//	go run ./cmd/relmaclint [-json] [-sarif out.sarif] [-tilereport out.json] \
+//	go run ./cmd/relmaclint [-json] [-sarif out.sarif] \
 //	    [-checks determinism,prngflow] [-list] [patterns...]
 //
 // Patterns default to ./... and follow the go tool's convention
 // (testdata, vendor and hidden directories are skipped). -sarif writes a
-// SARIF 2.1.0 log for GitHub code scanning alongside the normal output;
-// -tilereport writes the parallel-tile safety classification of every
-// serial-path function and enforces the dispatch gate: any function the
-// parallel resolver hands to pool workers that classifies
-// shared-mutating fails the run. -list prints the registered checks and
-// exits. The exit status is 1 when findings remain after suppression or
-// the dispatch gate fails, 2 on a load failure.
+// SARIF 2.1.0 log for GitHub code scanning alongside the normal output.
+// -list prints the registered checks and exits. The exit status is 1
+// when findings remain after suppression, 2 on a load failure.
 package main
 
 import (
@@ -35,7 +31,6 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit findings and suppressions as JSON (for CI annotation)")
 	sarifOut := flag.String("sarif", "", "also write findings as SARIF 2.1.0 to the given file (for code scanning)")
-	tileOut := flag.String("tilereport", "", "also write the parallel-tile safety report to the given file")
 	checks := flag.String("checks", "", "comma-separated subset of checks to run (default all: "+strings.Join(lint.CheckNames(), ",")+")")
 	list := flag.Bool("list", false, "print the registered checks with their one-line docs and exit")
 	dir := flag.String("C", ".", "directory to locate the module from")
@@ -78,8 +73,7 @@ func main() {
 	if *checks != "" {
 		cfg.Checks = strings.Split(*checks, ",")
 	}
-	suite := lint.NewSuite(loader, cfg)
-	res := suite.Run(pkgs)
+	res := lint.NewSuite(loader, cfg).Run(pkgs)
 
 	if *sarifOut != "" {
 		if err := writeJSON(*sarifOut, lint.ToSARIF(res, root)); err != nil {
@@ -87,29 +81,6 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	dispatchUnsafe := false
-	if *tileOut != "" {
-		tile := suite.TileSafetyReport(pkgs)
-		if err := writeJSON(*tileOut, tile); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		// The dispatch section is a gate, not just a report: code handed
-		// to the parallel resolver's workers must stay pure/engine-local.
-		if !tile.DispatchSafe {
-			dispatchUnsafe = true
-			for _, d := range tile.Dispatch {
-				if d.Safe {
-					continue
-				}
-				fmt.Fprintf(os.Stderr, "relmaclint: tile dispatch root %s is %s:\n", d.Root, d.Class)
-				for _, r := range d.Reasons {
-					fmt.Fprintf(os.Stderr, "  %s\n", r)
-				}
-			}
-		}
-	}
-
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -127,7 +98,7 @@ func main() {
 		fmt.Printf("relmaclint: %d package(s), %d finding(s), %d suppression(s)\n",
 			len(pkgs), len(res.Findings), len(res.Suppressions))
 	}
-	if len(res.Findings) > 0 || dispatchUnsafe {
+	if len(res.Findings) > 0 {
 		os.Exit(1)
 	}
 }

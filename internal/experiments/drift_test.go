@@ -35,30 +35,6 @@ func TestDriftWithinTolerance(t *testing.T) {
 	}
 }
 
-// TestDriftWithinToleranceParallel repeats the closed-form gate with
-// the parallel tile resolver active. Parallel trajectories differ from
-// serial ones (interior capture draws come from per-tile streams, not
-// the engine stream), so byte-identity with the serial gate is not the
-// claim — statistical agreement with the §6 recurrences is: the
-// resolver must not bias contention-phase counts.
-func TestDriftWithinToleranceParallel(t *testing.T) {
-	o := Options{Runs: 6, Slots: 5000, Protocols: []Protocol{BMMM, LAMM}, Workers: 4}
-	_, sums, err := Drift(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, proto := range o.Protocols {
-		s := sums[proto]
-		if s.Messages < 500 {
-			t.Fatalf("%s: only %d completed messages — not enough signal for the gate", proto, s.Messages)
-		}
-		if math.IsNaN(s.WeightedRelErr) || math.Abs(s.WeightedRelErr) > DriftTolerance {
-			t.Errorf("%s: parallel weighted drift %g exceeds tolerance %g (p̂=%g, %d msgs)",
-				proto, s.WeightedRelErr, DriftTolerance, s.PHat, s.Messages)
-		}
-	}
-}
-
 // TestDriftBMWPerReceiverModel pins that BMW is compared against n/p,
 // not the batch recurrence: on a clean channel its observed contention
 // count grows linearly with group size.

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -48,6 +49,59 @@ func TestRunDeterministicPerSeed(t *testing.T) {
 	c, _ := Run(cfg)
 	if a.Summary == c.Summary {
 		t.Error("different seeds should differ (astronomically unlikely otherwise)")
+	}
+}
+
+// TestRunRejectsBadRunConfig checks that run parameters no simulation
+// can be built from come back from Run as an error — naming the field —
+// instead of a panic from the topology constructor or a silently
+// meaningless per-slot probability.
+func TestRunRejectsBadRunConfig(t *testing.T) {
+	cases := []struct {
+		name  string
+		field string
+		edit  func(*RunConfig)
+	}{
+		{"no-nodes", "Nodes", func(c *RunConfig) { c.Nodes = 0 }},
+		{"negative-nodes", "Nodes", func(c *RunConfig) { c.Nodes = -5 }},
+		{"zero-radius", "Radius", func(c *RunConfig) { c.Radius = 0 }},
+		{"negative-radius", "Radius", func(c *RunConfig) { c.Radius = -0.2 }},
+		{"nan-radius", "Radius", func(c *RunConfig) { c.Radius = math.NaN() }},
+		{"rate-above-one", "Rate", func(c *RunConfig) { c.Rate = 2 }},
+		{"negative-rate", "Rate", func(c *RunConfig) { c.Rate = -0.1 }},
+		{"nan-rate", "Rate", func(c *RunConfig) { c.Rate = math.NaN() }},
+		{"errrate-above-one", "ErrRate", func(c *RunConfig) { c.ErrRate = 1.5 }},
+		{"negative-errrate", "ErrRate", func(c *RunConfig) { c.ErrRate = -1 }},
+		{"negative-slots", "Slots", func(c *RunConfig) { c.Slots = -1 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Defaults(BMMM, 1)
+			cfg.Slots = 10
+			tc.edit(&cfg)
+			_, err := Run(cfg)
+			if err == nil {
+				t.Fatalf("Run accepted %+v", cfg)
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("error %q does not name %s", err, tc.field)
+			}
+		})
+	}
+	// The boundaries stay valid: a build-only run (Slots 0), a single
+	// station, and the probability endpoints.
+	for _, edit := range []func(*RunConfig){
+		func(c *RunConfig) { c.Slots = 0 },
+		func(c *RunConfig) { c.Nodes = 1 },
+		func(c *RunConfig) { c.Rate, c.ErrRate = 1, 1 },
+		func(c *RunConfig) { c.Rate, c.ErrRate = 0, 0 },
+	} {
+		cfg := Defaults(BMMM, 1)
+		cfg.Slots = 10
+		edit(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("valid config rejected: %v", err)
+		}
 	}
 }
 

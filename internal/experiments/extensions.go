@@ -84,9 +84,7 @@ func runMobile(cfg RunConfig, speed float64, beaconEvery int) (metrics.Summary, 
 		Impairment: imp,
 		Seed:       cfg.Seed ^ 0x1e3779b97f4a7c15, Observer: col,
 		SlotHook: driver.Hook(),
-		Parallel: sim.Parallel{Workers: cfg.Workers, TileSize: cfg.TileSize},
 	})
-	defer eng.Close()
 	eng.AttachMACs(factory)
 	eng.Run(cfg.Slots, gen)
 	return col.Summarize(cfg.Threshold, metrics.GroupFilter(sim.Slot(cfg.Slots))), nil
@@ -165,9 +163,7 @@ func LocationError(o Options) (*report.Table, error) {
 				eng := sim.New(sim.Config{
 					Topo: tp, Capture: cfg.Capture,
 					Seed: seed * 31, Observer: col,
-					Parallel: sim.Parallel{Workers: o.Workers},
 				})
-				defer eng.Close()
 				eng.AttachMACs(factory)
 				eng.Run(cfg.Slots, gen)
 				s := col.Summarize(cfg.Threshold, metrics.GroupFilter(sim.Slot(cfg.Slots)))

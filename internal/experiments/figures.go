@@ -36,21 +36,15 @@ type Options struct {
 	// exceeds DriftTolerance, so a clean gate writes nothing and a
 	// tripped one ships the evidence for the drill-down.
 	FlightDir string
-	// Workers > 0 runs every simulation with the engine's parallel tile
-	// resolver (RunConfig.Workers). The paper figures keep the serial
-	// default; the parallel drift gate opts in to pin the resolver's
-	// trajectories against the same closed forms.
-	Workers int
 }
 
-// apply copies the per-run knobs every sweep honours — duration, the
-// sweep-wide impairment and the parallel resolver — onto one run's
+// apply copies the per-run knobs every sweep honours — duration and the
+// sweep-wide impairment — onto one run's
 // configuration. Sweeps that override Fault per point do so after
 // calling apply.
 func (o Options) apply(cfg *RunConfig) {
 	cfg.Slots = o.Slots
 	cfg.Fault = o.Fault
-	cfg.Workers = o.Workers
 }
 
 func (o Options) normal() Options {

@@ -2,11 +2,11 @@ package experiments_test
 
 // The profiler's byte-neutrality gate: attaching a prof.PhaseTimer to a
 // run must leave every equality witness byte-identical — transcript,
-// observer event stream, summary, airtime ledger and audit report — on
-// the serial engine and at any worker count. This is the differential
-// proof behind the sim.Config.Profiler contract (and what the profpure
-// lint check enforces statically); the conservation test then pins the
-// profiler's own accounting invariant on every protocol and mode.
+// observer event stream, summary, airtime ledger and audit report. This
+// is the differential proof behind the sim.Config.Profiler contract (and
+// what the profpure lint check enforces statically); the conservation
+// test then pins the profiler's own accounting invariant on every
+// protocol, clean and impaired.
 
 import (
 	"testing"
@@ -27,8 +27,8 @@ func withProfiler(base func(cfg *experiments.RunConfig)) func(cfg *experiments.R
 	}
 }
 
-// TestProfilerByteNeutralSerial pins profiler attachment as a no-op on
-// the serial engine for all five protocols.
+// TestProfilerByteNeutralSerial pins profiler attachment as a no-op for
+// all five protocols.
 func TestProfilerByteNeutralSerial(t *testing.T) {
 	for _, proto := range experiments.AllProtocols {
 		t.Run(string(proto), func(t *testing.T) {
@@ -42,36 +42,16 @@ func TestProfilerByteNeutralSerial(t *testing.T) {
 	}
 }
 
-// TestProfilerByteNeutralParallel pins profiler attachment as a no-op on
-// the parallel resolver at 8 workers: arming the pool clock and the
-// per-worker telemetry must not perturb the tile streams.
-func TestProfilerByteNeutralParallel(t *testing.T) {
-	for _, proto := range experiments.AllProtocols {
-		t.Run(string(proto), func(t *testing.T) {
-			bare := runFull(t, proto, false, withWorkers(8, nil))
-			profiled := runFull(t, proto, false, withProfiler(withWorkers(8, nil)))
-			if len(bare.transcript) == 0 {
-				t.Fatal("run produced no traffic; the comparison is vacuous")
-			}
-			diffWitnesses(t, profiled, bare)
-		})
-	}
-}
-
 // TestProfilerConservation pins the accounting invariant Σ phases ≡ wall
-// for every protocol, clean and impaired, serial and parallel — no
-// engine nanosecond may be double-counted or lost, exactly (integer
-// arithmetic, no tolerance).
+// for every protocol, clean and impaired — no engine nanosecond may be
+// double-counted or lost, exactly (integer arithmetic, no tolerance).
 func TestProfilerConservation(t *testing.T) {
 	modes := []struct {
 		name     string
 		impaired bool
-		workers  int
 	}{
-		{"clean-serial", false, 0},
-		{"clean-parallel", false, 4},
-		{"impaired-serial", true, 0},
-		{"impaired-parallel", true, 4},
+		{"clean-serial", false},
+		{"impaired-serial", true},
 	}
 	for _, proto := range experiments.AllProtocols {
 		for _, m := range modes {
@@ -79,7 +59,6 @@ func TestProfilerConservation(t *testing.T) {
 				pt := prof.New()
 				cfg := experiments.Defaults(proto, 11)
 				cfg.Slots = 2000
-				cfg.Workers = m.workers
 				cfg.Profiler = pt
 				if m.impaired {
 					cfg.Fault = fault.Config{PER: 0.02, Crash: fault.Crash{MTTF: 1500, MTTR: 150}}
@@ -97,21 +76,6 @@ func TestProfilerConservation(t *testing.T) {
 						sum += p.Ns
 					}
 					t.Fatalf("conservation violated: phases sum to %d, wall %d (%+v)", sum, r.WallNs, r.Phases)
-				}
-				if m.workers == 0 {
-					if ns := r.PhaseNs("seam-merge"); ns != 0 {
-						t.Errorf("serial run attributed %d ns to seam-merge", ns)
-					}
-					if len(r.Workers) != 0 {
-						t.Errorf("serial run reported worker telemetry: %+v", r.Workers)
-					}
-				} else {
-					if len(r.Workers) != m.workers {
-						t.Errorf("worker telemetry: got %d samples, want %d", len(r.Workers), m.workers)
-					}
-					if r.Tiles == nil || r.Tiles.Tiles < 1 {
-						t.Errorf("parallel run missing tile shape: %+v", r.Tiles)
-					}
 				}
 			})
 		}

@@ -139,19 +139,6 @@ type RunConfig struct {
 	// the default; the sparse-traffic benchmarks and the skipping
 	// equivalence tests opt in.
 	EventTraffic bool
-	// Workers > 0 enables the engine's deterministic parallel tile
-	// resolver (sim.Config.Parallel) with that many pool workers.
-	// Results are byte-identical for every worker count — including
-	// Workers=1 — but differ from the serial (Workers=0) trajectory,
-	// because interior-tile capture draws move off the engine stream
-	// onto per-tile streams. The paper sweeps keep the serial default;
-	// the scaling benchmarks and the parallel differential suite opt in.
-	// Mutually exclusive with Reference.
-	Workers int
-	// TileSize is the tile side length for the parallel resolver; 0
-	// lets the engine default to 4× the radio radius. Ignored when
-	// Workers is 0.
-	TileSize float64
 	// Profiler attaches a runtime phase profiler to the engine
 	// (sim.Config.Profiler) — typically a prof.PhaseTimer. Profilers
 	// are PRNG-neutral and mutation-free by contract, so results are
@@ -226,9 +213,33 @@ func faultFactory(cfg *RunConfig, fseed int64) (func(node int, env *sim.Env) sim
 	return Factory(cfg.Protocol, cfg.MAC)
 }
 
-// Run executes one simulation run to completion. An out-of-range fault
+// Validate reports the first run parameter that no simulation can be
+// built from: fewer than one station, a radius that is not positive
+// (NaN included), a per-slot generation rate or erasure probability
+// outside [0,1], or a negative horizon. Slots == 0 is valid: it builds
+// the run without simulating a slot.
+func (c RunConfig) Validate() error {
+	switch {
+	case c.Nodes < 1:
+		return fmt.Errorf("experiments: Nodes %d, need at least 1", c.Nodes)
+	case !(c.Radius > 0):
+		return fmt.Errorf("experiments: Radius %v, need > 0", c.Radius)
+	case !(c.Rate >= 0 && c.Rate <= 1):
+		return fmt.Errorf("experiments: Rate %v outside [0,1]", c.Rate)
+	case !(c.ErrRate >= 0 && c.ErrRate <= 1):
+		return fmt.Errorf("experiments: ErrRate %v outside [0,1]", c.ErrRate)
+	case c.Slots < 0:
+		return fmt.Errorf("experiments: negative Slots %d", c.Slots)
+	}
+	return nil
+}
+
+// Run executes one simulation run to completion. An invalid run or fault
 // configuration is reported as an error before anything is built.
 func Run(cfg RunConfig) (RunResult, error) {
+	if err := cfg.Validate(); err != nil {
+		return RunResult{}, err
+	}
 	if err := cfg.Fault.Validate(); err != nil {
 		return RunResult{}, err
 	}
@@ -259,10 +270,8 @@ func Run(cfg RunConfig) (RunResult, error) {
 		Lifecycle:    sim.CombineLifecycleObservers(cfg.Lifecycles...),
 		Tracer:       cfg.Tracer,
 		Reference:    cfg.Reference,
-		Parallel:     sim.Parallel{Workers: cfg.Workers, TileSize: cfg.TileSize},
 		Profiler:     cfg.Profiler,
 	})
-	defer eng.Close()
 	eng.AttachMACs(factory)
 	gen := traffic.NewGenerator(tp)
 	gen.Rate = cfg.Rate

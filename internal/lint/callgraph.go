@@ -50,25 +50,12 @@ const (
 	FactTaintedDraw
 	// FactParamDraw: the function body draws from a *rand.Rand received
 	// as a parameter (or the receiver). Still a shared-stream draw from
-	// an observer hook's point of view, but distinguishable from
-	// FactTaintedDraw so the tile-dispatch gate can sanction functions
-	// whose caller contractually supplies a per-tile stream.
+	// an observer hook's point of view; maporder counts only
+	// FactTaintedDraw, since the caller chose the stream.
 	FactParamDraw
 	// FactEngineWrite: the function body stores through sim.Engine or
 	// sim.Env state, or calls a mutating method on one of them.
 	FactEngineWrite
-	// FactGlobalWrite: the function stores to a package-level variable.
-	FactGlobalWrite
-	// FactRecvWrite: the function stores to receiver/parameter-rooted
-	// (or untracked-pointer) state.
-	FactRecvWrite
-	// FactChanOp: the function sends on, receives from, or closes a
-	// channel.
-	FactChanOp
-	// FactSyncOp: the function calls into package sync (Mutex, WaitGroup,
-	// Once, …). Legal on the serial path, but a cross-tile coupling the
-	// tile-safety report must surface.
-	FactSyncOp
 	// FactProcessIO: the function performs process-global I/O — package
 	// os or log, or the fmt.Print* family writing to stdout.
 	FactProcessIO
@@ -128,8 +115,6 @@ type FuncNode struct {
 	Facts []Fact
 	// Allocs are the allocation sites found in the body (hotalloc).
 	Allocs []AllocSite
-	// Writes classify every store in the body (tile-safety report).
-	Writes []WriteSite
 
 	mask factMask // direct facts as a bitset
 }
@@ -254,12 +239,6 @@ func (g *Graph) scanBody(node *FuncNode) {
 		switch n := n.(type) {
 		case *ast.GoStmt:
 			node.Facts = append(node.Facts, Fact{FactGoSpawn, n.Pos(), "goroutine spawn (go statement)"})
-		case *ast.SendStmt:
-			node.Facts = append(node.Facts, Fact{FactChanOp, n.Pos(), "channel send"})
-		case *ast.UnaryExpr:
-			if n.Op == token.ARROW {
-				node.Facts = append(node.Facts, Fact{FactChanOp, n.Pos(), "channel receive"})
-			}
 		case *ast.Ident:
 			if tn, ok := info.Uses[n].(*types.TypeName); ok && isSyncPool(tn) {
 				node.Facts = append(node.Facts, Fact{FactSyncPool, n.Pos(), "sync.Pool use"})
@@ -283,7 +262,6 @@ func (g *Graph) scanBody(node *FuncNode) {
 		return true
 	})
 	node.Allocs = df.allocs
-	node.Writes = df.writes
 }
 
 // scanCall resolves one call expression into an edge and the facts it
@@ -315,8 +293,6 @@ func (g *Graph) scanCall(node *FuncNode, df *funcData, call *ast.CallExpr) {
 			node.Facts = append(node.Facts, Fact{FactGlobalRand, call.Pos(),
 				"global " + fn.Pkg().Name() + "." + fn.Name() + " call"})
 		}
-	case "sync", "sync/atomic":
-		node.Facts = append(node.Facts, Fact{FactSyncOp, call.Pos(), "sync primitive (" + fn.Pkg().Name() + "." + fn.Name() + ")"})
 	case "os", "log", "log/slog", "net", "net/http":
 		node.Facts = append(node.Facts, Fact{FactProcessIO, call.Pos(), "process-global I/O (" + fn.Pkg().Name() + "." + fn.Name() + ")"})
 	case "fmt":

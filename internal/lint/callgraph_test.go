@@ -121,8 +121,6 @@ func TestCallGraphRecursion(t *testing.T) {
 	g, pkg := loadGraphSrc(t, "c", `// Package c exercises a recursive call cycle.
 package c
 
-var ch = make(chan int)
-
 func ping(n int) {
 	if n > 0 {
 		pong(n - 1)
@@ -131,14 +129,14 @@ func ping(n int) {
 
 func pong(n int) {
 	ping(n)
-	ch <- n
+	go func() {}()
 }
 `)
 	for _, name := range []string{"c.ping", "c.pong"} {
-		if fn := graphFunc(t, g, pkg, name); !g.Reaches(fn, FactChanOp, true) {
-			t.Errorf("%s is in the cycle and must reach the channel send", name)
+		if fn := graphFunc(t, g, pkg, name); !g.Reaches(fn, FactGoSpawn, true) {
+			t.Errorf("%s is in the cycle and must reach the go statement", name)
 		}
-		if fn := graphFunc(t, g, pkg, name); g.Reaches(fn, FactGoSpawn, true) {
+		if fn := graphFunc(t, g, pkg, name); g.Reaches(fn, FactWallClock, true) {
 			t.Errorf("%s must not report facts the cycle does not contain", name)
 		}
 	}
@@ -277,156 +275,11 @@ func (t *tap) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) {
 	}
 }
 
-// TestTileReportCoversSerialPath checks the -tilereport acceptance bar
-// on the real module: every function declared in a serial-path package
-// is classified, the classes are from the fixed vocabulary, and every
-// non-pure class carries at least one reason or write witness.
-func TestTileReportCoversSerialPath(t *testing.T) {
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	suite := NewSuite(loader, cfg)
-	rep := suite.TileSafetyReport(pkgs)
-	if len(rep.Packages) == 0 {
-		t.Fatal("tile report covers no packages; SerialPaths misconfigured?")
-	}
-	counted := 0
-	covered := map[string]bool{}
-	for _, f := range rep.Funcs {
-		switch f.Class {
-		case "pure", "engine-local", "shared-mutating":
-		default:
-			t.Errorf("%s: unknown class %q", f.Func, f.Class)
-		}
-		if f.Class == "shared-mutating" && len(f.Reasons) == 0 {
-			t.Errorf("%s: shared-mutating without a reason", f.Func)
-		}
-		covered[f.Pkg+"|"+f.Func] = true
-		counted++
-	}
-	g := suite.Graph()
-	for _, pkg := range pkgs {
-		if !cfg.inSerialPath(pkg.Path) {
-			continue
-		}
-		for _, node := range g.FuncsOf(pkg) {
-			if !covered[pkg.Path+"|"+shortName(node.Fn)] {
-				t.Errorf("serial-path function %s (%s) missing from the tile report", shortName(node.Fn), pkg.Path)
-			}
-		}
-	}
-	if sum := rep.Summary["pure"] + rep.Summary["engine-local"] + rep.Summary["shared-mutating"]; sum != counted {
-		t.Errorf("summary counts %d functions, report lists %d", sum, counted)
-	}
-}
-
-// loadRealModule loads the real module once for the dispatch-gate tests.
-func loadRealModule(t *testing.T) (*Loader, []*Package) {
-	t.Helper()
-	root, err := FindModuleRoot(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := loader.Load([]string{"./..."})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return loader, pkgs
-}
-
-// TestTileDispatchGateOnRealModule checks the dispatch gate's positive
-// half on the real module: both default dispatch roots (the functions
-// the parallel resolver hands to pool workers) resolve, classify
-// engine-local — they mutate engine state but only through the
-// receiver, with PRNG draws routed through caller-supplied per-tile
-// streams — and the report's conjunction is safe.
-func TestTileDispatchGateOnRealModule(t *testing.T) {
-	loader, pkgs := loadRealModule(t)
-	cfg := DefaultConfig()
-	if len(cfg.TileDispatchRoots) < 2 {
-		t.Fatalf("default config has %d dispatch roots, want the resolver's two", len(cfg.TileDispatchRoots))
-	}
-	rep := NewSuite(loader, cfg).TileSafetyReport(pkgs)
-	if !rep.DispatchSafe {
-		t.Errorf("dispatch gate failed on the real module: %+v", rep.Dispatch)
-	}
-	if len(rep.Dispatch) != len(cfg.TileDispatchRoots) {
-		t.Fatalf("report has %d dispatch verdicts, want %d", len(rep.Dispatch), len(cfg.TileDispatchRoots))
-	}
-	for _, d := range rep.Dispatch {
-		if !d.Safe || d.Class != "engine-local" {
-			t.Errorf("root %s: class %q safe=%v, want engine-local and safe", d.Root, d.Class, d.Safe)
-		}
-	}
-}
-
-// TestTileDispatchGateTeeth proves the gate has teeth: pointing a
-// dispatch root at a function that demonstrably reaches shared effects
-// (the parallel merge phase, which performs channel ops through the
-// pool and draws from the seam stream) must flip the verdict to unsafe
-// with witness paths, and a renamed/missing root must fail rather than
-// silently dropping out of the gate.
-func TestTileDispatchGateTeeth(t *testing.T) {
-	loader, pkgs := loadRealModule(t)
-
-	cfg := DefaultConfig()
-	cfg.TileDispatchRoots = []string{
-		"relmac/internal/sim.Engine.resolveSlotParallel", // shared-mutating: pool channel ops
-		"relmac/internal/sim.Engine.resolveTile",         // still safe
-		"relmac/internal/sim.Engine.noSuchResolver",      // missing
-	}
-	rep := NewSuite(loader, cfg).TileSafetyReport(pkgs)
-	if rep.DispatchSafe {
-		t.Fatal("gate passed with a shared-mutating and a missing root configured")
-	}
-	if len(rep.Dispatch) != 3 {
-		t.Fatalf("report has %d dispatch verdicts, want 3", len(rep.Dispatch))
-	}
-	shared, safe, missing := rep.Dispatch[0], rep.Dispatch[1], rep.Dispatch[2]
-	if shared.Safe || shared.Class != "shared-mutating" || len(shared.Reasons) == 0 {
-		t.Errorf("resolveSlotParallel: class %q safe=%v reasons=%v, want unsafe shared-mutating with witnesses",
-			shared.Class, shared.Safe, shared.Reasons)
-	}
-	foundChan := false
-	for _, r := range shared.Reasons {
-		if strings.HasPrefix(r, "channel op:") {
-			foundChan = true
-		}
-		if strings.HasPrefix(r, "caller-supplied PRNG draw:") {
-			t.Errorf("dispatch policy must not count FactParamDraw, got reason %q", r)
-		}
-	}
-	if !foundChan {
-		t.Errorf("resolveSlotParallel reasons %v must witness the pool's channel ops", shared.Reasons)
-	}
-	if !safe.Safe || safe.Class != "engine-local" {
-		t.Errorf("resolveTile: class %q safe=%v, want engine-local and safe", safe.Class, safe.Safe)
-	}
-	if missing.Safe || missing.Class != "missing" || len(missing.Reasons) == 0 {
-		t.Errorf("missing root: class %q safe=%v reasons=%v, want unsafe missing with a reason",
-			missing.Class, missing.Safe, missing.Reasons)
-	}
-}
-
-// TestParamDrawFact checks the dataflow split underlying the dispatch
-// policy: a draw from a parameter-supplied generator produces
-// FactParamDraw (sanctioned for dispatch roots), a draw from a
-// field-held generator produces FactTaintedDraw (disqualifying), and a
-// locally constructed, explicitly seeded generator produces neither.
+// TestParamDrawFact checks the PRNG provenance split: a draw from a
+// parameter-supplied generator produces FactParamDraw, a draw from a
+// field-held generator produces FactTaintedDraw (the one maporder
+// counts), and a locally constructed, explicitly seeded generator
+// produces neither.
 func TestParamDrawFact(t *testing.T) {
 	g, pkg := loadGraphSrc(t, "pd", `// Package pd exercises PRNG draw provenance.
 package pd

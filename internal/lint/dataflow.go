@@ -25,31 +25,6 @@ import (
 //     errors.New(...) arguments are crash/rejection paths, not
 //     steady-state slot work, and are exempt from allocation accounting.
 
-// WriteKind classifies the storage a store lands in.
-type WriteKind uint8
-
-const (
-	// WriteRecvParam: receiver- or parameter-rooted storage. The mutation
-	// stays confined to state the caller handed in.
-	WriteRecvParam WriteKind = iota
-	// WriteGlobal: a package-level variable.
-	WriteGlobal
-	// WriteUnknown: through a pointer whose origin the dataflow cannot
-	// see (a call result, an interface unwrap). Treated like
-	// WriteRecvParam by the tile classification — possibly shared, not
-	// provably so.
-	WriteUnknown
-)
-
-// WriteSite is one non-local store in a function body. Stores into
-// fresh local storage are not recorded: they cannot be observed by other
-// tiles and leave a function classifiable as pure.
-type WriteSite struct {
-	Pos  token.Pos
-	Kind WriteKind
-	What string
-}
-
 // rootKind is the origin of an lvalue or allocation destination.
 type rootKind uint8
 
@@ -102,7 +77,6 @@ type funcData struct {
 	coldRanges []posRange
 
 	allocs []AllocSite
-	writes []WriteSite
 }
 
 // newFuncData runs the pre-pass over the declaration: receiver/param
@@ -382,9 +356,8 @@ func (df *funcData) isEngineOrEnv(t types.Type) bool {
 	return name == "Engine" || name == "Env"
 }
 
-// scanWrite classifies the stores of an assignment or inc/dec statement
-// and raises the engine-write fact for stores through sim.Engine/Env
-// state.
+// scanWrite raises the engine-write fact for the stores of an assignment
+// or inc/dec statement that land in sim.Engine/Env state.
 func (df *funcData) scanWrite(n ast.Node) {
 	var targets []ast.Expr
 	switch n := n.(type) {
@@ -399,17 +372,6 @@ func (df *funcData) scanWrite(n ast.Node) {
 		}
 		if base := df.engineBase(lhs); base != "" {
 			df.node.Facts = append(df.node.Facts, Fact{FactEngineWrite, lhs.Pos(), "store through " + base + " state"})
-		}
-		switch df.rootOf(lhs) {
-		case rootGlobal:
-			df.writes = append(df.writes, WriteSite{lhs.Pos(), WriteGlobal, "store to package-level variable"})
-			df.node.Facts = append(df.node.Facts, Fact{FactGlobalWrite, lhs.Pos(), "store to package-level variable"})
-		case rootRecvParam:
-			df.writes = append(df.writes, WriteSite{lhs.Pos(), WriteRecvParam, "store to receiver/parameter-rooted state"})
-			df.node.Facts = append(df.node.Facts, Fact{FactRecvWrite, lhs.Pos(), "store to receiver/parameter-rooted state"})
-		case rootUnknown:
-			df.writes = append(df.writes, WriteSite{lhs.Pos(), WriteUnknown, "store through untracked pointer"})
-			df.node.Facts = append(df.node.Facts, Fact{FactRecvWrite, lhs.Pos(), "store through untracked pointer"})
 		}
 	}
 }
@@ -437,8 +399,7 @@ func (df *funcData) engineBase(e ast.Expr) string {
 // scanRandDraw raises a draw fact for method calls that consume
 // randomness from a generator not constructed locally: FactParamDraw
 // when the generator arrived as a parameter — the caller chose the
-// stream, and may contractually supply an independent one (the tile
-// resolver does) — FactTaintedDraw for fields and other untracked
+// stream — FactTaintedDraw for fields and other untracked
 // sources, which alias the simulation's shared, order-sensitive stream.
 func (df *funcData) scanRandDraw(call *ast.CallExpr, fn *types.Func) {
 	sig, _ := fn.Type().(*types.Signature)

@@ -70,17 +70,15 @@ func runDeterminism(p *Pass) {
 			return true
 		})
 	}
-	reportEscapes(p, p.Cfg.inSimPath, nil, "determinism", []FactKind{FactWallClock, FactGlobalRand})
+	reportEscapes(p, p.Cfg.inSimPath, "determinism", []FactKind{FactWallClock, FactGlobalRand})
 }
 
 // reportEscapes flags static call sites in this package whose immediate
 // target lies outside the guarded path set but transitively contains one
 // of the banned facts. Targets inside the guarded set are skipped — the
 // fact is reported at its source by that package's own pass — so each
-// violation surfaces exactly once. Targets in a sanctioned set (may be
-// nil) are skipped too: simsafe uses it for the ParallelPaths worker
-// pool, whose dispatched work the tile-safety gate audits instead.
-func reportEscapes(p *Pass, guarded, sanctioned func(string) bool, what string, kinds []FactKind) {
+// violation surfaces exactly once.
+func reportEscapes(p *Pass, guarded func(string) bool, what string, kinds []FactKind) {
 	if !guarded(p.Path) {
 		return
 	}
@@ -92,9 +90,6 @@ func reportEscapes(p *Pass, guarded, sanctioned func(string) bool, what string, 
 			}
 			tn := g.Nodes[c.Callee]
 			if tn == nil || guarded(tn.Pkg.Path) {
-				continue
-			}
-			if sanctioned != nil && sanctioned(tn.Pkg.Path) {
 				continue
 			}
 			for _, kind := range kinds {

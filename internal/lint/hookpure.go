@@ -5,9 +5,8 @@ package lint
 // stores through sim.Engine/Env state, or calls a mutating engine method
 // (including the Env.Report* dispatchers — observer code re-entering the
 // engine's per-slot bookkeeping), couples measurement to dynamics: runs
-// with and without the observer attached diverge, which breaks both the
-// golden tests and any future parallel-tile resolver that replays hooks
-// out of band.
+// with and without the observer attached diverge, which breaks the
+// golden tests.
 //
 // Engine/Env stores and mutating-method calls are facts collected by the
 // shared graph walk (see dataflow.go); this check reports every hook

@@ -37,8 +37,8 @@
 //     attaching the observer changes trajectories;
 //   - hookpure: hooks must not reach a sim.Engine/Env mutation (stores
 //     through engine state, or non-allowlisted Engine/Env method calls);
-//   - profpure: profiler hook implementations (sim.Profiler,
-//     sim.ParallelProfiler) must not reach a PRNG draw or an engine
+//   - profpure: profiler hook implementations (sim.Profiler) must not
+//     reach a PRNG draw or an engine
 //     mutation — the profiler's byte-neutrality contract (attaching it
 //     must not change trajectories) holds exactly as long as its hooks
 //     only read clocks and accumulate counters;
@@ -50,12 +50,6 @@
 //     keeping the relbench one-allocation-per-transmission budget honest
 //     at review time. Amortized receiver-rooted scratch, the accounted
 //     frames.Frame, and cold panic/error paths are exempt.
-//
-// Beyond findings, the suite emits the parallel-tile safety report
-// (Suite.TileSafetyReport, `relmaclint -tilereport`): a classification
-// of every serial-path function as pure, engine-local or
-// shared-mutating with witness paths — the concrete input for the
-// ROADMAP's parallel-resolver design.
 //
 // A finding can be suppressed per line with a
 //
@@ -93,20 +87,6 @@ type Config struct {
 	// seeds feed engines) but not serial (Sweep legitimately fans out
 	// workers).
 	SerialPaths []string
-	// ParallelPaths are the sanctioned concurrency gates carved out of
-	// SerialPaths: packages allowed to spawn goroutines inside the slot
-	// loop because everything dispatched through them is held to the
-	// tile-safety dispatch contract (TileDispatchRoots). Calls from
-	// serial packages into a parallel path are exempt from the simsafe
-	// escape scan; the packages themselves stay sim-path (determinism,
-	// maporder, … still apply).
-	ParallelPaths []string
-	// TileDispatchRoots are the functions the parallel resolver hands to
-	// pool workers, named like HotPathRoots ("pkg/path.Type.Method").
-	// The tile-safety report classifies their call closures and fails
-	// (DispatchSafe=false) if any is shared-mutating — the enforcement
-	// half of the ParallelPaths carve-out.
-	TileDispatchRoots []string
 	// GeomPaths are the exact import paths the floateq check guards.
 	GeomPaths []string
 	// FramesPath is the package defining the frame Type tag and NumTypes.
@@ -172,11 +152,6 @@ func DefaultConfig() *Config {
 			"relmac/internal/beacon",
 			"relmac/internal/mobility",
 			"relmac/internal/prof",
-		},
-		ParallelPaths: []string{"relmac/internal/sim/tilepar"},
-		TileDispatchRoots: []string{
-			"relmac/internal/sim.Engine.resolveTile",
-			"relmac/internal/sim.Engine.stampBusyTile",
 		},
 		GeomPaths:  []string{"relmac/internal/geom"},
 		FramesPath: "relmac/internal/frames",

@@ -3,18 +3,18 @@ package lint
 // profpureAnalyzer mechanizes the profiler's byte-neutrality contract:
 // the differential tests pin that attaching a sim.Profiler leaves every
 // transcript byte-identical, and that only holds while profiler hooks
-// (RunStart/Enter/RunEnd and the ParallelProfiler extensions) confine
-// themselves to reading clocks and accumulating counters. One PRNG draw
-// inside Enter would shift every later draw in the run; one engine
+// (RunStart/Enter/RunEnd) confine themselves to reading clocks and
+// accumulating counters. One PRNG draw inside Enter would shift every
+// later draw in the run; one engine
 // mutation would couple measurement to dynamics. Both are the same
 // failure classes prngflow/hookpure guard on observers, applied here to
-// the profiler interfaces — so a profiler can never become the
+// the profiler interface — so a profiler can never become the
 // "measurement changes the experiment" bug the golden tests would only
 // catch after the fact.
 //
 // The walk is the shared call-graph reachability query, interface
-// dispatch included, from every sim.Profiler / sim.ParallelProfiler
-// method implementation declared in the package.
+// dispatch included, from every sim.Profiler method implementation
+// declared in the package.
 var profpureAnalyzer = &Analyzer{
 	Name: "profpure",
 	Doc:  "profiler hook implementations must not reach PRNG draws or engine mutations",
@@ -23,7 +23,7 @@ var profpureAnalyzer = &Analyzer{
 
 // profilerInterfaces are the sim-package interfaces whose
 // implementations the engine calls from inside Run.
-var profilerInterfaces = []string{"Profiler", "ParallelProfiler"}
+var profilerInterfaces = []string{"Profiler"}
 
 func runProfpure(p *Pass) {
 	for _, hook := range implMethods(p, profilerInterfaces) {

@@ -53,12 +53,7 @@ func runSimsafe(p *Pass) {
 			return true
 		})
 	}
-	// Calls into a ParallelPaths package are the sanctioned concurrency
-	// boundary — the worker pool the tile resolver dispatches through —
-	// and are skipped like interface dispatch; the tile-safety report's
-	// dispatch gate enforces what crosses it.
-	reportEscapes(p, p.Cfg.inSerialPath, p.Cfg.inParallelPath, "simsafe",
-		[]FactKind{FactGoSpawn, FactSyncPool})
+	reportEscapes(p, p.Cfg.inSerialPath, "simsafe", []FactKind{FactGoSpawn, FactSyncPool})
 }
 
 // isSyncPool reports whether the type name is sync.Pool.
@@ -67,24 +62,8 @@ func isSyncPool(tn *types.TypeName) bool {
 }
 
 // inSerialPath reports whether the package runs inside the slot loop.
-// ParallelPaths packages are carved out: they sit under a serial-path
-// prefix but are the sanctioned concurrency gate.
 func (c *Config) inSerialPath(path string) bool {
-	if c.inParallelPath(path) {
-		return false
-	}
 	for _, p := range c.SerialPaths {
-		if pathHasPrefix(path, p) {
-			return true
-		}
-	}
-	return false
-}
-
-// inParallelPath reports whether the package is a sanctioned concurrency
-// gate (Config.ParallelPaths).
-func (c *Config) inParallelPath(path string) bool {
-	for _, p := range c.ParallelPaths {
 		if pathHasPrefix(path, p) {
 			return true
 		}

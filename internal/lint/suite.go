@@ -10,8 +10,7 @@ import (
 // Suite ties one Loader, one Config and one lazily built call graph
 // together for a single lint run. The expensive work — parsing,
 // type-checking, and the module-wide call-graph construction — happens
-// exactly once regardless of how many analyzers (or report generators)
-// consume it: the Loader memoises every package it has ever loaded, and
+// exactly once regardless of how many analyzers consume it: the Loader memoises every package it has ever loaded, and
 // Graph() builds over that full set on first use and caches the result.
 // Before the Suite existed each reachability-style consumer would have
 // re-walked the module on its own.

@@ -1,10 +1,8 @@
 package obs
 
 // Runtime-profile export: the MetricsServer surfaces prof.Report
-// snapshots as relmac_phase_* / relmac_worker_* / relmac_profile_*
-// Prometheus series and as the "profile" section of /snapshot, and
-// FeedTiling records the tile-partition shape into a Registry so -stats
-// dumps carry it alongside the protocol counters.
+// snapshots as relmac_phase_* / relmac_profile_* Prometheus series and
+// as the "profile" section of /snapshot.
 
 import (
 	"fmt"
@@ -15,11 +13,10 @@ import (
 )
 
 // AddProfile registers a live profile callback exported under the given
-// name: /metrics gains relmac_phase_ns{profile,phase} and
-// relmac_worker_*{profile,worker} gauge series plus scalar
-// relmac_profile_* summaries, and /snapshot gains a "profile" section
-// keyed by name. fn runs on HTTP goroutines while the simulation is
-// live, so it must be safe for concurrent use — prof.PhaseTimer.Report
+// name: /metrics gains relmac_phase_ns{profile,phase} gauge series plus
+// the relmac_profile_wall_ns summary, and /snapshot gains a "profile"
+// section keyed by name. fn runs on HTTP goroutines while the simulation
+// is live, so it must be safe for concurrent use — prof.PhaseTimer.Report
 // is, by design.
 func (s *MetricsServer) AddProfile(name string, fn func() prof.Report) {
 	s.mu.Lock()
@@ -45,29 +42,13 @@ func (s *MetricsServer) writeProfileMetrics(w io.Writer) {
 		return
 	}
 	fmt.Fprintln(w, "# TYPE relmac_phase_ns gauge")
-	fmt.Fprintln(w, "# TYPE relmac_worker_tasks gauge")
-	fmt.Fprintln(w, "# TYPE relmac_worker_busy_ns gauge")
-	fmt.Fprintln(w, "# TYPE relmac_worker_parked_ns gauge")
 	fmt.Fprintln(w, "# TYPE relmac_profile_wall_ns gauge")
-	fmt.Fprintln(w, "# TYPE relmac_profile_serial_fraction gauge")
-	fmt.Fprintln(w, "# TYPE relmac_profile_tiles gauge")
-	fmt.Fprintln(w, "# TYPE relmac_profile_seam_stations gauge")
 	for i, name := range names {
 		r := fns[i]()
 		for _, p := range r.Phases {
 			fmt.Fprintf(w, "relmac_phase_ns{profile=%q,phase=%q} %d\n", name, p.Phase, p.Ns)
 		}
 		fmt.Fprintf(w, "relmac_profile_wall_ns{profile=%q} %d\n", name, r.WallNs)
-		fmt.Fprintf(w, "relmac_profile_serial_fraction{profile=%q} %s\n", name, promFloat(r.SerialFraction))
-		for _, ws := range r.Workers {
-			fmt.Fprintf(w, "relmac_worker_tasks{profile=%q,worker=\"%d\"} %d\n", name, ws.Worker, ws.Tasks)
-			fmt.Fprintf(w, "relmac_worker_busy_ns{profile=%q,worker=\"%d\"} %d\n", name, ws.Worker, ws.BusyNs)
-			fmt.Fprintf(w, "relmac_worker_parked_ns{profile=%q,worker=\"%d\"} %d\n", name, ws.Worker, ws.ParkedNs)
-		}
-		if r.Tiles != nil {
-			fmt.Fprintf(w, "relmac_profile_tiles{profile=%q} %d\n", name, r.Tiles.Tiles)
-			fmt.Fprintf(w, "relmac_profile_seam_stations{profile=%q} %d\n", name, r.Tiles.SeamStations)
-		}
 	}
 }
 
@@ -88,31 +69,4 @@ func (s *MetricsServer) profileSnapshots() map[string]prof.Report {
 		out[name] = fn()
 	}
 	return out
-}
-
-// FeedTiling records a tile partition's shape into the registry under
-// the prefix: counters <prefix>.tiling.tiles and <prefix>.tiling.seam
-// (pooled across runs, like every registry counter) and the
-// <prefix>.tiling.occupancy histogram with one observation per tile —
-// the distribution behind the profiler's imbalance index, visible in
-// -stats dumps and /metrics without a profile callback attached.
-func FeedTiling(reg *Registry, prefix string, tiles, seam int, occupancy []int) {
-	if reg == nil || tiles == 0 {
-		return
-	}
-	reg.Counter(prefix + ".tiling.tiles").Add(int64(tiles))
-	reg.Counter(prefix + ".tiling.seam").Add(int64(seam))
-	maxOcc := 0
-	for _, c := range occupancy {
-		if c > maxOcc {
-			maxOcc = c
-		}
-	}
-	// Linear buckets sized to the observed maximum keep the histogram
-	// meaningful from 4-tile toy runs to 100k-station planes.
-	width := float64(maxOcc)/16 + 1
-	h := reg.Histogram(prefix+".tiling.occupancy", LinearBuckets(0, width, 16)...)
-	for _, c := range occupancy {
-		h.Observe(float64(c))
-	}
 }

@@ -12,14 +12,12 @@ import (
 	"relmac/internal/prof"
 )
 
-// TestProfileEndpointConcurrentWithParallelRun hammers /metrics and
-// /snapshot while a live parallel run (workers=4) feeds the registered
-// phase timer — pool telemetry, seam phases and all. This is the
+// TestProfileEndpointConcurrentWithRun hammers /metrics and /snapshot
+// while a live run feeds the registered phase timer. This is the
 // concurrency contract of PhaseTimer.Report and the profile export
 // path, meaningful under `go test -race`: the HTTP goroutines read the
-// atomics and the pool fold mid-run while the engine and its workers
-// write them.
-func TestProfileEndpointConcurrentWithParallelRun(t *testing.T) {
+// atomics mid-run while the engine goroutine writes them.
+func TestProfileEndpointConcurrentWithRun(t *testing.T) {
 	reg := obs.NewRegistry()
 	pt := prof.New()
 	msrv := obs.NewMetricsServer(reg)
@@ -29,7 +27,6 @@ func TestProfileEndpointConcurrentWithParallelRun(t *testing.T) {
 	cfg := experiments.Defaults(experiments.BMMM, 11)
 	cfg.Nodes, cfg.Slots = 400, 8000
 	cfg.Radius = 0.08
-	cfg.Workers = 4
 	cfg.Profiler = pt
 
 	done := make(chan error, 1)
@@ -60,17 +57,15 @@ func TestProfileEndpointConcurrentWithParallelRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// After the run: the text exposition carries the phase and worker
+	// After the run: the text exposition carries the phase and wall
 	// series, and the snapshot's profile section decodes back into a
-	// conserved report with live pool telemetry.
+	// conserved report of the one run.
 	rec := httptest.NewRecorder()
 	handler.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	body := rec.Body.String()
 	for _, want := range []string{
 		`relmac_phase_ns{profile="BMMM",phase="resolve"}`,
-		`relmac_profile_serial_fraction{profile="BMMM"}`,
-		`relmac_worker_busy_ns{profile="BMMM",worker="0"}`,
-		`relmac_profile_tiles{profile="BMMM"}`,
+		`relmac_profile_wall_ns{profile="BMMM"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %s", want)
@@ -92,14 +87,7 @@ func TestProfileEndpointConcurrentWithParallelRun(t *testing.T) {
 	if !r.Conserved() || r.WallNs <= 0 {
 		t.Fatalf("profile snapshot not conserved: %+v", r)
 	}
-	if len(r.Workers) != 4 {
-		t.Fatalf("want 4 worker samples, got %+v", r.Workers)
-	}
-	tasks := int64(0)
-	for _, w := range r.Workers {
-		tasks += w.Tasks
-	}
-	if tasks == 0 {
-		t.Error("pool telemetry recorded no tasks")
+	if r.Runs != 1 || r.PhaseNs("resolve") <= 0 {
+		t.Fatalf("want one run with resolve time charged, got %+v", r)
 	}
 }

@@ -1,9 +1,8 @@
 // Package prof is the engine's runtime profiler: it attributes every
-// Engine.Run nanosecond to an exclusive phase (sim.Phase), folds in the
-// tile pool's per-worker telemetry, and turns the result into the
-// phase-decomposition / serial-fraction / Amdahl-projection report
-// behind `macsim -phases`, `experiments -phases`, the relbench schema-4
-// section and the MetricsServer's relmac_phase_* series.
+// Engine.Run nanosecond to an exclusive phase (sim.Phase) and turns the
+// result into the phase-decomposition report behind `macsim -phases`,
+// `experiments -phases`, the relbench phase section and the
+// MetricsServer's relmac_phase_* series.
 //
 // Determinism constraints (the package is sim-path for relmaclint):
 // PhaseTimer never calls time.Now — the wall clock enters only as an
@@ -21,38 +20,25 @@
 // exactly the run's wall time in integer nanoseconds — Σ phases
 // (untracked included) ≡ wall.
 //
-// Concurrency: the engine goroutine owns the marks; Report/Snapshot may
-// be called concurrently from HTTP goroutines (the MetricsServer's
-// profile callbacks), so the accumulators are atomics and the
-// parallel-telemetry fold takes a mutex. A mid-run Report sees a
+// Concurrency: the engine goroutine owns the marks; Report may be called
+// concurrently from HTTP goroutines (the MetricsServer's profile
+// callbacks), so the accumulators are atomics. A mid-run Report sees a
 // consistent prefix: conservation is exact whenever no Run is in flight.
 package prof
 
 import (
-	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"relmac/internal/sim"
-	"relmac/internal/sim/tilepar"
-	"relmac/internal/topo"
 )
 
-// ProjectionWorkers are the worker counts the Amdahl projection tabulates.
-var ProjectionWorkers = []int{1, 2, 4, 8, 16, 32}
-
-// usefulShare is the Amdahl-limit share defining MaxUsefulWorkers: the
-// smallest N whose projected speedup reaches this share of 1/s. Workers
-// beyond it buy less than the remaining (1-usefulShare) of the ceiling.
-const usefulShare = 0.9
-
-// PhaseTimer implements sim.Profiler (and sim.ParallelProfiler): a
-// phase-boundary stopwatch with an injectable monotonic clock. One
-// PhaseTimer serves one engine at a time, but accumulates across
-// sequential runs — cmd/macsim shares one per protocol across -runs and
-// reports the pooled decomposition. Use Aggregate to merge timers from
-// concurrent runs (each engine needs its own).
+// PhaseTimer implements sim.Profiler: a phase-boundary stopwatch with an
+// injectable monotonic clock. One PhaseTimer serves one engine at a
+// time, but accumulates across sequential runs — cmd/macsim shares one
+// per protocol across -runs and reports the pooled decomposition. Use
+// Aggregate to merge timers from concurrent runs (each engine needs its
+// own).
 type PhaseTimer struct {
 	clock func() time.Time
 	base  time.Time
@@ -67,16 +53,6 @@ type PhaseTimer struct {
 	acc  [sim.NumPhases]atomic.Int64
 	wall atomic.Int64
 	runs atomic.Int64
-
-	// Parallel telemetry, folded at RunEnd and on AttachParallel.
-	mu        sync.Mutex
-	pool      *tilepar.Pool
-	poolSeen  []tilepar.WorkerStats
-	workers   []tilepar.WorkerStats
-	scratch   []tilepar.WorkerStats
-	tiles     int
-	seam      int
-	occupancy []int
 }
 
 // New returns a PhaseTimer on the wall clock. The default is taken as a
@@ -86,8 +62,7 @@ func New() *PhaseTimer { return NewWithClock(nil) }
 
 // NewWithClock returns a PhaseTimer on the given clock (nil means the
 // wall clock). The clock must be monotonic non-decreasing; it is read at
-// every phase mark and, when pool telemetry is armed, from worker
-// goroutines, so it must be safe for concurrent use.
+// every phase mark.
 func NewWithClock(clock func() time.Time) *PhaseTimer {
 	if clock == nil {
 		clock = time.Now
@@ -120,8 +95,7 @@ func (t *PhaseTimer) Enter(p sim.Phase) {
 	t.cur = p
 }
 
-// RunEnd implements sim.Profiler: flushes the tail span and folds any
-// armed pool telemetry.
+// RunEnd implements sim.Profiler: flushes the tail span.
 func (t *PhaseTimer) RunEnd() {
 	if !t.running {
 		return
@@ -130,70 +104,6 @@ func (t *PhaseTimer) RunEnd() {
 	t.acc[t.cur].Add(n - t.last)
 	t.wall.Add(n - t.runBegan)
 	t.running = false
-	t.foldPool()
-}
-
-// PoolClock implements sim.ParallelProfiler: worker batches are stamped
-// on the same injected clock as the phases.
-func (t *PhaseTimer) PoolClock() func() int64 {
-	clock, base := t.clock, t.base
-	return func() int64 { return clock().Sub(base).Nanoseconds() }
-}
-
-// AttachParallel implements sim.ParallelProfiler. Called at engine
-// construction and after every retile; the latest tiling's shape wins,
-// and a fresh pool resets the delta baseline the fold subtracts.
-func (t *PhaseTimer) AttachParallel(pool *tilepar.Pool, tiling *topo.Tiling) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if pool != t.pool {
-		t.foldLocked() // bank the old pool's remainder before switching
-		t.pool = pool
-		t.poolSeen = nil
-	}
-	t.tiles = tiling.NumTiles()
-	t.seam = tiling.NumSeam()
-	t.occupancy = tiling.Occupancy()
-}
-
-// foldPool banks the pool counters' growth since the last fold into the
-// timer's per-worker totals, so totals survive engine teardown and pool
-// swaps.
-func (t *PhaseTimer) foldPool() {
-	t.mu.Lock()
-	t.foldLocked()
-	t.mu.Unlock()
-}
-
-func (t *PhaseTimer) foldLocked() {
-	if t.pool == nil {
-		return
-	}
-	t.scratch = t.pool.Telemetry(t.scratch)
-	cur := t.scratch
-	if len(t.workers) < len(cur) {
-		t.workers = append(t.workers, make([]tilepar.WorkerStats, len(cur)-len(t.workers))...)
-	}
-	if len(t.poolSeen) < len(cur) {
-		t.poolSeen = append(t.poolSeen, make([]tilepar.WorkerStats, len(cur)-len(t.poolSeen))...)
-	}
-	for w, s := range cur {
-		seen := &t.poolSeen[w]
-		t.workers[w].Tasks += s.Tasks - seen.Tasks
-		t.workers[w].BusyNs += s.BusyNs - seen.BusyNs
-		t.workers[w].ParkedNs += s.ParkedNs - seen.ParkedNs
-		*seen = s
-	}
-}
-
-// TileShape returns the latest attached partition's tile count, seam-set
-// size and per-tile occupancy (nil when the timer never profiled a
-// parallel engine). The occupancy slice is shared; callers must not
-// modify it.
-func (t *PhaseTimer) TileShape() (tiles, seam int, occupancy []int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.tiles, t.seam, t.occupancy
 }
 
 // PhaseSample is one phase's share of the profiled wall time.
@@ -203,40 +113,8 @@ type PhaseSample struct {
 	Frac  float64 `json:"frac"`
 }
 
-// WorkerSample is one pool worker's folded telemetry plus its
-// utilization busy/(busy+parked).
-type WorkerSample struct {
-	Worker      int     `json:"worker"`
-	Tasks       int64   `json:"tasks"`
-	BusyNs      int64   `json:"busy_ns"`
-	ParkedNs    int64   `json:"parked_ns"`
-	Utilization float64 `json:"utilization"`
-}
-
-// TileStats summarizes the tile partition feeding the imbalance index:
-// Imbalance is max-occupancy over mean-occupancy across all tiles
-// (empty tiles included), 1.0 meaning perfectly balanced — the factor by
-// which the fullest tile's work exceeds the average task handed to the
-// pool.
-type TileStats struct {
-	Tiles        int     `json:"tiles"`
-	SeamStations int     `json:"seam_stations"`
-	MinOccupancy int     `json:"min_occupancy"`
-	MaxOccupancy int     `json:"max_occupancy"`
-	MeanOcc      float64 `json:"mean_occupancy"`
-	Imbalance    float64 `json:"imbalance"`
-}
-
-// AmdahlPoint is the projected speedup at one worker count, from the
-// measured serial fraction s: 1 / (s + (1-s)/N).
-type AmdahlPoint struct {
-	Workers int     `json:"workers"`
-	Speedup float64 `json:"speedup"`
-}
-
 // Report is the profiler's JSON-marshalable snapshot: the phase
-// decomposition, the measured serial fraction and its Amdahl projection,
-// and — for parallel runs — worker utilization and tile shape.
+// decomposition of the profiled wall time.
 type Report struct {
 	// Runs is how many Engine.Run/Step brackets the timer accumulated.
 	Runs int64 `json:"runs"`
@@ -245,23 +123,6 @@ type Report struct {
 	WallNs int64 `json:"wall_ns"`
 	// Phases lists every phase in enum order, untracked included.
 	Phases []PhaseSample `json:"phases"`
-	// SerialFraction is the share of wall time outside the
-	// parallelizable phases (busy-stamp + resolve) — Amdahl's s,
-	// meaningful when measured on a serial run of the workload.
-	SerialFraction float64 `json:"serial_fraction"`
-	// AmdahlLimit is the projected speedup ceiling 1/s (0 when the
-	// profile is empty).
-	AmdahlLimit float64 `json:"amdahl_limit"`
-	// MaxUsefulWorkers is the smallest worker count whose projected
-	// speedup reaches 90% of the ceiling — beyond it, more workers are
-	// wasted on this workload.
-	MaxUsefulWorkers int `json:"max_useful_workers"`
-	// Projection tabulates projected speedup at ProjectionWorkers.
-	Projection []AmdahlPoint `json:"projection"`
-	// Workers is the folded pool telemetry (parallel runs only).
-	Workers []WorkerSample `json:"workers,omitempty"`
-	// Tiles is the latest tile-partition shape (parallel runs only).
-	Tiles *TileStats `json:"tiles,omitempty"`
 }
 
 // Conserved reports the conservation invariant: Σ phase ns ≡ wall ns.
@@ -286,113 +147,45 @@ func (r *Report) PhaseNs(name string) int64 {
 // Report builds the timer's current report. Safe to call concurrently
 // with marks; exact once the run has ended.
 func (t *PhaseTimer) Report() Report {
-	var acc [sim.NumPhases]int64
-	for i := range acc {
-		acc[i] = t.acc[i].Load()
-	}
 	r := Report{Runs: t.runs.Load(), WallNs: t.wall.Load()}
+	var acc [sim.NumPhases]int64
 	// A mid-run read sees phase time not yet flushed into wall; publish
 	// the phase sum as the wall so Conserved stays true for observers.
 	var sum int64
-	for _, ns := range acc {
-		sum += ns
+	for i := range acc {
+		acc[i] = t.acc[i].Load()
+		sum += acc[i]
 	}
 	if sum > r.WallNs {
 		r.WallNs = sum
 	}
 	r.Phases = make([]PhaseSample, sim.NumPhases)
-	var par int64
 	for i := range acc {
-		p := sim.Phase(i)
-		r.Phases[i] = PhaseSample{Phase: p.String(), Ns: acc[i]}
-		if r.WallNs > 0 {
-			r.Phases[i].Frac = float64(acc[i]) / float64(r.WallNs)
-		}
-		if p.Parallelizable() {
-			par += acc[i]
-		}
+		r.Phases[i] = PhaseSample{Phase: sim.Phase(i).String(), Ns: acc[i]}
 	}
-	if r.WallNs > 0 {
-		r.SerialFraction = float64(r.WallNs-par) / float64(r.WallNs)
-		fillAmdahl(&r)
-	}
-
-	t.mu.Lock()
-	for w, s := range t.workers {
-		ws := WorkerSample{Worker: w, Tasks: s.Tasks, BusyNs: s.BusyNs, ParkedNs: s.ParkedNs}
-		if tot := s.BusyNs + s.ParkedNs; tot > 0 {
-			ws.Utilization = float64(s.BusyNs) / float64(tot)
-		}
-		r.Workers = append(r.Workers, ws)
-	}
-	if t.tiles > 0 {
-		r.Tiles = tileStats(t.tiles, t.seam, t.occupancy)
-	}
-	t.mu.Unlock()
+	fillFracs(&r)
 	return r
 }
 
-// fillAmdahl derives the projection fields from r.SerialFraction.
-func fillAmdahl(r *Report) {
-	s := r.SerialFraction
-	if s <= 0 {
-		// A pure-parallel profile projects unbounded scaling; record a
-		// zero ceiling rather than an unmarshalable +Inf.
-		r.AmdahlLimit, r.MaxUsefulWorkers = 0, 0
+// fillFracs derives every phase's share of r.WallNs.
+func fillFracs(r *Report) {
+	if r.WallNs <= 0 {
 		return
 	}
-	r.AmdahlLimit = 1 / s
-	// Smallest N with 1/(s+(1-s)/N) ≥ usefulShare/s  ⇔  N ≥ c(1-s)/s,
-	// c = usefulShare/(1-usefulShare).
-	c := usefulShare / (1 - usefulShare)
-	r.MaxUsefulWorkers = int(math.Ceil(c * (1 - s) / s))
-	if r.MaxUsefulWorkers < 1 {
-		r.MaxUsefulWorkers = 1
+	for i := range r.Phases {
+		r.Phases[i].Frac = float64(r.Phases[i].Ns) / float64(r.WallNs)
 	}
-	r.Projection = make([]AmdahlPoint, 0, len(ProjectionWorkers))
-	for _, n := range ProjectionWorkers {
-		r.Projection = append(r.Projection, AmdahlPoint{
-			Workers: n,
-			Speedup: 1 / (s + (1-s)/float64(n)),
-		})
-	}
-}
-
-func tileStats(tiles, seam int, occ []int) *TileStats {
-	ts := &TileStats{Tiles: tiles, SeamStations: seam}
-	if len(occ) == 0 {
-		return ts
-	}
-	minO, maxO, total := occ[0], occ[0], 0
-	for _, c := range occ {
-		if c < minO {
-			minO = c
-		}
-		if c > maxO {
-			maxO = c
-		}
-		total += c
-	}
-	ts.MinOccupancy, ts.MaxOccupancy = minO, maxO
-	ts.MeanOcc = float64(total) / float64(len(occ))
-	if ts.MeanOcc > 0 {
-		ts.Imbalance = float64(maxO) / ts.MeanOcc
-	}
-	return ts
 }
 
 // Aggregate merges the reports of several timers — one per concurrent
-// run, as in cmd/experiments sweeps — into one pooled report. Phase and
-// worker nanoseconds add; the tile shape of the last timer that profiled
-// a parallel engine wins; the serial fraction and projection are rederived
-// from the pooled phases.
+// run, as in cmd/experiments sweeps — into one pooled report. Phase
+// nanoseconds add; the fractions are rederived from the pooled phases.
 func Aggregate(timers []*PhaseTimer) Report {
 	var out Report
 	out.Phases = make([]PhaseSample, sim.NumPhases)
 	for i := range out.Phases {
 		out.Phases[i].Phase = sim.Phase(i).String()
 	}
-	var workers []WorkerSample
 	for _, t := range timers {
 		r := t.Report()
 		out.Runs += r.Runs
@@ -400,36 +193,7 @@ func Aggregate(timers []*PhaseTimer) Report {
 		for i := range r.Phases {
 			out.Phases[i].Ns += r.Phases[i].Ns
 		}
-		for _, w := range r.Workers {
-			for len(workers) <= w.Worker {
-				workers = append(workers, WorkerSample{Worker: len(workers)})
-			}
-			workers[w.Worker].Tasks += w.Tasks
-			workers[w.Worker].BusyNs += w.BusyNs
-			workers[w.Worker].ParkedNs += w.ParkedNs
-		}
-		if r.Tiles != nil {
-			out.Tiles = r.Tiles
-		}
 	}
-	var par int64
-	for i := range out.Phases {
-		if out.WallNs > 0 {
-			out.Phases[i].Frac = float64(out.Phases[i].Ns) / float64(out.WallNs)
-		}
-		if sim.Phase(i).Parallelizable() {
-			par += out.Phases[i].Ns
-		}
-	}
-	if out.WallNs > 0 {
-		out.SerialFraction = float64(out.WallNs-par) / float64(out.WallNs)
-		fillAmdahl(&out)
-	}
-	for i := range workers {
-		if tot := workers[i].BusyNs + workers[i].ParkedNs; tot > 0 {
-			workers[i].Utilization = float64(workers[i].BusyNs) / float64(tot)
-		}
-	}
-	out.Workers = workers
+	fillFracs(&out)
 	return out
 }

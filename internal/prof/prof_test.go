@@ -62,43 +62,6 @@ func TestPhaseAttribution(t *testing.T) {
 	}
 }
 
-// TestSerialFractionAndAmdahl pins the projection math on a 50%-parallel
-// decomposition: s=0.5 caps speedup at 2×, and 90% of that ceiling needs
-// exactly 9 workers (N ≥ 9(1-s)/s).
-func TestSerialFractionAndAmdahl(t *testing.T) {
-	clk := &fakeClock{step: []time.Duration{
-		0, 0,
-		50, // Enter(Resolve): 50ns untracked (serial)
-		50, // RunEnd: 50ns resolve (parallelizable)
-	}}
-	pt := NewWithClock(clk.now)
-	pt.RunStart()
-	pt.Enter(sim.PhaseResolve)
-	pt.RunEnd()
-
-	r := pt.Report()
-	if r.SerialFraction != 0.5 {
-		t.Fatalf("serial fraction: got %v, want 0.5", r.SerialFraction)
-	}
-	if r.AmdahlLimit != 2 {
-		t.Errorf("amdahl limit: got %v, want 2", r.AmdahlLimit)
-	}
-	if r.MaxUsefulWorkers != 9 {
-		t.Errorf("max useful workers: got %d, want 9", r.MaxUsefulWorkers)
-	}
-	if len(r.Projection) != len(ProjectionWorkers) {
-		t.Fatalf("projection rows: got %d, want %d", len(r.Projection), len(ProjectionWorkers))
-	}
-	// speedup(2) at s=0.5 is 1/(0.5+0.25) = 4/3.
-	for _, p := range r.Projection {
-		if p.Workers == 2 {
-			if diff := p.Speedup - 4.0/3.0; diff > 1e-12 || diff < -1e-12 {
-				t.Errorf("projected speedup at 2 workers: got %v, want 4/3", p.Speedup)
-			}
-		}
-	}
-}
-
 // TestMarksOutsideRunIgnored: Enter without RunStart must not corrupt
 // the accumulators (the engine never does this, but the hook contract
 // should be safe anyway).
@@ -155,13 +118,13 @@ func TestAggregate(t *testing.T) {
 	if !r.Conserved() {
 		t.Fatal("aggregate must conserve")
 	}
-	if r.SerialFraction != 0.3 {
-		t.Fatalf("pooled serial fraction: got %v, want 0.3", r.SerialFraction)
+	if f := r.Phases[sim.PhaseResolve].Frac; f != 0.7 {
+		t.Fatalf("pooled resolve fraction: got %v, want 0.7", f)
 	}
 }
 
 // TestReportJSONRoundTrip guards the report's wire shape — the relbench
-// schema-4 section and the /snapshot profile section embed it verbatim.
+// phase section and the /snapshot profile section embed it verbatim.
 func TestReportJSONRoundTrip(t *testing.T) {
 	clk := &fakeClock{step: []time.Duration{0, 0, 10, 10}}
 	pt := NewWithClock(clk.now)
@@ -179,7 +142,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 	if !back.Conserved() || back.WallNs != 20 {
 		t.Fatalf("round trip lost data: %+v", back)
 	}
-	for _, key := range []string{"serial_fraction", "amdahl_limit", "max_useful_workers", "wall_ns", "phases"} {
+	for _, key := range []string{"runs", "wall_ns", "phases"} {
 		if !jsonHas(data, key) {
 			t.Errorf("report JSON missing %q: %s", key, data)
 		}

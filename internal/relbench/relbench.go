@@ -30,34 +30,19 @@ import (
 
 	"relmac/internal/experiments"
 	"relmac/internal/prof"
-	"relmac/internal/topo"
-
-	mrand "math/rand"
 )
 
 // Schema identifies the BENCH.json layout; bump on incompatible change.
-// Schema 2 added the sparse-traffic engine pair (Report.Sparse); schema 3
-// added the parallel tile-resolver scaling section (Report.Parallel);
-// schema 4 added host metadata (Report.Host) and the phase decomposition
-// section (Report.Phases) with the measured serial fraction and Amdahl
-// projection alongside the observed speedups.
-const Schema = 4
+// Schema 2 added the sparse-traffic engine pair (Report.Sparse), schema 4
+// host metadata (Report.Host) and the phase decomposition
+// (Report.Phases); schema 5 dropped the worker-scaling section and the
+// serial-fraction projection, so schema-4 pins cannot gate a report.
+const Schema = 5
 
 // SparseRate is the message generation rate of the sparse engine pair:
 // the lowest-λ point of the Figure 6(b) sweep (experiments.RatePoints[0]),
 // the regime where the event clock's idle-stretch skipping dominates.
 const SparseRate = 0.00025
-
-// ParallelWorkerCounts are the pool sizes the scaling section sweeps.
-var ParallelWorkerCounts = []int{1, 2, 4, 8}
-
-// MinParallelSpeedup is the absolute floor on the 1→8-worker scaling
-// ratio. Unlike the baseline-relative gates it only binds when the
-// measuring machine has at least 8 CPU cores — worker scaling is a
-// property of the hardware as much as the code, and a starved pool on a
-// small CI box says nothing about the resolver. Below 8 cores the
-// measurement is recorded and reported as advisory.
-const MinParallelSpeedup = 2.0
 
 // Profile names a measurement size. Quick keeps CI smoke runs in tens of
 // seconds; Full is for committed baselines and perf investigations.
@@ -75,32 +60,23 @@ type Profile struct {
 	// Reps is how many times each measurement repeats; the fastest rep
 	// wins (minimum wall time is the standard noise filter).
 	Reps int
-	// ParallelNodes/ParallelRadius/ParallelRate/ParallelSlots shape the
-	// parallel scaling workload: a plane dense enough that the tiling
-	// yields many interference-independent tiles (the paper's unit-square
-	// default fits in ~1 tile and cannot scale). Zero ParallelNodes
-	// disables the section.
-	ParallelNodes  int
-	ParallelRadius float64
-	ParallelRate   float64
-	ParallelSlots  int
+	// PhaseNodes/PhaseRadius/PhaseRate/PhaseSlots shape the profiled
+	// phase-decomposition run: a plane much denser than the paper's
+	// 100-station default, so every engine phase carries measurable
+	// work. Zero PhaseNodes disables the section.
+	PhaseNodes  int
+	PhaseRadius float64
+	PhaseRate   float64
+	PhaseSlots  int
 }
 
 // Quick is the CI smoke profile.
 var Quick = Profile{Name: "quick", EngineSlots: 120_000, SparseSlots: 240_000, ProtocolSlots: 15_000, Reps: 3,
-	ParallelNodes: 2000, ParallelRadius: 0.05, ParallelRate: 0.0005, ParallelSlots: 2000}
+	PhaseNodes: 2000, PhaseRadius: 0.05, PhaseRate: 0.0005, PhaseSlots: 2000}
 
 // Full is the baseline-quality profile.
 var Full = Profile{Name: "full", EngineSlots: 600_000, SparseSlots: 1_200_000, ProtocolSlots: 60_000, Reps: 3,
-	ParallelNodes: 5000, ParallelRadius: 0.03, ParallelRate: 0.0005, ParallelSlots: 6000}
-
-// Large is the scaling stress profile: 100 000 stations (average degree
-// ≈ 20, ~1600 tiles at the default 4×radius side), where per-tile work
-// dominates and the resolver's worker scaling is most visible. Engine
-// and protocol sections use the quick sizes — the point of this profile
-// is the parallel section.
-var Large = Profile{Name: "large", EngineSlots: 120_000, SparseSlots: 240_000, ProtocolSlots: 15_000, Reps: 1,
-	ParallelNodes: 100_000, ParallelRadius: 0.008, ParallelRate: 0.0002, ParallelSlots: 300}
+	PhaseNodes: 5000, PhaseRadius: 0.03, PhaseRate: 0.0005, PhaseSlots: 6000}
 
 // EngineSample is one measured engine configuration.
 type EngineSample struct {
@@ -126,34 +102,6 @@ type ProtocolSample struct {
 	SlotsPerSec float64 `json:"slots_per_sec"`
 }
 
-// WorkerSample is one worker count's measurement in the scaling sweep.
-type WorkerSample struct {
-	Workers     int     `json:"workers"`
-	NsPerSlot   float64 `json:"ns_per_slot"`
-	SlotsPerSec float64 `json:"slots_per_sec"`
-}
-
-// ParallelSection is the tile-resolver scaling measurement: the dense
-// multi-tile workload run serially and at each pool size. The speedups
-// are machine-dependent (they saturate at the core count), so the gate
-// on SpeedupAt8 binds only when Cores ≥ 8; everything else is recorded
-// for humans and trend dashboards.
-type ParallelSection struct {
-	// Cores is runtime.NumCPU() on the measuring machine — the context
-	// every scaling number must be read against.
-	Cores  int     `json:"cores"`
-	Nodes  int     `json:"nodes"`
-	Radius float64 `json:"radius"`
-	Slots  int     `json:"slots"`
-	Tiles  int     `json:"tiles"`
-	// Serial is the same workload on the serial resolver (Workers=0) —
-	// the overhead reference for the W=1 row.
-	Serial  EngineSample   `json:"serial"`
-	Workers []WorkerSample `json:"workers"`
-	// SpeedupAt8 is NsPerSlot(W=1) / NsPerSlot(W=8).
-	SpeedupAt8 float64 `json:"speedup_at_8"`
-}
-
 // Host records the measuring machine — the context every absolute
 // number must be read against. Compare warns (advisory, never failing)
 // when a report's host differs from the baseline's, since cross-host
@@ -177,18 +125,10 @@ func HostInfo() Host {
 	}
 }
 
-// PhaseSection is the schema-4 phase decomposition: the parallel scaling
-// workload run once serially and once at the largest pool size with a
-// prof.PhaseTimer attached. The serial report carries the measured
-// serial fraction and Amdahl projection that contextualize the observed
-// worker speedups; the parallel report adds per-worker utilization and
-// the tile shape. Profiled runs are separate single repetitions so the
-// timed scaling rows stay unprofiled.
+// PhaseSection is the phase decomposition: the Profile.Phase* workload
+// run once with a prof.PhaseTimer attached.
 type PhaseSection struct {
-	Serial   *prof.Report `json:"serial"`
-	Parallel *prof.Report `json:"parallel,omitempty"`
-	// Workers is the pool size of the profiled parallel run.
-	Workers int `json:"workers,omitempty"`
+	Serial *prof.Report `json:"serial"`
 }
 
 // Report is the BENCH.json document.
@@ -205,12 +145,8 @@ type Report struct {
 	// clock's slot skipping pays off. Nil in reports produced before
 	// schema 2.
 	Sparse *Engine `json:"sparse,omitempty"`
-	// Parallel is the tile-resolver scaling section. Nil in reports
-	// produced before schema 3 or when the profile disables it.
-	Parallel *ParallelSection `json:"parallel,omitempty"`
-	// Phases is the engine phase decomposition with the measured serial
-	// fraction and Amdahl projection. Nil in reports produced before
-	// schema 4 or when the profile disables the parallel section.
+	// Phases is the engine phase decomposition. Nil in reports produced
+	// before schema 4 or when the profile disables it.
 	Phases    *PhaseSection    `json:"phases,omitempty"`
 	Protocols []ProtocolSample `json:"protocols"`
 }
@@ -253,12 +189,7 @@ func Measure(p Profile, report func(string)) (*Report, error) {
 	}
 	out.Sparse = &Engine{Optimized: sopt, Reference: sref, Speedup: sref.NsPerSlot / sopt.NsPerSlot}
 
-	if p.ParallelNodes > 0 {
-		sec, err := measureParallel(p, say)
-		if err != nil {
-			return nil, err
-		}
-		out.Parallel = sec
+	if p.PhaseNodes > 0 {
 		ph, err := measurePhases(p, say)
 		if err != nil {
 			return nil, err
@@ -277,113 +208,23 @@ func Measure(p Profile, report func(string)) (*Report, error) {
 	return out, nil
 }
 
-// measureParallel runs the dense multi-tile workload serially and at
-// each pool size of ParallelWorkerCounts. All rows share one
-// configuration (and therefore one topology), so the ratios isolate the
-// resolver; the parallel rows are additionally byte-identical to each
-// other by the worker-invariance contract, making the comparison
-// work-for-work exact.
-func measureParallel(p Profile, say func(string, ...any)) (*ParallelSection, error) {
-	parCfg := func(workers int) experiments.RunConfig {
-		cfg := experiments.Defaults(experiments.BMMM, 3)
-		cfg.Nodes = p.ParallelNodes
-		cfg.Radius = p.ParallelRadius
-		cfg.Rate = p.ParallelRate
-		cfg.Slots = p.ParallelSlots
-		cfg.Workers = workers
-		return cfg
-	}
-	sec := &ParallelSection{
-		Cores: runtime.NumCPU(), Nodes: p.ParallelNodes,
-		Radius: p.ParallelRadius, Slots: p.ParallelSlots,
-	}
-	// The tile count is derived from the same placement the timed runs
-	// use: the rng is seeded from the shared config so the topology here
-	// matches the one experiments.Run builds internally.
-	base := parCfg(0)
-	rng := mrand.New(mrand.NewSource(base.Seed))
-	sec.Tiles = topo.Uniform(p.ParallelNodes, p.ParallelRadius, rng).Tiling(4 * p.ParallelRadius).NumTiles()
-
-	timeCfg := func(cfg experiments.RunConfig) (EngineSample, error) {
-		var best EngineSample
-		for r := 0; r < p.Reps; r++ {
-			start := time.Now()
-			if _, err := experiments.Run(cfg); err != nil {
-				return EngineSample{}, err
-			}
-			wall := time.Since(start)
-			s := EngineSample{
-				NsPerSlot:   float64(wall.Nanoseconds()) / float64(cfg.Slots),
-				SlotsPerSec: float64(cfg.Slots) / wall.Seconds(),
-			}
-			if r == 0 || s.NsPerSlot < best.NsPerSlot {
-				best = s
-			}
-		}
-		return best, nil
-	}
-
-	say("parallel scaling: %d nodes (%d tiles), serial resolver, %d slots x%d",
-		p.ParallelNodes, sec.Tiles, p.ParallelSlots, p.Reps)
-	serial, err := timeCfg(parCfg(0))
-	if err != nil {
-		return nil, err
-	}
-	sec.Serial = serial
-	for _, w := range ParallelWorkerCounts {
-		say("parallel scaling: %d nodes, %d worker(s), %d slots x%d",
-			p.ParallelNodes, w, p.ParallelSlots, p.Reps)
-		s, err := timeCfg(parCfg(w))
-		if err != nil {
-			return nil, err
-		}
-		sec.Workers = append(sec.Workers, WorkerSample{
-			Workers: w, NsPerSlot: s.NsPerSlot, SlotsPerSec: s.SlotsPerSec,
-		})
-	}
-	first, last := sec.Workers[0], sec.Workers[len(sec.Workers)-1]
-	if last.NsPerSlot > 0 {
-		sec.SpeedupAt8 = first.NsPerSlot / last.NsPerSlot
-	}
-	return sec, nil
-}
-
-// measurePhases runs the parallel scaling workload once on the serial
-// resolver and once at the largest pool size, each with a
-// prof.PhaseTimer attached, and packages the two reports as the
-// schema-4 phase section. The serial run yields the measured serial
-// fraction (profiler attachment is byte-neutral, so it sees exactly the
-// timed workload); the parallel run adds worker utilization and the
-// tile shape. Single repetitions — phase fractions are ratios of large
-// sums and far more stable than absolute wall times.
+// measurePhases runs the Profile.Phase* workload once with a
+// prof.PhaseTimer attached. A single repetition: phase fractions are
+// ratios of large sums and far more stable than absolute wall times.
 func measurePhases(p Profile, say func(string, ...any)) (*PhaseSection, error) {
-	run := func(workers int) (*prof.Report, error) {
-		cfg := experiments.Defaults(experiments.BMMM, 3)
-		cfg.Nodes = p.ParallelNodes
-		cfg.Radius = p.ParallelRadius
-		cfg.Rate = p.ParallelRate
-		cfg.Slots = p.ParallelSlots
-		cfg.Workers = workers
-		pt := prof.New()
-		cfg.Profiler = pt
-		if _, err := experiments.Run(cfg); err != nil {
-			return nil, err
-		}
-		r := pt.Report()
-		return &r, nil
-	}
-	say("phase decomposition: serial resolver, %d slots, profiled", p.ParallelSlots)
-	serial, err := run(0)
-	if err != nil {
+	cfg := experiments.Defaults(experiments.BMMM, 3)
+	cfg.Nodes = p.PhaseNodes
+	cfg.Radius = p.PhaseRadius
+	cfg.Rate = p.PhaseRate
+	cfg.Slots = p.PhaseSlots
+	pt := prof.New()
+	cfg.Profiler = pt
+	say("phase decomposition: %d nodes, %d slots, profiled", p.PhaseNodes, p.PhaseSlots)
+	if _, err := experiments.Run(cfg); err != nil {
 		return nil, err
 	}
-	maxW := ParallelWorkerCounts[len(ParallelWorkerCounts)-1]
-	say("phase decomposition: %d workers, %d slots, profiled", maxW, p.ParallelSlots)
-	par, err := run(maxW)
-	if err != nil {
-		return nil, err
-	}
-	return &PhaseSection{Serial: serial, Parallel: par, Workers: maxW}, nil
+	r := pt.Report()
+	return &PhaseSection{Serial: &r}, nil
 }
 
 // measureEngine times the default BMMM workload (the same configuration
@@ -450,14 +291,17 @@ func measureProtocol(proto experiments.Protocol, slots int) (ProtocolSample, err
 // the gate passes. tolerance is the allowed fractional slack (0.25 =
 // 25%). A missing profile entry is not a regression — it returns a
 // single advisory message and no failure — so fresh profiles can be
-// introduced before their baselines are committed.
+// introduced before their baselines are committed. A baseline entry of
+// another schema is a regression: its layout cannot be trusted to gate
+// this report, so it must be re-pinned.
 func Compare(r *Report, base Baseline, tolerance float64) (regressions []string, advisories []string) {
 	pin, ok := base[r.Profile]
 	if !ok {
 		return nil, []string{fmt.Sprintf("no %q entry in baseline; comparison skipped", r.Profile)}
 	}
 	if pin.Schema != r.Schema {
-		return nil, []string{fmt.Sprintf("baseline schema %d != current %d; comparison skipped", pin.Schema, r.Schema)}
+		return []string{fmt.Sprintf("baseline %q entry has schema %d, this report has schema %d; re-pin the baseline from this build",
+			r.Profile, pin.Schema, r.Schema)}, nil
 	}
 	if pin.Host != (Host{}) && pin.Host != r.Host {
 		advisories = append(advisories, fmt.Sprintf(
@@ -492,17 +336,6 @@ func Compare(r *Report, base Baseline, tolerance float64) (regressions []string,
 			regressions = append(regressions, fmt.Sprintf(
 				"sparse optimized allocs/slot %.2f above baseline %.2f + %.0f%% = %.2f",
 				r.Sparse.Optimized.AllocsPerSlot, pin.Sparse.Optimized.AllocsPerSlot, tolerance*100, maxSparseAllocs))
-		}
-	}
-	if r.Parallel != nil {
-		if r.Parallel.Cores >= 8 && r.Parallel.SpeedupAt8 < MinParallelSpeedup {
-			regressions = append(regressions, fmt.Sprintf(
-				"parallel 1->8 worker speedup %.2fx below the %.1fx floor on a %d-core machine",
-				r.Parallel.SpeedupAt8, MinParallelSpeedup, r.Parallel.Cores))
-		} else if r.Parallel.Cores < 8 {
-			advisories = append(advisories, fmt.Sprintf(
-				"parallel 1->8 worker speedup %.2fx on %d core(s) - %.1fx floor not enforced below 8 cores",
-				r.Parallel.SpeedupAt8, r.Parallel.Cores, MinParallelSpeedup))
 		}
 	}
 	advisories = append(advisories, fmt.Sprintf(

@@ -9,7 +9,7 @@ import (
 
 // tiny is a test-sized profile so the suite stays fast.
 var tiny = Profile{Name: "tiny", EngineSlots: 1500, SparseSlots: 3000, ProtocolSlots: 400, Reps: 1,
-	ParallelNodes: 500, ParallelRadius: 0.08, ParallelRate: 0.0005, ParallelSlots: 300}
+	PhaseNodes: 500, PhaseRadius: 0.08, PhaseRate: 0.0005, PhaseSlots: 300}
 
 func TestMeasureProducesCompleteReport(t *testing.T) {
 	r, err := Measure(tiny, nil)
@@ -31,40 +31,17 @@ func TestMeasureProducesCompleteReport(t *testing.T) {
 	if r.Sparse.Optimized.NsPerSlot <= 0 || r.Sparse.Reference.NsPerSlot <= 0 || r.Sparse.Speedup <= 0 {
 		t.Fatalf("bad sparse pair: %+v", r.Sparse)
 	}
-	if r.Parallel == nil {
-		t.Fatal("schema-3 report missing the parallel scaling section")
-	}
-	if r.Parallel.Cores < 1 || r.Parallel.Tiles < 4 {
-		t.Fatalf("bad parallel header (want a genuinely multi-tile workload): %+v", r.Parallel)
-	}
-	if len(r.Parallel.Workers) != len(ParallelWorkerCounts) {
-		t.Fatalf("want %d worker samples, got %d", len(ParallelWorkerCounts), len(r.Parallel.Workers))
-	}
-	for i, w := range r.Parallel.Workers {
-		if w.Workers != ParallelWorkerCounts[i] || w.NsPerSlot <= 0 || w.SlotsPerSec <= 0 {
-			t.Fatalf("bad worker sample %d: %+v", i, w)
-		}
-	}
-	if r.Parallel.Serial.NsPerSlot <= 0 || r.Parallel.SpeedupAt8 <= 0 {
-		t.Fatalf("bad parallel section: %+v", r.Parallel)
-	}
 	if r.Host.Cores < 1 || r.Host.GOMAXPROCS < 1 || r.Host.Go == "" || r.Host.OS == "" || r.Host.Arch == "" {
 		t.Fatalf("bad host metadata: %+v", r.Host)
 	}
-	if r.Phases == nil || r.Phases.Serial == nil || r.Phases.Parallel == nil {
-		t.Fatal("schema-4 report missing the phase decomposition section")
+	if r.Phases == nil || r.Phases.Serial == nil {
+		t.Fatal("report missing the phase decomposition section")
 	}
-	if !r.Phases.Serial.Conserved() || !r.Phases.Parallel.Conserved() {
-		t.Fatalf("phase conservation violated: %+v", r.Phases)
+	if !r.Phases.Serial.Conserved() || r.Phases.Serial.Runs != 1 {
+		t.Fatalf("phase section is not one conserved run: %+v", r.Phases.Serial)
 	}
-	if s := r.Phases.Serial.SerialFraction; s <= 0 || s >= 1 {
-		t.Fatalf("serial fraction out of (0,1): %v", s)
-	}
-	if r.Phases.Workers != ParallelWorkerCounts[len(ParallelWorkerCounts)-1] {
-		t.Fatalf("profiled pool size should be the largest sweep point: %+v", r.Phases)
-	}
-	if len(r.Phases.Parallel.Workers) == 0 {
-		t.Fatalf("parallel phase report missing worker telemetry: %+v", r.Phases.Parallel)
+	if r.Phases.Serial.PhaseNs("resolve") <= 0 {
+		t.Fatalf("phase run charged no resolution time: %+v", r.Phases.Serial)
 	}
 	if len(r.Protocols) != 5 {
 		t.Fatalf("want 5 protocol samples, got %d", len(r.Protocols))
@@ -170,41 +147,13 @@ func TestCompareGates(t *testing.T) {
 		t.Fatalf("host mismatch must surface as an advisory: %v", advs)
 	}
 	pin.Host = Host{}
-}
 
-// TestCompareParallelGate pins the core-aware scaling floor: poor 1→8
-// scaling fails on an 8-core machine, passes as advisory on fewer
-// cores, and good scaling passes everywhere.
-func TestCompareParallelGate(t *testing.T) {
-	pin := &Report{Schema: Schema, Profile: "quick", Engine: Engine{
-		Optimized: EngineSample{NsPerSlot: 1000, AllocsPerSlot: 1},
-		Reference: EngineSample{NsPerSlot: 2000},
-		Speedup:   2.0,
-	}}
-	base := Baseline{"quick": pin}
-	mk := func(cores int, speedup float64) *Report {
-		return &Report{Schema: Schema, Profile: "quick", Engine: pin.Engine,
-			Parallel: &ParallelSection{Cores: cores, SpeedupAt8: speedup}}
-	}
-
-	if regs, _ := Compare(mk(8, 1.3), base, 0.25); len(regs) != 1 {
-		t.Fatalf("8-core machine with %.1fx scaling must fail the floor: %v", 1.3, regs)
-	}
-	regs, advs := Compare(mk(2, 1.3), base, 0.25)
-	if len(regs) != 0 {
-		t.Fatalf("2-core machine must not fail the scaling floor: %v", regs)
-	}
-	found := false
-	for _, a := range advs {
-		if strings.Contains(a, "floor not enforced") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("few-core scaling must surface as an advisory: %v", advs)
-	}
-	if regs, _ := Compare(mk(16, 3.1), base, 0.25); len(regs) != 0 {
-		t.Fatalf("good scaling flagged: %v", regs)
+	// A baseline pinned under another schema fails loudly instead of
+	// silently skipping the gate.
+	old := &Report{Schema: Schema - 1, Profile: "quick", Engine: pin.Engine}
+	regs, _ = Compare(&Report{Schema: Schema, Profile: "quick", Engine: pin.Engine}, Baseline{"quick": old}, 0.25)
+	if len(regs) != 1 || !strings.Contains(regs[0], "schema") {
+		t.Fatalf("schema-%d baseline must be a regression: %v", Schema-1, regs)
 	}
 }
 

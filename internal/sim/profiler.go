@@ -9,12 +9,7 @@ package sim
 // attached are byte-identical. With Config.Profiler nil every mark site
 // is a single nil check; the hot path stays zero-cost.
 
-import (
-	"fmt"
-
-	"relmac/internal/sim/tilepar"
-	"relmac/internal/topo"
-)
+import "fmt"
 
 // Phase labels one exclusive slice of Engine.Run wall time. Every
 // nanosecond of a profiled run lands in exactly one phase; PhaseUntracked
@@ -31,22 +26,15 @@ const (
 	// PhaseIdleSkip is the event clock jumping over idle stretches,
 	// including the idle-span replay to slot observers.
 	PhaseIdleSkip
-	// PhaseBusyStamp is per-slot physical carrier sense (computeBusy /
-	// computeBusyParallel) — parallelizable work.
+	// PhaseBusyStamp is per-slot physical carrier sense (computeBusy).
 	PhaseBusyStamp
 	// PhaseArrivals is traffic-source draws plus request submission.
 	PhaseArrivals
 	// PhaseMacTick is the awake-worklist MAC tick loop, transmission
-	// starts included — the serial remainder that caps the resolver's
-	// Amdahl ceiling.
+	// starts included.
 	PhaseMacTick
-	// PhaseResolve is per-slot interference resolution (resolveSlot /
-	// the pool fan-out of resolveSlotParallel) — parallelizable work.
+	// PhaseResolve is per-slot interference resolution (resolveSlot).
 	PhaseResolve
-	// PhaseSeamMerge is the serial tail of parallel resolution: folding
-	// per-tile collision flags and resolving the seam set. Always zero
-	// in serial mode.
-	PhaseSeamMerge
 	// PhaseObserver is the per-slot channel-state callback (emitSlot).
 	PhaseObserver
 	// PhaseDeliveries is frame completion: erasure draws, Deliver calls
@@ -74,8 +62,6 @@ func (p Phase) String() string {
 		return "mac-tick"
 	case PhaseResolve:
 		return "resolve"
-	case PhaseSeamMerge:
-		return "seam-merge"
 	case PhaseObserver:
 		return "observer-dispatch"
 	case PhaseDeliveries:
@@ -85,17 +71,12 @@ func (p Phase) String() string {
 	}
 }
 
-// Parallelizable reports whether the phase's work is fanned out over the
-// tile pool in parallel mode. Everything else is the measured serial
-// fraction feeding the Amdahl projection.
-func (p Phase) Parallelizable() bool { return p == PhaseBusyStamp || p == PhaseResolve }
-
 // Profiler receives phase-boundary marks from the engine. All methods
 // are invoked from the engine goroutine, between — never inside — the
 // simulation's deterministic work, and must be PRNG-neutral and free of
 // engine mutations (profpure-checked), so attaching a profiler cannot
 // perturb a run. Implementations should be cheap: Enter fires up to
-// ~nine times per simulated slot.
+// ~eight times per simulated slot.
 //
 // The canonical implementation is prof.PhaseTimer; the interface lives
 // here so the engine does not depend on the profiling package.
@@ -108,24 +89,6 @@ type Profiler interface {
 	// RunEnd marks the end of the Run/Step; the tail since the last
 	// Enter belongs to the phase current at that point.
 	RunEnd()
-}
-
-// ParallelProfiler is the optional Profiler extension behind per-worker
-// pool telemetry and tile-shape accounting. When the configured profiler
-// implements it, a parallel engine arms the pool's per-worker counters
-// with PoolClock's clock and hands the profiler the pool and tiling at
-// initialization and after every SetTopology retile.
-type ParallelProfiler interface {
-	Profiler
-	// PoolClock returns the monotonic nanosecond clock the pool's
-	// workers stamp batches with, or nil to leave pool telemetry off.
-	// Called once at engine construction; the returned func runs on
-	// worker goroutines and must be safe for concurrent use.
-	PoolClock() func() int64
-	// AttachParallel hands the profiler the live pool and the current
-	// tile partition. The tiling is immutable; the pool's telemetry is
-	// read with Pool.Telemetry. Called from the engine goroutine.
-	AttachParallel(pool *tilepar.Pool, tiling *topo.Tiling)
 }
 
 // enter marks a phase boundary; a nil profiler costs one comparison.

@@ -283,22 +283,6 @@ type crashNoter interface {
 	NoteCrashDrop()
 }
 
-// Parallel configures the deterministic tile resolver: slot resolution
-// partitioned over interference-independent tiles and fanned out on a
-// bounded worker pool (see parallel.go). The zero value keeps the engine
-// fully serial.
-type Parallel struct {
-	// Workers is the worker-pool size; 0 disables parallel mode. Output
-	// is schedule-independent: any Workers ≥ 1 produces byte-identical
-	// runs (Workers=1 still routes through the pool and the per-tile
-	// PRNG streams, so the differential suite can pin the invariance).
-	Workers int
-	// TileSize is the tile side in position units. 0 picks 4×radius;
-	// values below 2×radius are raised to it, the minimum at which
-	// non-adjacent tiles cannot interact within a slot.
-	TileSize float64
-}
-
 // Config assembles an Engine.
 type Config struct {
 	// Topo is the station layout; required.
@@ -346,22 +330,14 @@ type Config struct {
 	// storage recycling and the cached per-neighbor distances — and runs
 	// the original naive resolution path. Output is bit-identical either
 	// way; the reference path exists so the equivalence tests can prove
-	// it and cmd/relbench can measure the gap. Mutually exclusive with
-	// Parallel.Workers > 0.
+	// it and cmd/relbench can measure the gap.
 	Reference bool
-	// Parallel enables the deterministic tile resolver. Engines built
-	// with Workers > 0 own a worker pool and must be Closed after their
-	// last Run/Step. Parallel mode is worker-count invariant but follows
-	// a different (equally valid) trajectory than serial mode: capture
-	// draws come from per-tile streams instead of the engine stream.
-	Parallel Parallel
 	// Profiler, when non-nil, receives phase-boundary marks from the
 	// slot loop (see profiler.go) — the runtime profiling feed behind
 	// internal/prof. Profilers observe wall time only: they are
 	// PRNG-neutral and mutation-free (profpure-checked), so output is
 	// byte-identical with and without one attached. Nil keeps every
-	// mark site a single comparison. A profiler additionally
-	// implementing ParallelProfiler arms per-worker pool telemetry.
+	// mark site a single comparison.
 	Profiler Profiler
 }
 
@@ -482,10 +458,6 @@ type Engine struct {
 	// prof receives phase-boundary marks (Config.Profiler); nil-checked
 	// at every mark site via enter().
 	prof Profiler
-
-	// par holds the tile resolver's state (Config.Parallel); nil in
-	// serial mode. See parallel.go.
-	par *parState
 }
 
 // New builds an Engine from the configuration. MACs must be attached with
@@ -557,23 +529,7 @@ func New(cfg Config) *Engine {
 		e.sleptAt[i] = -1
 		e.nextWake[i] = -1
 	}
-	if cfg.Parallel.Workers > 0 {
-		if cfg.Reference {
-			panic("sim: Config.Parallel and Config.Reference are mutually exclusive")
-		}
-		e.initParallel(cfg)
-	}
 	return e
-}
-
-// Close releases the worker pool behind parallel mode. It is a no-op for
-// serial engines, idempotent, and must follow the engine's last
-// Run/Step.
-func (e *Engine) Close() {
-	if e.par != nil && e.par.pool != nil {
-		e.par.pool.Close()
-		e.par.pool = nil
-	}
 }
 
 // SetMAC installs the MAC state machine for station i.
@@ -619,9 +575,6 @@ func (e *Engine) SetTopology(tp *topo.Topology) {
 	}
 	e.topo = tp
 	e.topoGen++
-	if e.par != nil {
-		e.par.retile(tp)
-	}
 }
 
 // Timing returns the frame airtimes in use.
@@ -739,11 +692,7 @@ func (e *Engine) step(src Source) {
 	// senses the medium busy when a transmission that began in an earlier
 	// slot is still in the air within range.
 	e.enter(PhaseBusyStamp)
-	if e.par != nil {
-		e.computeBusyParallel()
-	} else {
-		e.computeBusy()
-	}
+	e.computeBusy()
 
 	// 1. Traffic arrivals.
 	e.enter(PhaseArrivals)
@@ -831,14 +780,9 @@ func (e *Engine) step(src Source) {
 		e.startTx(i, f)
 	}
 
-	// 3. Per-slot interference resolution. The parallel path marks its
-	// own seam-merge boundary after the pool barrier.
+	// 3. Per-slot interference resolution.
 	e.enter(PhaseResolve)
-	if e.par != nil {
-		e.resolveSlotParallel()
-	} else {
-		e.resolveSlot()
-	}
+	e.resolveSlot()
 
 	// 3.5. Channel-state callback: the airing set is complete (new
 	// transmissions registered, none completed yet) and the collision
@@ -984,7 +928,7 @@ func (e *Engine) resolveSlot() {
 		}
 	}
 	for _, j := range touchedNodes {
-		if e.resolveStation(j, e.rng, &e.dists) {
+		if e.resolveStation(j) {
 			e.slotCollided = true
 		}
 	}
@@ -994,11 +938,9 @@ func (e *Engine) resolveSlot() {
 // resolveStation resolves the signal set collected for station j this
 // slot, marking corruption in the tx table and clearing the station's
 // signal scratch. The capture draw, when one is needed, comes from the
-// supplied generator — the engine stream on the serial path, a per-tile
-// or seam stream under the parallel resolver — into the supplied
-// distance scratch. Returns whether ≥2 signals overlapped (the slot
+// engine stream. Returns whether ≥2 signals overlapped (the slot
 // observer's collision flag).
-func (e *Engine) resolveStation(j int, rng *rand.Rand, dists *[]float64) bool {
+func (e *Engine) resolveStation(j int) bool {
 	now := e.now
 	sigs := e.sigTx[j]
 	collided := false
@@ -1023,7 +965,7 @@ func (e *Engine) resolveStation(j int, rng *rand.Rand, dists *[]float64) bool {
 		// so txNDists[ti][ri] is bit-for-bit the e.topo.Dist(j,
 		// sender) the naive path computes. The live query remains for
 		// transmissions launched under a topology since swapped out.
-		d := (*dists)[:0]
+		d := e.dists[:0]
 		for k, ti := range sigs {
 			if nd := e.txNDists[ti]; nd != nil && e.txTopoGen[ti] == e.topoGen {
 				d = append(d, nd[e.sigRx[j][k]])
@@ -1031,8 +973,8 @@ func (e *Engine) resolveStation(j int, rng *rand.Rand, dists *[]float64) bool {
 				d = append(d, e.topo.Dist(j, int(e.txSender[ti])))
 			}
 		}
-		*dists = d
-		win := e.capture.Resolve(d, rng.Float64())
+		e.dists = d
+		win := e.capture.Resolve(d, e.rng.Float64())
 		for k, ti := range sigs {
 			if k != win {
 				e.txCorrupt[ti][e.sigRx[j][k]] = true

@@ -245,8 +245,8 @@ func (t *Topology) Neighbors(i int) []int { return t.neighbors[i] }
 //
 // The table is materialized lazily on first call per station. The first
 // call for a given station is not safe to race with other calls on the
-// same Topology; the engine only queries it from its serial
-// transmission-start phase, never from tile workers.
+// same Topology; the engine only queries it from its transmission-start
+// phase.
 func (t *Topology) NeighborDists(i int) []float64 {
 	if d := t.neighborDist[i]; d != nil {
 		return d
