@@ -310,10 +310,10 @@ func BenchmarkEngineThroughputReference(b *testing.B) {
 // observability layer around the engine's observer dispatch:
 //
 //   - disabled: the metrics collector alone (the seed configuration) —
-//     must stay within noise (≤5%) of the seed, since the engine's
-//     single-observer path is untouched by the fan-out machinery;
-//   - multi: collector + event tracer + stat registry through
-//     sim.MultiObserver — the price of full tracing.
+//     must stay within noise (≤5%) of the seed: one observer is a
+//     one-element range in the engine's dispatch loop;
+//   - multi: collector + event tracer + stat registry, fanned out by the
+//     engine in registration order — the price of full tracing.
 func BenchmarkEngineObserverOverhead(b *testing.B) {
 	run := func(b *testing.B, extra func() []sim.Observer) {
 		for i := 0; i < b.N; i++ {
@@ -386,7 +386,7 @@ func BenchmarkAblationLocationError(b *testing.B) {
 				tp := topo.Uniform(cfg.Nodes, cfg.Radius, rng)
 				col := metrics.NewCollector()
 				eng := sim.New(sim.Config{Topo: tp, Capture: capture.ZorziRao{},
-					Seed: seed * 31, Observer: col})
+					Seed: seed * 31, Observers: []sim.Observer{col}})
 				eng.AttachMACs(factory)
 				gen := traffic.NewGenerator(tp)
 				eng.Run(cfg.Slots, gen)
@@ -423,7 +423,7 @@ func BenchmarkAblationMobility(b *testing.B) {
 				gen := traffic.NewGenerator(tp)
 				d.OnRefresh = func(newTp *topo.Topology) { gen.Topo = newTp }
 				col := metrics.NewCollector()
-				eng := sim.New(sim.Config{Topo: tp, Observer: col, Seed: seed,
+				eng := sim.New(sim.Config{Topo: tp, Observers: []sim.Observer{col}, Seed: seed,
 					Capture: capture.ZorziRao{}, SlotHook: d.Hook()})
 				eng.AttachMACs(core.NewLAMM(mac.DefaultConfig()))
 				eng.Run(2000, gen)

@@ -85,7 +85,7 @@ func main() {
 			gen.Rate = 0.0015 // heavier-than-default background load
 
 			col := metrics.NewCollector()
-			eng := sim.New(sim.Config{Topo: tp, Observer: col, Seed: seed * 7, Capture: capture.ZorziRao{}})
+			eng := sim.New(sim.Config{Topo: tp, Observers: []sim.Observer{col}, Seed: seed * 7, Capture: capture.ZorziRao{}})
 			factory, err := experiments.Factory(p, experiments.Defaults(p, seed).MAC)
 			if err != nil {
 				panic(err)

@@ -55,7 +55,7 @@ func main() {
 	// Wire up the engine with metrics and a transmission trace, and run
 	// the Location Aware Multicast MAC on every station.
 	col := metrics.NewCollector()
-	eng := sim.New(sim.Config{Topo: tp, Seed: *seed, Observer: col, Tracer: printer{}})
+	eng := sim.New(sim.Config{Topo: tp, Seed: *seed, Observers: []sim.Observer{col}, Tracer: printer{}})
 	eng.AttachMACs(core.NewLAMM(mac.DefaultConfig()))
 
 	// Submit one multicast from station 0 to all seven receivers with a

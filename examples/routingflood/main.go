@@ -138,7 +138,7 @@ func main() {
 			}
 			fl := newFlood(tp, origin, 200)
 			eng := sim.New(sim.Config{
-				Topo: tp, Observer: fl, Seed: seed, Capture: capture.ZorziRao{},
+				Topo: tp, Observers: []sim.Observer{fl}, Seed: seed, Capture: capture.ZorziRao{},
 			})
 			factory, err := experiments.Factory(p, experiments.Defaults(p, seed).MAC)
 			if err != nil {

@@ -209,7 +209,7 @@ func TestConformanceRandomised(t *testing.T) {
 			}
 			col := metrics.NewCollector()
 			eng := sim.New(sim.Config{
-				Topo: tp, Observer: col, Seed: int64(trial), Capture: capture.ZorziRao{},
+				Topo: tp, Observers: []sim.Observer{col}, Seed: int64(trial), Capture: capture.ZorziRao{},
 			})
 			eng.AttachMACs(factory)
 			// Random jammer: replace one non-participant station if any.

@@ -82,7 +82,7 @@ func runMobile(cfg RunConfig, speed float64, beaconEvery int) (metrics.Summary, 
 	eng := sim.New(sim.Config{
 		Topo: tp, Capture: cfg.Capture, ErrRate: cfg.ErrRate,
 		Impairment: imp,
-		Seed:       cfg.Seed ^ 0x1e3779b97f4a7c15, Observer: col,
+		Seed:       cfg.Seed ^ 0x1e3779b97f4a7c15, Observers: []sim.Observer{col},
 		SlotHook: driver.Hook(),
 	})
 	eng.AttachMACs(factory)
@@ -162,7 +162,7 @@ func LocationError(o Options) (*report.Table, error) {
 				col := metrics.NewCollector()
 				eng := sim.New(sim.Config{
 					Topo: tp, Capture: cfg.Capture,
-					Seed: seed * 31, Observer: col,
+					Seed: seed * 31, Observers: []sim.Observer{col},
 				})
 				eng.AttachMACs(factory)
 				eng.Run(cfg.Slots, gen)

@@ -64,6 +64,55 @@ func TestLedgerConservationAllProtocols(t *testing.T) {
 	}
 }
 
+// spanLedger counts the bulk idle spans a Ledger is handed.
+type spanLedger struct {
+	*obs.Ledger
+	spans int
+}
+
+func (l *spanLedger) OnIdleSpan(from, to sim.Slot) {
+	l.spans++
+	l.Ledger.OnIdleSpan(from, to)
+}
+
+// TestLedgerIdleSpansMatchPerSlot pins the equivalence SlotObserver's
+// OnIdleSpan rests on, for the real airtime ledger: sparse event-driven
+// traffic lets the optimized engine skip idle stretches (one OnIdleSpan
+// each), while the reference engine hands the same stretches over slot
+// by slot — and every protocol's ledger snapshot must come out
+// identical.
+func TestLedgerIdleSpansMatchPerSlot(t *testing.T) {
+	for _, proto := range AllProtocols {
+		t.Run(string(proto), func(t *testing.T) {
+			run := func(reference bool) (obs.LedgerSnapshot, int) {
+				led := &spanLedger{Ledger: obs.NewLedger(obs.NewRegistry(), string(proto))}
+				cfg := Defaults(proto, 5)
+				cfg.EventTraffic = true
+				cfg.Rate = 0.00025
+				cfg.Slots = 6000
+				cfg.Reference = reference
+				cfg.Observers = []sim.Observer{led}
+				cfg.SlotObservers = []sim.SlotObserver{led}
+				if _, err := Run(cfg); err != nil {
+					t.Fatal(err)
+				}
+				return led.Snapshot(), led.spans
+			}
+			opt, optSpans := run(false)
+			ref, refSpans := run(true)
+			if optSpans == 0 || refSpans != 0 {
+				t.Fatalf("idle spans: optimized %d, reference %d; want some and none", optSpans, refSpans)
+			}
+			if opt.Categories["data"] == 0 {
+				t.Fatalf("no DATA slots ledgered; the comparison is vacuous: %+v", opt.Categories)
+			}
+			if fmt.Sprint(opt) != fmt.Sprint(ref) {
+				t.Errorf("ledger snapshots diverged:\n  bulk spans: %+v\n  per slot:   %+v", opt, ref)
+			}
+		})
+	}
+}
+
 // TestLedgerDisabledBitIdentical pins that leaving the ledger (and hence
 // the slot hook) unattached reproduces the exact run: same summary as a
 // ledgered run at the same seed, and no observer-visible difference —

@@ -4,7 +4,7 @@ package experiments_test
 // run must leave every equality witness byte-identical — transcript,
 // observer event stream, summary, airtime ledger and audit report. This
 // is the differential proof behind the sim.Config.Profiler contract (and
-// what the profpure lint check enforces statically); the conservation
+// what the hookpure lint check enforces statically); the conservation
 // test then pins the profiler's own accounting invariant on every
 // protocol, clean and impaired.
 

@@ -106,21 +106,17 @@ type RunConfig struct {
 	Fault fault.Config
 	MAC   mac.Config
 	Seed  int64
-	// Observers are attached to the engine alongside the metrics
-	// collector via sim.CombineObservers — the hook for event tracers and
-	// stat registries (internal/obs). Empty keeps the collector-only
-	// fast path.
+	// Observers are passed to sim.Config.Observers after the metrics
+	// collector, which always sees each event first — the hook for event
+	// tracers and stat registries (internal/obs).
 	Observers []sim.Observer
-	// SlotObservers are attached to the engine's per-slot channel-state
-	// hook via sim.CombineSlotObservers — the feed for airtime ledgers
-	// (internal/obs). Empty keeps the hook nil, the engine's zero-cost
-	// path.
+	// SlotObservers are passed to sim.Config.SlotObservers — the
+	// per-slot channel-state feed for airtime ledgers (internal/obs).
+	// Empty keeps the engine's per-slot loop callback-free.
 	SlotObservers []sim.SlotObserver
-	// Lifecycles are attached to the engine's lifecycle hook via
-	// sim.CombineLifecycleObservers — the fine-grained per-message feed
-	// (service start, round opens, response drops) behind flight
-	// recorders and conformance auditors (internal/obs). Empty keeps the
-	// hook nil, the engine's zero-cost path.
+	// Lifecycles are passed to sim.Config.Lifecycles — the fine-grained
+	// per-message feed (service start, round opens, response drops)
+	// behind flight recorders and conformance auditors (internal/obs).
 	Lifecycles []sim.LifecycleObserver
 	// Tracer receives channel-level events (sim.Config.Tracer); nil keeps
 	// tracing off. The equivalence tests use it to compare optimized and
@@ -251,26 +247,22 @@ func Run(cfg RunConfig) (RunResult, error) {
 	rng := mrand.New(mrand.NewSource(cfg.Seed))
 	tp := topo.Uniform(cfg.Nodes, cfg.Radius, rng)
 	col := metrics.NewCollector()
-	observer := sim.Observer(col)
-	if len(cfg.Observers) > 0 {
-		observer = sim.CombineObservers(append([]sim.Observer{col}, cfg.Observers...)...)
-	}
 	var imp sim.Impairment
 	if inj != nil {
 		imp = inj
 	}
 	eng := sim.New(sim.Config{
-		Topo:         tp,
-		Capture:      cfg.Capture,
-		ErrRate:      cfg.ErrRate,
-		Impairment:   imp,
-		Seed:         cfg.Seed ^ 0x1e3779b97f4a7c15, // decouple channel RNG from topology
-		Observer:     observer,
-		SlotObserver: sim.CombineSlotObservers(cfg.SlotObservers...),
-		Lifecycle:    sim.CombineLifecycleObservers(cfg.Lifecycles...),
-		Tracer:       cfg.Tracer,
-		Reference:    cfg.Reference,
-		Profiler:     cfg.Profiler,
+		Topo:          tp,
+		Capture:       cfg.Capture,
+		ErrRate:       cfg.ErrRate,
+		Impairment:    imp,
+		Seed:          cfg.Seed ^ 0x1e3779b97f4a7c15, // decouple channel RNG from topology
+		Observers:     append([]sim.Observer{col}, cfg.Observers...),
+		SlotObservers: cfg.SlotObservers,
+		Lifecycles:    cfg.Lifecycles,
+		Tracer:        cfg.Tracer,
+		Reference:     cfg.Reference,
+		Profiler:      cfg.Profiler,
 	})
 	eng.AttachMACs(factory)
 	gen := traffic.NewGenerator(tp)

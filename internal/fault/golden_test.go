@@ -33,7 +33,7 @@ func TestFaultGoldenBurstTrace(t *testing.T) {
 	}
 	tp := topo.FromPoints(pts, 0.2)
 	tracer := obs.NewTracer(0)
-	eng := sim.New(sim.Config{Topo: tp, Observer: tracer, Impairment: inj})
+	eng := sim.New(sim.Config{Topo: tp, Observers: []sim.Observer{tracer}, Impairment: inj})
 	eng.AttachMACs(core.NewBMMM(mac.DefaultConfig()))
 	script := traffic.NewScript()
 	script.At(0, &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0,

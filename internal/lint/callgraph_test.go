@@ -213,16 +213,16 @@ func work() {}
 	}
 }
 
-// TestMutationGuardPrngflow proves the PRNG-taint check has teeth: a
-// hook implementation that merely counts lints clean, and injecting a
-// single draw from a field-held generator produces exactly one prngflow
-// finding at the hook declaration.
+// TestMutationGuardPrngflow proves the PRNG-taint half of hookpure has
+// teeth: a hook implementation that merely counts lints clean, and
+// injecting a single draw from a field-held generator produces exactly
+// one hookpure finding at the hook declaration.
 func TestMutationGuardPrngflow(t *testing.T) {
 	root, err := FindModuleRoot(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	const clean = `// Package tapfix is a prngflow mutation-guard fixture.
+	const clean = `// Package tapfix is a hookpure mutation-guard fixture.
 package tapfix
 
 import (
@@ -239,6 +239,8 @@ type tap struct {
 func (t *tap) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) {
 	t.slots++
 }
+
+func (t *tap) OnIdleSpan(from, to sim.Slot) {}
 `
 	mutated := strings.Replace(clean, "t.slots++", "t.slots += t.rng.Intn(4)", 1)
 
@@ -270,8 +272,8 @@ func (t *tap) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) {
 		t.Fatalf("mutated fixture: findings = %v, want exactly one", res.Findings)
 	}
 	f := res.Findings[0]
-	if f.Check != "prngflow" || f.Line != 15 || !strings.Contains(f.Message, "PRNG-neutral") {
-		t.Errorf("mutated fixture: got %s, want a prngflow finding at the OnSlot declaration (line 15)", f)
+	if f.Check != "hookpure" || f.Line != 15 || !strings.Contains(f.Message, "PRNG-neutral") {
+		t.Errorf("mutated fixture: got %s, want a hookpure finding at the OnSlot declaration (line 15)", f)
 	}
 }
 

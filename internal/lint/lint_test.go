@@ -74,7 +74,6 @@ func TestFixtures(t *testing.T) {
 		{"seedflow/good", nil},
 		{"floateq/geomfix", func(c *Config) { c.GeomPaths = []string{"fix/floateq/geomfix"} }},
 		{"frameswitch/fix", nil},
-		{"obswiring/fix", nil},
 		{"simsafe/bad", func(c *Config) { c.SerialPaths = []string{"fix/simsafe"} }},
 		{"simsafe/good", func(c *Config) { c.SerialPaths = []string{"fix/simsafe"} }},
 		{"docpresent/bad", func(c *Config) { c.SimPaths = []string{"fix/docpresent"} }},
@@ -264,9 +263,10 @@ func stamp(clock func() time.Time) time.Time {
 	}
 }
 
-// TestMutationGuardProfpure proves the profpure check has teeth: a clean
-// injectable-clock profiler lints clean, and injecting a single PRNG
-// draw into its Enter hook produces exactly one profpure finding.
+// TestMutationGuardProfpure proves the hookpure check has teeth on
+// profilers: a clean injectable-clock profiler lints clean, and
+// injecting a single PRNG draw into its Enter hook produces exactly one
+// hookpure finding.
 func TestMutationGuardProfpure(t *testing.T) {
 	root, err := FindModuleRoot(".")
 	if err != nil {
@@ -339,7 +339,7 @@ func (t *timer) RunEnd()           {}
 		t.Fatalf("mutated profiler: findings = %v, want exactly one", res.Findings)
 	}
 	f := res.Findings[0]
-	if f.Check != "profpure" || !strings.Contains(f.Message, "PRNG draw") {
-		t.Errorf("mutated profiler: got %s, want a profpure PRNG-draw finding", f)
+	if f.Check != "hookpure" || !strings.Contains(f.Message, "PRNG draw") {
+		t.Errorf("mutated profiler: got %s, want a hookpure PRNG-draw finding", f)
 	}
 }

@@ -1,6 +1,9 @@
-// Package good implements observer hooks that only read the engine
-// (allowlisted accessors) and write their own receiver state — the
-// sanctioned measurement pattern hookpure must not flag.
+// Package good implements hooks in the sanctioned measurement pattern:
+// they read the engine only through allowlisted accessors, write only
+// their own receiver state, and never draw from a shared generator.
+// hookpure must stay silent on the slot observers here and the tracer in
+// tracer.go; PRNG-neutral hooks and profilers have their own fixtures
+// under prngflow and profpure.
 package good
 
 import (
@@ -17,5 +20,11 @@ type spanRecorder struct {
 func (s *spanRecorder) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) {
 	if s.env != nil && s.env.Now() == now {
 		s.seen = append(s.seen, now)
+	}
+}
+
+func (s *spanRecorder) OnIdleSpan(from, to sim.Slot) {
+	for t := from; t <= to; t++ {
+		s.seen = append(s.seen, t)
 	}
 }

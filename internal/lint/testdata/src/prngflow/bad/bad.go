@@ -1,6 +1,6 @@
 // Package bad implements observer hooks that consume pseudo-randomness,
-// violating the prngflow hook contract: a draw inside a hook shifts
-// every later draw in the run, so attaching the observer changes the
+// violating the hookpure contract: a draw inside a hook shifts every
+// later draw in the run, so attaching the observer changes the
 // trajectory.
 package bad
 
@@ -16,17 +16,21 @@ type jitterTap struct {
 	rng *rand.Rand
 }
 
-func (t *jitterTap) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) { // want `observer hook \(bad\.jitterTap\)\.OnSlot reaches a PRNG draw`
+func (t *jitterTap) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) { // want `hook \(bad\.jitterTap\)\.OnSlot reaches a PRNG draw`
 	_ = t.rng.Intn(8)
 }
+
+func (t *jitterTap) OnIdleSpan(from, to sim.Slot) {}
 
 // globalTap reaches the global math/rand stream two calls deep; the
 // call-graph closure still attributes the draw to the hook.
 type globalTap struct{}
 
-func (globalTap) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) { // want `observer hook \(bad\.globalTap\)\.OnSlot reaches a PRNG draw`
+func (globalTap) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) { // want `hook \(bad\.globalTap\)\.OnSlot reaches a PRNG draw`
 	jitter()
 }
+
+func (globalTap) OnIdleSpan(from, to sim.Slot) {}
 
 func jitter() int { return pick() }
 

@@ -1,5 +1,5 @@
 // Package good implements PRNG-neutral observer hooks: they count and
-// record, but never draw, so the prngflow check stays silent.
+// record, but never draw, so the hookpure check stays silent.
 package good
 
 import (
@@ -18,6 +18,8 @@ type counterTap struct {
 func (t *counterTap) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) {
 	t.slots += len(airing)
 }
+
+func (t *counterTap) OnIdleSpan(from, to sim.Slot) {}
 
 // scramble draws from a locally constructed generator (clean provenance
 // under the dataflow rules) and is not reachable from any hook anyway.

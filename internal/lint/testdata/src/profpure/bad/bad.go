@@ -1,4 +1,4 @@
-// Package bad implements profiler hooks that violate the profpure
+// Package bad implements profiler hooks that violate the hookpure
 // contract: one consumes pseudo-randomness from a phase hook (shifting
 // every later draw in the run), one steers the engine from RunEnd
 // (coupling measurement to dynamics). Either breaks the profiler's
@@ -21,7 +21,7 @@ type drawTimer struct {
 
 func (t *drawTimer) RunStart() {}
 
-func (t *drawTimer) Enter(p sim.Phase) { // want `profiler hook \(bad\.drawTimer\)\.Enter reaches a PRNG draw`
+func (t *drawTimer) Enter(p sim.Phase) { // want `hook \(bad\.drawTimer\)\.Enter reaches a PRNG draw`
 	t.acc[int(p)] += int64(t.rng.Intn(8))
 }
 
@@ -38,6 +38,6 @@ func (s *steerTimer) RunStart() {}
 
 func (s *steerTimer) Enter(sim.Phase) {}
 
-func (s *steerTimer) RunEnd() { // want `profiler hook \(bad\.steerTimer\)\.RunEnd reaches a sim\.Engine/Env mutation`
+func (s *steerTimer) RunEnd() { // want `hook \(bad\.steerTimer\)\.RunEnd reaches a sim\.Engine/Env mutation`
 	s.env.ReportAbort(s.req, sim.AbortDeadline)
 }

@@ -347,7 +347,7 @@ func TestAuditorDetectsMutantProtocol(t *testing.T) {
 		geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5), geom.Pt(0.5, 0.6), geom.Pt(0.42, 0.42),
 	}
 	tp := topo.FromPoints(pts, 0.2)
-	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Observer: aud, Lifecycle: aud})
+	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Observers: []sim.Observer{aud}, Lifecycles: []sim.LifecycleObserver{aud}})
 	eng.AttachMACs(func(node int, env *sim.Env) sim.MAC {
 		return dcf.NewStation(node, cfg, core.NewBatch(overPoller{}))
 	})

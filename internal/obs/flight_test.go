@@ -48,8 +48,8 @@ func fig2Flight(t *testing.T, factory func(mac.Config) func(int, *sim.Env) sim.M
 	tp := topo.FromPoints(pts, 0.2)
 	eng := sim.New(sim.Config{
 		Topo: tp, Seed: 1,
-		Observer:  sim.CombineObservers(append([]sim.Observer{fl}, extraObs...)...),
-		Lifecycle: sim.CombineLifecycleObservers(append([]sim.LifecycleObserver{fl}, extraLife...)...),
+		Observers:  append([]sim.Observer{fl}, extraObs...),
+		Lifecycles: append([]sim.LifecycleObserver{fl}, extraLife...),
 	})
 	eng.AttachMACs(factory(mac.DefaultConfig()))
 	script := traffic.NewScript()
@@ -140,8 +140,8 @@ func TestFlightNeutrality(t *testing.T) {
 	tp := topo.FromPoints(pts, 0.2)
 	eng := sim.New(sim.Config{
 		Topo: tp, Seed: 1,
-		Observer:  sim.CombineObservers(accompanied, fl, aud),
-		Lifecycle: sim.CombineLifecycleObservers(fl, aud),
+		Observers:  []sim.Observer{accompanied, fl, aud},
+		Lifecycles: []sim.LifecycleObserver{fl, aud},
 	})
 	eng.AttachMACs(core.NewBMMM(mac.DefaultConfig()))
 	script := traffic.NewScript()
@@ -212,7 +212,7 @@ func TestFlightStageHistograms(t *testing.T) {
 		geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5), geom.Pt(0.5, 0.6), geom.Pt(0.42, 0.42),
 	}
 	tp := topo.FromPoints(pts, 0.2)
-	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Observer: fl, Lifecycle: fl})
+	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Observers: []sim.Observer{fl}, Lifecycles: []sim.LifecycleObserver{fl}})
 	eng.AttachMACs(core.NewBMMM(mac.DefaultConfig()))
 	script := traffic.NewScript()
 	script.At(0, &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0,

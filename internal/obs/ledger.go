@@ -118,9 +118,9 @@ func busyPriority(c Category) int {
 // exactly one Category, counted under "<prefix>.airtime.<category>" in
 // the registry alongside "<prefix>.airtime.total".
 //
-// Attach the same instance on both hooks: the Observer side via
-// sim.CombineObservers, the SlotObserver side via
-// sim.CombineSlotObservers (or directly as Config.SlotObserver).
+// Attach the same instance on both hooks: append it to
+// Config.Observers and to Config.SlotObservers (RunConfig.Observers and
+// RunConfig.SlotObservers in experiments).
 // Use a fresh Ledger per engine run — message identity maps reset with
 // the instance while the shared registry counters accumulate across
 // runs, exactly like Stats.
@@ -216,7 +216,7 @@ func (l *Ledger) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) {
 	}
 }
 
-// OnIdleSpan implements sim.IdleSpanObserver: attribute a skipped idle
+// OnIdleSpan implements sim.SlotObserver: attribute a skipped idle
 // stretch in bulk. Every slot of the span would have arrived as
 // OnSlot(t, nil, false), and with no events firing between the calls
 // the classification cannot change mid-span, so charging the whole

@@ -17,8 +17,9 @@
 //     (post-run, from the per-message records);
 //   - Stats: a sim.Observer that feeds a Registry as the run unfolds.
 //
-// Attach any combination with sim.CombineObservers; the engine's
-// NopObserver fast path is untouched when nothing is attached.
+// Attach any combination by listing them in sim.Config.Observers (or
+// experiments.RunConfig.Observers); the engine fans every event out in
+// list order, and an empty list costs one length check per event.
 package obs
 
 import (

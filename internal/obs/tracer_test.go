@@ -31,7 +31,7 @@ func fig2Run(t *testing.T, tr *obs.Tracer) {
 		geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5), geom.Pt(0.5, 0.6), geom.Pt(0.42, 0.42),
 	}
 	tp := topo.FromPoints(pts, 0.2)
-	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Observer: tr})
+	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Observers: []sim.Observer{tr}})
 	eng.AttachMACs(core.NewBMMM(mac.DefaultConfig()))
 	script := traffic.NewScript()
 	script.At(0, &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0,

@@ -87,7 +87,7 @@ func New(pts []geom.Point, radius float64, factory Factory, opts ...Option) *Run
 		Script:    traffic.NewScript(),
 		Topo:      tp,
 	}
-	cfg := sim.Config{Topo: tp, Observer: r.Collector, Tracer: r.Trace}
+	cfg := sim.Config{Topo: tp, Observers: []sim.Observer{r.Collector}, Tracer: r.Trace}
 	for _, o := range opts {
 		o(&cfg)
 	}

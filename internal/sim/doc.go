@@ -54,13 +54,22 @@
 // All of them are gated by Config.Reference, which forces the original
 // naive path; the equivalence tests drive both paths to identical
 // transcripts. Skipped idle spans draw nothing from the PRNG and are
-// reported to slot observers in bulk (IdleSpanObserver) or replayed
-// slot-by-slot for observers without the bulk hook.
+// reported to each slot observer as one OnIdleSpan call, exactly
+// equivalent to the per-slot OnSlot(t, nil, false) calls of the
+// reference path.
+//
+// Observer fan-out is the engine's own: every event is a plain range
+// over the attached list (Config.Observers, SlotObservers, Lifecycles)
+// in registration order, so an empty list costs one length check and
+// there is no combinator layer between the slot loop and its hooks.
 //
 // # Entry points
 //
 // New builds an Engine from a Config; SetMAC/AttachMACs install the
 // per-station protocol state machines; Run/Step advance the clock. Env
-// is the window a MAC sees; Observer, Tracer, SlotObserver and
-// LifecycleObserver are the instrumentation surfaces.
+// is the window a MAC sees. The instrumentation surfaces are the
+// Observer, SlotObserver and LifecycleObserver lists, one Tracer, one
+// SlotHook and one Profiler; relmaclint's hookpure check holds every
+// implementation of them to PRNG and engine-state neutrality, except the
+// SlotHook, whose job is to move stations (mobility).
 package sim

@@ -58,66 +58,71 @@ func (e *Env) Transmitting() bool {
 // station order, so sharing the engine PRNG keeps runs reproducible.
 func (e *Env) Rand() *rand.Rand { return e.engine.rng }
 
-// ReportContention notifies the observer that the station is entering a
-// CSMA/CA contention phase for the request — the quantity plotted in
+// ReportContention notifies the observers that the station is entering
+// a CSMA/CA contention phase for the request — the quantity plotted in
 // Figure 9 and analysed in §6.
 func (e *Env) ReportContention(req *Request) {
-	e.engine.observer.OnContention(req, e.engine.now)
+	for _, o := range e.engine.observers {
+		o.OnContention(req, e.engine.now)
+	}
 }
 
-// ReportComplete notifies the observer that the sending MAC considers the
-// request served.
+// ReportComplete notifies the observers that the sending MAC considers
+// the request served.
 func (e *Env) ReportComplete(req *Request) {
-	e.engine.observer.OnComplete(req, e.engine.now)
+	for _, o := range e.engine.observers {
+		o.OnComplete(req, e.engine.now)
+	}
 }
 
-// ReportAbort notifies the observer that the sending MAC abandoned the
+// ReportAbort notifies the observers that the sending MAC abandoned the
 // request, with the typed reason (deadline passed or retry budget
 // exhausted).
 func (e *Env) ReportAbort(req *Request, reason AbortReason) {
-	e.engine.observer.OnAbort(req, reason, e.engine.now)
+	for _, o := range e.engine.observers {
+		o.OnAbort(req, reason, e.engine.now)
+	}
 }
 
-// ReportRound notifies the observer that a multi-round group protocol
+// ReportRound notifies the observers that a multi-round group protocol
 // finished one round with residual intended receivers still unserved —
 // the per-round graceful-degradation signal: under an impaired channel
 // the residual shrinks more slowly (or not at all) and the round count
 // grows.
 func (e *Env) ReportRound(req *Request, residual int) {
-	e.engine.observer.OnRound(req, residual, e.engine.now)
+	for _, o := range e.engine.observers {
+		o.OnRound(req, residual, e.engine.now)
+	}
 }
 
 // LifecycleOn reports whether a lifecycle observer is attached. MAC code
 // whose lifecycle reporting needs setup beyond a plain call (the
 // Responder's stale-drop accounting) checks it first, so the disabled
 // path stays exactly the pre-hook code.
-func (e *Env) LifecycleOn() bool { return e.engine.lifecycle != nil }
+func (e *Env) LifecycleOn() bool { return len(e.engine.lifecycles) != 0 }
 
-// ReportServiceStart notifies the lifecycle observer that the station
+// ReportServiceStart notifies the lifecycle observers that the station
 // dequeued the request into service — the queueing/service boundary of
-// the flight recorder's span tree. A nil lifecycle observer makes this a
-// no-op.
+// the flight recorder's span tree.
 func (e *Env) ReportServiceStart(req *Request) {
-	if lc := e.engine.lifecycle; lc != nil {
+	for _, lc := range e.engine.lifecycles {
 		lc.OnServiceStart(req, e.engine.now)
 	}
 }
 
-// ReportRoundStart notifies the lifecycle observer that a group protocol
-// is opening a round: round is the 1-based contention-phase ordinal,
-// polled the number of receivers the round will poll. A nil lifecycle
-// observer makes this a no-op.
+// ReportRoundStart notifies the lifecycle observers that a group
+// protocol is opening a round: round is the 1-based contention-phase
+// ordinal, polled the number of receivers the round will poll.
 func (e *Env) ReportRoundStart(req *Request, round, polled int) {
-	if lc := e.engine.lifecycle; lc != nil {
+	for _, lc := range e.engine.lifecycles {
 		lc.OnRoundStart(req, round, polled, e.engine.now)
 	}
 }
 
-// ReportResponseDrop notifies the lifecycle observer that this station
-// discarded a stale scheduled response. A nil lifecycle observer makes
-// this a no-op.
+// ReportResponseDrop notifies the lifecycle observers that this station
+// discarded a stale scheduled response.
 func (e *Env) ReportResponseDrop(f *frames.Frame) {
-	if lc := e.engine.lifecycle; lc != nil {
+	for _, lc := range e.engine.lifecycles {
 		lc.OnResponseDrop(e.node, f, e.engine.now)
 	}
 }

@@ -49,7 +49,7 @@ func (s *slotSource) NextArrival(after Slot) (Slot, bool) {
 	return 0, false
 }
 
-// spanRecorder is an IdleSpanObserver test double recording per-slot
+// spanRecorder is a SlotObserver test double recording per-slot
 // callbacks and bulk spans separately.
 type spanRecorder struct {
 	slots []Slot
@@ -64,23 +64,10 @@ func (r *spanRecorder) OnIdleSpan(from, to Slot) {
 	r.spans = append(r.spans, [2]Slot{from, to})
 }
 
-// plainRecorder lacks the bulk hook, so skipped stretches must arrive
-// as a per-slot replay.
-type plainRecorder struct {
-	slots []Slot
-}
-
-func (r *plainRecorder) OnSlot(now Slot, airing []AiringTx, collided bool) {
-	if len(airing) != 0 {
-		panic("idle replay carried airing transmissions")
-	}
-	r.slots = append(r.slots, now)
-}
-
 func TestEventClockSkipsWholeIdleRun(t *testing.T) {
 	tp := lineTopo(2, 0.1, 0.15)
 	rec := &spanRecorder{}
-	e := New(Config{Topo: tp, SlotObserver: rec})
+	e := New(Config{Topo: tp, SlotObservers: []SlotObserver{rec}})
 	a := &sleepyMAC{quiet: true}
 	b := &sleepyMAC{quiet: true}
 	e.SetMAC(0, a)
@@ -105,21 +92,47 @@ func TestEventClockSkipsWholeIdleRun(t *testing.T) {
 	}
 }
 
-func TestEventClockReplaysSpanForPlainObserver(t *testing.T) {
-	tp := lineTopo(2, 0.1, 0.15)
-	rec := &plainRecorder{}
-	e := New(Config{Topo: tp, SlotObserver: rec})
-	e.SetMAC(0, &sleepyMAC{quiet: true})
-	e.SetMAC(1, &sleepyMAC{quiet: true})
+// spanCounter is a per-slot recorder that also counts the bulk spans it
+// expanded.
+type spanCounter struct {
+	recSlotObs
+	spans int
+}
 
-	e.Run(50, nil)
-	if len(rec.slots) != 50 {
-		t.Fatalf("observer saw %d slots, want all 50", len(rec.slots))
+func (c *spanCounter) OnIdleSpan(from, to Slot) {
+	c.spans++
+	c.recSlotObs.OnIdleSpan(from, to)
+}
+
+// TestEventClockSpansMatchReferenceSlots pins the OnIdleSpan contract:
+// the skipped stretches, expanded slot by slot, are exactly the OnSlot
+// calls a per-slot reference run delivers — every slot once, in order.
+func TestEventClockSpansMatchReferenceSlots(t *testing.T) {
+	run := func(reference bool) *spanCounter {
+		tp := lineTopo(2, 0.1, 0.15)
+		rec := &spanCounter{}
+		e := New(Config{Topo: tp, Reference: reference, SlotObservers: []SlotObserver{rec}})
+		e.SetMAC(0, &sleepyMAC{quiet: true})
+		e.SetMAC(1, &sleepyMAC{quiet: true})
+		src := newSlotSource()
+		src.add(20, &Request{ID: 1, Src: 0, Kind: Broadcast, Deadline: 1000})
+		e.Run(50, src)
+		return rec
 	}
-	for i, s := range rec.slots {
-		if s != Slot(i) {
-			t.Fatalf("slot callbacks out of order at %d: %v...", i, rec.slots[:i+1])
+	opt, ref := run(false), run(true)
+	if opt.spans != 2 || ref.spans != 0 {
+		t.Fatalf("spans: optimized %d, reference %d; want 2 ([1,19] and [21,49]) and 0", opt.spans, ref.spans)
+	}
+	if len(ref.lines) != 50 {
+		t.Fatalf("reference saw %d slots, want 50", len(ref.lines))
+	}
+	for i := range ref.lines {
+		if i >= len(opt.lines) || opt.lines[i] != ref.lines[i] {
+			t.Fatalf("slot %d: optimized %v, reference %q", i, opt.lines[i:min(i+1, len(opt.lines))], ref.lines[i])
 		}
+	}
+	if len(opt.lines) != len(ref.lines) {
+		t.Fatalf("optimized saw %d slots, reference %d", len(opt.lines), len(ref.lines))
 	}
 }
 
@@ -207,7 +220,7 @@ func TestEventClockCrashTransitionsAreWakeObligations(t *testing.T) {
 	tp := lineTopo(2, 0.1, 0.15)
 	imp := &downWindow{station: 1, from: 20, to: 30}
 	rec := &spanRecorder{}
-	e := New(Config{Topo: tp, Impairment: imp, SlotObserver: rec})
+	e := New(Config{Topo: tp, Impairment: imp, SlotObservers: []SlotObserver{rec}})
 	a := &sleepyMAC{quiet: true}
 	b := &sleepyMAC{quiet: true}
 	e.SetMAC(0, a)

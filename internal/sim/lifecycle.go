@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"relmac/internal/frames"
-)
+import "relmac/internal/frames"
 
 // LifecycleObserver receives the fine-grained per-message service events
 // that the coarse Observer interface deliberately omits: when a request
@@ -17,11 +13,11 @@ import (
 //
 // The hook is separate from Observer so existing implementations stay
 // untouched, and it is PRNG-neutral by construction: every callback is
-// dispatched through Env.Report* methods that are no-ops when
-// Config.Lifecycle is nil, so a run without a lifecycle observer is
+// dispatched through Env.Report* methods that loop over
+// Config.Lifecycles, so a run without a lifecycle observer is
 // byte-identical to one that predates the hook. Implementations must be
 // cheap, must not touch the engine PRNG and must not mutate the
-// arguments they are shown.
+// arguments they are shown (hookpure-checked).
 type LifecycleObserver interface {
 	// OnServiceStart fires when a MAC dequeues the request into service —
 	// the boundary between queueing delay and service time.
@@ -37,84 +33,4 @@ type LifecycleObserver interface {
 	// receiver-side response (CTS/ACK/NAK) that went stale before the
 	// medium allowed its transmission — otherwise-invisible protocol loss.
 	OnResponseDrop(station int, f *frames.Frame, now Slot)
-}
-
-// NopLifecycleObserver ignores every lifecycle event; embed it to
-// implement only the callbacks a recorder cares about.
-type NopLifecycleObserver struct{}
-
-// OnServiceStart implements LifecycleObserver.
-func (NopLifecycleObserver) OnServiceStart(*Request, Slot) {}
-
-// OnRoundStart implements LifecycleObserver.
-func (NopLifecycleObserver) OnRoundStart(*Request, int, int, Slot) {}
-
-// OnResponseDrop implements LifecycleObserver.
-func (NopLifecycleObserver) OnResponseDrop(int, *frames.Frame, Slot) {}
-
-// MultiLifecycleObserver fans every lifecycle event out to a list of
-// observers in registration order. Build one with
-// CombineLifecycleObservers, which collapses the trivial cases so
-// single-observer runs pay no fan-out cost. Like MultiObserver, a
-// panicking attachment is re-raised annotated with its position and
-// concrete type.
-type MultiLifecycleObserver []LifecycleObserver
-
-// CombineLifecycleObservers builds a LifecycleObserver dispatching to
-// every non-nil argument in order. It returns nil when none remain (the
-// engine's disabled fast path) and the observer itself when exactly one
-// remains.
-func CombineLifecycleObservers(obs ...LifecycleObserver) LifecycleObserver {
-	kept := make(MultiLifecycleObserver, 0, len(obs))
-	for _, o := range obs {
-		if o != nil {
-			kept = append(kept, o)
-		}
-	}
-	switch len(kept) {
-	case 0:
-		return nil
-	case 1:
-		return kept[0]
-	default:
-		return kept
-	}
-}
-
-// identify is installed as a deferred call around each fan-out dispatch;
-// it re-panics with the offending observer's index and type attached.
-func (m MultiLifecycleObserver) identify(i int) {
-	if r := recover(); r != nil {
-		panic(fmt.Sprintf("sim: lifecycle observer %d/%d (%T) panicked: %v", i+1, len(m), m[i], r))
-	}
-}
-
-// OnServiceStart implements LifecycleObserver.
-func (m MultiLifecycleObserver) OnServiceStart(req *Request, now Slot) {
-	for i, o := range m {
-		func() {
-			defer m.identify(i)
-			o.OnServiceStart(req, now)
-		}()
-	}
-}
-
-// OnRoundStart implements LifecycleObserver.
-func (m MultiLifecycleObserver) OnRoundStart(req *Request, round, polled int, now Slot) {
-	for i, o := range m {
-		func() {
-			defer m.identify(i)
-			o.OnRoundStart(req, round, polled, now)
-		}()
-	}
-}
-
-// OnResponseDrop implements LifecycleObserver.
-func (m MultiLifecycleObserver) OnResponseDrop(station int, f *frames.Frame, now Slot) {
-	for i, o := range m {
-		func() {
-			defer m.identify(i)
-			o.OnResponseDrop(station, f, now)
-		}()
-	}
 }

@@ -2,13 +2,10 @@ package sim
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"relmac/internal/frames"
 )
-
-var _ LifecycleObserver = NopLifecycleObserver{}
 
 // recLifecycle records one line per lifecycle event in arrival order.
 type recLifecycle struct {
@@ -27,52 +24,6 @@ func (r *recLifecycle) OnResponseDrop(station int, f *frames.Frame, now Slot) {
 	r.lines = append(r.lines, fmt.Sprintf("drop st=%d %s t=%d", station, f.Type, now))
 }
 
-func TestCombineLifecycleObservers(t *testing.T) {
-	a, b := &recLifecycle{}, &recLifecycle{}
-	if got := CombineLifecycleObservers(); got != nil {
-		t.Errorf("empty combine = %T, want nil", got)
-	}
-	if got := CombineLifecycleObservers(nil, nil); got != nil {
-		t.Errorf("all-nil combine = %T, want nil", got)
-	}
-	if got := CombineLifecycleObservers(nil, a); got != LifecycleObserver(a) {
-		t.Errorf("single combine = %T, want the observer itself", got)
-	}
-	multi := CombineLifecycleObservers(a, nil, b)
-	if _, ok := multi.(MultiLifecycleObserver); !ok {
-		t.Fatalf("two observers combine = %T, want MultiLifecycleObserver", multi)
-	}
-	req := &Request{ID: 9}
-	multi.OnServiceStart(req, 3)
-	multi.OnRoundStart(req, 1, 4, 5)
-	multi.OnResponseDrop(2, &frames.Frame{Type: frames.CTS}, 7)
-	want := []string{"service msg=9 t=3", "round msg=9 r=1 n=4 t=5", "drop st=2 CTS t=7"}
-	for _, rec := range []*recLifecycle{a, b} {
-		if fmt.Sprint(rec.lines) != fmt.Sprint(want) {
-			t.Errorf("fan-out stream = %v, want %v", rec.lines, want)
-		}
-	}
-}
-
-type panickyLifecycle struct{ NopLifecycleObserver }
-
-func (panickyLifecycle) OnRoundStart(*Request, int, int, Slot) { panic("boom") }
-
-func TestMultiLifecycleObserverPanicAttribution(t *testing.T) {
-	m := CombineLifecycleObservers(&recLifecycle{}, panickyLifecycle{})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic")
-		}
-		msg := fmt.Sprint(r)
-		if !strings.Contains(msg, "lifecycle observer 2/2") || !strings.Contains(msg, "panickyLifecycle") {
-			t.Errorf("panic not attributed: %q", msg)
-		}
-	}()
-	m.OnRoundStart(&Request{ID: 1}, 1, 1, 0)
-}
-
 // TestEnvLifecycleReporting pins the Env.Report* dispatch: nil hook is a
 // no-op, non-nil hook sees the arguments verbatim with the engine clock
 // and the reporting station's ID attached.
@@ -89,7 +40,7 @@ func TestEnvLifecycleReporting(t *testing.T) {
 	env.ReportResponseDrop(&frames.Frame{Type: frames.ACK})
 
 	rec := &recLifecycle{}
-	hooked := New(Config{Topo: tp, Lifecycle: rec})
+	hooked := New(Config{Topo: tp, Lifecycles: []LifecycleObserver{rec}})
 	env = hooked.EnvOf(1)
 	if !env.LifecycleOn() {
 		t.Error("LifecycleOn() = false with a hook installed")

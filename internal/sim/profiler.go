@@ -4,7 +4,7 @@ package sim
 // exclusive phases by calling an attached Profiler at every phase
 // boundary of the slot loop. The hook is an observation channel with the
 // same contract as the observer family — it must be PRNG-neutral and
-// must not mutate engine state (the relmaclint profpure check proves
+// must not mutate engine state (the relmaclint hookpure check proves
 // both for every implementation), so runs with and without a profiler
 // attached are byte-identical. With Config.Profiler nil every mark site
 // is a single nil check; the hot path stays zero-cost.
@@ -24,7 +24,7 @@ const (
 	// drains, slot hooks, skip-target probes and loop bookkeeping.
 	PhaseUntracked Phase = iota
 	// PhaseIdleSkip is the event clock jumping over idle stretches,
-	// including the idle-span replay to slot observers.
+	// including the OnIdleSpan dispatch to slot observers.
 	PhaseIdleSkip
 	// PhaseBusyStamp is per-slot physical carrier sense (computeBusy).
 	PhaseBusyStamp
@@ -35,7 +35,8 @@ const (
 	PhaseMacTick
 	// PhaseResolve is per-slot interference resolution (resolveSlot).
 	PhaseResolve
-	// PhaseObserver is the per-slot channel-state callback (emitSlot).
+	// PhaseObserver is the per-slot channel-state dispatch to the slot
+	// observers (emitSlot).
 	PhaseObserver
 	// PhaseDeliveries is frame completion: erasure draws, Deliver calls
 	// and tx-table compaction (completeSlot).
@@ -74,7 +75,7 @@ func (p Phase) String() string {
 // Profiler receives phase-boundary marks from the engine. All methods
 // are invoked from the engine goroutine, between — never inside — the
 // simulation's deterministic work, and must be PRNG-neutral and free of
-// engine mutations (profpure-checked), so attaching a profiler cannot
+// engine mutations (hookpure-checked), so attaching a profiler cannot
 // perturb a run. Implementations should be cheap: Enter fires up to
 // ~eight times per simulated slot.
 //

@@ -196,7 +196,8 @@ type CrashScheduler interface {
 
 // Observer receives simulation events for metrics collection. All methods
 // may be called with high frequency; implementations should be cheap.
-// Any method may be a no-op.
+// Any method may be a no-op. Like every hook, an Observer must not touch
+// the engine PRNG or engine state (hookpure-checked).
 type Observer interface {
 	// OnSubmit fires when a request reaches a MAC.
 	OnSubmit(req *Request, now Slot)
@@ -221,32 +222,10 @@ type Observer interface {
 	OnAbort(req *Request, reason AbortReason, now Slot)
 }
 
-// NopObserver is an Observer that ignores every event.
-type NopObserver struct{}
-
-// OnSubmit implements Observer.
-func (NopObserver) OnSubmit(*Request, Slot) {}
-
-// OnContention implements Observer.
-func (NopObserver) OnContention(*Request, Slot) {}
-
-// OnFrameTx implements Observer.
-func (NopObserver) OnFrameTx(*frames.Frame, int, Slot) {}
-
-// OnDataRx implements Observer.
-func (NopObserver) OnDataRx(int64, int, Slot) {}
-
-// OnRound implements Observer.
-func (NopObserver) OnRound(*Request, int, Slot) {}
-
-// OnComplete implements Observer.
-func (NopObserver) OnComplete(*Request, Slot) {}
-
-// OnAbort implements Observer.
-func (NopObserver) OnAbort(*Request, AbortReason, Slot) {}
-
 // Tracer records channel-level events; used by protocol tests and by the
-// Figure 2 timeline reproduction. Nil tracers are allowed.
+// Figure 2 timeline reproduction. Nil tracers are allowed. Its callbacks
+// run inside startTx and completeSlot, so they are held to the same
+// PRNG and engine-state neutrality as the observers (hookpure-checked).
 type Tracer interface {
 	// TxStart fires when a transmission begins (slot start).
 	TxStart(f *frames.Frame, sender int, start, end Slot)
@@ -301,24 +280,23 @@ type Config struct {
 	// Impairment, when non-nil, injects channel errors and node crashes
 	// (internal/fault). Nil keeps the unimpaired fast path.
 	Impairment Impairment
-	// Observer receives protocol-level events; nil means NopObserver.
-	Observer Observer
-	// Tracer receives channel-level events; may be nil.
+	// Observers receive protocol-level events. The engine dispatches
+	// every event to each of them in list order.
+	Observers []Observer
+	// Tracer receives channel-level events; may be nil. In startTx the
+	// observers' OnFrameTx runs before TxStart.
 	Tracer Tracer
-	// SlotObserver, when non-nil, receives one channel-state callback per
-	// slot (airing transmissions + collision flag) — the airtime ledger's
-	// feed. Combine several with CombineSlotObservers. Nil keeps the
-	// per-slot loop free of any callback cost. Observers additionally
-	// implementing IdleSpanObserver receive skipped idle stretches as
-	// one bulk callback instead of a per-slot replay.
-	SlotObserver SlotObserver
-	// Lifecycle, when non-nil, receives the fine-grained per-message
-	// service events (service start, round start, stale-response drop) —
-	// the feed for flight recorders and conformance auditors
-	// (internal/obs). Combine several with CombineLifecycleObservers.
-	// Nil keeps every lifecycle report site a nil-check no-op, so runs
-	// stay byte-identical to the pre-hook engine.
-	Lifecycle LifecycleObserver
+	// SlotObservers receive one channel-state callback per simulated
+	// slot (airing transmissions + collision flag) and one OnIdleSpan
+	// per skipped idle stretch — the airtime ledger's feed — in list
+	// order. Empty keeps the per-slot loop free of any callback cost.
+	SlotObservers []SlotObserver
+	// Lifecycles receive the fine-grained per-message service events
+	// (service start, round start, stale-response drop) — the feed for
+	// flight recorders and conformance auditors (internal/obs) — in list
+	// order. Empty keeps every lifecycle report site an empty loop, so
+	// runs stay byte-identical to the pre-hook engine.
+	Lifecycles []LifecycleObserver
 	// SlotHook, when non-nil, runs at the start of every slot before
 	// traffic arrivals and MAC ticks. Mobility drivers use it to advance
 	// node positions and swap refreshed topologies in. A slot hook
@@ -335,7 +313,7 @@ type Config struct {
 	// Profiler, when non-nil, receives phase-boundary marks from the
 	// slot loop (see profiler.go) — the runtime profiling feed behind
 	// internal/prof. Profilers observe wall time only: they are
-	// PRNG-neutral and mutation-free (profpure-checked), so output is
+	// PRNG-neutral and mutation-free (hookpure-checked), so output is
 	// byte-identical with and without one attached. Nil keeps every
 	// mark site a single comparison.
 	Profiler Profiler
@@ -343,17 +321,19 @@ type Config struct {
 
 // Engine is the slotted channel simulator.
 type Engine struct {
-	topo      *topo.Topology
-	timing    frames.Timing
-	capture   capture.Model
-	errRate   float64
-	imp       Impairment
-	rng       *rand.Rand
-	observer  Observer
-	tracer    Tracer
-	slotObs   SlotObserver
-	lifecycle LifecycleObserver
-	slotHook  func(now Slot, e *Engine)
+	topo    *topo.Topology
+	timing  frames.Timing
+	capture capture.Model
+	errRate float64
+	imp     Impairment
+	rng     *rand.Rand
+	// The attached hooks (Config.Observers, SlotObservers, Lifecycles);
+	// every event is a plain range over its list.
+	observers  []Observer
+	tracer     Tracer
+	slotObs    []SlotObserver
+	lifecycles []LifecycleObserver
+	slotHook   func(now Slot, e *Engine)
 
 	now  Slot
 	macs []MAC
@@ -477,10 +457,6 @@ func New(cfg Config) *Engine {
 	if cap == nil {
 		cap = capture.None{}
 	}
-	obs := cfg.Observer
-	if obs == nil {
-		obs = NopObserver{}
-	}
 	hook := cfg.SlotHook
 	n := cfg.Topo.N()
 	cs, _ := cfg.Impairment.(CrashScheduler)
@@ -491,10 +467,10 @@ func New(cfg Config) *Engine {
 		errRate:     cfg.ErrRate,
 		imp:         cfg.Impairment,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		observer:    obs,
+		observers:   cfg.Observers,
 		tracer:      cfg.Tracer,
-		slotObs:     cfg.SlotObserver,
-		lifecycle:   cfg.Lifecycle,
+		slotObs:     cfg.SlotObservers,
+		lifecycles:  cfg.Lifecycles,
 		slotHook:    hook,
 		macs:        make([]MAC, n),
 		envs:        make([]Env, n),
@@ -594,7 +570,7 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // earliest wake obligation, or the end of the run. The jump performs no
 // PRNG draws and fires no events, so output is byte-identical to
 // stepping the skipped slots one by one (slot observers see the span
-// via IdleSpanObserver or a per-slot replay).
+// as one OnIdleSpan call).
 func (e *Engine) Run(slots int, src Source) {
 	if e.prof != nil {
 		e.prof.RunStart()
@@ -654,16 +630,10 @@ func (e *Engine) skipTarget(src Source, es EventSource, target Slot) Slot {
 }
 
 // skipTo jumps the clock to the given slot, reporting the skipped
-// stretch — all idle by construction — to the slot observer.
+// stretch — all idle by construction — to the slot observers.
 func (e *Engine) skipTo(next Slot) {
-	if e.slotObs != nil {
-		if so, ok := e.slotObs.(IdleSpanObserver); ok {
-			so.OnIdleSpan(e.now, next-1)
-		} else {
-			for t := e.now; t < next; t++ {
-				e.slotObs.OnSlot(t, nil, false)
-			}
-		}
+	for _, o := range e.slotObs {
+		o.OnIdleSpan(e.now, next-1)
 	}
 	e.now = next
 }
@@ -703,7 +673,9 @@ func (e *Engine) step(src Source) {
 				panic(fmt.Sprintf("sim: no MAC attached to station %d", req.Src))
 			}
 			e.wake(req.Src)
-			e.observer.OnSubmit(req, now)
+			for _, o := range e.observers {
+				o.OnSubmit(req, now)
+			}
 			m.Submit(&e.envs[req.Src], req)
 		}
 	}
@@ -789,7 +761,7 @@ func (e *Engine) step(src Source) {
 	// flag is fresh from resolution. Draws nothing from the PRNG, so the
 	// nil path and the attached path simulate bit-identically.
 	e.enter(PhaseObserver)
-	if e.slotObs != nil {
+	if len(e.slotObs) != 0 {
 		e.emitSlot()
 	}
 
@@ -904,7 +876,9 @@ func (e *Engine) startTx(sender int, f *frames.Frame) {
 	}
 	e.txN = r + 1
 	e.txBusyUntil[sender] = e.txEnd[r]
-	e.observer.OnFrameTx(f, sender, e.now)
+	for _, o := range e.observers {
+		o.OnFrameTx(f, sender, e.now)
+	}
 	if e.tracer != nil {
 		e.tracer.TxStart(f, sender, e.txStart[r], e.txEnd[r])
 	}
@@ -986,7 +960,7 @@ func (e *Engine) resolveStation(j int) bool {
 	return collided
 }
 
-// emitSlot hands the slot observer the channel state of the current
+// emitSlot hands the slot observers the channel state of the current
 // slot: every transmission in the air (via the reused scratch list) and
 // whether resolution saw a signal overlap. Called only when a slot
 // observer is attached.
@@ -1003,7 +977,9 @@ func (e *Engine) emitSlot() {
 			})
 		}
 	}
-	e.slotObs.OnSlot(now, airing, e.slotCollided)
+	for _, o := range e.slotObs {
+		o.OnSlot(now, airing, e.slotCollided)
+	}
 	// Break the frame references before recycling the scratch so retained
 	// frames stay collectable once their transmissions complete.
 	for i := range airing {
@@ -1062,7 +1038,9 @@ func (e *Engine) completeSlot() {
 				e.tracer.RxOK(f, j, now)
 			}
 			if f.Type == frames.Data {
-				e.observer.OnDataRx(f.MsgID, j, now)
+				for _, o := range e.observers {
+					o.OnDataRx(f.MsgID, j, now)
+				}
 			}
 			if m := e.macs[j]; m != nil {
 				m.Deliver(&e.envs[j], f)

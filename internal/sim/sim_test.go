@@ -243,7 +243,7 @@ func TestObserverDataRx(t *testing.T) {
 			got = append(got, fmt.Sprintf("%d@%d:%d", msgID, rcv, now))
 		},
 	}
-	e, macs := engineWithScripts(t, tp, Config{Observer: obs})
+	e, macs := engineWithScripts(t, tp, Config{Observers: []Observer{obs}})
 	f := ctl(frames.Data, 1, -1)
 	f.MsgID = 42
 	macs[1].at(0, f)
@@ -253,9 +253,21 @@ func TestObserverDataRx(t *testing.T) {
 	}
 }
 
+// nopObserver ignores every event; test doubles embed it to implement
+// only the callbacks they care about.
+type nopObserver struct{}
+
+func (nopObserver) OnSubmit(*Request, Slot)             {}
+func (nopObserver) OnContention(*Request, Slot)         {}
+func (nopObserver) OnFrameTx(*frames.Frame, int, Slot)  {}
+func (nopObserver) OnDataRx(int64, int, Slot)           {}
+func (nopObserver) OnRound(*Request, int, Slot)         {}
+func (nopObserver) OnComplete(*Request, Slot)           {}
+func (nopObserver) OnAbort(*Request, AbortReason, Slot) {}
+
 // funcObserver adapts closures to the Observer interface for tests.
 type funcObserver struct {
-	NopObserver
+	nopObserver
 	onDataRx func(int64, int, Slot)
 }
 

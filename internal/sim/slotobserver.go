@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"fmt"
-
-	"relmac/internal/frames"
-)
+import "relmac/internal/frames"
 
 // AiringTx describes one transmission in the air during a slot, as seen
 // by a SlotObserver. Frame is the frame being carried; Start and End are
@@ -16,10 +12,10 @@ type AiringTx struct {
 	End    Slot
 }
 
-// SlotObserver receives one channel-state callback per simulated slot —
-// the hook behind the airtime ledger (internal/obs): protocol-level
-// Observer events say what the MACs decided, OnSlot says what the medium
-// actually carried while they decided it.
+// SlotObserver receives the channel state of every simulated slot — the
+// hook behind the airtime ledger (internal/obs): protocol-level Observer
+// events say what the MACs decided, OnSlot says what the medium actually
+// carried while they decided it.
 //
 // OnSlot fires after the slot's interference resolution and before frame
 // completions, so the airing list includes transmissions that end this
@@ -29,87 +25,18 @@ type AiringTx struct {
 // the physical overlap the capture model arbitrates (a lone arrival at a
 // half-duplex transmitter is deafness, not collision).
 //
-// Implementations must be cheap, must not touch the engine PRNG and must
-// not mutate the frames they are shown; a nil Config.SlotObserver keeps
-// the engine's per-slot loop free of any callback cost, exactly like the
-// nil-tracer and NopObserver fast paths.
+// OnIdleSpan covers the slots the event clock skips: when the engine
+// jumps over a stretch in which nothing happened — no transmission in
+// the air, every station asleep — it reports the whole stretch (from and
+// to inclusive) with one call. It must be exactly equivalent to
+// OnSlot(t, nil, false) for every t in the span, which is what a
+// per-slot (Config.Reference) run delivers instead.
+//
+// Implementations must be cheap, must not touch the engine PRNG or
+// engine state (hookpure-checked) and must not mutate the frames they
+// are shown; an empty Config.SlotObservers keeps the per-slot loop free
+// of any callback cost.
 type SlotObserver interface {
 	OnSlot(now Slot, airing []AiringTx, collided bool)
-}
-
-// IdleSpanObserver is the optional SlotObserver extension behind
-// event-driven slot skipping: when the engine jumps over a stretch of
-// slots in which nothing happened — no transmission in the air, every
-// station asleep — it reports the whole stretch with one OnIdleSpan
-// call (from and to inclusive) instead of len(span) OnSlot calls. The
-// two forms are exactly equivalent: a skipped slot would have produced
-// OnSlot(t, nil, false), nothing else. Slot observers that don't
-// implement the extension receive that per-slot replay.
-type IdleSpanObserver interface {
-	SlotObserver
 	OnIdleSpan(from, to Slot)
-}
-
-// MultiSlotObserver fans the per-slot callback out to a list of slot
-// observers in registration order. Build one with CombineSlotObservers,
-// which collapses the trivial cases so single-observer runs pay no
-// fan-out cost. Like MultiObserver, a panicking attachment is re-raised
-// annotated with its position and concrete type.
-type MultiSlotObserver []SlotObserver
-
-// CombineSlotObservers builds a SlotObserver dispatching to every non-nil
-// argument in order. It returns nil when none remain (the engine's
-// disabled fast path) and the observer itself when exactly one remains.
-func CombineSlotObservers(obs ...SlotObserver) SlotObserver {
-	kept := make(MultiSlotObserver, 0, len(obs))
-	for _, o := range obs {
-		if o != nil {
-			kept = append(kept, o)
-		}
-	}
-	switch len(kept) {
-	case 0:
-		return nil
-	case 1:
-		return kept[0]
-	default:
-		return kept
-	}
-}
-
-// identify is installed as a deferred call around each fan-out dispatch;
-// it re-panics with the offending observer's index and type attached.
-func (m MultiSlotObserver) identify(i int) {
-	if r := recover(); r != nil {
-		panic(fmt.Sprintf("sim: slot observer %d/%d (%T) panicked: %v", i+1, len(m), m[i], r))
-	}
-}
-
-// OnSlot implements SlotObserver.
-func (m MultiSlotObserver) OnSlot(now Slot, airing []AiringTx, collided bool) {
-	for i, o := range m {
-		func() {
-			defer m.identify(i)
-			o.OnSlot(now, airing, collided)
-		}()
-	}
-}
-
-// OnIdleSpan implements IdleSpanObserver, dispatching the span in bulk
-// to attachments that accept it and replaying it slot by slot for the
-// rest — so a mixed fan-out list stays exactly equivalent to per-slot
-// stepping for every member.
-func (m MultiSlotObserver) OnIdleSpan(from, to Slot) {
-	for i, o := range m {
-		func() {
-			defer m.identify(i)
-			if so, ok := o.(IdleSpanObserver); ok {
-				so.OnIdleSpan(from, to)
-			} else {
-				for t := from; t <= to; t++ {
-					o.OnSlot(t, nil, false)
-				}
-			}
-		}()
-	}
 }

@@ -22,10 +22,18 @@ func (r *recSlotObs) OnSlot(now Slot, airing []AiringTx, collided bool) {
 	r.lines = append(r.lines, fmt.Sprintf("%d %s c=%v", now, strings.Join(parts, ","), collided))
 }
 
+// OnIdleSpan records a skipped stretch as the per-slot lines it stands
+// for.
+func (r *recSlotObs) OnIdleSpan(from, to Slot) {
+	for t := from; t <= to; t++ {
+		r.OnSlot(t, nil, false)
+	}
+}
+
 func TestSlotObserverSeesAiringAndIdle(t *testing.T) {
 	tp := lineTopo(2, 0.1, 0.15)
 	rec := &recSlotObs{}
-	e, macs := engineWithScripts(t, tp, Config{SlotObserver: rec})
+	e, macs := engineWithScripts(t, tp, Config{SlotObservers: []SlotObserver{rec}})
 	macs[0].at(1, ctl(frames.Data, 0, 1)) // airs slots 1..5
 	e.Run(7, nil)
 	want := []string{
@@ -51,7 +59,7 @@ func TestSlotObserverCollisionFlag(t *testing.T) {
 	// Hidden terminals: 0 and 2 collide at 1.
 	tp := lineTopo(3, 0.1, 0.15)
 	rec := &recSlotObs{}
-	e, macs := engineWithScripts(t, tp, Config{SlotObserver: rec})
+	e, macs := engineWithScripts(t, tp, Config{SlotObservers: []SlotObserver{rec}})
 	macs[0].at(0, ctl(frames.RTS, 0, 1))
 	macs[2].at(0, ctl(frames.RTS, 2, 1))
 	e.Run(2, nil)
@@ -68,7 +76,7 @@ func TestSlotObserverHalfDuplexOverlapFlagged(t *testing.T) {
 	// duplex) but two signals still overlapped at its radio — collided.
 	tp := lineTopo(3, 0.1, 0.15)
 	rec := &recSlotObs{}
-	e, macs := engineWithScripts(t, tp, Config{SlotObserver: rec})
+	e, macs := engineWithScripts(t, tp, Config{SlotObservers: []SlotObserver{rec}})
 	macs[0].at(0, ctl(frames.CTS, 0, 1))
 	macs[1].at(0, ctl(frames.CTS, 1, 0))
 	macs[2].at(0, ctl(frames.CTS, 2, 1))
@@ -84,7 +92,7 @@ func TestSlotObserverMutualTransmissionNotCollision(t *testing.T) {
 	// so the collision flag stays clear.
 	tp := lineTopo(2, 0.1, 0.15)
 	rec := &recSlotObs{}
-	e, macs := engineWithScripts(t, tp, Config{SlotObserver: rec})
+	e, macs := engineWithScripts(t, tp, Config{SlotObservers: []SlotObserver{rec}})
 	macs[0].at(0, ctl(frames.CTS, 0, 1))
 	macs[1].at(0, ctl(frames.CTS, 1, 0))
 	e.Run(1, nil)
@@ -99,7 +107,7 @@ func TestSlotObserverSingleArrivalAtTransmitterNotCollision(t *testing.T) {
 	// no physical overlap, so the collision flag stays clear.
 	tp := lineTopo(3, 0.1, 0.15) // 0-1 and 1-2 in range; 0-2 not
 	rec := &recSlotObs{}
-	e, macs := engineWithScripts(t, tp, Config{SlotObserver: rec})
+	e, macs := engineWithScripts(t, tp, Config{SlotObservers: []SlotObserver{rec}})
 	macs[0].at(0, ctl(frames.CTS, 0, 1))
 	macs[1].at(0, ctl(frames.CTS, 1, 2))
 	e.Run(1, nil)
@@ -110,46 +118,6 @@ func TestSlotObserverSingleArrivalAtTransmitterNotCollision(t *testing.T) {
 	}
 }
 
-func TestCombineSlotObservers(t *testing.T) {
-	a, b := &recSlotObs{}, &recSlotObs{}
-	if got := CombineSlotObservers(); got != nil {
-		t.Errorf("empty combine = %T, want nil", got)
-	}
-	if got := CombineSlotObservers(nil, nil); got != nil {
-		t.Errorf("all-nil combine = %T, want nil", got)
-	}
-	if got := CombineSlotObservers(nil, a); got != SlotObserver(a) {
-		t.Errorf("single combine = %T, want the observer itself", got)
-	}
-	multi := CombineSlotObservers(a, b)
-	if _, ok := multi.(MultiSlotObserver); !ok {
-		t.Fatalf("two observers combine = %T, want MultiSlotObserver", multi)
-	}
-	multi.OnSlot(3, nil, false)
-	if len(a.lines) != 1 || len(b.lines) != 1 {
-		t.Errorf("fan-out missed an observer: a=%v b=%v", a.lines, b.lines)
-	}
-}
-
-type panickySlotObs struct{}
-
-func (panickySlotObs) OnSlot(Slot, []AiringTx, bool) { panic("boom") }
-
-func TestMultiSlotObserverPanicAttribution(t *testing.T) {
-	m := CombineSlotObservers(&recSlotObs{}, panickySlotObs{})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("expected panic")
-		}
-		msg := fmt.Sprint(r)
-		if !strings.Contains(msg, "slot observer 2/2") || !strings.Contains(msg, "panickySlotObs") {
-			t.Errorf("panic not attributed: %q", msg)
-		}
-	}()
-	m.OnSlot(0, nil, false)
-}
-
 func TestSlotObserverBitIdentical(t *testing.T) {
 	// Attaching a slot observer must not perturb the simulation: same
 	// seed, same outcomes, with and without the hook.
@@ -157,7 +125,7 @@ func TestSlotObserverBitIdentical(t *testing.T) {
 		tp := lineTopo(3, 0.1, 0.15)
 		cfg := Config{Seed: 5, ErrRate: 0.5}
 		if attach {
-			cfg.SlotObserver = &recSlotObs{}
+			cfg.SlotObservers = []SlotObserver{&recSlotObs{}}
 		}
 		e, macs := engineWithScripts(t, tp, cfg)
 		macs[0].at(0, ctl(frames.Data, 0, 1)).at(7, ctl(frames.RTS, 0, 1))
