@@ -135,6 +135,36 @@ func TestArcSetThreeThirds(t *testing.T) {
 	}
 }
 
+// TestArcSetNearAbutting pins the coverEps tolerance: unions whose ends
+// or seams miss by float noise (1e-12, far below coverEps) are full,
+// while a genuine 1e-6 gap is not. An exact float comparison in IsFull's
+// single-segment test or in the segment merge turns one of the full
+// cases into a false coverage hole.
+func TestArcSetNearAbutting(t *testing.T) {
+	const noise = 1e-12
+	cases := []struct {
+		name string
+		arcs []Arc
+		full bool
+	}{
+		{"ends short of 2π", []Arc{NewArc(0, math.Pi), NewArc(math.Pi, FullCircle-noise)}, true},
+		{"starts past 0", []Arc{NewArc(noise, math.Pi), NewArc(math.Pi, FullCircle)}, true},
+		{"interior seam", []Arc{NewArc(0, math.Pi), NewArc(math.Pi+noise, FullCircle)}, true},
+		{"wrapping seam", []Arc{NewArc(math.Pi/2, 3*math.Pi/2), NewArc(3*math.Pi/2+noise, math.Pi/2-noise)}, true},
+		{"genuine gap", []Arc{NewArc(0, math.Pi), NewArc(math.Pi+1e-6, FullCircle)}, false},
+	}
+	for _, c := range cases {
+		var s ArcSet
+		s.AddAll(c.arcs)
+		if got := s.IsFull(); got != c.full {
+			t.Errorf("%s: IsFull = %v, want %v (segments %v)", c.name, got, c.full, s.segments())
+		}
+		if gaps := s.Gaps(); (len(gaps) == 0) != c.full {
+			t.Errorf("%s: Gaps = %v, want none iff full", c.name, gaps)
+		}
+	}
+}
+
 func TestArcSetCloneIndependent(t *testing.T) {
 	var s ArcSet
 	s.Add(NewArc(0, 1))

@@ -101,19 +101,26 @@ func TestDiskCoveredThreeSymmetric(t *testing.T) {
 	// i.e. d ≤ r. At d slightly below r the three arcs just close.
 	const r = 0.2
 	p := Pt(0.5, 0.5)
-	mk := func(d float64) []Point {
+	mk := func(d, rot float64) []Point {
 		var out []Point
 		for k := 0; k < 3; k++ {
-			th := 2 * math.Pi * float64(k) / 3
+			th := rot + 2*math.Pi*float64(k)/3
 			out = append(out, Pt(p.X+d*math.Cos(th), p.Y+d*math.Sin(th)))
 		}
 		return out
 	}
-	if !DiskCovered(p, mk(0.9*r), r) {
+	if !DiskCovered(p, mk(0.9*r, 0), r) {
 		t.Error("three neighbors at 0.9R, 120° apart should cover p")
 	}
-	if DiskCovered(p, mk(1.01*r), r) {
+	if DiskCovered(p, mk(1.01*r, 0), r) {
 		t.Error("nodes beyond R contribute nothing (Definition 2)")
+	}
+	// A hair inside r the arcs abut only up to acos/atan2 noise; every
+	// rotation of the triangle must still close the circle.
+	for k := 0; k < 24; k++ {
+		if !DiskCovered(p, mk(r*(1-1e-15), 2*math.Pi*float64(k)/24), r) {
+			t.Errorf("rotation %d/24: three neighbors a hair inside R should cover p", k)
+		}
 	}
 }
 

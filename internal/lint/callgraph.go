@@ -86,24 +86,6 @@ type Call struct {
 	Iface *types.Func
 }
 
-// AllocSite is one allocation expression inside a function body, with
-// the classification the hotalloc analyzer keys on.
-type AllocSite struct {
-	Pos  token.Pos
-	What string
-	// Amortized marks allocations stored into receiver- or
-	// parameter-rooted storage (field-backed buffers that persist across
-	// calls, growing append targets) — the sanctioned free-list /
-	// scratch-reuse idiom.
-	Amortized bool
-	// Type is the allocated type, for budget exemptions (the per-message
-	// *frames.Frame is the accounted allocation of the slot loop).
-	Type types.Type
-	// PanicArg marks allocations that only occur while building a panic
-	// value — cold crash paths, not steady-state slot work.
-	PanicArg bool
-}
-
 // FuncNode is one function in the call graph.
 type FuncNode struct {
 	Fn   *types.Func
@@ -113,8 +95,6 @@ type FuncNode struct {
 	Calls []Call
 	// Facts are the banned-behaviour sites found in the body.
 	Facts []Fact
-	// Allocs are the allocation sites found in the body (hotalloc).
-	Allocs []AllocSite
 
 	mask factMask // direct facts as a bitset
 }
@@ -210,9 +190,9 @@ func (g *Graph) collectNamed(pkg *Package) {
 	}
 }
 
-// scanBody resolves the function's call sites and extracts its facts,
-// allocation sites and write classifications in a single walk. Nested
-// function literals are folded into the enclosing declaration.
+// scanBody resolves the function's call sites and extracts its facts in
+// a single walk. Nested function literals are folded into the enclosing
+// declaration.
 func (g *Graph) scanBody(node *FuncNode) {
 	pkg := node.Pkg
 	info := pkg.Info
@@ -253,15 +233,11 @@ func (g *Graph) scanBody(node *FuncNode) {
 			}
 		case *ast.CallExpr:
 			g.scanCall(node, df, n)
-			df.scanCallAllocs(n)
 		case *ast.AssignStmt, *ast.IncDecStmt:
 			df.scanWrite(n)
-		case *ast.CompositeLit, *ast.FuncLit:
-			df.scanAlloc(n)
 		}
 		return true
 	})
-	node.Allocs = df.allocs
 }
 
 // scanCall resolves one call expression into an edge and the facts it
@@ -270,8 +246,7 @@ func (g *Graph) scanCall(node *FuncNode, df *funcData, call *ast.CallExpr) {
 	info := node.Pkg.Info
 	fn := calleeOf(info, call)
 	if fn == nil {
-		// Builtin, conversion, or a call through a function value; the
-		// dataflow layer classifies any allocation these imply.
+		// Builtin, conversion, or a call through a function value.
 		return
 	}
 	sig, _ := fn.Type().(*types.Signature)
@@ -371,8 +346,8 @@ func (g *Graph) implementers(m *types.Func) []*types.Func {
 // closure computes, for every node, the mask of fact kinds contained in
 // or reachable from it. Tarjan's SCC algorithm collapses recursion; the
 // masks then propagate in reverse topological order. staticOnly drops
-// interface-dispatch and reference edges, the policy the hotalloc slot
-// core uses (dynamic attachments are budgeted separately).
+// interface-dispatch edges, the policy determinism and maporder use:
+// interface dispatch is the sanctioned attachment boundary.
 func (g *Graph) closure(staticOnly bool) map[*types.Func]factMask {
 	key := closureKey{staticOnly}
 	if m, ok := g.closureCache[key]; ok {

@@ -196,7 +196,7 @@ func work() {}
 		}
 		cfg := DefaultConfig()
 		cfg.SerialPaths = []string{"mutfix/eng"}
-		return Run(loader, pkgs, cfg)
+		return mustRun(t, loader, pkgs, cfg)
 	}
 
 	if res := lintModule(cleanUtil); len(res.Findings) != 0 {
@@ -261,7 +261,7 @@ func (t *tap) OnIdleSpan(from, to sim.Slot) {}
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Run(loader, []*Package{pkg}, DefaultConfig())
+		return mustRun(t, loader, []*Package{pkg}, DefaultConfig())
 	}
 
 	if res := lintSrc("clean", clean); len(res.Findings) != 0 {

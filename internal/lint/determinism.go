@@ -50,7 +50,7 @@ func runDeterminism(p *Pass) {
 			if !ok {
 				return true
 			}
-			fn := calleeFunc(p, call)
+			fn := calleeOf(p.Info, call)
 			if fn == nil || fn.Pkg() == nil {
 				return true
 			}
@@ -101,20 +101,4 @@ func reportEscapes(p *Pass, guarded func(string) bool, what string, kinds []Fact
 			}
 		}
 	}
-}
-
-// calleeFunc resolves a call expression to the *types.Func it invokes, or
-// nil for non-function calls (conversions, function-typed variables).
-func calleeFunc(p *Pass, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	case *ast.Ident:
-		id = fun
-	default:
-		return nil
-	}
-	fn, _ := p.Info.Uses[id].(*types.Func)
-	return fn
 }

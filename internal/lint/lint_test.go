@@ -9,6 +9,16 @@ import (
 	"testing"
 )
 
+// mustRun runs the suite and fails the test on a configuration error.
+func mustRun(t *testing.T, l *Loader, pkgs []*Package, cfg *Config) Result {
+	t.Helper()
+	res, err := Run(l, pkgs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // loadFixture loads one testdata package under the given synthetic import
 // path prefix and runs the suite with cfg.
 func loadFixture(t *testing.T, rel string, cfg *Config) (*Package, Result) {
@@ -29,7 +39,7 @@ func loadFixture(t *testing.T, rel string, cfg *Config) (*Package, Result) {
 	for _, terr := range pkg.TypeErrors {
 		t.Errorf("fixture %s: type error: %v", rel, terr)
 	}
-	return pkg, Run(loader, []*Package{pkg}, cfg)
+	return pkg, mustRun(t, loader, []*Package{pkg}, cfg)
 }
 
 // wantRe extracts the backtick-quoted `// want` expectation patterns
@@ -72,7 +82,6 @@ func TestFixtures(t *testing.T) {
 		{"determinism/good", func(c *Config) { c.SimPaths = []string{"fix/determinism"} }},
 		{"seedflow/bad", nil},
 		{"seedflow/good", nil},
-		{"floateq/geomfix", func(c *Config) { c.GeomPaths = []string{"fix/floateq/geomfix"} }},
 		{"frameswitch/fix", nil},
 		{"simsafe/bad", func(c *Config) { c.SerialPaths = []string{"fix/simsafe"} }},
 		{"simsafe/good", func(c *Config) { c.SerialPaths = []string{"fix/simsafe"} }},
@@ -86,8 +95,6 @@ func TestFixtures(t *testing.T) {
 		{"profpure/good", nil},
 		{"maporder/bad", func(c *Config) { c.SimPaths = []string{"fix/maporder"} }},
 		{"maporder/good", func(c *Config) { c.SimPaths = []string{"fix/maporder"} }},
-		{"hotalloc/bad", func(c *Config) { c.HotPathRoots = []string{"fix/hotalloc/bad.run"} }},
-		{"hotalloc/good", func(c *Config) { c.HotPathRoots = []string{"fix/hotalloc/good.run"} }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.rel, func(t *testing.T) {
@@ -119,57 +126,13 @@ func TestFixtures(t *testing.T) {
 					t.Errorf("%s: expected finding not reported (want %d, matched %d)", key, len(res), matched[key])
 				}
 			}
-			if len(res.Suppressions) != 0 {
-				t.Errorf("fixture %s: unexpected suppressions: %v", tc.rel, res.Suppressions)
-			}
 		})
-	}
-}
-
-// TestDirectives exercises the //relmac:allow path: trailing and own-line
-// directives suppress and are recorded, stale directives and malformed
-// ones are findings.
-func TestDirectives(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SimPaths = []string{"fix/directive"}
-	_, res := loadFixture(t, "directive/fix", cfg)
-
-	if got := len(res.Suppressions); got != 2 {
-		t.Fatalf("suppressions = %d, want 2 (trailing + own-line): %v", got, res.Suppressions)
-	}
-	for _, s := range res.Suppressions {
-		if s.Check != "determinism" {
-			t.Errorf("suppression check = %q, want determinism", s.Check)
-		}
-		if !strings.Contains(s.Reason, "suppression") {
-			t.Errorf("suppression reason %q not recorded from the directive", s.Reason)
-		}
-	}
-
-	var stale, malformed int
-	for _, f := range res.Findings {
-		switch {
-		case f.Check == "directive" && strings.Contains(f.Message, "suppresses nothing"):
-			stale++
-		case f.Check == "directive" && strings.Contains(f.Message, "malformed"):
-			malformed++
-		default:
-			t.Errorf("unexpected finding: %s", f)
-		}
-	}
-	if stale != 1 {
-		t.Errorf("stale-directive findings = %d, want 1", stale)
-	}
-	if malformed != 2 {
-		t.Errorf("malformed-directive findings = %d, want 2 (unknown check, missing reason)", malformed)
 	}
 }
 
 // TestSuiteCleanOnRealModule is the self-check: the full suite over the
 // real module must be finding-free, so `go test ./...` itself fails the
-// build on any new violation. Suppressions are legal but must carry their
-// reasons, which the directive parser already enforces; they are logged
-// here so exceptions stay visible in test output too.
+// build on any new violation.
 func TestSuiteCleanOnRealModule(t *testing.T) {
 	root, err := FindModuleRoot(".")
 	if err != nil {
@@ -191,12 +154,9 @@ func TestSuiteCleanOnRealModule(t *testing.T) {
 			t.Errorf("%s: type error: %v", p.Path, terr)
 		}
 	}
-	res := Run(loader, pkgs, DefaultConfig())
+	res := mustRun(t, loader, pkgs, DefaultConfig())
 	for _, f := range res.Findings {
 		t.Errorf("finding: %s", f)
-	}
-	for _, s := range res.Suppressions {
-		t.Logf("suppression: %s", s)
 	}
 }
 
@@ -247,7 +207,7 @@ func stamp(clock func() time.Time) time.Time {
 		}
 		cfg := DefaultConfig()
 		cfg.SimPaths = []string{"mutfix"}
-		return Run(loader, []*Package{pkg}, cfg)
+		return mustRun(t, loader, []*Package{pkg}, cfg)
 	}
 
 	if res := lintSrc("clean", clean); len(res.Findings) != 0 {
@@ -328,7 +288,7 @@ func (t *timer) RunEnd()           {}
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Run(loader, []*Package{pkg}, DefaultConfig())
+		return mustRun(t, loader, []*Package{pkg}, DefaultConfig())
 	}
 
 	if res := lintSrc("clean", clean); len(res.Findings) != 0 {

@@ -63,7 +63,7 @@ func checkMapRange(p *Pass, file *ast.File, rs *ast.RangeStmt) {
 	ast.Inspect(rs.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			fn := calleeFunc(p, n)
+			fn := calleeOf(p.Info, n)
 			if fn == nil {
 				return true
 			}
@@ -179,7 +179,7 @@ func sortedLater(p *Pass, file *ast.File, rs *ast.RangeStmt, obj types.Object) b
 		if !ok || found || call.Pos() < rs.End() {
 			return true
 		}
-		fn := calleeFunc(p, call)
+		fn := calleeOf(p.Info, call)
 		if fn == nil || fn.Pkg() == nil {
 			return true
 		}

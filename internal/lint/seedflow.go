@@ -33,7 +33,7 @@ func runSeedflow(p *Pass) {
 			if !ok {
 				return true
 			}
-			fn := calleeFunc(p, call)
+			fn := calleeOf(p.Info, call)
 			if fn == nil || fn.Pkg() == nil || !randConstructors[fn.Name()] {
 				return true
 			}

@@ -3,8 +3,9 @@ package lint
 import (
 	"fmt"
 	"go/token"
-	"go/types"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Suite ties one Loader, one Config and one lazily built call graph
@@ -19,7 +20,6 @@ type Suite struct {
 	Cfg    *Config
 
 	graph *Graph
-	hot   map[*types.Func]string
 }
 
 // NewSuite builds a suite over the loader and configuration.
@@ -48,75 +48,50 @@ func (l *Loader) All() []*Package {
 	return out
 }
 
-// Run executes the configured analyzers over the given target packages
-// and applies //relmac:allow directives. Findings and suppressions come
-// back sorted by position.
-func (s *Suite) Run(pkgs []*Package) Result {
+// Run executes the configured analyzers over the given target packages.
+// Findings come back sorted by position. An unknown name in Cfg.Checks
+// is an error, not a silent no-op: a misspelt check must not pass as a
+// clean run.
+func (s *Suite) Run(pkgs []*Package) (Result, error) {
 	cfg := s.Cfg
-	enabled := map[string]bool{}
+	var unknown []string
 	for _, c := range cfg.Checks {
-		enabled[c] = true
+		if !slices.Contains(CheckNames(), c) {
+			unknown = append(unknown, c)
+		}
 	}
-	// Non-nil slices keep the -json output `[]` rather than `null`,
-	// which is what CI annotation tooling expects.
-	res := Result{Findings: []Finding{}, Suppressions: []Suppression{}}
+	if len(unknown) > 0 {
+		return Result{}, fmt.Errorf("unknown check(s) %s; valid: %s",
+			strings.Join(unknown, ","), strings.Join(CheckNames(), ","))
+	}
+	// A non-nil slice keeps the -json output `[]` rather than `null`.
+	res := Result{Findings: []Finding{}}
 	for _, pkg := range pkgs {
-		dirs, malformed := parseDirectives(pkg)
-		res.Findings = append(res.Findings, malformed...)
-		var raw []Finding
 		for _, a := range Analyzers() {
-			if len(enabled) > 0 && !enabled[a.Name] {
+			if len(cfg.Checks) > 0 && !slices.Contains(cfg.Checks, a.Name) {
 				continue
 			}
 			name := a.Name
-			pass := &Pass{
+			a.Run(&Pass{
 				Package: pkg,
 				Cfg:     cfg,
 				Suite:   s,
 				report: func(pos token.Pos, msg string) {
 					p := pkg.Fset.Position(pos)
-					raw = append(raw, Finding{
+					res.Findings = append(res.Findings, Finding{
 						Check: name, File: p.Filename, Line: p.Line, Col: p.Column, Message: msg,
 					})
 				},
-			}
-			a.Run(pass)
-		}
-		for _, f := range raw {
-			if d := dirs.match(f); d != nil {
-				d.used = true
-				res.Suppressions = append(res.Suppressions, Suppression{
-					Check: f.Check, File: f.File, Line: f.Line, Reason: d.reason,
-				})
-				continue
-			}
-			res.Findings = append(res.Findings, f)
-		}
-		// A directive that silenced nothing is stale: either the violation
-		// was fixed (delete the directive) or the check name is wrong.
-		for _, d := range dirs {
-			if !d.used {
-				res.Findings = append(res.Findings, Finding{
-					Check: "directive", File: d.file, Line: d.line, Col: 1,
-					Message: fmt.Sprintf("//relmac:allow %s suppresses nothing on this line; remove it", d.check),
-				})
-			}
+			})
 		}
 	}
 	sortFindings(res.Findings)
-	sort.Slice(res.Suppressions, func(i, j int) bool {
-		a, b := res.Suppressions[i], res.Suppressions[j]
-		if a.File != b.File {
-			return a.File < b.File
-		}
-		return a.Line < b.Line
-	})
-	return res
+	return res, nil
 }
 
 // Run executes the configured analyzers with a fresh suite over the
 // loader. Kept as the convenience entry point for callers that do not
 // need the suite's graph afterwards.
-func Run(l *Loader, pkgs []*Package, cfg *Config) Result {
+func Run(l *Loader, pkgs []*Package, cfg *Config) (Result, error) {
 	return NewSuite(l, cfg).Run(pkgs)
 }
