@@ -213,7 +213,9 @@ func BenchmarkAblationBSMACapture(b *testing.B) {
 }
 
 // BenchmarkAblationMCS compares the exact and greedy minimum-cover-set
-// algorithms on the receiver-set sizes the simulation produces.
+// algorithms on the receiver-set sizes the simulation produces: 6–15
+// receivers, and 17–36 (the greedy-only sizes above geom.ExactMCSLimit
+// that the densest Figure 6(a) points reach).
 func BenchmarkAblationMCS(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	mk := func(n int) []geom.Point {
@@ -238,6 +240,17 @@ func BenchmarkAblationMCS(b *testing.B) {
 		var size int
 		for i := 0; i < b.N; i++ {
 			size += len(geom.GreedyCoverSet(sets[i%len(sets)], 0.2))
+		}
+		b.ReportMetric(float64(size)/float64(b.N), "avg-|S'|")
+	})
+	large := make([][]geom.Point, 20)
+	for i := range large {
+		large[i] = mk(17 + i)
+	}
+	b.Run("mcs-17-36", func(b *testing.B) {
+		var size int
+		for i := 0; i < b.N; i++ {
+			size += len(geom.MinCoverSet(large[i%len(large)], 0.2))
 		}
 		b.ReportMetric(float64(size)/float64(b.N), "avg-|S'|")
 	})

@@ -85,18 +85,20 @@ func NewBMMM(cfg mac.Config) func(node int, env *sim.Env) sim.MAC {
 
 // NewLAMM returns a sim.MAC factory for stations running LAMM.
 func NewLAMM(cfg mac.Config) func(node int, env *sim.Env) sim.MAC {
+	geo := newCoverStore(nil)
 	return func(node int, env *sim.Env) sim.MAC {
-		return dcf.NewStation(node, cfg, &Batch{pick: newLAMMPicker(nil, true)})
+		return dcf.NewStation(node, cfg, &Batch{pick: newLAMMPicker(nil, geo)})
 	}
 }
 
-// NewLAMMReference returns a LAMM factory with the per-topology MCS memo
-// disabled, re-deriving MCS(S) from scratch every round. It exists for
-// the reference-vs-optimized equivalence tests and for cmd/relbench;
-// results are bit-identical to NewLAMM.
+// NewLAMMReference returns a LAMM factory with the shared cover-angle
+// store and the per-topology MCS memo disabled: every round re-derives
+// MCS(S) and UPDATE from the believed points through geom.MinCoverSet
+// and geom.Update. It exists for the reference-vs-optimized equivalence
+// tests and for cmd/relbench; results are bit-identical to NewLAMM.
 func NewLAMMReference(cfg mac.Config) func(node int, env *sim.Env) sim.MAC {
 	return func(node int, env *sim.Env) sim.MAC {
-		return dcf.NewStation(node, cfg, &Batch{pick: newLAMMPicker(nil, false)})
+		return dcf.NewStation(node, cfg, &Batch{pick: newLAMMPicker(nil, nil)})
 	}
 }
 
@@ -111,8 +113,9 @@ func NewLAMMNoisy(cfg mac.Config, sigma float64, seed int64) func(node int, env 
 	if sigma <= 0 {
 		locs = nil
 	}
+	geo := newCoverStore(locs)
 	return func(node int, env *sim.Env) sim.MAC {
-		return dcf.NewStation(node, cfg, &Batch{pick: newLAMMPicker(locs, true)})
+		return dcf.NewStation(node, cfg, &Batch{pick: newLAMMPicker(locs, geo)})
 	}
 }
 

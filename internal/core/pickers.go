@@ -2,19 +2,22 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 
 	"relmac/internal/geom"
 	"relmac/internal/sim"
 	"relmac/internal/topo"
 )
 
-// newLAMMPicker builds the LAMM strategy; memo enables the per-topology
-// MCS cache (disabled only by the reference path, so equivalence tests
-// can prove the cache changes no output bit). Cached covers are returned
-// without copying — Poll results are read-only under the Picker contract.
-func newLAMMPicker(locs *NoisyLocations, memo bool) *lammPicker {
-	p := &lammPicker{locs: locs}
-	if memo {
+// newLAMMPicker builds the LAMM strategy. geo is the run's shared cover
+// geometry and enables the per-topology MCS memo; nil selects the
+// reference path, which re-derives MCS(S) and UPDATE from believed
+// points every round, so equivalence tests can prove the store and the
+// memo change no output bit. Cached covers are returned without copying —
+// Poll results are read-only under the Picker contract.
+func newLAMMPicker(locs *NoisyLocations, geo *coverStore) *lammPicker {
+	p := &lammPicker{locs: locs, geo: geo}
+	if geo != nil {
 		p.memo = &mcsMemo{}
 	}
 	return p
@@ -61,15 +64,18 @@ func containsInt(s []int, v int) bool {
 // LAMM tolerates before Theorem 3's guarantee erodes).
 type lammPicker struct {
 	locs *NoisyLocations
+	geo  *coverStore // nil on the reference path
 	memo *mcsMemo
 }
 
-// mcsMemo caches MinCoverSet results per receiver sequence. The branch
-// and bound behind MCS(S) is the most expensive computation a LAMM
-// station performs, and the same remainder set recurs across the rounds
-// and retries of a message. The key encodes the *ordered* ID sequence,
-// not the set: MinCoverSet returns the first minimal cover its
-// enumeration order finds, and that order follows the input order, so an
+// mcsMemo caches MCS(S) results per receiver sequence. The cover angles
+// come from the run's coverStore, but the search over them — the
+// exact branch and bound up to geom.ExactMCSLimit receivers, the greedy
+// rule beyond — is still the most expensive computation a LAMM station
+// performs, and the same remainder set recurs across the rounds and
+// retries of a message. The key encodes the *ordered* ID sequence, not
+// the set: MinCoverSet returns the first minimal cover its enumeration
+// order finds, and that order follows the input order, so an
 // order-insensitive key could hand back a different (equally minimal)
 // cover than the uncached computation — changing output bits. Believed
 // positions are fixed per topology snapshot (NoisyLocations materialises
@@ -107,12 +113,141 @@ func (c *mcsMemo) encode(S []int) []byte {
 	return k
 }
 
-// pos returns the believed position of the station with the given ID.
-func (p *lammPicker) pos(env *sim.Env, id int) geom.Point {
-	if p.locs != nil {
-		return p.locs.Pos(env, id)
+// coverStore is the cover geometry every LAMM station of one run
+// shares. For each station i it keeps the cover angles
+// CoverAngle(pos(i), pos(j), r) of its neighbours j, index-parallel to
+// topo.Neighbors(i) — O(Σ degree) entries, each computed once per
+// topology snapshot. Rows materialise on first use and are dropped when
+// the topology pointer changes, the rule mcsMemo follows; believed
+// positions are fixed per snapshot, so a row never goes stale in between.
+//
+// The store is byte-identical to computing the angles on demand: every
+// entry is the CoverAngle call the point-based path makes, with the same
+// argument order. A pair missing from the neighbour list is computed
+// directly, because topo admits neighbours by Dist2 <= r*r while
+// CoverAngle rejects by Hypot > r — the tests can disagree at the range
+// edge, and believed positions need not respect true neighbourhoods.
+// The same fallback gives a station paired with itself the full arc
+// UPDATE relies on when an ACKer is in S.
+//
+// One table and two arc buffers are shared scratch: stations run one at a
+// time, and neither Poll nor Update keeps scratch across calls. A factory
+// holding a coverStore therefore serves one engine at a time.
+type coverStore struct {
+	locs  *NoisyLocations
+	topo  *topo.Topology // snapshot the rows were computed against
+	rows  [][]coverAngle // rows[i]: empty until first use
+	table geom.CoverTable
+	arcs  []geom.Arc
+	segs  []geom.Arc
+}
+
+// coverAngle is one stored CoverAngle result.
+type coverAngle struct {
+	arc geom.Arc
+	ok  bool
+}
+
+func newCoverStore(locs *NoisyLocations) *coverStore { return &coverStore{locs: locs} }
+
+// bind points the store at the environment's topology snapshot,
+// dropping every row when it changed. Row capacity is kept, so a
+// mobility run re-fills rows in place.
+func (s *coverStore) bind(env *sim.Env) {
+	tp := env.Topo()
+	if s.topo == tp {
+		return
+	}
+	s.topo = tp
+	if len(s.rows) != tp.N() {
+		s.rows = make([][]coverAngle, tp.N())
+	}
+	for i := range s.rows {
+		s.rows[i] = s.rows[i][:0]
+	}
+}
+
+// row returns station i's neighbours and their stored cover angles,
+// materialising the row on first use after a bind.
+func (s *coverStore) row(env *sim.Env, i int) ([]int, []coverAngle) {
+	nb, row := s.topo.Neighbors(i), s.rows[i]
+	if len(row) != len(nb) {
+		p := believedPos(s.locs, env, i)
+		for _, q := range nb {
+			a, ok := geom.CoverAngle(p, believedPos(s.locs, env, q), s.topo.Radius())
+			row = append(row, coverAngle{a, ok})
+		}
+		s.rows[i] = row
+	}
+	return nb, row
+}
+
+// angle returns CoverAngle(pos(i), pos(j), r) for a bound store; nb and
+// row are station i's, from s.row.
+func (s *coverStore) angle(env *sim.Env, i, j int, nb []int, row []coverAngle) (geom.Arc, bool) {
+	if k, found := slices.BinarySearch(nb, j); found {
+		return row[k].arc, row[k].ok
+	}
+	return geom.CoverAngle(believedPos(s.locs, env, i), believedPos(s.locs, env, j), s.topo.Radius())
+}
+
+// minCoverSet computes MCS(S) from the stored angles. The result is the
+// table's buffer, valid until the store's next use.
+func (s *coverStore) minCoverSet(env *sim.Env, S []int) []int {
+	s.bind(env)
+	t := &s.table
+	t.Reset(len(S))
+	for a, i := range S {
+		nb, row := s.row(env, i)
+		for b, j := range S {
+			if a != b {
+				arc, ok := s.angle(env, i, j, nb, row)
+				t.Set(a, b, arc, ok)
+			}
+		}
+	}
+	return t.MinCoverSet()
+}
+
+// update is geom.Update over the stored angles: the members of S whose
+// disks the ACKers' disks do not cover.
+func (s *coverStore) update(env *sim.Env, S, acked []int) []int {
+	s.bind(env)
+	out := make([]int, 0, len(S))
+	for _, i := range S {
+		nb, row := s.row(env, i)
+		arcs := s.arcs[:0]
+		for _, j := range acked {
+			if a, ok := s.angle(env, i, j, nb, row); ok {
+				arcs = append(arcs, a)
+			}
+		}
+		var covered bool
+		covered, s.segs = geom.CircleCovered(arcs, s.segs)
+		s.arcs = arcs
+		if !covered {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// believedPos returns the position the sender believes station id has:
+// the NoisyLocations fix when locs is set, the true position otherwise.
+func believedPos(locs *NoisyLocations, env *sim.Env, id int) geom.Point {
+	if locs != nil {
+		return locs.Pos(env, id)
 	}
 	return env.Topo().Pos(id)
+}
+
+// points returns the believed positions of the stations in ids.
+func (p *lammPicker) points(env *sim.Env, ids []int) []geom.Point {
+	pts := make([]geom.Point, len(ids))
+	for k, id := range ids {
+		pts[k] = believedPos(p.locs, env, id)
+	}
+	return pts
 }
 
 // Poll implements Picker using the MCS(S) procedure (Theorem 2). The
@@ -127,11 +262,12 @@ func (p *lammPicker) Poll(env *sim.Env, S []int) []int {
 			return out
 		}
 	}
-	pts := make([]geom.Point, len(S))
-	for k, id := range S {
-		pts[k] = p.pos(env, id)
+	var sel []int
+	if p.geo != nil {
+		sel = p.geo.minCoverSet(env, S)
+	} else {
+		sel = geom.MinCoverSet(p.points(env, S), env.Topo().Radius())
 	}
-	sel := geom.MinCoverSet(pts, env.Topo().Radius())
 	out := make([]int, len(sel))
 	for k, idx := range sel {
 		out[k] = S[idx]
@@ -148,15 +284,10 @@ func (p *lammPicker) Update(env *sim.Env, S []int, acked []int) []int {
 	if len(acked) == 0 {
 		return S
 	}
-	pts := make([]geom.Point, len(S))
-	for k, id := range S {
-		pts[k] = p.pos(env, id)
+	if p.geo != nil {
+		return p.geo.update(env, S, acked)
 	}
-	ackPts := make([]geom.Point, len(acked))
-	for k, id := range acked {
-		ackPts[k] = p.pos(env, id)
-	}
-	rem := geom.Update(pts, ackPts, env.Topo().Radius())
+	rem := geom.Update(p.points(env, S), p.points(env, acked), env.Topo().Radius())
 	out := make([]int, len(rem))
 	for k, idx := range rem {
 		out[k] = S[idx]

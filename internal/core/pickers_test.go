@@ -17,17 +17,18 @@ func memoTopo(seed int64) *topo.Topology {
 	return topo.Uniform(20, 0.3, rand.New(rand.NewSource(seed)))
 }
 
-// newTestEnv extracts a station environment from a throwaway engine;
-// Poll only consults env.Topo().
-func newTestEnv(tp *topo.Topology) *sim.Env {
+// newTestEngine returns a throwaway engine over tp and station 0's
+// environment; the pickers only consult env.Topo().
+func newTestEngine(tp *topo.Topology) (*sim.Engine, *sim.Env) {
 	var env *sim.Env
-	sim.New(sim.Config{Topo: tp}).AttachMACs(func(node int, ev *sim.Env) sim.MAC {
+	eng := sim.New(sim.Config{Topo: tp})
+	eng.AttachMACs(func(node int, ev *sim.Env) sim.MAC {
 		if node == 0 {
 			env = ev
 		}
 		return nil
 	})
-	return env
+	return eng, env
 }
 
 func TestMCSMemoHitAndMiss(t *testing.T) {
@@ -80,10 +81,10 @@ func TestMCSMemoTopologySwapInvalidates(t *testing.T) {
 func TestLAMMPickerMemoMatchesUncached(t *testing.T) {
 	tp := memoTopo(3)
 	// Poll only consults env.Topo(); build a throwaway engine env.
-	env := newTestEnv(tp)
+	_, env := newTestEngine(tp)
 
-	cached := newLAMMPicker(nil, true)
-	plain := newLAMMPicker(nil, false)
+	cached := newLAMMPicker(nil, newCoverStore(nil))
+	plain := newLAMMPicker(nil, nil)
 	seqs := [][]int{{1, 4, 7, 9}, {1, 4, 7, 9}, {9, 7, 4, 1}, {2, 3}, {1, 4, 7, 9}}
 	for trial, S := range seqs {
 		a := cached.Poll(env, S)

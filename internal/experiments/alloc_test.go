@@ -15,7 +15,7 @@ var steadyAllocs = map[Protocol]float64{
 	BSMA:       2.07,
 	BMW:        0.97,
 	BMMM:       1.90,
-	LAMM:       8.68,
+	LAMM:       1.82,
 }
 
 // allocSlack is the relative headroom over the pinned figure: far above

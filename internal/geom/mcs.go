@@ -1,6 +1,9 @@
 package geom
 
-import "math/bits"
+import (
+	"math/bits"
+	"slices"
+)
 
 // ExactMCSLimit is the largest set size for which MinCoverSet uses the
 // exact (optimal) search. The paper's companion reference [18] gives an
@@ -20,75 +23,183 @@ const ExactMCSLimit = 16
 // disks. For len(pts) ≤ ExactMCSLimit the result is provably minimal;
 // beyond that a greedy heuristic is used (see GreedyCoverSet).
 func MinCoverSet(pts []Point, r float64) []int {
-	if len(pts) <= ExactMCSLimit {
-		return ExactCoverSet(pts, r)
-	}
-	return GreedyCoverSet(pts, r)
+	var t CoverTable
+	t.Fill(pts, r)
+	return slices.Clone(t.MinCoverSet())
 }
 
-// coverTable precomputes, for every ordered pair (i, j), the cover angle
-// of pts[i] for pts[j] together with a helper bitmask of candidate
-// coverers per node.
-type coverTable struct {
+// ExactCoverSet finds a provably minimum cover set with a bounded
+// branch-and-bound: a greedy solution supplies the upper bound, the set
+// of "mandatory" nodes (nodes no combination of the others can cover,
+// which therefore belong to every cover set) supplies a lower bound and a
+// subset filter, and cardinalities in between are enumerated with
+// Gosper's hack. It panics if len(pts) > 64; callers should route through
+// MinCoverSet, which bounds the exact search by ExactMCSLimit.
+func ExactCoverSet(pts []Point, r float64) []int {
+	var t CoverTable
+	t.Fill(pts, r)
+	return slices.Clone(t.exactCoverSet())
+}
+
+// GreedyCoverSet computes a (not necessarily minimal) cover set using a
+// largest-arc-reduction greedy rule followed by redundancy pruning:
+//
+//  1. repeatedly select the node whose addition most reduces the total
+//     uncovered arc measure across all not-yet-selected, not-yet-covered
+//     nodes (selecting a node also discharges its own coverage
+//     obligation);
+//  2. attempt to drop each selected node, most recently added first,
+//     keeping the drop when the remainder is still a cover set.
+//
+// The result always satisfies IsCoverSet.
+func GreedyCoverSet(pts []Point, r float64) []int {
+	var t CoverTable
+	t.Fill(pts, r)
+	return slices.Clone(t.greedyCoverSet())
+}
+
+// CoverTable holds the pairwise cover angles of one point set and runs
+// the MCS(S) search over them. Entry (i, j) is CoverAngle(p_i, p_j, r):
+// the sector of node i's disk that node j's disk covers. The exact
+// branch and bound, the greedy rule and greedy's redundancy pruning all
+// read the one table, so each angle is computed once per search, and a
+// caller that already knows the angles (a per-topology store) fills the
+// table without computing any.
+//
+// The flat n·n buffers and all search scratch grow to the largest n seen
+// and are reused: after warm-up, a fill and a search allocate nothing.
+// Results are returned in table-owned slices, valid until the next
+// Reset or search. The zero value is an empty table; a CoverTable must
+// not be used concurrently.
+type CoverTable struct {
 	n       int
-	arcs    [][]Arc  // arcs[i][j]: cover angle of i for j; Measure()==0 when absent
-	has     [][]bool // has[i][j]: whether j contributes to covering i
-	helpers []uint64 // helpers[i]: bitmask of j (j≠i) with has[i][j]
-	full    [][]bool // full[i][j]: arc covers the whole circle (co-located)
-	scratch []Arc    // reusable buffer for coverage checks
+	arcs    []Arc    // arcs[i*n+j]: cover angle of i for j, valid when has
+	has     []bool   // has[i*n+j]: j's disk contributes to covering i's
+	helpers []uint64 // helpers[i]: bitmask of j≠i with has (n ≤ 64 only)
+
+	segs     []Arc   // split segments of the coverage check in progress
+	acc      [][]Arc // acc[i]: merged segments already covering node i
+	covered  []float64
+	gain     []float64 // gain[j*n+i]: greedy's coverage gain of j for i
+	selected []bool
+	dirty    []bool // dirty[i]: row i of gain is out of date
+	open     []int
+	order    []int
+	trial    []int
+	out      []int
 }
 
-func newCoverTable(pts []Point, r float64) *coverTable {
-	n := len(pts)
-	t := &coverTable{
-		n:       n,
-		arcs:    make([][]Arc, n),
-		has:     make([][]bool, n),
-		full:    make([][]bool, n),
-		helpers: make([]uint64, n),
+// Reset empties the table and sizes it for n points.
+func (t *CoverTable) Reset(n int) {
+	t.n = n
+	if cap(t.has) < n*n {
+		t.arcs = make([]Arc, n*n)
+		t.has = make([]bool, n*n)
+		t.gain = make([]float64, n*n)
 	}
-	for i := 0; i < n; i++ {
-		t.arcs[i] = make([]Arc, n)
-		t.has[i] = make([]bool, n)
-		t.full[i] = make([]bool, n)
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if a, ok := CoverAngle(pts[i], pts[j], r); ok {
-				t.arcs[i][j] = a
-				t.has[i][j] = true
-				t.full[i][j] = a.IsFull()
-				if n <= 64 {
-					t.helpers[i] |= 1 << uint(j)
-				}
+	t.arcs, t.has, t.gain = t.arcs[:n*n], t.has[:n*n], t.gain[:n*n]
+	clear(t.has)
+	if cap(t.helpers) < n {
+		t.helpers = make([]uint64, n)
+		t.covered = make([]float64, n)
+		t.selected = make([]bool, n)
+		t.dirty = make([]bool, n)
+	}
+	t.helpers, t.covered = t.helpers[:n], t.covered[:n]
+	t.selected, t.dirty = t.selected[:n], t.dirty[:n]
+	clear(t.helpers)
+	for len(t.acc) < n {
+		t.acc = append(t.acc, nil)
+	}
+}
+
+// Set records CoverAngle's result for the ordered pair (i, j), i ≠ j:
+// a is the cover angle of i for j, ok whether j covers any of i at all.
+// Each pair is set at most once after a Reset.
+func (t *CoverTable) Set(i, j int, a Arc, ok bool) {
+	k := i*t.n + j
+	t.has[k] = ok
+	t.arcs[k] = a
+	if ok && t.n <= 64 {
+		t.helpers[i] |= 1 << uint(j)
+	}
+}
+
+// Fill resets the table to pts and computes every pairwise cover angle.
+func (t *CoverTable) Fill(pts []Point, r float64) {
+	t.Reset(len(pts))
+	for i := range pts {
+		for j := range pts {
+			if i != j {
+				a, ok := CoverAngle(pts[i], pts[j], r)
+				t.Set(i, j, a, ok)
 			}
 		}
 	}
-	return t
+}
+
+// MinCoverSet computes MCS(S) over the table, as the package-level
+// MinCoverSet does over points: the exact search up to ExactMCSLimit
+// points, the greedy heuristic beyond.
+func (t *CoverTable) MinCoverSet() []int {
+	if t.n <= ExactMCSLimit {
+		return t.exactCoverSet()
+	}
+	return t.greedyCoverSet()
 }
 
 // coveredBy reports whether node i's disk is fully covered by the nodes
 // whose bits are set in mask (i's own bit is ignored). It is the hot path
-// of the exact search and avoids all allocation.
-func (t *coverTable) coveredBy(i int, mask uint64) bool {
-	t.scratch = t.scratch[:0]
-	rest := mask & t.helpers[i]
-	for rest != 0 {
-		j := trailingZeros64(rest)
-		rest &^= 1 << uint(j)
-		if t.full[i][j] {
+// of the exact search.
+func (t *CoverTable) coveredBy(i int, mask uint64) bool {
+	segs := t.segs[:0]
+	row := t.arcs[i*t.n : (i+1)*t.n]
+	for rest := mask & t.helpers[i]; rest != 0; rest &= rest - 1 {
+		a := row[bits.TrailingZeros64(rest)]
+		if a.IsFull() {
+			t.segs = segs
 			return true
 		}
-		a := t.arcs[i][j]
-		if a.Hi > FullCircle {
-			t.scratch = append(t.scratch,
-				Arc{Lo: a.Lo, Hi: FullCircle}, Arc{Lo: 0, Hi: a.Hi - FullCircle})
-		} else {
-			t.scratch = append(t.scratch, a)
-		}
+		segs = splitArc(segs, a)
 	}
-	return segmentsCoverCircle(t.scratch)
+	t.segs = segs
+	return segmentsCoverCircle(segs)
+}
+
+// coveredByList is coveredBy for a member list, which has no size limit.
+// It decides the same Theorem 4 test IsCoverSet applies through
+// DiskCovered, from the stored angles.
+func (t *CoverTable) coveredByList(i int, members []int) bool {
+	segs := t.segs[:0]
+	row := i * t.n
+	for _, j := range members {
+		if !t.has[row+j] {
+			continue
+		}
+		a := t.arcs[row+j]
+		if a.IsFull() {
+			t.segs = segs
+			return true
+		}
+		segs = splitArc(segs, a)
+	}
+	t.segs = segs
+	return segmentsCoverCircle(segs)
+}
+
+// CircleCovered reports whether the union of arcs is the full circle:
+// the Theorem 4 test DiskCovered applies to a node's cover angles. The
+// split segments are built in scratch, which is returned for reuse, so
+// a caller that keeps it allocates nothing per call.
+func CircleCovered(arcs, scratch []Arc) (bool, []Arc) {
+	segs := scratch[:0]
+	for _, a := range arcs {
+		if a.IsFull() {
+			return true, segs
+		}
+		segs = splitArc(segs, a)
+	}
+	return segmentsCoverCircle(segs), segs
 }
 
 // segmentsCoverCircle reports whether the non-wrapping segments cover
@@ -120,7 +231,7 @@ func segmentsCoverCircle(segs []Arc) bool {
 
 // feasible reports whether the subset encoded by mask is a cover set:
 // every node outside mask must be fully covered by the nodes inside it.
-func (t *coverTable) feasible(mask uint64) bool {
+func (t *CoverTable) feasible(mask uint64) bool {
 	for i := 0; i < t.n; i++ {
 		if mask&(1<<uint(i)) != 0 {
 			continue
@@ -136,15 +247,9 @@ func (t *coverTable) feasible(mask uint64) bool {
 	return true
 }
 
-// ExactCoverSet finds a provably minimum cover set with a bounded
-// branch-and-bound: a greedy solution supplies the upper bound, the set
-// of "mandatory" nodes (nodes no combination of the others can cover,
-// which therefore belong to every cover set) supplies a lower bound and a
-// subset filter, and cardinalities in between are enumerated with
-// Gosper's hack. It panics if len(pts) > 64; callers should route through
-// MinCoverSet, which bounds the exact search by ExactMCSLimit.
-func ExactCoverSet(pts []Point, r float64) []int {
-	n := len(pts)
+// exactCoverSet is ExactCoverSet over the table.
+func (t *CoverTable) exactCoverSet() []int {
+	n := t.n
 	if n == 0 {
 		return nil
 	}
@@ -152,10 +257,10 @@ func ExactCoverSet(pts []Point, r float64) []int {
 		panic("geom: ExactCoverSet limited to 64 points")
 	}
 	if n == 1 {
-		return []int{0}
+		t.out = append(t.out[:0], 0)
+		return t.out
 	}
-	t := newCoverTable(pts, r)
-	greedy := GreedyCoverSet(pts, r)
+	greedy := t.greedyCoverSet()
 	all := uint64(1)<<uint(n) - 1
 	// Mandatory nodes: not coverable even by all other nodes combined.
 	var mandatory uint64
@@ -164,14 +269,20 @@ func ExactCoverSet(pts []Point, r float64) []int {
 			mandatory |= 1 << uint(i)
 		}
 	}
-	lb := popcount(mandatory)
+	lb := bits.OnesCount64(mandatory)
 	if lb == 0 {
 		lb = 1
 	}
-	idx := make([]int, 0, n)
 	for k := lb; k < len(greedy); k++ {
-		if mask, ok := firstFeasible(t, n, k, mandatory); ok {
-			return maskToIndices(mask, n, idx)
+		if mask, ok := t.firstFeasible(k, mandatory); ok {
+			out := t.out[:0]
+			for i := 0; i < n; i++ {
+				if mask&(1<<uint(i)) != 0 {
+					out = append(out, i)
+				}
+			}
+			t.out = out
+			return out
 		}
 	}
 	// The greedy solution is already optimal.
@@ -180,8 +291,8 @@ func ExactCoverSet(pts []Point, r float64) []int {
 
 // firstFeasible enumerates the k-subsets of {0..n-1} that contain every
 // mandatory node (Gosper's hack) and returns the first feasible one.
-func firstFeasible(t *coverTable, n, k int, mandatory uint64) (uint64, bool) {
-	limit := uint64(1) << uint(n)
+func (t *CoverTable) firstFeasible(k int, mandatory uint64) (uint64, bool) {
+	limit := uint64(1) << uint(t.n)
 	mask := uint64(1)<<uint(k) - 1
 	for mask < limit {
 		if mask&mandatory == mandatory && t.feasible(mask) {
@@ -195,8 +306,6 @@ func firstFeasible(t *coverTable, n, k int, mandatory uint64) (uint64, bool) {
 	return 0, false
 }
 
-func popcount(x uint64) int { return bits.OnesCount64(x) }
-
 // splitArc appends a (possibly wrapping) arc to buf as non-wrapping
 // segments.
 func splitArc(buf []Arc, a Arc) []Arc {
@@ -207,31 +316,42 @@ func splitArc(buf []Arc, a Arc) []Arc {
 }
 
 // coveredWith returns the covered measure of segs ∪ {a}, where segs is a
-// merged, sorted list of non-wrapping segments. scratch is reused across
-// calls and returned for the caller to keep.
-func coveredWith(segs []Arc, a Arc, scratch []Arc) (float64, []Arc) {
-	scratch = append(scratch[:0], segs...)
-	scratch = splitArc(scratch, a)
-	for i := 1; i < len(scratch); i++ {
-		for j := i; j > 0 && scratch[j].Lo < scratch[j-1].Lo; j-- {
-			scratch[j], scratch[j-1] = scratch[j-1], scratch[j]
-		}
+// merged, sorted list of non-wrapping segments. It sweeps segs and a's
+// one or two segments in the order a stable sort of segs+split(a) by Lo
+// gives (a's parts after equal-Lo members of segs), without building
+// that list.
+func coveredWith(segs []Arc, a Arc) float64 {
+	add, m := [2]Arc{a}, 1
+	if a.Hi > FullCircle {
+		add, m = [2]Arc{{Lo: 0, Hi: a.Hi - FullCircle}, {Lo: a.Lo, Hi: FullCircle}}, 2
 	}
-	var total, reach float64
-	reach = -1
-	for _, s := range scratch {
-		if s.Lo > reach {
-			total += s.Hi - s.Lo
-			reach = s.Hi
-		} else if s.Hi > reach {
-			total += s.Hi - reach
-			reach = s.Hi
+	total, reach := 0.0, -1.0
+	k := 0
+	for _, s := range segs {
+		for ; k < m && add[k].Lo < s.Lo; k++ {
+			total, reach = sweep(total, reach, add[k])
 		}
+		total, reach = sweep(total, reach, s)
+	}
+	for ; k < m; k++ {
+		total, reach = sweep(total, reach, add[k])
 	}
 	if total > FullCircle {
 		total = FullCircle
 	}
-	return total, scratch
+	return total
+}
+
+// sweep adds segment s, the next in Lo order, to a union measure total
+// whose covered prefix ends at reach.
+func sweep(total, reach float64, s Arc) (float64, float64) {
+	if s.Lo > reach {
+		return total + (s.Hi - s.Lo), s.Hi
+	}
+	if s.Hi > reach {
+		return total + (s.Hi - reach), s.Hi
+	}
+	return total, reach
 }
 
 // mergeArc inserts a (possibly wrapping) arc into a merged, sorted list
@@ -269,65 +389,36 @@ func measureOf(segs []Arc) float64 {
 	return total
 }
 
-func maskToIndices(mask uint64, n int, buf []int) []int {
-	out := buf[:0]
-	for i := 0; i < n; i++ {
-		if mask&(1<<uint(i)) != 0 {
-			out = append(out, i)
-		}
-	}
-	return append([]int(nil), out...)
-}
-
-// GreedyCoverSet computes a (not necessarily minimal) cover set using a
-// largest-arc-reduction greedy rule followed by redundancy pruning:
-//
-//  1. repeatedly select the node whose addition most reduces the total
-//     uncovered arc measure across all not-yet-selected, not-yet-covered
-//     nodes (selecting a node also discharges its own coverage
-//     obligation);
-//  2. attempt to drop each selected node, keeping the drop when the
-//     remainder is still a cover set.
-//
-// The result always satisfies IsCoverSet.
-func GreedyCoverSet(pts []Point, r float64) []int {
-	n := len(pts)
+// greedyCoverSet is GreedyCoverSet over the table; the result is in
+// increasing order.
+func (t *CoverTable) greedyCoverSet() []int {
+	n := t.n
 	if n == 0 {
 		return nil
 	}
 	if n == 1 {
-		return []int{0}
+		t.order = append(t.order[:0], 0)
+		return t.order
 	}
-	arcs := make([][]Arc, n)   // arcs[i][j] cover angle of i for j (zero measure if none)
-	helper := make([][]int, n) // helper[i]: js that can contribute to i
-	for i := 0; i < n; i++ {
-		arcs[i] = make([]Arc, n)
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if a, ok := CoverAngle(pts[i], pts[j], r); ok {
-				arcs[i][j] = a
-				helper[i] = append(helper[i], j)
-			}
-		}
-	}
-	selected := make([]bool, n)
+	selected, covered, gain, dirty := t.selected, t.covered, t.gain, t.dirty
+	clear(selected)
+	clear(covered)
 	// acc[i] holds the merged, sorted, non-wrapping segments already
-	// covering node i's circle; covered[i] their total measure. All
-	// scoring runs on flat buffers — this loop dominates LAMM's CPU time
-	// in dense topologies.
-	acc := make([][]Arc, n)
-	covered := make([]float64, n)
-	var scratch []Arc
+	// covering node i's circle; covered[i] their total measure. This
+	// loop dominates LAMM's CPU time in dense topologies.
+	acc := t.acc[:n]
+	for i := range acc {
+		acc[i] = acc[i][:0]
+		dirty[i] = true
+	}
 	uncov := func(i int) float64 {
 		if selected[i] {
 			return 0
 		}
 		return FullCircle - covered[i]
 	}
-	order := make([]int, 0, n)
-	open := make([]int, 0, n)
+	order := t.order[:0]
+	open := t.open[:0]
 	for {
 		open = open[:0]
 		for i := 0; i < n; i++ {
@@ -338,19 +429,36 @@ func GreedyCoverSet(pts []Point, r float64) []int {
 		if len(open) == 0 {
 			break
 		}
+		// The gain of candidate j for node i depends only on acc[i] and
+		// the arc, so node i's gains are recomputed only after acc[i]
+		// changed; the cached values are the very floats a recomputation
+		// would give. A j that cannot help i gains exactly +0, which
+		// leaves any sum unchanged.
+		for _, i := range open {
+			if !dirty[i] {
+				continue
+			}
+			dirty[i] = false
+			for j := 0; j < n; j++ {
+				if selected[j] {
+					continue
+				}
+				g := 0.0
+				if j != i && t.has[i*n+j] {
+					g = coveredWith(acc[i], t.arcs[i*n+j]) - covered[i]
+				}
+				gain[j*n+i] = g
+			}
+		}
 		best, bestScore := -1, -1.0
 		for j := 0; j < n; j++ {
 			if selected[j] {
 				continue
 			}
 			score := uncov(j) // selecting j discharges its own obligation
+			col := gain[j*n : (j+1)*n]
 			for _, i := range open {
-				if i == j || arcs[i][j].Measure() <= 0 {
-					continue
-				}
-				var with float64
-				with, scratch = coveredWith(acc[i], arcs[i][j], scratch)
-				score += with - covered[i]
+				score += col[i]
 			}
 			if score > bestScore {
 				best, bestScore = j, score
@@ -362,27 +470,43 @@ func GreedyCoverSet(pts []Point, r float64) []int {
 		selected[best] = true
 		order = append(order, best)
 		for i := 0; i < n; i++ {
-			if i != best && arcs[i][best].Measure() > 0 {
-				acc[i] = mergeArc(acc[i], arcs[i][best])
+			if i != best && t.has[i*n+best] {
+				acc[i] = mergeArc(acc[i], t.arcs[i*n+best])
 				covered[i] = measureOf(acc[i])
+				dirty[i] = true
 			}
 		}
 	}
-	// Redundancy pruning, most recently added first.
-	current := make([]int, 0, len(order))
-	for _, j := range order {
-		current = append(current, j)
-	}
-	for k := len(current) - 1; k >= 0; k-- {
-		trial := make([]int, 0, len(current)-1)
-		trial = append(trial, current[:k]...)
-		trial = append(trial, current[k+1:]...)
-		if len(trial) > 0 && IsCoverSet(pts, trial, r) {
-			current = trial
+	t.open = open
+	// Redundancy pruning, most recently added first. A drop is kept when
+	// every node outside the trial set is still covered by it; selected
+	// marks the trial set's members.
+	trial := t.trial
+	for k := len(order) - 1; k >= 0; k-- {
+		trial = append(append(trial[:0], order[:k]...), order[k+1:]...)
+		if len(trial) > 0 && t.isCover(trial) {
+			order, trial = trial, order
 		}
 	}
-	sortInts(current)
-	return current
+	t.order, t.trial = order, trial
+	sortInts(order)
+	return order
+}
+
+// isCover reports whether members is a cover set of the table's points:
+// IsCoverSet decided from the stored angles.
+func (t *CoverTable) isCover(members []int) bool {
+	in := t.selected
+	clear(in)
+	for _, j := range members {
+		in[j] = true
+	}
+	for i := 0; i < t.n; i++ {
+		if !in[i] && !t.coveredByList(i, members) {
+			return false
+		}
+	}
+	return true
 }
 
 // CoverSetSizeBound returns a trivial lower bound on the minimum cover set
@@ -412,5 +536,3 @@ func sortInts(a []int) {
 		}
 	}
 }
-
-func trailingZeros64(x uint64) int { return bits.TrailingZeros64(x) }

@@ -3,6 +3,8 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -206,5 +208,107 @@ func BenchmarkDiskCovered(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		DiskCovered(p, cover, 0.2)
+	}
+}
+
+// naiveGreedyCoverSet is GreedyCoverSet written straight from its
+// definition, point by point: every score recomputed from CoverAngle at
+// every step, pruning decided by IsCoverSet. It is the oracle for the
+// table search's cached gains and reused buffers.
+func naiveGreedyCoverSet(pts []Point, r float64) []int {
+	n := len(pts)
+	if n <= 1 {
+		return MinCoverSet(pts, r)
+	}
+	selected := make([]bool, n)
+	acc := make([][]Arc, n)
+	covered := make([]float64, n)
+	uncov := func(i int) float64 {
+		if selected[i] {
+			return 0
+		}
+		return FullCircle - covered[i]
+	}
+	var order []int
+	for {
+		var open []int
+		for i := 0; i < n; i++ {
+			if !selected[i] && uncov(i) > coverEps {
+				open = append(open, i)
+			}
+		}
+		if len(open) == 0 {
+			break
+		}
+		best, bestScore := -1, -1.0
+		for j := 0; j < n; j++ {
+			if selected[j] {
+				continue
+			}
+			score := uncov(j)
+			for _, i := range open {
+				if i == j {
+					continue
+				}
+				if a, ok := CoverAngle(pts[i], pts[j], r); ok {
+					score += naiveCoveredWith(acc[i], a) - covered[i]
+				}
+			}
+			if score > bestScore {
+				best, bestScore = j, score
+			}
+		}
+		selected[best] = true
+		order = append(order, best)
+		for i := 0; i < n; i++ {
+			if a, ok := CoverAngle(pts[i], pts[best], r); ok && i != best {
+				acc[i] = mergeArc(acc[i], a)
+				covered[i] = measureOf(acc[i])
+			}
+		}
+	}
+	for k := len(order) - 1; k >= 0; k-- {
+		trial := append(append([]int(nil), order[:k]...), order[k+1:]...)
+		if len(trial) > 0 && IsCoverSet(pts, trial, r) {
+			order = trial
+		}
+	}
+	sortInts(order)
+	return order
+}
+
+// naiveCoveredWith is coveredWith by its definition: append a's split
+// segments to segs, stable-sort by Lo, sweep.
+func naiveCoveredWith(segs []Arc, a Arc) float64 {
+	all := splitArc(append([]Arc(nil), segs...), a)
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Lo < all[j].Lo })
+	total, reach := 0.0, -1.0
+	for _, s := range all {
+		if s.Lo > reach {
+			total += s.Hi - s.Lo
+			reach = s.Hi
+		} else if s.Hi > reach {
+			total += s.Hi - reach
+			reach = s.Hi
+		}
+	}
+	return math.Min(total, FullCircle)
+}
+
+// TestGreedyCoverSetMatchesNaive pins the table search's greedy rule to
+// the definition on the set sizes LAMM meets, 2–40 receivers, with one
+// reused table across all trials.
+func TestGreedyCoverSetMatchesNaive(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	const r = 0.2
+	var tab CoverTable
+	for trial := 0; trial < 400; trial++ {
+		n := 2 + rng.Intn(39)
+		pts := clusterPoints(rng, n, Pt(0.5, 0.5), r*(0.5+rng.Float64()))
+		want := naiveGreedyCoverSet(pts, r)
+		tab.Fill(pts, r)
+		if got := tab.greedyCoverSet(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d): table greedy %v, naive %v", trial, n, got, want)
+		}
 	}
 }
