@@ -401,7 +401,7 @@ func BenchmarkAblationLocationError(b *testing.B) {
 				eng := sim.New(sim.Config{Topo: tp, Capture: capture.ZorziRao{},
 					Seed: seed * 31, Observers: []sim.Observer{col}})
 				eng.AttachMACs(factory)
-				gen := traffic.NewGenerator(tp)
+				gen := traffic.NewGenerator(tp, rng)
 				eng.Run(cfg.Slots, gen)
 				s := col.Summarize(0.9, metrics.GroupFilter(sim.Slot(cfg.Slots)))
 				rate += s.SuccessRate
@@ -433,7 +433,7 @@ func BenchmarkAblationMobility(b *testing.B) {
 				model := mobility.NewWaypoint(100, tc.speed, tc.speed, 0, rng)
 				d := &mobility.Driver{Model: model, Radius: 0.2, BeaconEvery: 50}
 				tp := topo.FromPoints(model.Positions(), 0.2)
-				gen := traffic.NewGenerator(tp)
+				gen := traffic.NewGenerator(tp, rng)
 				d.OnRefresh = func(newTp *topo.Topology) { gen.Topo = newTp }
 				col := metrics.NewCollector()
 				eng := sim.New(sim.Config{Topo: tp, Observers: []sim.Observer{col}, Seed: seed,

@@ -569,7 +569,7 @@ func renderChart(p experiments.Protocol, nodes int, radius, rate float64,
 	ch.ShowLosses = true
 	eng := sim.New(sim.Config{Topo: tp, Capture: capModel, Seed: seed, Tracer: ch})
 	eng.AttachMACs(factory)
-	gen := traffic.NewGenerator(tp)
+	gen := traffic.NewGenerator(tp, rng)
 	gen.Rate = rate
 	gen.Timeout = timeout
 	eng.Run(chartSlots, gen)

@@ -37,8 +37,8 @@ type alertSource struct {
 	alert      *sim.Request
 }
 
-func (s *alertSource) Arrivals(now sim.Slot, rng *rand.Rand) []*sim.Request {
-	out := s.background.Arrivals(now, rng)
+func (s *alertSource) Arrivals(now sim.Slot) []*sim.Request {
+	out := s.background.Arrivals(now)
 	if now == s.alertAt {
 		out = append(out, s.alert)
 	}
@@ -81,7 +81,7 @@ func main() {
 				Dests:   append([]int(nil), tp.Neighbors(sender)...),
 				Arrival: alertAt, Deadline: alertAt + 300,
 			}
-			gen := traffic.NewGenerator(tp)
+			gen := traffic.NewGenerator(tp, rng)
 			gen.Rate = 0.0015 // heavier-than-default background load
 
 			col := metrics.NewCollector()

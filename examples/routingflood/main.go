@@ -75,7 +75,7 @@ func (f *flood) schedule(node int, t sim.Slot) {
 }
 
 // Arrivals implements sim.Source.
-func (f *flood) Arrivals(now sim.Slot, rng *rand.Rand) []*sim.Request {
+func (f *flood) Arrivals(now sim.Slot) []*sim.Request {
 	reqs := f.pending[now]
 	delete(f.pending, now)
 	return reqs

@@ -94,7 +94,7 @@ func TestBeaconsDoNotBreakProtocolTraffic(t *testing.T) {
 		} else {
 			eng.AttachMACs(inner)
 		}
-		gen := traffic.NewGenerator(tp)
+		gen := traffic.NewGenerator(tp, rng)
 		eng.Run(4000, gen)
 		return col.Summarize(0.9, metrics.GroupFilter(4000)).SuccessRate
 	}

@@ -204,7 +204,7 @@ func diffWitnesses(t *testing.T, opt, ref witnesses) {
 }
 
 // TestOptimizedMatchesReferenceSkipping is the differential gate for the
-// event clock: sparse event-driven traffic leaves long idle stretches
+// event clock: sparse traffic leaves long idle stretches
 // the optimized engine jumps over, and the run must stay byte-identical
 // to the reference engine ticking every slot — transcripts, event
 // streams, summaries, the airtime ledger (fed idle spans in bulk on the
@@ -212,7 +212,6 @@ func diffWitnesses(t *testing.T, opt, ref witnesses) {
 // conformance auditor all agree for every protocol.
 func TestOptimizedMatchesReferenceSkipping(t *testing.T) {
 	sparse := func(cfg *experiments.RunConfig) {
-		cfg.EventTraffic = true
 		cfg.Rate = 0.00025
 		cfg.Slots = 4000
 	}
@@ -235,7 +234,6 @@ func TestOptimizedMatchesReferenceSkipping(t *testing.T) {
 // in the identical state either way.
 func TestOptimizedMatchesReferenceImpaired(t *testing.T) {
 	impaired := func(cfg *experiments.RunConfig) {
-		cfg.EventTraffic = true
 		cfg.Rate = 0.00025
 		cfg.Slots = 4000
 		cfg.Fault = fault.Config{

@@ -106,40 +106,56 @@ func TestRunRejectsBadRunConfig(t *testing.T) {
 }
 
 // The paper's headline result: LAMM and BMMM beat BSMA and BMW on
-// successful delivery rate; BMW needs the most contention phases. Run at
-// reduced fidelity but multiple seeds so the ordering is stable.
+// successful delivery rate; BMW needs the most contention phases. The
+// protocols at one seed face the same topology and arrivals, so each
+// ordering is tested on per-run paired differences: the lower bound of
+// the difference's 95% confidence interval must be above zero.
 func TestPaperOrderingHolds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-run simulation")
 	}
 	const runs = 4
 	const slots = 4000
-	means := map[Protocol]*metrics.SummaryStats{}
-	for _, p := range PaperProtocols {
-		agg := &metrics.SummaryStats{}
-		for r := 0; r < runs; r++ {
+	type pair struct{ a, b Protocol }
+	succ := map[pair]*metrics.Sample{}
+	cont := map[pair]*metrics.Sample{}
+	succPairs := []pair{{LAMM, BSMA}, {LAMM, BMW}, {BMMM, BSMA}}
+	contPairs := []pair{{BMW, BMMM}, {BMW, LAMM}}
+	for _, pr := range succPairs {
+		succ[pr] = &metrics.Sample{}
+	}
+	for _, pr := range contPairs {
+		cont[pr] = &metrics.Sample{}
+	}
+	for r := 0; r < runs; r++ {
+		res := map[Protocol]metrics.Summary{}
+		for _, p := range PaperProtocols {
 			cfg := Defaults(p, int64(1000+r))
 			cfg.Slots = slots
-			res, err := Run(cfg)
+			out, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			agg.Add(res.Summary)
+			res[p] = out.Summary
 		}
-		means[p] = agg
+		for _, pr := range succPairs {
+			succ[pr].Add(res[pr.a].SuccessRate - res[pr.b].SuccessRate)
+		}
+		for _, pr := range contPairs {
+			cont[pr].Add(res[pr.a].AvgContentions - res[pr.b].AvgContentions)
+		}
 	}
-	succ := func(p Protocol) float64 { return means[p].SuccessRate.Mean() }
-	cont := func(p Protocol) float64 { return means[p].AvgContentions.Mean() }
-	if !(succ(LAMM) > succ(BSMA) && succ(LAMM) > succ(BMW)) {
-		t.Errorf("LAMM (%.3f) must beat BSMA (%.3f) and BMW (%.3f)",
-			succ(LAMM), succ(BSMA), succ(BMW))
+	check := func(what string, pr pair, d *metrics.Sample) {
+		if lo := d.Mean() - d.CI95(); !(lo > 0) {
+			t.Errorf("%s %s−%s = %.4f ± %.4f: lower 95%% bound %.4f, want > 0",
+				what, pr.a, pr.b, d.Mean(), d.CI95(), lo)
+		}
 	}
-	if !(succ(BMMM) > succ(BSMA)) {
-		t.Errorf("BMMM (%.3f) must beat BSMA (%.3f)", succ(BMMM), succ(BSMA))
+	for _, pr := range succPairs {
+		check("delivery", pr, succ[pr])
 	}
-	if !(cont(BMW) > cont(BMMM) && cont(BMW) > cont(LAMM)) {
-		t.Errorf("BMW contentions (%.2f) must dominate BMMM (%.2f) and LAMM (%.2f)",
-			cont(BMW), cont(BMMM), cont(LAMM))
+	for _, pr := range contPairs {
+		check("contentions", pr, cont[pr])
 	}
 }
 

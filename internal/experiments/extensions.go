@@ -66,7 +66,10 @@ func runMobile(cfg RunConfig, speed float64, beaconEvery int) (metrics.Summary, 
 	rng := mrand.New(mrand.NewSource(cfg.Seed))
 	model := mobility.NewWaypoint(cfg.Nodes, speed, speed, 0, rng)
 	tp := topo.FromPoints(model.Positions(), cfg.Radius)
-	gen := traffic.NewGenerator(tp)
+	// The waypoint model keeps drawing from rng as nodes move; its draws
+	// depend only on the slot, so the arrivals interleaved with them are
+	// still identical for every protocol at this seed.
+	gen := traffic.NewGenerator(tp, rng)
 	gen.Rate = cfg.Rate
 	gen.Mix = cfg.Mix
 	gen.Timeout = cfg.Timeout
@@ -158,7 +161,7 @@ func LocationError(o Options) (*report.Table, error) {
 				factory := core.NewLAMMNoisy(cfg.MAC, GPSSigmas[pi], seed+777)
 				rng := mrand.New(mrand.NewSource(seed))
 				tp := topo.Uniform(cfg.Nodes, cfg.Radius, rng)
-				gen := traffic.NewGenerator(tp)
+				gen := traffic.NewGenerator(tp, rng)
 				col := metrics.NewCollector()
 				eng := sim.New(sim.Config{
 					Topo: tp, Capture: cfg.Capture,

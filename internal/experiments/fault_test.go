@@ -9,13 +9,14 @@ import (
 	"testing"
 
 	"relmac/internal/fault"
+	"relmac/internal/frames"
+	"relmac/internal/sim"
 )
 
 // TestFaultZeroConfigByteIdentical is the no-op guarantee of the fault
 // subsystem: with a zero-value fault.Config, every protocol's run
-// metrics are byte-identical to the pre-fault-subsystem output pinned
-// in testdata/zerofault_golden.txt (captured at the same seeds before
-// the impairment hook existed). A diff here means the hook perturbs
+// metrics are byte-identical to the output pinned in
+// testdata/zerofault_golden.txt. A diff here means the hook perturbs
 // the engine's random sequence or event order even when disabled.
 func TestFaultZeroConfigByteIdentical(t *testing.T) {
 	var b strings.Builder
@@ -173,6 +174,54 @@ func TestSeedForPairsProtocols(t *testing.T) {
 				t.Fatalf("seed %d reused across (point, run) cells", base)
 			}
 			seen[base] = true
+		}
+	}
+}
+
+// submitLog records the identity of every request handed to a MAC.
+type submitLog struct{ subs []string }
+
+func (l *submitLog) OnSubmit(req *sim.Request, now sim.Slot) {
+	l.subs = append(l.subs, fmt.Sprintf("id=%d src=%d kind=%v dests=%v arrival=%d",
+		req.ID, req.Src, req.Kind, req.Dests, req.Arrival))
+}
+func (*submitLog) OnContention(*sim.Request, sim.Slot)             {}
+func (*submitLog) OnFrameTx(*frames.Frame, int, sim.Slot)          {}
+func (*submitLog) OnDataRx(int64, int, sim.Slot)                   {}
+func (*submitLog) OnRound(*sim.Request, int, sim.Slot)             {}
+func (*submitLog) OnComplete(*sim.Request, sim.Slot)               {}
+func (*submitLog) OnAbort(*sim.Request, sim.AbortReason, sim.Slot) {}
+
+// TestPairedArrivals is what the pairing of TestSeedForPairsProtocols
+// buys: at one seedFor cell, every protocol is handed the identical
+// request sequence — IDs, sources, kinds, destination sets and arrival
+// slots — even though each protocol consumes the engine PRNG (backoff,
+// capture) differently.
+func TestPairedArrivals(t *testing.T) {
+	var want []string
+	for i, p := range AllProtocols {
+		log := &submitLog{}
+		cfg := Defaults(p, seedFor(1, i, 0))
+		cfg.Slots = 5000
+		cfg.Observers = []sim.Observer{log}
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			want = log.subs
+			if len(want) < 50 {
+				t.Fatalf("%s: only %d submits; the comparison is too weak", p, len(want))
+			}
+			continue
+		}
+		if len(log.subs) != len(want) {
+			t.Errorf("%s: %d submits, %s had %d", p, len(log.subs), AllProtocols[0], len(want))
+		}
+		for k := 0; k < len(want) && k < len(log.subs); k++ {
+			if log.subs[k] != want[k] {
+				t.Errorf("%s: submit %d is %s, %s saw %s", p, k, log.subs[k], AllProtocols[0], want[k])
+				break
+			}
 		}
 	}
 }

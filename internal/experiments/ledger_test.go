@@ -76,10 +76,9 @@ func (l *spanLedger) OnIdleSpan(from, to sim.Slot) {
 }
 
 // TestLedgerIdleSpansMatchPerSlot pins the equivalence SlotObserver's
-// OnIdleSpan rests on, for the real airtime ledger: sparse event-driven
-// traffic lets the optimized engine skip idle stretches (one OnIdleSpan
-// each), while the reference engine hands the same stretches over slot
-// by slot — and every protocol's ledger snapshot must come out
+// OnIdleSpan rests on, for the real airtime ledger: sparse traffic
+// lets the optimized engine skip idle stretches (one OnIdleSpan each),
+// while the reference engine hands the same stretches over slot by slot — and every protocol's ledger snapshot must come out
 // identical.
 func TestLedgerIdleSpansMatchPerSlot(t *testing.T) {
 	for _, proto := range AllProtocols {
@@ -87,7 +86,6 @@ func TestLedgerIdleSpansMatchPerSlot(t *testing.T) {
 			run := func(reference bool) (obs.LedgerSnapshot, int) {
 				led := &spanLedger{Ledger: obs.NewLedger(obs.NewRegistry(), string(proto))}
 				cfg := Defaults(proto, 5)
-				cfg.EventTraffic = true
 				cfg.Rate = 0.00025
 				cfg.Slots = 6000
 				cfg.Reference = reference

@@ -126,14 +126,9 @@ type RunConfig struct {
 	// for LAMM, disables the MCS memo. Results are bit-identical with the
 	// flag on and off; it exists for equivalence tests and cmd/relbench.
 	Reference bool
-	// EventTraffic switches the generator to its event-driven renewal
-	// form (traffic.Generator.EventDriven): arrivals are drawn by
-	// inter-arrival gap instead of per-slot Bernoulli trials, which
-	// makes empty slots PRNG-free and lets the engine's event clock
-	// skip them. Trajectories differ from the default mode at the same
-	// seed (the PRNG is consumed differently), so the paper sweeps keep
-	// the default; the sparse-traffic benchmarks and the skipping
-	// equivalence tests opt in.
+	// EventTraffic has no effect; it is kept so that callers which set
+	// it still compile. Every run draws arrivals by geometric
+	// inter-arrival gaps (traffic.Generator) and can skip idle slots.
 	EventTraffic bool
 	// Profiler attaches a runtime phase profiler to the engine
 	// (sim.Config.Profiler) — typically a prof.PhaseTimer. Profilers
@@ -178,8 +173,8 @@ type RunResult struct {
 }
 
 // faultSeed derives the impairment seed from the run seed; a distinct
-// mixing constant keeps it decoupled from both the topology RNG
-// (cfg.Seed itself) and the channel RNG (cfg.Seed ^ 0x1e37…).
+// mixing constant keeps it decoupled from both the topology and traffic
+// stream (cfg.Seed itself) and the channel RNG (cfg.Seed ^ 0x1e37…).
 func faultSeed(seed int64) int64 { return seed ^ 0x5851f42d4c957f2d }
 
 // faultPieces resolves the configured impairments: the channel/crash
@@ -265,11 +260,13 @@ func Run(cfg RunConfig) (RunResult, error) {
 		Profiler:      cfg.Profiler,
 	})
 	eng.AttachMACs(factory)
-	gen := traffic.NewGenerator(tp)
+	// The seed stream, continued past the node placement, is the
+	// traffic stream: nothing else draws from it, so every protocol at
+	// this seed faces the same arrivals (see seedFor).
+	gen := traffic.NewGenerator(tp, rng)
 	gen.Rate = cfg.Rate
 	gen.Mix = cfg.Mix
 	gen.Timeout = cfg.Timeout
-	gen.EventDriven = cfg.EventTraffic
 	eng.Run(cfg.Slots, gen)
 	horizon := sim.Slot(cfg.Slots)
 	return RunResult{
@@ -433,13 +430,19 @@ func Sweep(points int, protocols []Protocol, runs int,
 
 // seedFor derives a deterministic seed for a (sweep point, protocol,
 // run) cell. The proto index is deliberately NOT mixed in: the paper's
-// figures compare protocols on the same axes, which is a paired design —
-// every protocol at a given (point, run) must face the identical
-// topology, traffic arrivals, channel randomness and (derived from this
-// seed) fault schedule, so that a curve separation measures the
-// protocol, not the luck of the draw. The parameter is kept in the
-// signature to document at each call site that the pairing is a choice,
-// not an omission; TestSeedForPairsProtocols pins the behaviour.
+// figures compare protocols on the same axes, which is a paired design,
+// so a curve separation should measure the protocol, not the luck of
+// the draw. Every protocol at a given (point, run) shares what this
+// seed alone determines: the topology, the traffic arrivals (kind,
+// source, destinations, slot — the generator draws from the seed stream
+// after node placement and from nothing else) and the derived fault
+// schedule. MAC backoff and channel draws (capture, ErrRate) are not
+// shared: they come from the engine PRNG in the order the protocol's
+// own transmissions consume it, and each protocol transmits a different
+// frame sequence, so no stream layout could align them. The parameter
+// is kept in the signature to document at each call site that the
+// pairing is a choice, not an omission; TestSeedForPairsProtocols and
+// TestPairedArrivals pin the behaviour.
 func seedFor(point, proto, run int) int64 {
 	return int64(point)*1_000_003 + int64(run)*7919 + 12345
 }

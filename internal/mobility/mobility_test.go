@@ -133,7 +133,7 @@ func TestProtocolsUnderMobility(t *testing.T) {
 			model := NewWaypoint(80, speed, speed, 0, rng)
 			d := &Driver{Model: model, Radius: 0.2, BeaconEvery: 50}
 			tp := topo.FromPoints(model.Positions(), 0.2)
-			gen := traffic.NewGenerator(tp)
+			gen := traffic.NewGenerator(tp, rng)
 			gen.Rate = 0.0005
 			d.OnRefresh = func(newTp *topo.Topology) { gen.Topo = newTp }
 			col := metrics.NewCollector()

@@ -52,7 +52,7 @@ type Profile struct {
 	// EngineSlots is the slot count for the engine throughput pair.
 	EngineSlots int
 	// SparseSlots is the slot count for the sparse-traffic engine pair
-	// (event-driven arrivals at SparseRate); larger than EngineSlots
+	// (arrivals at SparseRate); larger than EngineSlots
 	// because the optimized side skips most slots.
 	SparseSlots int
 	// ProtocolSlots is the slot count for each per-protocol run.
@@ -140,10 +140,10 @@ type Report struct {
 	// before schema 4.
 	Host   Host   `json:"host"`
 	Engine Engine `json:"engine"`
-	// Sparse is the engine pair under sparse event-driven traffic
-	// (SparseRate, EventTraffic on) — the workload where the event
-	// clock's slot skipping pays off. Nil in reports produced before
-	// schema 2.
+	// Sparse is the engine pair under sparse traffic (SparseRate) — the
+	// workload where the event clock's slot skipping pays off, since
+	// long idle stretches separate the arrivals. Nil in reports produced
+	// before schema 2.
 	Sparse *Engine `json:"sparse,omitempty"`
 	// Phases is the engine phase decomposition. Nil in reports produced
 	// before schema 4 or when the profile disables it.
@@ -229,8 +229,8 @@ func measurePhases(p Profile, say func(string, ...any)) (*PhaseSection, error) {
 
 // measureEngine times the default BMMM workload (the same configuration
 // as BenchmarkEngineThroughput) and reports per-slot cost. sparse
-// switches to event-driven traffic at SparseRate — the workload where
-// the event clock skips idle stretches wholesale. Allocation counts
+// lowers the arrival rate to SparseRate — the workload where the event
+// clock skips idle stretches wholesale. Allocation counts
 // come from runtime.MemStats deltas around the run; setup costs
 // (topology construction, MAC attachment) are amortized over the slot
 // count and are negligible at profile sizes.
@@ -241,7 +241,6 @@ func measureEngine(reference, sparse bool, slots, reps int) (EngineSample, error
 		cfg.Slots = slots
 		cfg.Reference = reference
 		if sparse {
-			cfg.EventTraffic = true
 			cfg.Rate = SparseRate
 		}
 

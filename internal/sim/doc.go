@@ -27,7 +27,9 @@
 // # Determinism
 //
 // The engine is deterministic for a fixed seed: stations are ticked in
-// ID order and all randomness flows from a single PRNG. Everything on
+// ID order and all engine randomness (MAC backoff, capture, ErrRate)
+// flows from a single PRNG. Traffic sources own their randomness and
+// never see it (Source). Everything on
 // the slot loop is subject to the relmaclint serial-path checks
 // (simsafe, determinism): no goroutines, no sync.Pool, no wall clocks.
 //

@@ -6,7 +6,6 @@ package sim
 // is invisible to MACs, sources and observers.
 
 import (
-	"math/rand"
 	"testing"
 
 	"relmac/internal/frames"
@@ -35,7 +34,7 @@ func (s *slotSource) add(t Slot, req *Request) {
 	}
 }
 
-func (s *slotSource) Arrivals(now Slot, rng *rand.Rand) []*Request {
+func (s *slotSource) Arrivals(now Slot) []*Request {
 	s.calls = append(s.calls, now)
 	return s.at[now]
 }

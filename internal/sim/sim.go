@@ -153,23 +153,28 @@ type Sleeper interface {
 // simulation and returns the requests arriving at that slot. The engine
 // consumes the returned slice before the next call, so implementations
 // may reuse its backing array; only the requests themselves must survive.
+//
+// A Source owns its randomness: the engine PRNG serves only MAC backoff
+// and the channel (capture, ErrRate), so a Source never sees it. That
+// is what lets a seeded source present the identical arrival sequence to
+// every protocol run against it.
 type Source interface {
-	Arrivals(now Slot, rng *rand.Rand) []*Request
+	Arrivals(now Slot) []*Request
 }
 
 // EventSource is the optional Source extension behind event-driven slot
 // skipping. NextArrival lets the engine ask "when is your next request
 // due?" without simulating the empty slots in between; a Source that
-// cannot answer (the default Bernoulli generator draws the PRNG on every
-// slot) simply doesn't implement it, and Run falls back to per-slot
-// stepping.
+// cannot answer simply doesn't implement it, and Run falls back to
+// per-slot stepping.
 //
 // The contract that keeps skipping bit-identical to per-slot execution:
-// Arrivals must be PRNG-free on slots where it returns no requests, and
-// NextArrival must not touch any PRNG at all. NextArrival(after) returns
-// the earliest slot ≥ after at which Arrivals may return requests (ok
-// false means never again); returning a conservative earlier slot is
-// legal — the engine just steps that slot normally.
+// Arrivals on a slot where it returns no requests must leave the source
+// exactly as a skipped slot would, and NextArrival must be free of side
+// effects visible in later arrivals. NextArrival(after) returns the
+// earliest slot ≥ after at which Arrivals may return requests (ok false
+// means never again); returning a conservative earlier slot is legal —
+// the engine just steps that slot normally.
 type EventSource interface {
 	Source
 	NextArrival(after Slot) (Slot, bool)
@@ -667,7 +672,7 @@ func (e *Engine) step(src Source) {
 	// 1. Traffic arrivals.
 	e.enter(PhaseArrivals)
 	if src != nil {
-		for _, req := range src.Arrivals(now, e.rng) {
+		for _, req := range src.Arrivals(now) {
 			m := e.macs[req.Src]
 			if m == nil {
 				panic(fmt.Sprintf("sim: no MAC attached to station %d", req.Src))

@@ -5,7 +5,6 @@ package sim
 // the exact idle run their channel history missed.
 
 import (
-	"math/rand"
 	"testing"
 
 	"relmac/internal/frames"
@@ -46,7 +45,7 @@ type oneShot struct {
 	req *Request
 }
 
-func (s *oneShot) Arrivals(now Slot, rng *rand.Rand) []*Request {
+func (s *oneShot) Arrivals(now Slot) []*Request {
 	if now == s.at {
 		return []*Request{s.req}
 	}

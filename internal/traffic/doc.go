@@ -5,31 +5,25 @@
 // a multicast with probability 0.4 and a broadcast with probability 0.4.
 // Messages carry an upper-layer timeout (default 100 slots).
 //
-// # Arrival modes
+// # Arrival sampling
 //
-// Generator samples the Bernoulli arrival law two ways:
-//
-//   - per-slot (default): one PRNG draw per node per slot, the direct
-//     transcription of Table 2. Every slot consumes PRNG state, so runs
-//     are comparable draw-for-draw with the project's original goldens;
-//   - event-driven (Generator.EventDriven): the equivalent renewal
-//     process — geometric inter-arrival gaps over the slot-major,
-//     node-minor lattice of (slot, node) points, drawn only when an
-//     arrival fires. Empty slots consume nothing, and NextArrival
-//     announces the next firing slot without touching the PRNG, which
-//     is what lets the engine's event clock (sim.EventSource) jump
-//     whole idle stretches.
-//
-// The two modes sample the same distribution but consume the PRNG
-// differently, so trajectories differ at the same seed; event-driven is
-// an opt-in for runs whose goldens were recorded with it (the sparse
-// benchmarks, the skipping equivalence tests).
+// Generator samples that Bernoulli law as its equivalent renewal
+// process: geometric inter-arrival gaps over the slot-major, node-minor
+// lattice of (slot, node) points, drawn only when an arrival fires.
+// Empty slots consume nothing, and NextArrival announces the next
+// firing slot, which is what lets the engine's event clock
+// (sim.EventSource) jump whole idle stretches in every run that has no
+// per-slot hook.
 //
 // # Determinism
 //
-// All randomness flows through the *rand.Rand the engine passes to
-// Arrivals; the package holds no PRNG of its own and never reads the
-// clock. Arrival order within a slot is node-ID order in both modes.
+// A Generator draws only from the *rand.Rand it is built with, and
+// nothing else may draw from that stream while it runs; the package
+// never reads the clock or the engine PRNG. The arrival sequence is
+// therefore a function of that stream alone: every protocol run against
+// a generator seeded the same way sees the same requests, however the
+// protocol consumes the engine PRNG. Arrival order within a slot is
+// node-ID order.
 //
 // # Entry points
 //

@@ -44,7 +44,10 @@ func (m Mix) pick(rng *rand.Rand) sim.Kind {
 	}
 }
 
-// Generator implements sim.Source with Bernoulli per-node arrivals.
+// Generator implements sim.EventSource with Bernoulli per-node arrivals,
+// sampled by geometric inter-arrival gaps over the slot-major,
+// node-minor lattice of (slot, node) points. It draws only from its own
+// stream, and only when an arrival fires.
 type Generator struct {
 	// Topo supplies neighbor sets for destination selection.
 	Topo *topo.Topology
@@ -54,26 +57,15 @@ type Generator struct {
 	Mix Mix
 	// Timeout is the upper-layer deadline in slots after arrival.
 	Timeout int
-	// EventDriven switches the generator from the per-slot Bernoulli
-	// process (one PRNG draw per node per slot) to the equivalent
-	// renewal process: geometric inter-arrival gaps over the
-	// slot-major, node-minor lattice of (slot, node) points, drawn only
-	// when an arrival actually fires. Arrivals on empty slots then draw
-	// nothing from the PRNG and NextArrival can announce the next
-	// arrival slot, which is what lets the engine's event clock skip
-	// idle stretches (sim.EventSource). The two modes sample the same
-	// distribution but consume the PRNG differently, so switching modes
-	// changes individual trajectories — it is an opt-in for runs whose
-	// goldens were recorded with it.
-	EventDriven bool
 
+	rng    *rand.Rand
 	nextID int64
-	// Event-mode cursor: the next lattice point that fires, plus an
-	// init flag (the first gap is drawn lazily inside Arrivals so that
-	// construction stays PRNG-free).
-	evInit bool
-	evSlot sim.Slot
-	evNode int
+	// The cursor: the next lattice point that fires, plus an init flag.
+	// The first gap is drawn lazily, on the first Arrivals or
+	// NextArrival call, so Rate may still be set after construction.
+	init bool
+	slot sim.Slot
+	node int
 	// buf is the reused Arrivals result slice. The engine consumes the
 	// returned requests before the next Arrivals call (the sim.Source
 	// contract), so only the requests — not the slice — must survive.
@@ -81,55 +73,32 @@ type Generator struct {
 }
 
 // NewGenerator builds a Generator with the paper's defaults (rate
-// 0.0005, mix 0.2/0.4/0.4, timeout 100) on the given topology.
-func NewGenerator(tp *topo.Topology) *Generator {
-	return &Generator{Topo: tp, Rate: 0.0005, Mix: DefaultMix(), Timeout: 100}
+// 0.0005, mix 0.2/0.4/0.4, timeout 100) on the given topology. Every
+// arrival time, kind and destination set is drawn from rng, which the
+// generator must be the only consumer of while it runs.
+func NewGenerator(tp *topo.Topology, rng *rand.Rand) *Generator {
+	return &Generator{Topo: tp, Rate: 0.0005, Mix: DefaultMix(), Timeout: 100, rng: rng}
 }
 
-// Arrivals implements sim.Source.
-func (g *Generator) Arrivals(now sim.Slot, rng *rand.Rand) []*sim.Request {
-	if g.EventDriven {
-		return g.eventArrivals(now, rng)
-	}
+// Arrivals implements sim.Source: it fires every lattice point scheduled
+// for this slot, drawing the next geometric gap after each. Calls on
+// slots before the cursor draw nothing, so stepping every slot and
+// jumping to the slots NextArrival announces yield the same requests.
+func (g *Generator) Arrivals(now sim.Slot) []*sim.Request {
 	out := g.buf[:0]
-	for node := 0; node < g.Topo.N(); node++ {
-		if rng.Float64() >= g.Rate {
-			continue
-		}
-		req := g.makeRequest(node, now, rng)
-		if req != nil {
-			out = append(out, req)
-		}
-	}
-	g.buf = out
-	return out
-}
-
-// eventArrivals is the renewal-process form: fire every lattice point
-// scheduled for this slot, drawing the next geometric gap after each.
-// Calls on slots before the cursor draw nothing — the PRNG-neutrality
-// that makes slot skipping byte-identical to per-slot stepping.
-func (g *Generator) eventArrivals(now sim.Slot, rng *rand.Rand) []*sim.Request {
-	out := g.buf[:0]
-	g.buf = out
-	if g.Rate <= 0 || g.Topo.N() == 0 {
+	if !g.start() {
 		return out
-	}
-	if !g.evInit {
-		g.evInit = true
-		g.evSlot, g.evNode = 0, 0
-		g.evAdvance(rng, 0)
 	}
 	// Points the caller stepped past without consulting us (mixed
 	// sources, manual Step loops) are dropped, consuming their gap
 	// draws so the stream stays aligned.
-	for g.evSlot < now {
-		g.evAdvance(rng, 1)
+	for g.slot < now {
+		g.advance(1)
 	}
-	for g.evSlot == now {
-		node := g.evNode
-		g.evAdvance(rng, 1)
-		if req := g.makeRequest(node, now, rng); req != nil {
+	for g.slot == now {
+		node := g.node
+		g.advance(1)
+		if req := g.makeRequest(node, now); req != nil {
 			out = append(out, req)
 		}
 	}
@@ -137,42 +106,58 @@ func (g *Generator) eventArrivals(now sim.Slot, rng *rand.Rand) []*sim.Request {
 	return out
 }
 
-// evAdvance moves the cursor from its current lattice point to the next
+// start draws the first gap on first use and reports whether any
+// arrival can ever fire.
+func (g *Generator) start() bool {
+	if g.Rate <= 0 || g.Topo.N() == 0 {
+		return false
+	}
+	if !g.init {
+		g.init = true
+		g.advance(0)
+	}
+	return true
+}
+
+// advance moves the cursor from its current lattice point to the next
 // firing one: `consumed` steps past the current point (1 after a
 // firing, 0 on init), then a geometric number of silent points. The gap
 // law floor(log1p(-u)/log1p(-p)) gives P(gap=k) = (1-p)^k·p, so every
-// lattice point still fires independently with probability Rate —
-// the Bernoulli process, sampled by inter-arrival instead of by point.
-func (g *Generator) evAdvance(rng *rand.Rand, consumed int) {
-	u := rng.Float64()
+// lattice point fires independently with probability Rate — the
+// Bernoulli process of Table 2, sampled by inter-arrival, not by point.
+// A gap past the last representable slot (rates below ~1e-19) parks the
+// cursor at math.MaxInt64, a slot no run reaches.
+func (g *Generator) advance(consumed int) {
+	u := g.rng.Float64()
 	gap := math.Floor(math.Log1p(-u) / math.Log1p(-g.Rate))
 	n := sim.Slot(g.Topo.N())
-	idx := g.evSlot*n + sim.Slot(g.evNode) + sim.Slot(consumed) + sim.Slot(gap)
-	g.evSlot = idx / n
-	g.evNode = int(idx % n)
+	base := g.slot*n + sim.Slot(g.node) + sim.Slot(consumed)
+	if gap >= float64(math.MaxInt64-base) {
+		g.slot = math.MaxInt64
+		return
+	}
+	idx := base + sim.Slot(gap)
+	g.slot = idx / n
+	g.node = int(idx % n)
 }
 
-// NextArrival implements sim.EventSource. In the default Bernoulli mode
-// it conservatively returns the asked-for slot itself — every slot may
-// produce arrivals and must be stepped — so attaching a non-event
-// generator never lets the engine skip. In event-driven mode it
-// announces the cursor's slot without touching any PRNG.
+// NextArrival implements sim.EventSource: the cursor's slot, or the
+// asked-for slot when the cursor already lies behind it (Arrivals will
+// drop those stale points there). It draws nothing beyond the first gap.
 func (g *Generator) NextArrival(after sim.Slot) (sim.Slot, bool) {
-	if !g.EventDriven || !g.evInit {
-		return after, true
-	}
-	if g.Rate <= 0 || g.Topo.N() == 0 {
+	if !g.start() {
 		return 0, false
 	}
-	if g.evSlot < after {
+	if g.slot < after {
 		return after, true
 	}
-	return g.evSlot, true
+	return g.slot, true
 }
 
 // makeRequest builds one request originating at the node, or nil when the
 // node has no neighbors to address.
-func (g *Generator) makeRequest(node int, now sim.Slot, rng *rand.Rand) *sim.Request {
+func (g *Generator) makeRequest(node int, now sim.Slot) *sim.Request {
+	rng := g.rng
 	nb := g.Topo.Neighbors(node)
 	if len(nb) == 0 {
 		return nil
@@ -238,7 +223,7 @@ func (s *Script) At(t sim.Slot, req *sim.Request) *sim.Request {
 }
 
 // Arrivals implements sim.Source.
-func (s *Script) Arrivals(now sim.Slot, rng *rand.Rand) []*sim.Request {
+func (s *Script) Arrivals(now sim.Slot) []*sim.Request {
 	return s.byts[now]
 }
 

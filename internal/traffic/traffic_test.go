@@ -37,29 +37,12 @@ func TestMixPickFrequencies(t *testing.T) {
 	}
 }
 
-func TestGeneratorRate(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	tp := topo.Uniform(100, 0.2, rng)
-	g := NewGenerator(tp)
-	g.Rate = 0.01
-	total := 0
-	const slots = 5000
-	for s := sim.Slot(0); s < slots; s++ {
-		total += len(g.Arrivals(s, rng))
-	}
-	// Expectation: 100 nodes × 0.01 × 5000 = 5000 arrivals (minus the few
-	// isolated-node skips). Allow 10%.
-	if total < 4300 || total > 5500 {
-		t.Errorf("arrivals = %d, want ≈5000", total)
-	}
-}
-
 func TestGeneratorRequestShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tp := topo.Uniform(100, 0.2, rng)
-	g := NewGenerator(tp)
+	g := NewGenerator(tp, rng)
 	g.Rate = 1 // every node, every slot
-	reqs := g.Arrivals(7, rng)
+	reqs := g.Arrivals(7)
 	if len(reqs) == 0 {
 		t.Fatal("no arrivals at rate 1")
 	}
@@ -108,9 +91,9 @@ func TestGeneratorRequestShape(t *testing.T) {
 func TestGeneratorSkipsIsolatedNodes(t *testing.T) {
 	tp := topo.Grid(2, 1, 0.1) // two nodes 1.0 apart: both isolated
 	rng := rand.New(rand.NewSource(4))
-	g := NewGenerator(tp)
+	g := NewGenerator(tp, rng)
 	g.Rate = 1
-	if got := g.Arrivals(0, rng); len(got) != 0 {
+	if got := g.Arrivals(0); len(got) != 0 {
 		t.Errorf("isolated nodes generated requests: %v", got)
 	}
 }
@@ -144,11 +127,10 @@ func TestScriptSource(t *testing.T) {
 	s := NewScript()
 	r1 := s.At(5, &sim.Request{ID: 1, Src: 0, Dests: []int{1}})
 	s.At(5, &sim.Request{ID: 2, Src: 1, Dests: []int{0}})
-	rng := rand.New(rand.NewSource(6))
-	if len(s.Arrivals(4, rng)) != 0 {
+	if len(s.Arrivals(4)) != 0 {
 		t.Error("early arrivals")
 	}
-	got := s.Arrivals(5, rng)
+	got := s.Arrivals(5)
 	if len(got) != 2 || got[0] != r1 {
 		t.Errorf("Arrivals(5) = %v", got)
 	}
@@ -164,37 +146,56 @@ func TestScriptSource(t *testing.T) {
 	}
 }
 
-// TestEventDrivenRate: the renewal form must sample the same arrival
-// law as the Bernoulli form — every lattice point fires independently
-// with probability Rate.
-func TestEventDrivenRate(t *testing.T) {
+// TestGeneratorRate: the geometric-gap sampler must realise the
+// Table 2 arrival law — every (slot, node) lattice point fires
+// independently with probability Rate.
+func TestGeneratorRate(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	tp := topo.Uniform(100, 0.2, rng)
-	g := NewGenerator(tp)
+	g := NewGenerator(tp, rng)
 	g.Rate = 0.01
-	g.EventDriven = true
 	total := 0
 	const slots = 5000
 	for s := sim.Slot(0); s < slots; s++ {
-		total += len(g.Arrivals(s, rng))
+		total += len(g.Arrivals(s))
 	}
+	// Expectation: 100 nodes × 0.01 × 5000 = 5000 arrivals (minus the few
+	// isolated-node skips). Allow 10%.
 	if total < 4300 || total > 5500 {
 		t.Errorf("arrivals = %d, want ≈5000", total)
 	}
 }
 
-// TestEventDrivenSkipNeutral is the PRNG-neutrality contract behind
-// slot skipping: calling Arrivals on every slot and calling it only on
-// the slots NextArrival announces must produce identical requests and
-// leave the PRNG in the identical state.
-func TestEventDrivenSkipNeutral(t *testing.T) {
+// TestGeneratorTinyRateNeverFires: a rate so small that the first gap
+// overflows the slot counter must park the cursor beyond every run,
+// not wrap it negative and spin.
+func TestGeneratorTinyRateNeverFires(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	tp := topo.Uniform(50, 0.3, rng)
+	g := NewGenerator(tp, rng)
+	g.Rate = 1e-30
+	for s := sim.Slot(0); s < 100; s++ {
+		if got := g.Arrivals(s); len(got) != 0 {
+			t.Fatalf("arrivals at slot %d: %v", s, got)
+		}
+	}
+	if next, ok := g.NextArrival(100); !ok || next != math.MaxInt64 {
+		t.Fatalf("NextArrival(100) = %d,%v, want MaxInt64,true", next, ok)
+	}
+}
+
+// TestGeneratorSkipNeutral is the neutrality contract behind slot
+// skipping: calling Arrivals on every slot and calling it only on the
+// slots NextArrival announces must produce identical requests and leave
+// the generator's stream in the identical state.
+func TestGeneratorSkipNeutral(t *testing.T) {
 	build := func() (*Generator, *rand.Rand) {
 		setup := rand.New(rand.NewSource(7))
 		tp := topo.Uniform(60, 0.2, setup)
-		g := NewGenerator(tp)
+		rng := rand.New(rand.NewSource(99))
+		g := NewGenerator(tp, rng)
 		g.Rate = 0.002
-		g.EventDriven = true
-		return g, rand.New(rand.NewSource(99))
+		return g, rng
 	}
 	type arr struct {
 		slot sim.Slot
@@ -207,7 +208,7 @@ func TestEventDrivenSkipNeutral(t *testing.T) {
 	var dense []arr
 	gd, rngD := build()
 	for s := sim.Slot(0); s < slots; s++ {
-		for _, r := range gd.Arrivals(s, rngD) {
+		for _, r := range gd.Arrivals(s) {
 			dense = append(dense, arr{s, r.Src, r.ID, r.Kind})
 		}
 	}
@@ -219,7 +220,7 @@ func TestEventDrivenSkipNeutral(t *testing.T) {
 		if !ok || next >= slots {
 			break
 		}
-		for _, r := range gs.Arrivals(next, rngS) {
+		for _, r := range gs.Arrivals(next) {
 			sparse = append(sparse, arr{next, r.Src, r.ID, r.Kind})
 		}
 		s = next + 1
@@ -241,31 +242,31 @@ func TestEventDrivenSkipNeutral(t *testing.T) {
 	}
 }
 
-// TestEventDrivenEmptySlotsDrawNothing: Arrivals on a slot before the
-// cursor must not consume the PRNG. Twin runs — one probing every
-// empty slot, one probing none — must leave the PRNG identical.
-func TestEventDrivenEmptySlotsDrawNothing(t *testing.T) {
+// TestGeneratorEmptySlotsDrawNothing: Arrivals on a slot before the
+// cursor must not consume the stream. Twin runs — one probing every
+// empty slot, one probing none — must leave the stream identical.
+func TestGeneratorEmptySlotsDrawNothing(t *testing.T) {
 	build := func() (*Generator, *rand.Rand) {
 		setup := rand.New(rand.NewSource(7))
 		tp := topo.Uniform(20, 0.2, setup)
-		g := NewGenerator(tp)
+		rng := rand.New(rand.NewSource(5))
+		g := NewGenerator(tp, rng)
 		g.Rate = 0.0001
-		g.EventDriven = true
-		return g, rand.New(rand.NewSource(5))
+		return g, rng
 	}
 	gA, rngA := build()
-	gA.Arrivals(0, rngA) // init draw
+	gA.Arrivals(0) // init draw
 	nextA, ok := gA.NextArrival(1)
 	if !ok {
 		t.Fatal("rate > 0 must always announce a next arrival")
 	}
 	for s := sim.Slot(1); s < nextA && s < 1000; s++ {
-		if got := gA.Arrivals(s, rngA); len(got) != 0 {
+		if got := gA.Arrivals(s); len(got) != 0 {
 			t.Fatalf("arrivals before the cursor at %d: %v", s, got)
 		}
 	}
 	gB, rngB := build()
-	gB.Arrivals(0, rngB) // init draw only; no empty-slot probes
+	gB.Arrivals(0) // init draw only; no empty-slot probes
 	if rngA.Float64() != rngB.Float64() {
 		t.Fatal("empty-slot Arrivals consumed the PRNG")
 	}
