@@ -6,11 +6,11 @@
 //
 // Reliability comes from per-receiver ACKs; the cost is at least n
 // contention phases per message (paper §3), which is exactly the overhead
-// BMMM removes. BMW's one economy is the receive buffer: stations record
-// every data frame they overhear, and a polled receiver whose buffer
-// already holds the frame returns a CTS that suppresses the (re)
-// transmission, so in the collision-free case the data frame itself is
-// sent only once.
+// BMMM removes. BMW's one economy is the receive buffer: group members
+// record every data frame of their group they overhear, and a polled
+// receiver whose buffer already holds the frame returns a CTS that
+// suppresses the (re) transmission, so in the collision-free case the
+// data frame itself is sent only once.
 //
 // Faithfulness note: the published protocol tracks per-sender sequence
 // numbers and lets a CTS list several missing frames. Our simulated
@@ -57,8 +57,8 @@ type Multicaster struct {
 	checkAt  sim.Slot
 	attempts int
 
-	// recvBuf is the RECEIVE BUFFER: data frames this station holds,
-	// whether addressed to it or overheard.
+	// recvBuf is the RECEIVE BUFFER: data frames of groups this station
+	// belongs to, whether addressed to it or overheard.
 	recvBuf map[int64]bool
 }
 
@@ -169,13 +169,13 @@ func (m *Multicaster) retry(st *dcf.Station, env *sim.Env) *frames.Frame {
 }
 
 // OnDeliver implements dcf.Multicaster.
-func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame) {
+func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, rx sim.Rx) {
 	now := env.Now()
 	tm := st.Config().Timing
-	me := st.Addr()
+	addressed := rx&sim.RxAddressed != 0
 
 	// Sender side: responses from the currently polled target.
-	if m.req != nil && f.MsgID == m.req.ID && f.Dst == me &&
+	if m.req != nil && f.MsgID == m.req.ID && addressed &&
 		m.idx < len(m.targets) && f.Src == frames.Addr(m.targets[m.idx]) {
 		switch {
 		case f.Type == frames.CTS && m.st == waitCTS:
@@ -192,7 +192,7 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame) 
 	// Receiver side.
 	switch f.Type {
 	case frames.RTS:
-		if f.Group == nil || f.Dst != me || !st.CanRespond(f, now) {
+		if f.Group == nil || !addressed || !st.CanRespond(f, now) {
 			return
 		}
 		if m.recvBuf[f.MsgID] {
@@ -209,17 +209,19 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame) 
 			Duration: tm.Data + tm.Control, // DATA + ACK to come
 		})
 	case frames.Data:
-		if f.Group == nil {
+		if rx&sim.RxMember == 0 {
 			return
 		}
-		// Every station that decodes a BMW data frame caches it,
+		// Every group member that decodes a BMW data frame caches it,
 		// addressed or merely overheard — that is the whole point of the
-		// RECEIVE BUFFER.
+		// RECEIVE BUFFER. A station outside the group is never polled
+		// for the message, so caching it there could never suppress
+		// anything.
 		if m.recvBuf == nil {
 			m.recvBuf = make(map[int64]bool)
 		}
 		m.recvBuf[f.MsgID] = true
-		if f.Dst == me {
+		if addressed {
 			st.Respond(env, &frames.Frame{
 				Type: frames.ACK, Dst: f.Src, MsgID: f.MsgID,
 			})

@@ -59,7 +59,7 @@ func (p *Plain) SenderTick(st *Station, env *sim.Env) *frames.Frame {
 
 // OnDeliver implements Multicaster: plain multicast receivers take no
 // MAC-level action at all.
-func (p *Plain) OnDeliver(st *Station, env *sim.Env, f *frames.Frame) {}
+func (p *Plain) OnDeliver(st *Station, env *sim.Env, f *frames.Frame, rx sim.Rx) {}
 
 // NewPlain returns a sim.MAC factory for stations running standard
 // 802.11: DCF unicast plus the unreliable basic-access multicast.

@@ -34,11 +34,12 @@ type Multicaster interface {
 	// transmit (not mid-frame, no response due). It may return a frame
 	// to put on the air. Completion is signalled via st.FinishRequest.
 	SenderTick(st *Station, env *sim.Env) *frames.Frame
-	// OnDeliver is called for every frame the station decodes — sender
+	// OnDeliver is called for every frame the station decodes in a role
+	// (rx non-zero: addressed to it or naming it in the group) — sender
 	// and receiver roles alike — after the station's generic NAV and
-	// unicast processing. Receiver-side responses are scheduled through
-	// st.Respond.
-	OnDeliver(st *Station, env *sim.Env, f *frames.Frame)
+	// unicast processing. Overheard frames stop at the NAV and never
+	// reach it. Receiver-side responses are scheduled through st.Respond.
+	OnDeliver(st *Station, env *sim.Env, f *frames.Frame, rx sim.Rx)
 }
 
 // Station is the per-node composite MAC. It implements sim.MAC.
@@ -327,19 +328,13 @@ func nearReceiver(tp *topo.Topology, me geom.Point, a frames.Addr) bool {
 	return me.InRange(tp.Pos(int(a)), tp.Radius())
 }
 
-// Deliver implements sim.MAC.
-func (st *Station) Deliver(env *sim.Env, f *frames.Frame) {
+// Deliver implements sim.MAC. rx is the station's role in the frame,
+// computed by the engine.
+func (st *Station) Deliver(env *sim.Env, f *frames.Frame, rx sim.Rx) {
 	now := env.Now()
-	addressed := f.Dst == st.addr
-	inGroup := false
-	for _, a := range f.Group {
-		if a == st.addr {
-			inGroup = true
-			break
-		}
-	}
+	addressed := rx&sim.RxAddressed != 0
 	switch {
-	case addressed, f.Type == frames.Data && inGroup:
+	case addressed, f.Type == frames.Data && rx&sim.RxMember != 0:
 		// Frames directed at this station never raise its NAV. Note that
 		// being addressed does NOT by itself clear an existing foreign
 		// reservation: a station yielding to another exchange refuses to
@@ -348,6 +343,10 @@ func (st *Station) Deliver(env *sim.Env, f *frames.Frame) {
 		// Receiver's protocol (Figure 3): yield for the Duration carried
 		// in a frame not intended for this station.
 		st.nav.ObserveFor(f.MsgID, now, st.yieldDuration(env, f))
+	}
+	if rx == 0 {
+		// A pure overhear: the NAV is all it can change.
+		return
 	}
 
 	// Standard DCF unicast behaviour for non-group frames.
@@ -376,5 +375,5 @@ func (st *Station) Deliver(env *sim.Env, f *frames.Frame) {
 		}
 	}
 
-	st.mc.OnDeliver(st, env, f)
+	st.mc.OnDeliver(st, env, f, rx)
 }

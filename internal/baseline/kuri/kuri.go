@@ -135,13 +135,14 @@ func (m *Multicaster) retry(st *dcf.Station, env *sim.Env) *frames.Frame {
 }
 
 // OnDeliver implements dcf.Multicaster.
-func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame) {
+func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, rx sim.Rx) {
 	now := env.Now()
 	tm := st.Config().Timing
-	me := st.Addr()
+	addressed := rx&sim.RxAddressed != 0
+	member := rx&sim.RxMember != 0
 
 	// Sender side.
-	if m.req != nil && f.MsgID == m.req.ID && f.Dst == me {
+	if m.req != nil && f.MsgID == m.req.ID && addressed {
 		switch {
 		case f.Type == frames.CTS && m.st == waitCTS:
 			m.gotCTS = true
@@ -153,10 +154,10 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame) 
 	// Receiver side.
 	switch f.Type {
 	case frames.RTS:
-		if f.Group == nil || !inGroup(f.Group, me) {
+		if !member {
 			return
 		}
-		if f.Dst == me {
+		if addressed {
 			// Leader duties: answer the CTS (unless yielding to another
 			// exchange) and expect the data.
 			if m.rxSeen[f.MsgID] {
@@ -181,7 +182,7 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame) 
 			Type: frames.NAK, Dst: f.Src, MsgID: f.MsgID,
 		})
 	case frames.Data:
-		if f.Group == nil || !inGroup(f.Group, me) {
+		if !member {
 			return
 		}
 		if m.rxSeen == nil {
@@ -191,7 +192,7 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame) 
 		st.CancelResponses(func(p *frames.Frame) bool {
 			return p.Type == frames.NAK && p.MsgID == f.MsgID
 		})
-		if f.Group[0] == me {
+		if f.Group[0] == st.Addr() {
 			// The leader ACKs every correctly received data frame.
 			st.Respond(env, &frames.Frame{
 				Type: frames.ACK, Dst: f.Src, MsgID: f.MsgID,
@@ -201,13 +202,4 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame) 
 		// CTS/ACK/NAK reach the sender via its response bookkeeping;
 		// RAK and Beacon play no role in the leader-based scheme.
 	}
-}
-
-func inGroup(group []frames.Addr, a frames.Addr) bool {
-	for _, g := range group {
-		if g == a {
-			return true
-		}
-	}
-	return false
 }

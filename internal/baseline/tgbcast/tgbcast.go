@@ -160,13 +160,13 @@ func (m *Multicaster) retry(st *dcf.Station, env *sim.Env) *frames.Frame {
 
 // OnDeliver implements dcf.Multicaster: the receiver side of [19]/[20]
 // plus the sender's CTS/NAK collection.
-func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame) {
+func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, rx sim.Rx) {
 	now := env.Now()
 	tm := st.Config().Timing
-	me := st.Addr()
+	member := rx&sim.RxMember != 0
 
 	// Sender side: collect CTS and NAK for the message in service.
-	if m.req != nil && f.MsgID == m.req.ID && f.Dst == me {
+	if m.req != nil && f.MsgID == m.req.ID && rx&sim.RxAddressed != 0 {
 		switch {
 		case f.Type == frames.CTS && m.st == waitCTS:
 			m.gotCTS = true
@@ -178,7 +178,7 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame) 
 	// Receiver side.
 	switch f.Type {
 	case frames.RTS:
-		if f.Group == nil || !containsAddr(f.Group, me) {
+		if !member {
 			return
 		}
 		if m.rxSeen[f.MsgID] {
@@ -209,7 +209,7 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame) 
 			})
 		}
 	case frames.Data:
-		if f.Group == nil || !containsAddr(f.Group, me) {
+		if !member {
 			return
 		}
 		if m.rxSeen == nil {
@@ -225,13 +225,4 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame) 
 		// CTS/NAK are sender-side events (handled via responses), and
 		// ACK/RAK/Beacon play no role in the [19]/[20] exchanges.
 	}
-}
-
-func containsAddr(group []frames.Addr, a frames.Addr) bool {
-	for _, g := range group {
-		if g == a {
-			return true
-		}
-	}
-	return false
 }

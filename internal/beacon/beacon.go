@@ -146,7 +146,7 @@ func (s *Station) Tick(env *sim.Env) *frames.Frame {
 }
 
 // Deliver implements sim.MAC.
-func (s *Station) Deliver(env *sim.Env, f *frames.Frame) {
+func (s *Station) Deliver(env *sim.Env, f *frames.Frame, rx sim.Rx) {
 	if f.Type == frames.Beacon {
 		src := int(f.Src)
 		// The advertised position is the sender's location at transmit
@@ -155,7 +155,7 @@ func (s *Station) Deliver(env *sim.Env, f *frames.Frame) {
 		s.table.Observe(src, env.Topo().Pos(src), env.Now())
 		return // beacons are consumed by the discovery layer
 	}
-	s.inner.Deliver(env, f)
+	s.inner.Deliver(env, f, rx)
 }
 
 // Submit implements sim.MAC.

@@ -270,13 +270,13 @@ func (b *Batch) retry(st *dcf.Station, env *sim.Env) *frames.Frame {
 }
 
 // OnDeliver implements dcf.Multicaster.
-func (b *Batch) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame) {
+func (b *Batch) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, rx sim.Rx) {
 	now := env.Now()
 	tm := st.Config().Timing
-	me := st.Addr()
+	addressed := rx&sim.RxAddressed != 0
 
 	// Sender side: collect CTS during polling and ACK during raking.
-	if b.req != nil && f.MsgID == b.req.ID && f.Dst == me {
+	if b.req != nil && f.MsgID == b.req.ID && addressed {
 		switch {
 		case f.Type == frames.CTS && b.ph == polling:
 			b.anyCTS = true
@@ -288,7 +288,7 @@ func (b *Batch) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame) {
 	// Receiver side (Figure 3).
 	switch f.Type {
 	case frames.RTS:
-		if f.Group == nil || f.Dst != me || !st.CanRespond(f, now) {
+		if f.Group == nil || !addressed || !st.CanRespond(f, now) {
 			return
 		}
 		st.Respond(env, &frames.Frame{
@@ -296,7 +296,7 @@ func (b *Batch) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame) {
 			Duration: f.Duration - tm.Control,
 		})
 	case frames.Data:
-		if !containsAddr(f.Group, me) {
+		if rx&sim.RxMember == 0 {
 			return
 		}
 		if b.rxData == nil {
@@ -304,7 +304,7 @@ func (b *Batch) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame) {
 		}
 		b.rxData[f.MsgID] = true
 	case frames.RAK:
-		if f.Dst != me || !b.rxData[f.MsgID] || !st.CanRespond(f, now) {
+		if !addressed || !b.rxData[f.MsgID] || !st.CanRespond(f, now) {
 			return
 		}
 		st.Respond(env, &frames.Frame{
@@ -315,13 +315,4 @@ func (b *Batch) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame) {
 		// CTS/ACK are consumed by the sender's batch loop; NAK and
 		// Beacon play no role in the BMMM/LAMM exchange (Figure 3).
 	}
-}
-
-func containsAddr(group []frames.Addr, a frames.Addr) bool {
-	for _, g := range group {
-		if g == a {
-			return true
-		}
-	}
-	return false
 }

@@ -272,43 +272,66 @@ func (n *NAV) Until() sim.Slot { return n.until }
 // own first RTS reserved the medium past that point). Keying reservations
 // by exchange makes that distinction exact.
 type NAVTable struct {
-	ids    []int64
-	untils []sim.Slot
+	res []reservation
+}
+
+// reservation is one exchange's entry in a NAVTable.
+type reservation struct {
+	id    int64
+	until sim.Slot
 }
 
 // Observe records that the exchange msgID has reserved the medium through
 // the slot until (inclusive), extending any existing reservation.
 func (n *NAVTable) Observe(msgID int64, until sim.Slot) {
-	for i, id := range n.ids {
-		if id == msgID {
-			if until > n.untils[i] {
-				n.untils[i] = until
+	for i := range n.res {
+		if r := &n.res[i]; r.id == msgID {
+			if until > r.until {
+				r.until = until
 			}
 			return
 		}
 	}
-	n.ids = append(n.ids, msgID)
-	n.untils = append(n.untils, until)
+	n.res = append(n.res, reservation{msgID, until})
 }
 
 // ObserveFor records a reservation of duration slots following now.
-// Expired entries are pruned first; that is semantics-neutral — an entry
-// with until < now can never affect Yielding, YieldingToOther or Until
-// (all of which prune before answering) — and keeps the table from
-// growing one dead entry per overheard exchange between queries.
+// Expired entries are pruned in the same pass that looks for the
+// exchange; that is semantics-neutral — an entry with until < now can
+// never affect Yielding, YieldingToOther or Until (all of which prune
+// before answering) — and keeps the table from growing one dead entry
+// per overheard exchange between queries.
 func (n *NAVTable) ObserveFor(msgID int64, now sim.Slot, duration int) {
 	if duration <= 0 {
 		return
 	}
-	n.prune(now)
-	n.Observe(msgID, now+sim.Slot(duration))
+	until := now + sim.Slot(duration)
+	found := false
+	w := 0
+	for _, r := range n.res {
+		if r.until < now {
+			continue
+		}
+		if r.id == msgID {
+			found = true
+			if until > r.until {
+				r.until = until
+			}
+		}
+		n.res[w] = r
+		w++
+	}
+	n.res = n.res[:w]
+	if !found {
+		n.res = append(n.res, reservation{msgID, until})
+	}
 }
 
 // Yielding reports whether any reservation is active: the station's
 // virtual carrier sense for contention purposes.
 func (n *NAVTable) Yielding(now sim.Slot) bool {
 	n.prune(now)
-	return len(n.ids) > 0
+	return len(n.res) > 0
 }
 
 // YieldingToOther reports whether a reservation belonging to a different
@@ -316,8 +339,8 @@ func (n *NAVTable) Yielding(now sim.Slot) bool {
 // station invited to answer a frame of exchange msgID.
 func (n *NAVTable) YieldingToOther(msgID int64, now sim.Slot) bool {
 	n.prune(now)
-	for _, id := range n.ids {
-		if id != msgID {
+	for _, r := range n.res {
+		if r.id != msgID {
 			return true
 		}
 	}
@@ -328,32 +351,27 @@ func (n *NAVTable) YieldingToOther(msgID int64, now sim.Slot) bool {
 func (n *NAVTable) Until(now sim.Slot) sim.Slot {
 	n.prune(now)
 	max := now - 1
-	for _, u := range n.untils {
-		if u > max {
-			max = u
+	for _, r := range n.res {
+		if r.until > max {
+			max = r.until
 		}
 	}
 	return max
 }
 
 // Clear removes every reservation.
-func (n *NAVTable) Clear() {
-	n.ids = n.ids[:0]
-	n.untils = n.untils[:0]
-}
+func (n *NAVTable) Clear() { n.res = n.res[:0] }
 
 // prune drops expired reservations.
 func (n *NAVTable) prune(now sim.Slot) {
 	w := 0
-	for i := range n.ids {
-		if n.untils[i] >= now {
-			n.ids[w] = n.ids[i]
-			n.untils[w] = n.untils[i]
+	for _, r := range n.res {
+		if r.until >= now {
+			n.res[w] = r
 			w++
 		}
 	}
-	n.ids = n.ids[:w]
-	n.untils = n.untils[:w]
+	n.res = n.res[:w]
 }
 
 // Queue is the FIFO of pending service requests at a station's MAC.

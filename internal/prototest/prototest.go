@@ -193,7 +193,7 @@ func (j *Jammer) JamDataAt(t sim.Slot) *Jammer {
 func (j *Jammer) Tick(env *sim.Env) *frames.Frame { return j.sends[env.Now()] }
 
 // Deliver implements sim.MAC.
-func (j *Jammer) Deliver(env *sim.Env, f *frames.Frame) {}
+func (j *Jammer) Deliver(env *sim.Env, f *frames.Frame, rx sim.Rx) {}
 
 // Submit implements sim.MAC.
 func (j *Jammer) Submit(env *sim.Env, req *sim.Request) {}

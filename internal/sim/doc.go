@@ -18,7 +18,11 @@
 //     strongest (nearest) one survive.
 //
 // A frame is delivered to a receiver only if every slot of its airtime
-// was decodable there. Carrier sense is physical: a station senses the
+// was decodable there, together with the receiver's role in it (Rx):
+// addressed (Dst), a group member (Group), both or neither. The engine
+// computes the role once per frame; a frame with no role for the
+// receiver is a pure overhear, which by the Sleeper contract can only
+// touch the receiver's NAV and so never wakes a sleeping station. Carrier sense is physical: a station senses the
 // medium busy when a transmission that started in an *earlier* slot is
 // still in the air within its range. Transmissions starting in the same
 // slot are mutually invisible — the classic collision vulnerability
@@ -38,7 +42,9 @@
 // The engine carries several optimizations that change no output bit:
 //
 //   - idle-station scheduling: MACs implementing Sleeper are skipped
-//     while quiescent and resynchronised on wake (Wake/WakeExtend);
+//     while quiescent and resynchronised on wake (Wake/WakeExtend); the
+//     awake worklist is kept sorted incrementally (binary insert on
+//     wake, compaction as stations fall asleep) instead of rebuilt;
 //   - the event clock: Run jumps the slot counter straight to the next
 //     slot at which anything can happen — the earliest scheduled
 //     arrival (EventSource), wake obligation (crash/recover transition
@@ -55,7 +61,12 @@
 //
 // All of them are gated by Config.Reference, which forces the original
 // naive path; the equivalence tests drive both paths to identical
-// transcripts. Skipped idle spans draw nothing from the PRNG and are
+// transcripts. Two more serve both paths alike, each pinned by a
+// differential test against the naive computation it replaced: the
+// receiver roles (one group-marking pass per frame instead of a group
+// scan per receiver) and flat signal collection (a station's first
+// signal of the slot sits in a per-station array; its signal slices
+// are touched only from the second signal on). Skipped idle spans draw nothing from the PRNG and are
 // reported to each slot observer as one OnIdleSpan call, exactly
 // equivalent to the per-slot OnSlot(t, nil, false) calls of the
 // reference path.

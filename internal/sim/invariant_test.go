@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"relmac/internal/capture"
@@ -12,10 +13,15 @@ import (
 )
 
 // chaosMAC transmits random frames at random times, ignoring carrier
-// sense entirely — a stress generator for channel invariants.
+// sense entirely — a stress generator for channel invariants. Its frames
+// carry random destinations and groups (duplicates, BroadcastAddr,
+// NoAddr, IDs naming no station, nil and empty non-nil), and Deliver
+// checks the engine's receiver role against the naive definition.
 type chaosMAC struct {
-	rng  *rand.Rand
-	rate float64
+	t     *testing.T
+	rng   *rand.Rand
+	rate  float64
+	roles *[4]int // deliveries seen per Rx value, when non-nil
 }
 
 func (m *chaosMAC) Tick(env *Env) *frames.Frame {
@@ -27,13 +33,59 @@ func (m *chaosMAC) Tick(env *Env) *frames.Frame {
 		t = frames.Data
 	}
 	return &frames.Frame{
-		Type: t, Dst: frames.Addr(m.rng.Intn(20)),
+		Type: t, Dst: chaosAddr(m.rng), Group: chaosGroup(m.rng),
 		MsgID: int64(m.rng.Intn(50)), Duration: m.rng.Intn(10),
 	}
 }
 
-func (m *chaosMAC) Deliver(env *Env, f *frames.Frame) {}
-func (m *chaosMAC) Submit(env *Env, req *Request)     {}
+// chaosAddr draws a station ID, mostly among the first 20, sometimes one
+// that names no station.
+func chaosAddr(rng *rand.Rand) frames.Addr {
+	switch rng.Intn(10) {
+	case 0:
+		return frames.BroadcastAddr
+	case 1:
+		return frames.NoAddr
+	case 2:
+		return frames.Addr(20 + rng.Intn(20)) // beyond every chaos topology
+	default:
+		return frames.Addr(rng.Intn(20))
+	}
+}
+
+func chaosGroup(rng *rand.Rand) []frames.Addr {
+	switch rng.Intn(4) {
+	case 0:
+		return nil
+	case 1:
+		return []frames.Addr{}
+	}
+	g := make([]frames.Addr, 1+rng.Intn(8))
+	for i := range g {
+		g[i] = chaosAddr(rng)
+	}
+	return g
+}
+
+func (m *chaosMAC) Deliver(env *Env, f *frames.Frame, rx Rx) {
+	j := frames.Addr(env.Node())
+	var want Rx
+	if f.Dst == j {
+		want |= RxAddressed
+	}
+	if slices.Contains(f.Group, j) {
+		want |= RxMember
+	}
+	if rx != want {
+		m.t.Errorf("slot %d: station %d got rx %b for dst %v group %v, want %b",
+			env.Now(), j, rx, f.Dst, f.Group, want)
+	}
+	if m.roles != nil {
+		m.roles[rx]++
+	}
+}
+
+func (m *chaosMAC) Submit(env *Env, req *Request) {}
 
 // invariantTracer checks, for every delivery, that the frame was really
 // transmitted by an in-range station and that its airtime elapsed.
@@ -86,7 +138,7 @@ func TestChannelInvariantsUnderChaos(t *testing.T) {
 	}
 	e := New(Config{Topo: tp, Tracer: tr, Seed: 5, Capture: capture.ZorziRao{}})
 	for i := 0; i < tp.N(); i++ {
-		e.SetMAC(i, &chaosMAC{rng: rand.New(rand.NewSource(int64(i))), rate: 0.2})
+		e.SetMAC(i, &chaosMAC{t: t, rng: rand.New(rand.NewSource(int64(i))), rate: 0.2})
 	}
 	e.Run(2000, nil)
 	if len(tr.start) == 0 {
@@ -113,7 +165,7 @@ func TestEveryNeighborAccountedFor(t *testing.T) {
 	}
 	e := New(Config{Topo: tp, Tracer: tr, Seed: 9})
 	for i := 0; i < tp.N(); i++ {
-		e.SetMAC(i, &chaosMAC{rng: rand.New(rand.NewSource(100 + int64(i))), rate: 0.15})
+		e.SetMAC(i, &chaosMAC{t: t, rng: rand.New(rand.NewSource(100 + int64(i))), rate: 0.15})
 	}
 	e.Run(1500, nil)
 	if len(senders) == 0 {
@@ -156,7 +208,7 @@ func TestChaosDeterminism(t *testing.T) {
 		}
 		e := New(Config{Topo: tp, Tracer: tr, Seed: 77, Capture: capture.ZorziRao{}, ErrRate: 0.05})
 		for i := 0; i < tp.N(); i++ {
-			e.SetMAC(i, &chaosMAC{rng: rand.New(rand.NewSource(7 + int64(i))), rate: 0.25})
+			e.SetMAC(i, &chaosMAC{t: t, rng: rand.New(rand.NewSource(7 + int64(i))), rate: 0.25})
 		}
 		e.Run(800, nil)
 		return fmt.Sprint(log)

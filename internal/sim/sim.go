@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"relmac/internal/capture"
 	"relmac/internal/frames"
@@ -96,6 +97,21 @@ func (r AbortReason) String() string {
 	}
 }
 
+// Rx is a receiver's role in a frame it decoded, computed by the engine
+// once per frame and handed to MAC.Deliver. Every station in range
+// decodes every clean frame (the paper's model); the role says whether
+// the frame concerns it. A zero Rx is a pure overhear: the receiver's
+// protocol (Figure 3) only sets its NAV.
+type Rx uint8
+
+// Receiver roles; a frame may carry both.
+const (
+	// RxAddressed: the frame's Dst is the receiving station.
+	RxAddressed Rx = 1 << iota
+	// RxMember: the receiving station is listed in the frame's Group.
+	RxMember
+)
+
 // MAC is a per-station protocol state machine. The engine drives it with
 // one Tick per slot and delivers successfully decoded frames.
 type MAC interface {
@@ -106,8 +122,8 @@ type MAC interface {
 	// implementation bug).
 	Tick(env *Env) *frames.Frame
 	// Deliver is invoked at the end of the slot in which the station
-	// successfully decoded the frame.
-	Deliver(env *Env, f *frames.Frame)
+	// successfully decoded the frame, with the station's role in it.
+	Deliver(env *Env, f *frames.Frame, rx Rx)
 	// Submit hands a new service request to the MAC.
 	Submit(env *Env, req *Request)
 }
@@ -123,9 +139,13 @@ type MAC interface {
 // or WakeExtend.
 //
 // The engine wakes a sleeping station when a request is submitted to it,
-// when it decodes a frame, and at each of its crash/recover transitions
-// (CrashScheduler); everything else that can change MAC state flows
-// through those entry points.
+// when it decodes a frame addressed to it or naming it in the group, and
+// at each of its crash/recover transitions (CrashScheduler); everything
+// else that can change MAC state flows through those entry points.
+//
+// An overheard frame (Rx zero) never ends quiescence: it may only
+// extend the station's NAV, which is a pure function of the current slot
+// when next consulted, so the engine does not ask Quiescent after one.
 type Sleeper interface {
 	// Quiescent reports whether the MAC has no pending work at or after
 	// the given slot: nothing in service, nothing queued, no response
@@ -211,8 +231,9 @@ type Observer interface {
 	OnContention(req *Request, now Slot)
 	// OnFrameTx fires when a frame transmission starts.
 	OnFrameTx(f *frames.Frame, sender int, now Slot)
-	// OnDataRx fires when an intended receiver decodes the DATA frame of
-	// the given message.
+	// OnDataRx fires when any in-range station decodes the DATA frame of
+	// the given message, intended receiver or mere overhearer alike; an
+	// observer that counts deliveries filters by the request's Dests.
 	OnDataRx(msgID int64, receiver int, now Slot)
 	// OnRound fires when a multi-round group protocol (BMMM/LAMM batch
 	// rounds, BMW per-receiver rounds) finishes one round, with the
@@ -371,11 +392,21 @@ type Engine struct {
 	// occupies, or a past slot when idle.
 	txBusyUntil []Slot
 
-	// scratch buffers reused every slot.
-	sigTx   [][]int32 // per station: row indices into the tx table
-	sigRx   [][]int32 // per station: receiver index within that row
-	dists   []float64
-	touched []int // stations with ≥1 signal this slot
+	// Per-slot signal collection. sigFirst[j] counts station j's signals
+	// this slot and holds the first one flat; the per-station slices are
+	// touched only once a second signal arrives, and then hold them all
+	// in arrival order (tx row, receiver index within that row).
+	sigFirst []firstSig
+	sigTx    [][]int32
+	sigRx    [][]int32
+	dists    []float64
+	touched  []int // stations with ≥1 signal this slot
+
+	// Receiver roles: completeSlot stamps each member of a completing
+	// frame's Group with a fresh groupGen, so membership is one array
+	// read per receiver (see rxRole).
+	groupMark []uint64
+	groupGen  uint64
 
 	// airScratch is the reused airing list handed to the slot observer;
 	// slotCollided records whether resolveSlot saw a ≥2-signal overlap at
@@ -409,11 +440,11 @@ type Engine struct {
 	asleep   []bool
 	resync   []bool
 	sleptAt  []Slot
-	// awake is the tick loop's worklist: the station IDs that were awake
-	// at the last rebuild, in ascending ID order. Stations that fell
-	// asleep since linger until the next rebuild and are filtered by the
-	// asleep check; awakeDirty forces a rebuild whenever a station wakes
-	// or the MAC set changes, so no awake station is ever missed.
+	// awake is the tick loop's worklist: exactly the awake stations with
+	// a MAC, in ascending ID order. wake binary-inserts into it and the
+	// tick loop compacts out stations as they fall asleep; awakeDirty
+	// forces an O(stations) rebuild only when the MAC set changes
+	// (SetMAC), and wake leaves a dirty list to that rebuild.
 	awake      []int
 	awakeDirty bool
 	// numAttached counts non-nil MACs, numAsleep the currently sleeping
@@ -480,8 +511,10 @@ func New(cfg Config) *Engine {
 		macs:        make([]MAC, n),
 		envs:        make([]Env, n),
 		txBusyUntil: make([]Slot, n),
+		sigFirst:    make([]firstSig, n),
 		sigTx:       make([][]int32, n),
 		sigRx:       make([][]int32, n),
+		groupMark:   make([]uint64, n),
 		busyStamp:   make([]Slot, n),
 		prevBusy:    make([]Slot, n),
 		sleepers:    make([]Sleeper, n),
@@ -688,10 +721,11 @@ func (e *Engine) step(src Source) {
 	// 2. Tick every MAC; collect new transmissions. Carrier sense views
 	// only transmissions started in earlier slots, which are exactly the
 	// ones already in the tx table. Sleeping stations are skipped
-	// wholesale; the awake worklist is built — and stale entries
-	// filtered — in station-ID order, so the surviving ticks — and with
-	// them every PRNG draw — happen in exactly the order the naive loop
-	// produces.
+	// wholesale: the awake worklist is kept in station-ID order, so the
+	// surviving ticks — and with them every PRNG draw — happen in exactly
+	// the order the naive loop produces. A station that falls asleep is
+	// compacted out as the loop passes it, so the list never holds a
+	// sleeper.
 	e.enter(PhaseMacTick)
 	if e.awakeDirty {
 		e.awakeDirty = false
@@ -702,10 +736,10 @@ func (e *Engine) step(src Source) {
 			}
 		}
 	}
+	w := 0
 	for _, i := range e.awake {
-		if e.asleep[i] {
-			continue
-		}
+		e.awake[w] = i
+		w++
 		m := e.macs[i]
 		// History restore runs before the crash check: a station woken
 		// at its up→down transition must resynchronise now, while every
@@ -742,6 +776,7 @@ func (e *Engine) step(src Source) {
 				e.asleep[i] = true
 				e.numAsleep++
 				e.sleptAt[i] = now
+				w--
 				if e.crashSched != nil {
 					if t, ok := e.crashSched.NextCrashChange(i, now); ok && e.nextWake[i] != t {
 						e.pushWake(t, i)
@@ -756,6 +791,7 @@ func (e *Engine) step(src Source) {
 		}
 		e.startTx(i, f)
 	}
+	e.awake = e.awake[:w]
 
 	// 3. Per-slot interference resolution.
 	e.enter(PhaseResolve)
@@ -785,7 +821,11 @@ func (e *Engine) wake(i int) {
 		e.asleep[i] = false
 		e.numAsleep--
 		e.resync[i] = true
-		e.awakeDirty = true
+		if !e.awakeDirty {
+			// A sleeper is never in the list, so i goes in as new.
+			k, _ := slices.BinarySearch(e.awake, i)
+			e.awake = slices.Insert(e.awake, k, i)
+		}
 	}
 }
 
@@ -889,7 +929,15 @@ func (e *Engine) startTx(sender int, f *frames.Frame) {
 	}
 }
 
+// firstSig is a station's signal count for the current slot and the
+// first signal it collected: tx row and receiver index within that row.
+type firstSig struct {
+	n, tx, ri int32
+}
+
 // resolveSlot marks corruption for all signals overlapping this slot.
+// A lone signal — the common case — lives only in sigFirst; from the
+// second one on the station's signals are gathered in sigTx/sigRx.
 func (e *Engine) resolveSlot() {
 	now := e.now
 	e.slotCollided = false
@@ -899,11 +947,19 @@ func (e *Engine) resolveSlot() {
 			continue
 		}
 		for ri, j := range e.txRecv[ti] {
-			if len(e.sigTx[j]) == 0 {
+			s := &e.sigFirst[j]
+			switch s.n {
+			case 0:
 				touchedNodes = append(touchedNodes, j)
+				s.tx, s.ri = int32(ti), int32(ri)
+			case 1:
+				e.sigTx[j] = append(e.sigTx[j][:0], s.tx, int32(ti))
+				e.sigRx[j] = append(e.sigRx[j][:0], s.ri, int32(ri))
+			default:
+				e.sigTx[j] = append(e.sigTx[j], int32(ti))
+				e.sigRx[j] = append(e.sigRx[j], int32(ri))
 			}
-			e.sigTx[j] = append(e.sigTx[j], int32(ti))
-			e.sigRx[j] = append(e.sigRx[j], int32(ri))
+			s.n++
 		}
 	}
 	for _, j := range touchedNodes {
@@ -915,54 +971,53 @@ func (e *Engine) resolveSlot() {
 }
 
 // resolveStation resolves the signal set collected for station j this
-// slot, marking corruption in the tx table and clearing the station's
-// signal scratch. The capture draw, when one is needed, comes from the
+// slot, marking corruption in the tx table and resetting the station's
+// signal count. The capture draw, when one is needed, comes from the
 // engine stream. Returns whether ≥2 signals overlapped (the slot
 // observer's collision flag).
 func (e *Engine) resolveStation(j int) bool {
-	now := e.now
-	sigs := e.sigTx[j]
-	collided := false
-	switch {
-	case e.txBusyUntil[j] >= now:
-		// Half duplex: a transmitting station decodes nothing. Two or
-		// more arrivals still count as a physical signal overlap for
-		// the slot observer's collision flag.
-		if len(sigs) > 1 {
-			collided = true
+	s := &e.sigFirst[j]
+	n := s.n
+	s.n = 0
+	if n == 1 {
+		if e.txBusyUntil[j] >= e.now {
+			// Half duplex: a transmitting station decodes nothing.
+			e.txCorrupt[s.tx][s.ri] = true
 		}
+		// Otherwise a clean slot for this frame at this receiver.
+		return false
+	}
+	sigs, rxs := e.sigTx[j], e.sigRx[j]
+	if e.txBusyUntil[j] >= e.now {
+		// Half duplex; the overlap still counts as a physical collision
+		// for the slot observer's flag.
 		for k, ti := range sigs {
-			e.txCorrupt[ti][e.sigRx[j][k]] = true
+			e.txCorrupt[ti][rxs[k]] = true
 		}
-	case len(sigs) == 1:
-		// Clean slot for this frame at this receiver.
-	default:
-		collided = true
-		// Collision: ask the capture model which signal survives.
-		// Distances come from the table captured at transmission
-		// start; Dist is symmetric (math.Hypot of the same deltas),
-		// so txNDists[ti][ri] is bit-for-bit the e.topo.Dist(j,
-		// sender) the naive path computes. The live query remains for
-		// transmissions launched under a topology since swapped out.
-		d := e.dists[:0]
-		for k, ti := range sigs {
-			if nd := e.txNDists[ti]; nd != nil && e.txTopoGen[ti] == e.topoGen {
-				d = append(d, nd[e.sigRx[j][k]])
-			} else {
-				d = append(d, e.topo.Dist(j, int(e.txSender[ti])))
-			}
-		}
-		e.dists = d
-		win := e.capture.Resolve(d, e.rng.Float64())
-		for k, ti := range sigs {
-			if k != win {
-				e.txCorrupt[ti][e.sigRx[j][k]] = true
-			}
+		return true
+	}
+	// Collision: ask the capture model which signal survives. Distances
+	// come from the table captured at transmission start; Dist is
+	// symmetric (math.Hypot of the same deltas), so txNDists[ti][ri] is
+	// bit-for-bit the e.topo.Dist(j, sender) the naive path computes. The
+	// live query remains for transmissions launched under a topology
+	// since swapped out.
+	d := e.dists[:0]
+	for k, ti := range sigs {
+		if nd := e.txNDists[ti]; nd != nil && e.txTopoGen[ti] == e.topoGen {
+			d = append(d, nd[rxs[k]])
+		} else {
+			d = append(d, e.topo.Dist(j, int(e.txSender[ti])))
 		}
 	}
-	e.sigTx[j] = sigs[:0]
-	e.sigRx[j] = e.sigRx[j][:0]
-	return collided
+	e.dists = d
+	win := e.capture.Resolve(d, e.rng.Float64())
+	for k, ti := range sigs {
+		if k != win {
+			e.txCorrupt[ti][rxs[k]] = true
+		}
+	}
+	return true
 }
 
 // emitSlot hands the slot observers the channel state of the current
@@ -1018,6 +1073,7 @@ func (e *Engine) completeSlot() {
 		f := e.txFrame[r]
 		sender := int(e.txSender[r])
 		cor := e.txCorrupt[r]
+		e.markGroup(f)
 		for ri, j := range e.txRecv[r] {
 			lost := cor[ri]
 			if !lost && e.imp != nil {
@@ -1048,12 +1104,13 @@ func (e *Engine) completeSlot() {
 				}
 			}
 			if m := e.macs[j]; m != nil {
-				m.Deliver(&e.envs[j], f)
+				rx := e.rxRole(f, j)
+				m.Deliver(&e.envs[j], f, rx)
 				// A sleeping receiver stays asleep unless the frame left
 				// it something to do — a scheduled response, typically.
-				// NAV-only overhears keep it in bed: the NAV is a pure
-				// function of the current slot when next consulted.
-				if e.asleep[j] && !e.sleepers[j].Quiescent(now+1) {
+				// Overheard frames (rx == 0) only touch the NAV, which
+				// never ends quiescence (see Sleeper).
+				if rx != 0 && e.asleep[j] && !e.sleepers[j].Quiescent(now+1) {
 					e.wake(j)
 				}
 			}
@@ -1067,6 +1124,33 @@ func (e *Engine) completeSlot() {
 		e.txNDists[r] = nil
 	}
 	e.txN = w
+}
+
+// markGroup stamps every station listed in f.Group with a fresh
+// generation, so rxRole answers membership with one array read:
+// O(|group|) per frame instead of a group scan per receiver. Addresses
+// that name no station (BroadcastAddr, NoAddr, out of range) are
+// skipped.
+func (e *Engine) markGroup(f *frames.Frame) {
+	e.groupGen++
+	for _, a := range f.Group {
+		if a >= 0 && int(a) < len(e.groupMark) {
+			e.groupMark[a] = e.groupGen
+		}
+	}
+}
+
+// rxRole returns station j's role in f, the frame markGroup last
+// stamped.
+func (e *Engine) rxRole(f *frames.Frame, j int) Rx {
+	var rx Rx
+	if f.Dst == frames.Addr(j) {
+		rx = RxAddressed
+	}
+	if e.groupMark[j] == e.groupGen {
+		rx |= RxMember
+	}
+	return rx
 }
 
 // computeBusy stamps the current slot onto the neighbors of every

@@ -34,7 +34,7 @@ func (m *scriptMAC) Tick(env *Env) *frames.Frame {
 	return m.sends[env.Now()]
 }
 
-func (m *scriptMAC) Deliver(env *Env, f *frames.Frame) {
+func (m *scriptMAC) Deliver(env *Env, f *frames.Frame, rx Rx) {
 	m.received = append(m.received, fmt.Sprintf("%d:%s %s→%s", env.Now(), f.Type, f.Src, f.Dst))
 }
 

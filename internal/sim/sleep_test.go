@@ -28,8 +28,8 @@ func (m *sleepyMAC) Tick(env *Env) *frames.Frame {
 	m.ticked = append(m.ticked, env.Now())
 	return nil
 }
-func (m *sleepyMAC) Deliver(env *Env, f *frames.Frame) { m.delivered++ }
-func (m *sleepyMAC) Submit(env *Env, req *Request)     {}
+func (m *sleepyMAC) Deliver(env *Env, f *frames.Frame, rx Rx) { m.delivered++ }
+func (m *sleepyMAC) Submit(env *Env, req *Request)            {}
 func (m *sleepyMAC) Quiescent(after Slot) bool {
 	if m.wakeOnDeliver && m.delivered > 0 {
 		return false
