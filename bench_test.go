@@ -17,17 +17,12 @@ import (
 
 	"relmac/internal/analysis"
 	"relmac/internal/capture"
-	"relmac/internal/core"
 	"relmac/internal/experiments"
 	"relmac/internal/geom"
-	"relmac/internal/mac"
 	"relmac/internal/metrics"
-	"relmac/internal/mobility"
 	"relmac/internal/obs"
 	"relmac/internal/report"
 	"relmac/internal/sim"
-	"relmac/internal/topo"
-	"relmac/internal/traffic"
 )
 
 // benchOpts is the reduced-fidelity configuration for figure benches.
@@ -391,19 +386,14 @@ func BenchmarkAblationLocationError(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var rate, deliv float64
 			for i := 0; i < b.N; i++ {
-				seed := int64(i)
-				cfg := experiments.Defaults(experiments.LAMM, seed)
+				cfg := experiments.Defaults(experiments.LAMM, int64(i))
 				cfg.Slots = 2000
-				factory := core.NewLAMMNoisy(cfg.MAC, tc.sigma, seed+999)
-				rng := rand.New(rand.NewSource(seed))
-				tp := topo.Uniform(cfg.Nodes, cfg.Radius, rng)
-				col := metrics.NewCollector()
-				eng := sim.New(sim.Config{Topo: tp, Capture: capture.ZorziRao{},
-					Seed: seed * 31, Observers: []sim.Observer{col}})
-				eng.AttachMACs(factory)
-				gen := traffic.NewGenerator(tp, rng)
-				eng.Run(cfg.Slots, gen)
-				s := col.Summarize(0.9, metrics.GroupFilter(sim.Slot(cfg.Slots)))
+				cfg.Fault.LocNoise = tc.sigma
+				res, err := experiments.Run(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				s := res.Summary
 				rate += s.SuccessRate
 				deliv += s.MeanDeliveredFraction
 			}
@@ -428,20 +418,14 @@ func BenchmarkAblationMobility(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var rate float64
 			for i := 0; i < b.N; i++ {
-				seed := int64(i)
-				rng := rand.New(rand.NewSource(seed))
-				model := mobility.NewWaypoint(100, tc.speed, tc.speed, 0, rng)
-				d := &mobility.Driver{Model: model, Radius: 0.2, BeaconEvery: 50}
-				tp := topo.FromPoints(model.Positions(), 0.2)
-				gen := traffic.NewGenerator(tp, rng)
-				d.OnRefresh = func(newTp *topo.Topology) { gen.Topo = newTp }
-				col := metrics.NewCollector()
-				eng := sim.New(sim.Config{Topo: tp, Observers: []sim.Observer{col}, Seed: seed,
-					Capture: capture.ZorziRao{}, SlotHook: d.Hook()})
-				eng.AttachMACs(core.NewLAMM(mac.DefaultConfig()))
-				eng.Run(2000, gen)
-				s := col.Summarize(0.9, metrics.GroupFilter(2000))
-				rate += s.SuccessRate
+				cfg := experiments.Defaults(experiments.LAMM, int64(i))
+				cfg.Slots = 2000
+				cfg.Speed = tc.speed
+				res, err := experiments.Run(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rate += res.Summary.SuccessRate
 			}
 			b.ReportMetric(rate/float64(b.N), "delivery")
 		})

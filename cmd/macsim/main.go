@@ -36,16 +36,12 @@ import (
 	"relmac/internal/chart"
 	"relmac/internal/experiments"
 	"relmac/internal/fault"
-	"relmac/internal/mac"
 	"relmac/internal/metrics"
 	"relmac/internal/obs"
 	"relmac/internal/prof"
 	"relmac/internal/report"
 	"relmac/internal/sim"
-	"relmac/internal/topo"
-	"relmac/internal/traffic"
 
-	mrand "math/rand"
 	_ "net/http/pprof"
 )
 
@@ -148,7 +144,20 @@ func main() {
 	}
 
 	if *chartSlots > 0 {
-		renderChart(protos[0], *nodes, *radius, *rate, *timeout, capModel, *seed, *chartSlots)
+		// One run of the first protocol, cut at the charted horizon, with
+		// the occupancy chart as the engine's tracer.
+		cfg := runCfg(protos[0], *seed)
+		cfg.Slots = *chartSlots
+		ch := chart.New(cfg.Nodes, 0, sim.Slot(*chartSlots-1))
+		ch.ShowLosses = true
+		cfg.Tracer = ch
+		if _, err := experiments.Run(cfg); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		fmt.Printf("%s on %d stations, first %d slots:\n\n", protos[0], cfg.Nodes, *chartSlots)
+		ch.Render(os.Stdout)
+		fmt.Println("\n" + chart.Legend())
 		return
 	}
 
@@ -552,28 +561,4 @@ func writeTrace(path string, tr *obs.Tracer) error {
 		err = cerr
 	}
 	return err
-}
-
-// renderChart runs one simulation with the channel-occupancy tracer and
-// prints the diagram of the first chartSlots slots.
-func renderChart(p experiments.Protocol, nodes int, radius, rate float64,
-	timeout int, capModel capture.Model, seed int64, chartSlots int) {
-	factory, err := experiments.Factory(p, mac.DefaultConfig())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	rng := mrand.New(mrand.NewSource(seed))
-	tp := topo.Uniform(nodes, radius, rng)
-	ch := chart.New(tp.N(), 0, sim.Slot(chartSlots-1))
-	ch.ShowLosses = true
-	eng := sim.New(sim.Config{Topo: tp, Capture: capModel, Seed: seed, Tracer: ch})
-	eng.AttachMACs(factory)
-	gen := traffic.NewGenerator(tp, rng)
-	gen.Rate = rate
-	gen.Timeout = timeout
-	eng.Run(chartSlots, gen)
-	fmt.Printf("%s on %d stations, first %d slots:\n\n", p, tp.N(), chartSlots)
-	ch.Render(os.Stdout)
-	fmt.Println("\n" + chart.Legend())
 }

@@ -56,7 +56,7 @@ func TestReliableProtocolsCompleteHonestly(t *testing.T) {
 
 // LAMM may complete without explicit ACKs from covered receivers, but
 // under a collision-only channel the covered receivers still hold the
-// data (Theorem 3) — with no jamming and no ErrRate, completed LAMM
+// data (Theorem 3) — with no jamming and no frame loss, completed LAMM
 // messages must be fully delivered too.
 func TestLAMMTheorem3HoldsOnCollisionOnlyChannel(t *testing.T) {
 	res := runShort(t, experiments.LAMM, 13, func(cfg *experiments.RunConfig) {
@@ -108,7 +108,7 @@ func TestUnreliableProtocolsOverreport(t *testing.T) {
 func TestErasureInjection(t *testing.T) {
 	for _, p := range []experiments.Protocol{experiments.BMW, experiments.BMMM} {
 		res := runShort(t, p, 19, func(cfg *experiments.RunConfig) {
-			cfg.ErrRate = 0.05
+			cfg.Fault.PER = 0.05
 		})
 		for _, rec := range res.Collector.Records() {
 			if rec.Kind == sim.Unicast || !rec.Completed {

@@ -235,9 +235,6 @@ func (st *Station) StartContention(env *sim.Env) {
 	}
 }
 
-// ContentionActive reports whether a contention phase is in progress.
-func (st *Station) ContentionActive() bool { return st.backoff.Active() }
-
 // ContentionTick advances the backoff machine with the station's combined
 // carrier sense and returns true when the station is cleared to transmit
 // in this slot.

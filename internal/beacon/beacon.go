@@ -121,9 +121,6 @@ func Wrap(inner sim.MAC, node, period int) *Station {
 // Table exposes the discovered neighbor table.
 func (s *Station) Table() *NeighborTable { return s.table }
 
-// Inner returns the wrapped MAC.
-func (s *Station) Inner() sim.MAC { return s.inner }
-
 // Tick implements sim.MAC.
 func (s *Station) Tick(env *sim.Env) *frames.Frame {
 	if env.CarrierBusy() {

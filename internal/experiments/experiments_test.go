@@ -70,8 +70,8 @@ func TestRunRejectsBadRunConfig(t *testing.T) {
 		{"rate-above-one", "Rate", func(c *RunConfig) { c.Rate = 2 }},
 		{"negative-rate", "Rate", func(c *RunConfig) { c.Rate = -0.1 }},
 		{"nan-rate", "Rate", func(c *RunConfig) { c.Rate = math.NaN() }},
-		{"errrate-above-one", "ErrRate", func(c *RunConfig) { c.ErrRate = 1.5 }},
-		{"negative-errrate", "ErrRate", func(c *RunConfig) { c.ErrRate = -1 }},
+		{"negative-speed", "Speed", func(c *RunConfig) { c.Speed = -0.001 }},
+		{"nan-speed", "Speed", func(c *RunConfig) { c.Speed = math.NaN() }},
 		{"negative-slots", "Slots", func(c *RunConfig) { c.Slots = -1 }},
 	}
 	for _, tc := range cases {
@@ -89,12 +89,13 @@ func TestRunRejectsBadRunConfig(t *testing.T) {
 		})
 	}
 	// The boundaries stay valid: a build-only run (Slots 0), a single
-	// station, and the probability endpoints.
+	// station, the rate endpoints and a moving run.
 	for _, edit := range []func(*RunConfig){
 		func(c *RunConfig) { c.Slots = 0 },
 		func(c *RunConfig) { c.Nodes = 1 },
-		func(c *RunConfig) { c.Rate, c.ErrRate = 1, 1 },
-		func(c *RunConfig) { c.Rate, c.ErrRate = 0, 0 },
+		func(c *RunConfig) { c.Rate = 1 },
+		func(c *RunConfig) { c.Rate = 0 },
+		func(c *RunConfig) { c.Speed = 0.004 },
 	} {
 		cfg := Defaults(BMMM, 1)
 		cfg.Slots = 10

@@ -144,6 +144,7 @@ func TestFaultCrashReducesDelivery(t *testing.T) {
 func TestRunRejectsBadFaultConfig(t *testing.T) {
 	for _, fc := range []fault.Config{
 		{PER: 1.5},
+		{PER: -1},
 		{Crash: fault.Crash{MTTF: 1000}}, // no MTTR
 	} {
 		cfg := Defaults(BMMM, 1)

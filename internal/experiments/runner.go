@@ -28,6 +28,7 @@ import (
 	"relmac/internal/fault"
 	"relmac/internal/mac"
 	"relmac/internal/metrics"
+	"relmac/internal/mobility"
 	"relmac/internal/sim"
 	"relmac/internal/topo"
 	"relmac/internal/traffic"
@@ -94,9 +95,10 @@ type RunConfig struct {
 	Mix       traffic.Mix
 	Threshold float64
 	Capture   capture.Model
-	// ErrRate is the per-frame, per-receiver erasure probability injected
-	// into the channel (0 in the paper's collision-only setup).
-	ErrRate float64
+	// Speed, when positive, moves the stations by random waypoint at
+	// this speed (unit-square units per slot), refreshing the topology
+	// every beaconEvery slots. Zero keeps the paper's static placement.
+	Speed float64
 	// Fault configures the impairment subsystem (internal/fault): i.i.d.
 	// packet error rate, Gilbert–Elliott bursty links, node crashes and
 	// LAMM location noise. The zero value is a true no-op — results are
@@ -172,6 +174,11 @@ type RunResult struct {
 	Fault *fault.Injector
 }
 
+// beaconEvery is the topology refresh period, in slots, of a mobile run
+// (RunConfig.Speed > 0): each station's neighbour view is rebuilt from
+// the current positions once per beacon period.
+const beaconEvery = 50
+
 // faultSeed derives the impairment seed from the run seed; a distinct
 // mixing constant keeps it decoupled from both the topology and traffic
 // stream (cfg.Seed itself) and the channel RNG (cfg.Seed ^ 0x1e37…).
@@ -206,8 +213,8 @@ func faultFactory(cfg *RunConfig, fseed int64) (func(node int, env *sim.Env) sim
 
 // Validate reports the first run parameter that no simulation can be
 // built from: fewer than one station, a radius that is not positive
-// (NaN included), a per-slot generation rate or erasure probability
-// outside [0,1], or a negative horizon. Slots == 0 is valid: it builds
+// (NaN included), a per-slot generation rate outside [0,1], a negative
+// (or NaN) speed, or a negative horizon. Slots == 0 is valid: it builds
 // the run without simulating a slot.
 func (c RunConfig) Validate() error {
 	switch {
@@ -217,8 +224,8 @@ func (c RunConfig) Validate() error {
 		return fmt.Errorf("experiments: Radius %v, need > 0", c.Radius)
 	case !(c.Rate >= 0 && c.Rate <= 1):
 		return fmt.Errorf("experiments: Rate %v outside [0,1]", c.Rate)
-	case !(c.ErrRate >= 0 && c.ErrRate <= 1):
-		return fmt.Errorf("experiments: ErrRate %v outside [0,1]", c.ErrRate)
+	case !(c.Speed >= 0):
+		return fmt.Errorf("experiments: Speed %v, need >= 0", c.Speed)
 	case c.Slots < 0:
 		return fmt.Errorf("experiments: negative Slots %d", c.Slots)
 	}
@@ -240,7 +247,31 @@ func Run(cfg RunConfig) (RunResult, error) {
 		return RunResult{}, err
 	}
 	rng := mrand.New(mrand.NewSource(cfg.Seed))
-	tp := topo.Uniform(cfg.Nodes, cfg.Radius, rng)
+	var model *mobility.Waypoint
+	var tp *topo.Topology
+	if cfg.Speed > 0 {
+		model = mobility.NewWaypoint(cfg.Nodes, cfg.Speed, cfg.Speed, 0, rng)
+		tp = topo.FromPoints(model.Positions(), cfg.Radius)
+	} else {
+		tp = topo.Uniform(cfg.Nodes, cfg.Radius, rng)
+	}
+	// The seed stream, continued past the node placement, is the
+	// traffic stream: nothing else draws from it, so every protocol at
+	// this seed faces the same arrivals (see seedFor). A waypoint model
+	// keeps drawing from it as nodes move, but its draws depend only on
+	// the slot, so the interleaving is the same for every protocol too.
+	gen := traffic.NewGenerator(tp, rng)
+	gen.Rate = cfg.Rate
+	gen.Mix = cfg.Mix
+	gen.Timeout = cfg.Timeout
+	var hook func(sim.Slot, *sim.Engine)
+	if model != nil {
+		driver := &mobility.Driver{
+			Model: model, Radius: cfg.Radius, BeaconEvery: beaconEvery,
+			OnRefresh: func(newTp *topo.Topology) { gen.Topo = newTp },
+		}
+		hook = driver.Hook()
+	}
 	col := metrics.NewCollector()
 	var imp sim.Impairment
 	if inj != nil {
@@ -249,7 +280,6 @@ func Run(cfg RunConfig) (RunResult, error) {
 	eng := sim.New(sim.Config{
 		Topo:          tp,
 		Capture:       cfg.Capture,
-		ErrRate:       cfg.ErrRate,
 		Impairment:    imp,
 		Seed:          cfg.Seed ^ 0x1e3779b97f4a7c15, // decouple channel RNG from topology
 		Observers:     append([]sim.Observer{col}, cfg.Observers...),
@@ -258,15 +288,9 @@ func Run(cfg RunConfig) (RunResult, error) {
 		Tracer:        cfg.Tracer,
 		Reference:     cfg.Reference,
 		Profiler:      cfg.Profiler,
+		SlotHook:      hook,
 	})
 	eng.AttachMACs(factory)
-	// The seed stream, continued past the node placement, is the
-	// traffic stream: nothing else draws from it, so every protocol at
-	// this seed faces the same arrivals (see seedFor).
-	gen := traffic.NewGenerator(tp, rng)
-	gen.Rate = cfg.Rate
-	gen.Mix = cfg.Mix
-	gen.Timeout = cfg.Timeout
 	eng.Run(cfg.Slots, gen)
 	horizon := sim.Slot(cfg.Slots)
 	return RunResult{
@@ -336,13 +360,23 @@ var Instrument func(cfg *RunConfig)
 // pair, in parallel across the machine's cores. mutate configures the
 // run for sweep point i starting from the paper defaults. When
 // keepCollectors is true the per-run collectors are retained for
-// post-hoc re-thresholding.
+// post-hoc re-thresholding. Each cell folds its runs in run order once
+// the pool drains, so the aggregate floats do not depend on which
+// worker finished first.
 func Sweep(points int, protocols []Protocol, runs int,
 	mutate func(point int, cfg *RunConfig), keepCollectors bool) ([][]PointStats, error) {
 
-	results := make([][]PointStats, points)
-	for i := range results {
-		results[i] = make([]PointStats, len(protocols))
+	// One entry per run, indexed (point, proto, run); workers write
+	// disjoint entries, and wg.Wait orders those writes before the fold.
+	type runOut struct {
+		summary metrics.Summary
+		degree  float64
+		horizon sim.Slot
+		col     *metrics.Collector
+	}
+	outs := make([]runOut, points*len(protocols)*runs)
+	outAt := func(point, proto, run int) *runOut {
+		return &outs[(point*len(protocols)+proto)*runs+run]
 	}
 	type task struct{ point, proto, run int }
 	tasks := make(chan task)
@@ -376,16 +410,14 @@ func Sweep(points int, protocols []Protocol, runs int,
 					instrument(&cfg)
 				}
 				res, err := Run(cfg)
+				out := outAt(tk.point, tk.proto, tk.run)
+				out.summary, out.degree, out.horizon = res.Summary, res.AvgDegree, res.Horizon
+				if keepCollectors {
+					out.col = res.Collector
+				}
 				mu.Lock()
 				if err != nil && firstErr == nil {
 					firstErr = err
-				}
-				cell := &results[tk.point][tk.proto]
-				cell.Add(res.Summary)
-				cell.AvgDegree.Add(res.AvgDegree)
-				cell.Horizon = res.Horizon
-				if keepCollectors {
-					cell.Collectors = append(cell.Collectors, res.Collector)
 				}
 				done++
 				pointDone[tk.point]++
@@ -425,6 +457,22 @@ func Sweep(points int, protocols []Protocol, runs int,
 	if progress.Status != nil {
 		progress.Status.finish(clock().Sub(start))
 	}
+	results := make([][]PointStats, points)
+	for p := range results {
+		results[p] = make([]PointStats, len(protocols))
+		for pr := range protocols {
+			cell := &results[p][pr]
+			for r := 0; r < runs; r++ {
+				out := outAt(p, pr, r)
+				cell.Add(out.summary)
+				cell.AvgDegree.Add(out.degree)
+				cell.Horizon = out.horizon
+				if keepCollectors {
+					cell.Collectors = append(cell.Collectors, out.col)
+				}
+			}
+		}
+	}
 	return results, firstErr
 }
 
@@ -436,10 +484,10 @@ func Sweep(points int, protocols []Protocol, runs int,
 // seed alone determines: the topology, the traffic arrivals (kind,
 // source, destinations, slot — the generator draws from the seed stream
 // after node placement and from nothing else) and the derived fault
-// schedule. MAC backoff and channel draws (capture, ErrRate) are not
-// shared: they come from the engine PRNG in the order the protocol's
-// own transmissions consume it, and each protocol transmits a different
-// frame sequence, so no stream layout could align them. The parameter
+// schedule. MAC backoff and capture draws are not shared: they come
+// from the engine PRNG in the order the protocol's own transmissions
+// consume it, and each protocol transmits a different frame sequence,
+// so no stream layout could align them. The parameter
 // is kept in the signature to document at each call site that the
 // pairing is a choice, not an omission; TestSeedForPairsProtocols and
 // TestPairedArrivals pin the behaviour.

@@ -150,11 +150,11 @@ func (c Config) Active() bool { return c.ChannelActive() || c.LocNoise > 0 }
 
 // Validate reports an error for out-of-range parameters on any axis.
 func (c Config) Validate() error {
-	if c.PER < 0 || c.PER > 1 {
+	if !(c.PER >= 0 && c.PER <= 1) { // NaN fails too
 		return fmt.Errorf("fault: PER %v outside [0,1]", c.PER)
 	}
-	if c.LocNoise < 0 {
-		return fmt.Errorf("fault: negative LocNoise %v", c.LocNoise)
+	if !(c.LocNoise >= 0) {
+		return fmt.Errorf("fault: LocNoise %v, need >= 0", c.LocNoise)
 	}
 	if err := c.GE.Validate(); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 
 	"relmac/internal/frames"
@@ -40,7 +41,9 @@ func TestFaultConfigValidation(t *testing.T) {
 	bad := []Config{
 		{PER: -0.1},
 		{PER: 1.5},
+		{PER: math.NaN()},
 		{LocNoise: -1},
+		{LocNoise: math.NaN()},
 		{GE: GilbertElliott{PGoodBad: 2}},
 		{GE: GilbertElliott{PGoodBad: 0.1, PBadGood: -0.2}},
 		{Crash: Crash{MTTF: 100}},         // missing MTTR

@@ -225,44 +225,6 @@ func (h *ChannelHistory) Extend(n int) { h.idleRun += n }
 // pre-empted.
 const DefaultDIFS = 2
 
-// NAV is the network allocation vector backing virtual carrier sense.
-// A station that overhears a control frame not addressed to it yields for
-// the Duration carried in that frame (receiver's protocol, Figure 3).
-type NAV struct {
-	until sim.Slot
-	set   bool
-}
-
-// Set extends the NAV so the station yields through the given slot
-// (inclusive). Shorter reservations never shrink an existing NAV. It
-// reports whether the NAV was actually extended.
-func (n *NAV) Set(until sim.Slot) bool {
-	if !n.set || until > n.until {
-		n.until = until
-		n.set = true
-		return true
-	}
-	return false
-}
-
-// SetFor extends the NAV to cover duration slots following now,
-// reporting whether it extended the NAV.
-func (n *NAV) SetFor(now sim.Slot, duration int) bool {
-	if duration <= 0 {
-		return false
-	}
-	return n.Set(now + sim.Slot(duration))
-}
-
-// Yielding reports whether the station is inside a yield period.
-func (n *NAV) Yielding(now sim.Slot) bool { return n.set && now <= n.until }
-
-// Clear cancels the NAV.
-func (n *NAV) Clear() { n.set = false }
-
-// Until returns the last yielded slot (meaningful only while set).
-func (n *NAV) Until() sim.Slot { return n.until }
-
 // NAVTable tracks the virtual-carrier-sense reservations a station has
 // overheard, one entry per exchange (message ID). Real 802.11 keeps a
 // single scalar NAV; the paper's receiver rule, however, distinguishes
@@ -524,32 +486,4 @@ func (r *Responder) drop(i int) {
 	r.when = append(r.when[:i], r.when[i+1:]...)
 	r.frame[i] = nil
 	r.frame = append(r.frame[:i], r.frame[i+1:]...)
-}
-
-// Timer is a simple one-shot slot timer.
-type Timer struct {
-	at    sim.Slot
-	armed bool
-}
-
-// ArmAt sets the timer to fire at slot t.
-func (t *Timer) ArmAt(at sim.Slot) { t.at, t.armed = at, true }
-
-// ArmIn sets the timer to fire d slots after now.
-func (t *Timer) ArmIn(now sim.Slot, d int) { t.ArmAt(now + sim.Slot(d)) }
-
-// Disarm cancels the timer.
-func (t *Timer) Disarm() { t.armed = false }
-
-// Armed reports whether the timer is pending.
-func (t *Timer) Armed() bool { return t.armed }
-
-// Fired reports whether the timer expires at (or before) now, disarming
-// it when so.
-func (t *Timer) Fired(now sim.Slot) bool {
-	if t.armed && now >= t.at {
-		t.armed = false
-		return true
-	}
-	return false
 }

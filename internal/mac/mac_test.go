@@ -122,37 +122,6 @@ func TestBackoffDegenerateWindow(t *testing.T) {
 	}
 }
 
-func TestNAV(t *testing.T) {
-	var n NAV
-	if n.Yielding(0) {
-		t.Error("fresh NAV must not yield")
-	}
-	n.SetFor(10, 5) // yields through slot 15
-	if !n.Yielding(10) || !n.Yielding(15) {
-		t.Error("NAV must cover [now, now+duration]")
-	}
-	if n.Yielding(16) {
-		t.Error("NAV expired at 16")
-	}
-	// A shorter reservation must not shrink the NAV.
-	n.Set(12)
-	if n.Until() != 15 {
-		t.Errorf("NAV shrank to %d", n.Until())
-	}
-	n.Set(20)
-	if n.Until() != 20 {
-		t.Error("longer reservation must extend the NAV")
-	}
-	n.Clear()
-	if n.Yielding(20) {
-		t.Error("cleared NAV still yielding")
-	}
-	n.SetFor(5, 0)
-	if n.Yielding(5) {
-		t.Error("zero duration must not set the NAV")
-	}
-}
-
 func TestQueueFIFO(t *testing.T) {
 	var q Queue
 	if q.Head() != nil || q.Pop() != nil || q.Len() != 0 {
@@ -239,28 +208,6 @@ func TestResponderMultiple(t *testing.T) {
 	}
 }
 
-func TestTimer(t *testing.T) {
-	var tm Timer
-	if tm.Armed() || tm.Fired(10) {
-		t.Error("fresh timer misbehaves")
-	}
-	tm.ArmIn(10, 5)
-	if tm.Fired(14) {
-		t.Error("fired early")
-	}
-	if !tm.Fired(15) {
-		t.Error("did not fire at deadline")
-	}
-	if tm.Fired(16) {
-		t.Error("one-shot timer fired twice")
-	}
-	tm.ArmAt(20)
-	tm.Disarm()
-	if tm.Fired(25) {
-		t.Error("disarmed timer fired")
-	}
-}
-
 func TestDefaultConfig(t *testing.T) {
 	c := DefaultConfig()
 	if c.CWMin <= 0 || c.CWMax < c.CWMin || c.RetryLimit <= 0 {
@@ -288,22 +235,6 @@ func TestChannelHistory(t *testing.T) {
 	h.Observe(false)
 	if !h.IdleFor(1) || h.IdleFor(2) {
 		t.Error("idle run should be exactly 1")
-	}
-}
-
-func TestNAVSetReportsExtension(t *testing.T) {
-	var n NAV
-	if !n.Set(10) {
-		t.Error("first Set must extend")
-	}
-	if n.Set(8) {
-		t.Error("shorter reservation must not report extension")
-	}
-	if !n.Set(12) {
-		t.Error("longer reservation must report extension")
-	}
-	if n.SetFor(5, 0) {
-		t.Error("zero duration never extends")
 	}
 }
 

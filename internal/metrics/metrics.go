@@ -13,7 +13,6 @@ package metrics
 
 import (
 	"relmac/internal/frames"
-	"relmac/internal/obs"
 	"relmac/internal/sim"
 )
 
@@ -173,45 +172,6 @@ func (c *Collector) FrameCount(t frames.Type) int64 {
 		return c.frames[t]
 	}
 	return 0
-}
-
-// FeedRegistry exports the collector's accumulated state into the stat
-// registry under the given prefix (typically the protocol name):
-// counters <prefix>.messages / .completed / .aborted (with per-reason
-// splits .aborted.deadline / .aborted.retries), .rounds and
-// <prefix>.frames.<TYPE>, plus <prefix>.contention_phases,
-// <prefix>.completion_slots and — over aborted messages — the
-// <prefix>.residual_receivers graceful-degradation histogram (how many
-// intended receivers an abandoned message left unserved). Calling it
-// once per finished run aggregates multiple runs into the same
-// instruments.
-func (c *Collector) FeedRegistry(reg *obs.Registry, prefix string) {
-	messages := reg.Counter(prefix + ".messages")
-	completed := reg.Counter(prefix + ".completed")
-	aborted := reg.Counter(prefix + ".aborted")
-	rounds := reg.Counter(prefix + ".rounds")
-	contHist := reg.Histogram(prefix+".contention_phases", obs.DefaultContentionBounds...)
-	compHist := reg.Histogram(prefix+".completion_slots", obs.DefaultCompletionBounds...)
-	residHist := reg.Histogram(prefix+".residual_receivers", obs.DefaultResidualBounds...)
-	for _, r := range c.records {
-		messages.Inc()
-		contHist.Observe(float64(r.Contentions))
-		rounds.Add(int64(r.Rounds))
-		if r.Completed {
-			completed.Inc()
-			compHist.Observe(float64(r.CompletionTime()))
-		}
-		if r.Aborted {
-			aborted.Inc()
-			reg.Counter(prefix + ".aborted." + r.AbortReason.String()).Inc()
-			residHist.Observe(float64(r.Intended - r.Delivered))
-		}
-	}
-	for _, t := range frames.Types() {
-		if n := c.frames[t]; n > 0 {
-			reg.Counter(prefix + ".frames." + t.String()).Add(n)
-		}
-	}
 }
 
 // Filter selects which records enter a Summary.

@@ -271,3 +271,20 @@ func TestWelchT(t *testing.T) {
 		t.Error("zero-variance pair must return zero t")
 	}
 }
+
+// TestFrameCounterCoversAllTypes guards the frames.NumTypes-sized
+// counter array: every declared frame type must be countable.
+func TestFrameCounterCoversAllTypes(t *testing.T) {
+	c := NewCollector()
+	for _, ft := range frames.Types() {
+		c.OnFrameTx(&frames.Frame{Type: ft}, 0, 0)
+	}
+	for _, ft := range frames.Types() {
+		if got := c.FrameCount(ft); got != 1 {
+			t.Errorf("FrameCount(%s) = %d, want 1", ft, got)
+		}
+	}
+	if got := c.FrameCount(frames.Type(200)); got != 0 {
+		t.Errorf("out-of-range FrameCount = %d, want 0", got)
+	}
+}

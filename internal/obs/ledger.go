@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 
 	"relmac/internal/frames"
 	"relmac/internal/sim"
@@ -127,14 +126,12 @@ func busyPriority(c Category) int {
 //
 // Per-request attribution lands in the "<prefix>.airtime_per_message"
 // histogram (busy slots carrying each message, observed at completion
-// or abort). TrackStations adds a bounded per-sender busy overlay.
+// or abort).
 type Ledger struct {
-	cats    [NumCategories]*Counter
-	total   *Counter
-	perMsg  *Histogram
-	reg     *Registry
-	prefix  string
-	station []*Counter
+	cats   [NumCategories]*Counter
+	total  *Counter
+	perMsg *Histogram
+	prefix string
 
 	// contending holds messages between an OnContention and their next
 	// frame transmission — the "station is mid-backoff" signal that
@@ -161,7 +158,6 @@ func NewLedger(reg *Registry, prefix string) *Ledger {
 	l := &Ledger{
 		total:      reg.Counter(prefix + ".airtime.total"),
 		perMsg:     reg.Histogram(prefix+".airtime_per_message", DefaultAirtimeBounds...),
-		reg:        reg,
 		prefix:     prefix,
 		contending: make(map[int64]struct{}),
 		retrying:   make(map[int64]struct{}),
@@ -173,19 +169,8 @@ func NewLedger(reg *Registry, prefix string) *Ledger {
 	return l
 }
 
-// TrackStations enables the bounded per-station overlay: busy slots are
-// additionally attributed to each airing frame's sender under
-// "<prefix>.airtime.station.<id>.busy" for senders below n. Call before
-// the run; senders at or past the bound are ledgered but not overlaid.
-func (l *Ledger) TrackStations(n int) {
-	l.station = make([]*Counter, n)
-	for i := range l.station {
-		l.station[i] = l.reg.Counter(fmt.Sprintf("%s.airtime.station.%d.busy", l.prefix, i))
-	}
-}
-
 // OnSlot implements sim.SlotObserver: classify the slot and charge
-// per-message / per-station airtime.
+// per-message airtime.
 func (l *Ledger) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) {
 	l.total.Inc()
 	l.cats[l.classify(airing, collided)].Inc()
@@ -195,9 +180,6 @@ func (l *Ledger) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) {
 	}
 	l.msgSeen = l.msgSeen[:0]
 	for _, tx := range airing {
-		if tx.Sender >= 0 && tx.Sender < len(l.station) {
-			l.station[tx.Sender].Inc()
-		}
 		id := tx.Frame.MsgID
 		if id <= 0 {
 			continue
@@ -351,25 +333,4 @@ func CategoryNames() []string {
 		names = append(names, c.String())
 	}
 	return names
-}
-
-// SortedCategories returns the snapshot's categories as (name, count)
-// pairs in descending count order, ties broken by name — the shape the
-// cmd-layer breakdown tables print.
-func (s LedgerSnapshot) SortedCategories() (names []string, counts []int64) {
-	names = make([]string, 0, len(s.Categories))
-	for name := range s.Categories {
-		names = append(names, name)
-	}
-	sort.Slice(names, func(i, j int) bool {
-		if s.Categories[names[i]] != s.Categories[names[j]] {
-			return s.Categories[names[i]] > s.Categories[names[j]]
-		}
-		return names[i] < names[j]
-	})
-	counts = make([]int64, len(names))
-	for i, name := range names {
-		counts[i] = s.Categories[name]
-	}
-	return names, counts
 }

@@ -103,44 +103,3 @@ func TestLedgerPerMessageAirtime(t *testing.T) {
 		t.Errorf("per-message airtime: n=%d mean=%g, want n=1 mean=5", h.Count(), h.Mean())
 	}
 }
-
-func TestLedgerStationOverlay(t *testing.T) {
-	reg := NewRegistry()
-	l := NewLedger(reg, "T")
-	l.TrackStations(2)
-	l.OnSlot(0, []sim.AiringTx{air(frames.Data, 0, 1)}, false)
-	l.OnSlot(1, []sim.AiringTx{air(frames.CTS, 1, 1), air(frames.RTS, 5, 2)}, false)
-	if got := reg.Counter("T.airtime.station.0.busy").Value(); got != 1 {
-		t.Errorf("station 0 busy = %d, want 1", got)
-	}
-	if got := reg.Counter("T.airtime.station.1.busy").Value(); got != 1 {
-		t.Errorf("station 1 busy = %d, want 1", got)
-	}
-	// Sender 5 is past the bound: ledgered, not overlaid.
-	if got := reg.Counter("T.airtime.total").Value(); got != 2 {
-		t.Errorf("total = %d, want 2", got)
-	}
-}
-
-func TestLedgerSortedCategories(t *testing.T) {
-	reg := NewRegistry()
-	l := NewLedger(reg, "T")
-	l.OnSlot(0, nil, false)
-	l.OnSlot(1, nil, false)
-	l.OnSlot(2, []sim.AiringTx{air(frames.Data, 0, 1)}, false)
-	names, counts := l.Snapshot().SortedCategories()
-	if len(names) != NumCategories {
-		t.Fatalf("got %d categories, want %d", len(names), NumCategories)
-	}
-	if names[0] != "idle" || counts[0] != 2 {
-		t.Errorf("top category = %s/%d, want idle/2", names[0], counts[0])
-	}
-	if names[1] != "data" || counts[1] != 1 {
-		t.Errorf("second category = %s/%d, want data/1", names[1], counts[1])
-	}
-	for i := 1; i < len(counts); i++ {
-		if counts[i] > counts[i-1] {
-			t.Errorf("counts not descending at %d: %v", i, counts)
-		}
-	}
-}

@@ -13,8 +13,7 @@
 //     (one "thread" per station) loadable at https://ui.perfetto.dev;
 //   - Registry / Counter / Histogram: cheap named counters and
 //     fixed-bucket histograms fed by the Stats observer (live, from the
-//     engine's event stream) or by metrics.Collector.FeedRegistry
-//     (post-run, from the per-message records);
+//     engine's event stream);
 //   - Stats: a sim.Observer that feeds a Registry as the run unfolds.
 //
 // Attach any combination by listing them in sim.Config.Observers (or

@@ -113,11 +113,6 @@ func WithSeed(seed int64) Option {
 	return func(c *sim.Config) { c.Seed = seed }
 }
 
-// WithErrRate sets the per-frame erasure probability.
-func WithErrRate(p float64) Option {
-	return func(c *sim.Config) { c.ErrRate = p }
-}
-
 // Multicast schedules a multicast request from src to dests at slot t
 // with the given timeout in slots, returning it.
 func (r *Run) Multicast(t sim.Slot, id int64, src int, dests []int, timeout int) *sim.Request {
@@ -180,12 +175,6 @@ func (j *Jammer) JamAt(t sim.Slot) *Jammer {
 // JamFrameAt schedules an arbitrary frame at slot t.
 func (j *Jammer) JamFrameAt(t sim.Slot, f *frames.Frame) *Jammer {
 	j.sends[t] = f
-	return j
-}
-
-// JamDataAt schedules a full data-length transmission at slot t.
-func (j *Jammer) JamDataAt(t sim.Slot) *Jammer {
-	j.sends[t] = &frames.Frame{Type: frames.Data, Dst: frames.NoAddr, MsgID: -1}
 	return j
 }
 

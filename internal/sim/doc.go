@@ -31,7 +31,7 @@
 // # Determinism
 //
 // The engine is deterministic for a fixed seed: stations are ticked in
-// ID order and all engine randomness (MAC backoff, capture, ErrRate)
+// ID order and all engine randomness (MAC backoff, capture)
 // flows from a single PRNG. Traffic sources own their randomness and
 // never see it (Source). Everything on
 // the slot loop is subject to the relmaclint serial-path checks

@@ -206,11 +206,15 @@ func TestChaosDeterminism(t *testing.T) {
 			},
 			onLost: func(f *frames.Frame, r int, now Slot) {},
 		}
-		e := New(Config{Topo: tp, Tracer: tr, Seed: 77, Capture: capture.ZorziRao{}, ErrRate: 0.05})
+		imp := newLossyLinks(0.05, 78)
+		e := New(Config{Topo: tp, Tracer: tr, Seed: 77, Capture: capture.ZorziRao{}, Impairment: imp})
 		for i := 0; i < tp.N(); i++ {
 			e.SetMAC(i, &chaosMAC{t: t, rng: rand.New(rand.NewSource(7 + int64(i))), rate: 0.25})
 		}
 		e.Run(800, nil)
+		if imp.erased == 0 || !drewEnginePRNG(e, 77) {
+			t.Fatalf("vacuous run: %d erasures, engine PRNG drawn %v", imp.erased, drewEnginePRNG(e, 77))
+		}
 		return fmt.Sprint(log)
 	}
 	if run() != run() {

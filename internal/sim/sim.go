@@ -175,7 +175,7 @@ type Sleeper interface {
 // may reuse its backing array; only the requests themselves must survive.
 //
 // A Source owns its randomness: the engine PRNG serves only MAC backoff
-// and the channel (capture, ErrRate), so a Source never sees it. That
+// and the channel's capture draws, so a Source never sees it. That
 // is what lets a seeded source present the identical arrival sequence to
 // every protocol run against it.
 type Source interface {
@@ -297,10 +297,6 @@ type Config struct {
 	Timing frames.Timing
 	// Capture is the collision capture model; nil means capture.None.
 	Capture capture.Model
-	// ErrRate is an independent per-frame, per-receiver erasure
-	// probability modelling transmission errors other than collisions
-	// (the paper's analysis folds these into q). Default 0.
-	ErrRate float64
 	// Seed initialises the engine PRNG.
 	Seed int64
 	// Impairment, when non-nil, injects channel errors and node crashes
@@ -350,7 +346,6 @@ type Engine struct {
 	topo    *topo.Topology
 	timing  frames.Timing
 	capture capture.Model
-	errRate float64
 	imp     Impairment
 	rng     *rand.Rand
 	// The attached hooks (Config.Observers, SlotObservers, Lifecycles);
@@ -500,7 +495,6 @@ func New(cfg Config) *Engine {
 		topo:        cfg.Topo,
 		timing:      tm,
 		capture:     cap,
-		errRate:     cfg.ErrRate,
 		imp:         cfg.Impairment,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		observers:   cfg.Observers,
@@ -1085,9 +1079,6 @@ func (e *Engine) completeSlot() {
 				} else if e.imp.Erase(f, sender, j, now) {
 					lost = true
 				}
-			}
-			if !lost && e.errRate > 0 && e.rng.Float64() < e.errRate {
-				lost = true
 			}
 			if lost {
 				if e.tracer != nil {

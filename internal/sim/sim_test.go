@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"relmac/internal/capture"
@@ -212,13 +213,44 @@ func TestNoCaptureWithoutModel(t *testing.T) {
 	}
 }
 
+// lossyLinks is a test-local i.i.d. erasure Impairment: every frame
+// that survives collision resolution is erased at each receiver with
+// probability p, drawn from its own seeded stream so the engine PRNG is
+// untouched. (internal/fault provides the real one but imports sim.)
+type lossyLinks struct {
+	p      float64
+	rng    *rand.Rand
+	erased int
+}
+
+func newLossyLinks(p float64, seed int64) *lossyLinks {
+	return &lossyLinks{p: p, rng: rand.New(rand.NewSource(seed))}
+}
+
+func (l *lossyLinks) Down(int, Slot) bool { return false }
+
+func (l *lossyLinks) Erase(*frames.Frame, int, int, Slot) bool {
+	if l.rng.Float64() < l.p {
+		l.erased++
+		return true
+	}
+	return false
+}
+
+// drewEnginePRNG reports whether the engine consumed its PRNG since
+// being built with the given seed.
+func drewEnginePRNG(e *Engine, seed int64) bool {
+	return e.rng.Int63() != rand.New(rand.NewSource(seed)).Int63()
+}
+
 func TestErrRateErasesFrames(t *testing.T) {
 	tp := lineTopo(2, 0.1, 0.15)
-	e, macs := engineWithScripts(t, tp, Config{ErrRate: 1})
+	imp := newLossyLinks(1, 3)
+	e, macs := engineWithScripts(t, tp, Config{Impairment: imp})
 	macs[0].at(0, ctl(frames.RTS, 0, 1))
 	e.Run(2, nil)
-	if len(macs[1].received) != 0 {
-		t.Error("ErrRate=1 must erase every frame")
+	if len(macs[1].received) != 0 || imp.erased != 1 {
+		t.Error("an erasure rate of 1 must erase every frame")
 	}
 }
 

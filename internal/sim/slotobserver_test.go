@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"relmac/internal/capture"
 	"relmac/internal/frames"
 )
 
@@ -123,7 +124,10 @@ func TestSlotObserverBitIdentical(t *testing.T) {
 	// seed, same outcomes, with and without the hook.
 	run := func(attach bool) []string {
 		tp := lineTopo(3, 0.1, 0.15)
-		cfg := Config{Seed: 5, ErrRate: 0.5}
+		// Capture draws on the engine PRNG where the DATA and CTS
+		// collide at node 1; the erasures come from their own stream.
+		imp := newLossyLinks(0.5, 6)
+		cfg := Config{Seed: 5, Capture: capture.ZorziRao{}, Impairment: imp}
 		if attach {
 			cfg.SlotObservers = []SlotObserver{&recSlotObs{}}
 		}
@@ -131,6 +135,9 @@ func TestSlotObserverBitIdentical(t *testing.T) {
 		macs[0].at(0, ctl(frames.Data, 0, 1)).at(7, ctl(frames.RTS, 0, 1))
 		macs[2].at(3, ctl(frames.CTS, 2, 1))
 		e.Run(12, nil)
+		if imp.erased == 0 || !drewEnginePRNG(e, cfg.Seed) {
+			t.Fatalf("vacuous run: %d erasures, engine PRNG drawn %v", imp.erased, drewEnginePRNG(e, cfg.Seed))
+		}
 		return macs[1].received
 	}
 	with, without := run(true), run(false)

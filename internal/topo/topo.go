@@ -299,16 +299,6 @@ func (t *Topology) MaxDegree() int {
 	return max
 }
 
-// DegreeHistogram returns counts of stations per degree, indexed by
-// degree.
-func (t *Topology) DegreeHistogram() []int {
-	h := make([]int, t.MaxDegree()+1)
-	for _, nb := range t.neighbors {
-		h[len(nb)]++
-	}
-	return h
-}
-
 // Connected reports whether the neighbor graph is connected (ignoring
 // isolated-node-free requirements: a single node is connected).
 func (t *Topology) Connected() bool {
@@ -332,29 +322,6 @@ func (t *Topology) Connected() bool {
 		}
 	}
 	return count == n
-}
-
-// HiddenPairs counts ordered triples (p, q, r) where q hears both p and r
-// but p and r cannot hear each other — the hidden-terminal configurations
-// that motivate RTS/CTS (paper §2.1). Returned as the number of unordered
-// {p, r} pairs hidden with respect to at least one common neighbor.
-func (t *Topology) HiddenPairs() int {
-	n := len(t.pos)
-	count := 0
-	for p := 0; p < n; p++ {
-		for r := p + 1; r < n; r++ {
-			if t.InRange(p, r) {
-				continue
-			}
-			for _, q := range t.neighbors[p] {
-				if t.InRange(q, r) {
-					count++
-					break
-				}
-			}
-		}
-	}
-	return count
 }
 
 // String summarises the topology.

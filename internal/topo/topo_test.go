@@ -117,24 +117,6 @@ func TestAvgDegreeScalesWithDensity(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	tp := FromPoints([]geom.Point{
-		geom.Pt(0, 0), geom.Pt(0.1, 0), geom.Pt(0.9, 0.9),
-	}, 0.2)
-	h := tp.DegreeHistogram()
-	// Nodes 0,1 have degree 1; node 2 degree 0.
-	if h[0] != 1 || h[1] != 2 {
-		t.Errorf("histogram = %v", h)
-	}
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	if total != tp.N() {
-		t.Errorf("histogram total %d != N %d", total, tp.N())
-	}
-}
-
 func TestConnected(t *testing.T) {
 	disc := FromPoints([]geom.Point{geom.Pt(0, 0), geom.Pt(1, 1)}, 0.2)
 	if disc.Connected() {
@@ -148,23 +130,6 @@ func TestConnected(t *testing.T) {
 	}
 	if !FromPoints(nil, 0.2).Connected() {
 		t.Error("empty topology is trivially connected")
-	}
-}
-
-func TestHiddenPairs(t *testing.T) {
-	// Classic hidden-terminal chain p–q–r.
-	chain := FromPoints([]geom.Point{
-		geom.Pt(0, 0), geom.Pt(0.15, 0), geom.Pt(0.3, 0),
-	}, 0.2)
-	if got := chain.HiddenPairs(); got != 1 {
-		t.Errorf("chain hidden pairs = %d, want 1", got)
-	}
-	// Fully connected triangle: none hidden.
-	tri := FromPoints([]geom.Point{
-		geom.Pt(0, 0), geom.Pt(0.1, 0), geom.Pt(0.05, 0.08),
-	}, 0.2)
-	if got := tri.HiddenPairs(); got != 0 {
-		t.Errorf("triangle hidden pairs = %d, want 0", got)
 	}
 }
 
