@@ -1,8 +1,7 @@
 // Command relbench is the benchmark-regression harness: it measures
 // engine slot throughput on the optimized and reference paths, per-slot
-// allocation pressure, per-protocol sweep wall time, and the engine
-// phase decomposition of one profiled dense run, writes the results to
-// BENCH.json, and compares them against the committed
+// allocation pressure and per-protocol sweep wall time, writes the
+// results to BENCH.json, and compares them against the committed
 // BENCH_BASELINE.json.
 //
 // Usage:
@@ -18,8 +17,8 @@
 // mismatch against the baseline surfaces as an advisory note. A baseline
 // pinned under another report schema fails the gate until it is
 // re-pinned. -cpuprofile/-memprofile write pprof profiles of the
-// measurement suite itself, for digging into *why* a phase got slower
-// once the phase table says *where*. Exit status is 1 when a regression
+// measurement suite itself, for digging into *why* a measurement got
+// slower once the report says *where*. Exit status is 1 when a regression
 // exceeds the tolerance band, 2 on a measurement failure.
 //
 // To refresh the baseline after an intentional performance change, run
@@ -127,14 +126,6 @@ func run() int {
 			fmt.Printf("  sparse: optimized %.0f ns/slot (%.2f allocs/slot), reference %.0f ns/slot, speedup %.2fx\n",
 				s.Optimized.NsPerSlot, s.Optimized.AllocsPerSlot,
 				s.Reference.NsPerSlot, s.Speedup)
-		}
-		if ph := report.Phases; ph != nil && ph.Serial != nil {
-			fmt.Printf("  phases (%d nodes, %d slots):\n", profile.PhaseNodes, profile.PhaseSlots)
-			for _, s := range ph.Serial.Phases {
-				if s.Ns > 0 {
-					fmt.Printf("    %-18s %6.1f%%\n", s.Phase, s.Frac*100)
-				}
-			}
 		}
 		for _, p := range report.Protocols {
 			fmt.Printf("  %-8s %6d slots in %8.1f ms (%.0f slots/sec)\n",

@@ -56,10 +56,6 @@ type Multicaster struct {
 	gotACK   bool
 	checkAt  sim.Slot
 	attempts int
-
-	// recvBuf is the RECEIVE BUFFER: data frames of groups this station
-	// belongs to, whether addressed to it or overheard.
-	recvBuf map[int64]bool
 }
 
 // New returns a sim.MAC factory for stations running BMW.
@@ -195,7 +191,7 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, 
 		if f.Group == nil || !addressed || !st.CanRespond(f, now) {
 			return
 		}
-		if m.recvBuf[f.MsgID] {
+		if st.HasData(f) {
 			// All frames up to and including the announced one are in the
 			// RECEIVE BUFFER: suppress the data transmission.
 			st.Respond(env, &frames.Frame{
@@ -212,22 +208,17 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, 
 		if rx&sim.RxMember == 0 {
 			return
 		}
-		// Every group member that decodes a BMW data frame caches it,
-		// addressed or merely overheard — that is the whole point of the
-		// RECEIVE BUFFER. A station outside the group is never polled
-		// for the message, so caching it there could never suppress
-		// anything.
-		if m.recvBuf == nil {
-			m.recvBuf = make(map[int64]bool)
-		}
-		m.recvBuf[f.MsgID] = true
+		// The station has already logged the frame for HasData — every
+		// group member that decodes a BMW data frame caches it, addressed
+		// or merely overheard, which is the whole point of the RECEIVE
+		// BUFFER. Only the addressed receiver ACKs.
 		if addressed {
 			st.Respond(env, &frames.Frame{
 				Type: frames.ACK, Dst: f.Src, MsgID: f.MsgID,
 			})
 		}
 	default:
-		// CTS/ACK are consumed on the sender side; RAK/NAK/Beacon play
+		// CTS/ACK are consumed on the sender side; RAK/NAK play
 		// no role in BMW's per-neighbor unicast rounds.
 	}
 }

@@ -72,6 +72,17 @@ type Station struct {
 	// station sees is stable for its lifetime, so one closure serves
 	// every slot instead of allocating a fresh capture per tick.
 	abortHook func(*sim.Request)
+	// lastData is the receiver data log behind HasData: one entry per
+	// sender heard, holding the message ID of the last DATA frame decoded
+	// from it as a group member. A linear scan of this short slice
+	// measured faster than a map.
+	lastData []dataEntry
+}
+
+// dataEntry is one sender's entry in the receiver data log.
+type dataEntry struct {
+	src frames.Addr
+	id  int64
 }
 
 // NewStation builds a Station for the given node using mc for group
@@ -277,6 +288,33 @@ func (st *Station) CanRespond(f *frames.Frame, now sim.Slot) bool {
 	return !st.nav.YieldingToOther(f.MsgID, now)
 }
 
+// HasData reports whether this station already holds the data that f
+// (an RTS or RAK polling it) asks about: whether its last DATA frame
+// decoded as a group member from f.Src carried f.MsgID. One entry per
+// sender is exact because a sender serves one request at a time and
+// never returns to a request it has left, so any earlier message of
+// f.Src can no longer be polled. The log is bounded by the number of
+// senders heard, not by the length of the run.
+func (st *Station) HasData(f *frames.Frame) bool {
+	for _, e := range st.lastData {
+		if e.src == f.Src {
+			return e.id == f.MsgID
+		}
+	}
+	return false
+}
+
+// logData records the member DATA frame f as its sender's latest.
+func (st *Station) logData(f *frames.Frame) {
+	for i := range st.lastData {
+		if st.lastData[i].src == f.Src {
+			st.lastData[i].id = f.MsgID
+			return
+		}
+	}
+	st.lastData = append(st.lastData, dataEntry{f.Src, f.MsgID})
+}
+
 // Yielding reports whether the station holds any active reservation.
 func (st *Station) Yielding(now sim.Slot) bool { return st.nav.Yielding(now) }
 
@@ -331,7 +369,11 @@ func (st *Station) Deliver(env *sim.Env, f *frames.Frame, rx sim.Rx) {
 	now := env.Now()
 	addressed := rx&sim.RxAddressed != 0
 	switch {
-	case addressed, f.Type == frames.Data && rx&sim.RxMember != 0:
+	case f.Type == frames.Data && rx&sim.RxMember != 0:
+		// Group DATA for this station: log it for HasData. Like every
+		// frame directed at this station, it never raises the NAV.
+		st.logData(f)
+	case addressed:
 		// Frames directed at this station never raise its NAV. Note that
 		// being addressed does NOT by itself clear an existing foreign
 		// reservation: a station yielding to another exchange refuses to
@@ -367,8 +409,8 @@ func (st *Station) Deliver(env *sim.Env, f *frames.Frame, rx sim.Rx) {
 				st.uni.onControl(f)
 			}
 		default:
-			// RAK, NAK and Beacon are not part of the DCF unicast
-			// exchange; ignoring them is a decision, not an oversight.
+			// RAK and NAK are not part of the DCF unicast exchange;
+			// ignoring them is a decision, not an oversight.
 		}
 	}
 

@@ -47,8 +47,6 @@ type Multicaster struct {
 	gotACK   bool
 	checkAt  sim.Slot
 	attempts int
-
-	rxSeen map[int64]bool
 }
 
 // New returns a sim.MAC factory for stations running the leader-based
@@ -159,11 +157,8 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, 
 		}
 		if addressed {
 			// Leader duties: answer the CTS (unless yielding to another
-			// exchange) and expect the data.
-			if m.rxSeen[f.MsgID] {
-				// Retransmission; the leader already holds the data and
-				// will simply ACK again after the data frame.
-			}
+			// exchange) and expect the data. On a retransmission the leader
+			// already holds the data and simply ACKs it again.
 			if st.CanRespond(f, now) {
 				st.Respond(env, &frames.Frame{
 					Type: frames.CTS, Dst: f.Src, MsgID: f.MsgID,
@@ -174,7 +169,7 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, 
 		}
 		// Non-leader primed by the RTS: arm the NAK jam for the slot the
 		// leader's ACK would occupy; receiving the data cancels it.
-		if m.rxSeen[f.MsgID] {
+		if st.HasData(f) {
 			return
 		}
 		deadline := now + 1 + 1 + sim.Slot(tm.Data)
@@ -185,10 +180,6 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, 
 		if !member {
 			return
 		}
-		if m.rxSeen == nil {
-			m.rxSeen = make(map[int64]bool)
-		}
-		m.rxSeen[f.MsgID] = true
 		st.CancelResponses(func(p *frames.Frame) bool {
 			return p.Type == frames.NAK && p.MsgID == f.MsgID
 		})
@@ -200,6 +191,6 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, 
 		}
 	default:
 		// CTS/ACK/NAK reach the sender via its response bookkeeping;
-		// RAK and Beacon play no role in the leader-based scheme.
+		// RAK plays no role in the leader-based scheme.
 	}
 }

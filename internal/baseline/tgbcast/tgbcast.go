@@ -44,10 +44,6 @@ type Multicaster struct {
 	nakSeen  bool
 	checkAt  sim.Slot
 	attempts int
-
-	// rxSeen tracks data frames this station has received, so a late
-	// retransmission does not re-trigger receiver action.
-	rxSeen map[int64]bool
 }
 
 // New returns a sim.MAC factory for stations running the Tang–Gerla
@@ -181,7 +177,7 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, 
 		if !member {
 			return
 		}
-		if m.rxSeen[f.MsgID] {
+		if st.HasData(f) {
 			// Retransmission of a frame this station already holds:
 			// answer the CTS anyway (the sender is retransmitting for
 			// someone else) but do not arm a NAK.
@@ -212,10 +208,6 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, 
 		if !member {
 			return
 		}
-		if m.rxSeen == nil {
-			m.rxSeen = make(map[int64]bool)
-		}
-		m.rxSeen[f.MsgID] = true
 		if m.UseNAK {
 			st.CancelResponses(func(p *frames.Frame) bool {
 				return p.Type == frames.NAK && p.MsgID == f.MsgID
@@ -223,6 +215,6 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, 
 		}
 	default:
 		// CTS/NAK are sender-side events (handled via responses), and
-		// ACK/RAK/Beacon play no role in the [19]/[20] exchanges.
+		// ACK/RAK play no role in the [19]/[20] exchanges.
 	}
 }

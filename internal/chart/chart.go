@@ -60,8 +60,6 @@ func symbol(t frames.Type) rune {
 		return 'K'
 	case frames.NAK:
 		return 'N'
-	case frames.Beacon:
-		return 'B'
 	default:
 		return '?'
 	}

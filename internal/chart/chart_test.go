@@ -17,7 +17,7 @@ import (
 func TestSymbols(t *testing.T) {
 	cases := map[frames.Type]rune{
 		frames.RTS: 'R', frames.CTS: 'C', frames.Data: 'D',
-		frames.ACK: 'a', frames.RAK: 'K', frames.NAK: 'N', frames.Beacon: 'B',
+		frames.ACK: 'a', frames.RAK: 'K', frames.NAK: 'N',
 	}
 	for ty, want := range cases {
 		if got := symbol(ty); got != want {

@@ -70,10 +70,6 @@ type Batch struct {
 	anyCTS    bool
 	acked     map[int]bool
 	attempts  int
-
-	// rxData tracks data frames this station received as a group member,
-	// so it can answer RAK frames (receiver's protocol, Figure 3).
-	rxData map[int64]bool
 }
 
 // NewBMMM returns a sim.MAC factory for stations running BMMM.
@@ -295,16 +291,10 @@ func (b *Batch) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, rx sim
 			Type: frames.CTS, Dst: f.Src, MsgID: f.MsgID,
 			Duration: f.Duration - tm.Control,
 		})
-	case frames.Data:
-		if rx&sim.RxMember == 0 {
-			return
-		}
-		if b.rxData == nil {
-			b.rxData = make(map[int64]bool)
-		}
-		b.rxData[f.MsgID] = true
 	case frames.RAK:
-		if !addressed || !b.rxData[f.MsgID] || !st.CanRespond(f, now) {
+		// The station logs member DATA itself (Station.HasData), so the
+		// receiver answers a RAK only for data it holds (Figure 3).
+		if !addressed || !st.HasData(f) || !st.CanRespond(f, now) {
 			return
 		}
 		st.Respond(env, &frames.Frame{
@@ -312,7 +302,8 @@ func (b *Batch) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, rx sim
 			Duration: f.Duration - tm.Control,
 		})
 	default:
-		// CTS/ACK are consumed by the sender's batch loop; NAK and
-		// Beacon play no role in the BMMM/LAMM exchange (Figure 3).
+		// CTS/ACK are consumed by the sender's batch loop; DATA is
+		// logged by the station; NAK plays no role in the BMMM/LAMM
+		// exchange (Figure 3).
 	}
 }

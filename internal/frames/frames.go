@@ -16,9 +16,9 @@ import "fmt"
 // Type enumerates MAC frame types.
 type Type uint8
 
-// Frame types. Beacon is included for completeness of the 802.11 model
-// (neighbor/location discovery) although the simulator treats neighbor
-// tables as already learned, as the paper does.
+// Frame types. There is no beacon frame: the simulator treats neighbor
+// tables (and LAMM's neighbor locations) as already learned, as the
+// paper does.
 const (
 	RTS Type = iota
 	CTS
@@ -26,7 +26,6 @@ const (
 	ACK
 	RAK // Request for ACK — the paper's new control frame (Figure 1)
 	NAK // negative ACK used by BSMA [20]
-	Beacon
 	numTypes
 )
 
@@ -60,15 +59,13 @@ func (t Type) String() string {
 		return "RAK"
 	case NAK:
 		return "NAK"
-	case Beacon:
-		return "BEACON"
 	default:
 		return fmt.Sprintf("Type(%d)", uint8(t))
 	}
 }
 
 // IsControl reports whether the frame type is a control frame (everything
-// except DATA and BEACON).
+// except DATA).
 func (t Type) IsControl() bool {
 	switch t {
 	case RTS, CTS, ACK, RAK, NAK:
@@ -139,7 +136,7 @@ func (f *Frame) String() string {
 // The paper's Table 2 uses "Signal Time 1 slot" for every control frame
 // and "Data Transmission Time 5 slots".
 type Timing struct {
-	// Control is the airtime of RTS/CTS/ACK/RAK/NAK/Beacon frames.
+	// Control is the airtime of RTS/CTS/ACK/RAK/NAK frames.
 	Control int
 	// Data is the airtime of a DATA frame.
 	Data int

@@ -8,7 +8,7 @@ import (
 func TestTypeString(t *testing.T) {
 	cases := map[Type]string{
 		RTS: "RTS", CTS: "CTS", Data: "DATA", ACK: "ACK",
-		RAK: "RAK", NAK: "NAK", Beacon: "BEACON",
+		RAK: "RAK", NAK: "NAK",
 	}
 	for ty, want := range cases {
 		if got := ty.String(); got != want {
@@ -26,10 +26,8 @@ func TestIsControl(t *testing.T) {
 			t.Errorf("%v should be a control frame", ty)
 		}
 	}
-	for _, ty := range []Type{Data, Beacon} {
-		if ty.IsControl() {
-			t.Errorf("%v should not be a control frame", ty)
-		}
+	if Data.IsControl() {
+		t.Error("DATA should not be a control frame")
 	}
 }
 
@@ -64,7 +62,7 @@ func TestAirtime(t *testing.T) {
 	if tm.Airtime(Data) != 9 {
 		t.Error("data airtime wrong")
 	}
-	for _, ty := range []Type{RTS, CTS, ACK, RAK, NAK, Beacon} {
+	for _, ty := range []Type{RTS, CTS, ACK, RAK, NAK} {
 		if tm.Airtime(ty) != 2 {
 			t.Errorf("%v airtime = %d, want 2", ty, tm.Airtime(ty))
 		}

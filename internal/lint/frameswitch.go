@@ -8,7 +8,7 @@ import (
 
 // frameswitchAnalyzer checks every switch over the frame Type tag: it
 // must either enumerate all frames.NumTypes values or carry a default
-// clause. The frame vocabulary has grown once already (RAK, then Beacon);
+// clause. The frame vocabulary has grown beyond 802.11 before (RAK, NAK);
 // a receiver switch that silently ignores an unlisted frame type is
 // exactly how a new control frame gets dropped on the floor with no
 // trace. An explicit default documents that ignoring the rest is a

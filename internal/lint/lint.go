@@ -109,7 +109,6 @@ func DefaultConfig() *Config {
 			"relmac/internal/metrics",
 			"relmac/internal/obs",
 			"relmac/internal/capture",
-			"relmac/internal/beacon",
 			"relmac/internal/mobility",
 			"relmac/internal/prof",
 		},

@@ -57,7 +57,8 @@ func (p AuditProtocol) String() string {
 
 // AuditProtocolFor maps an experiments-style protocol name to its audit
 // state machine. The boolean is false for protocols the auditor has no
-// model for (notably KK-Leader, whose beacon election is out of scope).
+// model for (notably KK-Leader, whose leader ACK and NAK jam it does not
+// model).
 func AuditProtocolFor(name string) (AuditProtocol, bool) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "802.11", "plain", "dcf":
@@ -93,8 +94,7 @@ func (p AuditProtocol) senderLegal(t frames.Type) bool {
 	case frames.RAK:
 		return p.batched()
 	default:
-		// CTS/ACK/NAK are receiver frames; Beacon belongs to KK-Leader,
-		// which the auditor has no model for.
+		// CTS/ACK/NAK are receiver frames.
 		return false
 	}
 }
@@ -109,7 +109,7 @@ func (p AuditProtocol) receiverLegal(t frames.Type) bool {
 	case frames.NAK:
 		return p == AuditBSMA
 	default:
-		// RTS/DATA/RAK originate at the sender; Beacon has no model here.
+		// RTS/DATA/RAK originate at the sender.
 		return false
 	}
 }

@@ -26,7 +26,7 @@ const (
 	CatACK
 	CatRTS
 	CatCTS
-	CatControl // BMW/BSMA bookkeeping frames: NAK, Beacon
+	CatControl // NAK, the BSMA and KK-Leader negative feedback frame
 	CatContention
 	CatIdle
 	numCategories

@@ -29,14 +29,15 @@ import (
 	"time"
 
 	"relmac/internal/experiments"
-	"relmac/internal/prof"
 )
 
 // Schema identifies the BENCH.json layout; bump on incompatible change.
 // Schema 2 added the sparse-traffic engine pair (Report.Sparse), schema 4
-// host metadata (Report.Host) and the phase decomposition
-// (Report.Phases); schema 5 dropped the worker-scaling section and the
-// serial-fraction projection, so schema-4 pins cannot gate a report.
+// host metadata (Report.Host) and a phase decomposition; schema 5 dropped
+// the worker-scaling section and the serial-fraction projection, so
+// schema-4 pins cannot gate a report. The optional phase section was
+// dropped later without a bump: Compare never read it, and perfbench
+// --trace 1 measures the engine phases on its workloads.
 const Schema = 5
 
 // SparseRate is the message generation rate of the sparse engine pair:
@@ -60,23 +61,13 @@ type Profile struct {
 	// Reps is how many times each measurement repeats; the fastest rep
 	// wins (minimum wall time is the standard noise filter).
 	Reps int
-	// PhaseNodes/PhaseRadius/PhaseRate/PhaseSlots shape the profiled
-	// phase-decomposition run: a plane much denser than the paper's
-	// 100-station default, so every engine phase carries measurable
-	// work. Zero PhaseNodes disables the section.
-	PhaseNodes  int
-	PhaseRadius float64
-	PhaseRate   float64
-	PhaseSlots  int
 }
 
 // Quick is the CI smoke profile.
-var Quick = Profile{Name: "quick", EngineSlots: 120_000, SparseSlots: 240_000, ProtocolSlots: 15_000, Reps: 3,
-	PhaseNodes: 2000, PhaseRadius: 0.05, PhaseRate: 0.0005, PhaseSlots: 2000}
+var Quick = Profile{Name: "quick", EngineSlots: 120_000, SparseSlots: 240_000, ProtocolSlots: 15_000, Reps: 3}
 
 // Full is the baseline-quality profile.
-var Full = Profile{Name: "full", EngineSlots: 600_000, SparseSlots: 1_200_000, ProtocolSlots: 60_000, Reps: 3,
-	PhaseNodes: 5000, PhaseRadius: 0.03, PhaseRate: 0.0005, PhaseSlots: 6000}
+var Full = Profile{Name: "full", EngineSlots: 600_000, SparseSlots: 1_200_000, ProtocolSlots: 60_000, Reps: 3}
 
 // EngineSample is one measured engine configuration.
 type EngineSample struct {
@@ -125,12 +116,6 @@ func HostInfo() Host {
 	}
 }
 
-// PhaseSection is the phase decomposition: the Profile.Phase* workload
-// run once with a prof.PhaseTimer attached.
-type PhaseSection struct {
-	Serial *prof.Report `json:"serial"`
-}
-
 // Report is the BENCH.json document.
 type Report struct {
 	Schema    int    `json:"schema"`
@@ -144,10 +129,7 @@ type Report struct {
 	// workload where the event clock's slot skipping pays off, since
 	// long idle stretches separate the arrivals. Nil in reports produced
 	// before schema 2.
-	Sparse *Engine `json:"sparse,omitempty"`
-	// Phases is the engine phase decomposition. Nil in reports produced
-	// before schema 4 or when the profile disables it.
-	Phases    *PhaseSection    `json:"phases,omitempty"`
+	Sparse    *Engine          `json:"sparse,omitempty"`
 	Protocols []ProtocolSample `json:"protocols"`
 }
 
@@ -189,14 +171,6 @@ func Measure(p Profile, report func(string)) (*Report, error) {
 	}
 	out.Sparse = &Engine{Optimized: sopt, Reference: sref, Speedup: sref.NsPerSlot / sopt.NsPerSlot}
 
-	if p.PhaseNodes > 0 {
-		ph, err := measurePhases(p, say)
-		if err != nil {
-			return nil, err
-		}
-		out.Phases = ph
-	}
-
 	for _, proto := range experiments.AllProtocols {
 		say("protocol sweep: %s, %d slots", proto, p.ProtocolSlots)
 		s, err := measureProtocol(proto, p.ProtocolSlots)
@@ -206,25 +180,6 @@ func Measure(p Profile, report func(string)) (*Report, error) {
 		out.Protocols = append(out.Protocols, s)
 	}
 	return out, nil
-}
-
-// measurePhases runs the Profile.Phase* workload once with a
-// prof.PhaseTimer attached. A single repetition: phase fractions are
-// ratios of large sums and far more stable than absolute wall times.
-func measurePhases(p Profile, say func(string, ...any)) (*PhaseSection, error) {
-	cfg := experiments.Defaults(experiments.BMMM, 3)
-	cfg.Nodes = p.PhaseNodes
-	cfg.Radius = p.PhaseRadius
-	cfg.Rate = p.PhaseRate
-	cfg.Slots = p.PhaseSlots
-	pt := prof.New()
-	cfg.Profiler = pt
-	say("phase decomposition: %d nodes, %d slots, profiled", p.PhaseNodes, p.PhaseSlots)
-	if _, err := experiments.Run(cfg); err != nil {
-		return nil, err
-	}
-	r := pt.Report()
-	return &PhaseSection{Serial: &r}, nil
 }
 
 // measureEngine times the default BMMM workload (the same configuration

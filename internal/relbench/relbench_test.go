@@ -8,8 +8,7 @@ import (
 )
 
 // tiny is a test-sized profile so the suite stays fast.
-var tiny = Profile{Name: "tiny", EngineSlots: 1500, SparseSlots: 3000, ProtocolSlots: 400, Reps: 1,
-	PhaseNodes: 500, PhaseRadius: 0.08, PhaseRate: 0.0005, PhaseSlots: 300}
+var tiny = Profile{Name: "tiny", EngineSlots: 1500, SparseSlots: 3000, ProtocolSlots: 400, Reps: 1}
 
 func TestMeasureProducesCompleteReport(t *testing.T) {
 	r, err := Measure(tiny, nil)
@@ -33,15 +32,6 @@ func TestMeasureProducesCompleteReport(t *testing.T) {
 	}
 	if r.Host.Cores < 1 || r.Host.GOMAXPROCS < 1 || r.Host.Go == "" || r.Host.OS == "" || r.Host.Arch == "" {
 		t.Fatalf("bad host metadata: %+v", r.Host)
-	}
-	if r.Phases == nil || r.Phases.Serial == nil {
-		t.Fatal("report missing the phase decomposition section")
-	}
-	if !r.Phases.Serial.Conserved() || r.Phases.Serial.Runs != 1 {
-		t.Fatalf("phase section is not one conserved run: %+v", r.Phases.Serial)
-	}
-	if r.Phases.Serial.PhaseNs("resolve") <= 0 {
-		t.Fatalf("phase run charged no resolution time: %+v", r.Phases.Serial)
 	}
 	if len(r.Protocols) != 5 {
 		t.Fatalf("want 5 protocol samples, got %d", len(r.Protocols))
