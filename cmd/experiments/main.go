@@ -23,17 +23,13 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"relmac/internal/experiments"
 	"relmac/internal/fault"
 	"relmac/internal/obs"
-	"relmac/internal/prof"
 	"relmac/internal/report"
-	"relmac/internal/sim"
 
 	_ "net/http/pprof"
 )
@@ -56,18 +52,9 @@ func main() {
 	flightDir := flag.String("flight-dir", "", fmt.Sprintf("drift experiment: dump per-message lifecycle span traces (JSONL, one file per run) into this directory for any protocol whose weighted drift exceeds experiments.DriftTolerance (%.2f)", experiments.DriftTolerance))
 	flag.Parse()
 
-	faultCfg := fault.Config{PER: *per, LocNoise: *locNoise}
-	var ferr error
-	if faultCfg.GE, ferr = fault.ParseGE(*geSpec); ferr != nil {
-		fmt.Fprintln(os.Stderr, ferr)
-		os.Exit(2)
-	}
-	if faultCfg.Crash, ferr = fault.ParseCrash(*crashSpec); ferr != nil {
-		fmt.Fprintln(os.Stderr, ferr)
-		os.Exit(2)
-	}
-	if ferr = faultCfg.Validate(); ferr != nil {
-		fmt.Fprintln(os.Stderr, ferr)
+	faultCfg, err := fault.Parse(*per, *geSpec, *crashSpec, *locNoise)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	// The sweeps fix every other run parameter; -slots is the one the
@@ -90,57 +77,35 @@ func main() {
 		}()
 		fmt.Fprintf(os.Stderr, "pprof listening on %s\n", *pprofAddr)
 	}
+	// Every sweep run gets fresh surfaces from one Watch: the phase
+	// timer with -phases, and with -listen the airtime ledger (its
+	// registry counters pool across runs per protocol prefix), served
+	// alongside the sweep progress/ETA gauges. Sweep snapshots both hooks
+	// at entry, so they are installed once, up front.
+	w := &experiments.Watch{Phases: *phases}
 	if *listen != "" {
-		// Live export: every sweep run gets a fresh airtime ledger (the
-		// registry counters pool across runs per protocol prefix), and the
-		// sweep worker pool reports progress into a SweepStatus the
-		// endpoint reads as gauges. Both hooks are snapshotted at Sweep
-		// entry, so they are installed once, up front.
-		reg := obs.NewRegistry()
-		msrv := obs.NewMetricsServer(reg)
+		w.Ledger, w.Registry = true, obs.NewRegistry()
+		w.Server = obs.NewMetricsServer(w.Registry)
 		st := &experiments.SweepStatus{}
 		experiments.Progress.Status = st
-		msrv.Gauge("sweep.progress", st.Fraction)
-		msrv.Gauge("sweep.eta_seconds", st.ETASeconds)
-		msrv.Gauge("sweep.elapsed_seconds", st.ElapsedSeconds)
-		msrv.Extra("sweep", func() any { return st.Snapshot() })
-		experiments.Instrument = func(cfg *experiments.RunConfig) {
-			led := obs.NewLedger(reg, string(cfg.Protocol))
-			cfg.Observers = append(cfg.Observers, led)
-			cfg.SlotObservers = append(cfg.SlotObservers, led)
-			msrv.AddLedger(string(cfg.Protocol), led)
-		}
+		w.Server.Gauge("sweep.progress", st.Fraction)
+		w.Server.Gauge("sweep.eta_seconds", st.ETASeconds)
+		w.Server.Gauge("sweep.elapsed_seconds", st.ElapsedSeconds)
+		w.Server.Extra("sweep", func() any { return st.Snapshot() })
 		ln, err := net.Listen("tcp", *listen)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 		go func() {
-			if err := http.Serve(ln, msrv.Handler()); err != nil {
+			if err := http.Serve(ln, w.Server.Handler()); err != nil {
 				fmt.Fprintf(os.Stderr, "metrics server: %v\n", err)
 			}
 		}()
 		fmt.Fprintf(os.Stderr, "metrics listening on http://%s\n", ln.Addr())
 	}
-
-	// One fresh PhaseTimer per sweep run (engines must not share a
-	// timer); prof.Aggregate pools them per protocol at the end. The
-	// Instrument hook chains after the -listen one and runs on sweep
-	// worker goroutines, hence the mutex.
-	var phaseMu sync.Mutex
-	phaseTimers := make(map[string][]*prof.PhaseTimer)
-	if *phases {
-		prev := experiments.Instrument
-		experiments.Instrument = func(cfg *experiments.RunConfig) {
-			if prev != nil {
-				prev(cfg)
-			}
-			pt := prof.New()
-			cfg.Profiler = pt
-			phaseMu.Lock()
-			phaseTimers[string(cfg.Protocol)] = append(phaseTimers[string(cfg.Protocol)], pt)
-			phaseMu.Unlock()
-		}
+	if w.Phases || w.Ledger {
+		experiments.Instrument = w.Attach
 	}
 
 	o := experiments.Options{Runs: *runs, Slots: *slots, Fault: faultCfg, FlightDir: *flightDir}
@@ -279,35 +244,7 @@ func main() {
 		emit(tb, "fig8.csv")
 	}
 	if *phases {
-		phaseMu.Lock()
-		tb := phaseTable(phaseTimers)
-		phaseMu.Unlock()
 		fmt.Println()
-		tb.Render(os.Stdout)
+		w.PhaseTable().Render(os.Stdout)
 	}
-}
-
-// phaseTable pools every sweep run's phase timer per protocol and
-// renders the wall-time decomposition.
-func phaseTable(timers map[string][]*prof.PhaseTimer) *report.Table {
-	cols := []string{"protocol", "runs", "wall ms"}
-	for i := 0; i < sim.NumPhases; i++ {
-		cols = append(cols, sim.Phase(i).String())
-	}
-	tb := report.NewTable("engine phases: fraction of wall time per phase (all sweep runs pooled)", cols...)
-	names := make([]string, 0, len(timers))
-	for name := range timers {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		r := prof.Aggregate(timers[name])
-		row := []any{name, r.Runs, float64(r.WallNs) / 1e6}
-		for _, s := range r.Phases {
-			row = append(row, s.Frac)
-		}
-		tb.AddRow(row...)
-	}
-	tb.Note = "conservation holds by construction: phase fractions sum to 1"
-	return tb
 }

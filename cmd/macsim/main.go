@@ -25,11 +25,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"strings"
-	"sync"
 
 	"relmac/internal/analysis"
 	"relmac/internal/capture"
@@ -38,7 +38,6 @@ import (
 	"relmac/internal/fault"
 	"relmac/internal/metrics"
 	"relmac/internal/obs"
-	"relmac/internal/prof"
 	"relmac/internal/report"
 	"relmac/internal/sim"
 
@@ -73,17 +72,8 @@ func main() {
 	hold := flag.Bool("hold", false, "with -listen: keep serving after the runs complete until interrupted")
 	flag.Parse()
 
-	faultCfg := fault.Config{PER: *per, LocNoise: *locNoise}
-	var err error
-	if faultCfg.GE, err = fault.ParseGE(*geSpec); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if faultCfg.Crash, err = fault.ParseCrash(*crashSpec); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	if err = faultCfg.Validate(); err != nil {
+	faultCfg, err := fault.Parse(*per, *geSpec, *crashSpec, *locNoise)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -161,61 +151,40 @@ func main() {
 		return
 	}
 
-	if *traceFile != "" {
-		// A trace file captures exactly one run of one protocol; mixing
-		// events from several engines would interleave unrelated slots.
+	// A trace or span file captures exactly one run of one protocol;
+	// mixing events from several engines would interleave unrelated slots.
+	for _, single := range []struct{ flag, file string }{{"-trace", *traceFile}, {"-flight", *flightFile}} {
+		if single.file == "" {
+			continue
+		}
 		if len(protos) > 1 {
-			fmt.Fprintf(os.Stderr, "-trace: tracing only the first protocol (%s)\n", protos[0])
+			fmt.Fprintf(os.Stderr, "%s: recording only the first protocol (%s)\n", single.flag, protos[0])
 			protos = protos[:1]
 		}
 		if *runs != 1 {
-			fmt.Fprintln(os.Stderr, "-trace: forcing -runs 1")
+			fmt.Fprintf(os.Stderr, "%s: forcing -runs 1\n", single.flag)
 			*runs = 1
 		}
 	}
-	if *flightFile != "" {
-		// A span file captures exactly one run of one protocol, for the
-		// same reason a trace file does.
-		if len(protos) > 1 {
-			fmt.Fprintf(os.Stderr, "-flight: recording only the first protocol (%s)\n", protos[0])
-			protos = protos[:1]
-		}
-		if *runs != 1 {
-			fmt.Fprintln(os.Stderr, "-flight: forcing -runs 1")
-			*runs = 1
-		}
-	}
+	// The stat counters ride along whenever anything else feeds the
+	// registry, so /metrics always carries them.
 	ledgerOn := *ledgerFile != "" || *listen != ""
-	var reg *obs.Registry
-	if *stats || ledgerOn || *flightStats {
-		reg = obs.NewRegistry()
+	w := &experiments.Watch{
+		Stats: *stats || ledgerOn || *flightStats, Ledger: ledgerOn, Drift: ledgerOn,
+		TraceFile: *traceFile, FlightFile: *flightFile,
+		Flight: *flightFile != "", FlightStats: *flightStats,
+		Audit: *auditFile != "", Phases: *phases,
+		Registry: obs.NewRegistry(), Log: os.Stderr,
 	}
-
-	// Drift accumulators merge across runs per protocol; the closure is
-	// shared with the live /snapshot endpoint, so it takes the lock.
-	var driftMu sync.Mutex
-	driftAccums := make(map[string]*analysis.DriftAccum)
-	driftSummaries := func() map[string]analysis.DriftSummary {
-		driftMu.Lock()
-		defer driftMu.Unlock()
-		out := make(map[string]analysis.DriftSummary, len(driftAccums))
-		for name, acc := range driftAccums {
-			out[name] = acc.Summary()
-		}
-		return out
-	}
-
-	var msrv *obs.MetricsServer
 	if *listen != "" {
-		msrv = obs.NewMetricsServer(reg)
-		msrv.Extra("drift", func() any { return driftSummaries() })
+		w.Server = obs.NewMetricsServer(w.Registry)
 		ln, err := net.Listen("tcp", *listen)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
 		go func() {
-			if err := http.Serve(ln, msrv.Handler()); err != nil {
+			if err := http.Serve(ln, w.Server.Handler()); err != nil {
 				fmt.Fprintf(os.Stderr, "metrics server: %v\n", err)
 			}
 		}()
@@ -226,136 +195,15 @@ func main() {
 		fmt.Sprintf("macsim: %d nodes, r=%g, %d slots, rate=%g, timeout=%d, capture=%s, %d run(s)",
 			*nodes, *radius, *slots, *rate, *timeout, capModel.Name(), *runs),
 		"protocol", "messages", "delivery rate", "avg contentions", "avg completion", "delivered frac")
-	ledgers := make(map[string]*obs.Ledger)
-	// Audit outcomes pool across runs per protocol; each run gets a fresh
-	// auditor because message IDs restart with the engine.
-	audits := make(map[string]*auditResult)
-	// One phase timer per protocol, shared across its sequential runs so
-	// the breakdown pools (prof.PhaseTimer is built for exactly this).
-	phaseTimers := make(map[string]*prof.PhaseTimer)
 	for _, p := range protos {
 		var agg metrics.SummaryStats
-		var st *obs.Stats
-		if reg != nil {
-			st = obs.NewStats(reg, string(p))
-		}
-		var pt *prof.PhaseTimer
-		if *phases {
-			pt = prof.New()
-			phaseTimers[string(p)] = pt
-			if msrv != nil {
-				msrv.AddProfile(string(p), pt.Report)
-			}
-		}
 		for r := 0; r < *runs; r++ {
-			cfg := runCfg(p, *seed+int64(r))
-			if pt != nil {
-				cfg.Profiler = pt
-			}
-			if st != nil {
-				cfg.Observers = append(cfg.Observers, st)
-			}
-			var dm *obs.DriftMonitor
-			if ledgerOn {
-				// Fresh ledger per run; sharing the registry prefix makes
-				// the counters accumulate across runs, and the snapshot
-				// endpoint keeps serving the latest instance mid-loop.
-				led := obs.NewLedger(reg, string(p))
-				cfg.Observers = append(cfg.Observers, led)
-				cfg.SlotObservers = append(cfg.SlotObservers, led)
-				ledgers[string(p)] = led
-				if msrv != nil {
-					msrv.AddLedger(string(p), led)
-				}
-				dm = obs.NewDriftMonitor(analysis.RoundModelFor(string(p)))
-				cfg.Observers = append(cfg.Observers, dm)
-			}
-			var tracer *obs.Tracer
-			if *traceFile != "" {
-				tracer = obs.NewTracer(0)
-				tracer.Timing = cfg.MAC.Timing
-				cfg.Observers = append(cfg.Observers, tracer)
-				if msrv != nil {
-					msrv.AddTracer(string(p), tracer)
-				}
-			}
-			var fl *obs.Flight
-			if *flightFile != "" || *flightStats {
-				// The registry (and a per-protocol prefix) only when the
-				// histograms were asked for; a span dump alone stays
-				// registry-free.
-				var freg *obs.Registry
-				prefix := ""
-				if *flightStats {
-					freg, prefix = reg, string(p)
-				}
-				fl = obs.NewFlight(freg, prefix, 0)
-				fl.Timing = cfg.MAC.Timing
-				cfg.Observers = append(cfg.Observers, fl)
-				cfg.Lifecycles = append(cfg.Lifecycles, fl)
-				if msrv != nil {
-					msrv.AddFlight(string(p), fl)
-				}
-			}
-			var aud *obs.Auditor
-			if *auditFile != "" {
-				if ap, ok := obs.AuditProtocolFor(string(p)); ok {
-					aud = obs.NewAuditor(ap, cfg.MAC.RetryLimit)
-					cfg.Observers = append(cfg.Observers, aud)
-					cfg.Lifecycles = append(cfg.Lifecycles, aud)
-					if msrv != nil {
-						msrv.AddAuditor(string(p), aud)
-					}
-				} else if r == 0 {
-					fmt.Fprintf(os.Stderr, "audit: no conformance model for %s, skipping\n", p)
-				}
-			}
-			res, err := experiments.Run(cfg)
+			res, err := w.Run(runCfg(p, *seed+int64(r)))
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				os.Exit(1)
 			}
 			agg.Add(res.Summary)
-			if reg != nil && res.Fault != nil {
-				res.Fault.FeedRegistry(reg, string(p)+".fault")
-			}
-			if dm != nil {
-				driftMu.Lock()
-				if acc := driftAccums[string(p)]; acc != nil {
-					acc.Merge(dm.Accum())
-				} else {
-					driftAccums[string(p)] = dm.Accum()
-				}
-				driftMu.Unlock()
-			}
-			if tracer != nil {
-				if err := writeTrace(*traceFile, tracer); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fmt.Fprintf(os.Stderr, "trace: %d events -> %s (%d dropped)\n",
-					tracer.Len(), *traceFile, tracer.Dropped())
-			}
-			if fl != nil && *flightFile != "" {
-				if err := writeFlight(*flightFile, fl); err != nil {
-					fmt.Fprintln(os.Stderr, err)
-					os.Exit(1)
-				}
-				fst := fl.Stats()
-				fmt.Fprintf(os.Stderr, "flight: %d messages -> %s (%d complete, %d aborted, %d in flight)\n",
-					fst.Tracked, *flightFile, fst.Completed, fst.Aborted, fst.InFlight)
-			}
-			if aud != nil {
-				agg := audits[string(p)]
-				if agg == nil {
-					agg = &auditResult{Protocol: aud.Protocol().String(), Findings: []obs.Finding{}}
-					audits[string(p)] = agg
-				}
-				ast := aud.Stats()
-				agg.Audited += ast.Audited
-				agg.Violations += ast.Violations
-				agg.Findings = append(agg.Findings, aud.Findings()...)
-			}
 		}
 		tb.AddRow(string(p), agg.Messages,
 			fmt.Sprintf("%.3f ±%.3f", agg.SuccessRate.Mean(), agg.SuccessRate.CI95()),
@@ -366,39 +214,35 @@ func main() {
 	tb.Render(os.Stdout)
 	if *phases {
 		fmt.Println()
-		phaseTable(protos, phaseTimers).Render(os.Stdout)
+		w.PhaseTable().Render(os.Stdout)
 	}
 	if *stats {
 		fmt.Println()
-		if _, err := reg.WriteTo(os.Stdout); err != nil {
+		if _, err := w.Registry.WriteTo(os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 	}
 	if ledgerOn {
 		fmt.Println()
-		airtimeTable(protos, ledgers, *runs).Render(os.Stdout)
+		airtimeTable(protos, w.LedgerSnapshots(), *runs).Render(os.Stdout)
 	}
 	if *ledgerFile != "" {
-		if err := writeLedgerJSON(*ledgerFile, protos, ledgers, driftSummaries()); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		writeJSON("ledger", *ledgerFile, struct {
+			Ledgers map[string]obs.LedgerSnapshot    `json:"ledgers"`
+			Drift   map[string]analysis.DriftSummary `json:"drift"`
+		}{w.LedgerSnapshots(), w.DriftSummaries()})
 	}
 	if *auditFile != "" {
-		if err := writeAuditJSON(*auditFile, protos, audits); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+		audits := w.Audits()
+		writeJSON("audit", *auditFile, audits)
 		var violations int64
 		for _, p := range protos {
-			agg := audits[string(p)]
-			if agg == nil {
-				continue
+			if rep := audits[string(p)]; rep != nil {
+				fmt.Fprintf(os.Stderr, "audit %s: %d messages, %d violations\n",
+					p, rep.Audited, rep.Violations)
+				violations += rep.Violations
 			}
-			fmt.Fprintf(os.Stderr, "audit %s: %d messages, %d violations\n",
-				p, agg.Audited, agg.Violations)
-			violations += agg.Violations
 		}
 		if violations > 0 {
 			fmt.Fprintf(os.Stderr, "audit: %d conformance violations\n", violations)
@@ -411,96 +255,36 @@ func main() {
 	}
 }
 
-// phaseTable renders the phase breakdown: one row per protocol, one
-// column per engine phase, each cell the fraction of that protocol's
-// pooled wall time (all runs share one timer).
-func phaseTable(protos []experiments.Protocol, timers map[string]*prof.PhaseTimer) *report.Table {
-	cols := []string{"protocol", "wall ms"}
-	for i := 0; i < sim.NumPhases; i++ {
-		cols = append(cols, sim.Phase(i).String())
-	}
-	tb := report.NewTable("engine phases: fraction of wall time per phase (all runs pooled)", cols...)
-	for _, p := range protos {
-		pt := timers[string(p)]
-		if pt == nil {
-			continue
-		}
-		r := pt.Report()
-		row := []any{string(p), float64(r.WallNs) / 1e6}
-		for _, s := range r.Phases {
-			row = append(row, s.Frac)
-		}
-		tb.AddRow(row...)
-	}
-	tb.Note = "conservation holds by construction: phase fractions sum to 1"
-	return tb
-}
-
-// auditResult pools one protocol's audit outcome across runs.
-type auditResult struct {
-	Protocol   string        `json:"protocol"`
-	Audited    int64         `json:"audited"`
-	Violations int64         `json:"violations"`
-	Findings   []obs.Finding `json:"findings"`
-}
-
-// writeAuditJSON emits the conformance report: one entry per audited
-// protocol with pooled message counts, violation totals and findings.
-func writeAuditJSON(path string, protos []experiments.Protocol, audits map[string]*auditResult) error {
-	payload := make(map[string]*auditResult, len(audits))
-	for _, p := range protos {
-		if agg := audits[string(p)]; agg != nil {
-			payload[string(p)] = agg
-		}
-	}
-	data, err := json.MarshalIndent(payload, "", "  ")
+// writeJSON writes v as indented JSON to path ("-" for stdout), exiting
+// on failure.
+func writeJSON(what, path string, v any) {
+	err := experiments.WriteFile(path, func(w io.Writer) error {
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		return enc.Encode(v)
+	})
 	if err != nil {
-		return err
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
+	if path != "-" {
+		fmt.Fprintf(os.Stderr, "%s: wrote %s\n", what, path)
 	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "audit: wrote %s\n", path)
-	return nil
-}
-
-// writeFlight exports the flight recorder's span trees: span JSONL when
-// the file name ends in .jsonl, Chrome trace-event JSON otherwise.
-func writeFlight(path string, fl *obs.Flight) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = fl.WriteSpansJSONL(f)
-	} else {
-		err = fl.WriteChromeTrace(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }
 
 // airtimeTable renders the ledger breakdown: one row per protocol, one
 // column per category, each cell the fraction of the total simulated
 // airtime (all runs pooled — the registry counters accumulate across
 // runs sharing a protocol prefix).
-func airtimeTable(protos []experiments.Protocol, ledgers map[string]*obs.Ledger, runs int) *report.Table {
+func airtimeTable(protos []experiments.Protocol, ledgers map[string]obs.LedgerSnapshot, runs int) *report.Table {
 	cols := append([]string{"protocol", "slots"}, obs.CategoryNames()...)
 	tb := report.NewTable(
 		fmt.Sprintf("airtime ledger: fraction of slots per category (%d run(s) pooled)", runs), cols...)
 	for _, p := range protos {
-		led := ledgers[string(p)]
-		if led == nil {
+		snap, ok := ledgers[string(p)]
+		if !ok {
 			continue
 		}
-		snap := led.Snapshot()
 		row := []any{string(p), snap.TotalSlots}
 		for _, name := range obs.CategoryNames() {
 			frac := 0.0
@@ -513,52 +297,4 @@ func airtimeTable(protos []experiments.Protocol, ledgers map[string]*obs.Ledger,
 	}
 	tb.Note = "slot conservation holds by construction: category counts sum to slots"
 	return tb
-}
-
-// writeLedgerJSON emits the machine-readable airtime report: the
-// per-protocol ledger snapshots plus the merged drift summaries.
-func writeLedgerJSON(path string, protos []experiments.Protocol,
-	ledgers map[string]*obs.Ledger, drift map[string]analysis.DriftSummary) error {
-	snaps := make(map[string]obs.LedgerSnapshot, len(ledgers))
-	for _, p := range protos {
-		if led := ledgers[string(p)]; led != nil {
-			snaps[string(p)] = led.Snapshot()
-		}
-	}
-	payload := struct {
-		Ledgers map[string]obs.LedgerSnapshot    `json:"ledgers"`
-		Drift   map[string]analysis.DriftSummary `json:"drift"`
-	}{snaps, drift}
-	data, err := json.MarshalIndent(payload, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "ledger: wrote %s\n", path)
-	return nil
-}
-
-// writeTrace exports the tracer's buffer: JSONL when the file name ends
-// in .jsonl, Chrome trace-event JSON otherwise.
-func writeTrace(path string, tr *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = tr.WriteJSONL(f)
-	} else {
-		err = tr.WriteChromeTrace(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

@@ -1,13 +1,79 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"flag"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"runtime"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
+
+// checkGolden compares got with testdata/name byte for byte, or rewrites
+// the file with -update.
+func checkGolden(t *testing.T, name string, got []byte) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("%s differs from the golden file (%d bytes, want %d); rerun with -update only for an intended change",
+			name, len(got), len(want))
+	}
+}
+
+// TestGoldenOutputs pins macsim's outputs byte for byte: the metrics
+// table with every pooled surface on stdout (the stat registry, the
+// airtime ledger and drift JSON, the audit JSON, the flight stage
+// histograms), the fault counters of an impaired run, and the trace and
+// span files of a single run in both export formats.
+func TestGoldenOutputs(t *testing.T) {
+	bin := buildMacsim(t)
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"extended_stats.txt", []string{"-protocol", "extended", "-nodes", "40", "-slots", "2000", "-runs", "2",
+			"-stats", "-ledger", "-", "-audit", "-", "-flightstats"}},
+		{"lamm_fault_stats.txt", []string{"-protocol", "LAMM", "-nodes", "40", "-slots", "2000", "-runs", "2",
+			"-per", "0.05", "-ge", "0.01:0.1:0.8", "-crash", "1500:150", "-stats"}},
+	} {
+		out, err := exec.Command(bin, tc.args...).Output()
+		if err != nil {
+			t.Fatalf("macsim %v: %v", tc.args, err)
+		}
+		checkGolden(t, tc.golden, out)
+	}
+	dir := t.TempDir()
+	for _, ext := range []string{".jsonl", ".json"} {
+		trace := filepath.Join(dir, "bmmm_trace"+ext)
+		spans := filepath.Join(dir, "bmmm_flight"+ext)
+		args := []string{"-protocol", "BMMM", "-nodes", "20", "-slots", "600", "-runs", "1", "-trace", trace, "-flight", spans}
+		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+			t.Fatalf("macsim %v: %v\n%s", args, err, out)
+		}
+		for _, path := range []string{trace, spans} {
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkGolden(t, filepath.Base(path), got)
+		}
+	}
+}
 
 // buildMacsim builds the command into a test temp directory.
 func buildMacsim(t *testing.T) string {

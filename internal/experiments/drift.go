@@ -5,10 +5,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"relmac/internal/analysis"
-	"relmac/internal/obs"
 	"relmac/internal/report"
 )
 
@@ -38,43 +36,24 @@ const DriftTolerance = 0.35
 // tripped gate.
 func Drift(o Options) (*report.Table, map[Protocol]analysis.DriftSummary, error) {
 	o = o.normal()
-	var mu sync.Mutex
-	monitors := make(map[Protocol][]*obs.DriftMonitor)
-	flights := make(map[Protocol][]*obs.Flight)
+	w := &Watch{Drift: true, Flight: o.FlightDir != ""}
 	_, err := Sweep(1, o.Protocols, o.Runs, func(p int, cfg *RunConfig) {
 		o.apply(cfg)
-		m := obs.NewDriftMonitor(analysis.RoundModelFor(string(cfg.Protocol)))
-		cfg.Observers = append(cfg.Observers, m)
-		var fl *obs.Flight
-		if o.FlightDir != "" {
-			fl = obs.NewFlight(nil, "", 0)
-			cfg.Observers = append(cfg.Observers, fl)
-			cfg.Lifecycles = append(cfg.Lifecycles, fl)
-		}
-		mu.Lock()
-		monitors[cfg.Protocol] = append(monitors[cfg.Protocol], m)
-		if fl != nil {
-			flights[cfg.Protocol] = append(flights[cfg.Protocol], fl)
-		}
-		mu.Unlock()
+		w.Attach(cfg)
 	}, false)
 	if err != nil {
 		return nil, nil, err
 	}
+	pooled := w.DriftSummaries()
 	summaries := make(map[Protocol]analysis.DriftSummary, len(o.Protocols))
 	tb := report.NewTable(
 		"Analytic drift: observed vs closed-form contention phases (Figure 6 config)",
 		"protocol", "model", "p_hat", "n", "msgs", "observed", "expected", "rel_err")
 	for _, proto := range o.Protocols {
-		ms := monitors[proto]
-		if len(ms) == 0 {
+		s, ok := pooled[string(proto)]
+		if !ok {
 			continue
 		}
-		acc := ms[0].Accum()
-		for _, m := range ms[1:] {
-			acc.Merge(m.Accum())
-		}
-		s := acc.Summary()
 		summaries[proto] = s
 		for _, pt := range s.Points {
 			tb.AddRow(string(proto), s.Model, s.PHat,
@@ -86,7 +65,7 @@ func Drift(o Options) (*report.Table, map[Protocol]analysis.DriftSummary, error)
 		"rel_err = (observed-expected)/expected at the empirical p_hat; "+
 			"batch-protocol weighted drift is test-gated at |rel_err| <= %.2f", DriftTolerance)
 	if o.FlightDir != "" {
-		if err := dumpDriftFlights(o.FlightDir, o.Protocols, summaries, flights); err != nil {
+		if err := dumpDriftFlights(o.FlightDir, o.Protocols, summaries, w); err != nil {
 			return tb, summaries, err
 		}
 	}
@@ -94,11 +73,10 @@ func Drift(o Options) (*report.Table, map[Protocol]analysis.DriftSummary, error)
 }
 
 // dumpDriftFlights writes the span traces of every protocol whose
-// weighted drift exceeds the tolerance. Runs are numbered in attachment
-// order, which under the parallel sweep is completion order — stable
-// enough for evidence files, whose content is per-run deterministic.
+// weighted drift exceeds the tolerance, runs numbered in seed order —
+// run order, as Drift's seeds increase with the run.
 func dumpDriftFlights(dir string, protocols []Protocol,
-	summaries map[Protocol]analysis.DriftSummary, flights map[Protocol][]*obs.Flight) error {
+	summaries map[Protocol]analysis.DriftSummary, w *Watch) error {
 
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("experiments: flight dir: %w", err)
@@ -108,19 +86,10 @@ func dumpDriftFlights(dir string, protocols []Protocol,
 		if !ok || math.Abs(s.WeightedRelErr) <= DriftTolerance {
 			continue
 		}
-		for i, fl := range flights[proto] {
+		for i, fl := range w.Flights(proto) {
 			path := filepath.Join(dir, fmt.Sprintf("flight_%s_run%d.jsonl", proto, i))
-			f, err := os.Create(path)
-			if err != nil {
-				return fmt.Errorf("experiments: flight dump: %w", err)
-			}
-			werr := fl.WriteSpansJSONL(f)
-			cerr := f.Close()
-			if werr != nil {
-				return fmt.Errorf("experiments: flight dump %s: %w", path, werr)
-			}
-			if cerr != nil {
-				return fmt.Errorf("experiments: flight dump %s: %w", path, cerr)
+			if err := WriteFile(path, fl.WriteSpansJSONL); err != nil {
+				return fmt.Errorf("experiments: flight dump %s: %w", path, err)
 			}
 		}
 	}

@@ -136,8 +136,8 @@ type RunConfig struct {
 	// (sim.Config.Profiler) — typically a prof.PhaseTimer. Profilers
 	// are PRNG-neutral and mutation-free by contract, so results are
 	// byte-identical with and without one. One profiler serves one
-	// engine at a time: sweeps must attach a fresh one per run (via
-	// Instrument) and pool them with prof.Aggregate. Nil keeps the
+	// engine at a time: sweeps attach a fresh one per run (Watch.Attach
+	// as Instrument) and pool them with prof.Aggregate. Nil keeps the
 	// engine's zero-cost path.
 	Profiler sim.Profiler
 }
@@ -348,8 +348,8 @@ var Progress ProgressMeter
 
 // Instrument, when non-nil, is invoked on every run configuration after
 // the sweep's own mutation and before the run executes — the hook the
-// cmd layer uses to attach fresh per-run observers (airtime ledgers,
-// drift monitors) to whole sweeps without touching each sweep function.
+// cmd layer sets to a Watch's Attach, giving every run of a whole sweep
+// fresh observability surfaces without touching each sweep function.
 // It is called from worker goroutines, so it must be safe for concurrent
 // use; like Progress it is snapshotted at Sweep entry and must not be
 // mutated while a sweep is in flight. Attached observers must not

@@ -426,6 +426,20 @@ func ParseGE(s string) (GilbertElliott, error) {
 	return g, g.Validate()
 }
 
+// Parse builds and validates the Config the CLI fault flags describe:
+// -per, -ge (ParseGE), -crash (ParseCrash) and -locnoise.
+func Parse(per float64, ge, crash string, locNoise float64) (Config, error) {
+	c := Config{PER: per, LocNoise: locNoise}
+	var err error
+	if c.GE, err = ParseGE(ge); err != nil {
+		return c, err
+	}
+	if c.Crash, err = ParseCrash(crash); err != nil {
+		return c, err
+	}
+	return c, c.Validate()
+}
+
 // ParseCrash parses the CLI form of a crash schedule, "mttf:mttr" in
 // slots — e.g. "2000:200" for nodes that stay up 2000 slots and down
 // 200 slots on average. An empty string yields the disabled zero value.

@@ -28,7 +28,9 @@ func (t *drawTimer) Enter(p sim.Phase) { // want `hook \(bad\.drawTimer\)\.Enter
 func (t *drawTimer) RunEnd() {}
 
 // steerTimer aborts a request from inside RunEnd — profiler code
-// re-entering the engine's bookkeeping.
+// re-entering the engine's bookkeeping. Env.ReportAbort charges its
+// dispatch to the observer phase through the attached profiler's Enter,
+// so RunEnd also reaches drawTimer's draw.
 type steerTimer struct {
 	env *sim.Env
 	req *sim.Request
@@ -38,6 +40,6 @@ func (s *steerTimer) RunStart() {}
 
 func (s *steerTimer) Enter(sim.Phase) {}
 
-func (s *steerTimer) RunEnd() { // want `hook \(bad\.steerTimer\)\.RunEnd reaches a sim\.Engine/Env mutation`
+func (s *steerTimer) RunEnd() { // want `hook \(bad\.steerTimer\)\.RunEnd reaches a sim\.Engine/Env mutation` want `hook \(bad\.steerTimer\)\.RunEnd reaches a PRNG draw`
 	s.env.ReportAbort(s.req, sim.AbortDeadline)
 }

@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 
@@ -546,32 +543,19 @@ func (a *Auditor) Stats() AuditStats {
 	return AuditStats{Protocol: a.proto.String(), Audited: a.audited, Violations: a.total}
 }
 
-// auditReport is the JSON document WriteReport emits.
-type auditReport struct {
+// AuditReport is one audit outcome, the JSON shape `macsim -audit`
+// writes per protocol: one run's from Report, or several runs' summed.
+type AuditReport struct {
 	Protocol   string    `json:"protocol"`
 	Audited    int64     `json:"audited"`
 	Violations int64     `json:"violations"`
 	Findings   []Finding `json:"findings"`
 }
 
-// WriteReport writes the audit outcome as one indented JSON document.
-func (a *Auditor) WriteReport(w io.Writer) error {
+// Report returns the audit outcome so far; Findings is never nil.
+func (a *Auditor) Report() AuditReport {
 	a.mu.Lock()
-	rep := auditReport{
-		Protocol:   a.proto.String(),
-		Audited:    a.audited,
-		Violations: a.total,
-		Findings:   append([]Finding(nil), a.findings...),
-	}
-	a.mu.Unlock()
-	if rep.Findings == nil {
-		rep.Findings = []Finding{}
-	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(rep); err != nil {
-		return err
-	}
-	return bw.Flush()
+	defer a.mu.Unlock()
+	return AuditReport{Protocol: a.proto.String(), Audited: a.audited, Violations: a.total,
+		Findings: append([]Finding{}, a.findings...)}
 }

@@ -1,7 +1,6 @@
 package obs_test
 
 import (
-	"bytes"
 	"encoding/json"
 	"testing"
 
@@ -375,13 +374,13 @@ func TestAuditorDetectsMutantProtocol(t *testing.T) {
 	}
 }
 
-// TestAuditorWriteReport checks the JSON report shape.
-func TestAuditorWriteReport(t *testing.T) {
+// TestAuditorReport checks the JSON report shape.
+func TestAuditorReport(t *testing.T) {
 	a := obs.NewAuditor(obs.AuditBMMM, 64)
 	req := batchPrefix(a)
 	finishBatch(a, req)
-	var buf bytes.Buffer
-	if err := a.WriteReport(&buf); err != nil {
+	data, err := json.Marshal(a.Report())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var rep struct {
@@ -390,8 +389,8 @@ func TestAuditorWriteReport(t *testing.T) {
 		Violations int64         `json:"violations"`
 		Findings   []obs.Finding `json:"findings"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &rep); err != nil {
-		t.Fatalf("report is not valid JSON: %v\n%s", err, buf.Bytes())
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatalf("report is not valid JSON: %v\n%s", err, data)
 	}
 	if rep.Protocol != "BMMM" || rep.Audited != 1 || rep.Violations != 0 || rep.Findings == nil {
 		t.Errorf("report = %+v, want BMMM/1/0 with non-nil findings", rep)

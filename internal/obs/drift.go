@@ -10,8 +10,8 @@ import (
 // the run unfolds, turning the engine's event stream into the
 // observed-vs-closed-form comparison of §6: per-message contention-phase
 // counts by group size, and per-round service counts for the empirical
-// p̂. Call Summary after the run (or mid-run — the accumulator is always
-// consistent between events).
+// p̂. Read Accum().Summary() after the run, or merge accumulators
+// across runs first (experiments.Watch does).
 //
 // Aborted messages are censored: their contention phases are excluded
 // from the per-group observations (the closed forms describe runs to
@@ -39,9 +39,6 @@ func NewDriftMonitor(model analysis.RoundModel) *DriftMonitor {
 
 // Accum exposes the underlying accumulator (for cross-run Merge).
 func (d *DriftMonitor) Accum() *analysis.DriftAccum { return d.accum }
-
-// Summary compares what the run did against the closed forms.
-func (d *DriftMonitor) Summary() analysis.DriftSummary { return d.accum.Summary() }
 
 // OnSubmit implements sim.Observer.
 func (d *DriftMonitor) OnSubmit(req *sim.Request, now sim.Slot) {

@@ -238,25 +238,16 @@ func TestMetricsServerSnapshot(t *testing.T) {
 	l := NewLedger(reg, "BMMM")
 	l.OnSlot(0, nil, false)
 	l.OnSlot(1, []sim.AiringTx{{Frame: &frames.Frame{Type: frames.Data, MsgID: 1}, Sender: 0}}, false)
-	srv.AddLedger("BMMM", l)
 	srv.Extra("drift", func() any { return map[string]float64{"rel_err": 0.01} })
 
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/snapshot", nil))
 	var out struct {
-		Registry RegistrySnapshot          `json:"registry"`
-		Ledgers  map[string]LedgerSnapshot `json:"ledgers"`
-		Drift    map[string]float64        `json:"drift"`
+		Registry RegistrySnapshot   `json:"registry"`
+		Drift    map[string]float64 `json:"drift"`
 	}
 	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
 		t.Fatalf("snapshot not JSON: %v", err)
-	}
-	ls, ok := out.Ledgers["BMMM"]
-	if !ok {
-		t.Fatal("snapshot missing ledger")
-	}
-	if ls.TotalSlots != 2 || ls.Categories["data"] != 1 || ls.Categories["idle"] != 1 {
-		t.Errorf("ledger snapshot = %+v", ls)
 	}
 	if out.Drift["rel_err"] != 0.01 {
 		t.Errorf("extra payload = %+v", out.Drift)

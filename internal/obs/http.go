@@ -12,13 +12,13 @@ import (
 	"relmac/internal/prof"
 )
 
-// MetricsServer exposes a Registry (plus optional airtime ledgers,
-// gauges and extra JSON payloads) over HTTP in two shapes:
+// MetricsServer exposes a Registry (plus optional gauges, phase
+// profiles and extra JSON sections) over HTTP in two shapes:
 //
 //	/metrics   Prometheus text exposition format (counters, histograms
 //	           with cumulative _bucket/_sum/_count families, gauges)
-//	/snapshot  one JSON document: registry snapshot, ledger breakdowns,
-//	           every registered extra payload
+//	/snapshot  one JSON document: registry snapshot, gauges and every
+//	           registered extra section
 //	/          plain-text index of the above
 //
 // The server only builds an http.Handler — it never listens or spawns
@@ -29,18 +29,14 @@ import (
 // Registered gauge and extra callbacks run on HTTP goroutines while the
 // simulation mutates its state, so they must be safe for concurrent use
 // (read atomics, take their own locks, or return precomputed values).
-// Registry counters/histograms and Ledger snapshots are already
-// internally synchronized.
+// Registry counters/histograms, Ledger snapshots and the Stats of a
+// Tracer, Flight or Auditor are already internally synchronized.
 type MetricsServer struct {
 	reg *Registry
 
 	mu       sync.Mutex
-	ledgers  map[string]*Ledger
 	gauges   map[string]func() float64
 	extras   map[string]func() any
-	tracers  map[string]*Tracer
-	flights  map[string]*Flight
-	auditors map[string]*Auditor
 	profiles map[string]func() prof.Report
 }
 
@@ -48,50 +44,10 @@ type MetricsServer struct {
 func NewMetricsServer(reg *Registry) *MetricsServer {
 	return &MetricsServer{
 		reg:      reg,
-		ledgers:  make(map[string]*Ledger),
 		gauges:   make(map[string]func() float64),
 		extras:   make(map[string]func() any),
-		tracers:  make(map[string]*Tracer),
-		flights:  make(map[string]*Flight),
-		auditors: make(map[string]*Auditor),
 		profiles: make(map[string]func() prof.Report),
 	}
-}
-
-// AddLedger includes a ledger's breakdown in the JSON snapshot under the
-// given name. Its counters already live in the registry, so /metrics
-// picks them up with no extra registration.
-func (s *MetricsServer) AddLedger(name string, l *Ledger) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ledgers[name] = l
-}
-
-// AddTracer includes a tracer's buffer-health counters (buffered,
-// dropped, capacity) in the JSON snapshot under "tracers", so an
-// operator watching a live run can tell whether the event window is
-// still complete or the ring has started overwriting.
-func (s *MetricsServer) AddTracer(name string, t *Tracer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tracers[name] = t
-}
-
-// AddFlight includes a flight recorder's live counters in the JSON
-// snapshot under "flights"; its stage histograms already live in the
-// registry when the Flight was built over one.
-func (s *MetricsServer) AddFlight(name string, f *Flight) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.flights[name] = f
-}
-
-// AddAuditor includes a conformance auditor's audited/violation counts
-// in the JSON snapshot under "audits".
-func (s *MetricsServer) AddAuditor(name string, a *Auditor) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.auditors[name] = a
 }
 
 // Gauge registers a live value exported as a Prometheus gauge (and under
@@ -121,7 +77,7 @@ func (s *MetricsServer) Handler() http.Handler {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		fmt.Fprintln(w, "relmac live metrics")
 		fmt.Fprintln(w, "  /metrics   Prometheus text format")
-		fmt.Fprintln(w, "  /snapshot  JSON snapshot (registry, ledgers, extras)")
+		fmt.Fprintln(w, "  /snapshot  JSON snapshot (registry, gauges, extra sections)")
 	})
 	mux.HandleFunc("/metrics", s.serveMetrics)
 	mux.HandleFunc("/snapshot", s.serveSnapshot)
@@ -192,87 +148,52 @@ func (s *MetricsServer) serveMetrics(w http.ResponseWriter, r *http.Request) {
 		fmt.Fprintf(w, "%s_sum %s\n", pn, promFloat(h.Mean()*float64(h.Count())))
 		fmt.Fprintf(w, "%s_count %d\n", pn, h.Count())
 	}
-	s.mu.Lock()
-	gnames := make([]string, 0, len(s.gauges))
-	for name := range s.gauges {
-		gnames = append(gnames, name)
-	}
-	gfns := make([]func() float64, len(gnames))
-	sort.Strings(gnames)
-	for i, name := range gnames {
-		gfns[i] = s.gauges[name]
-	}
-	s.mu.Unlock()
-	for i, name := range gnames {
+	names, gauges := evaluate(&s.mu, s.gauges)
+	for _, name := range names {
 		pn := PromName(name)
 		fmt.Fprintf(w, "# TYPE %s gauge\n", pn)
-		fmt.Fprintf(w, "%s %s\n", pn, promFloat(gfns[i]()))
+		fmt.Fprintf(w, "%s %s\n", pn, promFloat(gauges[name]))
 	}
 	s.writeProfileMetrics(w)
 }
 
 func (s *MetricsServer) serveSnapshot(w http.ResponseWriter, r *http.Request) {
 	out := map[string]any{"registry": s.reg.Snapshot()}
-	s.mu.Lock()
-	ledgers := make(map[string]LedgerSnapshot, len(s.ledgers))
-	for name, l := range s.ledgers {
-		ledgers[name] = l.Snapshot()
+	if _, gauges := evaluate(&s.mu, s.gauges); len(gauges) > 0 {
+		out["gauges"] = gauges
 	}
-	type namedFn struct {
-		name string
-		fn   func() any
+	names, extras := evaluate(&s.mu, s.extras)
+	for _, name := range names {
+		out[name] = extras[name]
 	}
-	extras := make([]namedFn, 0, len(s.extras))
-	for name, fn := range s.extras {
-		extras = append(extras, namedFn{name, fn})
-	}
-	// The callbacks run below, outside the lock; sorting fixes their
-	// evaluation order so any side effects are deterministic run-to-run.
-	sort.Slice(extras, func(i, j int) bool { return extras[i].name < extras[j].name })
-	gauges := make(map[string]func() float64, len(s.gauges))
-	for name, fn := range s.gauges {
-		gauges[name] = fn
-	}
-	tracers := make(map[string]TracerStats, len(s.tracers))
-	for name, t := range s.tracers {
-		tracers[name] = t.Stats()
-	}
-	flights := make(map[string]FlightStats, len(s.flights))
-	for name, f := range s.flights {
-		flights[name] = f.Stats()
-	}
-	audits := make(map[string]AuditStats, len(s.auditors))
-	for name, a := range s.auditors {
-		audits[name] = a.Stats()
-	}
-	s.mu.Unlock()
-	if len(ledgers) > 0 {
-		out["ledgers"] = ledgers
-	}
-	if len(tracers) > 0 {
-		out["tracers"] = tracers
-	}
-	if len(flights) > 0 {
-		out["flights"] = flights
-	}
-	if len(audits) > 0 {
-		out["audits"] = audits
-	}
-	if len(gauges) > 0 {
-		gv := make(map[string]float64, len(gauges))
-		for name, fn := range gauges {
-			gv[name] = fn()
-		}
-		out["gauges"] = gv
-	}
-	for _, e := range extras {
-		out[e.name] = e.fn()
-	}
-	if profiles := s.profileSnapshots(); len(profiles) > 0 {
+	if _, profiles := evaluate(&s.mu, s.profiles); len(profiles) > 0 {
 		out["profile"] = profiles
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	_ = enc.Encode(out)
+}
+
+// evaluate calls every registered callback of fns: the callbacks are
+// copied under mu and run outside it, in name order, so any side effects
+// are deterministic run-to-run. It returns the sorted names and each
+// callback's value.
+func evaluate[T any](mu *sync.Mutex, fns map[string]func() T) ([]string, map[string]T) {
+	mu.Lock()
+	names := make([]string, 0, len(fns))
+	for name := range fns {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	held := make([]func() T, len(names))
+	for i, name := range names {
+		held[i] = fns[name]
+	}
+	mu.Unlock()
+	vals := make(map[string]T, len(names))
+	for i, name := range names {
+		vals[name] = held[i]()
+	}
+	return names, vals
 }

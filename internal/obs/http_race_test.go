@@ -12,30 +12,24 @@ import (
 
 // TestMetricsServerConcurrentWithRun hammers the /metrics and /snapshot
 // handlers from several goroutines while a live simulation feeds the
-// registry, airtime ledger, tracer, flight recorder and auditor they
-// export — the concurrency contract of MetricsServer, meaningful under
-// `go test -race`. (Goroutines are banned in internal/obs itself by the
-// simsafe check; tests are exactly the caller side that owns them.)
+// registry, a gauge and an extra section they export — the concurrency
+// contract of MetricsServer, meaningful under `go test -race`.
+// (Goroutines are banned in internal/obs itself by the simsafe check;
+// tests are exactly the caller side that owns them.) The Watch-attached
+// sections are tested with experiments.Watch.
 func TestMetricsServerConcurrentWithRun(t *testing.T) {
 	reg := obs.NewRegistry()
-	led := obs.NewLedger(reg, "BMMM")
 	fl := obs.NewFlight(reg, "BMMM", 0)
-	aud := obs.NewAuditor(obs.AuditBMMM, 0)
-	tr := obs.NewTracer(1 << 12)
 
 	msrv := obs.NewMetricsServer(reg)
-	msrv.AddLedger("BMMM", led)
-	msrv.AddTracer("BMMM", tr)
-	msrv.AddFlight("BMMM", fl)
-	msrv.AddAuditor("BMMM", aud)
 	msrv.Gauge("test.gauge", func() float64 { return float64(fl.Stats().Tracked) })
+	msrv.Extra("flight", func() any { return fl.Stats() })
 	handler := msrv.Handler()
 
 	cfg := experiments.Defaults(experiments.BMMM, 11)
 	cfg.Nodes, cfg.Slots = 60, 5000
-	cfg.Observers = append(cfg.Observers, fl, aud, tr)
-	cfg.Lifecycles = append(cfg.Lifecycles, fl, aud)
-	cfg.SlotObservers = append(cfg.SlotObservers, led)
+	cfg.Observers = append(cfg.Observers, fl)
+	cfg.Lifecycles = append(cfg.Lifecycles, fl)
 
 	done := make(chan error, 1)
 	go func() {
@@ -72,15 +66,12 @@ func TestMetricsServerConcurrentWithRun(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
 		t.Fatalf("snapshot is not valid JSON: %v", err)
 	}
-	for _, key := range []string{"registry", "ledgers", "tracers", "flights", "audits", "gauges"} {
+	for _, key := range []string{"registry", "gauges", "flight"} {
 		if _, ok := snap[key]; !ok {
 			t.Errorf("snapshot missing %q section", key)
 		}
 	}
 	if fl.Stats().Tracked == 0 {
 		t.Error("flight recorder tracked no messages")
-	}
-	if aud.Audited() == 0 {
-		t.Error("auditor audited no messages")
 	}
 }

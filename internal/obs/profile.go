@@ -7,7 +7,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"relmac/internal/prof"
 )
@@ -27,46 +26,17 @@ func (s *MetricsServer) AddProfile(name string, fn func() prof.Report) {
 // writeProfileMetrics renders every registered profile in Prometheus
 // text format, names sorted for stable output.
 func (s *MetricsServer) writeProfileMetrics(w io.Writer) {
-	s.mu.Lock()
-	names := make([]string, 0, len(s.profiles))
-	for name := range s.profiles {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	fns := make([]func() prof.Report, len(names))
-	for i, name := range names {
-		fns[i] = s.profiles[name]
-	}
-	s.mu.Unlock()
+	names, reports := evaluate(&s.mu, s.profiles)
 	if len(names) == 0 {
 		return
 	}
 	fmt.Fprintln(w, "# TYPE relmac_phase_ns gauge")
 	fmt.Fprintln(w, "# TYPE relmac_profile_wall_ns gauge")
-	for i, name := range names {
-		r := fns[i]()
+	for _, name := range names {
+		r := reports[name]
 		for _, p := range r.Phases {
 			fmt.Fprintf(w, "relmac_phase_ns{profile=%q,phase=%q} %d\n", name, p.Phase, p.Ns)
 		}
 		fmt.Fprintf(w, "relmac_profile_wall_ns{profile=%q} %d\n", name, r.WallNs)
 	}
-}
-
-// profileSnapshots evaluates every registered profile callback for the
-// JSON snapshot, outside the server lock.
-func (s *MetricsServer) profileSnapshots() map[string]prof.Report {
-	s.mu.Lock()
-	fns := make(map[string]func() prof.Report, len(s.profiles))
-	for name, fn := range s.profiles {
-		fns[name] = fn
-	}
-	s.mu.Unlock()
-	if len(fns) == 0 {
-		return nil
-	}
-	out := make(map[string]prof.Report, len(fns))
-	for name, fn := range fns {
-		out[name] = fn()
-	}
-	return out
 }

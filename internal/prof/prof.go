@@ -35,10 +35,9 @@ import (
 
 // PhaseTimer implements sim.Profiler: a phase-boundary stopwatch with an
 // injectable monotonic clock. One PhaseTimer serves one engine at a
-// time, but accumulates across sequential runs — cmd/macsim shares one
-// per protocol across -runs and reports the pooled decomposition. Use
-// Aggregate to merge timers from concurrent runs (each engine needs its
-// own).
+// time, but accumulates across sequential runs. Use Aggregate to merge
+// timers from separate runs (experiments.Watch gives every run its own
+// and pools them per protocol).
 type PhaseTimer struct {
 	clock func() time.Time
 	base  time.Time

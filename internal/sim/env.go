@@ -62,26 +62,32 @@ func (e *Env) Rand() *rand.Rand { return e.engine.rng }
 // a CSMA/CA contention phase for the request — the quantity plotted in
 // Figure 9 and analysed in §6.
 func (e *Env) ReportContention(req *Request) {
+	e.engine.dispatch()
 	for _, o := range e.engine.observers {
 		o.OnContention(req, e.engine.now)
 	}
+	e.engine.resume()
 }
 
 // ReportComplete notifies the observers that the sending MAC considers
 // the request served.
 func (e *Env) ReportComplete(req *Request) {
+	e.engine.dispatch()
 	for _, o := range e.engine.observers {
 		o.OnComplete(req, e.engine.now)
 	}
+	e.engine.resume()
 }
 
 // ReportAbort notifies the observers that the sending MAC abandoned the
 // request, with the typed reason (deadline passed or retry budget
 // exhausted).
 func (e *Env) ReportAbort(req *Request, reason AbortReason) {
+	e.engine.dispatch()
 	for _, o := range e.engine.observers {
 		o.OnAbort(req, reason, e.engine.now)
 	}
+	e.engine.resume()
 }
 
 // ReportRound notifies the observers that a multi-round group protocol
@@ -90,9 +96,11 @@ func (e *Env) ReportAbort(req *Request, reason AbortReason) {
 // the residual shrinks more slowly (or not at all) and the round count
 // grows.
 func (e *Env) ReportRound(req *Request, residual int) {
+	e.engine.dispatch()
 	for _, o := range e.engine.observers {
 		o.OnRound(req, residual, e.engine.now)
 	}
+	e.engine.resume()
 }
 
 // LifecycleOn reports whether a lifecycle observer is attached. MAC code
@@ -105,24 +113,30 @@ func (e *Env) LifecycleOn() bool { return len(e.engine.lifecycles) != 0 }
 // dequeued the request into service — the queueing/service boundary of
 // the flight recorder's span tree.
 func (e *Env) ReportServiceStart(req *Request) {
+	e.engine.dispatch()
 	for _, lc := range e.engine.lifecycles {
 		lc.OnServiceStart(req, e.engine.now)
 	}
+	e.engine.resume()
 }
 
 // ReportRoundStart notifies the lifecycle observers that a group
 // protocol is opening a round: round is the 1-based contention-phase
 // ordinal, polled the number of receivers the round will poll.
 func (e *Env) ReportRoundStart(req *Request, round, polled int) {
+	e.engine.dispatch()
 	for _, lc := range e.engine.lifecycles {
 		lc.OnRoundStart(req, round, polled, e.engine.now)
 	}
+	e.engine.resume()
 }
 
 // ReportResponseDrop notifies the lifecycle observers that this station
 // discarded a stale scheduled response.
 func (e *Env) ReportResponseDrop(f *frames.Frame) {
+	e.engine.dispatch()
 	for _, lc := range e.engine.lifecycles {
 		lc.OnResponseDrop(e.node, f, e.engine.now)
 	}
+	e.engine.resume()
 }

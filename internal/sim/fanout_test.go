@@ -14,12 +14,28 @@ import (
 	"relmac/internal/frames"
 )
 
-// eventLog is the shared, ordered record of every hook callback.
-type eventLog struct{ lines []string }
+// eventLog is the shared, ordered record of every hook callback. With
+// a probe it also records each callback that ran outside PhaseObserver.
+type eventLog struct {
+	lines   []string
+	probe   *phaseProbe
+	offside []string
+}
 
 func (l *eventLog) add(name, ev string, now Slot) {
-	l.lines = append(l.lines, fmt.Sprintf("%s:%s@%d", name, ev, now))
+	line := fmt.Sprintf("%s:%s@%d", name, ev, now)
+	l.lines = append(l.lines, line)
+	if l.probe != nil && l.probe.cur != PhaseObserver {
+		l.offside = append(l.offside, line+" in "+l.probe.cur.String())
+	}
 }
+
+// phaseProbe is a Profiler that only remembers the current phase.
+type phaseProbe struct{ cur Phase }
+
+func (p *phaseProbe) RunStart()      { p.cur = PhaseUntracked }
+func (p *phaseProbe) Enter(ph Phase) { p.cur = ph }
+func (p *phaseProbe) RunEnd()        {}
 
 // logObserver, logSlots, logLifecycle and logTracer append
 // "name:event@slot" entries to a shared eventLog.
@@ -164,6 +180,38 @@ func TestMultiObserverFansOutInRegistrationOrder(t *testing.T) {
 
 	if got := strings.Join(log.lines, "\n"); got != strings.Join(want, "\n") {
 		t.Fatalf("event stream:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
+	}
+}
+
+// TestHookDispatchChargedToObserverPhase: every Observer,
+// SlotObserver, LifecycleObserver and Tracer callback runs while the
+// profiler's current phase is PhaseObserver, wherever the engine or a
+// MAC fires it. The second run keeps station 1 down, so its reception
+// is lost and RxLost fires too.
+func TestHookDispatchChargedToObserverPhase(t *testing.T) {
+	for _, down := range []bool{false, true} {
+		probe := &phaseProbe{}
+		log := &eventLog{probe: probe}
+		cfg := Config{
+			Observers:     []Observer{&logObserver{"o", log}},
+			SlotObservers: []SlotObserver{&logSlots{"s", log}},
+			Lifecycles:    []LifecycleObserver{&logLifecycle{"l", log}},
+			Tracer:        &logTracer{log},
+			Profiler:      probe,
+		}
+		want := "tr:rx-ok@14"
+		if down {
+			cfg.Impairment = &downWindow{station: 1, from: 0, to: 1000}
+			want = "tr:rx-lost@14"
+		}
+		reportRun(cfg)
+		if got := strings.Join(log.lines, "\n"); !strings.Contains(got, want) {
+			t.Fatalf("down=%v: no %s in the event stream:\n%s", down, want, got)
+		}
+		if len(log.offside) != 0 {
+			t.Errorf("down=%v: callbacks outside observer-dispatch:\n%s",
+				down, strings.Join(log.offside, "\n"))
+		}
 	}
 }
 

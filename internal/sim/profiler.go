@@ -23,8 +23,7 @@ const (
 	// PhaseUntracked is everything between named phases: wake-obligation
 	// drains, slot hooks, skip-target probes and loop bookkeeping.
 	PhaseUntracked Phase = iota
-	// PhaseIdleSkip is the event clock jumping over idle stretches,
-	// including the OnIdleSpan dispatch to slot observers.
+	// PhaseIdleSkip is the event clock jumping over idle stretches.
 	PhaseIdleSkip
 	// PhaseBusyStamp is per-slot physical carrier sense (computeBusy).
 	PhaseBusyStamp
@@ -35,8 +34,13 @@ const (
 	PhaseMacTick
 	// PhaseResolve is per-slot interference resolution (resolveSlot).
 	PhaseResolve
-	// PhaseObserver is the per-slot channel-state dispatch to the slot
-	// observers (emitSlot).
+	// PhaseObserver is every hook dispatch: the per-slot channel-state
+	// dispatch to the slot observers (emitSlot, and OnIdleSpan while
+	// skipping), and each Observer, LifecycleObserver and Tracer
+	// dispatch loop wherever it fires — submissions, transmission
+	// starts, receptions and the Env.Report* calls from MAC code. The
+	// metrics collector experiments.Run always attaches is an observer,
+	// so its cost lands here too.
 	PhaseObserver
 	// PhaseDeliveries is frame completion: erasure draws, Deliver calls
 	// and tx-table compaction (completeSlot).
@@ -76,8 +80,8 @@ func (p Phase) String() string {
 // are invoked from the engine goroutine, between — never inside — the
 // simulation's deterministic work, and must be PRNG-neutral and free of
 // engine mutations (hookpure-checked), so attaching a profiler cannot
-// perturb a run. Implementations should be cheap: Enter fires up to
-// ~eight times per simulated slot.
+// perturb a run. Implementations should be cheap: Enter fires about
+// eight times per simulated slot, plus twice per hook dispatch.
 //
 // The canonical implementation is prof.PhaseTimer; the interface lives
 // here so the engine does not depend on the profiling package.
@@ -95,6 +99,24 @@ type Profiler interface {
 // enter marks a phase boundary; a nil profiler costs one comparison.
 func (e *Engine) enter(p Phase) {
 	if e.prof != nil {
+		e.phase = p
 		e.prof.Enter(p)
+	}
+}
+
+// dispatch charges the hook calls that follow to PhaseObserver, and
+// resume returns to the phase they interrupted. Every dispatch loop
+// outside emitSlot is bracketed by the pair, so hook time never counts
+// as the engine work around it. Each costs one comparison without a
+// profiler.
+func (e *Engine) dispatch() {
+	if e.prof != nil {
+		e.prof.Enter(PhaseObserver)
+	}
+}
+
+func (e *Engine) resume() {
+	if e.prof != nil {
+		e.prof.Enter(e.phase)
 	}
 }

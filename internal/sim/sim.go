@@ -469,6 +469,9 @@ type Engine struct {
 	// prof receives phase-boundary marks (Config.Profiler); nil-checked
 	// at every mark site via enter().
 	prof Profiler
+	// phase is the phase last entered, so a hook dispatch can resume it
+	// (see dispatch); kept only while a profiler is attached.
+	phase Phase
 }
 
 // New builds an Engine from the configuration. MACs must be attached with
@@ -664,8 +667,12 @@ func (e *Engine) skipTarget(src Source, es EventSource, target Slot) Slot {
 // skipTo jumps the clock to the given slot, reporting the skipped
 // stretch — all idle by construction — to the slot observers.
 func (e *Engine) skipTo(next Slot) {
-	for _, o := range e.slotObs {
-		o.OnIdleSpan(e.now, next-1)
+	if len(e.slotObs) != 0 {
+		e.dispatch()
+		for _, o := range e.slotObs {
+			o.OnIdleSpan(e.now, next-1)
+		}
+		e.resume()
 	}
 	e.now = next
 }
@@ -705,9 +712,11 @@ func (e *Engine) step(src Source) {
 				panic(fmt.Sprintf("sim: no MAC attached to station %d", req.Src))
 			}
 			e.wake(req.Src)
+			e.dispatch()
 			for _, o := range e.observers {
 				o.OnSubmit(req, now)
 			}
+			e.resume()
 			m.Submit(&e.envs[req.Src], req)
 		}
 	}
@@ -915,12 +924,14 @@ func (e *Engine) startTx(sender int, f *frames.Frame) {
 	}
 	e.txN = r + 1
 	e.txBusyUntil[sender] = e.txEnd[r]
+	e.dispatch()
 	for _, o := range e.observers {
 		o.OnFrameTx(f, sender, e.now)
 	}
 	if e.tracer != nil {
 		e.tracer.TxStart(f, sender, e.txStart[r], e.txEnd[r])
 	}
+	e.resume()
 }
 
 // firstSig is a station's signal count for the current slot and the
@@ -1082,17 +1093,23 @@ func (e *Engine) completeSlot() {
 			}
 			if lost {
 				if e.tracer != nil {
+					e.dispatch()
 					e.tracer.RxLost(f, j, now)
+					e.resume()
 				}
 				continue
 			}
-			if e.tracer != nil {
-				e.tracer.RxOK(f, j, now)
-			}
-			if f.Type == frames.Data {
-				for _, o := range e.observers {
-					o.OnDataRx(f.MsgID, j, now)
+			if e.tracer != nil || f.Type == frames.Data {
+				e.dispatch()
+				if e.tracer != nil {
+					e.tracer.RxOK(f, j, now)
 				}
+				if f.Type == frames.Data {
+					for _, o := range e.observers {
+						o.OnDataRx(f.MsgID, j, now)
+					}
+				}
+				e.resume()
 			}
 			if m := e.macs[j]; m != nil {
 				rx := e.rxRole(f, j)
