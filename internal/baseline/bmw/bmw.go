@@ -27,12 +27,11 @@ import (
 	"relmac/internal/sim"
 )
 
+// state names the response window the sender waits in.
 type state uint8
 
 const (
-	idle state = iota
-	contend
-	waitCTS
+	waitCTS state = iota
 	waitACK
 )
 
@@ -47,15 +46,12 @@ const (
 
 // Multicaster is the BMW group-service state machine.
 type Multicaster struct {
-	st       state
-	req      *sim.Request
-	group    []frames.Addr
-	targets  []int
-	idx      int
-	cts      ctsKind
-	gotACK   bool
-	checkAt  sim.Slot
-	attempts int
+	st      state
+	group   []frames.Addr
+	targets []int
+	idx     int
+	cts     ctsKind
+	gotACK  bool
 }
 
 // New returns a sim.MAC factory for stations running BMW.
@@ -67,125 +63,93 @@ func New(cfg mac.Config) func(node int, env *sim.Env) sim.MAC {
 
 // Begin implements dcf.Multicaster.
 func (m *Multicaster) Begin(st *dcf.Station, env *sim.Env, req *sim.Request) {
-	m.req = req
 	m.group = dcf.GroupAddrs(req.Dests)
 	m.targets = req.Dests
 	m.idx = 0
-	m.attempts = 0
-	if len(req.Dests) == 0 {
-		m.st = idle
-		st.FinishRequest(env, true)
-		return
-	}
 	// BMW's rounds are per-receiver: the first one opens here, each later
 	// one in advance. Retries re-enter the current round and are not
 	// reported as round starts.
 	env.ReportRoundStart(req, m.idx+1, 1)
-	m.st = contend
-	st.StartContention(env)
 }
 
-// SenderTick implements dcf.Multicaster.
-func (m *Multicaster) SenderTick(st *dcf.Station, env *sim.Env) *frames.Frame {
-	now := env.Now()
-	tm := st.Config().Timing
-	switch m.st {
-	case contend:
-		if !st.ContentionTick(env) {
-			return nil
-		}
-		m.attempts++
-		m.cts = ctsNone
-		m.st = waitCTS
-		m.checkAt = now + 2
+// Won implements dcf.Multicaster: the RTS polling the current target.
+func (m *Multicaster) Won(st *dcf.Station, env *sim.Env) *frames.Frame {
+	tm := env.Timing()
+	m.cts = ctsNone
+	m.st = waitCTS
+	st.WaitUntil(env.Now() + 2)
+	return &frames.Frame{
+		Type: frames.RTS, Dst: frames.Addr(m.targets[m.idx]),
+		MsgID: st.Current().ID, Group: m.group,
+		Duration: tm.Control + tm.Data + tm.Control, // CTS + DATA + ACK
+	}
+}
+
+// Next implements dcf.Multicaster.
+func (m *Multicaster) Next(st *dcf.Station, env *sim.Env) *frames.Frame {
+	switch {
+	case m.st == waitCTS && m.cts == ctsSuppress:
+		// The receiver already holds every frame: next target.
+		m.advance(st, env)
+	case m.st == waitCTS && m.cts == ctsMissing:
+		tm := env.Timing()
+		m.gotACK = false
+		m.st = waitACK
+		st.WaitUntil(env.Now() + sim.Slot(tm.Data) + 1)
 		return &frames.Frame{
-			Type: frames.RTS, Dst: frames.Addr(m.targets[m.idx]),
-			MsgID: m.req.ID, Group: m.group,
-			Duration: tm.Control + tm.Data + tm.Control, // CTS + DATA + ACK
+			Type: frames.Data, Dst: frames.Addr(m.targets[m.idx]),
+			MsgID: st.Current().ID, Group: m.group,
+			Duration: tm.Control, // the pending ACK
 		}
-	case waitCTS:
-		if now < m.checkAt {
-			return nil
-		}
-		switch m.cts {
-		case ctsSuppress:
-			// The receiver already holds every frame: next target.
-			return m.advance(st, env)
-		case ctsMissing:
-			m.gotACK = false
-			m.st = waitACK
-			m.checkAt = now + sim.Slot(tm.Data) + 1
-			return &frames.Frame{
-				Type: frames.Data, Dst: frames.Addr(m.targets[m.idx]),
-				MsgID: m.req.ID, Group: m.group,
-				Duration: tm.Control, // the pending ACK
-			}
-		default:
-			return m.retry(st, env)
-		}
-	case waitACK:
-		if now < m.checkAt {
-			return nil
-		}
-		if m.gotACK {
-			return m.advance(st, env)
-		}
-		return m.retry(st, env)
+	case m.st == waitACK && m.gotACK:
+		m.advance(st, env)
+	default:
+		st.Retry(env)
 	}
 	return nil
 }
 
 // advance moves to the next target on the NEIGHBOR list, finishing the
 // message when every target has been served. Each served target closes
-// one BMW round; the residual is the tail of the NEIGHBOR list.
-func (m *Multicaster) advance(st *dcf.Station, env *sim.Env) *frames.Frame {
+// one BMW round; the residual is the tail of the NEIGHBOR list. The next
+// round contends without widening the window: a served target is not a
+// failure.
+func (m *Multicaster) advance(st *dcf.Station, env *sim.Env) {
+	req := st.Current()
 	m.idx++
-	env.ReportRound(m.req, len(m.targets)-m.idx)
+	env.ReportRound(req, len(m.targets)-m.idx)
 	if m.idx >= len(m.targets) {
-		m.st = idle
 		st.FinishRequest(env, true)
-		return nil
+		return
 	}
-	env.ReportRoundStart(m.req, m.idx+1, 1)
-	m.st = contend
-	st.StartContention(env)
-	return nil
+	env.ReportRoundStart(req, m.idx+1, 1)
+	st.NextRound(env)
 }
 
-func (m *Multicaster) retry(st *dcf.Station, env *sim.Env) *frames.Frame {
-	if m.attempts >= st.Config().RetryLimit {
-		m.st = idle
-		st.FinishRequest(env, false)
-		return nil
+// OnResponse implements dcf.Multicaster: the CTS and ACK of the polled
+// target. Replies from any other station are ignored.
+func (m *Multicaster) OnResponse(st *dcf.Station, env *sim.Env, f *frames.Frame) {
+	if f.Src != frames.Addr(m.targets[m.idx]) {
+		return
 	}
-	st.ContentionFail()
-	m.st = contend
-	st.StartContention(env)
-	return nil
+	switch {
+	case f.Type == frames.CTS && m.st == waitCTS:
+		if f.Suppress {
+			m.cts = ctsSuppress
+		} else {
+			m.cts = ctsMissing
+		}
+	case f.Type == frames.ACK && m.st == waitACK:
+		m.gotACK = true
+	}
 }
 
 // OnDeliver implements dcf.Multicaster.
 func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, rx sim.Rx) {
 	now := env.Now()
-	tm := st.Config().Timing
+	tm := env.Timing()
 	addressed := rx&sim.RxAddressed != 0
 
-	// Sender side: responses from the currently polled target.
-	if m.req != nil && f.MsgID == m.req.ID && addressed &&
-		m.idx < len(m.targets) && f.Src == frames.Addr(m.targets[m.idx]) {
-		switch {
-		case f.Type == frames.CTS && m.st == waitCTS:
-			if f.Suppress {
-				m.cts = ctsSuppress
-			} else {
-				m.cts = ctsMissing
-			}
-		case f.Type == frames.ACK && m.st == waitACK:
-			m.gotACK = true
-		}
-	}
-
-	// Receiver side.
 	switch f.Type {
 	case frames.RTS:
 		if f.Group == nil || !addressed || !st.CanRespond(f, now) {
@@ -218,7 +182,7 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, 
 			})
 		}
 	default:
-		// CTS/ACK are consumed on the sender side; RAK/NAK play
+		// CTS/ACK reach the sender through OnResponse; RAK/NAK play
 		// no role in BMW's per-neighbor unicast rounds.
 	}
 }

@@ -3,12 +3,14 @@
 //
 //   - Station, a sim.MAC chassis providing CSMA/CA contention with
 //     DIFS-style idle sensing, NAV-based yield ("receiver's protocol" of
-//     Figure 3), FIFO queues with upper-layer timeouts, and the standard
-//     RTS/CTS/DATA/ACK unicast exchange with retries;
+//     Figure 3), FIFO queues with upper-layer timeouts, and the sender
+//     skeleton every protocol shares: contention, the wait for each
+//     response window, retry with binary exponential backoff and give-up;
+//   - the standard RTS/CTS/DATA/ACK unicast exchange;
 //   - the plain, unreliable 802.11 multicast (contend, transmit the data
 //     frame once, no recovery — §2.2 of the paper);
 //   - the Multicaster extension point through which the Tang–Gerla, BSMA,
-//     BMW, BMMM and LAMM group-service state machines plug in.
+//     KK-Leader, BMW, BMMM and LAMM group-service state machines plug in.
 //
 // All stations in a simulation run the same composite MAC: unicast
 // requests are always served by the DCF exchange; multicast/broadcast
@@ -23,23 +25,46 @@ import (
 	"relmac/internal/topo"
 )
 
-// Multicaster is the group-service state machine of a specific multicast
-// MAC protocol. A Multicaster instance is per-station and stateful.
+// Multicaster is the protocol-specific half of a sending station. Every
+// protocol in the paper has the same sender shape (§2.1, Figure 3): a
+// CSMA/CA contention phase, then a control/data exchange with fixed
+// response windows, and after a failed exchange a widened backoff and
+// another try. Station runs that skeleton — the contention, the wait for
+// each response window, the attempt count, retry and give-up — and asks
+// the Multicaster only for what differs: which frame to send and how to
+// read the responses. A Multicaster instance is per-station and stateful.
 type Multicaster interface {
-	// Begin takes a group request into service. Implementations must
-	// fully reset their state.
+	// Begin takes a request naming at least one receiver into service
+	// and resets the per-request state. (A request naming none completes
+	// in the station without reaching the Multicaster.) The station opens
+	// the first contention phase when Begin returns.
 	Begin(st *Station, env *sim.Env, req *sim.Request)
-	// SenderTick drives the sender side. It is called once per slot
-	// while a group request is in service and the station is able to
-	// transmit (not mid-frame, no response due). It may return a frame
-	// to put on the air. Completion is signalled via st.FinishRequest.
-	SenderTick(st *Station, env *sim.Env) *frames.Frame
-	// OnDeliver is called for every frame the station decodes in a role
-	// (rx non-zero: addressed to it or naming it in the group) — sender
-	// and receiver roles alike — after the station's generic NAV and
-	// unicast processing. Overheard frames stop at the NAV and never
-	// reach it. Receiver-side responses are scheduled through st.Respond.
+	// Won is called in the slot the station wins the medium and returns
+	// the exchange's opening frame.
+	Won(st *Station, env *sim.Env) *frames.Frame
+	// Next is called at the decision slot set through st.WaitUntil — at
+	// the next slot the station may transmit, if none was set. It returns
+	// the exchange's next frame, or nil once it has ended the exchange
+	// with st.Retry, st.NextRound or st.FinishRequest.
+	Next(st *Station, env *sim.Env) *frames.Frame
+	// OnResponse receives every frame addressed to this station that
+	// carries the MsgID of the request in service: the CTS, ACK and NAK
+	// replies. They go nowhere else.
+	OnResponse(st *Station, env *sim.Env, f *frames.Frame)
+	// OnDeliver is the receiver side. It is called for every other frame
+	// the station decodes in a role (rx non-zero: addressed to it or
+	// naming it in the group), after the station's NAV and data-log
+	// bookkeeping. Overheard frames stop at the NAV and never reach it.
+	// Responses are scheduled through st.Respond.
 	OnDeliver(st *Station, env *sim.Env, f *frames.Frame, rx sim.Rx)
+}
+
+// RoundOpener is implemented by a Multicaster that prepares every round
+// of a request before its contention phase opens — the first, each retry
+// and each later round. BMMM and LAMM choose the round's poll set there
+// and report the round start.
+type RoundOpener interface {
+	OpenRound(st *Station, env *sim.Env)
 }
 
 // Station is the per-node composite MAC. It implements sim.MAC.
@@ -57,6 +82,12 @@ type Station struct {
 	cur *sim.Request
 	mc  Multicaster
 	uni uniFSM
+	// attempts counts the contention phases the request in service has
+	// won; Retry gives the request up once it reaches RetryLimit.
+	attempts int
+	// nextAt is the next decision slot of the request in service: while
+	// no contention phase runs, Tick does not call the sender before it.
+	nextAt sim.Slot
 
 	physBusy bool
 	// contended marks that the current request has already been through
@@ -92,7 +123,7 @@ func NewStation(node int, cfg mac.Config, mc Multicaster) *Station {
 		cfg = mac.DefaultConfig()
 	}
 	if mc == nil {
-		mc = &Plain{}
+		mc = Plain{}
 	}
 	return &Station{
 		cfg:     cfg,
@@ -105,9 +136,6 @@ func NewStation(node int, cfg mac.Config, mc Multicaster) *Station {
 
 // Addr returns the station's MAC address.
 func (st *Station) Addr() frames.Addr { return st.addr }
-
-// Config returns the MAC configuration.
-func (st *Station) Config() mac.Config { return st.cfg }
 
 // Current returns the request in service, if any.
 func (st *Station) Current() *sim.Request { return st.cur }
@@ -150,18 +178,38 @@ func (st *Station) Tick(env *sim.Env) *frames.Frame {
 	if st.cur == nil {
 		return nil
 	}
-	if st.cur.Kind == sim.Unicast {
-		return st.uni.tick(st, env)
+	// The sender skeleton: contend until the medium is won, then wait
+	// for each decision slot the exchange asks for.
+	if st.backoff.Active() {
+		if !st.contentionTick(env, now) {
+			return nil
+		}
+		st.attempts++
+		st.nextAt = 0
+		return st.sender().Won(st, env)
 	}
-	return st.mc.SenderTick(st, env)
+	if now < st.nextAt {
+		return nil
+	}
+	return st.sender().Next(st, env)
+}
+
+// sender returns the state machine serving the request in service: the
+// DCF unicast exchange or the protocol's group service.
+func (st *Station) sender() Multicaster {
+	if st.cur.Kind == sim.Unicast {
+		return &st.uni
+	}
+	return st.mc
 }
 
 // Quiescent implements sim.Sleeper: the station can be skipped while it
 // has nothing in service, nothing queued and no scheduled response. This
 // covers every protocol in the repository — Multicasters are driven only
-// while a request is in service (SenderTick) or a frame arrives
-// (OnDeliver), and their receiver-side obligations all flow through the
-// Responder, so station-level emptiness implies protocol-level idleness.
+// while a request is in service (Won, Next) or a frame arrives
+// (OnResponse, OnDeliver), and their receiver-side obligations all flow
+// through the Responder, so station-level emptiness implies
+// protocol-level idleness.
 // A quiescent Tick only samples carrier sense into the channel history,
 // which Wake reconstructs, and draws nothing from the PRNG — backoff
 // draws happen strictly inside contention, which requires a request in
@@ -197,11 +245,14 @@ func (st *Station) beginService(env *sim.Env) {
 	env.ReportServiceStart(st.cur)
 	st.backoff.Reset()
 	st.contended = false
-	if st.cur.Kind == sim.Unicast {
-		st.uni.begin(st, env, st.cur)
+	st.attempts = 0
+	if len(st.cur.Dests) == 0 {
+		// Nobody to reach: served as it starts.
+		st.FinishRequest(env, true)
 		return
 	}
-	st.mc.Begin(st, env, st.cur)
+	st.sender().Begin(st, env, st.cur)
+	st.contend(env)
 }
 
 func (st *Station) abortCurrent(env *sim.Env) {
@@ -210,11 +261,10 @@ func (st *Station) abortCurrent(env *sim.Env) {
 	st.backoff.Reset()
 }
 
-// FinishRequest is called when the current request is finished; Multicasters
-// call it for group requests. ok distinguishes sender-perceived success
-// from giving up; !ok is reported as retry exhaustion, the only way a
-// protocol state machine gives up on its own (deadline aborts are the
-// station's job).
+// FinishRequest ends the request in service. ok distinguishes
+// sender-perceived success from giving up; !ok is reported as retry
+// exhaustion, the only way a sender gives up on its own (deadline aborts
+// are the station's job).
 func (st *Station) FinishRequest(env *sim.Env, ok bool) {
 	if st.cur == nil {
 		return
@@ -228,35 +278,60 @@ func (st *Station) FinishRequest(env *sim.Env, ok bool) {
 	st.backoff.Reset()
 }
 
-// StartContention begins a CSMA/CA contention phase for the current
-// request and reports it to the observer (the quantity of Figure 9). The
-// first phase of a fresh message may transmit immediately on an idle
-// medium (CSMA/CA step 2); every subsequent phase — a retry, BMW's next
-// per-receiver round, a later BMMM batch — draws a random backoff, per
-// the 802.11 post-backoff rule.
-func (st *Station) StartContention(env *sim.Env) {
+// contend opens a CSMA/CA contention phase for the request in service
+// and reports it to the observer (the quantity of Figure 9). A
+// RoundOpener prepares its round first. The first phase of a fresh
+// message may transmit immediately on an idle medium (CSMA/CA step 2);
+// every later phase — a retry, BMW's next per-receiver round, a later
+// BMMM batch — draws a random backoff, per the 802.11 post-backoff rule.
+func (st *Station) contend(env *sim.Env) {
+	if o, ok := st.sender().(RoundOpener); ok {
+		o.OpenRound(st, env)
+	}
 	if st.contended {
 		st.backoff.BeginDeferred()
 	} else {
 		st.backoff.Begin()
 	}
 	st.contended = true
-	if st.cur != nil {
-		env.ReportContention(st.cur)
-	}
+	env.ReportContention(st.cur)
 }
 
-// ContentionTick advances the backoff machine with the station's combined
-// carrier sense and returns true when the station is cleared to transmit
-// in this slot.
-func (st *Station) ContentionTick(env *sim.Env) bool {
-	now := env.Now()
+// contentionTick advances the backoff machine with the station's
+// combined carrier sense and returns true when the station is cleared to
+// transmit in this slot.
+func (st *Station) contentionTick(env *sim.Env, now sim.Slot) bool {
 	unavailable := st.physBusy || st.nav.Yielding(now) || !st.hist.IdleFor(st.difs)
 	return st.backoff.Tick(unavailable, env.Rand())
 }
 
-// ContentionFail widens the contention window after a failed attempt.
-func (st *Station) ContentionFail() { st.backoff.Fail() }
+// Retry ends a failed exchange. A request that has won RetryLimit
+// contention phases is given up and reported as retry exhaustion;
+// otherwise the window widens and a new contention phase opens.
+func (st *Station) Retry(env *sim.Env) {
+	if st.Exhausted() {
+		st.FinishRequest(env, false)
+		return
+	}
+	st.backoff.Fail()
+	st.contend(env)
+}
+
+// NextRound opens the contention phase of the request's next round
+// without widening the window: a round that ended is not a failure.
+func (st *Station) NextRound(env *sim.Env) { st.contend(env) }
+
+// Exhausted reports whether the request in service has won RetryLimit
+// contention phases.
+func (st *Station) Exhausted() bool { return st.attempts >= st.cfg.RetryLimit }
+
+// Attempts returns how many contention phases the request in service
+// has won.
+func (st *Station) Attempts() int { return st.attempts }
+
+// WaitUntil sets the next decision slot of the request in service: Tick
+// calls the sender's Next no earlier than at.
+func (st *Station) WaitUntil(at sim.Slot) { st.nextAt = at }
 
 // Respond schedules a receiver-side response frame for the next slot
 // (the slotted-model equivalent of a SIFS turnaround).
@@ -345,7 +420,7 @@ func (st *Station) yieldDuration(env *sim.Env, f *frames.Frame) int {
 			}
 		}
 	}
-	ctsWindow := st.cfg.Timing.Control + 1
+	ctsWindow := env.Timing().Control + 1
 	if ctsWindow > f.Duration {
 		return f.Duration
 	}
@@ -388,31 +463,11 @@ func (st *Station) Deliver(env *sim.Env, f *frames.Frame, rx sim.Rx) {
 		return
 	}
 
-	// Standard DCF unicast behaviour for non-group frames.
-	if f.Group == nil {
-		switch f.Type {
-		case frames.RTS:
-			if addressed && st.CanRespond(f, now) {
-				st.Respond(env, &frames.Frame{
-					Type: frames.CTS, Dst: f.Src, MsgID: f.MsgID,
-					Duration: f.Duration - st.cfg.Timing.Control,
-				})
-			}
-		case frames.Data:
-			if addressed {
-				st.Respond(env, &frames.Frame{
-					Type: frames.ACK, Dst: f.Src, MsgID: f.MsgID,
-				})
-			}
-		case frames.CTS, frames.ACK:
-			if addressed {
-				st.uni.onControl(f)
-			}
-		default:
-			// RAK and NAK are not part of the DCF unicast exchange;
-			// ignoring them is a decision, not an oversight.
-		}
+	if addressed && st.cur != nil && f.MsgID == st.cur.ID {
+		// A reply to the request in service: only its sender reads it.
+		st.sender().OnResponse(st, env, f)
+		return
 	}
-
+	st.uni.OnDeliver(st, env, f, rx)
 	st.mc.OnDeliver(st, env, f, rx)
 }

@@ -31,7 +31,7 @@ func TestNewStationDefaults(t *testing.T) {
 	if st.Addr() != 3 {
 		t.Errorf("addr = %v", st.Addr())
 	}
-	if st.Config().CWMin != mac.DefaultConfig().CWMin {
+	if st.cfg.CWMin != mac.DefaultConfig().CWMin {
 		t.Error("zero config must be replaced by defaults")
 	}
 	if st.mc == nil {
@@ -101,8 +101,9 @@ func TestYieldDurationConservativeCases(t *testing.T) {
 	}
 	// RTS to an out-of-range receiver: trimmed to the CTS window.
 	far := &frames.Frame{Type: frames.RTS, Dst: 2, Duration: 7}
-	if got := st.yieldDuration(env, far); got != cfg.Timing.Control+1 {
-		t.Errorf("far-receiver RTS yield = %d, want %d", got, cfg.Timing.Control+1)
+	ctsWindow := env.Timing().Control + 1
+	if got := st.yieldDuration(env, far); got != ctsWindow {
+		t.Errorf("far-receiver RTS yield = %d, want %d", got, ctsWindow)
 	}
 	// Unknown receiver address: conservative.
 	unknown := &frames.Frame{Type: frames.RTS, Dst: 99, Duration: 7}
@@ -116,7 +117,7 @@ func TestYieldDurationConservativeCases(t *testing.T) {
 	}
 	// Group RTS with all members far: trimmed.
 	farGroup := &frames.Frame{Type: frames.RTS, Dst: 2, Group: []frames.Addr{2}, Duration: 12}
-	if got := st.yieldDuration(env, farGroup); got != cfg.Timing.Control+1 {
+	if got := st.yieldDuration(env, farGroup); got != ctsWindow {
 		t.Errorf("far-group RTS yield = %d", got)
 	}
 	// Duration shorter than the CTS window: never extended.

@@ -5,112 +5,94 @@ import (
 	"relmac/internal/sim"
 )
 
-// uniState enumerates the DCF unicast sender states.
+// uniState enumerates the response windows of the DCF unicast sender.
 type uniState uint8
 
 const (
-	uniIdle uniState = iota
-	uniContend
-	uniWaitCTS
+	uniWaitCTS uniState = iota
 	uniWaitACK
 )
 
-// uniFSM is the sender side of the standard 802.11 DCF unicast exchange
-// (CSMA/CA + RTS/CTS/DATA/ACK with binary exponential backoff retries).
-// Every protocol in the comparison serves its unicast traffic through
-// this machine, so the unicast background load is identical across
-// protocols.
+// uniFSM is the standard 802.11 DCF unicast exchange (CSMA/CA +
+// RTS/CTS/DATA/ACK with binary exponential backoff retries), sender and
+// receiver side. Every protocol in the comparison serves its unicast
+// traffic through this machine, so the unicast background load is
+// identical across protocols.
 type uniFSM struct {
-	state    uniState
-	req      *sim.Request
-	target   frames.Addr
-	checkAt  sim.Slot
-	gotCTS   bool
-	gotACK   bool
-	attempts int
+	state  uniState
+	target frames.Addr
+	gotCTS bool
+	gotACK bool
 }
 
-func (u *uniFSM) begin(st *Station, env *sim.Env, req *sim.Request) {
-	if len(req.Dests) == 0 {
-		st.FinishRequest(env, true)
-		u.state = uniIdle
-		return
-	}
-	u.req = req
+// Begin implements Multicaster.
+func (u *uniFSM) Begin(st *Station, env *sim.Env, req *sim.Request) {
 	u.target = frames.Addr(req.Dests[0])
-	u.attempts = 0
-	u.state = uniContend
-	st.StartContention(env)
 }
 
-func (u *uniFSM) tick(st *Station, env *sim.Env) *frames.Frame {
-	now := env.Now()
-	tm := st.cfg.Timing
-	switch u.state {
-	case uniContend:
-		if !st.ContentionTick(env) {
-			return nil
-		}
-		u.attempts++
-		u.gotCTS = false
-		u.state = uniWaitCTS
-		u.checkAt = now + 2 // RTS occupies this slot; CTS the next
+// Won implements Multicaster: the RTS.
+func (u *uniFSM) Won(st *Station, env *sim.Env) *frames.Frame {
+	tm := env.Timing()
+	u.gotCTS = false
+	u.state = uniWaitCTS
+	st.WaitUntil(env.Now() + 2) // RTS occupies this slot; CTS the next
+	return &frames.Frame{
+		Type: frames.RTS, Dst: u.target, MsgID: st.cur.ID,
+		Duration: tm.Control + tm.Data + tm.Control, // CTS + DATA + ACK
+	}
+}
+
+// Next implements Multicaster: DATA after a CTS, done after an ACK.
+func (u *uniFSM) Next(st *Station, env *sim.Env) *frames.Frame {
+	switch {
+	case u.state == uniWaitCTS && u.gotCTS:
+		tm := env.Timing()
+		u.gotACK = false
+		u.state = uniWaitACK
+		st.WaitUntil(env.Now() + sim.Slot(tm.Data) + 1)
 		return &frames.Frame{
-			Type: frames.RTS, Dst: u.target, MsgID: u.req.ID,
-			Duration: tm.Control + tm.Data + tm.Control, // CTS + DATA + ACK
+			Type: frames.Data, Dst: u.target, MsgID: st.cur.ID,
+			Duration: tm.Control, // the pending ACK
 		}
-	case uniWaitCTS:
-		if now < u.checkAt {
-			return nil
-		}
-		if u.gotCTS {
-			u.gotACK = false
-			u.state = uniWaitACK
-			u.checkAt = now + sim.Slot(tm.Data) + 1
-			return &frames.Frame{
-				Type: frames.Data, Dst: u.target, MsgID: u.req.ID,
-				Duration: tm.Control, // the pending ACK
-			}
-		}
-		return u.retry(st, env)
-	case uniWaitACK:
-		if now < u.checkAt {
-			return nil
-		}
-		if u.gotACK {
-			u.state = uniIdle
-			st.FinishRequest(env, true)
-			return nil
-		}
-		return u.retry(st, env)
+	case u.state == uniWaitACK && u.gotACK:
+		st.FinishRequest(env, true)
+	default:
+		st.Retry(env)
 	}
 	return nil
 }
 
-// retry re-enters contention with a widened window, or gives up when the
-// retry budget is exhausted.
-func (u *uniFSM) retry(st *Station, env *sim.Env) *frames.Frame {
-	if u.attempts >= st.cfg.RetryLimit {
-		u.state = uniIdle
-		st.FinishRequest(env, false)
-		return nil
-	}
-	st.ContentionFail()
-	u.state = uniContend
-	st.StartContention(env)
-	return nil
-}
-
-// onControl feeds a CTS or ACK addressed to this station into the FSM.
-func (u *uniFSM) onControl(f *frames.Frame) {
-	if u.req == nil || f.MsgID != u.req.ID {
-		return
-	}
+// OnResponse implements Multicaster: the CTS and the ACK.
+func (u *uniFSM) OnResponse(st *Station, env *sim.Env, f *frames.Frame) {
 	switch {
 	case f.Type == frames.CTS && u.state == uniWaitCTS:
 		u.gotCTS = true
 	case f.Type == frames.ACK && u.state == uniWaitACK:
 		u.gotACK = true
+	}
+}
+
+// OnDeliver implements Multicaster: the receiver side of the exchange,
+// for frames without a group.
+func (u *uniFSM) OnDeliver(st *Station, env *sim.Env, f *frames.Frame, rx sim.Rx) {
+	if f.Group != nil || rx&sim.RxAddressed == 0 {
+		return
+	}
+	switch f.Type {
+	case frames.RTS:
+		if st.CanRespond(f, env.Now()) {
+			st.Respond(env, &frames.Frame{
+				Type: frames.CTS, Dst: f.Src, MsgID: f.MsgID,
+				Duration: f.Duration - env.Timing().Control,
+			})
+		}
+	case frames.Data:
+		st.Respond(env, &frames.Frame{
+			Type: frames.ACK, Dst: f.Src, MsgID: f.MsgID,
+		})
+	default:
+		// CTS and ACK reach the sender through OnResponse; RAK and NAK
+		// are not part of the DCF unicast exchange.
 	}
 }
 

@@ -28,25 +28,21 @@ import (
 	"relmac/internal/sim"
 )
 
+// state names the response window the sender waits in.
 type state uint8
 
 const (
-	idle state = iota
-	contend
-	waitCTS
+	waitCTS state = iota
 	waitACK
 )
 
 // Multicaster is the leader-based group service state machine.
 type Multicaster struct {
-	st       state
-	req      *sim.Request
-	group    []frames.Addr
-	leader   frames.Addr
-	gotCTS   bool
-	gotACK   bool
-	checkAt  sim.Slot
-	attempts int
+	st     state
+	group  []frames.Addr
+	leader frames.Addr
+	gotCTS bool
+	gotACK bool
 }
 
 // New returns a sim.MAC factory for stations running the leader-based
@@ -59,97 +55,63 @@ func New(cfg mac.Config) func(node int, env *sim.Env) sim.MAC {
 
 // Begin implements dcf.Multicaster.
 func (m *Multicaster) Begin(st *dcf.Station, env *sim.Env, req *sim.Request) {
-	m.req = req
 	m.group = dcf.GroupAddrs(req.Dests)
-	m.attempts = 0
-	if len(req.Dests) == 0 {
-		m.st = idle
-		st.FinishRequest(env, true)
-		return
-	}
 	m.leader = frames.Addr(req.Dests[0])
-	m.st = contend
-	st.StartContention(env)
 }
 
-// SenderTick implements dcf.Multicaster.
-func (m *Multicaster) SenderTick(st *dcf.Station, env *sim.Env) *frames.Frame {
-	now := env.Now()
-	tm := st.Config().Timing
-	switch m.st {
-	case contend:
-		if !st.ContentionTick(env) {
-			return nil
-		}
-		m.attempts++
-		m.gotCTS = false
-		m.st = waitCTS
-		m.checkAt = now + 2
-		return &frames.Frame{
-			Type: frames.RTS, Dst: m.leader, MsgID: m.req.ID, Group: m.group,
-			Duration: tm.Control + tm.Data + tm.Control, // CTS + DATA + ACK
-		}
-	case waitCTS:
-		if now < m.checkAt {
-			return nil
-		}
-		if !m.gotCTS {
-			return m.retry(st, env)
-		}
+// Won implements dcf.Multicaster: the group RTS, addressed to the leader.
+func (m *Multicaster) Won(st *dcf.Station, env *sim.Env) *frames.Frame {
+	tm := env.Timing()
+	m.gotCTS = false
+	m.st = waitCTS
+	st.WaitUntil(env.Now() + 2)
+	return &frames.Frame{
+		Type: frames.RTS, Dst: m.leader, MsgID: st.Current().ID, Group: m.group,
+		Duration: tm.Control + tm.Data + tm.Control, // CTS + DATA + ACK
+	}
+}
+
+// Next implements dcf.Multicaster.
+func (m *Multicaster) Next(st *dcf.Station, env *sim.Env) *frames.Frame {
+	switch {
+	case m.st == waitCTS && m.gotCTS:
+		tm := env.Timing()
 		m.gotACK = false
 		m.st = waitACK
-		m.checkAt = now + sim.Slot(tm.Data) + 1
+		st.WaitUntil(env.Now() + sim.Slot(tm.Data) + 1)
 		return &frames.Frame{
 			Type: frames.Data, Dst: frames.BroadcastAddr,
-			MsgID: m.req.ID, Group: m.group,
+			MsgID: st.Current().ID, Group: m.group,
 			Duration: tm.Control, // the ACK (or the NAK jam) slot
 		}
-	case waitACK:
-		if now < m.checkAt {
-			return nil
-		}
-		if m.gotACK {
-			// A clean ACK means the leader holds the data AND no primed
-			// receiver jammed with a NAK.
-			m.st = idle
-			st.FinishRequest(env, true)
-			return nil
-		}
-		return m.retry(st, env)
+	case m.st == waitACK && m.gotACK:
+		// A clean ACK means the leader holds the data AND no primed
+		// receiver jammed with a NAK.
+		st.FinishRequest(env, true)
+	default:
+		st.Retry(env)
 	}
 	return nil
 }
 
-func (m *Multicaster) retry(st *dcf.Station, env *sim.Env) *frames.Frame {
-	if m.attempts >= st.Config().RetryLimit {
-		m.st = idle
-		st.FinishRequest(env, false)
-		return nil
+// OnResponse implements dcf.Multicaster: the leader's CTS and ACK. A
+// NAK jam reaches the sender only as a lost ACK.
+func (m *Multicaster) OnResponse(st *dcf.Station, env *sim.Env, f *frames.Frame) {
+	switch {
+	case f.Type == frames.CTS && m.st == waitCTS:
+		m.gotCTS = true
+	case f.Type == frames.ACK && m.st == waitACK:
+		m.gotACK = true
 	}
-	st.ContentionFail()
-	m.st = contend
-	st.StartContention(env)
-	return nil
 }
 
 // OnDeliver implements dcf.Multicaster.
 func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, rx sim.Rx) {
 	now := env.Now()
-	tm := st.Config().Timing
+	tm := env.Timing()
 	addressed := rx&sim.RxAddressed != 0
 	member := rx&sim.RxMember != 0
 
-	// Sender side.
-	if m.req != nil && f.MsgID == m.req.ID && addressed {
-		switch {
-		case f.Type == frames.CTS && m.st == waitCTS:
-			m.gotCTS = true
-		case f.Type == frames.ACK && m.st == waitACK:
-			m.gotACK = true
-		}
-	}
-
-	// Receiver side.
 	switch f.Type {
 	case frames.RTS:
 		if !member {
@@ -190,7 +152,7 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, 
 			})
 		}
 	default:
-		// CTS/ACK/NAK reach the sender via its response bookkeeping;
-		// RAK plays no role in the leader-based scheme.
+		// CTS/ACK/NAK reach the sender through OnResponse; RAK plays no
+		// role in the leader-based scheme.
 	}
 }

@@ -22,12 +22,11 @@ import (
 	"relmac/internal/sim"
 )
 
+// state names the response window the sender waits in.
 type state uint8
 
 const (
-	idle state = iota
-	contend
-	waitCTS
+	waitCTS state = iota
 	afterData
 )
 
@@ -37,13 +36,10 @@ type Multicaster struct {
 	// RTS/CTS broadcast of [19].
 	UseNAK bool
 
-	st       state
-	req      *sim.Request
-	group    []frames.Addr
-	gotCTS   bool
-	nakSeen  bool
-	checkAt  sim.Slot
-	attempts int
+	st      state
+	group   []frames.Addr
+	gotCTS  bool
+	nakSeen bool
 }
 
 // New returns a sim.MAC factory for stations running the Tang–Gerla
@@ -65,16 +61,7 @@ func factory(cfg mac.Config, nak bool) func(node int, env *sim.Env) sim.MAC {
 
 // Begin implements dcf.Multicaster.
 func (m *Multicaster) Begin(st *dcf.Station, env *sim.Env, req *sim.Request) {
-	m.req = req
 	m.group = dcf.GroupAddrs(req.Dests)
-	m.attempts = 0
-	if len(req.Dests) == 0 {
-		m.st = idle
-		st.FinishRequest(env, true)
-		return
-	}
-	m.st = contend
-	st.StartContention(env)
 }
 
 // nakWindow is the number of slots after the data frame ends during which
@@ -82,96 +69,70 @@ func (m *Multicaster) Begin(st *dcf.Station, env *sim.Env, req *sim.Request) {
 // airtime plus one for the decision.
 const nakWindow = 2
 
-// SenderTick implements dcf.Multicaster.
-func (m *Multicaster) SenderTick(st *dcf.Station, env *sim.Env) *frames.Frame {
-	now := env.Now()
-	tm := st.Config().Timing
-	switch m.st {
-	case contend:
-		if !st.ContentionTick(env) {
-			return nil
-		}
-		m.attempts++
-		m.gotCTS = false
-		m.st = waitCTS
-		m.checkAt = now + 2
-		dur := tm.Control + tm.Data // the CTS and the data frame
-		if m.UseNAK {
-			dur += nakWindow
-		}
-		return &frames.Frame{
-			Type: frames.RTS, Dst: frames.BroadcastAddr,
-			MsgID: m.req.ID, Group: m.group, Duration: dur,
-		}
-	case waitCTS:
-		if now < m.checkAt {
-			return nil
-		}
-		if !m.gotCTS {
-			return m.retry(st, env)
-		}
+// Won implements dcf.Multicaster: the group RTS.
+func (m *Multicaster) Won(st *dcf.Station, env *sim.Env) *frames.Frame {
+	tm := env.Timing()
+	m.gotCTS = false
+	m.st = waitCTS
+	st.WaitUntil(env.Now() + 2)
+	dur := tm.Control + tm.Data // the CTS and the data frame
+	if m.UseNAK {
+		dur += nakWindow
+	}
+	return &frames.Frame{
+		Type: frames.RTS, Dst: frames.BroadcastAddr,
+		MsgID: st.Current().ID, Group: m.group, Duration: dur,
+	}
+}
+
+// Next implements dcf.Multicaster.
+func (m *Multicaster) Next(st *dcf.Station, env *sim.Env) *frames.Frame {
+	switch {
+	case m.st == waitCTS && m.gotCTS:
+		tm := env.Timing()
 		m.nakSeen = false
 		m.st = afterData
-		m.checkAt = now + sim.Slot(tm.Data)
-		if m.UseNAK {
-			m.checkAt += nakWindow - 1
-		}
+		until := env.Now() + sim.Slot(tm.Data)
 		dur := 0
 		if m.UseNAK {
+			until += nakWindow - 1
 			dur = nakWindow
 		}
+		st.WaitUntil(until)
 		return &frames.Frame{
 			Type: frames.Data, Dst: frames.BroadcastAddr,
-			MsgID: m.req.ID, Group: m.group, Duration: dur,
+			MsgID: st.Current().ID, Group: m.group, Duration: dur,
 		}
-	case afterData:
-		if now < m.checkAt {
-			return nil
-		}
-		if m.UseNAK && m.nakSeen {
-			// Some receiver reported a missing data frame: back off and
-			// retransmit from the top.
-			return m.retry(st, env)
-		}
+	case m.st == afterData && !m.nakSeen:
 		// [19] finishes right after the data frame; BSMA finishes when
 		// its NAK window stayed silent. Either way the sender cannot
 		// actually know who received the data.
-		m.st = idle
 		st.FinishRequest(env, true)
+	default:
+		// No CTS, or some receiver reported a missing data frame: back
+		// off and retransmit from the top.
+		st.Retry(env)
 	}
 	return nil
 }
 
-func (m *Multicaster) retry(st *dcf.Station, env *sim.Env) *frames.Frame {
-	if m.attempts >= st.Config().RetryLimit {
-		m.st = idle
-		st.FinishRequest(env, false)
-		return nil
+// OnResponse implements dcf.Multicaster: any CTS clears the sender to
+// send the data; with the NAK rule, any NAK calls for a retransmission.
+func (m *Multicaster) OnResponse(st *dcf.Station, env *sim.Env, f *frames.Frame) {
+	switch {
+	case f.Type == frames.CTS && m.st == waitCTS:
+		m.gotCTS = true
+	case f.Type == frames.NAK && m.st == afterData && m.UseNAK:
+		m.nakSeen = true
 	}
-	st.ContentionFail()
-	m.st = contend
-	st.StartContention(env)
-	return nil
 }
 
-// OnDeliver implements dcf.Multicaster: the receiver side of [19]/[20]
-// plus the sender's CTS/NAK collection.
+// OnDeliver implements dcf.Multicaster: the receiver side of [19]/[20].
 func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, rx sim.Rx) {
 	now := env.Now()
-	tm := st.Config().Timing
+	tm := env.Timing()
 	member := rx&sim.RxMember != 0
 
-	// Sender side: collect CTS and NAK for the message in service.
-	if m.req != nil && f.MsgID == m.req.ID && rx&sim.RxAddressed != 0 {
-		switch {
-		case f.Type == frames.CTS && m.st == waitCTS:
-			m.gotCTS = true
-		case f.Type == frames.NAK && m.st == afterData:
-			m.nakSeen = true
-		}
-	}
-
-	// Receiver side.
 	switch f.Type {
 	case frames.RTS:
 		if !member {
@@ -214,7 +175,7 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, 
 			})
 		}
 	default:
-		// CTS/NAK are sender-side events (handled via responses), and
-		// ACK/RAK play no role in the [19]/[20] exchanges.
+		// CTS/NAK reach the sender through OnResponse, and ACK/RAK play
+		// no role in the [19]/[20] exchanges.
 	}
 }

@@ -42,12 +42,11 @@ type Picker interface {
 	Update(env *sim.Env, S []int, acked []int) []int
 }
 
+// phase names the half of a batch round the sender is in.
 type phase uint8
 
 const (
-	idle phase = iota
-	contend
-	polling
+	polling phase = iota
 	raking
 )
 
@@ -57,7 +56,6 @@ type Batch struct {
 	pick Picker
 
 	ph   phase
-	req  *sim.Request
 	S    []int // remaining intended receivers
 	poll []int // stations polled this round
 	// pollAddrs is poll as frame addresses, built once per round: every
@@ -66,10 +64,8 @@ type Batch struct {
 	// built each round — frames outlive rounds in tracers and tests.
 	pollAddrs []frames.Addr
 	i         int // next poll/RAK index
-	checkAt   sim.Slot
 	anyCTS    bool
 	acked     map[int]bool
-	attempts  int
 }
 
 // NewBMMM returns a sim.MAC factory for stations running BMMM.
@@ -121,77 +117,58 @@ func NewBatch(p Picker) *Batch { return &Batch{pick: p} }
 
 // Begin implements dcf.Multicaster.
 func (b *Batch) Begin(st *dcf.Station, env *sim.Env, req *sim.Request) {
-	b.req = req
 	b.S = append(b.S[:0:0], req.Dests...)
-	b.attempts = 0
-	if len(b.S) == 0 {
-		b.ph = idle
-		st.FinishRequest(env, true)
-		return
-	}
-	b.startRound(st, env)
 }
 
-// startRound enters the contention phase that precedes a batch round.
-func (b *Batch) startRound(st *dcf.Station, env *sim.Env) {
+// OpenRound implements dcf.RoundOpener: every round — the first, each
+// retry and each later batch — polls a fresh choice from the remaining
+// receivers and is reported before its contention phase opens.
+func (b *Batch) OpenRound(st *dcf.Station, env *sim.Env) {
 	b.poll = b.pick.Poll(env, b.S)
 	b.pollAddrs = dcf.GroupAddrs(b.poll)
-	// attempts increments when the contention this round opens with is
-	// won, so attempts+1 is the 1-based ordinal of the round about to run.
-	env.ReportRoundStart(b.req, b.attempts+1, len(b.poll))
-	b.ph = contend
-	st.StartContention(env)
+	// The station counts a contention phase when it is won, so
+	// Attempts()+1 is the 1-based ordinal of the round about to run.
+	env.ReportRoundStart(st.Current(), st.Attempts()+1, len(b.poll))
 }
 
-// SenderTick implements dcf.Multicaster.
-func (b *Batch) SenderTick(st *dcf.Station, env *sim.Env) *frames.Frame {
-	now := env.Now()
-	switch b.ph {
-	case contend:
-		if !st.ContentionTick(env) {
-			return nil
-		}
-		b.attempts++
-		b.i = 0
-		b.anyCTS = false
-		// Reuse the ACK set across rounds; only lookups and keyed writes
-		// touch it, so clearing instead of reallocating cannot perturb
-		// any iteration order.
-		if b.acked == nil {
-			b.acked = make(map[int]bool, len(b.poll))
-		} else {
-			clear(b.acked)
-		}
-		b.ph = polling
-		b.checkAt = now
-		return b.tickPolling(st, env)
-	case polling:
-		if now < b.checkAt {
-			return nil
-		}
-		return b.tickPolling(st, env)
-	case raking:
-		if now < b.checkAt {
-			return nil
-		}
-		return b.tickRaking(st, env)
+// Won implements dcf.Multicaster: the round's first RTS.
+func (b *Batch) Won(st *dcf.Station, env *sim.Env) *frames.Frame {
+	b.i = 0
+	b.anyCTS = false
+	// Reuse the ACK set across rounds; only lookups and keyed writes
+	// touch it, so clearing instead of reallocating cannot perturb
+	// any iteration order.
+	if b.acked == nil {
+		b.acked = make(map[int]bool, len(b.poll))
+	} else {
+		clear(b.acked)
 	}
-	return nil
+	b.ph = polling
+	return b.tickPolling(st, env)
+}
+
+// Next implements dcf.Multicaster.
+func (b *Batch) Next(st *dcf.Station, env *sim.Env) *frames.Frame {
+	if b.ph == polling {
+		return b.tickPolling(st, env)
+	}
+	return b.tickRaking(st, env)
 }
 
 // tickPolling sends the next RTS of the round, or — after the last CTS
 // window — the data frame.
 func (b *Batch) tickPolling(st *dcf.Station, env *sim.Env) *frames.Frame {
 	now := env.Now()
-	tm := st.Config().Timing
+	tm := env.Timing()
+	req := st.Current()
 	n := len(b.poll)
 	if b.i < n {
 		target := b.poll[b.i]
 		b.i++
-		b.checkAt = now + 2 // RTS this slot, CTS next, decide after
+		st.WaitUntil(now + 2) // RTS this slot, CTS next, decide after
 		return &frames.Frame{
 			Type: frames.RTS, Dst: frames.Addr(target),
-			MsgID: b.req.ID, Group: b.pollAddrs,
+			MsgID: req.ID, Group: b.pollAddrs,
 			Duration: tm.BatchDuration(n, b.i),
 		}
 	}
@@ -199,14 +176,15 @@ func (b *Batch) tickPolling(st *dcf.Station, env *sim.Env) *frames.Frame {
 	if !b.anyCTS {
 		// "else /* no CTS was received */ s backs off and starts the
 		// sender's protocol again" (Figure 3).
-		return b.retry(st, env)
+		st.Retry(env)
+		return nil
 	}
 	b.ph = raking
 	b.i = 0
-	b.checkAt = now + sim.Slot(tm.Data) // first RAK right after the data
+	st.WaitUntil(now + sim.Slot(tm.Data)) // first RAK right after the data
 	return &frames.Frame{
 		Type: frames.Data, Dst: frames.BroadcastAddr,
-		MsgID: b.req.ID, Group: dcf.GroupAddrs(b.S),
+		MsgID: req.ID, Group: dcf.GroupAddrs(b.S),
 		Duration: n * (tm.Control + tm.Control), // the RAK/ACK tail
 	}
 }
@@ -215,15 +193,16 @@ func (b *Batch) tickPolling(st *dcf.Station, env *sim.Env) *frames.Frame {
 // the round.
 func (b *Batch) tickRaking(st *dcf.Station, env *sim.Env) *frames.Frame {
 	now := env.Now()
-	tm := st.Config().Timing
+	tm := env.Timing()
+	req := st.Current()
 	n := len(b.poll)
 	if b.i < n {
 		target := b.poll[b.i]
 		b.i++
-		b.checkAt = now + 2 // RAK this slot, ACK next, decide after
+		st.WaitUntil(now + 2) // RAK this slot, ACK next, decide after
 		return &frames.Frame{
 			Type: frames.RAK, Dst: frames.Addr(target),
-			MsgID: b.req.ID, Group: b.pollAddrs,
+			MsgID: req.ID, Group: b.pollAddrs,
 			Duration: tm.RAKDuration(n, b.i),
 		}
 	}
@@ -237,49 +216,39 @@ func (b *Batch) tickRaking(st *dcf.Station, env *sim.Env) *frames.Frame {
 		}
 	}
 	b.S = b.pick.Update(env, b.S, acked)
-	env.ReportRound(b.req, len(b.S))
-	if len(b.S) == 0 {
-		b.ph = idle
+	env.ReportRound(req, len(b.S))
+	switch {
+	case len(b.S) == 0:
 		st.FinishRequest(env, true)
-		return nil
-	}
-	if b.attempts >= st.Config().RetryLimit {
-		b.ph = idle
+	case st.Exhausted():
+		// A round that left receivers behind spends the retry budget
+		// like a failed one.
 		st.FinishRequest(env, false)
-		return nil
+	default:
+		// "while S ≠ ∅: call Batch_Mode_Procedure(S, S_ACK)" — each
+		// round begins with its own contention phase, at the window it
+		// already has.
+		st.NextRound(env)
 	}
-	// "while S ≠ ∅: call Batch_Mode_Procedure(S, S_ACK)" — each round
-	// begins with its own contention phase.
-	b.startRound(st, env)
 	return nil
 }
 
-func (b *Batch) retry(st *dcf.Station, env *sim.Env) *frames.Frame {
-	if b.attempts >= st.Config().RetryLimit {
-		b.ph = idle
-		st.FinishRequest(env, false)
-		return nil
+// OnResponse implements dcf.Multicaster: the CTS replies while polling
+// and the ACKs while raking.
+func (b *Batch) OnResponse(st *dcf.Station, env *sim.Env, f *frames.Frame) {
+	switch {
+	case f.Type == frames.CTS && b.ph == polling:
+		b.anyCTS = true
+	case f.Type == frames.ACK && b.ph == raking:
+		b.acked[int(f.Src)] = true
 	}
-	st.ContentionFail()
-	b.startRound(st, env)
-	return nil
 }
 
-// OnDeliver implements dcf.Multicaster.
+// OnDeliver implements dcf.Multicaster: the receiver side.
 func (b *Batch) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, rx sim.Rx) {
 	now := env.Now()
-	tm := st.Config().Timing
+	tm := env.Timing()
 	addressed := rx&sim.RxAddressed != 0
-
-	// Sender side: collect CTS during polling and ACK during raking.
-	if b.req != nil && f.MsgID == b.req.ID && addressed {
-		switch {
-		case f.Type == frames.CTS && b.ph == polling:
-			b.anyCTS = true
-		case f.Type == frames.ACK && b.ph == raking:
-			b.acked[int(f.Src)] = true
-		}
-	}
 
 	// Receiver side (Figure 3).
 	switch f.Type {
@@ -302,8 +271,8 @@ func (b *Batch) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, rx sim
 			Duration: f.Duration - tm.Control,
 		})
 	default:
-		// CTS/ACK are consumed by the sender's batch loop; DATA is
-		// logged by the station; NAK plays no role in the BMMM/LAMM
+		// CTS/ACK reach the sender through OnResponse; DATA is logged
+		// by the station; NAK plays no role in the BMMM/LAMM
 		// exchange (Figure 3).
 	}
 }

@@ -44,55 +44,64 @@ func TestBMMMCleanBatchSequence(t *testing.T) {
 	}
 }
 
+// txSpan is one transmission as the channel saw it: its airtime and the
+// NAV its Duration field announces beyond it.
+type txSpan struct {
+	start, end sim.Slot
+	dur        int
+}
+
+// spanTracer records every transmission's span; it implements sim.Tracer.
+type spanTracer struct{ tx []txSpan }
+
+func (s *spanTracer) TxStart(f *frames.Frame, sender int, start, end sim.Slot) {
+	s.tx = append(s.tx, txSpan{start, end, f.Duration})
+}
+func (s *spanTracer) RxOK(*frames.Frame, int, sim.Slot)   {}
+func (s *spanTracer) RxLost(*frames.Frame, int, sim.Slot) {}
+
 func TestBMMMTimingNoIdleGaps(t *testing.T) {
 	// Inside the batch the medium must never idle: every slot from the
-	// first RTS to the last ACK carries a transmission.
-	pts := prototest.Star(2, r, 0.7)
-	run := prototest.New(pts, r, bmmmFactory())
-	run.Multicast(5, 1, 0, []int{1, 2}, 100)
-	run.Steps(40)
-	var slots []int
-	for _, e := range run.Trace.Events {
-		if strings.Contains(e, "TX") {
-			v := 0
-			for _, c := range e {
-				if c < '0' || c > '9' {
-					break
-				}
-				v = v*10 + int(c-'0')
-			}
-			slots = append(slots, v)
+	// first RTS to the last ACK carries a transmission, and every frame's
+	// Duration reserves the medium exactly to the batch's last slot. The
+	// MACs take their airtimes from the engine, so a longer data frame
+	// moves the RAK/ACK tail and every reservation by the extra slots.
+	for _, tm := range []frames.Timing{frames.DefaultTiming(), {Control: 1, Data: 8}} {
+		spans := &spanTracer{}
+		pts := prototest.Star(2, r, 0.7)
+		run := prototest.New(pts, r, bmmmFactory(), prototest.WithTiming(tm),
+			func(c *sim.Config) { c.Tracer = spans })
+		run.Multicast(5, 1, 0, []int{1, 2}, 100)
+		run.Steps(40)
+		// Expected: RTS@5 CTS@6 RTS@7 CTS@8 DATA@9..8+D RAK@9+D ACK@10+D
+		// RAK@11+D ACK@12+D.
+		d := sim.Slot(tm.Data)
+		want := []sim.Slot{5, 6, 7, 8, 9, 9 + d, 10 + d, 11 + d, 12 + d}
+		if len(spans.tx) != len(want) {
+			t.Fatalf("timing %+v: %d transmissions %v, want starts %v", tm, len(spans.tx), spans.tx, want)
 		}
-	}
-	// Expected: RTS@5 CTS@6 RTS@7 CTS@8 DATA@9..13 RAK@14 ACK@15 RAK@16 ACK@17.
-	want := []int{5, 6, 7, 8, 9, 14, 15, 16, 17}
-	if len(slots) != len(want) {
-		t.Fatalf("tx slots = %v, want %v", slots, want)
-	}
-	for i := range want {
-		if slots[i] != want[i] {
-			t.Fatalf("tx slots = %v, want %v", slots, want)
+		last := want[len(want)-1]
+		for i, s := range spans.tx {
+			if s.start != want[i] {
+				t.Fatalf("timing %+v: tx %d starts at %d, want %d (all: %v)", tm, i, s.start, want[i], spans.tx)
+			}
+			if s.end+sim.Slot(s.dur) != last {
+				t.Errorf("timing %+v: tx %d [%d,%d] reserves to %d, want the batch end %d",
+					tm, i, s.start, s.end, s.end+sim.Slot(s.dur), last)
+			}
+		}
+		if rec := run.Record(1); !rec.Completed || rec.Delivered != 2 {
+			t.Errorf("timing %+v: record = %+v", tm, rec)
 		}
 	}
 }
 
 func TestBMMMDurationFieldsChain(t *testing.T) {
-	// Verify the RTS Duration follows the Figure 3 formula.
-	pts := prototest.Star(3, r, 0.7)
-	tp := pts
-	_ = tp
-	var durations []int
-	tracer := &frameSniffer{}
-	f := core.NewBMMM(mac.DefaultConfig())
-	run := prototest.New(pts, r, func(n int, e *sim.Env) sim.MAC { return f(n, e) })
-	run.Engine = nil // rebuilt below with sniffer
-	_ = tracer
-	// Simpler: read Durations out of the existing trace events is not
-	// possible (strings); instead recompute from frames.Timing and check
-	// the receivers' NAV indirectly: a fourth station in range must stay
-	// silent for the whole batch.
+	// The Duration fields chain across the batch (TestBMMMTimingNoIdleGaps
+	// checks each reservation's end); here their effect is checked: a
+	// fourth station in range must stay silent for the whole batch.
 	pts4 := append(prototest.Star(3, r, 0.7), geom.Pt(0.5, 0.55))
-	run = prototest.New(pts4, r, func(n int, e *sim.Env) sim.MAC { return f(n, e) })
+	run := prototest.New(pts4, r, bmmmFactory())
 	run.Multicast(5, 1, 0, []int{1, 2, 3}, 1000)
 	// Station 4 wants to unicast mid-batch; it must wait out the batch
 	// (ends at slot 23: RTS@5..CTS@10, DATA@11..15, RAK/ACK@16..21).
@@ -115,11 +124,7 @@ func TestBMMMDurationFieldsChain(t *testing.T) {
 	if !run.Record(1).Completed || !run.Record(2).Completed {
 		t.Error("both messages should complete")
 	}
-	_ = durations
 }
-
-// frameSniffer is reserved for future Duration introspection.
-type frameSniffer struct{}
 
 func TestBMMMRetriesMissingReceiver(t *testing.T) {
 	// One receiver's data copy is jammed: it won't ACK; the second round

@@ -76,10 +76,10 @@ func runOnce(t *testing.T, proto experiments.Protocol, reference bool) ([]string
 	return ch.lines, events.Bytes(), summary
 }
 
-// TestOptimizedMatchesReference is the differential gate for all five
-// protocols of the paper's evaluation.
+// TestOptimizedMatchesReference is the differential gate for all six
+// protocols: the paper's evaluation set, stock 802.11 and KK-Leader.
 func TestOptimizedMatchesReference(t *testing.T) {
-	for _, proto := range experiments.AllProtocols {
+	for _, proto := range experiments.ExtendedProtocols {
 		t.Run(string(proto), func(t *testing.T) {
 			optCh, optEv, optSum := runOnce(t, proto, false)
 			refCh, refEv, refSum := runOnce(t, proto, true)
@@ -117,7 +117,8 @@ type witnesses struct {
 // runFull executes one run with the full observer stack attached — the
 // channel tracer, an airtime ledger on both the Observer and the
 // SlotObserver hook, and a conformance auditor on the Observer and
-// Lifecycle hooks — and collects every witness. mutate customises the
+// Lifecycle hooks where the protocol has an audit model — and collects
+// every witness. mutate customises the
 // configuration before the run (traffic mode, impairments, slot count).
 func runFull(t *testing.T, proto experiments.Protocol, reference bool,
 	mutate func(cfg *experiments.RunConfig)) witnesses {
@@ -131,14 +132,15 @@ func runFull(t *testing.T, proto experiments.Protocol, reference bool,
 	cfg.Tracer = ch
 	reg := obs.NewRegistry()
 	led := obs.NewLedger(reg, "eq")
-	ap, ok := obs.AuditProtocolFor(string(proto))
-	if !ok {
-		t.Fatalf("no audit model for %s", proto)
-	}
-	aud := obs.NewAuditor(ap, cfg.MAC.RetryLimit)
-	cfg.Observers = []sim.Observer{tracer, led, aud}
+	cfg.Observers = []sim.Observer{tracer, led}
 	cfg.SlotObservers = []sim.SlotObserver{led}
-	cfg.Lifecycles = []sim.LifecycleObserver{aud}
+	// KK-Leader has no audit model; its audit witness stays empty.
+	var aud *obs.Auditor
+	if ap, ok := obs.AuditProtocolFor(string(proto)); ok {
+		aud = obs.NewAuditor(ap, cfg.MAC.RetryLimit)
+		cfg.Observers = append(cfg.Observers, aud)
+		cfg.Lifecycles = []sim.LifecycleObserver{aud}
+	}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -167,12 +169,14 @@ func runFull(t *testing.T, proto experiments.Protocol, reference bool,
 	if w.ledger, err = json.Marshal(snap); err != nil {
 		t.Fatal(err)
 	}
-	var audit bytes.Buffer
-	fmt.Fprintf(&audit, "audited=%d violations=%d\n", aud.Audited(), aud.Violations())
-	for _, f := range aud.Findings() {
-		fmt.Fprintf(&audit, "slot %d msg %d station %d [%s] %s\n", f.Slot, f.MsgID, f.Station, f.Rule, f.Detail)
+	if aud != nil {
+		var audit bytes.Buffer
+		fmt.Fprintf(&audit, "audited=%d violations=%d\n", aud.Audited(), aud.Violations())
+		for _, f := range aud.Findings() {
+			fmt.Fprintf(&audit, "slot %d msg %d station %d [%s] %s\n", f.Slot, f.MsgID, f.Station, f.Rule, f.Detail)
+		}
+		w.audit = audit.Bytes()
 	}
-	w.audit = audit.Bytes()
 	return w
 }
 
@@ -215,7 +219,7 @@ func TestOptimizedMatchesReferenceSkipping(t *testing.T) {
 		cfg.Rate = 0.00025
 		cfg.Slots = 4000
 	}
-	for _, proto := range experiments.AllProtocols {
+	for _, proto := range experiments.ExtendedProtocols {
 		t.Run(string(proto), func(t *testing.T) {
 			opt := runFull(t, proto, false, sparse)
 			ref := runFull(t, proto, true, sparse)
@@ -241,7 +245,7 @@ func TestOptimizedMatchesReferenceImpaired(t *testing.T) {
 			Crash: fault.Crash{MTTF: 1500, MTTR: 150},
 		}
 	}
-	for _, proto := range experiments.AllProtocols {
+	for _, proto := range experiments.ExtendedProtocols {
 		t.Run(string(proto), func(t *testing.T) {
 			opt := runFull(t, proto, false, impaired)
 			ref := runFull(t, proto, true, impaired)

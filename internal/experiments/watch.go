@@ -128,7 +128,6 @@ func (w *Watch) attach(cfg *RunConfig) (*watched, *obs.Tracer, *obs.Flight) {
 	}
 	if w.TraceFile != "" {
 		tr = obs.NewTracer(0)
-		tr.Timing = cfg.MAC.Timing
 		cfg.Observers = append(cfg.Observers, tr)
 	}
 	if w.Flight || w.FlightStats {
@@ -140,7 +139,6 @@ func (w *Watch) attach(cfg *RunConfig) (*watched, *obs.Tracer, *obs.Flight) {
 			reg, prefix = w.Registry, name
 		}
 		fl = obs.NewFlight(reg, prefix, 0)
-		fl.Timing = cfg.MAC.Timing
 		cfg.Observers = append(cfg.Observers, fl)
 		cfg.Lifecycles = append(cfg.Lifecycles, fl)
 		if w.Flight {

@@ -27,8 +27,6 @@ type Config struct {
 	// on one message before giving up. The paper's simulations rely on
 	// the message Timeout instead; the limit is a safety net.
 	RetryLimit int
-	// Timing holds frame airtimes.
-	Timing frames.Timing
 	// ExposedTerminalOpt enables the location-aware exposed-terminal
 	// optimisation explored as the paper's future work (§8): a station
 	// that overhears an RTS whose data receivers are all out of its own
@@ -47,7 +45,6 @@ func DefaultConfig() Config {
 		CWMin:      16,
 		CWMax:      256,
 		RetryLimit: 64,
-		Timing:     frames.DefaultTiming(),
 	}
 }
 

@@ -213,9 +213,6 @@ func TestDefaultConfig(t *testing.T) {
 	if c.CWMin <= 0 || c.CWMax < c.CWMin || c.RetryLimit <= 0 {
 		t.Errorf("bad defaults: %+v", c)
 	}
-	if c.Timing != frames.DefaultTiming() {
-		t.Error("default timing must match the paper's Table 2")
-	}
 }
 
 func TestChannelHistory(t *testing.T) {

@@ -113,6 +113,12 @@ func WithSeed(seed int64) Option {
 	return func(c *sim.Config) { c.Seed = seed }
 }
 
+// WithTiming sets the engine's frame airtimes, which the MACs read
+// through their Env.
+func WithTiming(tm frames.Timing) Option {
+	return func(c *sim.Config) { c.Timing = tm }
+}
+
 // Multicast schedules a multicast request from src to dests at slot t
 // with the given timeout in slots, returning it.
 func (r *Run) Multicast(t sim.Slot, id int64, src int, dests []int, timeout int) *sim.Request {
