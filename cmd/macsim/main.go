@@ -140,7 +140,7 @@ func main() {
 		cfg.Slots = *chartSlots
 		ch := chart.New(cfg.Nodes, 0, sim.Slot(*chartSlots-1))
 		ch.ShowLosses = true
-		cfg.Tracer = ch
+		cfg.Tracer = []sim.Observer{ch}
 		if _, err := experiments.Run(cfg); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -81,16 +81,16 @@ func (f *flood) Arrivals(now sim.Slot) []*sim.Request {
 	return reqs
 }
 
-// OnDataRx extends the metrics collector: first reception triggers the
-// station's own rebroadcast after a tiny processing delay.
-func (f *flood) OnDataRx(msgID int64, receiver int, now sim.Slot) {
-	f.Collector.OnDataRx(msgID, receiver, now)
-	if f.seen[receiver] {
+// Observe extends the metrics collector: a station's first DATA
+// reception triggers its own rebroadcast after a tiny processing delay.
+func (f *flood) Observe(ev sim.Event) {
+	f.Collector.Observe(ev)
+	if ev.Kind != sim.EvDataRx || f.seen[ev.Station] {
 		return
 	}
-	f.seen[receiver] = true
-	f.seenAt[receiver] = now
-	f.schedule(receiver, now+2)
+	f.seen[ev.Station] = true
+	f.seenAt[ev.Station] = ev.Slot
+	f.schedule(ev.Station, ev.Slot+2)
 }
 
 // coverage returns the fraction of stations reached and the last slot a

@@ -147,31 +147,3 @@ func TestSuppressOnRetransmittedPoll(t *testing.T) {
 		t.Errorf("lost ACK must cost an extra contention phase: %d", rec.Contentions)
 	}
 }
-
-func TestEmptyGroupCompletes(t *testing.T) {
-	pts := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5)}
-	run := prototest.New(pts, r, factory())
-	run.Multicast(5, 1, 0, nil, 100)
-	run.Steps(20)
-	rec := run.Record(1)
-	if !rec.Completed || run.Trace.TxSeq() != "" {
-		t.Errorf("empty group: %+v, tx=%q", rec, run.Trace.TxSeq())
-	}
-}
-
-func TestGivesUpAtRetryLimit(t *testing.T) {
-	cfg := mac.DefaultConfig()
-	cfg.RetryLimit = 4
-	f := bmw.New(cfg)
-	pts := []geom.Point{geom.Pt(0.1, 0.1), geom.Pt(0.9, 0.9)}
-	run := prototest.New(pts, r, func(n int, e *sim.Env) sim.MAC { return f(n, e) })
-	run.Multicast(5, 1, 0, []int{1}, 1000000) // unreachable "neighbor"
-	run.Steps(5000)
-	rec := run.Record(1)
-	if rec.Completed || !rec.Aborted {
-		t.Fatalf("unreachable receiver must abort: %+v", rec)
-	}
-	if rec.Contentions != 4 {
-		t.Errorf("contentions = %d, want RetryLimit", rec.Contentions)
-	}
-}

@@ -82,30 +82,6 @@ func TestUnicastRetriesOnCollision(t *testing.T) {
 	}
 }
 
-func TestUnicastAbortsAtRetryLimit(t *testing.T) {
-	// Receiver absent (out of range): sender must give up at the retry
-	// limit and report abort.
-	cfg := mac.DefaultConfig()
-	cfg.RetryLimit = 3
-	f := dcf.NewPlain(cfg)
-	pts := []geom.Point{geom.Pt(0.1, 0.1), geom.Pt(0.9, 0.9), geom.Pt(0.2, 0.1)}
-	run := prototest.New(pts, r, func(n int, e *sim.Env) sim.MAC { return f(n, e) })
-	// Target node 1 is unreachable, but it IS a valid station; we fake a
-	// request claiming it is a neighbor.
-	run.Unicast(0, 1, 0, 1, 100000)
-	run.Steps(5000)
-	rec := run.Record(1)
-	if rec.Completed {
-		t.Fatal("unreachable unicast cannot complete")
-	}
-	if !rec.Aborted {
-		t.Fatal("sender must abort at the retry limit")
-	}
-	if rec.Contentions != 3 {
-		t.Errorf("contentions = %d, want exactly RetryLimit", rec.Contentions)
-	}
-}
-
 func TestPlainMulticastFireAndForget(t *testing.T) {
 	pts := prototest.Star(3, r, 0.8)
 	run := prototest.New(pts, r, plainFactory())

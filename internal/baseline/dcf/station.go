@@ -94,14 +94,12 @@ type Station struct {
 	// a contention phase: all later phases must draw a random backoff
 	// (the 802.11 post-backoff rule; see Backoff.BeginDeferred).
 	contended bool
-	// dropHook is the lazily built stale-response callback handed to
-	// Responder.DueReport when a lifecycle observer is attached; caching
-	// it keeps the enabled path free of a per-tick closure allocation.
-	dropHook func(*frames.Frame)
-	// abortHook is the cached deadline-drop callback handed to
-	// Queue.DropExpired every Tick — same idiom as dropHook: the env a
-	// station sees is stable for its lifetime, so one closure serves
-	// every slot instead of allocating a fresh capture per tick.
+	// dropHook and abortHook are the stale-response and deadline-drop
+	// callbacks handed to Responder.Due and Queue.DropExpired every
+	// Tick. The env a station sees is stable for its lifetime, so they
+	// are built once, on the first Tick, instead of a fresh capture per
+	// tick.
+	dropHook  func(*frames.Frame)
 	abortHook func(*sim.Request)
 	// lastData is the receiver data log behind HasData: one entry per
 	// sender heard, holding the message ID of the last DATA frame decoded
@@ -157,14 +155,16 @@ func (st *Station) Tick(env *sim.Env) *frames.Frame {
 	if env.Transmitting() {
 		return nil
 	}
-	// Receiver-role responses have SIFS priority over everything.
-	if f := st.dueResponse(env, now); f != nil {
+	if st.dropHook == nil {
+		st.dropHook = func(f *frames.Frame) { env.ReportResponseDrop(f) }
+		st.abortHook = func(r *sim.Request) { env.ReportAbort(r, sim.AbortDeadline) }
+	}
+	// Receiver-role responses have SIFS priority over everything; stale
+	// ones are reported as they are discarded.
+	if f := st.resp.Due(now, st.dropHook); f != nil {
 		return f
 	}
 	// Queue maintenance.
-	if st.abortHook == nil {
-		st.abortHook = func(r *sim.Request) { env.ReportAbort(r, sim.AbortDeadline) }
-	}
 	st.queue.DropExpired(now, st.abortHook)
 	if st.cur != nil && st.cur.Expired(now) {
 		st.abortCurrent(env)
@@ -227,19 +227,6 @@ func (st *Station) Wake(idleRun int) { st.hist.Restore(idleRun) }
 // the engine uses when the absolute idle run may include slots this
 // station's history legitimately never observed (crash windows).
 func (st *Station) WakeExtend(skipped int) { st.hist.Extend(skipped) }
-
-// dueResponse pulls the response due this slot. With a lifecycle
-// observer attached, stale responses are reported as they are discarded;
-// without one the pre-hook fast path runs unchanged.
-func (st *Station) dueResponse(env *sim.Env, now sim.Slot) *frames.Frame {
-	if !env.LifecycleOn() {
-		return st.resp.Due(now)
-	}
-	if st.dropHook == nil {
-		st.dropHook = func(f *frames.Frame) { env.ReportResponseDrop(f) }
-	}
-	return st.resp.DueReport(now, st.dropHook)
-}
 
 func (st *Station) beginService(env *sim.Env) {
 	env.ReportServiceStart(st.cur)

@@ -23,7 +23,8 @@ import (
 	"relmac/internal/sim"
 )
 
-// Chart implements sim.Tracer and accumulates the diagram.
+// Chart is a sim.Observer of Config.Tracer (transmissions and
+// receptions) and accumulates the diagram.
 type Chart struct {
 	n        int
 	from, to sim.Slot // inclusive window
@@ -65,29 +66,24 @@ func symbol(t frames.Type) rune {
 	}
 }
 
-// TxStart implements sim.Tracer.
-func (c *Chart) TxStart(f *frames.Frame, sender int, start, end sim.Slot) {
-	if sender < 0 || sender >= c.n {
+// Observe implements sim.Observer: a transmission fills its sender's
+// row over its airtime, a loss marks the receiver's cell.
+func (c *Chart) Observe(ev sim.Event) {
+	if ev.Station < 0 || ev.Station >= c.n {
 		return
 	}
-	sym := symbol(f.Type)
-	for s := start; s <= end; s++ {
-		if col, ok := c.col(s); ok {
-			c.grid[sender][col] = sym
+	switch ev.Kind {
+	case sim.EvFrameTx:
+		sym := symbol(ev.Frame.Type)
+		for s := ev.Start; s <= ev.End; s++ {
+			if col, ok := c.col(s); ok {
+				c.grid[ev.Station][col] = sym
+			}
 		}
-	}
-}
-
-// RxOK implements sim.Tracer.
-func (c *Chart) RxOK(f *frames.Frame, receiver int, now sim.Slot) {}
-
-// RxLost implements sim.Tracer.
-func (c *Chart) RxLost(f *frames.Frame, receiver int, now sim.Slot) {
-	if !c.ShowLosses || receiver < 0 || receiver >= c.n {
-		return
-	}
-	if col, ok := c.col(now); ok && c.grid[receiver][col] == '.' {
-		c.grid[receiver][col] = '×'
+	case sim.EvRxLost:
+		if col, ok := c.col(ev.Slot); ok && c.ShowLosses && c.grid[ev.Station][col] == '.' {
+			c.grid[ev.Station][col] = '×'
+		}
 	}
 }
 

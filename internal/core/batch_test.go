@@ -51,14 +51,14 @@ type txSpan struct {
 	dur        int
 }
 
-// spanTracer records every transmission's span; it implements sim.Tracer.
+// spanTracer records every transmission's span from Config.Tracer.
 type spanTracer struct{ tx []txSpan }
 
-func (s *spanTracer) TxStart(f *frames.Frame, sender int, start, end sim.Slot) {
-	s.tx = append(s.tx, txSpan{start, end, f.Duration})
+func (s *spanTracer) Observe(ev sim.Event) {
+	if ev.Kind == sim.EvFrameTx {
+		s.tx = append(s.tx, txSpan{ev.Start, ev.End, ev.Frame.Duration})
+	}
 }
-func (s *spanTracer) RxOK(*frames.Frame, int, sim.Slot)   {}
-func (s *spanTracer) RxLost(*frames.Frame, int, sim.Slot) {}
 
 func TestBMMMTimingNoIdleGaps(t *testing.T) {
 	// Inside the batch the medium must never idle: every slot from the
@@ -70,7 +70,7 @@ func TestBMMMTimingNoIdleGaps(t *testing.T) {
 		spans := &spanTracer{}
 		pts := prototest.Star(2, r, 0.7)
 		run := prototest.New(pts, r, bmmmFactory(), prototest.WithTiming(tm),
-			func(c *sim.Config) { c.Tracer = spans })
+			func(c *sim.Config) { c.Tracer = []sim.Observer{spans} })
 		run.Multicast(5, 1, 0, []int{1, 2}, 100)
 		run.Steps(40)
 		// Expected: RTS@5 CTS@6 RTS@7 CTS@8 DATA@9..8+D RAK@9+D ACK@10+D
@@ -366,30 +366,6 @@ func TestLAMMRetiresCoveredReceiverAfterACK(t *testing.T) {
 		if strings.Contains(e, "TX RTS 0→3") || strings.Contains(e, "TX RAK 0→3") {
 			t.Fatalf("covered receiver was polled: %s", e)
 		}
-	}
-}
-
-func TestBatchEmptyGroup(t *testing.T) {
-	pts := prototest.Star(2, r, 0.7)
-	run := prototest.New(pts, r, bmmmFactory())
-	run.Multicast(5, 1, 0, nil, 100)
-	run.Steps(20)
-	if !run.Record(1).Completed || run.Trace.TxSeq() != "" {
-		t.Error("empty group must complete without transmissions")
-	}
-}
-
-func TestBMMMGivesUpAtRetryLimit(t *testing.T) {
-	cfg := mac.DefaultConfig()
-	cfg.RetryLimit = 3
-	f := core.NewBMMM(cfg)
-	pts := []geom.Point{geom.Pt(0.1, 0.1), geom.Pt(0.9, 0.9)}
-	run := prototest.New(pts, r, func(n int, e *sim.Env) sim.MAC { return f(n, e) })
-	run.Multicast(5, 1, 0, []int{1}, 1000000)
-	run.Steps(5000)
-	rec := run.Record(1)
-	if rec.Completed || !rec.Aborted {
-		t.Fatalf("unreachable group must abort: %+v", rec)
 	}
 }
 

@@ -31,10 +31,11 @@ func newDataLogShadow(t *testing.T, n int) *dataLogShadow {
 	return s
 }
 
-func (s *dataLogShadow) TxStart(*frames.Frame, int, sim.Slot, sim.Slot) {}
-func (s *dataLogShadow) RxLost(*frames.Frame, int, sim.Slot)            {}
-
-func (s *dataLogShadow) RxOK(f *frames.Frame, receiver int, now sim.Slot) {
+func (s *dataLogShadow) Observe(ev sim.Event) {
+	if ev.Kind != sim.EvRxOK {
+		return
+	}
+	f, receiver, now := ev.Frame, ev.Station, ev.Slot
 	member := slices.Contains(f.Group, frames.Addr(receiver))
 	switch {
 	case f.Type == frames.Data && member:
@@ -84,7 +85,7 @@ func TestSenderNeverRevisitsMessage(t *testing.T) {
 				cfg.Fault = c.fault
 				cfg.Speed = c.speed
 				sh := newDataLogShadow(t, cfg.Nodes)
-				cfg.Tracer = sh
+				cfg.Tracer = []sim.Observer{sh}
 				if _, err := Run(cfg); err != nil {
 					t.Fatal(err)
 				}

@@ -17,7 +17,6 @@ import (
 
 	"relmac/internal/experiments"
 	"relmac/internal/fault"
-	"relmac/internal/frames"
 	"relmac/internal/obs"
 	"relmac/internal/sim"
 )
@@ -33,16 +32,16 @@ func (tr *transcript) add(format string, args ...any) {
 	tr.lines = append(tr.lines, fmt.Sprintf(format, args...))
 }
 
-func (tr *transcript) TxStart(f *frames.Frame, sender int, start, end sim.Slot) {
-	tr.add("tx %d->%v %v msg=%d dur=%d [%d,%d]", sender, f.Dst, f.Type, f.MsgID, f.Duration, start, end)
-}
-
-func (tr *transcript) RxOK(f *frames.Frame, receiver int, now sim.Slot) {
-	tr.add("rx %d<-%v %v msg=%d @%d", receiver, f.Src, f.Type, f.MsgID, now)
-}
-
-func (tr *transcript) RxLost(f *frames.Frame, receiver int, now sim.Slot) {
-	tr.add("lost %d<-%v %v msg=%d @%d", receiver, f.Src, f.Type, f.MsgID, now)
+func (tr *transcript) Observe(ev sim.Event) {
+	f := ev.Frame
+	switch ev.Kind {
+	case sim.EvFrameTx:
+		tr.add("tx %d->%v %v msg=%d dur=%d [%d,%d]", ev.Station, f.Dst, f.Type, f.MsgID, f.Duration, ev.Start, ev.End)
+	case sim.EvRxOK:
+		tr.add("rx %d<-%v %v msg=%d @%d", ev.Station, f.Src, f.Type, f.MsgID, ev.Slot)
+	case sim.EvRxLost:
+		tr.add("lost %d<-%v %v msg=%d @%d", ev.Station, f.Src, f.Type, f.MsgID, ev.Slot)
+	}
 }
 
 // runOnce executes one run and returns its three equality witnesses:
@@ -55,7 +54,7 @@ func runOnce(t *testing.T, proto experiments.Protocol, reference bool) ([]string
 	cfg.Slots = 2000
 	cfg.Observers = []sim.Observer{tracer}
 	ch := &transcript{}
-	cfg.Tracer = ch
+	cfg.Tracer = []sim.Observer{ch}
 	cfg.Reference = reference
 
 	res, err := experiments.Run(cfg)
@@ -115,11 +114,11 @@ type witnesses struct {
 }
 
 // runFull executes one run with the full observer stack attached — the
-// channel tracer, an airtime ledger on both the Observer and the
-// SlotObserver hook, and a conformance auditor on the Observer and
-// Lifecycle hooks where the protocol has an audit model — and collects
-// every witness. mutate customises the
-// configuration before the run (traffic mode, impairments, slot count).
+// channel transcript, an airtime ledger on Observers and SlotObservers,
+// and a conformance auditor on Observers and Lifecycles where the
+// protocol has an audit model — and collects every witness. mutate
+// customises the configuration before the run (traffic mode,
+// impairments, slot count).
 func runFull(t *testing.T, proto experiments.Protocol, reference bool,
 	mutate func(cfg *experiments.RunConfig)) witnesses {
 	t.Helper()
@@ -129,17 +128,17 @@ func runFull(t *testing.T, proto experiments.Protocol, reference bool,
 
 	tracer := obs.NewTracer(1 << 20)
 	ch := &transcript{}
-	cfg.Tracer = ch
+	cfg.Tracer = []sim.Observer{ch}
 	reg := obs.NewRegistry()
 	led := obs.NewLedger(reg, "eq")
 	cfg.Observers = []sim.Observer{tracer, led}
-	cfg.SlotObservers = []sim.SlotObserver{led}
+	cfg.SlotObservers = []sim.Observer{led}
 	// KK-Leader has no audit model; its audit witness stays empty.
 	var aud *obs.Auditor
 	if ap, ok := obs.AuditProtocolFor(string(proto)); ok {
 		aud = obs.NewAuditor(ap, cfg.MAC.RetryLimit)
 		cfg.Observers = append(cfg.Observers, aud)
-		cfg.Lifecycles = []sim.LifecycleObserver{aud}
+		cfg.Lifecycles = []sim.Observer{aud}
 	}
 	if mutate != nil {
 		mutate(&cfg)

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"relmac/internal/fault"
-	"relmac/internal/frames"
 	"relmac/internal/sim"
 )
 
@@ -182,16 +181,12 @@ func TestSeedForPairsProtocols(t *testing.T) {
 // submitLog records the identity of every request handed to a MAC.
 type submitLog struct{ subs []string }
 
-func (l *submitLog) OnSubmit(req *sim.Request, now sim.Slot) {
-	l.subs = append(l.subs, fmt.Sprintf("id=%d src=%d kind=%v dests=%v arrival=%d",
-		req.ID, req.Src, req.Kind, req.Dests, req.Arrival))
+func (l *submitLog) Observe(ev sim.Event) {
+	if req := ev.Req; ev.Kind == sim.EvSubmit {
+		l.subs = append(l.subs, fmt.Sprintf("id=%d src=%d kind=%v dests=%v arrival=%d",
+			req.ID, req.Src, req.Kind, req.Dests, req.Arrival))
+	}
 }
-func (*submitLog) OnContention(*sim.Request, sim.Slot)             {}
-func (*submitLog) OnFrameTx(*frames.Frame, int, sim.Slot)          {}
-func (*submitLog) OnDataRx(int64, int, sim.Slot)                   {}
-func (*submitLog) OnRound(*sim.Request, int, sim.Slot)             {}
-func (*submitLog) OnComplete(*sim.Request, sim.Slot)               {}
-func (*submitLog) OnAbort(*sim.Request, sim.AbortReason, sim.Slot) {}
 
 // TestPairedArrivals is what the pairing of TestSeedForPairsProtocols
 // buys: at one seedFor cell, every protocol is handed the identical

@@ -6,7 +6,6 @@ import (
 
 	"relmac/internal/analysis"
 	"relmac/internal/fault"
-	"relmac/internal/frames"
 	"relmac/internal/geom"
 	"relmac/internal/mac"
 	"relmac/internal/metrics"
@@ -267,7 +266,7 @@ func Fig2() (string, error) {
 		}
 		tp := topo.FromPoints(pts, 0.2)
 		rec := &timelineTracer{}
-		eng := sim.New(sim.Config{Topo: tp, Tracer: rec})
+		eng := sim.New(sim.Config{Topo: tp, Tracer: []sim.Observer{rec}})
 		eng.AttachMACs(factory)
 		script := traffic.NewScript()
 		script.At(0, &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0,
@@ -298,17 +297,15 @@ type timelineTracer struct {
 	lines []string
 }
 
-// TxStart implements sim.Tracer.
-func (t *timelineTracer) TxStart(f *frames.Frame, sender int, start, end sim.Slot) {
-	span := fmt.Sprintf("%d", start)
-	if end != start {
-		span = fmt.Sprintf("%d-%d", start, end)
+// Observe implements sim.Observer.
+func (t *timelineTracer) Observe(ev sim.Event) {
+	if ev.Kind != sim.EvFrameTx {
+		return
 	}
+	span := fmt.Sprintf("%d", ev.Start)
+	if ev.End != ev.Start {
+		span = fmt.Sprintf("%d-%d", ev.Start, ev.End)
+	}
+	f := ev.Frame
 	t.lines = append(t.lines, fmt.Sprintf("  slot %-7s %-4s %s→%s", span, f.Type, f.Src, f.Dst))
 }
-
-// RxOK implements sim.Tracer.
-func (t *timelineTracer) RxOK(*frames.Frame, int, sim.Slot) {}
-
-// RxLost implements sim.Tracer.
-func (t *timelineTracer) RxLost(*frames.Frame, int, sim.Slot) {}

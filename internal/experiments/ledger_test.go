@@ -34,7 +34,7 @@ func TestLedgerConservationAllProtocols(t *testing.T) {
 				cfg.Slots = 1500
 				cfg.Fault = imp.fault
 				cfg.Observers = []sim.Observer{led}
-				cfg.SlotObservers = []sim.SlotObserver{led}
+				cfg.SlotObservers = []sim.Observer{led}
 				if _, err := Run(cfg); err != nil {
 					t.Fatal(err)
 				}
@@ -70,14 +70,16 @@ type spanLedger struct {
 	spans int
 }
 
-func (l *spanLedger) OnIdleSpan(from, to sim.Slot) {
-	l.spans++
-	l.Ledger.OnIdleSpan(from, to)
+func (l *spanLedger) Observe(ev sim.Event) {
+	if ev.Kind == sim.EvIdleSpan {
+		l.spans++
+	}
+	l.Ledger.Observe(ev)
 }
 
-// TestLedgerIdleSpansMatchPerSlot pins the equivalence SlotObserver's
-// OnIdleSpan rests on, for the real airtime ledger: sparse traffic
-// lets the optimized engine skip idle stretches (one OnIdleSpan each),
+// TestLedgerIdleSpansMatchPerSlot pins the equivalence the idle-span
+// event rests on, for the real airtime ledger: sparse traffic lets the
+// optimized engine skip idle stretches (one EvIdleSpan each),
 // while the reference engine hands the same stretches over slot by slot — and every protocol's ledger snapshot must come out
 // identical.
 func TestLedgerIdleSpansMatchPerSlot(t *testing.T) {
@@ -90,7 +92,7 @@ func TestLedgerIdleSpansMatchPerSlot(t *testing.T) {
 				cfg.Slots = 6000
 				cfg.Reference = reference
 				cfg.Observers = []sim.Observer{led}
-				cfg.SlotObservers = []sim.SlotObserver{led}
+				cfg.SlotObservers = []sim.Observer{led}
 				if _, err := Run(cfg); err != nil {
 					t.Fatal(err)
 				}
@@ -125,7 +127,7 @@ func TestLedgerDisabledBitIdentical(t *testing.T) {
 			reg := obs.NewRegistry()
 			led := obs.NewLedger(reg, "BMMM")
 			cfg.Observers = []sim.Observer{led}
-			cfg.SlotObservers = []sim.SlotObserver{led}
+			cfg.SlotObservers = []sim.Observer{led}
 		}
 		res, err := Run(cfg)
 		if err != nil {

@@ -13,9 +13,11 @@ import (
 // txCounter counts transmissions started.
 type txCounter struct{ n int }
 
-func (c *txCounter) TxStart(*frames.Frame, int, sim.Slot, sim.Slot) { c.n++ }
-func (c *txCounter) RxOK(*frames.Frame, int, sim.Slot)              {}
-func (c *txCounter) RxLost(*frames.Frame, int, sim.Slot)            {}
+func (c *txCounter) Observe(ev sim.Event) {
+	if ev.Kind == sim.EvFrameTx {
+		c.n++
+	}
+}
 
 // overhearRun builds four mutually in-range stations running p — 0 the
 // station under test, 1 and 2 a group, 3 a sender — and hands f to
@@ -28,7 +30,7 @@ func overhearRun(t *testing.T, p Protocol, f *frames.Frame, rx sim.Rx) (quiet bo
 		geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5), geom.Pt(0.5, 0.6), geom.Pt(0.6, 0.6),
 	}, 0.3)
 	tr := &txCounter{}
-	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Tracer: tr})
+	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Tracer: []sim.Observer{tr}})
 	factory, err := Factory(p, mac.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

@@ -108,22 +108,15 @@ type RunConfig struct {
 	Fault fault.Config
 	MAC   mac.Config
 	Seed  int64
-	// Observers are passed to sim.Config.Observers after the metrics
-	// collector, which always sees each event first — the hook for event
-	// tracers and stat registries (internal/obs).
-	Observers []sim.Observer
-	// SlotObservers are passed to sim.Config.SlotObservers — the
-	// per-slot channel-state feed for airtime ledgers (internal/obs).
-	// Empty keeps the engine's per-slot loop callback-free.
-	SlotObservers []sim.SlotObserver
-	// Lifecycles are passed to sim.Config.Lifecycles — the fine-grained
-	// per-message feed (service start, round opens, response drops)
-	// behind flight recorders and conformance auditors (internal/obs).
-	Lifecycles []sim.LifecycleObserver
-	// Tracer receives channel-level events (sim.Config.Tracer); nil keeps
-	// tracing off. The equivalence tests use it to compare optimized and
-	// reference transcripts frame by frame.
-	Tracer sim.Tracer
+	// Observers, Lifecycles, SlotObservers and Tracer are the engine's
+	// four subscription lists (sim.Config): message events, service
+	// detail, channel state, and transmissions with their receptions.
+	// The metrics collector goes first on Observers, so it sees each
+	// message event before the observers listed here.
+	Observers     []sim.Observer
+	Lifecycles    []sim.Observer
+	SlotObservers []sim.Observer
+	Tracer        []sim.Observer
 	// Reference runs the engine's naive path (sim.Config.Reference) and,
 	// for LAMM, disables the MCS memo. Results are bit-identical with the
 	// flag on and off; it exists for equivalence tests and cmd/relbench.

@@ -2,11 +2,10 @@ package experiments_test
 
 // The cross-commit trajectory pin. The equivalence suite compares two
 // engine paths inside one tree; this test compares the tree against a
-// recorded past. Every event a run emits — each channel event on the
-// Tracer hook and each Observer and Lifecycle event, with its slot and
-// arguments — is folded in order into one SHA-256 per case, so any
-// change to event order, frame contents or PRNG draw order shows up as
-// a changed hash. A refactor that claims "same bytes" must leave
+// recorded past. Every event a run emits on the Tracer, Observers and
+// Lifecycles lists, with its slot and payload, is folded in order into
+// one SHA-256 per case, so any change to event order, frame contents or
+// PRNG draw order shows up as a changed hash. A refactor that claims "same bytes" must leave
 // testdata/transcript_golden.txt untouched.
 
 import (
@@ -24,12 +23,12 @@ import (
 	"relmac/internal/sim"
 )
 
-// hashRecorder folds every Tracer, Observer and Lifecycle event into a
-// running SHA-256, one formatted line per event.
+// hashRecorder folds every event of the Observers, Lifecycles and
+// Tracer lists into a running SHA-256, one formatted line per event.
 type hashRecorder struct {
 	h hash.Hash
 	n int
-	// aborts counts OnAbort events by reason, so the golden line shows
+	// aborts counts abort events by reason, so the golden line shows
 	// which give-up paths a case exercised.
 	aborts [2]int
 }
@@ -51,50 +50,49 @@ func reqString(req *sim.Request) string {
 		req.ID, req.Kind, req.Src, req.Dests, req.Arrival, req.Deadline)
 }
 
-// Tracer.
-func (r *hashRecorder) TxStart(f *frames.Frame, sender int, start, end sim.Slot) {
-	r.add("tx %d [%d,%d] %s", sender, start, end, frameString(f))
-}
-func (r *hashRecorder) RxOK(f *frames.Frame, receiver int, now sim.Slot) {
-	r.add("rx %d @%d %s", receiver, now, frameString(f))
-}
-func (r *hashRecorder) RxLost(f *frames.Frame, receiver int, now sim.Slot) {
-	r.add("lost %d @%d %s", receiver, now, frameString(f))
-}
-
-// Observer.
-func (r *hashRecorder) OnSubmit(req *sim.Request, now sim.Slot) {
-	r.add("submit @%d %s", now, reqString(req))
-}
-func (r *hashRecorder) OnContention(req *sim.Request, now sim.Slot) {
-	r.add("contention @%d req=%d", now, req.ID)
-}
-func (r *hashRecorder) OnFrameTx(f *frames.Frame, sender int, now sim.Slot) {
-	r.add("frametx %d @%d %s", sender, now, frameString(f))
-}
-func (r *hashRecorder) OnDataRx(msgID int64, receiver int, now sim.Slot) {
-	r.add("datarx %d @%d msg=%d", receiver, now, msgID)
-}
-func (r *hashRecorder) OnRound(req *sim.Request, residual int, now sim.Slot) {
-	r.add("round @%d req=%d residual=%d", now, req.ID, residual)
-}
-func (r *hashRecorder) OnComplete(req *sim.Request, now sim.Slot) {
-	r.add("complete @%d req=%d", now, req.ID)
-}
-func (r *hashRecorder) OnAbort(req *sim.Request, reason sim.AbortReason, now sim.Slot) {
-	r.add("abort @%d req=%d reason=%v", now, req.ID, reason)
-	r.aborts[reason]++
+// Observe formats one event of the message, service-detail or
+// reception classes.
+func (r *hashRecorder) Observe(ev sim.Event) {
+	now, req, f := ev.Slot, ev.Req, ev.Frame
+	switch ev.Kind {
+	case sim.EvRxOK:
+		r.add("rx %d @%d %s", ev.Station, now, frameString(f))
+	case sim.EvRxLost:
+		r.add("lost %d @%d %s", ev.Station, now, frameString(f))
+	case sim.EvSubmit:
+		r.add("submit @%d %s", now, reqString(req))
+	case sim.EvContention:
+		r.add("contention @%d req=%d", now, req.ID)
+	case sim.EvFrameTx:
+		r.add("frametx %d @%d %s", ev.Station, now, frameString(f))
+	case sim.EvDataRx:
+		r.add("datarx %d @%d msg=%d", ev.Station, now, f.MsgID)
+	case sim.EvRound:
+		r.add("round @%d req=%d residual=%d", now, req.ID, ev.Residual)
+	case sim.EvComplete:
+		r.add("complete @%d req=%d", now, req.ID)
+	case sim.EvAbort:
+		r.add("abort @%d req=%d reason=%v", now, req.ID, ev.Reason)
+		r.aborts[ev.Reason]++
+	case sim.EvServiceStart:
+		r.add("service @%d req=%d", now, req.ID)
+	case sim.EvRoundStart:
+		r.add("roundstart @%d req=%d round=%d polled=%d", now, req.ID, ev.Round, ev.Polled)
+	case sim.EvResponseDrop:
+		r.add("respdrop %d @%d %s", ev.Station, now, frameString(f))
+	}
 }
 
-// Lifecycle.
-func (r *hashRecorder) OnServiceStart(req *sim.Request, now sim.Slot) {
-	r.add("service @%d req=%d", now, req.ID)
-}
-func (r *hashRecorder) OnRoundStart(req *sim.Request, round, polled int, now sim.Slot) {
-	r.add("roundstart @%d req=%d round=%d polled=%d", now, req.ID, round, polled)
-}
-func (r *hashRecorder) OnResponseDrop(station int, f *frames.Frame, now sim.Slot) {
-	r.add("respdrop %d @%d %s", station, now, frameString(f))
+// channelView is the recorder's subscription to Config.Tracer, where
+// frame-tx folds in as a channel span.
+type channelView struct{ *hashRecorder }
+
+func (v channelView) Observe(ev sim.Event) {
+	if ev.Kind == sim.EvFrameTx {
+		v.add("tx %d [%d,%d] %s", ev.Station, ev.Start, ev.End, frameString(ev.Frame))
+		return
+	}
+	v.hashRecorder.Observe(ev)
 }
 
 // transcriptFaults are the golden's two channel conditions: clean, and
@@ -131,9 +129,9 @@ func TestTranscriptGolden(t *testing.T) {
 					cfg.MAC.RetryLimit = 3
 				}
 				rec := newHashRecorder()
-				cfg.Tracer = rec
+				cfg.Tracer = []sim.Observer{channelView{rec}}
 				cfg.Observers = []sim.Observer{rec}
-				cfg.Lifecycles = []sim.LifecycleObserver{rec}
+				cfg.Lifecycles = []sim.Observer{rec}
 				if _, err := experiments.Run(cfg); err != nil {
 					t.Fatalf("%s %s seed %d: %v", p, fc.name, seed, err)
 				}

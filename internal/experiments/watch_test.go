@@ -72,8 +72,8 @@ func TestWatchPoolsInSeedOrder(t *testing.T) {
 				// One finding per run, tagged with the run's seed: a
 				// completion before service start.
 				req := &sim.Request{ID: seed, Kind: sim.Broadcast}
-				o.OnSubmit(req, 0)
-				o.OnComplete(req, 1)
+				o.Observe(sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
+				o.Observe(sim.Event{Kind: sim.EvComplete, Req: req, Slot: 1})
 			}
 		}
 	}

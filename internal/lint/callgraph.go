@@ -434,18 +434,21 @@ func (g *Graph) closure(staticOnly bool) map[*types.Func]factMask {
 		}
 	}
 	// order holds nodes in reverse topological order of components
-	// (callees before callers), so one pass suffices.
+	// (callees before callers), each component's members contiguous, so
+	// one pass completes every component's mask before its callers read
+	// it. Members read the mask only once their whole component is done:
+	// a member listed before the one that calls out of the cycle reaches
+	// what that call reaches too.
 	masks := make(map[*types.Func]factMask, len(g.Nodes))
 	compMask := make([]factMask, ncomp)
 	for _, fn := range order {
-		compMask[comp[fn]] |= g.Nodes[fn].mask
-	}
-	for _, fn := range order {
-		m := compMask[comp[fn]]
+		m := g.Nodes[fn].mask
 		for _, w := range succ(fn) {
 			m |= compMask[comp[w]]
 		}
 		compMask[comp[fn]] |= m
+	}
+	for _, fn := range order {
 		masks[fn] = compMask[comp[fn]]
 	}
 	g.closureCache[key] = masks

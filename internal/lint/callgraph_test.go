@@ -236,11 +236,9 @@ type tap struct {
 	slots int
 }
 
-func (t *tap) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) {
+func (t *tap) Observe(ev sim.Event) {
 	t.slots++
 }
-
-func (t *tap) OnIdleSpan(from, to sim.Slot) {}
 `
 	mutated := strings.Replace(clean, "t.slots++", "t.slots += t.rng.Intn(4)", 1)
 
@@ -273,7 +271,7 @@ func (t *tap) OnIdleSpan(from, to sim.Slot) {}
 	}
 	f := res.Findings[0]
 	if f.Check != "hookpure" || f.Line != 15 || !strings.Contains(f.Message, "PRNG-neutral") {
-		t.Errorf("mutated fixture: got %s, want a hookpure finding at the OnSlot declaration (line 15)", f)
+		t.Errorf("mutated fixture: got %s, want a hookpure finding at the Observe declaration (line 15)", f)
 	}
 }
 
@@ -315,6 +313,33 @@ func fromLocal() float64 {
 		}
 		if got := g.Reaches(fn, FactTaintedDraw, true); got != c.tainted {
 			t.Errorf("%s: FactTaintedDraw = %v, want %v", c.fn, got, c.tainted)
+		}
+	}
+}
+
+// TestClosureCycleMembersShareFacts: every member of a call cycle
+// reaches what any member reaches. Here only a calls out of the cycle
+// {a, b}, and the component walk lists b first.
+func TestClosureCycleMembersShareFacts(t *testing.T) {
+	g, pkg := loadGraphSrc(t, "cyc", `// Package cyc exercises a fact reached from inside a call cycle.
+package cyc
+
+import "math/rand"
+
+func a(n int) {
+	if n > 0 {
+		b(n - 1)
+	}
+	draw()
+}
+
+func b(n int) { a(n) }
+
+func draw() int { return rand.Intn(2) }
+`)
+	for _, name := range []string{"cyc.a", "cyc.b"} {
+		if !g.Reaches(graphFunc(t, g, pkg, name), FactGlobalRand, true) {
+			t.Errorf("%s does not reach the draw its cycle reaches", name)
 		}
 	}
 }

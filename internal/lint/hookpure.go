@@ -7,10 +7,10 @@ import (
 
 // hookpureAnalyzer mechanizes the contract every engine hook documents:
 // hooks observe the simulation, they neither consume its randomness nor
-// steer it. The engine calls them from inside the slot loop — observers
-// from Env.Report*, startTx and completeSlot, slot observers from
-// emitSlot and skipTo, tracers from startTx and completeSlot, the
-// profiler at every phase boundary — so:
+// steer it. The engine calls them from inside the slot loop — every
+// sim.Observer through the engine's one emit helper (from Env.Report*,
+// submission, startTx, emitSlot, skipTo and completeSlot), the profiler
+// at every phase boundary — so:
 //
 //   - one PRNG draw inside a hook shifts every later draw in the run,
 //     and attaching the hook changes trajectories;
@@ -32,13 +32,13 @@ import (
 // included.
 var hookpureAnalyzer = &Analyzer{
 	Name: "hookpure",
-	Doc:  "hook implementations (observers, tracers, profilers) must not reach PRNG draws or engine mutations",
+	Doc:  "hook implementations (observers, profilers) must not reach PRNG draws or engine mutations",
 	Run:  runHookpure,
 }
 
 // hookInterfaces are the sim-package interfaces whose implementations
 // the engine calls from inside the slot loop as pure observers.
-var hookInterfaces = []string{"Observer", "SlotObserver", "LifecycleObserver", "Tracer", "Profiler"}
+var hookInterfaces = []string{"Observer", "Profiler"}
 
 func runHookpure(p *Pass) {
 	g := p.Graph()

@@ -1,9 +1,9 @@
 // Package good implements hooks in the sanctioned measurement pattern:
 // they read the engine only through allowlisted accessors, write only
 // their own receiver state, and never draw from a shared generator.
-// hookpure must stay silent on the slot observers here and the tracer in
-// tracer.go; PRNG-neutral hooks and profilers have their own fixtures
-// under prngflow and profpure.
+// hookpure must stay silent on the slot observer here and the channel
+// observer in tracer.go; PRNG-neutral hooks and profilers have their own
+// fixtures under prngflow and profpure.
 package good
 
 import (
@@ -17,14 +17,15 @@ type spanRecorder struct {
 	seen []sim.Slot
 }
 
-func (s *spanRecorder) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) {
-	if s.env != nil && s.env.Now() == now {
-		s.seen = append(s.seen, now)
-	}
-}
-
-func (s *spanRecorder) OnIdleSpan(from, to sim.Slot) {
-	for t := from; t <= to; t++ {
-		s.seen = append(s.seen, t)
+func (s *spanRecorder) Observe(ev sim.Event) {
+	switch ev.Kind {
+	case sim.EvSlot:
+		if s.env != nil && s.env.Now() == ev.Slot {
+			s.seen = append(s.seen, ev.Slot)
+		}
+	case sim.EvIdleSpan:
+		for t := ev.Start; t <= ev.End; t++ {
+			s.seen = append(s.seen, t)
+		}
 	}
 }

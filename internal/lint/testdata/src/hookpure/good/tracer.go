@@ -5,19 +5,22 @@ import (
 	"relmac/internal/sim"
 )
 
-// rxCounter is a clean tracer: it reads the frames it is shown and
-// counts into its own receiver state.
+// rxCounter is a clean channel observer: it reads the frames it is
+// shown and counts into its own receiver state.
 type rxCounter struct {
 	starts    int
 	ok, lost  map[frames.Type]int
 	lastStart sim.Slot
 }
 
-func (c *rxCounter) TxStart(f *frames.Frame, sender int, start, end sim.Slot) {
-	c.starts++
-	c.lastStart = start
+func (c *rxCounter) Observe(ev sim.Event) {
+	switch ev.Kind {
+	case sim.EvFrameTx:
+		c.starts++
+		c.lastStart = ev.Start
+	case sim.EvRxOK:
+		c.ok[ev.Frame.Type]++
+	case sim.EvRxLost:
+		c.lost[ev.Frame.Type]++
+	}
 }
-
-func (c *rxCounter) RxOK(f *frames.Frame, receiver int, now sim.Slot) { c.ok[f.Type]++ }
-
-func (c *rxCounter) RxLost(f *frames.Frame, receiver int, now sim.Slot) { c.lost[f.Type]++ }

@@ -16,21 +16,33 @@ type jitterTap struct {
 	rng *rand.Rand
 }
 
-func (t *jitterTap) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) { // want `hook \(bad\.jitterTap\)\.OnSlot reaches a PRNG draw`
+func (t *jitterTap) Observe(ev sim.Event) { // want `hook \(bad\.jitterTap\)\.Observe reaches a PRNG draw`
 	_ = t.rng.Intn(8)
 }
 
-func (t *jitterTap) OnIdleSpan(from, to sim.Slot) {}
+// jitterTracer draws from a field-held generator when a transmission
+// starts: frame-tx fires inside the engine's startTx, so the draw shifts
+// every later one in the run.
+type jitterTracer struct {
+	rng  *rand.Rand
+	lags []int
+}
+
+func (t *jitterTracer) Observe(ev sim.Event) { // want `hook \(bad\.jitterTracer\)\.Observe reaches a PRNG draw`
+	if ev.Kind == sim.EvFrameTx {
+		t.lags = append(t.lags, t.rng.Intn(4))
+	}
+}
 
 // globalTap reaches the global math/rand stream two calls deep; the
 // call-graph closure still attributes the draw to the hook.
 type globalTap struct{}
 
-func (globalTap) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) { // want `hook \(bad\.globalTap\)\.OnSlot reaches a PRNG draw`
-	jitter()
+func (globalTap) Observe(ev sim.Event) { // want `hook \(bad\.globalTap\)\.Observe reaches a PRNG draw`
+	if ev.Kind == sim.EvSlot {
+		jitter()
+	}
 }
-
-func (globalTap) OnIdleSpan(from, to sim.Slot) {}
 
 func jitter() int { return pick() }
 

@@ -15,11 +15,9 @@ type counterTap struct {
 	rng   *rand.Rand
 }
 
-func (t *counterTap) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) {
-	t.slots += len(airing)
+func (t *counterTap) Observe(ev sim.Event) {
+	t.slots += len(ev.Airing)
 }
-
-func (t *counterTap) OnIdleSpan(from, to sim.Slot) {}
 
 // scramble draws from a locally constructed generator (clean provenance
 // under the dataflow rules) and is not reachable from any hook anyway.

@@ -404,28 +404,10 @@ func (r *Responder) ScheduleAt(t sim.Slot, f *frames.Frame) {
 
 // Due returns a frame scheduled for the given slot (removing it), or nil.
 // Frames scheduled for earlier slots that were never sent (station busy)
-// are discarded: a stale CTS/ACK is worse than none.
-func (r *Responder) Due(now sim.Slot) *frames.Frame {
-	for i := 0; i < len(r.when); {
-		switch {
-		case r.when[i] < now:
-			r.drop(i)
-		case r.when[i] == now:
-			f := r.frame[i]
-			r.drop(i)
-			return f
-		default:
-			i++
-		}
-	}
-	return nil
-}
-
-// DueReport is Due with stale-drop accounting: every discarded frame is
-// handed to dropped before removal, so a lifecycle observer can see the
-// responses that silently died waiting for the medium. Due stays the
-// separate fast path — it runs every tick of every awake station.
-func (r *Responder) DueReport(now sim.Slot, dropped func(*frames.Frame)) *frames.Frame {
+// are discarded — a stale CTS/ACK is worse than none — and, when dropped
+// is non-nil, handed to it first, so the responses that silently died
+// waiting for the medium stay visible.
+func (r *Responder) Due(now sim.Slot, dropped func(*frames.Frame)) *frames.Frame {
 	for i := 0; i < len(r.when); {
 		switch {
 		case r.when[i] < now:

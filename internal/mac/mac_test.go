@@ -164,16 +164,16 @@ func TestResponderDelivery(t *testing.T) {
 	var r Responder
 	f := &frames.Frame{Type: frames.CTS}
 	r.ScheduleAt(5, f)
-	if r.Due(4) != nil {
+	if r.Due(4, nil) != nil {
 		t.Error("frame delivered early")
 	}
 	if !r.Pending(4) {
 		t.Error("Pending should see the scheduled frame")
 	}
-	if got := r.Due(5); got != f {
+	if got := r.Due(5, nil); got != f {
 		t.Errorf("Due(5) = %v", got)
 	}
-	if r.Due(5) != nil {
+	if r.Due(5, nil) != nil {
 		t.Error("frame delivered twice")
 	}
 }
@@ -181,7 +181,7 @@ func TestResponderDelivery(t *testing.T) {
 func TestResponderDropsStale(t *testing.T) {
 	var r Responder
 	r.ScheduleAt(5, &frames.Frame{Type: frames.CTS})
-	if r.Due(7) != nil {
+	if r.Due(7, nil) != nil {
 		t.Error("stale response must be dropped, not sent late")
 	}
 	if r.Pending(7) {
@@ -195,10 +195,10 @@ func TestResponderMultiple(t *testing.T) {
 	b := &frames.Frame{Type: frames.ACK}
 	r.ScheduleAt(3, a)
 	r.ScheduleAt(4, b)
-	if got := r.Due(3); got != a {
+	if got := r.Due(3, nil); got != a {
 		t.Errorf("Due(3) = %v", got)
 	}
-	if got := r.Due(4); got != b {
+	if got := r.Due(4, nil); got != b {
 		t.Errorf("Due(4) = %v", got)
 	}
 	r.ScheduleAt(9, a)

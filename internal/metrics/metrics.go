@@ -92,42 +92,55 @@ func NewCollector() *Collector {
 	return &Collector{byID: make(map[int64]*Record)}
 }
 
-// OnSubmit implements sim.Observer.
-func (c *Collector) OnSubmit(req *sim.Request, now sim.Slot) {
-	r := &Record{
-		ID:        req.ID,
-		Kind:      req.Kind,
-		Src:       req.Src,
-		Intended:  len(req.Dests),
-		Arrival:   req.Arrival,
-		Deadline:  req.Deadline,
-		intended:  append([]int(nil), req.Dests...),
-		delivered: make([]bool, len(req.Dests)),
+// Observe implements sim.Observer; it subscribes to the message events.
+func (c *Collector) Observe(ev sim.Event) {
+	switch ev.Kind {
+	case sim.EvSubmit:
+		req := ev.Req
+		r := &Record{
+			ID:        req.ID,
+			Kind:      req.Kind,
+			Src:       req.Src,
+			Intended:  len(req.Dests),
+			Arrival:   req.Arrival,
+			Deadline:  req.Deadline,
+			intended:  append([]int(nil), req.Dests...),
+			delivered: make([]bool, len(req.Dests)),
+		}
+		c.records = append(c.records, r)
+		c.byID[req.ID] = r
+	case sim.EvContention:
+		if r := c.byID[ev.Req.ID]; r != nil {
+			r.Contentions++
+		}
+	case sim.EvFrameTx:
+		if int(ev.Frame.Type) < len(c.frames) {
+			c.frames[ev.Frame.Type]++
+		}
+	case sim.EvDataRx:
+		if r := c.byID[ev.Frame.MsgID]; r != nil {
+			r.deliver(ev.Station)
+		}
+	case sim.EvComplete:
+		if r := c.byID[ev.Req.ID]; r != nil && !r.Completed {
+			r.Completed = true
+			r.CompletedAt = ev.Slot
+		}
+	case sim.EvRound:
+		if r := c.byID[ev.Req.ID]; r != nil {
+			r.Rounds++
+			r.Residual = ev.Residual
+		}
+	case sim.EvAbort:
+		if r := c.byID[ev.Req.ID]; r != nil {
+			r.Aborted = true
+			r.AbortReason = ev.Reason
+		}
 	}
-	c.records = append(c.records, r)
-	c.byID[req.ID] = r
 }
 
-// OnContention implements sim.Observer.
-func (c *Collector) OnContention(req *sim.Request, now sim.Slot) {
-	if r := c.byID[req.ID]; r != nil {
-		r.Contentions++
-	}
-}
-
-// OnFrameTx implements sim.Observer.
-func (c *Collector) OnFrameTx(f *frames.Frame, sender int, now sim.Slot) {
-	if int(f.Type) < len(c.frames) {
-		c.frames[f.Type]++
-	}
-}
-
-// OnDataRx implements sim.Observer.
-func (c *Collector) OnDataRx(msgID int64, receiver int, now sim.Slot) {
-	r := c.byID[msgID]
-	if r == nil {
-		return
-	}
+// deliver counts the first decode by an intended receiver.
+func (r *Record) deliver(receiver int) {
 	for k, id := range r.intended {
 		if id == receiver {
 			if !r.delivered[k] {
@@ -136,30 +149,6 @@ func (c *Collector) OnDataRx(msgID int64, receiver int, now sim.Slot) {
 			}
 			return
 		}
-	}
-}
-
-// OnComplete implements sim.Observer.
-func (c *Collector) OnComplete(req *sim.Request, now sim.Slot) {
-	if r := c.byID[req.ID]; r != nil && !r.Completed {
-		r.Completed = true
-		r.CompletedAt = now
-	}
-}
-
-// OnRound implements sim.Observer.
-func (c *Collector) OnRound(req *sim.Request, residual int, now sim.Slot) {
-	if r := c.byID[req.ID]; r != nil {
-		r.Rounds++
-		r.Residual = residual
-	}
-}
-
-// OnAbort implements sim.Observer.
-func (c *Collector) OnAbort(req *sim.Request, reason sim.AbortReason, now sim.Slot) {
-	if r := c.byID[req.ID]; r != nil {
-		r.Aborted = true
-		r.AbortReason = reason
 	}
 }
 

@@ -10,20 +10,25 @@ import (
 
 func submit(c *Collector, id int64, kind sim.Kind, dests []int, arrival, deadline sim.Slot) *sim.Request {
 	req := &sim.Request{ID: id, Kind: kind, Src: 0, Dests: dests, Arrival: arrival, Deadline: deadline}
-	c.OnSubmit(req, arrival)
+	c.Observe(sim.Event{Kind: sim.EvSubmit, Req: req, Slot: arrival})
 	return req
+}
+
+// dataRx is receiver's decode of message msg's DATA frame at now.
+func dataRx(msg int64, receiver int, now sim.Slot) sim.Event {
+	return sim.Event{Kind: sim.EvDataRx, Frame: &frames.Frame{Type: frames.Data, MsgID: msg}, Station: receiver, Slot: now}
 }
 
 func TestRecordLifecycle(t *testing.T) {
 	c := NewCollector()
 	req := submit(c, 1, sim.Multicast, []int{1, 2, 3, 4}, 10, 110)
-	c.OnContention(req, 11)
-	c.OnContention(req, 30)
-	c.OnDataRx(1, 1, 40)
-	c.OnDataRx(1, 2, 40)
-	c.OnDataRx(1, 2, 41) // duplicate must not double count
-	c.OnDataRx(1, 3, 42)
-	c.OnComplete(req, 60)
+	c.Observe(sim.Event{Kind: sim.EvContention, Req: req, Slot: 11})
+	c.Observe(sim.Event{Kind: sim.EvContention, Req: req, Slot: 30})
+	c.Observe(dataRx(1, 1, 40))
+	c.Observe(dataRx(1, 2, 40))
+	c.Observe(dataRx(1, 2, 41)) // duplicate must not double count
+	c.Observe(dataRx(1, 3, 42))
+	c.Observe(sim.Event{Kind: sim.EvComplete, Req: req, Slot: 60})
 
 	r := c.Records()[0]
 	if r.Contentions != 2 {
@@ -54,15 +59,15 @@ func almost(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 func TestSuccessRequiresTimelyCompletion(t *testing.T) {
 	c := NewCollector()
 	req := submit(c, 1, sim.Broadcast, []int{1}, 0, 100)
-	c.OnDataRx(1, 1, 50)
-	c.OnComplete(req, 150) // after deadline
+	c.Observe(dataRx(1, 1, 50))
+	c.Observe(sim.Event{Kind: sim.EvComplete, Req: req, Slot: 150}) // after deadline
 	if c.Records()[0].Successful(0.5) {
 		t.Error("completion after the deadline is a timeout, not a success")
 	}
 
 	c2 := NewCollector()
 	submit(c2, 2, sim.Broadcast, []int{1}, 0, 100)
-	c2.OnDataRx(2, 1, 50)
+	c2.Observe(dataRx(2, 1, 50))
 	// Never completed (e.g. still retrying at sim end).
 	if c2.Records()[0].Successful(0.5) {
 		t.Error("uncompleted message cannot be successful")
@@ -74,7 +79,7 @@ func TestBSMAStyleFalseCompletion(t *testing.T) {
 	// delivery rate at any positive threshold must be 0 (paper §7.3).
 	c := NewCollector()
 	req := submit(c, 1, sim.Multicast, []int{1, 2}, 0, 100)
-	c.OnComplete(req, 20)
+	c.Observe(sim.Event{Kind: sim.EvComplete, Req: req, Slot: 20})
 	s := c.Summarize(0.9, Filter{})
 	if s.SuccessRate != 0 {
 		t.Errorf("success rate = %v, want 0", s.SuccessRate)
@@ -87,7 +92,7 @@ func TestBSMAStyleFalseCompletion(t *testing.T) {
 func TestEmptyDestsCountsDelivered(t *testing.T) {
 	c := NewCollector()
 	req := submit(c, 1, sim.Multicast, nil, 0, 100)
-	c.OnComplete(req, 5)
+	c.Observe(sim.Event{Kind: sim.EvComplete, Req: req, Slot: 5})
 	if !c.Records()[0].Successful(1.0) {
 		t.Error("no intended receivers: trivially successful")
 	}
@@ -97,12 +102,12 @@ func TestSummarizeFilters(t *testing.T) {
 	c := NewCollector()
 	// Multicast, in horizon, successful.
 	r1 := submit(c, 1, sim.Multicast, []int{1}, 0, 100)
-	c.OnDataRx(1, 1, 10)
-	c.OnComplete(r1, 15)
+	c.Observe(dataRx(1, 1, 10))
+	c.Observe(sim.Event{Kind: sim.EvComplete, Req: r1, Slot: 15})
 	// Unicast (excluded by GroupFilter).
 	r2 := submit(c, 2, sim.Unicast, []int{2}, 0, 100)
-	c.OnDataRx(2, 2, 12)
-	c.OnComplete(r2, 14)
+	c.Observe(dataRx(2, 2, 12))
+	c.Observe(sim.Event{Kind: sim.EvComplete, Req: r2, Slot: 14})
 	// Broadcast whose deadline exceeds the horizon (excluded).
 	submit(c, 3, sim.Broadcast, []int{1, 2}, 9950, 10050)
 
@@ -123,17 +128,17 @@ func TestSummarizeFilters(t *testing.T) {
 func TestSummarizeAverages(t *testing.T) {
 	c := NewCollector()
 	a := submit(c, 1, sim.Multicast, []int{1, 2}, 0, 200)
-	c.OnContention(a, 1)
-	c.OnContention(a, 2)
-	c.OnContention(a, 3)
-	c.OnDataRx(1, 1, 10)
-	c.OnDataRx(1, 2, 10)
-	c.OnComplete(a, 20)
+	c.Observe(sim.Event{Kind: sim.EvContention, Req: a, Slot: 1})
+	c.Observe(sim.Event{Kind: sim.EvContention, Req: a, Slot: 2})
+	c.Observe(sim.Event{Kind: sim.EvContention, Req: a, Slot: 3})
+	c.Observe(dataRx(1, 1, 10))
+	c.Observe(dataRx(1, 2, 10))
+	c.Observe(sim.Event{Kind: sim.EvComplete, Req: a, Slot: 20})
 
 	b := submit(c, 2, sim.Multicast, []int{3, 4}, 10, 210)
-	c.OnContention(b, 11)
-	c.OnDataRx(2, 3, 40)
-	c.OnComplete(b, 50)
+	c.Observe(sim.Event{Kind: sim.EvContention, Req: b, Slot: 11})
+	c.Observe(dataRx(2, 3, 40))
+	c.Observe(sim.Event{Kind: sim.EvComplete, Req: b, Slot: 50})
 
 	s := c.Summarize(0.9, Filter{})
 	if !almost(s.AvgContentions, 2) {
@@ -152,9 +157,9 @@ func TestSummarizeAverages(t *testing.T) {
 
 func TestFrameCounting(t *testing.T) {
 	c := NewCollector()
-	c.OnFrameTx(&frames.Frame{Type: frames.RTS}, 0, 0)
-	c.OnFrameTx(&frames.Frame{Type: frames.RTS}, 1, 0)
-	c.OnFrameTx(&frames.Frame{Type: frames.RAK}, 0, 5)
+	c.Observe(sim.Event{Kind: sim.EvFrameTx, Frame: &frames.Frame{Type: frames.RTS}, Station: 0, Slot: 0})
+	c.Observe(sim.Event{Kind: sim.EvFrameTx, Frame: &frames.Frame{Type: frames.RTS}, Station: 1, Slot: 0})
+	c.Observe(sim.Event{Kind: sim.EvFrameTx, Frame: &frames.Frame{Type: frames.RAK}, Station: 0, Slot: 5})
 	if c.FrameCount(frames.RTS) != 2 || c.FrameCount(frames.RAK) != 1 || c.FrameCount(frames.NAK) != 0 {
 		t.Error("frame counts wrong")
 	}
@@ -163,8 +168,8 @@ func TestFrameCounting(t *testing.T) {
 func TestAbortRecorded(t *testing.T) {
 	c := NewCollector()
 	req := submit(c, 1, sim.Multicast, []int{1}, 0, 100)
-	c.OnRound(req, 1, 50)
-	c.OnAbort(req, sim.AbortRetries, 101)
+	c.Observe(sim.Event{Kind: sim.EvRound, Req: req, Residual: 1, Slot: 50})
+	c.Observe(sim.Event{Kind: sim.EvAbort, Req: req, Reason: sim.AbortRetries, Slot: 101})
 	rec := c.Records()[0]
 	if !rec.Aborted {
 		t.Error("abort not recorded")
@@ -183,11 +188,11 @@ func TestAbortRecorded(t *testing.T) {
 func TestUnknownIDsIgnored(t *testing.T) {
 	c := NewCollector()
 	// Events for never-submitted IDs must not crash or create records.
-	c.OnDataRx(99, 1, 5)
-	c.OnContention(&sim.Request{ID: 98}, 5)
-	c.OnComplete(&sim.Request{ID: 97}, 5)
-	c.OnAbort(&sim.Request{ID: 96}, sim.AbortDeadline, 5)
-	c.OnRound(&sim.Request{ID: 95}, 2, 5)
+	c.Observe(dataRx(99, 1, 5))
+	c.Observe(sim.Event{Kind: sim.EvContention, Req: &sim.Request{ID: 98}, Slot: 5})
+	c.Observe(sim.Event{Kind: sim.EvComplete, Req: &sim.Request{ID: 97}, Slot: 5})
+	c.Observe(sim.Event{Kind: sim.EvAbort, Req: &sim.Request{ID: 96}, Reason: sim.AbortDeadline, Slot: 5})
+	c.Observe(sim.Event{Kind: sim.EvRound, Req: &sim.Request{ID: 95}, Residual: 2, Slot: 5})
 	if len(c.Records()) != 0 {
 		t.Error("phantom records created")
 	}
@@ -277,7 +282,7 @@ func TestWelchT(t *testing.T) {
 func TestFrameCounterCoversAllTypes(t *testing.T) {
 	c := NewCollector()
 	for _, ft := range frames.Types() {
-		c.OnFrameTx(&frames.Frame{Type: ft}, 0, 0)
+		c.Observe(sim.Event{Kind: sim.EvFrameTx, Frame: &frames.Frame{Type: ft}, Station: 0, Slot: 0})
 	}
 	for _, ft := range frames.Types() {
 		if got := c.FrameCount(ft); got != 1 {

@@ -9,11 +9,6 @@ import (
 	"relmac/internal/sim"
 )
 
-var (
-	_ sim.Observer          = (*Auditor)(nil)
-	_ sim.LifecycleObserver = (*Auditor)(nil)
-)
-
 // AuditProtocol selects which protocol state machine the Auditor checks
 // observed frame sequences against.
 type AuditProtocol uint8
@@ -165,7 +160,8 @@ type auditMsg struct {
 // CTS transmitted" is a true violation, while a transmitted-but-collided
 // CTS never produces a false positive.
 //
-// It implements sim.Observer and sim.LifecycleObserver; unicast traffic
+// Subscribe it to the message events and the service detail
+// (Config.Observers and Config.Lifecycles); unicast traffic
 // is ignored. All methods take an internal lock so HTTP snapshot readers
 // can observe a live run.
 type Auditor struct {
@@ -204,28 +200,50 @@ func (a *Auditor) flag(msgID int64, now sim.Slot, station int, rule, format stri
 	}
 }
 
-// OnSubmit implements sim.Observer.
-func (a *Auditor) OnSubmit(req *sim.Request, now sim.Slot) {
-	if req.Kind == sim.Unicast {
+// Observe implements sim.Observer; the auditor subscribes to the
+// message events and the service detail.
+func (a *Auditor) Observe(ev sim.Event) {
+	switch ev.Kind {
+	case sim.EvDataRx, sim.EvResponseDrop:
+		// Reception carries no grammar, and a stale response silently
+		// discarded is lossy but legal.
+		return
+	case sim.EvSubmit:
+		if req := ev.Req; req.Kind != sim.Unicast {
+			a.mu.Lock()
+			a.audited++
+			a.msgs[req.ID] = &auditMsg{src: req.Src, dests: len(req.Dests), lastResidual: len(req.Dests)}
+			a.mu.Unlock()
+		}
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.audited++
-	a.msgs[req.ID] = &auditMsg{src: req.Src, dests: len(req.Dests), lastResidual: len(req.Dests)}
-}
-
-// OnServiceStart implements sim.LifecycleObserver.
-func (a *Auditor) OnServiceStart(req *sim.Request, now sim.Slot) {
-	if req.Kind == sim.Unicast {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m := a.msgs[req.ID]
+	m := a.msgs[ev.MsgID()]
 	if m == nil {
 		return
 	}
+	switch ev.Kind {
+	case sim.EvServiceStart:
+		a.serviceStart(m, ev.Req, ev.Slot)
+	case sim.EvContention:
+		a.contention(m, ev.Req, ev.Slot)
+	case sim.EvRoundStart:
+		a.roundStart(m, ev.Req, ev.Round, ev.Polled, ev.Slot)
+	case sim.EvFrameTx:
+		a.frameTx(m, ev.Frame, ev.Station, ev.Slot)
+	case sim.EvRound:
+		a.roundClose(m, ev.Req, ev.Residual, ev.Slot)
+	case sim.EvComplete:
+		a.complete(m, ev.Req, ev.Slot)
+	case sim.EvAbort:
+		a.abort(m, ev.Req, ev.Reason, ev.Slot)
+	}
+}
+
+// serviceStart audits a service start. The callers of the audit
+// rules hold a.mu.
+func (a *Auditor) serviceStart(m *auditMsg, req *sim.Request, now sim.Slot) {
 	switch {
 	case m.closed:
 		a.flag(req.ID, now, req.Src, "service-after-close", "message re-entered service after its terminal event")
@@ -235,17 +253,7 @@ func (a *Auditor) OnServiceStart(req *sim.Request, now sim.Slot) {
 	m.started = true
 }
 
-// OnContention implements sim.Observer.
-func (a *Auditor) OnContention(req *sim.Request, now sim.Slot) {
-	if req.Kind == sim.Unicast {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m := a.msgs[req.ID]
-	if m == nil {
-		return
-	}
+func (a *Auditor) contention(m *auditMsg, req *sim.Request, now sim.Slot) {
 	if !m.started {
 		a.flag(req.ID, now, req.Src, "contention-before-service", "contention begun before service start")
 	}
@@ -257,17 +265,7 @@ func (a *Auditor) OnContention(req *sim.Request, now sim.Slot) {
 	m.exRTS, m.exCTS, m.exNonSupCTS, m.exData, m.exRAK = 0, 0, 0, 0, 0
 }
 
-// OnRoundStart implements sim.LifecycleObserver.
-func (a *Auditor) OnRoundStart(req *sim.Request, round, polled int, now sim.Slot) {
-	if req.Kind == sim.Unicast {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m := a.msgs[req.ID]
-	if m == nil {
-		return
-	}
+func (a *Auditor) roundStart(m *auditMsg, req *sim.Request, round, polled int, now sim.Slot) {
 	switch {
 	case !a.proto.rounds():
 		a.flag(req.ID, now, req.Src, "illegal-round", "%s has no rounds, round %d reported", a.proto, round)
@@ -306,14 +304,7 @@ func (a *Auditor) OnRoundStart(req *sim.Request, round, polled int, now sim.Slot
 	m.roundSupCTS = 0
 }
 
-// OnFrameTx implements sim.Observer.
-func (a *Auditor) OnFrameTx(f *frames.Frame, sender int, now sim.Slot) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m := a.msgs[f.MsgID]
-	if m == nil {
-		return
-	}
+func (a *Auditor) frameTx(m *auditMsg, f *frames.Frame, sender int, now sim.Slot) {
 	if sender != m.src {
 		a.receiverFrame(m, f, sender, now)
 		return
@@ -404,24 +395,8 @@ func (a *Auditor) receiverFrame(m *auditMsg, f *frames.Frame, sender int, now si
 	}
 }
 
-// OnDataRx implements sim.Observer; reception carries no grammar.
-func (a *Auditor) OnDataRx(msgID int64, receiver int, now sim.Slot) {}
-
-// OnResponseDrop implements sim.LifecycleObserver; a stale response
-// silently discarded is lossy but legal.
-func (a *Auditor) OnResponseDrop(station int, f *frames.Frame, now sim.Slot) {}
-
-// OnRound implements sim.Observer: one round closed with the residual.
-func (a *Auditor) OnRound(req *sim.Request, residual int, now sim.Slot) {
-	if req.Kind == sim.Unicast {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m := a.msgs[req.ID]
-	if m == nil {
-		return
-	}
+// roundClose audits one round closed with the residual.
+func (a *Auditor) roundClose(m *auditMsg, req *sim.Request, residual int, now sim.Slot) {
 	if !a.proto.rounds() {
 		a.flag(req.ID, now, req.Src, "illegal-round", "%s has no rounds, residual %d reported", a.proto, residual)
 		return
@@ -459,17 +434,7 @@ func (a *Auditor) OnRound(req *sim.Request, residual int, now sim.Slot) {
 	m.roundOpen = false
 }
 
-// OnComplete implements sim.Observer.
-func (a *Auditor) OnComplete(req *sim.Request, now sim.Slot) {
-	if req.Kind == sim.Unicast {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m := a.msgs[req.ID]
-	if m == nil {
-		return
-	}
+func (a *Auditor) complete(m *auditMsg, req *sim.Request, now sim.Slot) {
 	if m.closed {
 		a.flag(req.ID, now, req.Src, "double-terminal", "completion after a terminal event")
 	}
@@ -487,17 +452,7 @@ func (a *Auditor) OnComplete(req *sim.Request, now sim.Slot) {
 	m.closed = true
 }
 
-// OnAbort implements sim.Observer.
-func (a *Auditor) OnAbort(req *sim.Request, reason sim.AbortReason, now sim.Slot) {
-	if req.Kind == sim.Unicast {
-		return
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m := a.msgs[req.ID]
-	if m == nil {
-		return
-	}
+func (a *Auditor) abort(m *auditMsg, req *sim.Request, reason sim.AbortReason, now sim.Slot) {
 	if m.closed {
 		a.flag(req.ID, now, req.Src, "double-terminal", "abort after a terminal event")
 	}

@@ -73,18 +73,23 @@ func TestAuditorCleanRuns(t *testing.T) {
 	}
 }
 
+// tx feeds the auditor a transmission of message 1.
+func tx(a *obs.Auditor, t frames.Type, dst frames.Addr, sender int, now sim.Slot) {
+	a.Observe(sim.Event{Kind: sim.EvFrameTx, Frame: &frames.Frame{Type: t, MsgID: 1, Dst: dst}, Station: sender, Slot: now})
+}
+
 // batchPrefix drives an auditor through the legal opening of a BMMM
 // exchange — submit, service, round 1 polling three receivers, a won
 // contention and the three RTS/CTS polls — and returns the request.
 func batchPrefix(a *obs.Auditor) *sim.Request {
 	req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1, 2, 3}}
-	a.OnSubmit(req, 0)
-	a.OnServiceStart(req, 0)
-	a.OnRoundStart(req, 1, 3, 0)
-	a.OnContention(req, 0)
+	a.Observe(sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
+	a.Observe(sim.Event{Kind: sim.EvServiceStart, Req: req, Slot: 0})
+	a.Observe(sim.Event{Kind: sim.EvRoundStart, Req: req, Round: 1, Polled: 3, Slot: 0})
+	a.Observe(sim.Event{Kind: sim.EvContention, Req: req, Slot: 0})
 	for i := 1; i <= 3; i++ {
-		a.OnFrameTx(&frames.Frame{Type: frames.RTS, MsgID: 1, Dst: frames.Addr(i)}, 0, sim.Slot(2*i))
-		a.OnFrameTx(&frames.Frame{Type: frames.CTS, MsgID: 1, Dst: 0}, i, sim.Slot(2*i+1))
+		tx(a, frames.RTS, frames.Addr(i), 0, sim.Slot(2*i))
+		tx(a, frames.CTS, 0, i, sim.Slot(2*i+1))
 	}
 	return req
 }
@@ -92,13 +97,13 @@ func batchPrefix(a *obs.Auditor) *sim.Request {
 // finishBatch legally completes a batchPrefix exchange: DATA, the three
 // RAK/ACK polls, a residual-0 round close and the completion.
 func finishBatch(a *obs.Auditor, req *sim.Request) {
-	a.OnFrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 8)
+	tx(a, frames.Data, frames.BroadcastAddr, 0, 8)
 	for i := 1; i <= 3; i++ {
-		a.OnFrameTx(&frames.Frame{Type: frames.RAK, MsgID: 1, Dst: frames.Addr(i)}, 0, sim.Slot(12+2*i))
-		a.OnFrameTx(&frames.Frame{Type: frames.ACK, MsgID: 1, Dst: 0}, i, sim.Slot(13+2*i))
+		tx(a, frames.RAK, frames.Addr(i), 0, sim.Slot(12+2*i))
+		tx(a, frames.ACK, 0, i, sim.Slot(13+2*i))
 	}
-	a.OnRound(req, 0, 19)
-	a.OnComplete(req, 19)
+	a.Observe(sim.Event{Kind: sim.EvRound, Req: req, Residual: 0, Slot: 19})
+	a.Observe(sim.Event{Kind: sim.EvComplete, Req: req, Slot: 19})
 }
 
 // TestAuditorLegalExchange pins the zero-violation baseline for the
@@ -127,13 +132,13 @@ func TestAuditorMutations(t *testing.T) {
 			name: "data-without-cts", proto: obs.AuditBMMM, limit: 64,
 			feed: func(a *obs.Auditor) {
 				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1}}
-				a.OnSubmit(req, 0)
-				a.OnServiceStart(req, 0)
-				a.OnRoundStart(req, 1, 1, 0)
-				a.OnContention(req, 0)
-				a.OnFrameTx(&frames.Frame{Type: frames.RTS, MsgID: 1, Dst: 1}, 0, 2)
+				a.Observe(sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
+				a.Observe(sim.Event{Kind: sim.EvServiceStart, Req: req, Slot: 0})
+				a.Observe(sim.Event{Kind: sim.EvRoundStart, Req: req, Round: 1, Polled: 1, Slot: 0})
+				a.Observe(sim.Event{Kind: sim.EvContention, Req: req, Slot: 0})
+				tx(a, frames.RTS, 1, 0, 2)
 				// No CTS came back, yet the sender transmits the data frame.
-				a.OnFrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 4)
+				tx(a, frames.Data, frames.BroadcastAddr, 0, 4)
 			},
 			want: "data-without-cts",
 		},
@@ -141,7 +146,7 @@ func TestAuditorMutations(t *testing.T) {
 			name: "rak-before-data", proto: obs.AuditBMMM, limit: 64,
 			feed: func(a *obs.Auditor) {
 				batchPrefix(a)
-				a.OnFrameTx(&frames.Frame{Type: frames.RAK, MsgID: 1, Dst: 1}, 0, 8)
+				tx(a, frames.RAK, 1, 0, 8)
 			},
 			want: "rak-before-data",
 		},
@@ -149,8 +154,8 @@ func TestAuditorMutations(t *testing.T) {
 			name: "rts-after-data", proto: obs.AuditBMMM, limit: 64,
 			feed: func(a *obs.Auditor) {
 				batchPrefix(a)
-				a.OnFrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 8)
-				a.OnFrameTx(&frames.Frame{Type: frames.RTS, MsgID: 1, Dst: 1}, 0, 13)
+				tx(a, frames.Data, frames.BroadcastAddr, 0, 8)
+				tx(a, frames.RTS, 1, 0, 13)
 			},
 			want: "rts-after-data",
 		},
@@ -158,8 +163,8 @@ func TestAuditorMutations(t *testing.T) {
 			name: "duplicate-data", proto: obs.AuditBMMM, limit: 64,
 			feed: func(a *obs.Auditor) {
 				batchPrefix(a)
-				a.OnFrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 8)
-				a.OnFrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 13)
+				tx(a, frames.Data, frames.BroadcastAddr, 0, 8)
+				tx(a, frames.Data, frames.BroadcastAddr, 0, 13)
 			},
 			want: "duplicate-data",
 		},
@@ -167,9 +172,9 @@ func TestAuditorMutations(t *testing.T) {
 			name: "retry-before-rak", proto: obs.AuditBMMM, limit: 64,
 			feed: func(a *obs.Auditor) {
 				req := batchPrefix(a)
-				a.OnFrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 8)
+				tx(a, frames.Data, frames.BroadcastAddr, 0, 8)
 				// A retry round opens before the RAK polls acknowledged the data.
-				a.OnRoundStart(req, 2, 3, 13)
+				a.Observe(sim.Event{Kind: sim.EvRoundStart, Req: req, Round: 2, Polled: 3, Slot: 13})
 			},
 			want: "retry-before-rak",
 		},
@@ -177,11 +182,11 @@ func TestAuditorMutations(t *testing.T) {
 			name: "residual-increase", proto: obs.AuditBMMM, limit: 64,
 			feed: func(a *obs.Auditor) {
 				req := batchPrefix(a)
-				a.OnFrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 8)
+				tx(a, frames.Data, frames.BroadcastAddr, 0, 8)
 				for i := 1; i <= 3; i++ {
-					a.OnFrameTx(&frames.Frame{Type: frames.RAK, MsgID: 1, Dst: frames.Addr(i)}, 0, sim.Slot(12+2*i))
+					tx(a, frames.RAK, frames.Addr(i), 0, sim.Slot(12+2*i))
 				}
-				a.OnRound(req, 5, 19) // residual grew past the intended set
+				a.Observe(sim.Event{Kind: sim.EvRound, Req: req, Residual: 5, Slot: 19}) // residual grew past the intended set
 			},
 			want: "residual-increase",
 		},
@@ -189,12 +194,12 @@ func TestAuditorMutations(t *testing.T) {
 			name: "complete-with-residual", proto: obs.AuditBMMM, limit: 64,
 			feed: func(a *obs.Auditor) {
 				req := batchPrefix(a)
-				a.OnFrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 8)
+				tx(a, frames.Data, frames.BroadcastAddr, 0, 8)
 				for i := 1; i <= 3; i++ {
-					a.OnFrameTx(&frames.Frame{Type: frames.RAK, MsgID: 1, Dst: frames.Addr(i)}, 0, sim.Slot(12+2*i))
+					tx(a, frames.RAK, frames.Addr(i), 0, sim.Slot(12+2*i))
 				}
-				a.OnRound(req, 1, 19)
-				a.OnComplete(req, 19) // one receiver still unserved
+				a.Observe(sim.Event{Kind: sim.EvRound, Req: req, Residual: 1, Slot: 19})
+				a.Observe(sim.Event{Kind: sim.EvComplete, Req: req, Slot: 19}) // one receiver still unserved
 			},
 			want: "complete-with-residual",
 		},
@@ -203,7 +208,7 @@ func TestAuditorMutations(t *testing.T) {
 			feed: func(a *obs.Auditor) {
 				req := batchPrefix(a)
 				finishBatch(a, req)
-				a.OnFrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: frames.BroadcastAddr}, 0, 30)
+				tx(a, frames.Data, frames.BroadcastAddr, 0, 30)
 			},
 			want: "tx-after-close",
 		},
@@ -211,11 +216,11 @@ func TestAuditorMutations(t *testing.T) {
 			name: "retry-overrun", proto: obs.AuditBMMM, limit: 2,
 			feed: func(a *obs.Auditor) {
 				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1}}
-				a.OnSubmit(req, 0)
-				a.OnServiceStart(req, 0)
+				a.Observe(sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
+				a.Observe(sim.Event{Kind: sim.EvServiceStart, Req: req, Slot: 0})
 				for i := 0; i < 3; i++ {
-					a.OnRoundStart(req, i+1, 1, sim.Slot(10*i))
-					a.OnContention(req, sim.Slot(10*i))
+					a.Observe(sim.Event{Kind: sim.EvRoundStart, Req: req, Round: i + 1, Polled: 1, Slot: sim.Slot(10 * i)})
+					a.Observe(sim.Event{Kind: sim.EvContention, Req: req, Slot: sim.Slot(10 * i)})
 				}
 			},
 			want: "retry-overrun",
@@ -224,7 +229,7 @@ func TestAuditorMutations(t *testing.T) {
 			name: "premature-retry-abort", proto: obs.AuditBMMM, limit: 64,
 			feed: func(a *obs.Auditor) {
 				req := batchPrefix(a)
-				a.OnAbort(req, sim.AbortRetries, 9)
+				a.Observe(sim.Event{Kind: sim.EvAbort, Req: req, Reason: sim.AbortRetries, Slot: 9})
 			},
 			want: "premature-retry-abort",
 		},
@@ -232,8 +237,8 @@ func TestAuditorMutations(t *testing.T) {
 			name: "frame-before-service", proto: obs.AuditBMMM, limit: 64,
 			feed: func(a *obs.Auditor) {
 				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1}}
-				a.OnSubmit(req, 0)
-				a.OnFrameTx(&frames.Frame{Type: frames.RTS, MsgID: 1, Dst: 1}, 0, 1)
+				a.Observe(sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
+				tx(a, frames.RTS, 1, 0, 1)
 			},
 			want: "frame-before-service",
 		},
@@ -241,11 +246,11 @@ func TestAuditorMutations(t *testing.T) {
 			name: "illegal-frame-plain", proto: obs.AuditPlain, limit: 64,
 			feed: func(a *obs.Auditor) {
 				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1}}
-				a.OnSubmit(req, 0)
-				a.OnServiceStart(req, 0)
-				a.OnContention(req, 0)
+				a.Observe(sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
+				a.Observe(sim.Event{Kind: sim.EvServiceStart, Req: req, Slot: 0})
+				a.Observe(sim.Event{Kind: sim.EvContention, Req: req, Slot: 0})
 				// Plain 802.11 multicast has no handshake at all.
-				a.OnFrameTx(&frames.Frame{Type: frames.RTS, MsgID: 1, Dst: 1}, 0, 2)
+				tx(a, frames.RTS, 1, 0, 2)
 			},
 			want: "illegal-frame",
 		},
@@ -253,15 +258,15 @@ func TestAuditorMutations(t *testing.T) {
 			name: "bmw-residual-step", proto: obs.AuditBMW, limit: 64,
 			feed: func(a *obs.Auditor) {
 				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1, 2, 3}}
-				a.OnSubmit(req, 0)
-				a.OnServiceStart(req, 0)
-				a.OnRoundStart(req, 1, 1, 0)
-				a.OnContention(req, 0)
-				a.OnFrameTx(&frames.Frame{Type: frames.RTS, MsgID: 1, Dst: 1}, 0, 2)
-				a.OnFrameTx(&frames.Frame{Type: frames.CTS, MsgID: 1, Dst: 0}, 1, 3)
-				a.OnFrameTx(&frames.Frame{Type: frames.Data, MsgID: 1, Dst: 1}, 0, 4)
-				a.OnFrameTx(&frames.Frame{Type: frames.ACK, MsgID: 1, Dst: 0}, 1, 9)
-				a.OnRound(req, 1, 10) // BMW must step 3 -> 2, not 3 -> 1
+				a.Observe(sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
+				a.Observe(sim.Event{Kind: sim.EvServiceStart, Req: req, Slot: 0})
+				a.Observe(sim.Event{Kind: sim.EvRoundStart, Req: req, Round: 1, Polled: 1, Slot: 0})
+				a.Observe(sim.Event{Kind: sim.EvContention, Req: req, Slot: 0})
+				tx(a, frames.RTS, 1, 0, 2)
+				tx(a, frames.CTS, 0, 1, 3)
+				tx(a, frames.Data, 1, 0, 4)
+				tx(a, frames.ACK, 0, 1, 9)
+				a.Observe(sim.Event{Kind: sim.EvRound, Req: req, Residual: 1, Slot: 10}) // BMW must step 3 -> 2, not 3 -> 1
 			},
 			want: "bmw-residual-step",
 		},
@@ -269,10 +274,10 @@ func TestAuditorMutations(t *testing.T) {
 			name: "bmw-round-overlap", proto: obs.AuditBMW, limit: 64,
 			feed: func(a *obs.Auditor) {
 				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1, 2}}
-				a.OnSubmit(req, 0)
-				a.OnServiceStart(req, 0)
-				a.OnRoundStart(req, 1, 1, 0)
-				a.OnRoundStart(req, 2, 1, 1) // previous round never closed
+				a.Observe(sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
+				a.Observe(sim.Event{Kind: sim.EvServiceStart, Req: req, Slot: 0})
+				a.Observe(sim.Event{Kind: sim.EvRoundStart, Req: req, Round: 1, Polled: 1, Slot: 0})
+				a.Observe(sim.Event{Kind: sim.EvRoundStart, Req: req, Round: 2, Polled: 1, Slot: 1}) // previous round never closed
 			},
 			want: "round-overlap",
 		},
@@ -280,9 +285,9 @@ func TestAuditorMutations(t *testing.T) {
 			name: "illegal-round-plain", proto: obs.AuditPlain, limit: 64,
 			feed: func(a *obs.Auditor) {
 				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1}}
-				a.OnSubmit(req, 0)
-				a.OnServiceStart(req, 0)
-				a.OnRound(req, 0, 5)
+				a.Observe(sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
+				a.Observe(sim.Event{Kind: sim.EvServiceStart, Req: req, Slot: 0})
+				a.Observe(sim.Event{Kind: sim.EvRound, Req: req, Residual: 0, Slot: 5})
 			},
 			want: "illegal-round",
 		},
@@ -346,7 +351,7 @@ func TestAuditorDetectsMutantProtocol(t *testing.T) {
 		geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5), geom.Pt(0.5, 0.6), geom.Pt(0.42, 0.42),
 	}
 	tp := topo.FromPoints(pts, 0.2)
-	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Observers: []sim.Observer{aud}, Lifecycles: []sim.LifecycleObserver{aud}})
+	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Observers: []sim.Observer{aud}, Lifecycles: []sim.Observer{aud}})
 	eng.AttachMACs(func(node int, env *sim.Env) sim.MAC {
 		return dcf.NewStation(node, cfg, core.NewBatch(overPoller{}))
 	})

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"relmac/internal/analysis"
-	"relmac/internal/frames"
 	"relmac/internal/sim"
 )
 
@@ -40,47 +39,28 @@ func NewDriftMonitor(model analysis.RoundModel) *DriftMonitor {
 // Accum exposes the underlying accumulator (for cross-run Merge).
 func (d *DriftMonitor) Accum() *analysis.DriftAccum { return d.accum }
 
-// OnSubmit implements sim.Observer.
-func (d *DriftMonitor) OnSubmit(req *sim.Request, now sim.Slot) {
-	n := len(req.Dests)
-	if n == 0 {
-		return
+// Observe implements sim.Observer; it subscribes to the message events.
+func (d *DriftMonitor) Observe(ev sim.Event) {
+	switch ev.Kind {
+	case sim.EvSubmit:
+		if n := len(ev.Req.Dests); n != 0 {
+			d.inflight[ev.Req.ID] = &driftMsg{n: n, residual: n}
+		}
+	case sim.EvContention:
+		if m := d.inflight[ev.Req.ID]; m != nil {
+			m.contentions++
+		}
+	case sim.EvRound:
+		if m := d.inflight[ev.Req.ID]; m != nil {
+			d.accum.AddRound(m.residual, ev.Residual)
+			m.residual = ev.Residual
+		}
+	case sim.EvComplete:
+		if m := d.inflight[ev.Req.ID]; m != nil {
+			d.accum.AddMessage(m.n, m.contentions)
+			delete(d.inflight, ev.Req.ID)
+		}
+	case sim.EvAbort:
+		delete(d.inflight, ev.Req.ID)
 	}
-	d.inflight[req.ID] = &driftMsg{n: n, residual: n}
-}
-
-// OnContention implements sim.Observer.
-func (d *DriftMonitor) OnContention(req *sim.Request, now sim.Slot) {
-	if m := d.inflight[req.ID]; m != nil {
-		m.contentions++
-	}
-}
-
-// OnFrameTx implements sim.Observer.
-func (d *DriftMonitor) OnFrameTx(f *frames.Frame, sender int, now sim.Slot) {}
-
-// OnDataRx implements sim.Observer.
-func (d *DriftMonitor) OnDataRx(msgID int64, receiver int, now sim.Slot) {}
-
-// OnRound implements sim.Observer.
-func (d *DriftMonitor) OnRound(req *sim.Request, residual int, now sim.Slot) {
-	m := d.inflight[req.ID]
-	if m == nil {
-		return
-	}
-	d.accum.AddRound(m.residual, residual)
-	m.residual = residual
-}
-
-// OnComplete implements sim.Observer.
-func (d *DriftMonitor) OnComplete(req *sim.Request, now sim.Slot) {
-	if m := d.inflight[req.ID]; m != nil {
-		d.accum.AddMessage(m.n, m.contentions)
-		delete(d.inflight, req.ID)
-	}
-}
-
-// OnAbort implements sim.Observer.
-func (d *DriftMonitor) OnAbort(req *sim.Request, reason sim.AbortReason, now sim.Slot) {
-	delete(d.inflight, req.ID)
 }

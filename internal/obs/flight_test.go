@@ -35,11 +35,10 @@ var flightProtocols = []struct {
 
 // fig2Flight executes the Figure-2 scenario (one multicast from station
 // 0 to stations 1-3, clean channel) under the given protocol with a
-// flight recorder attached to both the observer and lifecycle hooks,
-// plus any extra lifecycle observers (the auditor in the conformance
-// tests).
+// flight recorder on the Observers and Lifecycles lists, plus any extra
+// observers on each (the auditor in the conformance tests).
 func fig2Flight(t *testing.T, factory func(mac.Config) func(int, *sim.Env) sim.MAC,
-	extraObs []sim.Observer, extraLife []sim.LifecycleObserver) *obs.Flight {
+	extraObs []sim.Observer, extraLife []sim.Observer) *obs.Flight {
 	t.Helper()
 	fl := obs.NewFlight(nil, "", 0)
 	pts := []geom.Point{
@@ -49,7 +48,7 @@ func fig2Flight(t *testing.T, factory func(mac.Config) func(int, *sim.Env) sim.M
 	eng := sim.New(sim.Config{
 		Topo: tp, Seed: 1,
 		Observers:  append([]sim.Observer{fl}, extraObs...),
-		Lifecycles: append([]sim.LifecycleObserver{fl}, extraLife...),
+		Lifecycles: append([]sim.Observer{fl}, extraLife...),
 	})
 	eng.AttachMACs(factory(mac.DefaultConfig()))
 	script := traffic.NewScript()
@@ -141,7 +140,7 @@ func TestFlightNeutrality(t *testing.T) {
 	eng := sim.New(sim.Config{
 		Topo: tp, Seed: 1,
 		Observers:  []sim.Observer{accompanied, fl, aud},
-		Lifecycles: []sim.LifecycleObserver{fl, aud},
+		Lifecycles: []sim.Observer{fl, aud},
 	})
 	eng.AttachMACs(core.NewBMMM(mac.DefaultConfig()))
 	script := traffic.NewScript()
@@ -212,7 +211,7 @@ func TestFlightStageHistograms(t *testing.T) {
 		geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5), geom.Pt(0.5, 0.6), geom.Pt(0.42, 0.42),
 	}
 	tp := topo.FromPoints(pts, 0.2)
-	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Observers: []sim.Observer{fl}, Lifecycles: []sim.LifecycleObserver{fl}})
+	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Observers: []sim.Observer{fl}, Lifecycles: []sim.Observer{fl}})
 	eng.AttachMACs(core.NewBMMM(mac.DefaultConfig()))
 	script := traffic.NewScript()
 	script.At(0, &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0,
@@ -243,7 +242,7 @@ func TestFlightStageHistograms(t *testing.T) {
 func TestFlightCapacity(t *testing.T) {
 	fl := obs.NewFlight(nil, "", 2)
 	for i := int64(1); i <= 4; i++ {
-		fl.OnSubmit(&sim.Request{ID: i, Kind: sim.Multicast, Src: 0, Dests: []int{1}}, 0)
+		fl.Observe(sim.Event{Kind: sim.EvSubmit, Req: &sim.Request{ID: i, Kind: sim.Multicast, Src: 0, Dests: []int{1}}, Slot: 0})
 	}
 	st := fl.Stats()
 	if st.Tracked != 2 || st.Dropped != 2 {
@@ -263,7 +262,7 @@ func TestFlightCapacity(t *testing.T) {
 // the flight recorder.
 func TestFlightIgnoresUnicast(t *testing.T) {
 	fl := obs.NewFlight(nil, "", 0)
-	fl.OnSubmit(&sim.Request{ID: 1, Kind: sim.Unicast, Src: 0, Dests: []int{1}}, 0)
+	fl.Observe(sim.Event{Kind: sim.EvSubmit, Req: &sim.Request{ID: 1, Kind: sim.Unicast, Src: 0, Dests: []int{1}}, Slot: 0})
 	if st := fl.Stats(); st.Tracked != 0 {
 		t.Errorf("tracked = %d, want 0 for unicast", st.Tracked)
 	}

@@ -110,14 +110,14 @@ func busyPriority(c Category) int {
 	}
 }
 
-// Ledger is the slot-accurate airtime ledger: it implements both
-// sim.Observer (protocol lifecycle — who is contending, which messages
-// are in retry rounds) and sim.SlotObserver (channel state — what the
-// medium carried each slot), and attributes every simulated slot to
-// exactly one Category, counted under "<prefix>.airtime.<category>" in
-// the registry alongside "<prefix>.airtime.total".
+// Ledger is the slot-accurate airtime ledger: it reads the message
+// events (who is contending, which messages are in retry rounds) and the
+// channel state (what the medium carried each slot), and attributes
+// every simulated slot to exactly one Category, counted under
+// "<prefix>.airtime.<category>" in the registry alongside
+// "<prefix>.airtime.total".
 //
-// Attach the same instance on both hooks: append it to
+// Subscribe the same instance to both classes: append it to
 // Config.Observers and to Config.SlotObservers (RunConfig.Observers and
 // RunConfig.SlotObservers in experiments).
 // Use a fresh Ledger per engine run — message identity maps reset with
@@ -133,7 +133,7 @@ type Ledger struct {
 	perMsg *Histogram
 	prefix string
 
-	// contending holds messages between an OnContention and their next
+	// contending holds messages between a contention event and their next
 	// frame transmission — the "station is mid-backoff" signal that
 	// turns an idle-channel slot into CatContention.
 	contending map[int64]struct{}
@@ -169,9 +169,44 @@ func NewLedger(reg *Registry, prefix string) *Ledger {
 	return l
 }
 
-// OnSlot implements sim.SlotObserver: classify the slot and charge
-// per-message airtime.
-func (l *Ledger) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) {
+// Observe implements sim.Observer.
+func (l *Ledger) Observe(ev sim.Event) {
+	switch ev.Kind {
+	case sim.EvSlot:
+		l.slot(ev.Airing, ev.Collided)
+	case sim.EvIdleSpan:
+		// Every slot of the span stands for an EvSlot with no airing and
+		// no collision, and with no events firing in between the
+		// classification cannot change mid-span, so charging the whole
+		// span to one classify result is exactly the per-slot sum. (A
+		// message mid-contention keeps its sender non-quiescent, so
+		// spans under a skipping engine are always CatIdle in practice;
+		// the classify call keeps this equivalence structural rather
+		// than assumed.)
+		n := int64(ev.End - ev.Start + 1)
+		l.total.Add(n)
+		l.cats[l.classify(nil, false)].Add(n)
+	case sim.EvContention:
+		l.contending[ev.Req.ID] = struct{}{}
+	case sim.EvFrameTx:
+		// The first frame of an exchange ends its sender's backoff, so
+		// the message stops counting as contending.
+		if id := ev.Frame.MsgID; id > 0 {
+			delete(l.contending, id)
+		}
+	case sim.EvRound:
+		// From the first round with residual receivers on, further
+		// airtime for the message is retry overhead.
+		if ev.Residual > 0 {
+			l.retrying[ev.Req.ID] = struct{}{}
+		}
+	case sim.EvComplete, sim.EvAbort:
+		l.finish(ev.Req.ID)
+	}
+}
+
+// slot classifies one slot and charges per-message airtime.
+func (l *Ledger) slot(airing []sim.AiringTx, collided bool) {
 	l.total.Inc()
 	l.cats[l.classify(airing, collided)].Inc()
 
@@ -196,20 +231,6 @@ func (l *Ledger) OnSlot(now sim.Slot, airing []sim.AiringTx, collided bool) {
 			l.msgAir[id]++
 		}
 	}
-}
-
-// OnIdleSpan implements sim.SlotObserver: attribute a skipped idle
-// stretch in bulk. Every slot of the span would have arrived as
-// OnSlot(t, nil, false), and with no events firing between the calls
-// the classification cannot change mid-span, so charging the whole
-// span to one classify result is exactly the per-slot sum. (A message
-// mid-contention keeps its sender non-quiescent, so spans under a
-// skipping engine are always CatIdle in practice; the classify call
-// keeps this equivalence structural rather than assumed.)
-func (l *Ledger) OnIdleSpan(from, to sim.Slot) {
-	n := int64(to - from + 1)
-	l.total.Add(n)
-	l.cats[l.classify(nil, false)].Add(n)
 }
 
 // classify maps one slot's channel state to its exclusive category.
@@ -248,41 +269,6 @@ func (l *Ledger) classify(airing []sim.AiringTx, collided bool) Category {
 		}
 	}
 	return best
-}
-
-// OnSubmit implements sim.Observer.
-func (l *Ledger) OnSubmit(req *sim.Request, now sim.Slot) {}
-
-// OnContention implements sim.Observer.
-func (l *Ledger) OnContention(req *sim.Request, now sim.Slot) {
-	l.contending[req.ID] = struct{}{}
-}
-
-// OnFrameTx implements sim.Observer: the first frame of an exchange ends
-// its sender's backoff, so the message stops counting as contending.
-func (l *Ledger) OnFrameTx(f *frames.Frame, sender int, now sim.Slot) {
-	if f.MsgID > 0 {
-		delete(l.contending, f.MsgID)
-	}
-}
-
-// OnDataRx implements sim.Observer.
-func (l *Ledger) OnDataRx(msgID int64, receiver int, now sim.Slot) {}
-
-// OnRound implements sim.Observer: from the first completed round on,
-// further airtime for the message is retry overhead.
-func (l *Ledger) OnRound(req *sim.Request, residual int, now sim.Slot) {
-	if residual > 0 {
-		l.retrying[req.ID] = struct{}{}
-	}
-}
-
-// OnComplete implements sim.Observer.
-func (l *Ledger) OnComplete(req *sim.Request, now sim.Slot) { l.finish(req.ID) }
-
-// OnAbort implements sim.Observer.
-func (l *Ledger) OnAbort(req *sim.Request, reason sim.AbortReason, now sim.Slot) {
-	l.finish(req.ID)
 }
 
 func (l *Ledger) finish(id int64) {

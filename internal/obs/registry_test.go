@@ -96,18 +96,18 @@ func TestStatsObserverFeedsRegistry(t *testing.T) {
 	st := obs.NewStats(reg, "BMMM")
 
 	req := &sim.Request{ID: 1, Src: 0, Arrival: 10, Deadline: 110}
-	st.OnSubmit(req, 10)
-	st.OnContention(req, 11)
-	st.OnContention(req, 30)
-	st.OnFrameTx(&frames.Frame{Type: frames.RTS, MsgID: 1}, 0, 12)
-	st.OnFrameTx(&frames.Frame{Type: frames.Data, MsgID: 1}, 0, 14)
-	st.OnDataRx(1, 2, 18)
-	st.OnComplete(req, 40)
+	st.Observe(sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 10})
+	st.Observe(sim.Event{Kind: sim.EvContention, Req: req, Slot: 11})
+	st.Observe(sim.Event{Kind: sim.EvContention, Req: req, Slot: 30})
+	st.Observe(sim.Event{Kind: sim.EvFrameTx, Frame: &frames.Frame{Type: frames.RTS, MsgID: 1}, Station: 0, Slot: 12})
+	st.Observe(sim.Event{Kind: sim.EvFrameTx, Frame: &frames.Frame{Type: frames.Data, MsgID: 1}, Station: 0, Slot: 14})
+	st.Observe(sim.Event{Kind: sim.EvDataRx, Frame: &frames.Frame{Type: frames.Data, MsgID: 1}, Station: 2, Slot: 18})
+	st.Observe(sim.Event{Kind: sim.EvComplete, Req: req, Slot: 40})
 
 	req2 := &sim.Request{ID: 2, Src: 1, Arrival: 20, Deadline: 120}
-	st.OnSubmit(req2, 20)
-	st.OnRound(req2, 3, 60)
-	st.OnAbort(req2, sim.AbortDeadline, 120)
+	st.Observe(sim.Event{Kind: sim.EvSubmit, Req: req2, Slot: 20})
+	st.Observe(sim.Event{Kind: sim.EvRound, Req: req2, Residual: 3, Slot: 60})
+	st.Observe(sim.Event{Kind: sim.EvAbort, Req: req2, Reason: sim.AbortDeadline, Slot: 120})
 
 	check := func(name string, want int64) {
 		t.Helper()

@@ -66,56 +66,41 @@ func NewStats(reg *Registry, prefix string) *Stats {
 	return s
 }
 
-// OnSubmit implements sim.Observer.
-func (s *Stats) OnSubmit(req *sim.Request, now sim.Slot) {
-	s.submits.Inc()
-	s.inflight[req.ID] = &msgProgress{arrival: req.Arrival}
-}
-
-// OnContention implements sim.Observer.
-func (s *Stats) OnContention(req *sim.Request, now sim.Slot) {
-	s.contentions.Inc()
-	if p := s.inflight[req.ID]; p != nil {
-		p.contentions++
-	}
-}
-
-// OnFrameTx implements sim.Observer.
-func (s *Stats) OnFrameTx(f *frames.Frame, sender int, now sim.Slot) {
-	if int(f.Type) < len(s.frameTx) {
-		s.frameTx[f.Type].Inc()
-	}
-}
-
-// OnDataRx implements sim.Observer.
-func (s *Stats) OnDataRx(msgID int64, receiver int, now sim.Slot) {
-	s.dataRx.Inc()
-}
-
-// OnComplete implements sim.Observer.
-func (s *Stats) OnComplete(req *sim.Request, now sim.Slot) {
-	s.completes.Inc()
-	if p := s.inflight[req.ID]; p != nil {
-		s.contHist.Observe(float64(p.contentions))
-		s.compHist.Observe(float64(now - p.arrival))
-		delete(s.inflight, req.ID)
-	}
-}
-
-// OnRound implements sim.Observer.
-func (s *Stats) OnRound(req *sim.Request, residual int, now sim.Slot) {
-	s.rounds.Inc()
-	s.residHist.Observe(float64(residual))
-}
-
-// OnAbort implements sim.Observer.
-func (s *Stats) OnAbort(req *sim.Request, reason sim.AbortReason, now sim.Slot) {
-	s.aborts.Inc()
-	if int(reason) < len(s.abortReasons) {
-		s.abortReasons[reason].Inc()
-	}
-	if p := s.inflight[req.ID]; p != nil {
-		s.contHist.Observe(float64(p.contentions))
-		delete(s.inflight, req.ID)
+// Observe implements sim.Observer; it subscribes to the message events.
+func (s *Stats) Observe(ev sim.Event) {
+	switch ev.Kind {
+	case sim.EvSubmit:
+		s.submits.Inc()
+		s.inflight[ev.Req.ID] = &msgProgress{arrival: ev.Req.Arrival}
+	case sim.EvContention:
+		s.contentions.Inc()
+		if p := s.inflight[ev.Req.ID]; p != nil {
+			p.contentions++
+		}
+	case sim.EvFrameTx:
+		if int(ev.Frame.Type) < len(s.frameTx) {
+			s.frameTx[ev.Frame.Type].Inc()
+		}
+	case sim.EvDataRx:
+		s.dataRx.Inc()
+	case sim.EvComplete:
+		s.completes.Inc()
+		if p := s.inflight[ev.Req.ID]; p != nil {
+			s.contHist.Observe(float64(p.contentions))
+			s.compHist.Observe(float64(ev.Slot - p.arrival))
+			delete(s.inflight, ev.Req.ID)
+		}
+	case sim.EvRound:
+		s.rounds.Inc()
+		s.residHist.Observe(float64(ev.Residual))
+	case sim.EvAbort:
+		s.aborts.Inc()
+		if int(ev.Reason) < len(s.abortReasons) {
+			s.abortReasons[ev.Reason].Inc()
+		}
+		if p := s.inflight[ev.Req.ID]; p != nil {
+			s.contHist.Observe(float64(p.contentions))
+			delete(s.inflight, ev.Req.ID)
+		}
 	}
 }

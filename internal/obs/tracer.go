@@ -8,7 +8,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"relmac/internal/frames"
 	"relmac/internal/sim"
 )
 
@@ -17,8 +16,8 @@ import (
 // default run (10 000 slots × 100 stations) at moderate load.
 const DefaultTracerCapacity = 1 << 20
 
-// Tracer implements sim.Observer, recording every protocol-level event
-// into a bounded ring buffer. When the buffer fills, the oldest events
+// Tracer is a sim.Observer of the message events, recording each into a
+// bounded ring buffer. When the buffer fills, the oldest events
 // are overwritten (and counted in Dropped), so tracing a long run keeps
 // the most recent window instead of growing without bound.
 //
@@ -27,11 +26,6 @@ const DefaultTracerCapacity = 1 << 20
 // atomics so a live /snapshot endpoint can report buffer health while
 // the engine is still recording.
 type Tracer struct {
-	// Timing supplies frame airtimes for span durations in the exports;
-	// the zero value is replaced by frames.DefaultTiming. Set it to the
-	// engine's timing when that differs.
-	Timing frames.Timing
-
 	capacity int
 	buf      []Event // grows on demand up to capacity, then wraps
 	next     int     // ring write position
@@ -74,49 +68,20 @@ func (t *Tracer) record(ev Event) {
 	t.dropped.Add(1)
 }
 
-// OnSubmit implements sim.Observer.
-func (t *Tracer) OnSubmit(req *sim.Request, now sim.Slot) {
-	t.record(Event{Kind: EvSubmit, Slot: now, Station: req.Src, MsgID: req.ID})
-}
-
-// OnContention implements sim.Observer.
-func (t *Tracer) OnContention(req *sim.Request, now sim.Slot) {
-	t.record(Event{Kind: EvContention, Slot: now, Station: req.Src, MsgID: req.ID})
-}
-
-// OnFrameTx implements sim.Observer.
-func (t *Tracer) OnFrameTx(f *frames.Frame, sender int, now sim.Slot) {
-	t.record(Event{
-		Kind: EvFrameTx, Slot: now, Station: sender, MsgID: f.MsgID,
-		Frame: f.Type, Src: f.Src, Dst: f.Dst, Dur: t.timing().Airtime(f.Type),
-	})
-}
-
-// OnDataRx implements sim.Observer.
-func (t *Tracer) OnDataRx(msgID int64, receiver int, now sim.Slot) {
-	t.record(Event{Kind: EvDataRx, Slot: now, Station: receiver, MsgID: msgID})
-}
-
-// OnComplete implements sim.Observer.
-func (t *Tracer) OnComplete(req *sim.Request, now sim.Slot) {
-	t.record(Event{Kind: EvComplete, Slot: now, Station: req.Src, MsgID: req.ID})
-}
-
-// OnRound implements sim.Observer.
-func (t *Tracer) OnRound(req *sim.Request, residual int, now sim.Slot) {
-	t.record(Event{Kind: EvRound, Slot: now, Station: req.Src, MsgID: req.ID, Residual: residual})
-}
-
-// OnAbort implements sim.Observer.
-func (t *Tracer) OnAbort(req *sim.Request, reason sim.AbortReason, now sim.Slot) {
-	t.record(Event{Kind: EvAbort, Slot: now, Station: req.Src, MsgID: req.ID, Reason: reason})
-}
-
-func (t *Tracer) timing() frames.Timing {
-	if t.Timing == (frames.Timing{}) {
-		return frames.DefaultTiming()
+// Observe implements sim.Observer; it subscribes to the message events.
+// A frame-tx event's Dur is its airtime on the engine's timing.
+func (t *Tracer) Observe(ev sim.Event) {
+	rec := Event{Kind: ev.Kind, Slot: ev.Slot, Station: ev.Station, Residual: ev.Residual, Reason: ev.Reason}
+	if ev.Req != nil {
+		rec.Station, rec.MsgID = ev.Req.Src, ev.Req.ID
 	}
-	return t.Timing
+	if f := ev.Frame; f != nil {
+		rec.MsgID = f.MsgID
+		if ev.Kind == sim.EvFrameTx {
+			rec.Frame, rec.Src, rec.Dst, rec.Dur = f.Type, f.Src, f.Dst, int(ev.End-ev.Start+1)
+		}
+	}
+	t.record(rec)
 }
 
 // Len returns the number of buffered events.
@@ -192,15 +157,15 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 			Msg:     ev.MsgID,
 		}
 		switch ev.Kind {
-		case EvFrameTx:
+		case sim.EvFrameTx:
 			je.Frame = ev.Frame.String()
 			je.Src = ev.Src.String()
 			je.Dst = ev.Dst.String()
 			je.Dur = ev.Dur
-		case EvRound:
+		case sim.EvRound:
 			residual := ev.Residual
 			je.Residual = &residual // pointer so residual 0 still prints
-		case EvAbort:
+		case sim.EvAbort:
 			je.Reason = ev.Reason.String()
 		}
 		if err := enc.Encode(je); err != nil {
@@ -273,7 +238,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	for _, ev := range events {
 		ce := chromeEvent{Ts: int64(ev.Slot), Pid: 0, Tid: ev.Station,
 			Args: map[string]any{"msg": ev.MsgID}}
-		if ev.Kind == EvFrameTx {
+		if ev.Kind == sim.EvFrameTx {
 			ce.Name = ev.Frame.String()
 			ce.Ph = "X"
 			ce.Dur = int64(ev.Dur)
@@ -284,9 +249,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			ce.Ph = "i"
 			ce.S = "t" // thread-scoped instant
 			switch ev.Kind {
-			case EvRound:
+			case sim.EvRound:
 				ce.Args["residual"] = ev.Residual
-			case EvAbort:
+			case sim.EvAbort:
 				ce.Args["reason"] = ev.Reason.String()
 			}
 		}

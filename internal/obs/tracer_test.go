@@ -15,6 +15,7 @@ import (
 	"relmac/internal/geom"
 	"relmac/internal/mac"
 	"relmac/internal/obs"
+	"relmac/internal/prototest"
 	"relmac/internal/sim"
 	"relmac/internal/topo"
 	"relmac/internal/traffic"
@@ -74,9 +75,9 @@ func TestTracerFigure2ExchangeOrder(t *testing.T) {
 	contentions := 0
 	for _, ev := range tr.Events() {
 		switch ev.Kind {
-		case obs.EvFrameTx:
+		case sim.EvFrameTx:
 			seq = append(seq, fmt.Sprintf("%s %s>%s", ev.Frame, ev.Src, ev.Dst))
-		case obs.EvContention:
+		case sim.EvContention:
 			contentions++
 		}
 	}
@@ -167,7 +168,7 @@ func TestTracerChromeTrace(t *testing.T) {
 func TestTracerRingBufferWraps(t *testing.T) {
 	tr := obs.NewTracer(4)
 	for i := 0; i < 10; i++ {
-		tr.OnDataRx(int64(i), i, sim.Slot(i))
+		tr.Observe(sim.Event{Kind: sim.EvDataRx, Frame: &frames.Frame{Type: frames.Data, MsgID: int64(i)}, Station: i, Slot: sim.Slot(i)})
 	}
 	if tr.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", tr.Len())
@@ -183,13 +184,47 @@ func TestTracerRingBufferWraps(t *testing.T) {
 	}
 }
 
+// TestTracerFrameTxRecordsAirtime runs the Figure 2 BMMM exchange on a
+// non-default timing with the tracer and the flight recorder attached:
+// every frame-tx Dur in the trace, and the flight record's control and
+// data airtime, are the engine's own airtimes.
 func TestTracerFrameTxRecordsAirtime(t *testing.T) {
-	tr := obs.NewTracer(8)
-	tr.Timing = frames.Timing{Control: 2, Data: 7}
-	tr.OnFrameTx(&frames.Frame{Type: frames.Data}, 0, 10)
-	tr.OnFrameTx(&frames.Frame{Type: frames.RTS}, 1, 20)
-	evs := tr.Events()
-	if evs[0].Dur != 7 || evs[1].Dur != 2 {
-		t.Errorf("durations = %d, %d; want 7, 2", evs[0].Dur, evs[1].Dur)
+	tm := frames.Timing{Control: 1, Data: 8}
+	tr, fl := obs.NewTracer(0), obs.NewFlight(nil, "", 0)
+	pts := []geom.Point{
+		geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5), geom.Pt(0.5, 0.6), geom.Pt(0.42, 0.42),
+	}
+	run := prototest.New(pts, 0.2, core.NewBMMM(mac.DefaultConfig()), prototest.WithTiming(tm),
+		func(c *sim.Config) {
+			c.Observers = append(c.Observers, tr, fl)
+			c.Lifecycles = append(c.Lifecycles, fl)
+		})
+	run.Multicast(0, 1, 0, []int{1, 2, 3}, 1000)
+	run.Steps(120)
+
+	var control, data int64
+	for _, ev := range tr.Events() {
+		if ev.Kind != sim.EvFrameTx {
+			continue
+		}
+		if want := tm.Airtime(ev.Frame); ev.Dur != want {
+			t.Errorf("%s at slot %d: trace dur %d, engine airtime %d", ev.Frame, ev.Slot, ev.Dur, want)
+		}
+		if ev.Frame == frames.Data {
+			data += int64(ev.Dur)
+		} else {
+			control += int64(ev.Dur)
+		}
+	}
+	// Three RTS/CTS polls, one DATA, three RAK/ACK polls.
+	if control != 12 || data != 8 {
+		t.Errorf("trace airtime control %d, data %d; want 12, 8", control, data)
+	}
+	recs := fl.Records()
+	if len(recs) != 1 {
+		t.Fatalf("flight records = %d, want 1", len(recs))
+	}
+	if st := recs[0].Stages; st.Control != control || st.Data != data {
+		t.Errorf("flight stages control %d, data %d; want the engine's %d, %d", st.Control, st.Data, control, data)
 	}
 }

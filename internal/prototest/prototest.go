@@ -27,25 +27,20 @@ type TraceRecorder struct {
 	TxOnly bool
 }
 
-// TxStart implements sim.Tracer.
-func (r *TraceRecorder) TxStart(f *frames.Frame, sender int, start, end sim.Slot) {
-	r.Events = append(r.Events, fmt.Sprintf("%d TX %s %s→%s", start, f.Type, f.Src, f.Dst))
-}
-
-// RxOK implements sim.Tracer.
-func (r *TraceRecorder) RxOK(f *frames.Frame, receiver int, now sim.Slot) {
-	if r.TxOnly {
-		return
+// Observe implements sim.Observer; the recorder subscribes to
+// Config.Tracer.
+func (r *TraceRecorder) Observe(ev sim.Event) {
+	f := ev.Frame
+	switch {
+	case ev.Kind == sim.EvFrameTx:
+		r.Events = append(r.Events, fmt.Sprintf("%d TX %s %s→%s", ev.Start, f.Type, f.Src, f.Dst))
+	case !r.TxOnly:
+		verb := "RX"
+		if ev.Kind == sim.EvRxLost {
+			verb = "LOST"
+		}
+		r.Events = append(r.Events, fmt.Sprintf("%d %s %s %s→%s @%d", ev.Slot, verb, f.Type, f.Src, f.Dst, ev.Station))
 	}
-	r.Events = append(r.Events, fmt.Sprintf("%d RX %s %s→%s @%d", now, f.Type, f.Src, f.Dst, receiver))
-}
-
-// RxLost implements sim.Tracer.
-func (r *TraceRecorder) RxLost(f *frames.Frame, receiver int, now sim.Slot) {
-	if r.TxOnly {
-		return
-	}
-	r.Events = append(r.Events, fmt.Sprintf("%d LOST %s %s→%s @%d", now, f.Type, f.Src, f.Dst, receiver))
 }
 
 // TxTypes returns the sequence of transmitted frame types, e.g.
@@ -87,7 +82,7 @@ func New(pts []geom.Point, radius float64, factory Factory, opts ...Option) *Run
 		Script:    traffic.NewScript(),
 		Topo:      tp,
 	}
-	cfg := sim.Config{Topo: tp, Observers: []sim.Observer{r.Collector}, Tracer: r.Trace}
+	cfg := sim.Config{Topo: tp, Observers: []sim.Observer{r.Collector}, Tracer: []sim.Observer{r.Trace}}
 	for _, o := range opts {
 		o(&cfg)
 	}

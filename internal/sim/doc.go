@@ -66,23 +66,37 @@
 // receiver roles (one group-marking pass per frame instead of a group
 // scan per receiver) and flat signal collection (a station's first
 // signal of the slot sits in a per-station array; its signal slices
-// are touched only from the second signal on). Skipped idle spans draw nothing from the PRNG and are
-// reported to each slot observer as one OnIdleSpan call, exactly
-// equivalent to the per-slot OnSlot(t, nil, false) calls of the
-// reference path.
+// are touched only from the second signal on). Skipped idle spans draw
+// nothing from the PRNG and are reported to each slot observer as one
+// EvIdleSpan event, exactly equivalent to the per-slot EvSlot events
+// with no airing of the reference path.
 //
-// Observer fan-out is the engine's own: every event is a plain range
-// over the attached list (Config.Observers, SlotObservers, Lifecycles)
-// in registration order, so an empty list costs one length check and
-// there is no combinator layer between the slot loop and its hooks.
+// # Events
+//
+// Every engine event is an Event — an EventKind plus payload — handed
+// to the one hook method, Observer.Observe. The kinds fall into four
+// classes, and each class has its own subscription list in Config:
+// message events (submit, contention, frame-tx, data-rx, round,
+// complete, abort) on Observers, service detail (service-start,
+// round-start, response-drop) on Lifecycles, channel state (slot,
+// idle-span) on SlotObservers, and transmissions with their per-receiver
+// outcomes (frame-tx, rx-ok, rx-lost) on Tracer. frame-tx is the one
+// kind on two lists, Observers first. An observer that wants two classes
+// is appended to both lists and still sees each event once. Every event
+// goes out through one engine helper, emit: a plain range over the
+// class's list in registration order, charged to PhaseObserver, with no
+// allocation, so a class nobody subscribed to costs one length check. A
+// new event is a new EventKind on the list of its class, not a new
+// interface.
 //
 // # Entry points
 //
 // New builds an Engine from a Config; SetMAC/AttachMACs install the
 // per-station protocol state machines; Run/Step advance the clock. Env
-// is the window a MAC sees. The instrumentation surfaces are the
-// Observer, SlotObserver and LifecycleObserver lists, one Tracer, one
-// SlotHook and one Profiler; relmaclint's hookpure check holds every
-// implementation of them to PRNG and engine-state neutrality, except the
-// SlotHook, whose job is to move stations (mobility).
+// is the window a MAC sees; its Report* methods emit the events only a
+// MAC can know. The instrumentation surfaces are the four Observer
+// lists, one SlotHook and one Profiler; relmaclint's hookpure check
+// holds every Observer and Profiler implementation to PRNG and
+// engine-state neutrality. The SlotHook is exempt: its job is to move
+// stations (mobility).
 package sim

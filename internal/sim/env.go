@@ -58,85 +58,46 @@ func (e *Env) Transmitting() bool {
 // station order, so sharing the engine PRNG keeps runs reproducible.
 func (e *Env) Rand() *rand.Rand { return e.engine.rng }
 
-// ReportContention notifies the observers that the station is entering
-// a CSMA/CA contention phase for the request — the quantity plotted in
-// Figure 9 and analysed in §6.
+// ReportContention emits EvContention: the station is entering a
+// CSMA/CA contention phase for the request.
 func (e *Env) ReportContention(req *Request) {
-	e.engine.dispatch()
-	for _, o := range e.engine.observers {
-		o.OnContention(req, e.engine.now)
-	}
-	e.engine.resume()
+	e.engine.emit(e.engine.observers, Event{Kind: EvContention, Slot: e.engine.now, Station: e.node, Req: req})
 }
 
-// ReportComplete notifies the observers that the sending MAC considers
-// the request served.
+// ReportComplete emits EvComplete: the sending MAC considers the request
+// served.
 func (e *Env) ReportComplete(req *Request) {
-	e.engine.dispatch()
-	for _, o := range e.engine.observers {
-		o.OnComplete(req, e.engine.now)
-	}
-	e.engine.resume()
+	e.engine.emit(e.engine.observers, Event{Kind: EvComplete, Slot: e.engine.now, Station: e.node, Req: req})
 }
 
-// ReportAbort notifies the observers that the sending MAC abandoned the
-// request, with the typed reason (deadline passed or retry budget
-// exhausted).
+// ReportAbort emits EvAbort: the sending MAC abandoned the request, for
+// the given reason (deadline passed or retry budget exhausted).
 func (e *Env) ReportAbort(req *Request, reason AbortReason) {
-	e.engine.dispatch()
-	for _, o := range e.engine.observers {
-		o.OnAbort(req, reason, e.engine.now)
-	}
-	e.engine.resume()
+	e.engine.emit(e.engine.observers, Event{Kind: EvAbort, Slot: e.engine.now, Station: e.node, Req: req, Reason: reason})
 }
 
-// ReportRound notifies the observers that a multi-round group protocol
-// finished one round with residual intended receivers still unserved —
-// the per-round graceful-degradation signal: under an impaired channel
-// the residual shrinks more slowly (or not at all) and the round count
-// grows.
+// ReportRound emits EvRound: a multi-round group protocol finished one
+// round with residual intended receivers still unserved — the per-round
+// graceful-degradation signal: under an impaired channel the residual
+// shrinks more slowly (or not at all) and the round count grows.
 func (e *Env) ReportRound(req *Request, residual int) {
-	e.engine.dispatch()
-	for _, o := range e.engine.observers {
-		o.OnRound(req, residual, e.engine.now)
-	}
-	e.engine.resume()
+	e.engine.emit(e.engine.observers, Event{Kind: EvRound, Slot: e.engine.now, Station: e.node, Req: req, Residual: residual})
 }
 
-// LifecycleOn reports whether a lifecycle observer is attached. MAC code
-// whose lifecycle reporting needs setup beyond a plain call (the
-// Responder's stale-drop accounting) checks it first, so the disabled
-// path stays exactly the pre-hook code.
-func (e *Env) LifecycleOn() bool { return len(e.engine.lifecycles) != 0 }
-
-// ReportServiceStart notifies the lifecycle observers that the station
-// dequeued the request into service — the queueing/service boundary of
-// the flight recorder's span tree.
+// ReportServiceStart emits EvServiceStart: the station dequeued the
+// request into service.
 func (e *Env) ReportServiceStart(req *Request) {
-	e.engine.dispatch()
-	for _, lc := range e.engine.lifecycles {
-		lc.OnServiceStart(req, e.engine.now)
-	}
-	e.engine.resume()
+	e.engine.emit(e.engine.lifecycles, Event{Kind: EvServiceStart, Slot: e.engine.now, Station: e.node, Req: req})
 }
 
-// ReportRoundStart notifies the lifecycle observers that a group
-// protocol is opening a round: round is the 1-based contention-phase
-// ordinal, polled the number of receivers the round will poll.
+// ReportRoundStart emits EvRoundStart: a group protocol is opening the
+// given 1-based round of the request and will poll polled receivers.
 func (e *Env) ReportRoundStart(req *Request, round, polled int) {
-	e.engine.dispatch()
-	for _, lc := range e.engine.lifecycles {
-		lc.OnRoundStart(req, round, polled, e.engine.now)
-	}
-	e.engine.resume()
+	e.engine.emit(e.engine.lifecycles, Event{Kind: EvRoundStart, Slot: e.engine.now, Station: e.node, Req: req, Round: round, Polled: polled})
 }
 
-// ReportResponseDrop notifies the lifecycle observers that this station
-// discarded a stale scheduled response.
+// ReportResponseDrop emits EvResponseDrop: this station discarded a
+// stale scheduled response.
 func (e *Env) ReportResponseDrop(f *frames.Frame) {
-	e.engine.dispatch()
-	for _, lc := range e.engine.lifecycles {
-		lc.OnResponseDrop(e.node, f, e.engine.now)
-	}
-	e.engine.resume()
+	e.engine.emit(e.engine.lifecycles, Event{Kind: EvResponseDrop, Slot: e.engine.now, Station: e.node, Frame: f})
 }

@@ -1,0 +1,194 @@
+package sim
+
+import (
+	"fmt"
+
+	"relmac/internal/frames"
+)
+
+// EventKind names one engine event. Every hook sees the engine through
+// one Observer.Observe method; the kind says which payload fields of the
+// Event are set. A new event is a new kind on this list, delivered to
+// the one Config list of its class.
+type EventKind uint8
+
+// Event kinds by class. Each class goes to one Config list, and no kind
+// goes to two lists except frame-tx, which the message and the channel
+// classes share.
+const (
+	// Message events (Config.Observers): what the MACs decided about a
+	// request — the feed of the metrics collector.
+
+	// EvSubmit: a request reached its MAC (Req).
+	EvSubmit EventKind = iota
+	// EvContention: a sender begins a CSMA/CA contention phase for Req —
+	// the quantity plotted in Figure 9 and analysed in §6.
+	EvContention
+	// EvFrameTx: a transmission starts (Frame, Station is the sender,
+	// Start/End its inclusive airtime). Also on Config.Tracer.
+	EvFrameTx
+	// EvDataRx: Station decoded the DATA frame Frame, intended receiver
+	// or mere overhearer alike; a counter of deliveries filters by the
+	// request's Dests.
+	EvDataRx
+	// EvRound: a multi-round group protocol (BMMM/LAMM batch rounds, BMW
+	// per-receiver rounds) finished one round of Req with Residual
+	// intended receivers still unserved.
+	EvRound
+	// EvComplete: the sending MAC considers Req served.
+	EvComplete
+	// EvAbort: the sending MAC abandoned Req for Reason.
+	EvAbort
+
+	// Service detail (Config.Lifecycles): the per-message events the
+	// flight recorder and the conformance auditor add to the message
+	// events to rebuild a message's span tree.
+
+	// EvServiceStart: the MAC dequeued Req into service — the boundary
+	// between queueing delay and service time.
+	EvServiceStart
+	// EvRoundStart: a group protocol opens round Round of Req, before
+	// its contention, and will poll Polled receivers. Round is the
+	// batch/attempt ordinal for BMMM/LAMM and the receiver ordinal for
+	// BMW, which does not report retries of a receiver as new rounds.
+	EvRoundStart
+	// EvResponseDrop: Station discarded the scheduled response Frame
+	// (CTS/ACK/NAK) that went stale before the medium let it go out.
+	EvResponseDrop
+
+	// Channel state (Config.SlotObservers): what the medium carried —
+	// the airtime ledger's feed.
+
+	// EvSlot: one simulated slot, after interference resolution and
+	// before frame completions, so Airing includes transmissions ending
+	// this very slot. Collided reports whether two or more signals
+	// arrived at any single station (a lone arrival at a half-duplex
+	// transmitter is deafness, not collision).
+	EvSlot
+	// EvIdleSpan: the event clock skipped the slots Start..End
+	// (inclusive), in which nothing was in the air and every station
+	// slept. It stands for one EvSlot with no airing and no collision
+	// per slot of the span, which is what a Config.Reference run
+	// delivers instead.
+	EvIdleSpan
+
+	// Receptions (Config.Tracer, with EvFrameTx): per-receiver outcomes.
+
+	// EvRxOK: Station decoded Frame (at its final slot).
+	EvRxOK
+	// EvRxLost: Frame ended corrupted or erased at the in-range Station.
+	EvRxLost
+)
+
+// String implements fmt.Stringer. The names of the message events are
+// the "event" field of the obs trace schema.
+func (k EventKind) String() string {
+	switch k {
+	case EvSubmit:
+		return "submit"
+	case EvContention:
+		return "contention"
+	case EvFrameTx:
+		return "frame-tx"
+	case EvDataRx:
+		return "data-rx"
+	case EvRound:
+		return "round"
+	case EvComplete:
+		return "complete"
+	case EvAbort:
+		return "abort"
+	case EvServiceStart:
+		return "service-start"
+	case EvRoundStart:
+		return "round-start"
+	case EvResponseDrop:
+		return "response-drop"
+	case EvSlot:
+		return "slot"
+	case EvIdleSpan:
+		return "idle-span"
+	case EvRxOK:
+		return "rx-ok"
+	case EvRxLost:
+		return "rx-lost"
+	default:
+		return fmt.Sprintf("EventKind(%d)", uint8(k))
+	}
+}
+
+// Event is one engine event: a kind and the payload fields that kind
+// sets (see the kinds); the rest are zero.
+type Event struct {
+	Kind   EventKind
+	Reason AbortReason // EvAbort
+	// Collided is EvSlot's collision flag.
+	Collided bool
+	// Slot is when the event fires (the first skipped slot for
+	// EvIdleSpan).
+	Slot Slot
+	// Station is the acting station: the request's source for EvSubmit,
+	// the reporting MAC's station for the Env.Report* events, the sender
+	// for EvFrameTx, the receiver for EvDataRx, EvRxOK and EvRxLost.
+	Station int
+	Req     *Request
+	Frame   *frames.Frame
+	// Start and End are the inclusive slot range of EvFrameTx's airtime
+	// or of EvIdleSpan's skipped stretch.
+	Start, End Slot
+	Residual   int // EvRound
+	Round      int // EvRoundStart
+	Polled     int // EvRoundStart
+	// Airing is EvSlot's list of transmissions in the air. It is the
+	// engine's reused scratch buffer: copy what must outlive the call.
+	Airing []AiringTx
+}
+
+// MsgID is the message the event concerns: its request's ID, else its
+// frame's MsgID, else 0.
+func (ev Event) MsgID() int64 {
+	switch {
+	case ev.Req != nil:
+		return ev.Req.ID
+	case ev.Frame != nil:
+		return ev.Frame.MsgID
+	}
+	return 0
+}
+
+// AiringTx describes one transmission in the air during a slot. Frame
+// is the frame being carried; Start and End are the inclusive slot range
+// of its airtime.
+type AiringTx struct {
+	Frame  *frames.Frame
+	Sender int
+	Start  Slot
+	End    Slot
+}
+
+// Observer is the one engine hook: Observe receives every event of the
+// classes it subscribed to, in engine order. The engine calls it from
+// inside the slot loop, so implementations must be cheap, must not
+// touch the engine PRNG or engine state and must not mutate the frames
+// and requests they are shown (hookpure-checked).
+type Observer interface {
+	Observe(ev Event)
+}
+
+// emit hands ev to every observer on list in order, charging the calls
+// to PhaseObserver. It is the engine's only dispatch: a class nobody
+// subscribed to costs one (inlined) length check, and no event
+// allocates.
+func (e *Engine) emit(list []Observer, ev Event) {
+	if len(list) != 0 {
+		e.fanOut(list, ev)
+	}
+}
+
+func (e *Engine) fanOut(list []Observer, ev Event) {
+	e.dispatch()
+	for _, o := range list {
+		o.Observe(ev)
+	}
+	e.resume()
+}

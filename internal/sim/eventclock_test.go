@@ -48,25 +48,25 @@ func (s *slotSource) NextArrival(after Slot) (Slot, bool) {
 	return 0, false
 }
 
-// spanRecorder is a SlotObserver test double recording per-slot
-// callbacks and bulk spans separately.
+// spanRecorder is a slot observer test double recording per-slot
+// events and bulk spans separately.
 type spanRecorder struct {
 	slots []Slot
 	spans [][2]Slot
 }
 
-func (r *spanRecorder) OnSlot(now Slot, airing []AiringTx, collided bool) {
-	r.slots = append(r.slots, now)
-}
-
-func (r *spanRecorder) OnIdleSpan(from, to Slot) {
-	r.spans = append(r.spans, [2]Slot{from, to})
+func (r *spanRecorder) Observe(ev Event) {
+	if ev.Kind == EvIdleSpan {
+		r.spans = append(r.spans, [2]Slot{ev.Start, ev.End})
+	} else {
+		r.slots = append(r.slots, ev.Slot)
+	}
 }
 
 func TestEventClockSkipsWholeIdleRun(t *testing.T) {
 	tp := lineTopo(2, 0.1, 0.15)
 	rec := &spanRecorder{}
-	e := New(Config{Topo: tp, SlotObservers: []SlotObserver{rec}})
+	e := New(Config{Topo: tp, SlotObservers: []Observer{rec}})
 	a := &sleepyMAC{quiet: true}
 	b := &sleepyMAC{quiet: true}
 	e.SetMAC(0, a)
@@ -98,19 +98,21 @@ type spanCounter struct {
 	spans int
 }
 
-func (c *spanCounter) OnIdleSpan(from, to Slot) {
-	c.spans++
-	c.recSlotObs.OnIdleSpan(from, to)
+func (c *spanCounter) Observe(ev Event) {
+	if ev.Kind == EvIdleSpan {
+		c.spans++
+	}
+	c.recSlotObs.Observe(ev)
 }
 
-// TestEventClockSpansMatchReferenceSlots pins the OnIdleSpan contract:
-// the skipped stretches, expanded slot by slot, are exactly the OnSlot
-// calls a per-slot reference run delivers — every slot once, in order.
+// TestEventClockSpansMatchReferenceSlots pins the EvIdleSpan contract:
+// the skipped stretches, expanded slot by slot, are exactly the EvSlot
+// events a per-slot reference run delivers — every slot once, in order.
 func TestEventClockSpansMatchReferenceSlots(t *testing.T) {
 	run := func(reference bool) *spanCounter {
 		tp := lineTopo(2, 0.1, 0.15)
 		rec := &spanCounter{}
-		e := New(Config{Topo: tp, Reference: reference, SlotObservers: []SlotObserver{rec}})
+		e := New(Config{Topo: tp, Reference: reference, SlotObservers: []Observer{rec}})
 		e.SetMAC(0, &sleepyMAC{quiet: true})
 		e.SetMAC(1, &sleepyMAC{quiet: true})
 		src := newSlotSource()
@@ -219,7 +221,7 @@ func TestEventClockCrashTransitionsAreWakeObligations(t *testing.T) {
 	tp := lineTopo(2, 0.1, 0.15)
 	imp := &downWindow{station: 1, from: 20, to: 30}
 	rec := &spanRecorder{}
-	e := New(Config{Topo: tp, Impairment: imp, SlotObservers: []SlotObserver{rec}})
+	e := New(Config{Topo: tp, Impairment: imp, SlotObservers: []Observer{rec}})
 	a := &sleepyMAC{quiet: true}
 	b := &sleepyMAC{quiet: true}
 	e.SetMAC(0, a)

@@ -1,7 +1,7 @@
 package sim
 
-// Tests of the engine's own observer fan-out: every attached Observer,
-// SlotObserver and LifecycleObserver sees every event exactly once, in
+// Tests of the engine's own observer fan-out: every observer on a
+// subscription list sees every event of its class exactly once, in
 // registration order, and a panicking attachment names itself in the
 // runtime traceback.
 
@@ -37,55 +37,20 @@ func (p *phaseProbe) RunStart()      { p.cur = PhaseUntracked }
 func (p *phaseProbe) Enter(ph Phase) { p.cur = ph }
 func (p *phaseProbe) RunEnd()        {}
 
-// logObserver, logSlots, logLifecycle and logTracer append
-// "name:event@slot" entries to a shared eventLog.
+// logObserver appends "name:event@slot" entries to a shared eventLog;
+// an idle span logs as "idle-span-to-<end>" at its first slot.
 type logObserver struct {
 	name string
 	log  *eventLog
 }
 
-func (o *logObserver) OnSubmit(_ *Request, now Slot)     { o.log.add(o.name, "submit", now) }
-func (o *logObserver) OnContention(_ *Request, now Slot) { o.log.add(o.name, "contention", now) }
-func (o *logObserver) OnFrameTx(_ *frames.Frame, _ int, now Slot) {
-	o.log.add(o.name, "frame-tx", now)
+func (o *logObserver) Observe(ev Event) {
+	name := ev.Kind.String()
+	if ev.Kind == EvIdleSpan {
+		name = fmt.Sprintf("%s-to-%d", name, ev.End)
+	}
+	o.log.add(o.name, name, ev.Slot)
 }
-func (o *logObserver) OnDataRx(_ int64, _ int, now Slot)   { o.log.add(o.name, "data-rx", now) }
-func (o *logObserver) OnRound(_ *Request, _ int, now Slot) { o.log.add(o.name, "round", now) }
-func (o *logObserver) OnComplete(_ *Request, now Slot)     { o.log.add(o.name, "complete", now) }
-func (o *logObserver) OnAbort(_ *Request, _ AbortReason, now Slot) {
-	o.log.add(o.name, "abort", now)
-}
-
-type logSlots struct {
-	name string
-	log  *eventLog
-}
-
-func (o *logSlots) OnSlot(now Slot, _ []AiringTx, _ bool) { o.log.add(o.name, "slot", now) }
-func (o *logSlots) OnIdleSpan(from, to Slot) {
-	o.log.add(o.name, fmt.Sprintf("span-to-%d", to), from)
-}
-
-type logLifecycle struct {
-	name string
-	log  *eventLog
-}
-
-func (o *logLifecycle) OnServiceStart(_ *Request, now Slot) { o.log.add(o.name, "service", now) }
-func (o *logLifecycle) OnRoundStart(_ *Request, _, _ int, now Slot) {
-	o.log.add(o.name, "round-start", now)
-}
-func (o *logLifecycle) OnResponseDrop(_ int, _ *frames.Frame, now Slot) {
-	o.log.add(o.name, "drop", now)
-}
-
-type logTracer struct{ log *eventLog }
-
-func (o *logTracer) TxStart(_ *frames.Frame, _ int, start, _ Slot) {
-	o.log.add("tr", "tx-start", start)
-}
-func (o *logTracer) RxOK(_ *frames.Frame, _ int, now Slot)   { o.log.add("tr", "rx-ok", now) }
-func (o *logTracer) RxLost(_ *frames.Frame, _ int, now Slot) { o.log.add("tr", "rx-lost", now) }
 
 // reportMAC is a Sleeper that serves each submitted request through
 // every Env.Report* call: on its first Tick it opens service and a
@@ -137,18 +102,18 @@ func reportRun(cfg Config) {
 	e.Run(60, src)
 }
 
-// TestMultiObserverFansOutInRegistrationOrder attaches two of each
-// observer kind and a tracer to one run: every callback reaches each
-// attachment exactly once, in registration order, the observers'
-// OnFrameTx precedes TxStart, and each skipped stretch is one
-// OnIdleSpan per slot observer.
+// TestMultiObserverFansOutInRegistrationOrder attaches two observers to
+// each subscription list to one run: every event reaches each
+// subscriber of its class exactly once, in registration order, frame-tx
+// reaches Observers before Tracer, and each skipped stretch is one
+// idle-span event per slot observer.
 func TestMultiObserverFansOutInRegistrationOrder(t *testing.T) {
 	log := &eventLog{}
 	reportRun(Config{
 		Observers:     []Observer{&logObserver{"o1", log}, &logObserver{"o2", log}},
-		SlotObservers: []SlotObserver{&logSlots{"s1", log}, &logSlots{"s2", log}},
-		Lifecycles:    []LifecycleObserver{&logLifecycle{"l1", log}, &logLifecycle{"l2", log}},
-		Tracer:        &logTracer{log},
+		SlotObservers: []Observer{&logObserver{"s1", log}, &logObserver{"s2", log}},
+		Lifecycles:    []Observer{&logObserver{"l1", log}, &logObserver{"l2", log}},
+		Tracer:        []Observer{&logObserver{"t1", log}, &logObserver{"t2", log}},
 	})
 
 	// pair expands one event into its two attachments' entries.
@@ -159,50 +124,50 @@ func TestMultiObserverFansOutInRegistrationOrder(t *testing.T) {
 		}
 	}
 	pair("s", "slot", 0)
-	pair("s", "span-to-9", 1)
+	pair("s", "idle-span-to-9", 1)
 	pair("o", "submit", 10)
-	pair("l", "service", 10)
+	pair("l", "service-start", 10)
 	pair("l", "round-start", 10)
 	pair("o", "contention", 10)
 	pair("o", "frame-tx", 10)
-	want = append(want, "tr:tx-start@10")
+	pair("t", "frame-tx", 10)
 	for now := Slot(10); now <= 14; now++ {
 		pair("s", "slot", now)
 	}
-	want = append(want, "tr:rx-ok@14")
+	pair("t", "rx-ok", 14)
 	pair("o", "data-rx", 14)
 	pair("o", "round", 15)
 	pair("o", "complete", 15)
 	pair("o", "abort", 15)
-	pair("l", "drop", 15)
+	pair("l", "response-drop", 15)
 	pair("s", "slot", 15)
-	pair("s", "span-to-59", 16)
+	pair("s", "idle-span-to-59", 16)
 
 	if got := strings.Join(log.lines, "\n"); got != strings.Join(want, "\n") {
 		t.Fatalf("event stream:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
 	}
 }
 
-// TestHookDispatchChargedToObserverPhase: every Observer,
-// SlotObserver, LifecycleObserver and Tracer callback runs while the
-// profiler's current phase is PhaseObserver, wherever the engine or a
-// MAC fires it. The second run keeps station 1 down, so its reception
-// is lost and RxLost fires too.
+// TestHookDispatchChargedToObserverPhase: every event on every
+// subscription list reaches its observer while the profiler's current
+// phase is PhaseObserver, wherever the engine or a MAC fires it. The
+// second run keeps station 1 down, so its reception is lost and rx-lost
+// fires too.
 func TestHookDispatchChargedToObserverPhase(t *testing.T) {
 	for _, down := range []bool{false, true} {
 		probe := &phaseProbe{}
 		log := &eventLog{probe: probe}
 		cfg := Config{
 			Observers:     []Observer{&logObserver{"o", log}},
-			SlotObservers: []SlotObserver{&logSlots{"s", log}},
-			Lifecycles:    []LifecycleObserver{&logLifecycle{"l", log}},
-			Tracer:        &logTracer{log},
+			SlotObservers: []Observer{&logObserver{"s", log}},
+			Lifecycles:    []Observer{&logObserver{"l", log}},
+			Tracer:        []Observer{&logObserver{"t", log}},
 			Profiler:      probe,
 		}
-		want := "tr:rx-ok@14"
+		want := "t:rx-ok@14"
 		if down {
 			cfg.Impairment = &downWindow{station: 1, from: 0, to: 1000}
-			want = "tr:rx-lost@14"
+			want = "t:rx-lost@14"
 		}
 		reportRun(cfg)
 		if got := strings.Join(log.lines, "\n"); !strings.Contains(got, want) {
@@ -215,21 +180,14 @@ func TestHookDispatchChargedToObserverPhase(t *testing.T) {
 	}
 }
 
-// panicky attachments panic on their first callback of one kind.
-type panickyObserver struct{ nopObserver }
+// panicky panics on the first event of its kind.
+type panicky struct{ kind EventKind }
 
-func (panickyObserver) OnSubmit(*Request, Slot) { panic("boom") }
-
-type panickySlots struct{}
-
-func (panickySlots) OnSlot(Slot, []AiringTx, bool) { panic("boom") }
-func (panickySlots) OnIdleSpan(Slot, Slot)         {}
-
-type panickyLifecycle struct{}
-
-func (panickyLifecycle) OnServiceStart(*Request, Slot)           { panic("boom") }
-func (panickyLifecycle) OnRoundStart(*Request, int, int, Slot)   {}
-func (panickyLifecycle) OnResponseDrop(int, *frames.Frame, Slot) {}
+func (p panicky) Observe(ev Event) {
+	if ev.Kind == p.kind {
+		panic("boom")
+	}
+}
 
 // TestMultiObserverPanicIdentifiesObserver pins what replaced the
 // combinators' annotated re-panic: the engine dispatches with a plain
@@ -239,24 +197,20 @@ func (panickyLifecycle) OnResponseDrop(int, *frames.Frame, Slot) {}
 // while those after did not.
 func TestMultiObserverPanicIdentifiesObserver(t *testing.T) {
 	cases := []struct {
-		name, frame, event string
-		attach             func(cfg *Config, before, after *eventLog)
+		name string
+		kind EventKind
+		list func(cfg *Config) *[]Observer
 	}{
-		{"observer", "sim.panickyObserver.OnSubmit", "submit", func(cfg *Config, before, after *eventLog) {
-			cfg.Observers = []Observer{&logObserver{"a", before}, panickyObserver{}, &logObserver{"b", after}}
-		}},
-		{"slot", "sim.panickySlots.OnSlot", "slot", func(cfg *Config, before, after *eventLog) {
-			cfg.SlotObservers = []SlotObserver{&logSlots{"a", before}, panickySlots{}, &logSlots{"b", after}}
-		}},
-		{"lifecycle", "sim.panickyLifecycle.OnServiceStart", "service", func(cfg *Config, before, after *eventLog) {
-			cfg.Lifecycles = []LifecycleObserver{&logLifecycle{"a", before}, panickyLifecycle{}, &logLifecycle{"b", after}}
-		}},
+		{"observer", EvSubmit, func(cfg *Config) *[]Observer { return &cfg.Observers }},
+		{"slot", EvSlot, func(cfg *Config) *[]Observer { return &cfg.SlotObservers }},
+		{"lifecycle", EvServiceStart, func(cfg *Config) *[]Observer { return &cfg.Lifecycles }},
+		{"tracer", EvFrameTx, func(cfg *Config) *[]Observer { return &cfg.Tracer }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			before, after := &eventLog{}, &eventLog{}
 			var cfg Config
-			tc.attach(&cfg, before, after)
+			*tc.list(&cfg) = []Observer{&logObserver{"a", before}, panicky{tc.kind}, &logObserver{"b", after}}
 			defer func() {
 				r := recover()
 				if r != "boom" {
@@ -270,11 +224,11 @@ func TestMultiObserverPanicIdentifiesObserver(t *testing.T) {
 						break
 					}
 				}
-				if !strings.Contains(top, tc.frame) {
-					t.Errorf("frame below the panic = %q, want %s", top, tc.frame)
+				if !strings.Contains(top, "sim.panicky.Observe") {
+					t.Errorf("frame below the panic = %q, want sim.panicky.Observe", top)
 				}
-				if n := len(before.lines); n != 1 || !strings.HasPrefix(before.lines[0], "a:"+tc.event+"@") {
-					t.Errorf("attachment before the panic saw %v, want one %s", before.lines, tc.event)
+				if n := len(before.lines); n != 1 || !strings.HasPrefix(before.lines[0], "a:"+tc.kind.String()+"@") {
+					t.Errorf("attachment before the panic saw %v, want one %s", before.lines, tc.kind)
 				}
 				if len(after.lines) != 0 {
 					t.Errorf("attachment after the panic saw %v, want nothing", after.lines)
@@ -282,5 +236,45 @@ func TestMultiObserverPanicIdentifiesObserver(t *testing.T) {
 			}()
 			reportRun(cfg)
 		})
+	}
+}
+
+// recLifecycle records one line per service-detail event in arrival
+// order.
+type recLifecycle struct {
+	lines []string
+}
+
+func (r *recLifecycle) Observe(ev Event) {
+	switch ev.Kind {
+	case EvServiceStart:
+		r.lines = append(r.lines, fmt.Sprintf("service msg=%d t=%d", ev.Req.ID, ev.Slot))
+	case EvRoundStart:
+		r.lines = append(r.lines, fmt.Sprintf("round msg=%d r=%d n=%d t=%d", ev.Req.ID, ev.Round, ev.Polled, ev.Slot))
+	case EvResponseDrop:
+		r.lines = append(r.lines, fmt.Sprintf("drop st=%d %s t=%d", ev.Station, ev.Frame.Type, ev.Slot))
+	}
+}
+
+// TestEnvLifecycleReporting pins the Env.Report* dispatch: an empty
+// Lifecycles list is a no-op, a subscriber sees the arguments verbatim
+// with the engine clock and the reporting station's ID attached.
+func TestEnvLifecycleReporting(t *testing.T) {
+	tp := lineTopo(2, 0.1, 0.15)
+
+	env := New(Config{Topo: tp}).EnvOf(0)
+	env.ReportServiceStart(&Request{ID: 1}) // no subscriber: must not panic
+	env.ReportRoundStart(&Request{ID: 1}, 1, 2)
+	env.ReportResponseDrop(&frames.Frame{Type: frames.ACK})
+
+	rec := &recLifecycle{}
+	env = New(Config{Topo: tp, Lifecycles: []Observer{rec}}).EnvOf(1)
+	req := &Request{ID: 4}
+	env.ReportServiceStart(req)
+	env.ReportRoundStart(req, 2, 3)
+	env.ReportResponseDrop(&frames.Frame{Type: frames.NAK})
+	want := []string{"service msg=4 t=0", "round msg=4 r=2 n=3 t=0", "drop st=1 NAK t=0"}
+	if fmt.Sprint(rec.lines) != fmt.Sprint(want) {
+		t.Errorf("reported stream = %v, want %v", rec.lines, want)
 	}
 }

@@ -97,15 +97,25 @@ type invariantTracer struct {
 	txer  map[*frames.Frame]int
 }
 
-func (tr *invariantTracer) TxStart(f *frames.Frame, sender int, start, end Slot) {
-	if got := end - start + 1; int(got) != tr.tm.Airtime(f.Type) {
-		tr.t.Errorf("airtime of %v = %d slots, want %d", f, got, tr.tm.Airtime(f.Type))
+func (tr *invariantTracer) Observe(ev Event) {
+	f := ev.Frame
+	switch ev.Kind {
+	case EvFrameTx:
+		if got := ev.End - ev.Start + 1; int(got) != tr.tm.Airtime(f.Type) {
+			tr.t.Errorf("airtime of %v = %d slots, want %d", f, got, tr.tm.Airtime(f.Type))
+		}
+		tr.start[f] = ev.Start
+		tr.txer[f] = ev.Station
+	case EvRxOK:
+		tr.rxOK(f, ev.Station, ev.Slot)
+	case EvRxLost:
+		if _, ok := tr.start[f]; !ok {
+			tr.t.Errorf("lost frame %v was never transmitted", f)
+		}
 	}
-	tr.start[f] = start
-	tr.txer[f] = sender
 }
 
-func (tr *invariantTracer) RxOK(f *frames.Frame, receiver int, now Slot) {
+func (tr *invariantTracer) rxOK(f *frames.Frame, receiver int, now Slot) {
 	start, ok := tr.start[f]
 	if !ok {
 		tr.t.Errorf("delivered frame %v was never transmitted", f)
@@ -123,12 +133,6 @@ func (tr *invariantTracer) RxOK(f *frames.Frame, receiver int, now Slot) {
 	}
 }
 
-func (tr *invariantTracer) RxLost(f *frames.Frame, receiver int, now Slot) {
-	if _, ok := tr.start[f]; !ok {
-		tr.t.Errorf("lost frame %v was never transmitted", f)
-	}
-}
-
 func TestChannelInvariantsUnderChaos(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	tp := topo.Uniform(20, 0.3, rng)
@@ -136,7 +140,7 @@ func TestChannelInvariantsUnderChaos(t *testing.T) {
 		t: t, topo: tp, tm: frames.DefaultTiming(),
 		start: map[*frames.Frame]Slot{}, txer: map[*frames.Frame]int{},
 	}
-	e := New(Config{Topo: tp, Tracer: tr, Seed: 5, Capture: capture.ZorziRao{}})
+	e := New(Config{Topo: tp, Tracer: []Observer{tr}, Seed: 5, Capture: capture.ZorziRao{}})
 	for i := 0; i < tp.N(); i++ {
 		e.SetMAC(i, &chaosMAC{t: t, rng: rand.New(rand.NewSource(int64(i))), rate: 0.2})
 	}
@@ -147,7 +151,7 @@ func TestChannelInvariantsUnderChaos(t *testing.T) {
 }
 
 // Under chaos, every receiver of a clean slot either decodes or loses a
-// frame — the union of RxOK and RxLost receivers per frame must equal the
+// frame — the union of rx-ok and rx-lost receivers per frame must equal the
 // sender's in-range neighbor set.
 func TestEveryNeighborAccountedFor(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
@@ -155,15 +159,15 @@ func TestEveryNeighborAccountedFor(t *testing.T) {
 	counts := map[*frames.Frame]int{}
 	senders := map[*frames.Frame]int{}
 	ends := map[*frames.Frame]Slot{}
-	tr := &funcTracer{
-		onTx: func(f *frames.Frame, sender int, start, end Slot) {
-			senders[f] = sender
-			ends[f] = end
-		},
-		onRx:   func(f *frames.Frame, r int, now Slot) { counts[f]++ },
-		onLost: func(f *frames.Frame, r int, now Slot) { counts[f]++ },
-	}
-	e := New(Config{Topo: tp, Tracer: tr, Seed: 9})
+	tr := observeFunc(func(ev Event) {
+		if ev.Kind == EvFrameTx {
+			senders[ev.Frame] = ev.Station
+			ends[ev.Frame] = ev.End
+		} else {
+			counts[ev.Frame]++
+		}
+	})
+	e := New(Config{Topo: tp, Tracer: []Observer{tr}, Seed: 9})
 	for i := 0; i < tp.N(); i++ {
 		e.SetMAC(i, &chaosMAC{t: t, rng: rand.New(rand.NewSource(100 + int64(i))), rate: 0.15})
 	}
@@ -182,16 +186,6 @@ func TestEveryNeighborAccountedFor(t *testing.T) {
 	}
 }
 
-type funcTracer struct {
-	onTx   func(*frames.Frame, int, Slot, Slot)
-	onRx   func(*frames.Frame, int, Slot)
-	onLost func(*frames.Frame, int, Slot)
-}
-
-func (t *funcTracer) TxStart(f *frames.Frame, s int, a, b Slot) { t.onTx(f, s, a, b) }
-func (t *funcTracer) RxOK(f *frames.Frame, r int, now Slot)     { t.onRx(f, r, now) }
-func (t *funcTracer) RxLost(f *frames.Frame, r int, now Slot)   { t.onLost(f, r, now) }
-
 // Full determinism under chaos + capture: identical seeds produce
 // identical delivery traces.
 func TestChaosDeterminism(t *testing.T) {
@@ -199,15 +193,13 @@ func TestChaosDeterminism(t *testing.T) {
 		rng := rand.New(rand.NewSource(33))
 		tp := topo.Uniform(12, 0.3, rng)
 		var log []string
-		tr := &funcTracer{
-			onTx: func(f *frames.Frame, s int, a, b Slot) {},
-			onRx: func(f *frames.Frame, r int, now Slot) {
-				log = append(log, fmt.Sprintf("%d:%s@%d", now, f.Type, r))
-			},
-			onLost: func(f *frames.Frame, r int, now Slot) {},
-		}
+		tr := observeFunc(func(ev Event) {
+			if ev.Kind == EvRxOK {
+				log = append(log, fmt.Sprintf("%d:%s@%d", ev.Slot, ev.Frame.Type, ev.Station))
+			}
+		})
 		imp := newLossyLinks(0.05, 78)
-		e := New(Config{Topo: tp, Tracer: tr, Seed: 77, Capture: capture.ZorziRao{}, Impairment: imp})
+		e := New(Config{Topo: tp, Tracer: []Observer{tr}, Seed: 77, Capture: capture.ZorziRao{}, Impairment: imp})
 		for i := 0; i < tp.N(); i++ {
 			e.SetMAC(i, &chaosMAC{t: t, rng: rand.New(rand.NewSource(7 + int64(i))), rate: 0.25})
 		}

@@ -3,7 +3,7 @@ package sim
 // Runtime phase profiling: the engine attributes wall-clock time to
 // exclusive phases by calling an attached Profiler at every phase
 // boundary of the slot loop. The hook is an observation channel with the
-// same contract as the observer family — it must be PRNG-neutral and
+// same contract as the observers — it must be PRNG-neutral and
 // must not mutate engine state (the relmaclint hookpure check proves
 // both for every implementation), so runs with and without a profiler
 // attached are byte-identical. With Config.Profiler nil every mark site
@@ -34,13 +34,11 @@ const (
 	PhaseMacTick
 	// PhaseResolve is per-slot interference resolution (resolveSlot).
 	PhaseResolve
-	// PhaseObserver is every hook dispatch: the per-slot channel-state
-	// dispatch to the slot observers (emitSlot, and OnIdleSpan while
-	// skipping), and each Observer, LifecycleObserver and Tracer
-	// dispatch loop wherever it fires — submissions, transmission
-	// starts, receptions and the Env.Report* calls from MAC code. The
-	// metrics collector experiments.Run always attaches is an observer,
-	// so its cost lands here too.
+	// PhaseObserver is every event dispatch (emit) wherever it fires:
+	// the per-slot channel state and skipped idle spans, submissions,
+	// transmission starts, receptions and the Env.Report* calls from
+	// MAC code. The metrics collector experiments.Run always attaches is
+	// an observer, so its cost lands here too.
 	PhaseObserver
 	// PhaseDeliveries is frame completion: erasure draws, Deliver calls
 	// and tx-table compaction (completeSlot).
@@ -80,8 +78,8 @@ func (p Phase) String() string {
 // are invoked from the engine goroutine, between — never inside — the
 // simulation's deterministic work, and must be PRNG-neutral and free of
 // engine mutations (hookpure-checked), so attaching a profiler cannot
-// perturb a run. Implementations should be cheap: Enter fires about
-// eight times per simulated slot, plus twice per hook dispatch.
+// perturb a run. Implementations should be cheap: Enter fires about six
+// times per simulated slot, plus twice per event dispatch.
 //
 // The canonical implementation is prof.PhaseTimer; the interface lives
 // here so the engine does not depend on the profiling package.
@@ -105,10 +103,9 @@ func (e *Engine) enter(p Phase) {
 }
 
 // dispatch charges the hook calls that follow to PhaseObserver, and
-// resume returns to the phase they interrupted. Every dispatch loop
-// outside emitSlot is bracketed by the pair, so hook time never counts
-// as the engine work around it. Each costs one comparison without a
-// profiler.
+// resume returns to the phase they interrupted. emit brackets every
+// event with the pair, so hook time never counts as the engine work
+// around it. Each costs one comparison without a profiler.
 func (e *Engine) dispatch() {
 	if e.prof != nil {
 		e.prof.Enter(PhaseObserver)

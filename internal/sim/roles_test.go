@@ -265,27 +265,22 @@ func TestAwakeWorklistMatchesRebuild(t *testing.T) {
 	}
 }
 
-// dataRxObserver records the receivers OnDataRx reports.
-type dataRxObserver struct {
-	logObserver
-	receivers []int
-}
-
-func (o *dataRxObserver) OnDataRx(_ int64, receiver int, _ Slot) {
-	o.receivers = append(o.receivers, receiver)
-}
-
-// OnDataRx fires for every in-range decoder of a DATA frame, not only
+// EvDataRx fires for every in-range decoder of a DATA frame, not only
 // for its intended receivers: station 2 below is neither addressed nor
 // in the group, and still reported.
 func TestOverhearerGetsOnDataRx(t *testing.T) {
-	obs := &dataRxObserver{logObserver: logObserver{log: &eventLog{}}}
+	var receivers []int
+	obs := observeFunc(func(ev Event) {
+		if ev.Kind == EvDataRx {
+			receivers = append(receivers, ev.Station)
+		}
+	})
 	e, macs := engineWithScripts(t, lineTopo(3, 0.05, 0.15), Config{Observers: []Observer{obs}})
 	f := ctl(frames.Data, 0, 1)
 	f.Group = []frames.Addr{1}
 	macs[0].at(0, f)
 	e.Run(10, nil)
-	if want := []int{1, 2}; !slices.Equal(obs.receivers, want) {
-		t.Fatalf("OnDataRx receivers = %v, want %v (overhearer included)", obs.receivers, want)
+	if want := []int{1, 2}; !slices.Equal(receivers, want) {
+		t.Fatalf("EvDataRx receivers = %v, want %v (overhearer included)", receivers, want)
 	}
 }

@@ -219,49 +219,6 @@ type CrashScheduler interface {
 	NextCrashChange(station int, now Slot) (Slot, bool)
 }
 
-// Observer receives simulation events for metrics collection. All methods
-// may be called with high frequency; implementations should be cheap.
-// Any method may be a no-op. Like every hook, an Observer must not touch
-// the engine PRNG or engine state (hookpure-checked).
-type Observer interface {
-	// OnSubmit fires when a request reaches a MAC.
-	OnSubmit(req *Request, now Slot)
-	// OnContention fires each time a sender begins a CSMA/CA contention
-	// phase for the request.
-	OnContention(req *Request, now Slot)
-	// OnFrameTx fires when a frame transmission starts.
-	OnFrameTx(f *frames.Frame, sender int, now Slot)
-	// OnDataRx fires when any in-range station decodes the DATA frame of
-	// the given message, intended receiver or mere overhearer alike; an
-	// observer that counts deliveries filters by the request's Dests.
-	OnDataRx(msgID int64, receiver int, now Slot)
-	// OnRound fires when a multi-round group protocol (BMMM/LAMM batch
-	// rounds, BMW per-receiver rounds) finishes one round, with the
-	// number of intended receivers still unserved afterwards — the
-	// residual the next round must absorb.
-	OnRound(req *Request, residual int, now Slot)
-	// OnComplete fires when the sending MAC considers the request
-	// finished (successfully from its point of view).
-	OnComplete(req *Request, now Slot)
-	// OnAbort fires when the sending MAC abandons the request, with the
-	// typed reason (deadline passed or retry budget exhausted).
-	OnAbort(req *Request, reason AbortReason, now Slot)
-}
-
-// Tracer records channel-level events; used by protocol tests and by the
-// Figure 2 timeline reproduction. Nil tracers are allowed. Its callbacks
-// run inside startTx and completeSlot, so they are held to the same
-// PRNG and engine-state neutrality as the observers (hookpure-checked).
-type Tracer interface {
-	// TxStart fires when a transmission begins (slot start).
-	TxStart(f *frames.Frame, sender int, start, end Slot)
-	// RxOK fires when a receiver decodes a frame (at its final slot).
-	RxOK(f *frames.Frame, receiver int, now Slot)
-	// RxLost fires when a frame ends corrupted (or erased) at an in-range
-	// receiver.
-	RxLost(f *frames.Frame, receiver int, now Slot)
-}
-
 // Impairment is the pluggable fault model hook (internal/fault): channel
 // error processes and node failures beyond the collision-driven loss the
 // capture models govern. The engine consults it at two points per slot —
@@ -302,23 +259,16 @@ type Config struct {
 	// Impairment, when non-nil, injects channel errors and node crashes
 	// (internal/fault). Nil keeps the unimpaired fast path.
 	Impairment Impairment
-	// Observers receive protocol-level events. The engine dispatches
-	// every event to each of them in list order.
-	Observers []Observer
-	// Tracer receives channel-level events; may be nil. In startTx the
-	// observers' OnFrameTx runs before TxStart.
-	Tracer Tracer
-	// SlotObservers receive one channel-state callback per simulated
-	// slot (airing transmissions + collision flag) and one OnIdleSpan
-	// per skipped idle stretch — the airtime ledger's feed — in list
-	// order. Empty keeps the per-slot loop free of any callback cost.
-	SlotObservers []SlotObserver
-	// Lifecycles receive the fine-grained per-message service events
-	// (service start, round start, stale-response drop) — the feed for
-	// flight recorders and conformance auditors (internal/obs) — in list
-	// order. Empty keeps every lifecycle report site an empty loop, so
-	// runs stay byte-identical to the pre-hook engine.
-	Lifecycles []LifecycleObserver
+	// Observers, Lifecycles, SlotObservers and Tracer subscribe to the
+	// four event classes (see EventKind): message events, service
+	// detail, channel state, and transmissions with their per-receiver
+	// outcomes. Every list is dispatched in order, each event reaches
+	// each entry once, and an empty list costs one length check per
+	// event. frame-tx goes to Observers before Tracer.
+	Observers     []Observer
+	Lifecycles    []Observer
+	SlotObservers []Observer
+	Tracer        []Observer
 	// SlotHook, when non-nil, runs at the start of every slot before
 	// traffic arrivals and MAC ticks. Mobility drivers use it to advance
 	// node positions and swap refreshed topologies in. A slot hook
@@ -348,12 +298,12 @@ type Engine struct {
 	capture capture.Model
 	imp     Impairment
 	rng     *rand.Rand
-	// The attached hooks (Config.Observers, SlotObservers, Lifecycles);
-	// every event is a plain range over its list.
+	// The subscription lists of Config; emit ranges over one of them
+	// per event.
 	observers  []Observer
-	tracer     Tracer
-	slotObs    []SlotObserver
-	lifecycles []LifecycleObserver
+	lifecycles []Observer
+	slotObs    []Observer
+	tracer     []Observer
 	slotHook   func(now Slot, e *Engine)
 
 	now  Slot
@@ -501,9 +451,9 @@ func New(cfg Config) *Engine {
 		imp:         cfg.Impairment,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		observers:   cfg.Observers,
-		tracer:      cfg.Tracer,
-		slotObs:     cfg.SlotObservers,
 		lifecycles:  cfg.Lifecycles,
+		slotObs:     cfg.SlotObservers,
+		tracer:      cfg.Tracer,
 		slotHook:    hook,
 		macs:        make([]MAC, n),
 		envs:        make([]Env, n),
@@ -605,7 +555,7 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // earliest wake obligation, or the end of the run. The jump performs no
 // PRNG draws and fires no events, so output is byte-identical to
 // stepping the skipped slots one by one (slot observers see the span
-// as one OnIdleSpan call).
+// as one EvIdleSpan event).
 func (e *Engine) Run(slots int, src Source) {
 	if e.prof != nil {
 		e.prof.RunStart()
@@ -667,13 +617,7 @@ func (e *Engine) skipTarget(src Source, es EventSource, target Slot) Slot {
 // skipTo jumps the clock to the given slot, reporting the skipped
 // stretch — all idle by construction — to the slot observers.
 func (e *Engine) skipTo(next Slot) {
-	if len(e.slotObs) != 0 {
-		e.dispatch()
-		for _, o := range e.slotObs {
-			o.OnIdleSpan(e.now, next-1)
-		}
-		e.resume()
-	}
+	e.emit(e.slotObs, Event{Kind: EvIdleSpan, Slot: e.now, Start: e.now, End: next - 1})
 	e.now = next
 }
 
@@ -712,11 +656,7 @@ func (e *Engine) step(src Source) {
 				panic(fmt.Sprintf("sim: no MAC attached to station %d", req.Src))
 			}
 			e.wake(req.Src)
-			e.dispatch()
-			for _, o := range e.observers {
-				o.OnSubmit(req, now)
-			}
-			e.resume()
+			e.emit(e.observers, Event{Kind: EvSubmit, Slot: now, Station: req.Src, Req: req})
 			m.Submit(&e.envs[req.Src], req)
 		}
 	}
@@ -800,11 +740,10 @@ func (e *Engine) step(src Source) {
 	e.enter(PhaseResolve)
 	e.resolveSlot()
 
-	// 3.5. Channel-state callback: the airing set is complete (new
-	// transmissions registered, none completed yet) and the collision
-	// flag is fresh from resolution. Draws nothing from the PRNG, so the
-	// nil path and the attached path simulate bit-identically.
-	e.enter(PhaseObserver)
+	// 3.5. Channel state: the airing set is complete (new transmissions
+	// registered, none completed yet) and the collision flag is fresh
+	// from resolution. Draws nothing from the PRNG, so the unobserved
+	// and the observed path simulate bit-identically.
 	if len(e.slotObs) != 0 {
 		e.emitSlot()
 	}
@@ -924,14 +863,9 @@ func (e *Engine) startTx(sender int, f *frames.Frame) {
 	}
 	e.txN = r + 1
 	e.txBusyUntil[sender] = e.txEnd[r]
-	e.dispatch()
-	for _, o := range e.observers {
-		o.OnFrameTx(f, sender, e.now)
-	}
-	if e.tracer != nil {
-		e.tracer.TxStart(f, sender, e.txStart[r], e.txEnd[r])
-	}
-	e.resume()
+	ev := Event{Kind: EvFrameTx, Slot: e.now, Station: sender, Frame: f, Start: e.txStart[r], End: e.txEnd[r]}
+	e.emit(e.observers, ev)
+	e.emit(e.tracer, ev)
 }
 
 // firstSig is a station's signal count for the current slot and the
@@ -1028,7 +962,7 @@ func (e *Engine) resolveStation(j int) bool {
 // emitSlot hands the slot observers the channel state of the current
 // slot: every transmission in the air (via the reused scratch list) and
 // whether resolution saw a signal overlap. Called only when a slot
-// observer is attached.
+// observer is attached; the airing list is built in PhaseResolve.
 func (e *Engine) emitSlot() {
 	now := e.now
 	airing := e.airScratch[:0]
@@ -1042,9 +976,7 @@ func (e *Engine) emitSlot() {
 			})
 		}
 	}
-	for _, o := range e.slotObs {
-		o.OnSlot(now, airing, e.slotCollided)
-	}
+	e.emit(e.slotObs, Event{Kind: EvSlot, Slot: now, Airing: airing, Collided: e.slotCollided})
 	// Break the frame references before recycling the scratch so retained
 	// frames stay collectable once their transmissions complete.
 	for i := range airing {
@@ -1092,24 +1024,12 @@ func (e *Engine) completeSlot() {
 				}
 			}
 			if lost {
-				if e.tracer != nil {
-					e.dispatch()
-					e.tracer.RxLost(f, j, now)
-					e.resume()
-				}
+				e.emit(e.tracer, Event{Kind: EvRxLost, Slot: now, Station: j, Frame: f})
 				continue
 			}
-			if e.tracer != nil || f.Type == frames.Data {
-				e.dispatch()
-				if e.tracer != nil {
-					e.tracer.RxOK(f, j, now)
-				}
-				if f.Type == frames.Data {
-					for _, o := range e.observers {
-						o.OnDataRx(f.MsgID, j, now)
-					}
-				}
-				e.resume()
+			e.emit(e.tracer, Event{Kind: EvRxOK, Slot: now, Station: j, Frame: f})
+			if f.Type == frames.Data {
+				e.emit(e.observers, Event{Kind: EvDataRx, Slot: now, Station: j, Frame: f})
 			}
 			if m := e.macs[j]; m != nil {
 				rx := e.rxRole(f, j)
@@ -1124,7 +1044,7 @@ func (e *Engine) completeSlot() {
 			}
 		}
 		// The row is done: break the references it holds. The frame
-		// itself is never pooled — MACs, observers and tracers may
+		// itself is never pooled — MACs and observers may
 		// retain it indefinitely. Its corruption mask stays parked in
 		// the tail for the next startTx to recycle.
 		e.txFrame[r] = nil

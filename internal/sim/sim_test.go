@@ -270,44 +270,25 @@ func TestDoubleTransmitPanics(t *testing.T) {
 func TestObserverDataRx(t *testing.T) {
 	tp := lineTopo(3, 0.1, 0.15)
 	var got []string
-	obs := &funcObserver{
-		onDataRx: func(msgID int64, rcv int, now Slot) {
-			got = append(got, fmt.Sprintf("%d@%d:%d", msgID, rcv, now))
-		},
-	}
+	obs := observeFunc(func(ev Event) {
+		if ev.Kind == EvDataRx {
+			got = append(got, fmt.Sprintf("%d@%d:%d", ev.Frame.MsgID, ev.Station, ev.Slot))
+		}
+	})
 	e, macs := engineWithScripts(t, tp, Config{Observers: []Observer{obs}})
 	f := ctl(frames.Data, 1, -1)
 	f.MsgID = 42
 	macs[1].at(0, f)
 	e.Run(5, nil)
 	if len(got) != 2 {
-		t.Fatalf("OnDataRx events = %v, want both neighbors", got)
+		t.Fatalf("data-rx events = %v, want both neighbors", got)
 	}
 }
 
-// nopObserver ignores every event; test doubles embed it to implement
-// only the callbacks they care about.
-type nopObserver struct{}
+// observeFunc adapts a closure to the Observer interface for tests.
+type observeFunc func(Event)
 
-func (nopObserver) OnSubmit(*Request, Slot)             {}
-func (nopObserver) OnContention(*Request, Slot)         {}
-func (nopObserver) OnFrameTx(*frames.Frame, int, Slot)  {}
-func (nopObserver) OnDataRx(int64, int, Slot)           {}
-func (nopObserver) OnRound(*Request, int, Slot)         {}
-func (nopObserver) OnComplete(*Request, Slot)           {}
-func (nopObserver) OnAbort(*Request, AbortReason, Slot) {}
-
-// funcObserver adapts closures to the Observer interface for tests.
-type funcObserver struct {
-	nopObserver
-	onDataRx func(int64, int, Slot)
-}
-
-func (o *funcObserver) OnDataRx(msgID int64, rcv int, now Slot) {
-	if o.onDataRx != nil {
-		o.onDataRx(msgID, rcv, now)
-	}
-}
+func (f observeFunc) Observe(ev Event) { f(ev) }
 
 func TestDeterministicWithSeed(t *testing.T) {
 	run := func() []string {
