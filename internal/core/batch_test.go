@@ -333,38 +333,48 @@ func TestLAMMUncoveredReceiverStillPolled(t *testing.T) {
 }
 
 func TestLAMMRetiresCoveredReceiverAfterACK(t *testing.T) {
-	// Receiver B sits inside receiver A's disk coverage... with equal
-	// radii that means co-location for full coverage by ONE node. Use
-	// A plus a second helper C so that A+C cover B. B's data copy is
-	// jammed — but LAMM never polls B, and after A and C ACK, UPDATE
-	// retires B anyway (Theorem 3 assumes collision-only loss; the jam
-	// violates it, which is exactly the protocol's documented blind
-	// spot). Delivery metrics show 2/3.
+	// Receiver B sits inside the disk coverage of three helper
+	// receivers A, C and D: each is 0.05 from B, 120° apart, so each
+	// covers the arc of B's disk within acos(0.05/(2r)) ≈ 83° of its own
+	// direction and together they cover all of it. B adds nothing to the
+	// receivers' union, so LAMM's minimum covering set is {A, C, D}: B is
+	// never polled, and once A, C and D have ACKed, UPDATE retires it
+	// (Theorem 3). Every receiver is within the sender's range.
 	pts := []geom.Point{
-		geom.Pt(0.5, 0.5),   // 0 sender
-		geom.Pt(0.62, 0.55), // 1 A
-		geom.Pt(0.62, 0.45), // 2 C
-		geom.Pt(0.62, 0.5),  // 3 B — covered by A and C? A and C are 0.1
-		// away from B; cover angles from B's view: each ±acos(0.05/0.2)
-		// ≈ ±75.5° around ±90°… two nodes cannot cover 360°. Add a third
-		// helper east of B.
-		geom.Pt(0.7, 0.5), // 4 D
+		geom.Pt(0.5, 0.5),      // 0 sender
+		geom.Pt(0.575, 0.5433), // 1 A, at 120° from B
+		geom.Pt(0.575, 0.4567), // 2 C, at 240° from B
+		geom.Pt(0.6, 0.5),      // 3 B
+		geom.Pt(0.65, 0.5),     // 4 D, at 0° from B
+	}
+	helpers := []geom.Point{pts[1], pts[2], pts[4]}
+	// The geometry premise: B is disk-covered and all are in range.
+	if !geom.DiskCovered(pts[3], helpers, r) {
+		t.Fatal("geometry premise not met: the helpers do not disk-cover B")
+	}
+	for i, p := range pts[1:] {
+		if d := pts[0].Dist(p); d >= r {
+			t.Fatalf("receiver %d is %.3f from the sender, out of range %.2f", i+1, d, r)
+		}
 	}
 	run := prototest.New(pts, r, lammFactory())
-	// Check the geometry premise first.
-	if !geom.DiskCovered(pts[3], []geom.Point{pts[1], pts[2], pts[4]}, r) {
-		t.Skip("geometry premise not met; adjust helper positions")
-	}
 	run.Multicast(5, 1, 0, []int{1, 2, 3, 4}, 1000)
 	run.Steps(400)
 	rec := run.Record(1)
 	if !rec.Completed {
 		t.Fatal("LAMM should complete")
 	}
-	// B (node 3) must never be addressed by an RTS or RAK.
+	// B (node 3) must never be addressed by an RTS or RAK; the helpers
+	// each are.
+	events := strings.Join(run.Trace.Events, "\n")
 	for _, e := range run.Trace.Events {
 		if strings.Contains(e, "TX RTS 0→3") || strings.Contains(e, "TX RAK 0→3") {
 			t.Fatalf("covered receiver was polled: %s", e)
+		}
+	}
+	for _, h := range []string{"1", "2", "4"} {
+		if !strings.Contains(events, "TX RAK 0→"+h) {
+			t.Errorf("helper %s was never polled for its ACK", h)
 		}
 	}
 }

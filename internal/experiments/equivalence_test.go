@@ -103,14 +103,16 @@ func TestOptimizedMatchesReference(t *testing.T) {
 
 // witnesses bundles every equality witness one observer-laden run can
 // produce: the channel transcript, the traced observer event stream,
-// the metric summary, the airtime ledger snapshot and the conformance
-// auditor's statistics and findings report.
+// the metric summary, the airtime ledger snapshot, the conformance
+// auditor's statistics and findings report, and the fault injector's
+// counters when the run is impaired.
 type witnesses struct {
 	transcript []string
 	events     []byte
 	summary    []byte
 	ledger     []byte
 	audit      []byte
+	fault      string
 }
 
 // runFull executes one run with the full observer stack attached — the
@@ -176,6 +178,11 @@ func runFull(t *testing.T, proto experiments.Protocol, reference bool,
 		}
 		w.audit = audit.Bytes()
 	}
+	if res.Fault != nil {
+		iid, ge := res.Fault.Erasures()
+		drops, downs := res.Fault.CrashStats()
+		w.fault = fmt.Sprintf("erasures iid=%d ge=%d crash drops=%d downs=%d", iid, ge, drops, downs)
+	}
 	return w
 }
 
@@ -204,6 +211,9 @@ func diffWitnesses(t *testing.T, opt, ref witnesses) {
 	if !bytes.Equal(opt.audit, ref.audit) {
 		t.Errorf("audit reports diverged:\n  optimized: %s\n  reference: %s", opt.audit, ref.audit)
 	}
+	if opt.fault != ref.fault {
+		t.Errorf("fault counters diverged:\n  optimized: %s\n  reference: %s", opt.fault, ref.fault)
+	}
 }
 
 // TestOptimizedMatchesReferenceSkipping is the differential gate for the
@@ -231,16 +241,19 @@ func TestOptimizedMatchesReferenceSkipping(t *testing.T) {
 }
 
 // TestOptimizedMatchesReferenceImpaired adds the impairment subsystem to
-// the skipping gate: i.i.d. frame erasures plus node crash/recover
-// schedules, whose up/down transitions become wake obligations on the
-// optimized path. The injector's lazily materialised schedules must end
-// in the identical state either way.
+// the skipping gate with the observed-impaired fault mix: i.i.d. frame
+// erasures, Gilbert–Elliott bursty links, and node crash/recover
+// schedules, whose up/down transitions the optimized engine applies at
+// scheduled wake obligations while the reference engine queries every
+// station every slot. The injector's counters — erasures per axis,
+// crash drops and down intervals entered — must agree too.
 func TestOptimizedMatchesReferenceImpaired(t *testing.T) {
 	impaired := func(cfg *experiments.RunConfig) {
 		cfg.Rate = 0.00025
 		cfg.Slots = 4000
 		cfg.Fault = fault.Config{
 			PER:   0.02,
+			GE:    fault.GilbertElliott{PGoodBad: 0.005, PBadGood: 0.25, PERBad: 0.5},
 			Crash: fault.Crash{MTTF: 1500, MTTR: 150},
 		}
 	}
@@ -248,7 +261,7 @@ func TestOptimizedMatchesReferenceImpaired(t *testing.T) {
 		t.Run(string(proto), func(t *testing.T) {
 			opt := runFull(t, proto, false, impaired)
 			ref := runFull(t, proto, true, impaired)
-			if len(opt.transcript) == 0 {
+			if len(opt.transcript) == 0 || opt.fault == "" {
 				t.Fatal("impaired run produced no traffic; the comparison is vacuous")
 			}
 			diffWitnesses(t, opt, ref)

@@ -179,15 +179,16 @@ func faultSeed(seed int64) int64 { return seed ^ 0x5851f42d4c957f2d }
 
 // faultPieces resolves the configured impairments: the channel/crash
 // injector for the engine (nil when inert) and the resolved fault seed.
-func faultPieces(cfg *RunConfig) (*fault.Injector, int64) {
+func faultPieces(cfg *RunConfig) (*fault.Injector, int64, error) {
 	fc := cfg.Fault
 	if fc.Seed == 0 {
 		fc.Seed = faultSeed(cfg.Seed)
 	}
 	if !fc.ChannelActive() {
-		return nil, fc.Seed
+		return nil, fc.Seed, nil
 	}
-	return fault.NewInjector(fc), fc.Seed
+	inj, err := fault.NewInjector(fc)
+	return inj, fc.Seed, err
 }
 
 // faultFactory wraps the protocol factory with the location-noise axis:
@@ -234,7 +235,10 @@ func Run(cfg RunConfig) (RunResult, error) {
 	if err := cfg.Fault.Validate(); err != nil {
 		return RunResult{}, err
 	}
-	inj, fseed := faultPieces(&cfg)
+	inj, fseed, err := faultPieces(&cfg)
+	if err != nil {
+		return RunResult{}, err
+	}
 	factory, err := faultFactory(&cfg, fseed)
 	if err != nil {
 		return RunResult{}, err

@@ -141,7 +141,10 @@ func TestSweepFoldsInRunOrder(t *testing.T) {
 // Speed > 0 reproduces it exactly.
 func parentRunMobile(t *testing.T, cfg RunConfig, speed float64, beaconEvery int) metrics.Summary {
 	t.Helper()
-	inj, fseed := faultPieces(&cfg)
+	inj, fseed, err := faultPieces(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	factory, err := faultFactory(&cfg, fseed)
 	if err != nil {
 		t.Fatal(err)

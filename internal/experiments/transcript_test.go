@@ -149,3 +149,44 @@ func TestTranscriptGolden(t *testing.T) {
 			b.String(), want)
 	}
 }
+
+// TestMobileFaultGolden pins moving runs under the impaired fault mix:
+// the topology is rebuilt every 50 slots, so each sender's neighbour
+// list changes under its Gilbert–Elliott link states many times per
+// run. Each line holds the event hash and the injector's counters —
+// i.i.d. and burst erasures, receptions dropped at crashed receivers,
+// and down intervals entered — so a link state lost or misattributed
+// across a topology swap shows up here even when no event moves.
+func TestMobileFaultGolden(t *testing.T) {
+	var b strings.Builder
+	for _, p := range []experiments.Protocol{experiments.LAMM, experiments.BMMM} {
+		for seed := int64(1); seed <= 2; seed++ {
+			cfg := experiments.Defaults(p, seed)
+			cfg.Nodes = 50
+			cfg.Slots = 3000
+			cfg.Rate = 0.001
+			cfg.Speed = 0.002
+			cfg.Fault = transcriptFaults[1].cfg
+			rec := newHashRecorder()
+			cfg.Tracer = []sim.Observer{channelView{rec}}
+			cfg.Observers = []sim.Observer{rec}
+			cfg.Lifecycles = []sim.Observer{rec}
+			res, err := experiments.Run(cfg)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", p, seed, err)
+			}
+			iid, ge := res.Fault.Erasures()
+			drops, downs := res.Fault.CrashStats()
+			fmt.Fprintf(&b, "%-4s seed=%d events=%d iid=%d ge=%d crash_drops=%d crash_downs=%d sha256=%x\n",
+				p, seed, rec.n, iid, ge, drops, downs, rec.h.Sum(nil))
+		}
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "mobile_fault_golden.txt"))
+	if err != nil {
+		t.Fatalf("%v\ngot:\n%s", err, b.String())
+	}
+	if b.String() != string(want) {
+		t.Errorf("mobile faulted runs diverged from the recorded trajectories\ngot:\n%s\nwant:\n%s",
+			b.String(), want)
+	}
+}

@@ -39,9 +39,12 @@
 //
 // Build an Injector with NewInjector and pass it as sim.Config.Impairment
 // (experiments.RunConfig.Fault does this for you, deriving the fault seed
-// from the run seed). Crash boundaries are observed at slot granularity:
-// a station that crashes while a frame of its own is in flight finishes
-// that transmission — the radio, not the host, empties the antenna.
+// from the run seed). The engine asks Erase once per completed frame for
+// all of its receivers, and asks Crash for a station's state only at
+// that station's announced flips, keeping the up/down state itself.
+// Crash boundaries are observed at slot granularity: a station that
+// crashes while a frame of its own is in flight finishes that
+// transmission — the radio, not the host, empties the antenna.
 package fault
 
 import (
@@ -50,7 +53,6 @@ import (
 	"strconv"
 	"strings"
 
-	"relmac/internal/frames"
 	"relmac/internal/obs"
 	"relmac/internal/sim"
 )
@@ -61,7 +63,9 @@ import (
 // state the link is in when the frame's last slot lands. Links start in
 // the good state. The chain is simulated by its holding times — a state
 // left with per-slot probability p lasts Geometric(p) slots — so a link
-// costs work per fade, not per slot. The expected burst length is
+// costs one hashed draw per fade, not work per slot, and each draw
+// evaluates a table logarithm rather than log1p unless that cannot
+// decide the holding time exactly. The expected burst length is
 // 1/PBadGood slots and the stationary bad-state fraction is
 // PGoodBad/(PGoodBad+PBadGood).
 type GilbertElliott struct {
@@ -173,15 +177,32 @@ const (
 
 // never is the flip slot of a state that is never left; holding times
 // saturate at it, so a link's flip slot cannot overflow.
-const never = sim.Slot(math.MaxInt64)
+const never = sim.Never
 
-// geLink is the lazily materialised Markov state of one directed link:
-// the link is in state bad until slot until (exclusive), with k counting
-// holding-time draws for the hash stream.
+// geLink is the Markov state of one directed link, advanced lazily from
+// flip to flip: the link keeps its current state until slot until
+// (exclusive), and k counts the holding-time draws made so far, which
+// doubles as the state — the first draw is for the good state and every
+// draw flips it, so the link is bad exactly when k is even. A fresh link
+// {until: -1, k: 0} makes its first draw at the first query, as a chain
+// started good at slot -1.
 type geLink struct {
-	bad   bool
 	until sim.Slot
 	k     uint64
+}
+
+// newLink is the state of a link not yet queried.
+var newLink = geLink{until: -1}
+
+// linkRow holds the Gilbert–Elliott states of one sender's links,
+// index-parallel to recv, the receiver list of the sender's last
+// completed frame. The engine hands every frame the sender's
+// topo.Neighbors slice captured at transmission start, so the row is
+// matched by slice identity and rebuilt only when the sender's
+// neighbourhood changes (a mobility topology swap).
+type linkRow struct {
+	recv  []int
+	links []geLink
 }
 
 // nodeSched is the lazily materialised crash schedule of one node: the
@@ -196,15 +217,25 @@ type nodeSched struct {
 
 // Injector implements sim.Impairment for one engine run. It is stateful
 // (Gilbert–Elliott link states, crash schedules, counters) and must not
-// be shared between concurrent runs; Sweep builds one per run.
+// be shared between concurrent runs; Sweep builds one per run. A
+// reception costs one inner hash shared by the i.i.d. and burst-erase
+// draws, plus one draw per fade its link went through since it was last
+// asked; the link's state is found by index in the sender's row, not by
+// a map lookup.
 type Injector struct {
-	cfg   Config
-	links map[uint64]*geLink
+	cfg Config
+	// rows holds each sender's Gilbert–Elliott link states (see
+	// linkRow), indexed by sender and grown on demand; ge reports
+	// whether the axis is on at all.
+	rows []linkRow
+	ge   bool
 	// logStay holds log1p(-p) for the good (index 0) and bad (index 1)
-	// states' per-slot leave probability p, the holding-time scale.
-	logStay [2]float64
-	crash   bool
-	nodes   []nodeSched // indexed by station, grown on demand
+	// states' per-slot leave probability p, the holding-time scale, and
+	// invLogStay its reciprocals.
+	logStay    [2]float64
+	invLogStay [2]float64
+	crash      bool
+	nodes      []nodeSched // indexed by station, grown on demand
 
 	// Degradation counters, exported via FeedRegistry.
 	iidErasures int64 // frames erased by the i.i.d. PER axis
@@ -213,19 +244,22 @@ type Injector struct {
 	crashDowns  int64 // down intervals entered across all nodes
 }
 
-// NewInjector builds an Injector for the configuration. It panics on an
-// invalid configuration — an impairment silently out of range would
-// invalidate a whole study.
-func NewInjector(cfg Config) *Injector {
+// NewInjector builds an Injector for the configuration, or reports why
+// the configuration is invalid — an impairment silently out of range
+// would invalidate a whole study.
+func NewInjector(cfg Config) (*Injector, error) {
 	if err := cfg.Validate(); err != nil {
-		panic(err)
+		return nil, err
 	}
-	inj := &Injector{cfg: cfg, crash: cfg.Crash.Enabled()}
-	if cfg.GE.Enabled() {
-		inj.links = make(map[uint64]*geLink)
-		inj.logStay = [2]float64{math.Log1p(-cfg.GE.PGoodBad), math.Log1p(-cfg.GE.PBadGood)}
+	inj := &Injector{cfg: cfg, crash: cfg.Crash.Enabled(), ge: cfg.GE.Enabled()}
+	if inj.ge {
+		for s, p := range [2]float64{cfg.GE.PGoodBad, cfg.GE.PBadGood} {
+			lq := math.Log1p(-p)
+			inj.logStay[s] = lq
+			inj.invLogStay[s] = 1 / lq
+		}
 	}
-	return inj
+	return inj, nil
 }
 
 // Config returns the configuration the injector was built with.
@@ -242,8 +276,13 @@ func mix64(x uint64) uint64 {
 // u01 hashes (seed, stream, key, t) to a uniform in [0,1). Stateless, so
 // the decision for a given coordinate never depends on query order.
 func (inj *Injector) u01(stream, key uint64, t sim.Slot) float64 {
-	h := mix64(uint64(inj.cfg.Seed) ^ mix64(stream^mix64(key^mix64(uint64(t)))))
-	return float64(h>>11) / (1 << 53)
+	return inj.unit(stream, mix64(key^mix64(uint64(t))))
+}
+
+// unit finishes a u01 draw from its inner hash h = mix64(key ^
+// mix64(t)), which every stream drawn at one (key, t) shares.
+func (inj *Injector) unit(stream, h uint64) float64 {
+	return float64(mix64(uint64(inj.cfg.Seed)^mix64(stream^h))>>11) / (1 << 53)
 }
 
 // linkKey packs a directed (sender, receiver) pair.
@@ -251,83 +290,196 @@ func linkKey(sender, receiver int) uint64 {
 	return uint64(uint32(sender))<<32 | uint64(uint32(receiver))
 }
 
-// Erase implements sim.Impairment: it decides whether the frame, whose
-// last slot of airtime is now, is erased on the sender→receiver link by
-// a non-collision channel error.
-func (inj *Injector) Erase(f *frames.Frame, sender, receiver int, now sim.Slot) bool {
-	key := linkKey(sender, receiver)
-	if inj.cfg.PER > 0 && inj.u01(streamIID, key, now) < inj.cfg.PER {
-		inj.iidErasures++
-		return true
+// Erase implements sim.Impairment: it decides the fate of a frame from
+// sender, whose last slot of airtime is now, at every receiver in recv
+// at once. Entries of lost already true (collision, half duplex) are
+// left alone and draw nothing; an intact reception at a receiver that
+// is down (down[recv[k]], down nil when no station can crash) is lost
+// to the crash; the rest are erased by the i.i.d. axis, then by the
+// link's Gilbert–Elliott state. The i.i.d. and burst-erase draws of one
+// reception share their inner hash, and mix64(now) is computed once per
+// frame.
+func (inj *Injector) Erase(sender int, recv []int, lost, down []bool, now sim.Slot) {
+	var links []geLink
+	if inj.ge {
+		links = inj.row(sender, recv)
 	}
-	if inj.links != nil {
-		per := inj.cfg.GE.PERGood
-		if inj.linkBad(key, now) {
-			per = inj.cfg.GE.PERBad
+	ht := mix64(uint64(now))
+	for k, j := range recv {
+		if lost[k] {
+			continue
 		}
-		if per > 0 && inj.u01(streamGEErase, key, now) < per {
-			inj.geErasures++
-			return true
+		if down != nil && down[j] {
+			lost[k] = true
+			inj.crashDrops++
+			continue
+		}
+		key := linkKey(sender, j)
+		h := mix64(key ^ ht)
+		if inj.cfg.PER > 0 && inj.unit(streamIID, h) < inj.cfg.PER {
+			lost[k] = true
+			inj.iidErasures++
+			continue
+		}
+		if links != nil {
+			per := inj.cfg.GE.PERGood
+			if inj.advance(&links[k], key, now) {
+				per = inj.cfg.GE.PERBad
+			}
+			if per > 0 && inj.unit(streamGEErase, h) < per {
+				lost[k] = true
+				inj.geErasures++
+			}
 		}
 	}
-	return false
 }
 
-// linkBad advances the link's Markov chain to the given slot and reports
+// row returns the sender's link states index-parallel to recv. When recv
+// is not the slice the row was built for, the row is rebuilt parallel to
+// it and the states of receivers present in both are carried over by
+// receiver id (a merge, as neighbour lists are sorted). A link whose
+// state is dropped restarts from newLink and replays its chain on the
+// next query: the chain is a function of (link, draw number) alone, so
+// dropping state costs catch-up work, never a different decision.
+func (inj *Injector) row(sender int, recv []int) []geLink {
+	if sender >= len(inj.rows) {
+		inj.rows = append(inj.rows, make([]linkRow, sender+1-len(inj.rows))...)
+	}
+	r := &inj.rows[sender]
+	if len(recv) == len(r.recv) && (len(recv) == 0 || &recv[0] == &r.recv[0]) {
+		return r.links
+	}
+	links := make([]geLink, len(recv))
+	a := 0
+	for k, j := range recv {
+		for a < len(r.recv) && r.recv[a] < j {
+			a++
+		}
+		if a < len(r.recv) && r.recv[a] == j {
+			links[k] = r.links[a]
+		} else {
+			links[k] = newLink
+		}
+	}
+	r.recv, r.links = recv, links
+	return links
+}
+
+// advance moves the link's Markov chain to the given slot and reports
 // whether it is in the bad state there. The chain jumps from flip to
 // flip: the k-th holding time is a stateless hash of (link, k), so
 // interleaved erase queries cannot shift the chain's trajectory. A link
 // starts good at slot -1, so it is bad at slot 0 with probability
 // PGoodBad, as a per-slot chain would be.
-func (inj *Injector) linkBad(key uint64, now sim.Slot) bool {
-	st := inj.links[key]
-	if st == nil {
-		st = &geLink{until: -1}
-		st.until += inj.holdTime(key, st)
-		inj.links[key] = st
-	}
-	for st.until <= now && st.until != never {
-		st.bad = !st.bad
-		d := inj.holdTime(key, st)
-		if d > never-st.until {
-			d = never - st.until
+func (inj *Injector) advance(l *geLink, key uint64, now sim.Slot) bool {
+	for l.until <= now && l.until != never {
+		l.k++
+		d := inj.holdTime(int(1-l.k&1), key, l.k)
+		if d == never || l.until > never-d {
+			l.until = never
+		} else {
+			l.until += d
 		}
-		st.until += d
 	}
-	return st.bad
+	return l.k&1 == 0
 }
 
-// holdTime draws how many slots the link stays in its current state: a
-// Geometric(p) variate on {1, 2, …} by inversion, floor(log1p(-u) /
-// log1p(-p)) + 1, where p is the state's per-slot leave probability.
-// p ≥ 1 (log1p(-p) = -Inf) gives 1; p ≤ 0 (log1p(-p) = 0) and draws
-// past the int64 range give never.
-func (inj *Injector) holdTime(key uint64, st *geLink) sim.Slot {
-	lq := inj.logStay[0]
-	if st.bad {
-		lq = inj.logStay[1]
-	}
-	st.k++
+// logErrBound bounds |fastLog(x) - fl(log1p(x-1))| for the x = 1-u that
+// holdTime draws (u a multiple of 2^-53 in [0,1), so x in [2^-53, 1]
+// and exact). fastLog's only approximation is ln(1+r) ≈ r, off by less
+// than r²/2 < 2^-17 for 0 ≤ r < 2^-8; its table entries, its reduced
+// argument r and its final sum (every term below 37 in magnitude) add
+// rounding below 2^-45. math.Log1p is within 1 ulp, below 2^-47 for
+// |ln x| < 64. The bound is their sum, rounded up to the next power
+// of two.
+const logErrBound = 0x1p-16
+
+// holdTime draws the k-th holding time of a link in state s (0 good,
+// 1 bad) from the link's holding-time hash stream.
+func (inj *Injector) holdTime(s int, key, k uint64) sim.Slot {
+	return inj.geometric(s, inj.u01(streamGEHold, key, sim.Slot(k)))
+}
+
+// geometric turns a uniform u in [0,1) into a Geometric(p) variate on
+// {1, 2, …} by inversion, floor(log1p(-u) / log1p(-p)) + 1, where p is
+// state s's per-slot leave probability. The floor comes from floorFast
+// whenever its bracket decides it, so every holding time is
+// bit-identical to the log1p formula. p ≥ 1 (log1p(-p) = -Inf) gives 1;
+// p ≤ 0 (log1p(-p) = 0) and draws past the int64 range give never.
+func (inj *Injector) geometric(s int, u float64) sim.Slot {
+	lq := inj.logStay[s]
 	if lq == 0 {
 		return never
 	}
-	h := math.Floor(math.Log1p(-inj.u01(streamGEHold, key, sim.Slot(st.k)))/lq) + 1
+	if math.IsInf(lq, -1) {
+		return 1
+	}
+	n, ok := inj.floorFast(s, u)
+	if !ok {
+		n = math.Floor(math.Log1p(-u) / lq)
+	}
+	h := n + 1
 	if h >= float64(never) {
 		return never
 	}
 	return sim.Slot(h)
 }
 
-// Down implements sim.Impairment: it reports whether the station is
-// crashed at the given slot. A crashed station is skipped by the engine
-// (it neither ticks — so it sends no frame and no CTS/ACK response —
-// nor decodes arriving frames) while its queued requests keep aging
-// toward their deadlines.
-func (inj *Injector) Down(station int, now sim.Slot) bool {
-	if !inj.crash {
-		return false
+// floorFast brackets floor(log1p(-u) / log1p(-p)) for state s with
+// fastLog, reporting ok false when the bracket cannot decide it. The
+// quotient y it computes lies within logErrBound / |log1p(-p)| of the
+// reference quotient, plus the rounding of the two multiplications and
+// the reference division (under 2^-51·|y|; d allows 2^-50·|y|). So
+// when [y-d, y+d] holds no integer, the reference quotient has the
+// same floor as y.
+func (inj *Injector) floorFast(s int, u float64) (n float64, ok bool) {
+	y := fastLog(1-u) * inj.invLogStay[s]
+	n = math.Floor(y)
+	d := logErrBound*math.Abs(inj.invLogStay[s]) + math.Abs(y)*0x1p-50
+	return n, y-d >= n && y+d < n+1
+}
+
+// logTabBits sizes fastLog's table: 2^logTabBits mantissa intervals.
+const logTabBits = 8
+
+// logTab holds, for c = 1 + i/2^logTabBits, 1/c and ln c.
+var logTab = func() (t [1 << logTabBits]struct{ invc, logc float64 }) {
+	for i := range t {
+		c := 1 + float64(i)/(1<<logTabBits)
+		t[i].invc, t[i].logc = 1/c, math.Log(c)
 	}
-	return inj.sched(station, now).down
+	return t
+}()
+
+// fastLog approximates ln x for normal positive x, to within 2^-17 (see
+// logErrBound): x = 2^e·m with m in [1,2) and m in [c, c+2^-logTabBits)
+// for a table point c, so ln x = e·ln2 + ln c + ln(1+r) with
+// r = (m-c)/c in [0, 2^-logTabBits), and ln(1+r) ≈ r. m-c is exact.
+func fastLog(x float64) float64 {
+	b := math.Float64bits(x)
+	e := int(b>>52) - 1023
+	mant := b & (1<<52 - 1)
+	i := mant >> (52 - logTabBits)
+	t := &logTab[i]
+	m := math.Float64frombits(mant | 1023<<52)
+	r := (m - (1 + float64(i)/(1<<logTabBits))) * t.invc
+	return float64(e)*math.Ln2 + (t.logc + r)
+}
+
+// Crash implements sim.Impairment: it reports whether the station is
+// crashed at the given slot and the next slot strictly after now at
+// which that flips (sim.Never without a crash axis). The engine keeps
+// the answer in its own per-station array and asks again at the flip,
+// so a schedule advances one interval per call. A crashed station is
+// skipped by the engine (it neither ticks — so it sends no frame and no
+// CTS/ACK response — nor decodes arriving frames) while its queued
+// requests keep aging toward their deadlines.
+func (inj *Injector) Crash(station int, now sim.Slot) (down bool, next sim.Slot) {
+	if !inj.crash {
+		return false, never
+	}
+	s := inj.sched(station, now)
+	return s.down, s.until
 }
 
 // sched advances the station's crash schedule to the given slot, drawing
@@ -352,20 +504,6 @@ func (inj *Injector) sched(station int, now sim.Slot) *nodeSched {
 	return s
 }
 
-// NextCrashChange implements sim.CrashScheduler: it returns the next
-// slot strictly after now at which the station's up/down state flips,
-// or ok=false when no crash axis is configured. It advances the lazily
-// materialised schedule exactly as a Down query at the same slot would
-// — same catch-up loop, same hash-stream draws, same crashDowns
-// accounting — so the engine's slot-skipping path leaves the injector
-// in the byte-identical state the per-slot reference path reaches.
-func (inj *Injector) NextCrashChange(station int, now sim.Slot) (sim.Slot, bool) {
-	if !inj.crash {
-		return 0, false
-	}
-	return inj.sched(station, now).until, true
-}
-
 // drawInterval draws an exponential interval (mean slots, minimum one
 // slot) from the node's private hash stream.
 func (inj *Injector) drawInterval(station int, s *nodeSched, mean float64) sim.Slot {
@@ -377,11 +515,6 @@ func (inj *Injector) drawInterval(station int, s *nodeSched, mean float64) sim.S
 	}
 	return d
 }
-
-// NoteCrashDrop counts a frame reception lost because the receiver was
-// down; the engine calls it so the loss is attributed to the crash axis
-// rather than the channel.
-func (inj *Injector) NoteCrashDrop() { inj.crashDrops++ }
 
 // Erasures returns the frames erased so far by (iid, bursty) channel
 // errors.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"relmac/internal/frames"
 	"relmac/internal/obs"
 	"relmac/internal/sim"
 )
@@ -54,24 +53,44 @@ func TestFaultConfigValidation(t *testing.T) {
 			t.Errorf("case %d: invalid config passed validation: %+v", i, cfg)
 		}
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("NewInjector must panic on an invalid config")
-		}
-	}()
-	NewInjector(Config{PER: 2})
+	if inj, err := NewInjector(Config{PER: 2}); err == nil || inj != nil {
+		t.Errorf("NewInjector(PER 2) = %v, %v; want an error", inj, err)
+	}
+}
+
+// mustInjector builds an injector for a valid test configuration.
+func mustInjector(t testing.TB, cfg Config) *Injector {
+	t.Helper()
+	inj, err := NewInjector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inj
+}
+
+// erase1 asks for a single reception: whether a frame completing at now
+// is erased on the sender→receiver link.
+func erase1(inj *Injector, sender, receiver int, now sim.Slot) bool {
+	lost := []bool{false}
+	inj.Erase(sender, []int{receiver}, lost, nil, now)
+	return lost[0]
+}
+
+// isDown reports the station's crash state at now.
+func isDown(inj *Injector, station int, now sim.Slot) bool {
+	down, _ := inj.Crash(station, now)
+	return down
 }
 
 // TestFaultIIDDeterminism pins the core determinism contract: two
 // injectors with the same seed make identical erasure decisions, and a
 // different seed yields a different decision sequence.
 func TestFaultIIDDeterminism(t *testing.T) {
-	f := &frames.Frame{Type: frames.Data}
 	mk := func(seed int64) []bool {
-		inj := NewInjector(Config{PER: 0.3, Seed: seed})
+		inj := mustInjector(t, Config{PER: 0.3, Seed: seed})
 		var out []bool
 		for s := sim.Slot(0); s < 200; s++ {
-			out = append(out, inj.Erase(f, 0, 1, s))
+			out = append(out, erase1(inj, 0, 1, s))
 		}
 		return out
 	}
@@ -95,7 +114,7 @@ func TestFaultIIDDeterminism(t *testing.T) {
 	if erased < 20 || erased > 120 {
 		t.Errorf("erased %d/200 frames at PER 0.3", erased)
 	}
-	if !NewInjector(Config{PER: 1, Seed: 1}).Erase(f, 0, 1, 0) {
+	if !erase1(mustInjector(t, Config{PER: 1, Seed: 1}), 0, 1, 0) {
 		t.Error("PER 1 must erase every frame")
 	}
 }
@@ -106,16 +125,15 @@ func TestFaultIIDDeterminism(t *testing.T) {
 // because the k-th holding time is a stateless hash of (link, k).
 func TestFaultGEOrderInvariance(t *testing.T) {
 	cfg := Config{GE: GilbertElliott{PGoodBad: 0.2, PBadGood: 0.3, PERBad: 1}, Seed: 99}
-	dense, sparse := NewInjector(cfg), NewInjector(cfg)
-	f := &frames.Frame{Type: frames.Data}
+	dense, sparse := mustInjector(t, cfg), mustInjector(t, cfg)
 	var denseAt []bool
 	for s := sim.Slot(0); s <= 500; s++ {
-		denseAt = append(denseAt, dense.Erase(f, 3, 7, s))
+		denseAt = append(denseAt, erase1(dense, 3, 7, s))
 	}
 	// PERBad=1, PERGood=0: the erase decision IS the chain state, so a
 	// few sparse queries must land on the same states.
 	for _, s := range []sim.Slot{37, 38, 260, 500} {
-		if got, want := sparse.Erase(f, 3, 7, s), denseAt[s]; got != want {
+		if got, want := erase1(sparse, 3, 7, s), denseAt[s]; got != want {
 			t.Errorf("query order changed the chain: sparse=%v dense=%v at slot %d", got, want, s)
 		}
 	}
@@ -136,19 +154,19 @@ func TestFaultGEOrderInvariance(t *testing.T) {
 // long horizon, and independent nodes get independent schedules.
 func TestFaultCrashSchedule(t *testing.T) {
 	cfg := Config{Crash: Crash{MTTF: 200, MTTR: 50}, Seed: 7}
-	a, b := NewInjector(cfg), NewInjector(cfg)
-	if a.Down(0, 0) {
+	a, b := mustInjector(t, cfg), mustInjector(t, cfg)
+	if isDown(a, 0, 0) {
 		t.Error("nodes must start up")
 	}
 	var downA, downB, downOther int
 	for s := sim.Slot(0); s < 20000; s++ {
-		if a.Down(1, s) {
+		if isDown(a, 1, s) {
 			downA++
 		}
-		if b.Down(1, s) {
+		if isDown(b, 1, s) {
 			downB++
 		}
-		if a.Down(2, s) {
+		if isDown(a, 2, s) {
 			downOther++
 		}
 	}
@@ -172,11 +190,12 @@ func TestFaultCrashSchedule(t *testing.T) {
 }
 
 func TestFaultFeedRegistry(t *testing.T) {
-	inj := NewInjector(Config{PER: 1, Seed: 3})
-	f := &frames.Frame{Type: frames.Data}
-	inj.Erase(f, 0, 1, 0)
-	inj.Erase(f, 0, 2, 0)
-	inj.NoteCrashDrop()
+	inj := mustInjector(t, Config{PER: 1, Seed: 3})
+	// Receiver 3 is down and receiver 4 already lost the frame to a
+	// collision: one crash drop, two channel erasures, no draw for 4.
+	lost := []bool{false, false, false, true}
+	down := []bool{3: true, 4: false}
+	inj.Erase(0, []int{1, 2, 3, 4}, lost, down, 0)
 	reg := obs.NewRegistry()
 	inj.FeedRegistry(reg, "BMMM.fault")
 	for name, want := range map[string]int64{

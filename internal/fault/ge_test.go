@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"relmac/internal/frames"
 	"relmac/internal/sim"
 )
 
@@ -149,14 +148,16 @@ func TestFaultGELaw(t *testing.T) {
 		{PGoodBad: 1, PBadGood: 1, PERBad: 1},
 		{PGoodBad: 0, PBadGood: 0.25, PERGood: 0.1},
 	} {
-		inj := NewInjector(Config{GE: g, Seed: 2002})
+		inj := mustInjector(t, Config{GE: g, Seed: 2002})
 		rng := rand.New(rand.NewSource(818))
 		var got, want [][]bool
-		for l := 0; l < links; l++ {
+		states := make([]geLink, links)
+		for l := range states {
+			states[l] = newLink
 			key := linkKey(l, l+1)
 			tr := make([]bool, slots)
 			for s := range tr {
-				tr[s] = inj.linkBad(key, sim.Slot(s))
+				tr[s] = inj.advance(&states[l], key, sim.Slot(s))
 			}
 			got = append(got, tr)
 			want = append(want, refTrajectory(g, slots, rng))
@@ -165,9 +166,9 @@ func TestFaultGELaw(t *testing.T) {
 
 		// P(bad at slot 0) over many independent links: Bernoulli(PGoodBad).
 		const first = 100000
-		fresh, bad0 := NewInjector(Config{GE: g, Seed: 2002}), 0
+		bad0 := 0
 		for l := 0; l < first; l++ {
-			if fresh.linkBad(linkKey(l, 0), 0) {
+			if st := newLink; inj.advance(&st, linkKey(l, 0), 0) {
 				bad0++
 			}
 		}
@@ -210,14 +211,13 @@ func TestFaultGELaw(t *testing.T) {
 		if g.PGoodBad == 0 {
 			// The chain never leaves good: one draw per link, and frames
 			// are erased at the good-state rate alone.
-			if k := inj.links[linkKey(0, 1)].k; k != 1 {
+			if k := states[0].k; k != 1 {
 				t.Errorf("%+v: %d holding-time draws on a chain that never flips", g, k)
 			}
-			f := &frames.Frame{Type: frames.Data}
 			const n = 20000
 			erased := 0
 			for s := sim.Slot(0); s < n; s++ {
-				if inj.Erase(f, 0, 1, s) {
+				if erase1(inj, 0, 1, s) {
 					erased++
 				}
 			}
@@ -234,11 +234,11 @@ func TestFaultGELaw(t *testing.T) {
 // once per 10^9 slots, takes a few thousand holding-time draws where a
 // per-slot stepper would take 2^40.
 func TestFaultGELongGap(t *testing.T) {
-	inj := NewInjector(Config{GE: GilbertElliott{PGoodBad: 1e-9, PBadGood: 0.25, PERBad: 1}, Seed: 11})
-	key := linkKey(4, 2)
-	inj.linkBad(key, 1<<40)
+	inj := mustInjector(t, Config{GE: GilbertElliott{PGoodBad: 1e-9, PBadGood: 0.25, PERBad: 1}, Seed: 11})
+	st := newLink
+	inj.advance(&st, linkKey(4, 2), 1<<40)
 	// Expected draws: two per fade, 2^40 · 1e-9 ≈ 1100 fades.
-	if k := inj.links[key].k; k < 100 || k > 10000 {
+	if k := st.k; k < 100 || k > 10000 {
 		t.Errorf("holding-time draws = %d for a 2^40-slot gap, want about 2200", k)
 	}
 }

@@ -24,7 +24,7 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // engine's impairment hook shows up as a diff of this file — the
 // fault-injection analogue of the clean-channel Figure 2 golden.
 func TestFaultGoldenBurstTrace(t *testing.T) {
-	inj := NewInjector(Config{
+	inj := mustInjector(t, Config{
 		GE:   GilbertElliott{PGoodBad: 0.15, PBadGood: 0.25, PERBad: 1},
 		Seed: 5,
 	})

@@ -47,10 +47,15 @@
 //     wake, compaction as stations fall asleep) instead of rebuilt;
 //   - the event clock: Run jumps the slot counter straight to the next
 //     slot at which anything can happen — the earliest scheduled
-//     arrival (EventSource), wake obligation (crash/recover transition
-//     via CrashScheduler) or run target — whenever the whole network
-//     is asleep and the air is clear, instead of ticking empty slots
-//     one by one;
+//     arrival (EventSource), wake obligation (a crash/recover
+//     transition announced by Impairment.Crash) or run target — whenever
+//     the whole network is asleep and the air is clear, instead of
+//     ticking empty slots one by one;
+//   - engine-owned crash state: each station's up/down state is an
+//     array entry flipped at its announced transitions, so neither the
+//     tick loop nor the receiver loop calls the impairment, and a
+//     completed frame costs one Impairment.Erase call for all of its
+//     receivers;
 //   - a structure-of-arrays transmission table: the per-transmission
 //     hot scalars (sender, start, end, generation) live in parallel
 //     slices that resolveSlot, computeBusy and completeSlot stream

@@ -188,32 +188,32 @@ func TestEventClockAirborneFramePreventsSkip(t *testing.T) {
 	}
 }
 
-// downWindow is a CrashScheduler test double: the given station is down
-// for [from, to) and announces both transitions.
+// downWindow is a crash-only Impairment test double: the given station
+// is down for [from, to) and announces both transitions.
 type downWindow struct {
 	station  int
 	from, to Slot
 }
 
-func (d *downWindow) Down(station int, now Slot) bool {
-	return station == d.station && now >= d.from && now < d.to
-}
-
-func (d *downWindow) Erase(f *frames.Frame, sender, receiver int, now Slot) bool {
-	return false
-}
-
-func (d *downWindow) NextCrashChange(station int, now Slot) (Slot, bool) {
+func (d *downWindow) Crash(station int, now Slot) (bool, Slot) {
 	if station != d.station {
-		return 0, false
+		return false, Never
 	}
 	switch {
 	case now < d.from:
-		return d.from, true
+		return false, d.from
 	case now < d.to:
-		return d.to, true
+		return true, d.to
 	default:
-		return 0, false
+		return false, Never
+	}
+}
+
+func (d *downWindow) Erase(sender int, recv []int, lost, down []bool, now Slot) {
+	for k, j := range recv {
+		if down[j] {
+			lost[k] = true
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 
@@ -140,7 +141,7 @@ type MAC interface {
 //
 // The engine wakes a sleeping station when a request is submitted to it,
 // when it decodes a frame addressed to it or naming it in the group, and
-// at each of its crash/recover transitions (CrashScheduler); everything
+// at each of its crash/recover transitions (Impairment.Crash); everything
 // else that can change MAC state flows through those entry points.
 //
 // An overheard frame (Rx zero) never ends quiescence: it may only
@@ -200,49 +201,41 @@ type EventSource interface {
 	NextArrival(after Slot) (Slot, bool)
 }
 
-// CrashScheduler is the optional Impairment extension that lets
-// idle-station scheduling and slot skipping coexist with node crashes.
-// NextCrashChange reports the next slot strictly after now at which the
-// station's up/down state flips (ok false when the impairment has no
-// crash axis). The engine registers that slot as a wake obligation when
-// the station falls asleep, so a sleeping MAC is resynchronised at every
-// transition and its channel history freezes through down windows
-// exactly as the reference path's does. An Impairment without this
-// method disables idle-skip entirely, as before.
-//
-// NextCrashChange must advance the impairment's internal crash schedule
-// exactly as a Down query at the same slot would, so lazily materialized
-// schedules stay byte-identical between the skipping and reference
-// paths.
-type CrashScheduler interface {
-	Impairment
-	NextCrashChange(station int, now Slot) (Slot, bool)
-}
+// Never is a slot no run reaches: the "no further transition" answer of
+// Impairment.Crash.
+const Never = Slot(math.MaxInt64)
 
 // Impairment is the pluggable fault model hook (internal/fault): channel
 // error processes and node failures beyond the collision-driven loss the
-// capture models govern. The engine consults it at two points per slot —
-// crashed stations are skipped before their MAC ticks, and completed
-// frames are erased per receiver before delivery. Implementations must
-// be deterministic from their own seed and must not touch the engine
-// PRNG, so a nil (or inert) impairment leaves runs byte-identical to an
-// unimpaired simulation.
+// capture models govern. Implementations must be deterministic from
+// their own seed and must not touch the engine PRNG, so a nil (or inert)
+// impairment leaves runs byte-identical to an unimpaired simulation.
+//
+// The engine owns the up/down state of every station in an array it
+// reads in the tick and receiver loops without a call. It fills the
+// array from Crash: once per station at construction, then at each
+// station's announced flip slot, which is also a wake obligation for a
+// sleeping station so its channel history freezes through down windows
+// exactly as the reference path's does (the reference path asks every
+// station every slot instead). Completed frames cost one Erase call
+// each, however many receivers they reach.
 type Impairment interface {
-	// Down reports whether the station is crashed at the given slot. A
-	// down station neither transmits (its MAC is not ticked, so pending
-	// CTS/ACK responses stay unsent) nor decodes arriving frames.
-	Down(station int, now Slot) bool
-	// Erase reports whether the frame, completing at slot now, is erased
-	// at the given receiver by a channel error on the sender→receiver
-	// link. It is consulted only for frames that survived collision
-	// resolution.
-	Erase(f *frames.Frame, sender, receiver int, now Slot) bool
-}
-
-// crashNoter is implemented by impairments that want receptions lost to
-// a crashed receiver attributed to the crash axis (fault.Injector does).
-type crashNoter interface {
-	NoteCrashDrop()
+	// Crash reports whether the station is crashed at slot now, and
+	// the next slot strictly after now at which that flips (Never if
+	// it never does). A down station neither transmits (its MAC is not
+	// ticked, so pending CTS/ACK responses stay unsent) nor decodes
+	// arriving frames.
+	Crash(station int, now Slot) (down bool, next Slot)
+	// Erase decides the fate of a frame from sender completing at slot
+	// now at every in-range receiver at once: recv lists them and lost
+	// is parallel to it. Entries of lost already true lost the frame to
+	// a collision or to half duplex; Erase sets lost[k] for receivers
+	// that lose it to a crash (down[recv[k]]; down is nil when no
+	// station can crash) or to a channel error on the sender→receiver
+	// link. recv is the sender's topo.Neighbors slice at transmission
+	// start; topologies are immutable, so an implementation may key
+	// per-sender state on the slice's identity.
+	Erase(sender int, recv []int, lost, down []bool, now Slot)
 }
 
 // Config assembles an Engine.
@@ -398,20 +391,17 @@ type Engine struct {
 	numAttached int
 	numAsleep   int
 
+	// down[i] is station i's crash state at the current slot, nil when
+	// no station can crash (see Impairment).
+	down []bool
 	// The event clock's wake obligations: a binary min-heap over
-	// (wakeAt, wakeWho) ordered by slot then station, holding at most
-	// one live entry per station (nextWake[i] is its slot, or -1).
-	// Obligations are registered when a station falls asleep under a
-	// CrashScheduler impairment — its next up/down transition — and
-	// drained at the top of every step. A station woken early by other
-	// means leaves its entry behind; draining it later is an idempotent
-	// no-op (or a harmless spurious wake of a re-slept station).
-	wakeAt   []Slot
-	wakeWho  []int
-	nextWake []Slot
-	// crashSched is non-nil iff the impairment supports crash-transition
-	// wake obligations; with an impairment lacking it, sleepOK is false.
-	crashSched CrashScheduler
+	// (wakeAt, wakeWho) ordered by slot then station, holding each
+	// station's next crash/recover transition. They are drained at the
+	// top of every step, which flips down and wakes the station; on the
+	// reference path the heap stays empty and down is refreshed every
+	// slot.
+	wakeAt  []Slot
+	wakeWho []int
 
 	// reference pins the naive path (Config.Reference).
 	reference bool
@@ -443,7 +433,6 @@ func New(cfg Config) *Engine {
 	}
 	hook := cfg.SlotHook
 	n := cfg.Topo.N()
-	cs, _ := cfg.Impairment.(CrashScheduler)
 	e := &Engine{
 		topo:        cfg.Topo,
 		timing:      tm,
@@ -468,19 +457,11 @@ func New(cfg Config) *Engine {
 		asleep:      make([]bool, n),
 		resync:      make([]bool, n),
 		sleptAt:     make([]Slot, n),
-		nextWake:    make([]Slot, n),
 		awake:       make([]int, 0, n),
 		awakeDirty:  true,
-		crashSched:  cs,
 		reference:   cfg.Reference,
 		prof:        cfg.Profiler,
-		// Idle-skip needs every crash transition of a sleeping station
-		// to be a wake obligation: a crashed station's MAC is not ticked
-		// while down, so its channel history freezes — a gap the
-		// continuous lastBusy reconstruction alone cannot reproduce. An
-		// impairment that cannot announce its transitions
-		// (CrashScheduler) therefore pins the per-slot path.
-		sleepOK: !cfg.Reference && (cfg.Impairment == nil || cs != nil),
+		sleepOK:     !cfg.Reference,
 	}
 	for i := 0; i < n; i++ {
 		e.envs[i] = Env{engine: e, node: i}
@@ -488,9 +469,32 @@ func New(cfg Config) *Engine {
 		e.busyStamp[i] = -1
 		e.prevBusy[i] = -1
 		e.sleptAt[i] = -1
-		e.nextWake[i] = -1
+	}
+	if e.imp != nil {
+		e.initCrash()
 	}
 	return e
+}
+
+// initCrash reads every station's crash state at slot 0 and registers
+// its first transition. Idle-skip needs every transition of a sleeping
+// station to be a wake obligation: a crashed station's MAC is not ticked
+// while down, so its channel history freezes — a gap the continuous
+// lastBusy reconstruction alone cannot reproduce.
+func (e *Engine) initCrash() {
+	for i := range e.macs {
+		down, next := e.imp.Crash(i, e.now)
+		if !down && next == Never {
+			continue
+		}
+		if e.down == nil {
+			e.down = make([]bool, len(e.macs))
+		}
+		e.down[i] = down
+		if next != Never && !e.reference {
+			e.pushWake(next, i)
+		}
+	}
 }
 
 // SetMAC installs the MAC state machine for station i.
@@ -624,16 +628,24 @@ func (e *Engine) skipTo(next Slot) {
 func (e *Engine) step(src Source) {
 	now := e.now
 
-	// 0. Due wake obligations: return stations whose crash schedule
-	// flips at or before this slot to the tick loop, so their channel
-	// history is resynchronised at the transition while the slept span
-	// is still fully reconstructible.
+	// 0. Due wake obligations: flip the crash state of stations whose
+	// schedule flips at this slot and return them to the tick loop, so
+	// their channel history is resynchronised at the transition while
+	// the slept span is still fully reconstructible. The reference path
+	// asks every station instead.
 	for len(e.wakeAt) > 0 && e.wakeAt[0] <= now {
-		t, i := e.popWake()
-		if e.nextWake[i] == t {
-			e.nextWake[i] = -1
+		_, i := e.popWake()
+		down, next := e.imp.Crash(i, now)
+		e.down[i] = down
+		if next != Never {
+			e.pushWake(next, i)
 		}
 		e.wake(i)
+	}
+	if e.reference && e.down != nil {
+		for i := range e.down {
+			e.down[i], _ = e.imp.Crash(i, now)
+		}
 	}
 
 	// 0.25. Mobility / environment hook.
@@ -710,7 +722,7 @@ func (e *Engine) step(src Source) {
 		// A crashed station is silent: no frame, no CTS/ACK response, no
 		// backoff countdown. Its queued requests keep aging toward their
 		// deadlines and its MAC state resumes intact on recovery.
-		if e.imp != nil && e.imp.Down(i, now) {
+		if e.down != nil && e.down[i] {
 			continue
 		}
 		f := m.Tick(&e.envs[i])
@@ -720,12 +732,6 @@ func (e *Engine) step(src Source) {
 				e.numAsleep++
 				e.sleptAt[i] = now
 				w--
-				if e.crashSched != nil {
-					if t, ok := e.crashSched.NextCrashChange(i, now); ok && e.nextWake[i] != t {
-						e.pushWake(t, i)
-						e.nextWake[i] = t
-					}
-				}
 			}
 			continue
 		}
@@ -1009,21 +1015,13 @@ func (e *Engine) completeSlot() {
 		}
 		f := e.txFrame[r]
 		sender := int(e.txSender[r])
-		cor := e.txCorrupt[r]
+		lost := e.txCorrupt[r]
+		if e.imp != nil {
+			e.imp.Erase(sender, e.txRecv[r], lost, e.down, now)
+		}
 		e.markGroup(f)
 		for ri, j := range e.txRecv[r] {
-			lost := cor[ri]
-			if !lost && e.imp != nil {
-				if e.imp.Down(j, now) {
-					lost = true
-					if n, ok := e.imp.(crashNoter); ok {
-						n.NoteCrashDrop()
-					}
-				} else if e.imp.Erase(f, sender, j, now) {
-					lost = true
-				}
-			}
-			if lost {
+			if lost[ri] {
 				e.emit(e.tracer, Event{Kind: EvRxLost, Slot: now, Station: j, Frame: f})
 				continue
 			}

@@ -227,14 +227,15 @@ func newLossyLinks(p float64, seed int64) *lossyLinks {
 	return &lossyLinks{p: p, rng: rand.New(rand.NewSource(seed))}
 }
 
-func (l *lossyLinks) Down(int, Slot) bool { return false }
+func (l *lossyLinks) Crash(int, Slot) (bool, Slot) { return false, Never }
 
-func (l *lossyLinks) Erase(*frames.Frame, int, int, Slot) bool {
-	if l.rng.Float64() < l.p {
-		l.erased++
-		return true
+func (l *lossyLinks) Erase(_ int, _ []int, lost, _ []bool, _ Slot) {
+	for k := range lost {
+		if !lost[k] && l.rng.Float64() < l.p {
+			lost[k] = true
+			l.erased++
+		}
 	}
-	return false
 }
 
 // drewEnginePRNG reports whether the engine consumed its PRNG since
