@@ -77,7 +77,7 @@ func main() {
 				}
 			}
 			alert := &sim.Request{
-				ID: 1 << 40, Kind: sim.Broadcast, Src: sender,
+				Kind: sim.Broadcast, Src: sender,
 				Dests:   append([]int(nil), tp.Neighbors(sender)...),
 				Arrival: alertAt, Deadline: alertAt + 300,
 			}
@@ -93,18 +93,15 @@ func main() {
 			eng.AttachMACs(factory)
 			eng.Run(slots, &alertSource{background: gen, alertAt: alertAt, alert: alert})
 
-			for _, rec := range col.Records() {
-				if rec.ID != alert.ID {
-					continue
-				}
-				if rec.Successful(0.9) {
-					okCount++
-				}
-				reach += rec.DeliveredFraction()
-				if rec.Completed {
-					completed++
-					latency += float64(rec.CompletionTime())
-				}
+			// The engine numbered the alert as it submitted it.
+			rec := col.Records()[alert.ID-1]
+			if rec.Successful(0.9) {
+				okCount++
+			}
+			reach += rec.DeliveredFraction()
+			if rec.Completed {
+				completed++
+				latency += float64(rec.CompletionTime())
 			}
 		}
 		meanLatency := 0.0

@@ -62,15 +62,17 @@ func main() {
 	// 100-slot deadline, then let the simulation run.
 	script := traffic.NewScript()
 	script.At(0, &sim.Request{
-		ID: 1, Kind: sim.Multicast, Src: 0,
+		Kind: sim.Multicast, Src: 0,
 		Dests: []int{1, 2, 3, 4, 5, 6, 7}, Deadline: 100,
 	})
 	fmt.Println("\non the air:")
 	eng.Run(120, script)
 
+	// The record embeds the request: the engine numbered it (ID 1) and
+	// counted its contention phases on it (rec.Contentions).
 	rec := col.Records()[0]
 	fmt.Printf("\ncompleted=%v in %d slots, %d/%d receivers got the data, %d contention phase(s)\n",
-		rec.Completed, rec.CompletionTime(), rec.Delivered, rec.Intended, rec.Contentions)
+		rec.Completed, rec.CompletionTime(), rec.Delivered, len(rec.Dests), rec.Contentions)
 	fmt.Printf("successful at the paper's 90%% reliability threshold: %v\n", rec.Successful(0.9))
 
 	// LAMM's trick: it only polled the minimum cover set of the

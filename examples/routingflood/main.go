@@ -38,7 +38,6 @@ type flood struct {
 	tp      *topo.Topology
 	timeout int
 
-	nextID  int64
 	seen    []bool
 	seenAt  []sim.Slot
 	pending map[sim.Slot][]*sim.Request
@@ -46,13 +45,11 @@ type flood struct {
 
 func newFlood(tp *topo.Topology, origin int, timeout int) *flood {
 	f := &flood{
-		Collector: *metrics.NewCollector(),
-		tp:        tp,
-		timeout:   timeout,
-		nextID:    1,
-		seen:      make([]bool, tp.N()),
-		seenAt:    make([]sim.Slot, tp.N()),
-		pending:   map[sim.Slot][]*sim.Request{},
+		tp:      tp,
+		timeout: timeout,
+		seen:    make([]bool, tp.N()),
+		seenAt:  make([]sim.Slot, tp.N()),
+		pending: map[sim.Slot][]*sim.Request{},
 	}
 	f.seen[origin] = true
 	f.schedule(origin, 1)
@@ -65,9 +62,8 @@ func (f *flood) schedule(node int, t sim.Slot) {
 	if len(nb) == 0 {
 		return
 	}
-	f.nextID++
 	req := &sim.Request{
-		ID: f.nextID, Kind: sim.Broadcast, Src: node,
+		Kind: sim.Broadcast, Src: node,
 		Dests:   append([]int(nil), nb...),
 		Arrival: t, Deadline: t + sim.Slot(f.timeout),
 	}

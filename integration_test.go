@@ -46,9 +46,9 @@ func TestReliableProtocolsCompleteHonestly(t *testing.T) {
 			}
 			// BMW and BMMM only complete after an ACK from every intended
 			// receiver, and ACKs require the data frame: full delivery.
-			if rec.Delivered != rec.Intended {
+			if rec.Delivered != len(rec.Dests) {
 				t.Fatalf("%s: message %d completed with %d/%d delivered",
-					p, rec.ID, rec.Delivered, rec.Intended)
+					p, rec.ID, rec.Delivered, len(rec.Dests))
 			}
 		}
 	}
@@ -68,9 +68,9 @@ func TestLAMMTheorem3HoldsOnCollisionOnlyChannel(t *testing.T) {
 			continue
 		}
 		completed++
-		if rec.Delivered != rec.Intended {
+		if rec.Delivered != len(rec.Dests) {
 			violations++
-			t.Logf("message %d: %d/%d delivered", rec.ID, rec.Delivered, rec.Intended)
+			t.Logf("message %d: %d/%d delivered", rec.ID, rec.Delivered, len(rec.Dests))
 		}
 	}
 	if completed == 0 {
@@ -91,7 +91,7 @@ func TestUnreliableProtocolsOverreport(t *testing.T) {
 	})
 	over := 0
 	for _, rec := range res.Collector.Records() {
-		if rec.Kind != sim.Unicast && rec.Completed && rec.Delivered < rec.Intended {
+		if rec.Kind != sim.Unicast && rec.Completed && rec.Delivered < len(rec.Dests) {
 			over++
 		}
 	}
@@ -114,9 +114,9 @@ func TestErasureInjection(t *testing.T) {
 			if rec.Kind == sim.Unicast || !rec.Completed {
 				continue
 			}
-			if rec.Delivered != rec.Intended {
+			if rec.Delivered != len(rec.Dests) {
 				t.Fatalf("%s with erasures: completed message %d delivered %d/%d",
-					p, rec.ID, rec.Delivered, rec.Intended)
+					p, rec.ID, rec.Delivered, len(rec.Dests))
 			}
 		}
 	}
@@ -229,20 +229,20 @@ func TestConformanceRandomised(t *testing.T) {
 			}
 			script := traffic.NewScript()
 			script.At(2, &sim.Request{
-				ID: 1, Kind: sim.Multicast, Src: sender, Dests: dests,
+				Kind: sim.Multicast, Src: sender, Dests: dests,
 				Deadline: 2 + 400,
 			})
 			eng.Run(600, script)
 
 			rec := col.Records()[0]
-			if rec.Delivered > rec.Intended {
+			if rec.Delivered > len(rec.Dests) {
 				t.Fatalf("trial %d %s: delivered %d > intended %d",
-					trial, p, rec.Delivered, rec.Intended)
+					trial, p, rec.Delivered, len(rec.Dests))
 			}
 			if (p == experiments.BMW || p == experiments.BMMM) &&
-				rec.Completed && rec.Delivered != rec.Intended {
+				rec.Completed && rec.Delivered != len(rec.Dests) {
 				t.Fatalf("trial %d %s: completed with %d/%d delivered",
-					trial, p, rec.Delivered, rec.Intended)
+					trial, p, rec.Delivered, len(rec.Dests))
 			}
 		}
 	}

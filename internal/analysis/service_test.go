@@ -30,7 +30,7 @@ func measureService(t *testing.T, factory prototest.Factory, n int) int {
 	for i := range dests {
 		dests[i] = i + 1
 	}
-	run.Multicast(5, 1, 0, dests, 100000)
+	run.Multicast(5, 0, dests, 100000)
 	run.Steps(4000)
 	rec := run.Record(1)
 	if rec == nil || !rec.Completed {

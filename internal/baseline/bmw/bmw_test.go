@@ -21,7 +21,7 @@ func factory() prototest.Factory {
 func TestSingleReceiver(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5)}
 	run := prototest.New(pts, r, factory())
-	run.Multicast(5, 1, 0, []int{1}, 100)
+	run.Multicast(5, 0, []int{1}, 100)
 	run.Steps(60)
 	if got := run.Trace.TxSeq(); got != "RTS CTS DATA ACK" {
 		t.Fatalf("sequence = %q", got)
@@ -38,7 +38,7 @@ func TestOverhearingSuppressesData(t *testing.T) {
 	// retransmission: exactly one DATA frame but two contention phases.
 	pts := prototest.Star(2, r, 0.7)
 	run := prototest.New(pts, r, factory())
-	run.Multicast(5, 1, 0, []int{1, 2}, 200)
+	run.Multicast(5, 0, []int{1, 2}, 200)
 	run.Steps(200)
 	rec := run.Record(1)
 	if !rec.Completed || rec.Delivered != 2 {
@@ -65,7 +65,7 @@ func TestPerReceiverContentionScalesLinearly(t *testing.T) {
 		for i := range dests {
 			dests[i] = i + 1
 		}
-		run.Multicast(5, 1, 0, dests, 100000)
+		run.Multicast(5, 0, dests, 100000)
 		run.Steps(3000)
 		rec := run.Record(1)
 		if !rec.Completed {
@@ -89,7 +89,7 @@ func TestRetransmitsToJammedReceiver(t *testing.T) {
 	run := prototest.New(pts, r, factory())
 	// Round 1 for receiver 1: RTS@5 CTS@6 DATA@7..11. Jam B during it.
 	run.Engine.SetMAC(3, prototest.NewJammer().JamAt(9))
-	run.Multicast(5, 1, 0, []int{1, 2}, 500)
+	run.Multicast(5, 0, []int{1, 2}, 500)
 	run.Steps(500)
 	rec := run.Record(1)
 	if !rec.Completed || rec.Delivered != 2 {
@@ -106,8 +106,8 @@ func TestReliableUnderHiddenTerminals(t *testing.T) {
 	// concurrently. BMW must still deliver (with retries).
 	pts := []geom.Point{geom.Pt(0.3, 0.5), geom.Pt(0.44, 0.5), geom.Pt(0.58, 0.5)}
 	run := prototest.New(pts, 0.15, factory(), prototest.WithSeed(11))
-	run.Multicast(5, 1, 0, []int{1}, 4000)
-	run.Unicast(5, 2, 2, 1, 4000)
+	run.Multicast(5, 0, []int{1}, 4000)
+	run.Unicast(5, 2, 1, 4000)
 	run.Steps(4200)
 	a, b := run.Record(1), run.Record(2)
 	if !a.Completed || a.Delivered != 1 {
@@ -131,7 +131,7 @@ func TestSuppressOnRetransmittedPoll(t *testing.T) {
 	// ACK arrives at slot 12 (RTS@5 CTS@6 DATA@7..11 ACK@12): jam the
 	// sender at slot 12 so the ACK is lost there.
 	run.Engine.SetMAC(2, prototest.NewJammer().JamAt(12))
-	run.Multicast(5, 1, 0, []int{1}, 500)
+	run.Multicast(5, 0, []int{1}, 500)
 	run.Steps(500)
 	rec := run.Record(1)
 	if !rec.Completed || rec.Delivered != 1 {

@@ -22,7 +22,7 @@ func plainFactory() prototest.Factory {
 func TestUnicastCleanExchange(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5)}
 	run := prototest.New(pts, r, plainFactory())
-	run.Unicast(5, 1, 0, 1, 100)
+	run.Unicast(5, 0, 1, 100)
 	run.Steps(40)
 
 	if got := run.Trace.TxSeq(); got != "RTS CTS DATA ACK" {
@@ -48,7 +48,7 @@ func TestUnicastExchangeTiming(t *testing.T) {
 	// DATA 7..11, ACK at 12.
 	pts := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5)}
 	run := prototest.New(pts, r, plainFactory())
-	run.Unicast(5, 1, 0, 1, 100)
+	run.Unicast(5, 0, 1, 100)
 	run.Steps(20)
 	want := []string{"5 TX RTS 0→1", "6 TX CTS 1→0", "7 TX DATA 0→1", "12 TX ACK 1→0"}
 	var got []string
@@ -67,8 +67,8 @@ func TestUnicastRetriesOnCollision(t *testing.T) {
 	// With retries both messages should eventually complete.
 	pts := []geom.Point{geom.Pt(0.3, 0.5), geom.Pt(0.44, 0.5), geom.Pt(0.58, 0.5)}
 	run := prototest.New(pts, r-0.05, plainFactory(), prototest.WithSeed(3))
-	run.Unicast(5, 1, 0, 1, 2000)
-	run.Unicast(5, 2, 2, 1, 2000)
+	run.Unicast(5, 0, 1, 2000)
+	run.Unicast(5, 2, 1, 2000)
 	run.Steps(2200)
 	a, b := run.Record(1), run.Record(2)
 	if a == nil || b == nil {
@@ -85,7 +85,7 @@ func TestUnicastRetriesOnCollision(t *testing.T) {
 func TestPlainMulticastFireAndForget(t *testing.T) {
 	pts := prototest.Star(3, r, 0.8)
 	run := prototest.New(pts, r, plainFactory())
-	run.Multicast(5, 1, 0, []int{1, 2, 3}, 100)
+	run.Multicast(5, 0, []int{1, 2, 3}, 100)
 	run.Steps(30)
 	if got := run.Trace.TxSeq(); got != "DATA" {
 		t.Fatalf("plain multicast sequence = %q, want a single DATA", got)
@@ -115,7 +115,7 @@ func TestPlainMulticastNoRecovery(t *testing.T) {
 	run := prototest.New(pts, r, plainFactory())
 	jam := prototest.NewJammer().JamAt(7) // during DATA (slots 5..9)
 	run.Engine.SetMAC(3, jam)
-	run.Multicast(5, 1, 0, []int{1, 2}, 100)
+	run.Multicast(5, 0, []int{1, 2}, 100)
 	run.Steps(40)
 	rec := run.Record(1)
 	if !rec.Completed {
@@ -138,8 +138,8 @@ func TestNAVThirdPartyYields(t *testing.T) {
 	// the exchange ends (NAV from the overheard RTS), then deliver.
 	pts := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5), geom.Pt(0.55, 0.58)}
 	run := prototest.New(pts, r, plainFactory(), prototest.WithSeed(9))
-	run.Unicast(5, 1, 0, 1, 1000)
-	run.Unicast(7, 2, 2, 1, 1000)
+	run.Unicast(5, 0, 1, 1000)
+	run.Unicast(7, 2, 1, 1000)
 	run.Steps(100)
 	recA, recB := run.Record(1), run.Record(2)
 	if !recA.Completed || !recB.Completed {
@@ -182,8 +182,8 @@ func sscan(s string, slot *int) (int, error) {
 func TestQueueServesInOrder(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5)}
 	run := prototest.New(pts, r, plainFactory())
-	run.Unicast(5, 1, 0, 1, 1000)
-	run.Unicast(5, 2, 0, 1, 1000)
+	run.Unicast(5, 0, 1, 1000)
+	run.Unicast(5, 0, 1, 1000)
 	run.Steps(100)
 	a, b := run.Record(1), run.Record(2)
 	if !a.Completed || !b.Completed {
@@ -199,7 +199,7 @@ func TestTimeoutAbortsQueuedMessage(t *testing.T) {
 	// mid-service and is aborted.
 	pts := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5)}
 	run := prototest.New(pts, r, plainFactory())
-	req := run.Unicast(5, 1, 0, 1, 100)
+	req := run.Unicast(5, 0, 1, 100)
 	req.Deadline = 8
 	run.Steps(60)
 	rec := run.Record(1)
@@ -211,20 +211,6 @@ func TestTimeoutAbortsQueuedMessage(t *testing.T) {
 	}
 }
 
-func TestEmptyDestsCompletesImmediately(t *testing.T) {
-	pts := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5)}
-	run := prototest.New(pts, r, plainFactory())
-	run.Script.At(5, &sim.Request{ID: 1, Kind: sim.Unicast, Src: 0, Dests: nil, Deadline: 100})
-	run.Script.At(5, &sim.Request{ID: 2, Kind: sim.Multicast, Src: 1, Dests: nil, Deadline: 100})
-	run.Steps(20)
-	if !run.Record(1).Completed || !run.Record(2).Completed {
-		t.Error("empty destination sets complete trivially")
-	}
-	if got := run.Trace.TxSeq(); got != "" {
-		t.Errorf("nothing should be transmitted: %q", got)
-	}
-}
-
 func TestDIFSPreventsPreemptionDuringExchange(t *testing.T) {
 	// Station 2's backoff would expire during the CTS turnaround slot of
 	// an ongoing exchange; the 2-slot DIFS requirement must hold it back.
@@ -232,8 +218,8 @@ func TestDIFSPreventsPreemptionDuringExchange(t *testing.T) {
 	// ends.
 	pts := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5), geom.Pt(0.55, 0.58)}
 	run := prototest.New(pts, r, plainFactory())
-	run.Unicast(5, 1, 0, 1, 1000)
-	run.Unicast(6, 2, 2, 1, 1000) // arrives as the RTS is in the air
+	run.Unicast(5, 0, 1, 1000)
+	run.Unicast(6, 2, 1, 1000) // arrives as the RTS is in the air
 	run.Steps(100)
 	// Station 2 senses slot 5 busy (RTS started at 5? started AT 5 is not
 	// sensed at 5, but at 6 it is history). At slot 6 the CTS is starting
@@ -262,8 +248,8 @@ func TestCTSRefusedWhileYielding(t *testing.T) {
 		geom.Pt(0.5, 0.45), // 3
 	}
 	run := prototest.New(pts, r, plainFactory(), prototest.WithSeed(5))
-	run.Unicast(5, 1, 2, 3, 1000) // exchange 2→3 reserves the medium near 1
-	run.Unicast(6, 2, 0, 1, 1000) // hidden sender polls 1 during that
+	run.Unicast(5, 2, 3, 1000) // exchange 2→3 reserves the medium near 1
+	run.Unicast(6, 0, 1, 1000) // hidden sender polls 1 during that
 	run.Steps(200)
 	// Count CTS 1→0 transmissions during the 2→3 exchange (slots 5..12).
 	for _, e := range run.Trace.Events {
@@ -283,7 +269,7 @@ func TestCTSRefusedWhileYielding(t *testing.T) {
 func TestFrameCountsObserved(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5)}
 	run := prototest.New(pts, r, plainFactory())
-	run.Unicast(5, 1, 0, 1, 100)
+	run.Unicast(5, 0, 1, 100)
 	run.Steps(30)
 	c := run.Collector
 	if c.FrameCount(frames.RTS) != 1 || c.FrameCount(frames.CTS) != 1 ||
@@ -310,8 +296,8 @@ func TestExposedTerminalOptReusesBrokenReservation(t *testing.T) {
 		cfg.RetryLimit = 1 // the broken exchange gives up after one try
 		f := dcf.NewPlain(cfg)
 		run := prototest.New(pts, r, func(n int, e *sim.Env) sim.MAC { return f(n, e) })
-		run.Unicast(5, 1, 0, 1, 100000) // dead reservation (RTS at slot 5)
-		run.Unicast(6, 2, 2, 3, 100000) // arrives after the RTS was heard
+		run.Unicast(5, 0, 1, 100000) // dead reservation (RTS at slot 5)
+		run.Unicast(6, 2, 3, 100000) // arrives after the RTS was heard
 		run.Steps(300)
 		rec := run.Record(2)
 		if !rec.Completed {
@@ -342,8 +328,8 @@ func TestExposedTerminalOptStaysConservativeNearReceiver(t *testing.T) {
 		cfg.ExposedTerminalOpt = opt
 		f := dcf.NewPlain(cfg)
 		rn := prototest.New(pts, r, func(n int, e *sim.Env) sim.MAC { return f(n, e) })
-		rn.Unicast(5, 1, 0, 1, 100000)
-		rn.Unicast(6, 2, 2, 3, 100000)
+		rn.Unicast(5, 0, 1, 100000)
+		rn.Unicast(6, 2, 3, 100000)
 		rn.Steps(200)
 		return rn.Trace.TxSeq()
 	}

@@ -52,9 +52,9 @@ func TestSenderGivesUpAtRetryLimit(t *testing.T) {
 			pts := []geom.Point{geom.Pt(0.1, 0.1), geom.Pt(0.9, 0.9)}
 			run := prototest.New(pts, r, func(n int, e *sim.Env) sim.MAC { return f(n, e) })
 			if s.unicast {
-				run.Unicast(5, 1, 0, 1, 1000000)
+				run.Unicast(5, 0, 1, 1000000)
 			} else {
-				run.Multicast(5, 1, 0, []int{1}, 1000000)
+				run.Multicast(5, 0, []int{1}, 1000000)
 			}
 			run.Steps(5000)
 			rec := run.Record(1)
@@ -86,9 +86,9 @@ func TestSenderEmptyGroupCompletes(t *testing.T) {
 			pts := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5)}
 			run := prototest.New(pts, r, func(n int, e *sim.Env) sim.MAC { return f(n, e) })
 			if s.unicast {
-				run.Script.At(5, &sim.Request{ID: 1, Kind: sim.Unicast, Src: 0, Deadline: 105})
+				run.Script.At(5, &sim.Request{Kind: sim.Unicast, Src: 0, Deadline: 105})
 			} else {
-				run.Multicast(5, 1, 0, nil, 100)
+				run.Multicast(5, 0, nil, 100)
 			}
 			run.Steps(20)
 			rec := run.Record(1)

@@ -23,7 +23,7 @@ func TestLeaderCleanExchange(t *testing.T) {
 	// regardless of group size.
 	pts := prototest.Star(3, r, 0.7)
 	run := prototest.New(pts, r, factory())
-	run.Multicast(5, 1, 0, []int{1, 2, 3}, 100)
+	run.Multicast(5, 0, []int{1, 2, 3}, 100)
 	run.Steps(60)
 	if got := run.Trace.TxSeq(); got != "RTS CTS DATA ACK" {
 		t.Fatalf("sequence = %q, want RTS CTS DATA ACK", got)
@@ -37,7 +37,7 @@ func TestLeaderCleanExchange(t *testing.T) {
 func TestOnlyLeaderSendsCTS(t *testing.T) {
 	pts := prototest.Star(4, r, 0.7)
 	run := prototest.New(pts, r, factory())
-	run.Multicast(5, 1, 0, []int{2, 1, 3, 4}, 100) // leader is station 2
+	run.Multicast(5, 0, []int{2, 1, 3, 4}, 100) // leader is station 2
 	run.Steps(60)
 	for _, e := range run.Trace.Events {
 		if strings.Contains(e, "TX CTS") && !strings.Contains(e, "TX CTS 2→0") {
@@ -62,7 +62,7 @@ func TestNAKJamsLeaderACK(t *testing.T) {
 	run := prototest.New(pts, r, factory())
 	// Exchange: RTS@5 CTS@6 DATA@7..11 ACK/NAK@12. Jam node 2's data.
 	run.Engine.SetMAC(3, prototest.NewJammer().JamAt(9))
-	run.Multicast(5, 1, 0, []int{1, 2}, 400)
+	run.Multicast(5, 0, []int{1, 2}, 400)
 	run.Steps(400)
 	rec := run.Record(1)
 	if !rec.Completed {
@@ -99,7 +99,7 @@ func TestSilentReceiverIsLost(t *testing.T) {
 		jam.JamAt(s)
 	}
 	run.Engine.SetMAC(3, jam)
-	run.Multicast(5, 1, 0, []int{1, 2}, 400)
+	run.Multicast(5, 0, []int{1, 2}, 400)
 	run.Steps(400)
 	rec := run.Record(1)
 	if !rec.Completed {
@@ -124,7 +124,7 @@ func TestLeaderRetransmitACKForRetry(t *testing.T) {
 	}
 	run := prototest.New(pts, r, factory())
 	run.Engine.SetMAC(2, prototest.NewJammer().JamAt(12)) // ACK slot
-	run.Multicast(5, 1, 0, []int{1}, 400)
+	run.Multicast(5, 0, []int{1}, 400)
 	run.Steps(400)
 	rec := run.Record(1)
 	if !rec.Completed || rec.Delivered != 1 {
@@ -132,15 +132,5 @@ func TestLeaderRetransmitACKForRetry(t *testing.T) {
 	}
 	if rec.Contentions < 2 {
 		t.Errorf("lost ACK must cost a retry: %d contentions", rec.Contentions)
-	}
-}
-
-func TestEmptyGroup(t *testing.T) {
-	pts := prototest.Star(2, r, 0.7)
-	run := prototest.New(pts, r, factory())
-	run.Multicast(5, 1, 0, nil, 100)
-	run.Steps(20)
-	if !run.Record(1).Completed || run.Trace.TxSeq() != "" {
-		t.Error("empty group must complete silently")
 	}
 }

@@ -28,7 +28,7 @@ func bsmaFactory(cfg mac.Config) prototest.Factory {
 func TestTGSingleReceiverClean(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5)}
 	run := prototest.New(pts, r, tgFactory())
-	run.Multicast(5, 1, 0, []int{1}, 100)
+	run.Multicast(5, 0, []int{1}, 100)
 	run.Steps(40)
 	if got := run.Trace.TxSeq(); got != "RTS CTS DATA" {
 		t.Fatalf("sequence = %q, want RTS CTS DATA", got)
@@ -45,7 +45,7 @@ func TestTGCTSCollisionWithoutCapture(t *testing.T) {
 	// times out — the §3 reliability problem.
 	pts := prototest.Star(2, r, 0.8)
 	run := prototest.New(pts, r, tgFactory())
-	run.Multicast(5, 1, 0, []int{1, 2}, 150)
+	run.Multicast(5, 0, []int{1, 2}, 150)
 	run.Steps(400)
 	rec := run.Record(1)
 	if rec.Completed {
@@ -67,7 +67,7 @@ func TestTGCaptureRescuesCTS(t *testing.T) {
 		geom.Pt(0.5, 0.68), // far receiver
 	}
 	run := prototest.New(pts, r, tgFactory(), prototest.WithCapture(capture.SIR{Ratio: 1.5}))
-	run.Multicast(5, 1, 0, []int{1, 2}, 100)
+	run.Multicast(5, 0, []int{1, 2}, 100)
 	run.Steps(60)
 	rec := run.Record(1)
 	if !rec.Completed {
@@ -89,7 +89,7 @@ func TestTGUnreliableNoRetransmission(t *testing.T) {
 	run := prototest.New(pts, r, tgFactory())
 	jam := prototest.NewJammer().JamAt(9) // during DATA (7..11)
 	run.Engine.SetMAC(2, jam)
-	run.Multicast(5, 1, 0, []int{1}, 100)
+	run.Multicast(5, 0, []int{1}, 100)
 	run.Steps(60)
 	rec := run.Record(1)
 	if !rec.Completed {
@@ -115,7 +115,7 @@ func TestTGUnreliableNoRetransmission(t *testing.T) {
 func TestBSMACleanNoNAK(t *testing.T) {
 	pts := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5)}
 	run := prototest.New(pts, r, bsmaFactory(mac.DefaultConfig()))
-	run.Multicast(5, 1, 0, []int{1}, 100)
+	run.Multicast(5, 0, []int{1}, 100)
 	run.Steps(60)
 	rec := run.Record(1)
 	if !rec.Completed || rec.Delivered != 1 {
@@ -144,7 +144,7 @@ func TestBSMANAKTriggersRetransmission(t *testing.T) {
 	run := prototest.New(pts, r, bsmaFactory(mac.DefaultConfig()))
 	jam := prototest.NewJammer().JamAt(9)
 	run.Engine.SetMAC(2, jam)
-	run.Multicast(5, 1, 0, []int{1}, 200)
+	run.Multicast(5, 0, []int{1}, 200)
 	run.Steps(200)
 	rec := run.Record(1)
 	if !rec.Completed {
@@ -180,7 +180,7 @@ func TestBSMANAKCollisionMissed(t *testing.T) {
 	run := prototest.New(pts, r, bsmaFactory(mac.DefaultConfig()))
 	run.Engine.SetMAC(3, prototest.NewJammer().JamAt(9))
 	run.Engine.SetMAC(4, prototest.NewJammer().JamAt(9))
-	run.Multicast(5, 1, 0, []int{1, 2}, 300)
+	run.Multicast(5, 0, []int{1, 2}, 300)
 	run.Steps(300)
 	rec := run.Record(1)
 	// The two CTS also collide... use capture-free channel: CTS from 1
@@ -211,7 +211,7 @@ func TestNoDataWhileReceiverYields(t *testing.T) {
 		Type: frames.CTS, Dst: frames.Addr(2) /* not receiver 1 */, Duration: 60, MsgID: -7,
 	})
 	run.Engine.SetMAC(2, jam)
-	run.Multicast(5, 1, 0, []int{1}, 400)
+	run.Multicast(5, 0, []int{1}, 400)
 	run.Steps(400)
 	// No DATA may appear before the NAV expires at slot 62.
 	for _, e := range run.Trace.Events {

@@ -101,7 +101,7 @@ func TestChartFromSimulation(t *testing.T) {
 	eng := sim.New(sim.Config{Topo: tp, Tracer: []sim.Observer{c}})
 	eng.AttachMACs(dcf.NewPlain(mac.DefaultConfig()))
 	script := traffic.NewScript()
-	script.At(5, &sim.Request{ID: 1, Kind: sim.Unicast, Src: 0, Dests: []int{1}, Deadline: 100})
+	script.At(5, &sim.Request{Kind: sim.Unicast, Src: 0, Dests: []int{1}, Deadline: 100})
 	eng.Run(21, script)
 	out := c.String()
 	// RTS at 5, DATA 7..11 on row 0; CTS at 6, ACK at 12 on row 1.

@@ -20,7 +20,7 @@ func Example() {
 	eng := sim.New(sim.Config{Topo: tp, Tracer: []sim.Observer{c}})
 	eng.AttachMACs(dcf.NewPlain(mac.DefaultConfig()))
 	script := traffic.NewScript()
-	script.At(5, &sim.Request{ID: 1, Kind: sim.Unicast, Src: 0, Dests: []int{1}, Deadline: 100})
+	script.At(5, &sim.Request{Kind: sim.Unicast, Src: 0, Dests: []int{1}, Deadline: 100})
 	eng.Run(15, script)
 	c.Render(os.Stdout)
 	// Output:

@@ -29,7 +29,7 @@ func TestBMMMCleanBatchSequence(t *testing.T) {
 	// contention phase (Figure 2, right side).
 	pts := prototest.Star(3, r, 0.7)
 	run := prototest.New(pts, r, bmmmFactory())
-	run.Multicast(5, 1, 0, []int{1, 2, 3}, 100)
+	run.Multicast(5, 0, []int{1, 2, 3}, 100)
 	run.Steps(60)
 	want := "RTS CTS RTS CTS RTS CTS DATA RAK ACK RAK ACK RAK ACK"
 	if got := run.Trace.TxSeq(); got != want {
@@ -71,7 +71,7 @@ func TestBMMMTimingNoIdleGaps(t *testing.T) {
 		pts := prototest.Star(2, r, 0.7)
 		run := prototest.New(pts, r, bmmmFactory(), prototest.WithTiming(tm),
 			func(c *sim.Config) { c.Tracer = []sim.Observer{spans} })
-		run.Multicast(5, 1, 0, []int{1, 2}, 100)
+		run.Multicast(5, 0, []int{1, 2}, 100)
 		run.Steps(40)
 		// Expected: RTS@5 CTS@6 RTS@7 CTS@8 DATA@9..8+D RAK@9+D ACK@10+D
 		// RAK@11+D ACK@12+D.
@@ -102,10 +102,10 @@ func TestBMMMDurationFieldsChain(t *testing.T) {
 	// fourth station in range must stay silent for the whole batch.
 	pts4 := append(prototest.Star(3, r, 0.7), geom.Pt(0.5, 0.55))
 	run := prototest.New(pts4, r, bmmmFactory())
-	run.Multicast(5, 1, 0, []int{1, 2, 3}, 1000)
+	run.Multicast(5, 0, []int{1, 2, 3}, 1000)
 	// Station 4 wants to unicast mid-batch; it must wait out the batch
 	// (ends at slot 23: RTS@5..CTS@10, DATA@11..15, RAK/ACK@16..21).
-	run.Unicast(7, 2, 4, 1, 1000)
+	run.Unicast(7, 4, 1, 1000)
 	run.Steps(200)
 	for _, e := range run.Trace.Events {
 		if strings.Contains(e, "TX RTS 4→") {
@@ -138,7 +138,7 @@ func TestBMMMRetriesMissingReceiver(t *testing.T) {
 	run := prototest.New(pts, r, bmmmFactory())
 	// Batch: RTS@5 CTS@6 RTS@7 CTS@8 DATA@9..13 → jam slot 11 at node 2.
 	run.Engine.SetMAC(3, prototest.NewJammer().JamAt(11))
-	run.Multicast(5, 1, 0, []int{1, 2}, 500)
+	run.Multicast(5, 0, []int{1, 2}, 500)
 	run.Steps(500)
 	rec := run.Record(1)
 	if !rec.Completed || rec.Delivered != 2 {
@@ -166,7 +166,7 @@ func TestBMMMZeroCTSBacksOff(t *testing.T) {
 	run.Engine.SetMAC(3, prototest.NewJammer().JamFrameAt(2, &frames.Frame{
 		Type: frames.CTS, Dst: frames.Addr(3), Duration: 40, MsgID: -9,
 	}))
-	run.Multicast(5, 1, 0, []int{1, 2}, 600)
+	run.Multicast(5, 0, []int{1, 2}, 600)
 	run.Steps(600)
 	rec := run.Record(1)
 	if !rec.Completed {
@@ -205,7 +205,7 @@ func TestBMMMPartialCTSStillSendsData(t *testing.T) {
 	run.Engine.SetMAC(3, prototest.NewJammer().JamFrameAt(2, &frames.Frame{
 		Type: frames.CTS, Dst: frames.Addr(3), Duration: 30, MsgID: -9,
 	}))
-	run.Multicast(5, 1, 0, []int{1, 2}, 600)
+	run.Multicast(5, 0, []int{1, 2}, 600)
 	run.Steps(600)
 	rec := run.Record(1)
 	if !rec.Completed || rec.Delivered != 2 {
@@ -242,7 +242,7 @@ func TestBMMMReceiverACKsWithoutCTS(t *testing.T) {
 	run.Engine.SetMAC(3, prototest.NewJammer().JamFrameAt(2, &frames.Frame{
 		Type: frames.CTS, Dst: frames.Addr(3), Duration: 300, MsgID: -9,
 	}))
-	run.Multicast(5, 1, 0, []int{1, 2}, 2000)
+	run.Multicast(5, 0, []int{1, 2}, 2000)
 	run.Steps(2000)
 	rec := run.Record(1)
 	if !rec.Completed || rec.Delivered != 2 {
@@ -261,7 +261,7 @@ func TestLAMMCoLocatedReceiversPollOnce(t *testing.T) {
 		geom.Pt(0.6, 0.5), geom.Pt(0.6, 0.5), geom.Pt(0.6, 0.5),
 	}
 	run := prototest.New(pts, r, lammFactory())
-	run.Multicast(5, 1, 0, []int{1, 2, 3}, 100)
+	run.Multicast(5, 0, []int{1, 2, 3}, 100)
 	run.Steps(60)
 	want := "RTS CTS DATA RAK ACK"
 	if got := run.Trace.TxSeq(); got != want {
@@ -288,10 +288,10 @@ func TestLAMMFewerFramesThanBMMM(t *testing.T) {
 	dests := []int{1, 2, 3, 4, 5, 6}
 
 	runB := prototest.New(cluster, r, bmmmFactory())
-	runB.Multicast(5, 1, 0, dests, 1000)
+	runB.Multicast(5, 0, dests, 1000)
 	runB.Steps(300)
 	runL := prototest.New(cluster, r, lammFactory())
-	runL.Multicast(5, 1, 0, dests, 1000)
+	runL.Multicast(5, 0, dests, 1000)
 	runL.Steps(300)
 
 	if !runB.Record(1).Completed || !runL.Record(1).Completed {
@@ -320,7 +320,7 @@ func TestLAMMUncoveredReceiverStillPolled(t *testing.T) {
 		geom.Pt(0.32, 0.5), // west; 0.36 apart from east > R
 	}
 	run := prototest.New(pts, r, lammFactory())
-	run.Multicast(5, 1, 0, []int{1, 2}, 200)
+	run.Multicast(5, 0, []int{1, 2}, 200)
 	run.Steps(200)
 	rec := run.Record(1)
 	if !rec.Completed || rec.Delivered != 2 {
@@ -358,7 +358,7 @@ func TestLAMMRetiresCoveredReceiverAfterACK(t *testing.T) {
 		}
 	}
 	run := prototest.New(pts, r, lammFactory())
-	run.Multicast(5, 1, 0, []int{1, 2, 3, 4}, 1000)
+	run.Multicast(5, 0, []int{1, 2, 3, 4}, 1000)
 	run.Steps(400)
 	rec := run.Record(1)
 	if !rec.Completed {
@@ -383,8 +383,8 @@ func TestBMMMDeterministic(t *testing.T) {
 	runOnce := func() string {
 		pts := prototest.Star(4, r, 0.8)
 		run := prototest.New(pts, r, bmmmFactory(), prototest.WithSeed(77))
-		run.Multicast(5, 1, 0, []int{1, 2, 3, 4}, 200)
-		run.Multicast(9, 2, 1, []int{2, 3}, 200)
+		run.Multicast(5, 0, []int{1, 2, 3, 4}, 200)
+		run.Multicast(9, 1, []int{2, 3}, 200)
 		run.Steps(300)
 		return run.Trace.TxSeq()
 	}
@@ -401,7 +401,7 @@ func TestLAMMNoisyZeroSigmaMatchesLAMM(t *testing.T) {
 	}
 	runWith := func(f prototest.Factory) string {
 		run := prototest.New(pts, r, f, prototest.WithSeed(3))
-		run.Multicast(5, 1, 0, []int{1, 2, 3}, 500)
+		run.Multicast(5, 0, []int{1, 2, 3}, 500)
 		run.Steps(200)
 		return run.Trace.TxSeq()
 	}
@@ -427,10 +427,10 @@ func TestLAMMNoisyLargeErrorBreaksTheorem3(t *testing.T) {
 		// Jam one receiver's data so only a retry round could serve it.
 		jam := prototest.NewJammer().JamAt(15).JamAt(16).JamAt(17)
 		_ = jam
-		run.Multicast(5, 1, 0, []int{1, 2, 3, 4, 5}, 400)
+		run.Multicast(5, 0, []int{1, 2, 3, 4, 5}, 400)
 		run.Steps(400)
 		rec := run.Record(1)
-		if rec.Completed && rec.Delivered < rec.Intended {
+		if rec.Completed && rec.Delivered < len(rec.Dests) {
 			over++
 		}
 	}

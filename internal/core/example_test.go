@@ -16,12 +16,12 @@ func ExampleNewBMMM() {
 	factory := core.NewBMMM(mac.DefaultConfig())
 	run := prototest.New(prototest.Star(2, 0.2, 0.7), 0.2,
 		func(n int, e *sim.Env) sim.MAC { return factory(n, e) })
-	run.Multicast(5, 1, 0, []int{1, 2}, 100)
+	run.Multicast(5, 0, []int{1, 2}, 100)
 	run.Steps(40)
 	fmt.Println(run.Trace.TxSeq())
 	rec := run.Record(1)
 	fmt.Printf("delivered %d/%d in %d contention phase(s)\n",
-		rec.Delivered, rec.Intended, rec.Contentions)
+		rec.Delivered, len(rec.Dests), rec.Contentions)
 	// Output:
 	// RTS CTS RTS CTS DATA RAK ACK RAK ACK
 	// delivered 2/2 in 1 contention phase(s)
@@ -35,10 +35,10 @@ func ExampleNewLAMM() {
 	pts = append(pts, pts[1], pts[1]) // two more receivers at the same spot
 	run := prototest.New(pts, 0.2,
 		func(n int, e *sim.Env) sim.MAC { return factory(n, e) })
-	run.Multicast(5, 1, 0, []int{1, 2, 3}, 100)
+	run.Multicast(5, 0, []int{1, 2, 3}, 100)
 	run.Steps(40)
 	fmt.Println(run.Trace.TxSeq())
-	fmt.Printf("delivered %d/%d\n", run.Record(1).Delivered, run.Record(1).Intended)
+	fmt.Printf("delivered %d/%d\n", run.Record(1).Delivered, len(run.Record(1).Dests))
 	// Output:
 	// RTS CTS DATA RAK ACK
 	// delivered 3/3

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"strings"
 	"testing"
 
 	"relmac/internal/experiments"
@@ -44,10 +45,20 @@ func (tr *transcript) Observe(ev sim.Event) {
 	}
 }
 
-// runOnce executes one run and returns its three equality witnesses:
-// the channel transcript, the observer event stream (JSONL) and the
-// metric summary (JSON).
-func runOnce(t *testing.T, proto experiments.Protocol, reference bool) ([]string, []byte, []byte) {
+// requestCounts renders every request's engine-kept counts — ID,
+// contentions, rounds, residual — one message per line in ID order.
+func requestCounts(res experiments.RunResult) string {
+	var b strings.Builder
+	for _, r := range res.Collector.Records() {
+		fmt.Fprintf(&b, "%d %d %d %d\n", r.ID, r.Contentions, r.Rounds, r.Residual)
+	}
+	return b.String()
+}
+
+// runOnce executes one run and returns its four equality witnesses:
+// the channel transcript, the observer event stream (JSONL), the metric
+// summary (JSON) and the requests' counts.
+func runOnce(t *testing.T, proto experiments.Protocol, reference bool) ([]string, []byte, []byte, string) {
 	t.Helper()
 	tracer := obs.NewTracer(1 << 20)
 	cfg := experiments.Defaults(proto, 11)
@@ -72,7 +83,7 @@ func runOnce(t *testing.T, proto experiments.Protocol, reference bool) ([]string
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ch.lines, events.Bytes(), summary
+	return ch.lines, events.Bytes(), summary, requestCounts(res)
 }
 
 // TestOptimizedMatchesReference is the differential gate for all six
@@ -80,8 +91,8 @@ func runOnce(t *testing.T, proto experiments.Protocol, reference bool) ([]string
 func TestOptimizedMatchesReference(t *testing.T) {
 	for _, proto := range experiments.ExtendedProtocols {
 		t.Run(string(proto), func(t *testing.T) {
-			optCh, optEv, optSum := runOnce(t, proto, false)
-			refCh, refEv, refSum := runOnce(t, proto, true)
+			optCh, optEv, optSum, optReq := runOnce(t, proto, false)
+			refCh, refEv, refSum, refReq := runOnce(t, proto, true)
 
 			if len(optCh) != len(refCh) {
 				t.Fatalf("transcript length diverged: optimized %d events, reference %d", len(optCh), len(refCh))
@@ -97,19 +108,23 @@ func TestOptimizedMatchesReference(t *testing.T) {
 			if !bytes.Equal(optSum, refSum) {
 				t.Errorf("summaries diverged:\n  optimized: %s\n  reference: %s", optSum, refSum)
 			}
+			if optReq != refReq {
+				t.Error("request counts diverged")
+			}
 		})
 	}
 }
 
 // witnesses bundles every equality witness one observer-laden run can
 // produce: the channel transcript, the traced observer event stream,
-// the metric summary, the airtime ledger snapshot, the conformance
-// auditor's statistics and findings report, and the fault injector's
-// counters when the run is impaired.
+// the metric summary, every request's counts, the airtime ledger
+// snapshot, the conformance auditor's statistics and findings report,
+// and the fault injector's counters when the run is impaired.
 type witnesses struct {
 	transcript []string
 	events     []byte
 	summary    []byte
+	requests   string
 	ledger     []byte
 	audit      []byte
 	fault      string
@@ -163,6 +178,7 @@ func runFull(t *testing.T, proto experiments.Protocol, reference bool,
 	if w.summary, err = json.Marshal(res.Summary); err != nil {
 		t.Fatal(err)
 	}
+	w.requests = requestCounts(res)
 	snap := led.Snapshot()
 	if !snap.Conserved() {
 		t.Fatalf("%s reference=%v: ledger not conserved: %+v", proto, reference, snap)
@@ -204,6 +220,9 @@ func diffWitnesses(t *testing.T, opt, ref witnesses) {
 	}
 	if !bytes.Equal(opt.summary, ref.summary) {
 		t.Errorf("summaries diverged:\n  optimized: %s\n  reference: %s", opt.summary, ref.summary)
+	}
+	if opt.requests != ref.requests {
+		t.Error("request counts diverged")
 	}
 	if !bytes.Equal(opt.ledger, ref.ledger) {
 		t.Errorf("ledger snapshots diverged:\n  optimized: %s\n  reference: %s", opt.ledger, ref.ledger)
@@ -297,6 +316,9 @@ func TestOptimizedMatchesReferenceSeeds(t *testing.T) {
 		b, _ := json.Marshal(resR.Summary)
 		if !bytes.Equal(a, b) {
 			t.Errorf("seed %d: summaries diverged:\n  optimized: %s\n  reference: %s", seed, a, b)
+		}
+		if requestCounts(resO) != requestCounts(resR) {
+			t.Errorf("seed %d: request counts diverged", seed)
 		}
 	}
 }

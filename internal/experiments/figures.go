@@ -269,7 +269,7 @@ func Fig2() (string, error) {
 		eng := sim.New(sim.Config{Topo: tp, Tracer: []sim.Observer{rec}})
 		eng.AttachMACs(factory)
 		script := traffic.NewScript()
-		script.At(0, &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0,
+		script.At(0, &sim.Request{Kind: sim.Multicast, Src: 0,
 			Dests: []int{1, 2, 3}, Deadline: 1000})
 		eng.Run(120, script)
 		return strings.Join(rec.lines, "\n"), nil

@@ -36,7 +36,7 @@ func TestFaultGoldenBurstTrace(t *testing.T) {
 	eng := sim.New(sim.Config{Topo: tp, Observers: []sim.Observer{tracer}, Impairment: inj})
 	eng.AttachMACs(core.NewBMMM(mac.DefaultConfig()))
 	script := traffic.NewScript()
-	script.At(0, &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0,
+	script.At(0, &sim.Request{Kind: sim.Multicast, Src: 0,
 		Dests: []int{1, 2, 3}, Deadline: 1000})
 	eng.Run(300, script)
 

@@ -261,8 +261,12 @@ func FuzzInjector(f *testing.F) {
 // 10^7 hashed uniforms per leave probability plus both ends of the
 // range, u = 0 and the largest u below 1. At the probabilities the
 // channel models use, the bracket must also decide nearly every draw
-// itself, or the fast path would be dead code.
+// itself, or the fast path would be dead code. It is single-goroutine
+// arithmetic, so a -race build skips it: the plain run checks it once.
 func TestFaultGeometricDrawExact(t *testing.T) {
+	if raceBuild {
+		t.Skip("single-goroutine arithmetic: nothing for the race detector to check")
+	}
 	draws := 10_000_000
 	if testing.Short() {
 		draws = 1_000_000

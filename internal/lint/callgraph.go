@@ -54,7 +54,8 @@ const (
 	// FactTaintedDraw, since the caller chose the stream.
 	FactParamDraw
 	// FactEngineWrite: the function body stores through sim.Engine or
-	// sim.Env state, or calls a mutating method on one of them.
+	// sim.Env state or through a *sim.Request or *frames.Frame, or calls
+	// a mutating Engine/Env method.
 	FactEngineWrite
 	// FactProcessIO: the function performs process-global I/O — package
 	// os or log, or the fmt.Print* family writing to stdout.

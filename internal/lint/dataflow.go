@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"path"
 )
 
 // This file is the intra-procedural dataflow layer under the call graph:
@@ -16,7 +17,8 @@ import (
 //     function. Parameters, fields and other call results are tainted —
 //     they alias the simulation's shared, order-sensitive stream;
 //   - engine writes: stores whose lvalue chain passes through
-//     sim.Engine/Env state, and calls to their mutating methods.
+//     sim.Engine/Env state, a *sim.Request or a *frames.Frame, and calls
+//     to the mutating Engine/Env methods.
 
 // engineReadOnly are the sim.Engine methods hook code may call: pure
 // observations of the engine's public state.
@@ -192,8 +194,14 @@ func (df *funcData) isEngineOrEnv(t types.Type) bool {
 	return name == "Engine" || name == "Env"
 }
 
+// isShownRecord reports whether t is *sim.Request or *frames.Frame.
+func (df *funcData) isShownRecord(t types.Type) bool {
+	s := types.TypeString(t, nil)
+	return s == "*"+df.simPath+".Request" || s == "*"+path.Dir(df.simPath)+"/frames.Frame"
+}
+
 // scanWrite raises the engine-write fact for the stores of an assignment
-// or inc/dec statement that land in sim.Engine/Env state.
+// or inc/dec statement that land in engine-shared state (engineBase).
 func (df *funcData) scanWrite(n ast.Node) {
 	var targets []ast.Expr
 	switch n := n.(type) {
@@ -213,13 +221,13 @@ func (df *funcData) scanWrite(n ast.Node) {
 }
 
 // engineBase walks an lvalue's selector chain and reports the first
-// prefix typed as sim.Engine/Env ("(sim.Engine)"), or "".
+// prefix typed as sim.Engine/Env or as a shown record ("(sim.Env)"), or "".
 func (df *funcData) engineBase(e ast.Expr) string {
 	for {
 		switch x := ast.Unparen(e).(type) {
 		case *ast.SelectorExpr:
-			if t := df.info.Types[x.X].Type; t != nil && df.isEngineOrEnv(t) {
-				return "(sim." + namedOf(t).Obj().Name() + ")"
+			if t := df.info.Types[x.X].Type; t != nil && (df.isEngineOrEnv(t) || df.isShownRecord(t)) {
+				return "(" + types.TypeString(namedOf(t), (*types.Package).Name) + ")"
 			}
 			e = x.X
 		case *ast.IndexExpr:

@@ -17,7 +17,8 @@ import (
 //   - one store through sim.Engine/Env state, or a call to a mutating
 //     engine method (the Env.Report* dispatchers included — hook code
 //     re-entering the engine's bookkeeping), couples measurement to
-//     dynamics.
+//     dynamics, as does a store through the *sim.Request or
+//     *frames.Frame the engine shows every observer and the MACs alike.
 //
 // Either failure is the drift the golden byte-diff tests catch after the
 // fact; this check flags it at review time instead.
@@ -51,7 +52,7 @@ func runHookpure(p *Pass) {
 			}
 		}
 		if g.Reaches(hook.Fn, FactEngineWrite, false) {
-			p.Reportf(hook.Decl.Pos(), "hook %s reaches a sim.Engine/Env mutation; hooks must not write engine state: %s",
+			p.Reportf(hook.Decl.Pos(), "hook %s reaches an engine-state mutation; hooks must not write the engine or the requests and frames it shows: %s",
 				shortName(hook.Fn), g.WitnessPath(hook.Fn, FactEngineWrite, false))
 		}
 	}

@@ -30,9 +30,10 @@
 //   - hookpure: hook implementations (sim.Observer, whichever of the
 //     four subscription lists it is on, and sim.Profiler) must reach
 //     neither a PRNG draw — a draw inside a hook shifts every later draw
-//     in the run, so attaching the hook changes trajectories — nor a
-//     sim.Engine/Env mutation (stores through engine state, or
-//     non-allowlisted Engine/Env method calls);
+//     in the run, so attaching the hook changes trajectories — nor an
+//     engine-state mutation (stores through engine state or through the
+//     requests and frames the engine shows, or non-allowlisted
+//     Engine/Env method calls);
 //   - maporder: map iteration in sim-path packages must not leak Go's
 //     randomized iteration order — no draws, output, unsorted result
 //     appends or float accumulation in range bodies.

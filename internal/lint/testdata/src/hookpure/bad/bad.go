@@ -1,10 +1,12 @@
 // Package bad implements hooks that steer the simulation they are
 // supposed to observe: each reaches a mutating sim.Env dispatcher,
-// re-entering the engine's bookkeeping from measurement code. Slot
-// observers are here, a channel observer in tracer.go; the PRNG-draw
-// half of the hookpure contract has its own fixtures under prngflow
-// (none here, since every hook below reaches every observer's Observe
-// through the engine's dispatch), and profiler hooks under profpure.
+// re-entering the engine's bookkeeping from measurement code, or a store
+// through a request or frame the engine shows it. Slot observers are
+// here, a channel observer in tracer.go, the record writers in
+// records.go; the PRNG-draw half of the hookpure contract has its own
+// fixtures under prngflow (none here, since every hook below reaches
+// every observer's Observe through the engine's dispatch), and profiler
+// hooks under profpure.
 package bad
 
 import (
@@ -18,7 +20,7 @@ type reinjector struct {
 	req *sim.Request
 }
 
-func (r *reinjector) Observe(ev sim.Event) { // want `hook \(bad\.reinjector\)\.Observe reaches a sim\.Engine/Env mutation`
+func (r *reinjector) Observe(ev sim.Event) { // want `hook \(bad\.reinjector\)\.Observe reaches an engine-state mutation`
 	if ev.Kind == sim.EvSlot {
 		r.env.ReportAbort(r.req, sim.AbortDeadline)
 	}
@@ -30,7 +32,7 @@ type dropForger struct {
 	env *sim.Env
 }
 
-func (d *dropForger) Observe(ev sim.Event) { // want `hook \(bad\.dropForger\)\.Observe reaches a sim\.Engine/Env mutation`
+func (d *dropForger) Observe(ev sim.Event) { // want `hook \(bad\.dropForger\)\.Observe reaches an engine-state mutation`
 	if ev.Kind == sim.EvSlot {
 		forge(d.env)
 	}

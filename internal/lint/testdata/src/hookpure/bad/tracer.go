@@ -12,7 +12,7 @@ type abortTracer struct {
 	req *sim.Request
 }
 
-func (t *abortTracer) Observe(ev sim.Event) { // want `hook \(bad\.abortTracer\)\.Observe reaches a sim\.Engine/Env mutation`
+func (t *abortTracer) Observe(ev sim.Event) { // want `hook \(bad\.abortTracer\)\.Observe reaches an engine-state mutation`
 	if ev.Kind == sim.EvRxOK {
 		t.env.ReportAbort(t.req, sim.AbortDeadline)
 	}

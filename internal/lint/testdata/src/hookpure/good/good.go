@@ -1,9 +1,10 @@
 // Package good implements hooks in the sanctioned measurement pattern:
 // they read the engine only through allowlisted accessors, write only
 // their own receiver state, and never draw from a shared generator.
-// hookpure must stay silent on the slot observer here and the channel
-// observer in tracer.go; PRNG-neutral hooks and profilers have their own
-// fixtures under prngflow and profpure.
+// hookpure must stay silent on the slot observer here, the channel
+// observer in tracer.go and the request reader in records.go;
+// PRNG-neutral hooks and profilers have their own fixtures under
+// prngflow and profpure.
 package good
 
 import (

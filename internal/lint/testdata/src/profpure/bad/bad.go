@@ -40,6 +40,6 @@ func (s *steerTimer) RunStart() {}
 
 func (s *steerTimer) Enter(sim.Phase) {}
 
-func (s *steerTimer) RunEnd() { // want `hook \(bad\.steerTimer\)\.RunEnd reaches a sim\.Engine/Env mutation` want `hook \(bad\.steerTimer\)\.RunEnd reaches a PRNG draw`
+func (s *steerTimer) RunEnd() { // want `hook \(bad\.steerTimer\)\.RunEnd reaches an engine-state mutation` want `hook \(bad\.steerTimer\)\.RunEnd reaches a PRNG draw`
 	s.env.ReportAbort(s.req, sim.AbortDeadline)
 }

@@ -8,7 +8,10 @@
 //   - average message completion time (Figure 10).
 //
 // A Collector implements sim.Observer and is attached to one engine run;
-// cross-run aggregation lives in the stats helpers.
+// cross-run aggregation lives in the stats helpers. A Record embeds the
+// engine's sim.Request, which carries the message number and the
+// contention count, so the collector adds only what the request does
+// not hold: the outcome and the distinct intended receivers reached.
 package metrics
 
 import (
@@ -16,19 +19,11 @@ import (
 	"relmac/internal/sim"
 )
 
-// Record captures the lifecycle of one MAC service request.
+// Record captures the lifecycle of one MAC service request. It embeds
+// the request, so ID, Kind, Src, the intended receivers Dests, Arrival,
+// Deadline and the engine-kept Contentions count read from it.
 type Record struct {
-	// ID, Kind, Src and Intended mirror the request.
-	ID       int64
-	Kind     sim.Kind
-	Src      int
-	Intended int
-	// Arrival and Deadline are the request's MAC arrival slot and upper
-	// layer timeout.
-	Arrival  sim.Slot
-	Deadline sim.Slot
-	// Contentions counts CSMA/CA contention phases spent on the message.
-	Contentions int
+	*sim.Request
 	// Completed is set when the sending MAC reported success, at slot
 	// CompletedAt. Note that for an unreliable protocol "completed" only
 	// means the sender finished its procedure — BSMA can complete
@@ -40,29 +35,22 @@ type Record struct {
 	// only when Aborted.
 	Aborted     bool
 	AbortReason sim.AbortReason
-	// Rounds counts completed group-protocol rounds (BMMM/LAMM batch
-	// rounds, BMW per-receiver rounds); Residual is the intended
-	// receivers still unserved after the last completed round.
-	Rounds   int
-	Residual int
 	// Delivered counts distinct intended receivers that decoded the DATA
 	// frame.
 	Delivered int
-	// intended lists the intended receivers; delivered marks, per entry,
-	// whether that receiver decoded the data frame. Parallel slices beat
-	// maps here: intended sets are neighborhood-sized, and the collector
-	// creates two of these per message on the simulation hot path.
-	intended  []int
+	// delivered marks, per entry of Dests, whether that receiver decoded
+	// the data frame. A parallel slice beats a set here: intended sets
+	// are neighborhood-sized.
 	delivered []bool
 }
 
 // DeliveredFraction returns the fraction of intended receivers reached.
 // A request with no intended receivers counts as fully delivered.
 func (r *Record) DeliveredFraction() float64 {
-	if r.Intended == 0 {
+	if len(r.Dests) == 0 {
 		return 1
 	}
-	return float64(r.Delivered) / float64(r.Intended)
+	return float64(r.Delivered) / float64(len(r.Dests))
 }
 
 // Successful applies the paper's success criterion at the given
@@ -80,59 +68,42 @@ func (r *Record) Successful(threshold float64) bool {
 // meaningful only when Completed.
 func (r *Record) CompletionTime() sim.Slot { return r.CompletedAt - r.Arrival }
 
-// Collector implements sim.Observer, accumulating Records.
+// Collector implements sim.Observer, accumulating Records. It relies on
+// the engine's numbering: the request with ID i is the i-th submitted,
+// so its record sits at index i-1. The zero value is ready to use.
 type Collector struct {
 	records []*Record
-	byID    map[int64]*Record
 	frames  [frames.NumTypes]int64 // indexed by frames.Type
 }
 
 // NewCollector returns an empty Collector.
-func NewCollector() *Collector {
-	return &Collector{byID: make(map[int64]*Record)}
-}
+func NewCollector() *Collector { return &Collector{} }
 
 // Observe implements sim.Observer; it subscribes to the message events.
+// Events for IDs it has not seen submitted leave the records alone.
 func (c *Collector) Observe(ev sim.Event) {
+	var r *Record
+	if id := ev.MsgID(); id >= 1 && id <= int64(len(c.records)) {
+		r = c.records[id-1]
+	}
 	switch ev.Kind {
 	case sim.EvSubmit:
-		req := ev.Req
-		r := &Record{
-			ID:        req.ID,
-			Kind:      req.Kind,
-			Src:       req.Src,
-			Intended:  len(req.Dests),
-			Arrival:   req.Arrival,
-			Deadline:  req.Deadline,
-			intended:  append([]int(nil), req.Dests...),
-			delivered: make([]bool, len(req.Dests)),
-		}
-		c.records = append(c.records, r)
-		c.byID[req.ID] = r
-	case sim.EvContention:
-		if r := c.byID[ev.Req.ID]; r != nil {
-			r.Contentions++
-		}
+		c.records = append(c.records, &Record{Request: ev.Req, delivered: make([]bool, len(ev.Req.Dests))})
 	case sim.EvFrameTx:
 		if int(ev.Frame.Type) < len(c.frames) {
 			c.frames[ev.Frame.Type]++
 		}
 	case sim.EvDataRx:
-		if r := c.byID[ev.Frame.MsgID]; r != nil {
+		if r != nil {
 			r.deliver(ev.Station)
 		}
 	case sim.EvComplete:
-		if r := c.byID[ev.Req.ID]; r != nil && !r.Completed {
+		if r != nil && !r.Completed {
 			r.Completed = true
 			r.CompletedAt = ev.Slot
 		}
-	case sim.EvRound:
-		if r := c.byID[ev.Req.ID]; r != nil {
-			r.Rounds++
-			r.Residual = ev.Residual
-		}
 	case sim.EvAbort:
-		if r := c.byID[ev.Req.ID]; r != nil {
+		if r != nil {
 			r.Aborted = true
 			r.AbortReason = ev.Reason
 		}
@@ -141,7 +112,7 @@ func (c *Collector) Observe(ev sim.Event) {
 
 // deliver counts the first decode by an intended receiver.
 func (r *Record) deliver(receiver int) {
-	for k, id := range r.intended {
+	for k, id := range r.Dests {
 		if id == receiver {
 			if !r.delivered[k] {
 				r.delivered[k] = true

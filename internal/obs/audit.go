@@ -152,7 +152,8 @@ type auditMsg struct {
 // sizes bounded by the residual, residual-set monotonicity — exactly −1
 // per BMW round), retry bounds against the configured limit, and
 // terminal conditions (reliable protocols complete only with an empty
-// residual; retry aborts only at the retry limit).
+// residual; retry aborts only at the retry limit; the engine's counts on
+// the request match the auditor's own, rule lifecycle-count).
 //
 // The auditor sees transmissions, not receptions. That direction is what
 // makes it sound under collisions: a sender acting on a response it
@@ -169,7 +170,7 @@ type Auditor struct {
 	retryLimit int
 
 	mu       sync.Mutex
-	msgs     map[int64]*auditMsg
+	msgs     []*auditMsg // at index ID-1, nil for unicast messages
 	findings []Finding
 	total    int64
 	audited  int64
@@ -183,7 +184,7 @@ const maxFindings = 1024
 // retryLimit is the mac.Config.RetryLimit of the run; non-positive
 // disables the retry-bound rules.
 func NewAuditor(p AuditProtocol, retryLimit int) *Auditor {
-	return &Auditor{proto: p, retryLimit: retryLimit, msgs: make(map[int64]*auditMsg)}
+	return &Auditor{proto: p, retryLimit: retryLimit}
 }
 
 // Protocol returns the grammar the auditor checks against.
@@ -211,18 +212,21 @@ func (a *Auditor) Observe(ev sim.Event) {
 	case sim.EvSubmit:
 		if req := ev.Req; req.Kind != sim.Unicast {
 			a.mu.Lock()
-			a.audited++
-			a.msgs[req.ID] = &auditMsg{src: req.Src, dests: len(req.Dests), lastResidual: len(req.Dests)}
+			if i := growTo(&a.msgs, req.ID); i >= 0 {
+				a.audited++
+				a.msgs[i] = &auditMsg{src: req.Src, dests: len(req.Dests), lastResidual: len(req.Dests)}
+			}
 			a.mu.Unlock()
 		}
 		return
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	m := a.msgs[ev.MsgID()]
-	if m == nil {
+	i := msgIndex(len(a.msgs), ev.MsgID())
+	if i < 0 || a.msgs[i] == nil {
 		return
 	}
+	m := a.msgs[i]
 	switch ev.Kind {
 	case sim.EvServiceStart:
 		a.serviceStart(m, ev.Req, ev.Slot)
@@ -449,7 +453,7 @@ func (a *Auditor) complete(m *auditMsg, req *sim.Request, now sim.Slot) {
 		a.flag(req.ID, now, req.Src, "complete-without-data",
 			"completed for %d receivers with no DATA transmitted", m.dests)
 	}
-	m.closed = true
+	a.close(m, req, now)
 }
 
 func (a *Auditor) abort(m *auditMsg, req *sim.Request, reason sim.AbortReason, now sim.Slot) {
@@ -466,6 +470,15 @@ func (a *Auditor) abort(m *auditMsg, req *sim.Request, reason sim.AbortReason, n
 		}
 	}
 	// Deadline aborts are legal at any point, including while queued.
+	a.close(m, req, now)
+}
+
+// close seals the message, checking the request's counts against its own.
+func (a *Auditor) close(m *auditMsg, req *sim.Request, now sim.Slot) {
+	if req.Contentions != m.contentions || req.Residual != m.lastResidual {
+		a.flag(req.ID, now, req.Src, "lifecycle-count", "request counts %d contentions, residual %d; events give %d, %d",
+			req.Contentions, req.Residual, m.contentions, m.lastResidual)
+	}
 	m.closed = true
 }
 

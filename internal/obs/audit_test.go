@@ -73,9 +73,27 @@ func TestAuditorCleanRuns(t *testing.T) {
 	}
 }
 
+// feed hands ev to o and then updates the request as the engine does
+// around a fan-out: the residual starts at len(Dests) on submit, and a
+// contention or round is counted after delivery. Hand-fed events so
+// show a request that reads as in an engine run.
+func feed(o sim.Observer, ev sim.Event) {
+	if ev.Kind == sim.EvSubmit {
+		ev.Req.Residual = len(ev.Req.Dests)
+	}
+	o.Observe(ev)
+	switch ev.Kind {
+	case sim.EvContention:
+		ev.Req.Contentions++
+	case sim.EvRound:
+		ev.Req.Rounds++
+		ev.Req.Residual = ev.Residual
+	}
+}
+
 // tx feeds the auditor a transmission of message 1.
 func tx(a *obs.Auditor, t frames.Type, dst frames.Addr, sender int, now sim.Slot) {
-	a.Observe(sim.Event{Kind: sim.EvFrameTx, Frame: &frames.Frame{Type: t, MsgID: 1, Dst: dst}, Station: sender, Slot: now})
+	feed(a, sim.Event{Kind: sim.EvFrameTx, Frame: &frames.Frame{Type: t, MsgID: 1, Dst: dst}, Station: sender, Slot: now})
 }
 
 // batchPrefix drives an auditor through the legal opening of a BMMM
@@ -83,10 +101,10 @@ func tx(a *obs.Auditor, t frames.Type, dst frames.Addr, sender int, now sim.Slot
 // contention and the three RTS/CTS polls — and returns the request.
 func batchPrefix(a *obs.Auditor) *sim.Request {
 	req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1, 2, 3}}
-	a.Observe(sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
-	a.Observe(sim.Event{Kind: sim.EvServiceStart, Req: req, Slot: 0})
-	a.Observe(sim.Event{Kind: sim.EvRoundStart, Req: req, Round: 1, Polled: 3, Slot: 0})
-	a.Observe(sim.Event{Kind: sim.EvContention, Req: req, Slot: 0})
+	feed(a, sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
+	feed(a, sim.Event{Kind: sim.EvServiceStart, Req: req, Slot: 0})
+	feed(a, sim.Event{Kind: sim.EvRoundStart, Req: req, Round: 1, Polled: 3, Slot: 0})
+	feed(a, sim.Event{Kind: sim.EvContention, Req: req, Slot: 0})
 	for i := 1; i <= 3; i++ {
 		tx(a, frames.RTS, frames.Addr(i), 0, sim.Slot(2*i))
 		tx(a, frames.CTS, 0, i, sim.Slot(2*i+1))
@@ -102,8 +120,8 @@ func finishBatch(a *obs.Auditor, req *sim.Request) {
 		tx(a, frames.RAK, frames.Addr(i), 0, sim.Slot(12+2*i))
 		tx(a, frames.ACK, 0, i, sim.Slot(13+2*i))
 	}
-	a.Observe(sim.Event{Kind: sim.EvRound, Req: req, Residual: 0, Slot: 19})
-	a.Observe(sim.Event{Kind: sim.EvComplete, Req: req, Slot: 19})
+	feed(a, sim.Event{Kind: sim.EvRound, Req: req, Residual: 0, Slot: 19})
+	feed(a, sim.Event{Kind: sim.EvComplete, Req: req, Slot: 19})
 }
 
 // TestAuditorLegalExchange pins the zero-violation baseline for the
@@ -132,10 +150,10 @@ func TestAuditorMutations(t *testing.T) {
 			name: "data-without-cts", proto: obs.AuditBMMM, limit: 64,
 			feed: func(a *obs.Auditor) {
 				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1}}
-				a.Observe(sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
-				a.Observe(sim.Event{Kind: sim.EvServiceStart, Req: req, Slot: 0})
-				a.Observe(sim.Event{Kind: sim.EvRoundStart, Req: req, Round: 1, Polled: 1, Slot: 0})
-				a.Observe(sim.Event{Kind: sim.EvContention, Req: req, Slot: 0})
+				feed(a, sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
+				feed(a, sim.Event{Kind: sim.EvServiceStart, Req: req, Slot: 0})
+				feed(a, sim.Event{Kind: sim.EvRoundStart, Req: req, Round: 1, Polled: 1, Slot: 0})
+				feed(a, sim.Event{Kind: sim.EvContention, Req: req, Slot: 0})
 				tx(a, frames.RTS, 1, 0, 2)
 				// No CTS came back, yet the sender transmits the data frame.
 				tx(a, frames.Data, frames.BroadcastAddr, 0, 4)
@@ -174,7 +192,7 @@ func TestAuditorMutations(t *testing.T) {
 				req := batchPrefix(a)
 				tx(a, frames.Data, frames.BroadcastAddr, 0, 8)
 				// A retry round opens before the RAK polls acknowledged the data.
-				a.Observe(sim.Event{Kind: sim.EvRoundStart, Req: req, Round: 2, Polled: 3, Slot: 13})
+				feed(a, sim.Event{Kind: sim.EvRoundStart, Req: req, Round: 2, Polled: 3, Slot: 13})
 			},
 			want: "retry-before-rak",
 		},
@@ -186,7 +204,7 @@ func TestAuditorMutations(t *testing.T) {
 				for i := 1; i <= 3; i++ {
 					tx(a, frames.RAK, frames.Addr(i), 0, sim.Slot(12+2*i))
 				}
-				a.Observe(sim.Event{Kind: sim.EvRound, Req: req, Residual: 5, Slot: 19}) // residual grew past the intended set
+				feed(a, sim.Event{Kind: sim.EvRound, Req: req, Residual: 5, Slot: 19}) // residual grew past the intended set
 			},
 			want: "residual-increase",
 		},
@@ -198,8 +216,8 @@ func TestAuditorMutations(t *testing.T) {
 				for i := 1; i <= 3; i++ {
 					tx(a, frames.RAK, frames.Addr(i), 0, sim.Slot(12+2*i))
 				}
-				a.Observe(sim.Event{Kind: sim.EvRound, Req: req, Residual: 1, Slot: 19})
-				a.Observe(sim.Event{Kind: sim.EvComplete, Req: req, Slot: 19}) // one receiver still unserved
+				feed(a, sim.Event{Kind: sim.EvRound, Req: req, Residual: 1, Slot: 19})
+				feed(a, sim.Event{Kind: sim.EvComplete, Req: req, Slot: 19}) // one receiver still unserved
 			},
 			want: "complete-with-residual",
 		},
@@ -216,11 +234,11 @@ func TestAuditorMutations(t *testing.T) {
 			name: "retry-overrun", proto: obs.AuditBMMM, limit: 2,
 			feed: func(a *obs.Auditor) {
 				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1}}
-				a.Observe(sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
-				a.Observe(sim.Event{Kind: sim.EvServiceStart, Req: req, Slot: 0})
+				feed(a, sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
+				feed(a, sim.Event{Kind: sim.EvServiceStart, Req: req, Slot: 0})
 				for i := 0; i < 3; i++ {
-					a.Observe(sim.Event{Kind: sim.EvRoundStart, Req: req, Round: i + 1, Polled: 1, Slot: sim.Slot(10 * i)})
-					a.Observe(sim.Event{Kind: sim.EvContention, Req: req, Slot: sim.Slot(10 * i)})
+					feed(a, sim.Event{Kind: sim.EvRoundStart, Req: req, Round: i + 1, Polled: 1, Slot: sim.Slot(10 * i)})
+					feed(a, sim.Event{Kind: sim.EvContention, Req: req, Slot: sim.Slot(10 * i)})
 				}
 			},
 			want: "retry-overrun",
@@ -229,7 +247,7 @@ func TestAuditorMutations(t *testing.T) {
 			name: "premature-retry-abort", proto: obs.AuditBMMM, limit: 64,
 			feed: func(a *obs.Auditor) {
 				req := batchPrefix(a)
-				a.Observe(sim.Event{Kind: sim.EvAbort, Req: req, Reason: sim.AbortRetries, Slot: 9})
+				feed(a, sim.Event{Kind: sim.EvAbort, Req: req, Reason: sim.AbortRetries, Slot: 9})
 			},
 			want: "premature-retry-abort",
 		},
@@ -237,7 +255,7 @@ func TestAuditorMutations(t *testing.T) {
 			name: "frame-before-service", proto: obs.AuditBMMM, limit: 64,
 			feed: func(a *obs.Auditor) {
 				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1}}
-				a.Observe(sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
+				feed(a, sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
 				tx(a, frames.RTS, 1, 0, 1)
 			},
 			want: "frame-before-service",
@@ -246,9 +264,9 @@ func TestAuditorMutations(t *testing.T) {
 			name: "illegal-frame-plain", proto: obs.AuditPlain, limit: 64,
 			feed: func(a *obs.Auditor) {
 				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1}}
-				a.Observe(sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
-				a.Observe(sim.Event{Kind: sim.EvServiceStart, Req: req, Slot: 0})
-				a.Observe(sim.Event{Kind: sim.EvContention, Req: req, Slot: 0})
+				feed(a, sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
+				feed(a, sim.Event{Kind: sim.EvServiceStart, Req: req, Slot: 0})
+				feed(a, sim.Event{Kind: sim.EvContention, Req: req, Slot: 0})
 				// Plain 802.11 multicast has no handshake at all.
 				tx(a, frames.RTS, 1, 0, 2)
 			},
@@ -258,15 +276,15 @@ func TestAuditorMutations(t *testing.T) {
 			name: "bmw-residual-step", proto: obs.AuditBMW, limit: 64,
 			feed: func(a *obs.Auditor) {
 				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1, 2, 3}}
-				a.Observe(sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
-				a.Observe(sim.Event{Kind: sim.EvServiceStart, Req: req, Slot: 0})
-				a.Observe(sim.Event{Kind: sim.EvRoundStart, Req: req, Round: 1, Polled: 1, Slot: 0})
-				a.Observe(sim.Event{Kind: sim.EvContention, Req: req, Slot: 0})
+				feed(a, sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
+				feed(a, sim.Event{Kind: sim.EvServiceStart, Req: req, Slot: 0})
+				feed(a, sim.Event{Kind: sim.EvRoundStart, Req: req, Round: 1, Polled: 1, Slot: 0})
+				feed(a, sim.Event{Kind: sim.EvContention, Req: req, Slot: 0})
 				tx(a, frames.RTS, 1, 0, 2)
 				tx(a, frames.CTS, 0, 1, 3)
 				tx(a, frames.Data, 1, 0, 4)
 				tx(a, frames.ACK, 0, 1, 9)
-				a.Observe(sim.Event{Kind: sim.EvRound, Req: req, Residual: 1, Slot: 10}) // BMW must step 3 -> 2, not 3 -> 1
+				feed(a, sim.Event{Kind: sim.EvRound, Req: req, Residual: 1, Slot: 10}) // BMW must step 3 -> 2, not 3 -> 1
 			},
 			want: "bmw-residual-step",
 		},
@@ -274,20 +292,36 @@ func TestAuditorMutations(t *testing.T) {
 			name: "bmw-round-overlap", proto: obs.AuditBMW, limit: 64,
 			feed: func(a *obs.Auditor) {
 				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1, 2}}
-				a.Observe(sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
-				a.Observe(sim.Event{Kind: sim.EvServiceStart, Req: req, Slot: 0})
-				a.Observe(sim.Event{Kind: sim.EvRoundStart, Req: req, Round: 1, Polled: 1, Slot: 0})
-				a.Observe(sim.Event{Kind: sim.EvRoundStart, Req: req, Round: 2, Polled: 1, Slot: 1}) // previous round never closed
+				feed(a, sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
+				feed(a, sim.Event{Kind: sim.EvServiceStart, Req: req, Slot: 0})
+				feed(a, sim.Event{Kind: sim.EvRoundStart, Req: req, Round: 1, Polled: 1, Slot: 0})
+				feed(a, sim.Event{Kind: sim.EvRoundStart, Req: req, Round: 2, Polled: 1, Slot: 1}) // previous round never closed
 			},
 			want: "round-overlap",
+		},
+		{
+			name: "lifecycle-count", proto: obs.AuditBMMM, limit: 64,
+			feed: func(a *obs.Auditor) {
+				req := batchPrefix(a)
+				tx(a, frames.Data, frames.BroadcastAddr, 0, 8)
+				for i := 1; i <= 3; i++ {
+					tx(a, frames.RAK, frames.Addr(i), 0, sim.Slot(12+2*i))
+					tx(a, frames.ACK, 0, i, sim.Slot(13+2*i))
+				}
+				feed(a, sim.Event{Kind: sim.EvRound, Req: req, Residual: 0, Slot: 19})
+				// The engine's record lost a contention phase the events showed.
+				req.Contentions--
+				feed(a, sim.Event{Kind: sim.EvComplete, Req: req, Slot: 19})
+			},
+			want: "lifecycle-count",
 		},
 		{
 			name: "illegal-round-plain", proto: obs.AuditPlain, limit: 64,
 			feed: func(a *obs.Auditor) {
 				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1}}
-				a.Observe(sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
-				a.Observe(sim.Event{Kind: sim.EvServiceStart, Req: req, Slot: 0})
-				a.Observe(sim.Event{Kind: sim.EvRound, Req: req, Residual: 0, Slot: 5})
+				feed(a, sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
+				feed(a, sim.Event{Kind: sim.EvServiceStart, Req: req, Slot: 0})
+				feed(a, sim.Event{Kind: sim.EvRound, Req: req, Residual: 0, Slot: 5})
 			},
 			want: "illegal-round",
 		},
@@ -356,7 +390,7 @@ func TestAuditorDetectsMutantProtocol(t *testing.T) {
 		return dcf.NewStation(node, cfg, core.NewBatch(overPoller{}))
 	})
 	script := traffic.NewScript()
-	script.At(0, &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0,
+	script.At(0, &sim.Request{Kind: sim.Multicast, Src: 0,
 		Dests: []int{1, 2, 3}, Deadline: 1000})
 	eng.Run(200, script)
 

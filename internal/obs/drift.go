@@ -16,24 +16,17 @@ import (
 // from the per-group observations (the closed forms describe runs to
 // completion), while their rounds still inform p̂ — channel quality is a
 // property of the medium, not of the message's fate.
+//
+// The monitor holds no per-message state: it reads each request's
+// engine-kept counts, which describe the message before the event.
 type DriftMonitor struct {
-	accum    *analysis.DriftAccum
-	inflight map[int64]*driftMsg
-}
-
-type driftMsg struct {
-	n           int
-	contentions int
-	residual    int
+	accum *analysis.DriftAccum
 }
 
 // NewDriftMonitor builds a monitor comparing against the given round
 // model (analysis.RoundModelFor maps protocol names).
 func NewDriftMonitor(model analysis.RoundModel) *DriftMonitor {
-	return &DriftMonitor{
-		accum:    analysis.NewDriftAccum(model),
-		inflight: make(map[int64]*driftMsg),
-	}
+	return &DriftMonitor{accum: analysis.NewDriftAccum(model)}
 }
 
 // Accum exposes the underlying accumulator (for cross-run Merge).
@@ -42,25 +35,13 @@ func (d *DriftMonitor) Accum() *analysis.DriftAccum { return d.accum }
 // Observe implements sim.Observer; it subscribes to the message events.
 func (d *DriftMonitor) Observe(ev sim.Event) {
 	switch ev.Kind {
-	case sim.EvSubmit:
-		if n := len(ev.Req.Dests); n != 0 {
-			d.inflight[ev.Req.ID] = &driftMsg{n: n, residual: n}
-		}
-	case sim.EvContention:
-		if m := d.inflight[ev.Req.ID]; m != nil {
-			m.contentions++
-		}
 	case sim.EvRound:
-		if m := d.inflight[ev.Req.ID]; m != nil {
-			d.accum.AddRound(m.residual, ev.Residual)
-			m.residual = ev.Residual
+		if len(ev.Req.Dests) != 0 {
+			d.accum.AddRound(ev.Req.Residual, ev.Residual)
 		}
 	case sim.EvComplete:
-		if m := d.inflight[ev.Req.ID]; m != nil {
-			d.accum.AddMessage(m.n, m.contentions)
-			delete(d.inflight, ev.Req.ID)
+		if n := len(ev.Req.Dests); n != 0 {
+			d.accum.AddMessage(n, ev.Req.Contentions)
 		}
-	case sim.EvAbort:
-		delete(d.inflight, ev.Req.ID)
 	}
 }

@@ -109,9 +109,9 @@ type FlightStats struct {
 type Flight struct {
 	capacity int
 
-	mu      sync.Mutex
-	order   []int64 // submit order of the records map keys
-	records map[int64]*FlightRecord
+	mu sync.Mutex
+	// recs holds the records at index ID-1, nil for unicast messages.
+	recs []*FlightRecord
 
 	tracked, completed, aborted, dropped, respDrops int64
 
@@ -126,7 +126,7 @@ func NewFlight(reg *Registry, prefix string, capacity int) *Flight {
 	if capacity <= 0 {
 		capacity = DefaultFlightCapacity
 	}
-	f := &Flight{capacity: capacity, records: make(map[int64]*FlightRecord)}
+	f := &Flight{capacity: capacity}
 	if reg != nil {
 		if prefix != "" {
 			prefix += "."
@@ -158,11 +158,11 @@ func DefaultStageBounds() []float64 {
 // rec returns the open record for the message, nil when untracked or
 // already closed (late frames of a finished exchange stay unattributed).
 func (f *Flight) rec(msgID int64) *FlightRecord {
-	r := f.records[msgID]
-	if r == nil || r.Outcome != "" {
+	i := msgIndex(len(f.recs), msgID)
+	if i < 0 || f.recs[i] == nil || f.recs[i].Outcome != "" {
 		return nil
 	}
-	return r
+	return f.recs[i]
 }
 
 // Observe implements sim.Observer.
@@ -237,20 +237,23 @@ func (f *Flight) Observe(ev sim.Event) {
 }
 
 func (f *Flight) submit(req *sim.Request, now sim.Slot) {
-	if len(f.records) >= f.capacity {
+	if f.tracked >= int64(f.capacity) {
 		f.dropped++
 		return
 	}
+	i := growTo(&f.recs, req.ID)
+	if i < 0 {
+		return
+	}
 	f.tracked++
-	f.records[req.ID] = &FlightRecord{
+	f.recs[i] = &FlightRecord{
 		MsgID:  req.ID,
 		Kind:   req.Kind.String(),
 		Src:    req.Src,
-		Dests:  append([]int(nil), req.Dests...),
+		Dests:  req.Dests,
 		Submit: now, Service: -1, End: -1,
 		openContention: -1,
 	}
-	f.order = append(f.order, req.ID)
 }
 
 // frameTx attributes a transmission by message ID — the sender's
@@ -293,9 +296,11 @@ func (f *Flight) Stats() FlightStats {
 func (f *Flight) Records() []FlightRecord {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]FlightRecord, 0, len(f.order))
-	for _, id := range f.order {
-		r := f.records[id]
+	out := make([]FlightRecord, 0, f.tracked)
+	for _, r := range f.recs {
+		if r == nil {
+			continue
+		}
 		c := *r
 		c.Dests = append([]int(nil), r.Dests...)
 		c.Rounds = append([]FlightRound(nil), r.Rounds...)

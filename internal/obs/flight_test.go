@@ -52,7 +52,7 @@ func fig2Flight(t *testing.T, factory func(mac.Config) func(int, *sim.Env) sim.M
 	})
 	eng.AttachMACs(factory(mac.DefaultConfig()))
 	script := traffic.NewScript()
-	script.At(0, &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0,
+	script.At(0, &sim.Request{Kind: sim.Multicast, Src: 0,
 		Dests: []int{1, 2, 3}, Deadline: 1000})
 	eng.Run(120, script)
 	return fl
@@ -144,7 +144,7 @@ func TestFlightNeutrality(t *testing.T) {
 	})
 	eng.AttachMACs(core.NewBMMM(mac.DefaultConfig()))
 	script := traffic.NewScript()
-	script.At(0, &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0,
+	script.At(0, &sim.Request{Kind: sim.Multicast, Src: 0,
 		Dests: []int{1, 2, 3}, Deadline: 1000})
 	eng.Run(120, script)
 
@@ -214,7 +214,7 @@ func TestFlightStageHistograms(t *testing.T) {
 	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Observers: []sim.Observer{fl}, Lifecycles: []sim.Observer{fl}})
 	eng.AttachMACs(core.NewBMMM(mac.DefaultConfig()))
 	script := traffic.NewScript()
-	script.At(0, &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0,
+	script.At(0, &sim.Request{Kind: sim.Multicast, Src: 0,
 		Dests: []int{1, 2, 3}, Deadline: 1000})
 	eng.Run(120, script)
 

@@ -120,9 +120,9 @@ func busyPriority(c Category) int {
 // Subscribe the same instance to both classes: append it to
 // Config.Observers and to Config.SlotObservers (RunConfig.Observers and
 // RunConfig.SlotObservers in experiments).
-// Use a fresh Ledger per engine run — message identity maps reset with
-// the instance while the shared registry counters accumulate across
-// runs, exactly like Stats.
+// Use a fresh Ledger per engine run — its per-message state is indexed
+// by the run's message numbers, while the shared registry counters
+// accumulate across runs, exactly like Stats.
 //
 // Per-request attribution lands in the "<prefix>.airtime_per_message"
 // histogram (busy slots carrying each message, observed at completion
@@ -133,18 +133,22 @@ type Ledger struct {
 	perMsg *Histogram
 	prefix string
 
-	// contending holds messages between a contention event and their next
-	// frame transmission — the "station is mid-backoff" signal that
-	// turns an idle-channel slot into CatContention.
-	contending map[int64]struct{}
-	// retrying marks messages with at least one completed round: their
-	// subsequent clean airtime is retry-round overhead.
-	retrying map[int64]struct{}
-	// msgAir accumulates busy slots per in-flight message.
-	msgAir map[int64]int64
+	// msgs is each message's attribution state at index ID-1, and
+	// contending counts its entries with contending set. slots numbers
+	// the slot events, so a message is charged once per slot.
+	msgs       []ledgerMsg
+	contending int
+	slots      int64
+}
 
-	// msgSeen is the per-slot dedupe scratch for msgAir.
-	msgSeen []int64
+// ledgerMsg is one message's attribution state, reset by finish:
+// contending from a contention event to its next frame (the
+// mid-backoff signal behind CatContention), retrying past a round with
+// residual receivers (its clean airtime is retry overhead), and air, the
+// busy slots carrying it, the last at slot number charged.
+type ledgerMsg struct {
+	air, charged         int64
+	contending, retrying bool
 }
 
 // DefaultAirtimeBounds buckets per-message busy-slot totals; one BMMM
@@ -156,12 +160,9 @@ var DefaultAirtimeBounds = []float64{5, 8, 12, 16, 24, 32, 48, 64, 96, 128}
 // reg.
 func NewLedger(reg *Registry, prefix string) *Ledger {
 	l := &Ledger{
-		total:      reg.Counter(prefix + ".airtime.total"),
-		perMsg:     reg.Histogram(prefix+".airtime_per_message", DefaultAirtimeBounds...),
-		prefix:     prefix,
-		contending: make(map[int64]struct{}),
-		retrying:   make(map[int64]struct{}),
-		msgAir:     make(map[int64]int64),
+		total:  reg.Counter(prefix + ".airtime.total"),
+		perMsg: reg.Histogram(prefix+".airtime_per_message", DefaultAirtimeBounds...),
+		prefix: prefix,
 	}
 	for _, c := range Categories() {
 		l.cats[c] = reg.Counter(prefix + ".airtime." + c.String())
@@ -186,22 +187,35 @@ func (l *Ledger) Observe(ev sim.Event) {
 		n := int64(ev.End - ev.Start + 1)
 		l.total.Add(n)
 		l.cats[l.classify(nil, false)].Add(n)
+	case sim.EvSubmit:
+		growTo(&l.msgs, ev.Req.ID)
 	case sim.EvContention:
-		l.contending[ev.Req.ID] = struct{}{}
+		l.setContending(ev.Req.ID, true)
 	case sim.EvFrameTx:
 		// The first frame of an exchange ends its sender's backoff, so
 		// the message stops counting as contending.
-		if id := ev.Frame.MsgID; id > 0 {
-			delete(l.contending, id)
-		}
+		l.setContending(ev.Frame.MsgID, false)
 	case sim.EvRound:
 		// From the first round with residual receivers on, further
 		// airtime for the message is retry overhead.
-		if ev.Residual > 0 {
-			l.retrying[ev.Req.ID] = struct{}{}
+		if i := msgIndex(len(l.msgs), ev.Req.ID); i >= 0 && ev.Residual > 0 {
+			l.msgs[i].retrying = true
 		}
 	case sim.EvComplete, sim.EvAbort:
 		l.finish(ev.Req.ID)
+	}
+}
+
+// setContending sets or clears the message's contending flag, keeping
+// the count of contending messages.
+func (l *Ledger) setContending(id int64, on bool) {
+	if i := msgIndex(len(l.msgs), id); i >= 0 && l.msgs[i].contending != on {
+		l.msgs[i].contending = on
+		if on {
+			l.contending++
+		} else {
+			l.contending--
+		}
 	}
 }
 
@@ -209,26 +223,11 @@ func (l *Ledger) Observe(ev sim.Event) {
 func (l *Ledger) slot(airing []sim.AiringTx, collided bool) {
 	l.total.Inc()
 	l.cats[l.classify(airing, collided)].Inc()
-
-	if len(airing) == 0 {
-		return
-	}
-	l.msgSeen = l.msgSeen[:0]
+	l.slots++
 	for _, tx := range airing {
-		id := tx.Frame.MsgID
-		if id <= 0 {
-			continue
-		}
-		dup := false
-		for _, seen := range l.msgSeen {
-			if seen == id {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			l.msgSeen = append(l.msgSeen, id)
-			l.msgAir[id]++
+		if i := msgIndex(len(l.msgs), tx.Frame.MsgID); i >= 0 && l.msgs[i].charged != l.slots {
+			l.msgs[i].charged = l.slots
+			l.msgs[i].air++
 		}
 	}
 }
@@ -239,7 +238,7 @@ func (l *Ledger) classify(airing []sim.AiringTx, collided bool) Category {
 		return CatCollision
 	}
 	if len(airing) == 0 {
-		if len(l.contending) > 0 {
+		if l.contending > 0 {
 			return CatContention
 		}
 		return CatIdle
@@ -252,7 +251,7 @@ func (l *Ledger) classify(airing []sim.AiringTx, collided bool) Category {
 	bestPri := -1
 	for _, tx := range airing {
 		if id := tx.Frame.MsgID; id > 0 {
-			if _, ok := l.retrying[id]; ok {
+			if i := msgIndex(len(l.msgs), id); i >= 0 && l.msgs[i].retrying {
 				allRetry = true
 			} else {
 				allRetry = false
@@ -271,11 +270,14 @@ func (l *Ledger) classify(airing []sim.AiringTx, collided bool) Category {
 	return best
 }
 
+// finish observes a terminal message's airtime and resets its state:
+// frames that air after the terminal event count afresh.
 func (l *Ledger) finish(id int64) {
-	l.perMsg.Observe(float64(l.msgAir[id]))
-	delete(l.msgAir, id)
-	delete(l.contending, id)
-	delete(l.retrying, id)
+	if i := msgIndex(len(l.msgs), id); i >= 0 {
+		l.perMsg.Observe(float64(l.msgs[i].air))
+		l.setContending(id, false)
+		l.msgs[i] = ledgerMsg{}
+	}
 }
 
 // LedgerSnapshot is a point-in-time airtime breakdown read back from the

@@ -15,6 +15,7 @@ func TestLedgerClassification(t *testing.T) {
 	reg := NewRegistry()
 	l := NewLedger(reg, "T")
 	req := &sim.Request{ID: 7}
+	l.Observe(sim.Event{Kind: sim.EvSubmit, Req: req})
 
 	// Slot 0: nothing anywhere — idle.
 	l.Observe(sim.Event{Kind: sim.EvSlot, Slot: 0})
@@ -73,6 +74,8 @@ func TestLedgerContentionClearsOnCompleteAndAbort(t *testing.T) {
 	reg := NewRegistry()
 	l := NewLedger(reg, "T")
 	a, b := &sim.Request{ID: 1}, &sim.Request{ID: 2}
+	l.Observe(sim.Event{Kind: sim.EvSubmit, Req: a})
+	l.Observe(sim.Event{Kind: sim.EvSubmit, Req: b})
 	l.Observe(sim.Event{Kind: sim.EvContention, Req: a, Slot: 0})
 	l.Observe(sim.Event{Kind: sim.EvContention, Req: b, Slot: 0})
 	l.Observe(sim.Event{Kind: sim.EvComplete, Req: a, Slot: 1})
@@ -91,6 +94,7 @@ func TestLedgerPerMessageAirtime(t *testing.T) {
 	reg := NewRegistry()
 	l := NewLedger(reg, "T")
 	req := &sim.Request{ID: 3}
+	l.Observe(sim.Event{Kind: sim.EvSubmit, Req: req})
 	// Five busy slots for message 3 — one of them shared by two frames of
 	// the same message, which must count once.
 	for s := sim.Slot(0); s < 4; s++ {

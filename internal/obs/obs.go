@@ -27,6 +27,9 @@
 // experiments.Watch does this for every surface a command line names.
 // The engine hands each event to each list entry once, in list order,
 // and an empty list costs one length check per event.
+//
+// Stats and DriftMonitor read per-message counts off the sim.Request;
+// the Ledger, Flight and Auditor index their own state by ID-1.
 package obs
 
 import (
@@ -52,4 +55,21 @@ type Event struct {
 	Dur      int
 	Residual int
 	Reason   sim.AbortReason
+}
+
+// growTo extends a per-message slice to hold message id, returning its
+// index (msgIndex).
+func growTo[T any](s *[]T, id int64) int {
+	if n := int(id); n > len(*s) {
+		*s = append(*s, make([]T, n-len(*s))...)
+	}
+	return msgIndex(len(*s), id)
+}
+
+// msgIndex is message id's index in a slice of length n, or -1.
+func msgIndex(n int, id int64) int {
+	if id < 1 || id > int64(n) {
+		return -1
+	}
+	return int(id - 1)
 }

@@ -96,18 +96,18 @@ func TestStatsObserverFeedsRegistry(t *testing.T) {
 	st := obs.NewStats(reg, "BMMM")
 
 	req := &sim.Request{ID: 1, Src: 0, Arrival: 10, Deadline: 110}
-	st.Observe(sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 10})
-	st.Observe(sim.Event{Kind: sim.EvContention, Req: req, Slot: 11})
-	st.Observe(sim.Event{Kind: sim.EvContention, Req: req, Slot: 30})
-	st.Observe(sim.Event{Kind: sim.EvFrameTx, Frame: &frames.Frame{Type: frames.RTS, MsgID: 1}, Station: 0, Slot: 12})
-	st.Observe(sim.Event{Kind: sim.EvFrameTx, Frame: &frames.Frame{Type: frames.Data, MsgID: 1}, Station: 0, Slot: 14})
-	st.Observe(sim.Event{Kind: sim.EvDataRx, Frame: &frames.Frame{Type: frames.Data, MsgID: 1}, Station: 2, Slot: 18})
-	st.Observe(sim.Event{Kind: sim.EvComplete, Req: req, Slot: 40})
+	feed(st, sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 10})
+	feed(st, sim.Event{Kind: sim.EvContention, Req: req, Slot: 11})
+	feed(st, sim.Event{Kind: sim.EvContention, Req: req, Slot: 30})
+	feed(st, sim.Event{Kind: sim.EvFrameTx, Frame: &frames.Frame{Type: frames.RTS, MsgID: 1}, Station: 0, Slot: 12})
+	feed(st, sim.Event{Kind: sim.EvFrameTx, Frame: &frames.Frame{Type: frames.Data, MsgID: 1}, Station: 0, Slot: 14})
+	feed(st, sim.Event{Kind: sim.EvDataRx, Frame: &frames.Frame{Type: frames.Data, MsgID: 1}, Station: 2, Slot: 18})
+	feed(st, sim.Event{Kind: sim.EvComplete, Req: req, Slot: 40})
 
 	req2 := &sim.Request{ID: 2, Src: 1, Arrival: 20, Deadline: 120}
-	st.Observe(sim.Event{Kind: sim.EvSubmit, Req: req2, Slot: 20})
-	st.Observe(sim.Event{Kind: sim.EvRound, Req: req2, Residual: 3, Slot: 60})
-	st.Observe(sim.Event{Kind: sim.EvAbort, Req: req2, Reason: sim.AbortDeadline, Slot: 120})
+	feed(st, sim.Event{Kind: sim.EvSubmit, Req: req2, Slot: 20})
+	feed(st, sim.Event{Kind: sim.EvRound, Req: req2, Residual: 3, Slot: 60})
+	feed(st, sim.Event{Kind: sim.EvAbort, Req: req2, Reason: sim.AbortDeadline, Slot: 120})
 
 	check := func(name string, want int64) {
 		t.Helper()

@@ -33,13 +33,6 @@ type Stats struct {
 	rounds                                          *Counter
 	frameTx                                         [frames.NumTypes]*Counter
 	contHist, compHist, residHist                   *Histogram
-
-	inflight map[int64]*msgProgress
-}
-
-type msgProgress struct {
-	arrival     sim.Slot
-	contentions int
 }
 
 // NewStats builds a Stats observer registering its instruments under
@@ -55,7 +48,6 @@ func NewStats(reg *Registry, prefix string) *Stats {
 		contHist:    reg.Histogram(prefix+".contention_phases", DefaultContentionBounds...),
 		compHist:    reg.Histogram(prefix+".completion_slots", DefaultCompletionBounds...),
 		residHist:   reg.Histogram(prefix+".round_residual", DefaultResidualBounds...),
-		inflight:    make(map[int64]*msgProgress),
 	}
 	for r := range s.abortReasons {
 		s.abortReasons[r] = reg.Counter(prefix + ".aborts." + sim.AbortReason(r).String())
@@ -67,16 +59,14 @@ func NewStats(reg *Registry, prefix string) *Stats {
 }
 
 // Observe implements sim.Observer; it subscribes to the message events.
+// The per-message histograms read the request's engine-kept counts at
+// its terminal event.
 func (s *Stats) Observe(ev sim.Event) {
 	switch ev.Kind {
 	case sim.EvSubmit:
 		s.submits.Inc()
-		s.inflight[ev.Req.ID] = &msgProgress{arrival: ev.Req.Arrival}
 	case sim.EvContention:
 		s.contentions.Inc()
-		if p := s.inflight[ev.Req.ID]; p != nil {
-			p.contentions++
-		}
 	case sim.EvFrameTx:
 		if int(ev.Frame.Type) < len(s.frameTx) {
 			s.frameTx[ev.Frame.Type].Inc()
@@ -85,11 +75,8 @@ func (s *Stats) Observe(ev sim.Event) {
 		s.dataRx.Inc()
 	case sim.EvComplete:
 		s.completes.Inc()
-		if p := s.inflight[ev.Req.ID]; p != nil {
-			s.contHist.Observe(float64(p.contentions))
-			s.compHist.Observe(float64(ev.Slot - p.arrival))
-			delete(s.inflight, ev.Req.ID)
-		}
+		s.contHist.Observe(float64(ev.Req.Contentions))
+		s.compHist.Observe(float64(ev.Slot - ev.Req.Arrival))
 	case sim.EvRound:
 		s.rounds.Inc()
 		s.residHist.Observe(float64(ev.Residual))
@@ -98,9 +85,6 @@ func (s *Stats) Observe(ev sim.Event) {
 		if int(ev.Reason) < len(s.abortReasons) {
 			s.abortReasons[ev.Reason].Inc()
 		}
-		if p := s.inflight[ev.Req.ID]; p != nil {
-			s.contHist.Observe(float64(p.contentions))
-			delete(s.inflight, ev.Req.ID)
-		}
+		s.contHist.Observe(float64(ev.Req.Contentions))
 	}
 }

@@ -35,7 +35,7 @@ func fig2Run(t *testing.T, tr *obs.Tracer) {
 	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Observers: []sim.Observer{tr}})
 	eng.AttachMACs(core.NewBMMM(mac.DefaultConfig()))
 	script := traffic.NewScript()
-	script.At(0, &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0,
+	script.At(0, &sim.Request{Kind: sim.Multicast, Src: 0,
 		Dests: []int{1, 2, 3}, Deadline: 1000})
 	eng.Run(120, script)
 }
@@ -199,7 +199,7 @@ func TestTracerFrameTxRecordsAirtime(t *testing.T) {
 			c.Observers = append(c.Observers, tr, fl)
 			c.Lifecycles = append(c.Lifecycles, fl)
 		})
-	run.Multicast(0, 1, 0, []int{1, 2, 3}, 1000)
+	run.Multicast(0, 0, []int{1, 2, 3}, 1000)
 	run.Steps(120)
 
 	var control, data int64

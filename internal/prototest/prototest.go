@@ -115,18 +115,19 @@ func WithTiming(tm frames.Timing) Option {
 }
 
 // Multicast schedules a multicast request from src to dests at slot t
-// with the given timeout in slots, returning it.
-func (r *Run) Multicast(t sim.Slot, id int64, src int, dests []int, timeout int) *sim.Request {
+// with the given timeout in slots, returning it. The engine numbers it
+// at submission: the n-th request the run submits has ID n.
+func (r *Run) Multicast(t sim.Slot, src int, dests []int, timeout int) *sim.Request {
 	return r.Script.At(t, &sim.Request{
-		ID: id, Kind: sim.Multicast, Src: src, Dests: dests,
+		Kind: sim.Multicast, Src: src, Dests: dests,
 		Deadline: t + sim.Slot(timeout),
 	})
 }
 
 // Unicast schedules a unicast request.
-func (r *Run) Unicast(t sim.Slot, id int64, src, dst int, timeout int) *sim.Request {
+func (r *Run) Unicast(t sim.Slot, src, dst int, timeout int) *sim.Request {
 	return r.Script.At(t, &sim.Request{
-		ID: id, Kind: sim.Unicast, Src: src, Dests: []int{dst},
+		Kind: sim.Unicast, Src: src, Dests: []int{dst},
 		Deadline: t + sim.Slot(timeout),
 	})
 }
@@ -134,12 +135,10 @@ func (r *Run) Unicast(t sim.Slot, id int64, src, dst int, timeout int) *sim.Requ
 // Steps advances the simulation n slots, feeding the script.
 func (r *Run) Steps(n int) { r.Engine.Run(n, r.Script) }
 
-// Record returns the metrics record for the given message ID, or nil.
+// Record returns the record of the id-th submitted request, or nil.
 func (r *Run) Record(id int64) *metrics.Record {
-	for _, rec := range r.Collector.Records() {
-		if rec.ID == id {
-			return rec
-		}
+	if recs := r.Collector.Records(); id >= 1 && id <= int64(len(recs)) {
+		return recs[id-1]
 	}
 	return nil
 }

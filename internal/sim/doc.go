@@ -92,7 +92,10 @@
 // class's list in registration order, charged to PhaseObserver, with no
 // allocation, so a class nobody subscribed to costs one length check. A
 // new event is a new EventKind on the list of its class, not a new
-// interface.
+// interface. The Request every message event carries is the one record
+// of the message: the engine numbers it at submission, whatever Source
+// made it, and keeps its contention, round and residual counts there
+// (see Request) for observers to read, never write (hookpure-checked).
 //
 // # Entry points
 //

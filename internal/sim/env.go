@@ -59,9 +59,10 @@ func (e *Env) Transmitting() bool {
 func (e *Env) Rand() *rand.Rand { return e.engine.rng }
 
 // ReportContention emits EvContention: the station is entering a
-// CSMA/CA contention phase for the request.
+// CSMA/CA contention phase for the request, counted on it afterwards.
 func (e *Env) ReportContention(req *Request) {
 	e.engine.emit(e.engine.observers, Event{Kind: EvContention, Slot: e.engine.now, Station: e.node, Req: req})
+	req.Contentions++
 }
 
 // ReportComplete emits EvComplete: the sending MAC considers the request
@@ -79,9 +80,12 @@ func (e *Env) ReportAbort(req *Request, reason AbortReason) {
 // ReportRound emits EvRound: a multi-round group protocol finished one
 // round with residual intended receivers still unserved — the per-round
 // graceful-degradation signal: under an impaired channel the residual
-// shrinks more slowly (or not at all) and the round count grows.
+// shrinks more slowly (or not at all) and the round count grows. The
+// request's counts follow afterwards.
 func (e *Env) ReportRound(req *Request, residual int) {
 	e.engine.emit(e.engine.observers, Event{Kind: EvRound, Slot: e.engine.now, Station: e.node, Req: req, Residual: residual})
+	req.Rounds++
+	req.Residual = residual
 }
 
 // ReportServiceStart emits EvServiceStart: the station dequeued the

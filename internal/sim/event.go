@@ -19,7 +19,7 @@ const (
 	// Message events (Config.Observers): what the MACs decided about a
 	// request — the feed of the metrics collector.
 
-	// EvSubmit: a request reached its MAC (Req).
+	// EvSubmit: a request reached its MAC (Req), numbered by the engine.
 	EvSubmit EventKind = iota
 	// EvContention: a sender begins a CSMA/CA contention phase for Req —
 	// the quantity plotted in Figure 9 and analysed in §6.
@@ -33,7 +33,7 @@ const (
 	EvDataRx
 	// EvRound: a multi-round group protocol (BMMM/LAMM batch rounds, BMW
 	// per-receiver rounds) finished one round of Req with Residual
-	// intended receivers still unserved.
+	// intended receivers still unserved (Req.Residual is the one before).
 	EvRound
 	// EvComplete: the sending MAC considers Req served.
 	EvComplete

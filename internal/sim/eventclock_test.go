@@ -116,7 +116,7 @@ func TestEventClockSpansMatchReferenceSlots(t *testing.T) {
 		e.SetMAC(0, &sleepyMAC{quiet: true})
 		e.SetMAC(1, &sleepyMAC{quiet: true})
 		src := newSlotSource()
-		src.add(20, &Request{ID: 1, Src: 0, Kind: Broadcast, Deadline: 1000})
+		src.add(20, &Request{Src: 0, Kind: Broadcast, Deadline: 1000})
 		e.Run(50, src)
 		return rec
 	}
@@ -145,7 +145,7 @@ func TestEventClockStopsAtScheduledArrival(t *testing.T) {
 	e.SetMAC(0, a)
 	e.SetMAC(1, b)
 	src := newSlotSource()
-	src.add(50, &Request{ID: 1, Src: 1, Kind: Broadcast, Deadline: 1000})
+	src.add(50, &Request{Src: 1, Kind: Broadcast, Deadline: 1000})
 
 	e.Run(100, src)
 	if e.Now() != 100 {
@@ -268,7 +268,7 @@ func TestEventClockPRNGNeutral(t *testing.T) {
 		e.SetMAC(0, &sleepyMAC{quiet: true})
 		e.SetMAC(1, &sleepyMAC{quiet: true})
 		src := newSlotSource()
-		src.add(40, &Request{ID: 1, Src: 0, Kind: Broadcast, Deadline: 1000})
+		src.add(40, &Request{Src: 0, Kind: Broadcast, Deadline: 1000})
 		e.Run(200, src)
 		return e.Rand().Float64()
 	}

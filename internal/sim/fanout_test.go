@@ -98,7 +98,7 @@ func reportRun(cfg Config) {
 	e.SetMAC(0, &reportMAC{})
 	e.SetMAC(1, &sleepyMAC{quiet: true})
 	src := newSlotSource()
-	src.add(10, &Request{ID: 7, Src: 0, Kind: Broadcast, Deadline: 1000})
+	src.add(10, &Request{Src: 0, Kind: Broadcast, Deadline: 1000})
 	e.Run(60, src)
 }
 

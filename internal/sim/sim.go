@@ -42,8 +42,13 @@ func (k Kind) String() string {
 // Request is a MAC service request handed to a station by the upper
 // layer: deliver a data frame to the given set of neighbors before the
 // deadline.
+//
+// A Source sets Kind, Src, Dests, Arrival and Deadline; the engine owns
+// the rest, which MACs and observers only read. It updates the counts
+// after the fan-out of the event that changes them, so the event's
+// observers see the message as it was before it.
 type Request struct {
-	// ID uniquely identifies the message across the whole simulation.
+	// ID numbers the message: 1, 2, 3, … in submission order, per engine.
 	ID int64
 	// Kind is unicast, multicast or broadcast. Broadcast is simply a
 	// multicast to all neighbors (paper §1 treats broadcast as a special
@@ -58,6 +63,9 @@ type Request struct {
 	// Deadline is the slot after which the request is considered timed
 	// out by the upper layer (Arrival + Timeout in the paper's setup).
 	Deadline Slot
+	// Contentions and Rounds count the reported contention phases and
+	// rounds; Residual is the last round's residual, len(Dests) before.
+	Contentions, Rounds, Residual int
 }
 
 // Expired reports whether the request has passed its deadline at the
@@ -299,9 +307,10 @@ type Engine struct {
 	tracer     []Observer
 	slotHook   func(now Slot, e *Engine)
 
-	now  Slot
-	macs []MAC
-	envs []Env
+	now    Slot
+	macs   []MAC
+	envs   []Env
+	lastID int64 // the last Request.ID assigned
 
 	// Transmissions in the air, stored as a structure of arrays: row r
 	// of the parallel tx* slices describes one transmission, rows
@@ -668,6 +677,8 @@ func (e *Engine) step(src Source) {
 				panic(fmt.Sprintf("sim: no MAC attached to station %d", req.Src))
 			}
 			e.wake(req.Src)
+			e.lastID++
+			req.ID, req.Contentions, req.Rounds, req.Residual = e.lastID, 0, 0, len(req.Dests)
 			e.emit(e.observers, Event{Kind: EvSubmit, Slot: now, Station: req.Src, Req: req})
 			m.Submit(&e.envs[req.Src], req)
 		}

@@ -69,7 +69,7 @@ func TestQuiescentStationSkippedAndWokenByArrival(t *testing.T) {
 	// retained streak — it observed slot 0 itself — is extended by the
 	// 14 skipped slots rather than overwritten.
 	sleepy.quiet = false
-	src := &oneShot{at: 15, req: &Request{ID: 1, Src: 1, Kind: Broadcast, Deadline: 1000}}
+	src := &oneShot{at: 15, req: &Request{Src: 1, Kind: Broadcast, Deadline: 1000}}
 	e.Run(10, src)
 	if len(sleepy.extends) != 1 || sleepy.extends[0] != 14 {
 		t.Fatalf("extends = %v, want [14]", sleepy.extends)
@@ -100,7 +100,7 @@ func TestWakeIdleRunExcludesBusySlots(t *testing.T) {
 	sleepy := &sleepyMAC{quiet: true}
 	e.SetMAC(1, sleepy)
 
-	src := &oneShot{at: 10, req: &Request{ID: 1, Src: 1, Kind: Broadcast, Deadline: 1000}}
+	src := &oneShot{at: 10, req: &Request{Src: 1, Kind: Broadcast, Deadline: 1000}}
 	e.Run(12, src)
 	if sleepy.delivered != 1 {
 		t.Fatalf("sleeping receiver missed the data frame: delivered = %d", sleepy.delivered)

@@ -58,8 +58,7 @@ type Generator struct {
 	// Timeout is the upper-layer deadline in slots after arrival.
 	Timeout int
 
-	rng    *rand.Rand
-	nextID int64
+	rng *rand.Rand
 	// The cursor: the next lattice point that fires, plus an init flag.
 	// The first gap is drawn lazily, on the first Arrivals or
 	// NextArrival call, so Rate may still be set after construction.
@@ -173,9 +172,7 @@ func (g *Generator) makeRequest(node int, now sim.Slot) *sim.Request {
 		k := 1 + rng.Intn(len(nb))
 		dests = sampleWithoutReplacement(nb, k, rng)
 	}
-	g.nextID++
 	return &sim.Request{
-		ID:       g.nextID,
 		Kind:     kind,
 		Src:      node,
 		Dests:    dests,

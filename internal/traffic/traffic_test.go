@@ -46,12 +46,10 @@ func TestGeneratorRequestShape(t *testing.T) {
 	if len(reqs) == 0 {
 		t.Fatal("no arrivals at rate 1")
 	}
-	seen := map[int64]bool{}
 	for _, r := range reqs {
-		if seen[r.ID] {
-			t.Fatal("duplicate request ID")
+		if r.ID != 0 {
+			t.Fatalf("generator set ID %d; the engine numbers requests", r.ID)
 		}
-		seen[r.ID] = true
 		if r.Arrival != 7 || r.Deadline != 107 {
 			t.Fatalf("arrival/deadline wrong: %+v", r)
 		}
@@ -125,8 +123,8 @@ func TestSampleWithoutReplacement(t *testing.T) {
 
 func TestScriptSource(t *testing.T) {
 	s := NewScript()
-	r1 := s.At(5, &sim.Request{ID: 1, Src: 0, Dests: []int{1}})
-	s.At(5, &sim.Request{ID: 2, Src: 1, Dests: []int{0}})
+	r1 := s.At(5, &sim.Request{Src: 0, Dests: []int{1}})
+	s.At(5, &sim.Request{Src: 1, Dests: []int{0}})
 	if len(s.Arrivals(4)) != 0 {
 		t.Error("early arrivals")
 	}
@@ -140,7 +138,7 @@ func TestScriptSource(t *testing.T) {
 	if r1.Deadline <= 5 {
 		t.Error("default deadline must be far in the future")
 	}
-	withDeadline := s.At(9, &sim.Request{ID: 3, Deadline: 42})
+	withDeadline := s.At(9, &sim.Request{Deadline: 42})
 	if withDeadline.Deadline != 42 {
 		t.Error("explicit deadline must be preserved")
 	}
@@ -200,7 +198,7 @@ func TestGeneratorSkipNeutral(t *testing.T) {
 	type arr struct {
 		slot sim.Slot
 		src  int
-		id   int64
+		dsts int
 		kind sim.Kind
 	}
 	const slots = 4000
@@ -209,7 +207,7 @@ func TestGeneratorSkipNeutral(t *testing.T) {
 	gd, rngD := build()
 	for s := sim.Slot(0); s < slots; s++ {
 		for _, r := range gd.Arrivals(s) {
-			dense = append(dense, arr{s, r.Src, r.ID, r.Kind})
+			dense = append(dense, arr{s, r.Src, len(r.Dests), r.Kind})
 		}
 	}
 
@@ -221,7 +219,7 @@ func TestGeneratorSkipNeutral(t *testing.T) {
 			break
 		}
 		for _, r := range gs.Arrivals(next) {
-			sparse = append(sparse, arr{next, r.Src, r.ID, r.Kind})
+			sparse = append(sparse, arr{next, r.Src, len(r.Dests), r.Kind})
 		}
 		s = next + 1
 	}
@@ -275,8 +273,8 @@ func TestGeneratorEmptySlotsDrawNothing(t *testing.T) {
 // TestScriptNextArrival pins the EventSource view of a Script.
 func TestScriptNextArrival(t *testing.T) {
 	s := NewScript()
-	s.At(30, &sim.Request{ID: 1, Src: 0, Kind: sim.Broadcast})
-	s.At(10, &sim.Request{ID: 2, Src: 1, Kind: sim.Broadcast})
+	s.At(30, &sim.Request{Src: 0, Kind: sim.Broadcast})
+	s.At(10, &sim.Request{Src: 1, Kind: sim.Broadcast})
 	if got, ok := s.NextArrival(0); !ok || got != 10 {
 		t.Fatalf("NextArrival(0) = %d,%v, want 10,true", got, ok)
 	}
@@ -287,7 +285,7 @@ func TestScriptNextArrival(t *testing.T) {
 		t.Fatal("NextArrival past the last release must report ok=false")
 	}
 	// A later At invalidates the sorted view.
-	s.At(50, &sim.Request{ID: 3, Src: 0, Kind: sim.Broadcast})
+	s.At(50, &sim.Request{Src: 0, Kind: sim.Broadcast})
 	if got, ok := s.NextArrival(31); !ok || got != 50 {
 		t.Fatalf("NextArrival(31) = %d,%v, want 50,true", got, ok)
 	}
