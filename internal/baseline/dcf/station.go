@@ -70,11 +70,9 @@ type RoundOpener interface {
 // Station is the per-node composite MAC. It implements sim.MAC.
 type Station struct {
 	cfg  mac.Config
-	difs int
 	addr frames.Addr
 
 	nav     mac.NAVTable
-	hist    mac.ChannelHistory
 	backoff *mac.Backoff
 	resp    mac.Responder
 	queue   mac.Queue
@@ -89,7 +87,6 @@ type Station struct {
 	// no contention phase runs, Tick does not call the sender before it.
 	nextAt sim.Slot
 
-	physBusy bool
 	// contended marks that the current request has already been through
 	// a contention phase: all later phases must draw a random backoff
 	// (the 802.11 post-backoff rule; see Backoff.BeginDeferred).
@@ -125,7 +122,6 @@ func NewStation(node int, cfg mac.Config, mc Multicaster) *Station {
 	}
 	return &Station{
 		cfg:     cfg,
-		difs:    mac.DefaultDIFS,
 		addr:    frames.Addr(node),
 		backoff: mac.NewBackoff(cfg.CWMin, cfg.CWMax),
 		mc:      mc,
@@ -148,8 +144,6 @@ func (st *Station) Submit(env *sim.Env, req *sim.Request) {
 
 // Tick implements sim.MAC.
 func (st *Station) Tick(env *sim.Env) *frames.Frame {
-	st.physBusy = env.CarrierBusy()
-	st.hist.Observe(st.physBusy)
 	now := env.Now()
 
 	if env.Transmitting() {
@@ -210,23 +204,13 @@ func (st *Station) sender() Multicaster {
 // (OnResponse, OnDeliver), and their receiver-side obligations all flow
 // through the Responder, so station-level emptiness implies
 // protocol-level idleness.
-// A quiescent Tick only samples carrier sense into the channel history,
-// which Wake reconstructs, and draws nothing from the PRNG — backoff
-// draws happen strictly inside contention, which requires a request in
-// service.
+// A quiescent Tick does nothing and draws nothing from the PRNG —
+// backoff draws happen strictly inside contention, which requires a
+// request in service — and the idle run behind the DIFS rule is the
+// engine's (Env.IdleFor), so a woken station has nothing to restore.
 func (st *Station) Quiescent(after sim.Slot) bool {
 	return st.cur == nil && st.queue.Len() == 0 && !st.resp.Pending(after)
 }
-
-// Wake implements sim.Sleeper: restore the idle streak the channel
-// history would hold had it observed every skipped slot.
-func (st *Station) Wake(idleRun int) { st.hist.Restore(idleRun) }
-
-// WakeExtend implements sim.Sleeper: every skipped slot was idle, so
-// the retained streak simply lengthens by the skipped count — the form
-// the engine uses when the absolute idle run may include slots this
-// station's history legitimately never observed (crash windows).
-func (st *Station) WakeExtend(skipped int) { st.hist.Extend(skipped) }
 
 func (st *Station) beginService(env *sim.Env) {
 	env.ReportServiceStart(st.cur)
@@ -286,9 +270,10 @@ func (st *Station) contend(env *sim.Env) {
 
 // contentionTick advances the backoff machine with the station's
 // combined carrier sense and returns true when the station is cleared to
-// transmit in this slot.
+// transmit in this slot. A medium idle for DIFS is idle now, so the
+// idle-run test covers physical carrier sense.
 func (st *Station) contentionTick(env *sim.Env, now sim.Slot) bool {
-	unavailable := st.physBusy || st.nav.Yielding(now) || !st.hist.IdleFor(st.difs)
+	unavailable := st.nav.Yielding(now) || !env.IdleFor(mac.DefaultDIFS)
 	return st.backoff.Tick(unavailable, env.Rand())
 }
 

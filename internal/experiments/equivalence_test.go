@@ -132,8 +132,8 @@ type witnesses struct {
 
 // runFull executes one run with the full observer stack attached — the
 // channel transcript, an airtime ledger on Observers and SlotObservers,
-// and a conformance auditor on Observers and Lifecycles where the
-// protocol has an audit model — and collects every witness. mutate
+// and a conformance auditor on Observers and Lifecycles — and collects
+// every witness. mutate
 // customises the configuration before the run (traffic mode,
 // impairments, slot count).
 func runFull(t *testing.T, proto experiments.Protocol, reference bool,
@@ -150,13 +150,13 @@ func runFull(t *testing.T, proto experiments.Protocol, reference bool,
 	led := obs.NewLedger(reg, "eq")
 	cfg.Observers = []sim.Observer{tracer, led}
 	cfg.SlotObservers = []sim.Observer{led}
-	// KK-Leader has no audit model; its audit witness stays empty.
-	var aud *obs.Auditor
-	if ap, ok := obs.AuditProtocolFor(string(proto)); ok {
-		aud = obs.NewAuditor(ap, cfg.MAC.RetryLimit)
-		cfg.Observers = append(cfg.Observers, aud)
-		cfg.Lifecycles = []sim.Observer{aud}
+	ap, ok := obs.AuditProtocolFor(string(proto))
+	if !ok {
+		t.Fatalf("no audit model for %s", proto)
 	}
+	aud := obs.NewAuditor(ap, cfg.MAC.RetryLimit)
+	cfg.Observers = append(cfg.Observers, aud)
+	cfg.Lifecycles = []sim.Observer{aud}
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -186,14 +186,12 @@ func runFull(t *testing.T, proto experiments.Protocol, reference bool,
 	if w.ledger, err = json.Marshal(snap); err != nil {
 		t.Fatal(err)
 	}
-	if aud != nil {
-		var audit bytes.Buffer
-		fmt.Fprintf(&audit, "audited=%d violations=%d\n", aud.Audited(), aud.Violations())
-		for _, f := range aud.Findings() {
-			fmt.Fprintf(&audit, "slot %d msg %d station %d [%s] %s\n", f.Slot, f.MsgID, f.Station, f.Rule, f.Detail)
-		}
-		w.audit = audit.Bytes()
+	var audit bytes.Buffer
+	fmt.Fprintf(&audit, "audited=%d violations=%d\n", aud.Audited(), aud.Violations())
+	for _, f := range aud.Findings() {
+		fmt.Fprintf(&audit, "slot %d msg %d station %d [%s] %s\n", f.Slot, f.MsgID, f.Station, f.Rule, f.Detail)
 	}
+	w.audit = audit.Bytes()
 	if res.Fault != nil {
 		iid, ge := res.Fault.Erasures()
 		drops, downs := res.Fault.CrashStats()

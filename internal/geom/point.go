@@ -60,17 +60,3 @@ func (p Point) Angle(q Point) float64 {
 func (p Point) InRange(q Point, r float64) bool {
 	return p.Dist2(q) <= r*r
 }
-
-// Centroid returns the arithmetic mean of the given points. It returns the
-// origin for an empty slice.
-func Centroid(pts []Point) Point {
-	if len(pts) == 0 {
-		return Point{}
-	}
-	var c Point
-	for _, p := range pts {
-		c.X += p.X
-		c.Y += p.Y
-	}
-	return c.Scale(1 / float64(len(pts)))
-}

@@ -102,13 +102,3 @@ func TestVectorOps(t *testing.T) {
 		t.Errorf("Scale = %v", got)
 	}
 }
-
-func TestCentroid(t *testing.T) {
-	if got := Centroid(nil); got != Pt(0, 0) {
-		t.Errorf("Centroid(nil) = %v", got)
-	}
-	pts := []Point{Pt(0, 0), Pt(2, 0), Pt(2, 2), Pt(0, 2)}
-	if got := Centroid(pts); got != Pt(1, 1) {
-		t.Errorf("Centroid(square) = %v", got)
-	}
-}

@@ -2,7 +2,10 @@
 // in this repository: the CSMA/CA contention (backoff) state machine of
 // the paper's §2.1, the NAV-based virtual carrier sense ("yield" state),
 // FIFO service queues with deadline expiry, response scheduling for
-// CTS/ACK/RAK/NAK turnaround, and common configuration.
+// CTS/ACK/RAK/NAK turnaround, and common configuration. The DIFS
+// idle-run rule is not here: the medium's idle run is a function of the
+// carrier-sense series the engine keeps for every station, so the engine
+// answers it (sim.Env.IdleFor) and a MAC only names the DIFS length.
 //
 // Protocol implementations (internal/baseline/..., internal/core) embed
 // these primitives and add their own sender/receiver state machines.
@@ -173,53 +176,13 @@ func (b *Backoff) Reset() {
 // diagnostics).
 func (b *Backoff) Window() int { return b.cw }
 
-// ChannelHistory tracks how long the medium has been continuously idle at
-// a station. IEEE 802.11 permits a new transmission only after the medium
-// has been idle for DIFS, while receivers respond after the shorter SIFS;
-// in the slotted model this inter-frame-space priority is expressed as
-// "senders need IdleFor(DIFS slots), responders go in the very next
-// slot". This is what keeps neighbors from passing their contention phase
-// in the middle of a BMMM batch, where the medium never idles for more
-// than one slot between frames (paper §4).
-type ChannelHistory struct {
-	idleRun int
-}
-
-// Observe records one slot's physical carrier sense.
-func (h *ChannelHistory) Observe(busy bool) {
-	if busy {
-		h.idleRun = 0
-	} else {
-		h.idleRun++
-	}
-}
-
-// IdleFor reports whether the medium has been idle for at least n
-// consecutive observed slots (including the current one).
-func (h *ChannelHistory) IdleFor(n int) bool { return h.idleRun >= n }
-
-// IdleRun returns the current idle streak length.
-func (h *ChannelHistory) IdleRun() int { return h.idleRun }
-
-// Restore overwrites the idle streak with an externally reconstructed
-// value. The engine's idle-station scheduler calls it (via sim.Sleeper's
-// Wake) when a station resumes ticking after skipped slots: the history
-// missed those Observe calls, but the idle run is a pure function of the
-// channel's busy/idle series, which the engine tracks for every station.
-func (h *ChannelHistory) Restore(run int) { h.idleRun = run }
-
-// Extend lengthens the idle streak by n slots without resetting it. The
-// engine's idle-station scheduler calls it (via sim.Sleeper's
-// WakeExtend) when every skipped slot was idle: the streak the station
-// retained when it stopped observing simply continues, which matters
-// for stations whose history froze through a crash window and so cannot
-// be overwritten with the channel's absolute idle run.
-func (h *ChannelHistory) Extend(n int) { h.idleRun += n }
-
 // DefaultDIFS is the sender inter-frame space in slots: a station may
 // begin (or count down) contention only after this many consecutive idle
-// slots, so 1-slot response turnarounds inside an exchange can never be
-// pre-empted.
+// slots (sim.Env.IdleFor), while receivers respond in the very next slot
+// — the slotted form of 802.11's DIFS/SIFS priority. So 1-slot response
+// turnarounds inside an exchange can never be pre-empted, which is what
+// keeps neighbors from passing their contention phase in the middle of a
+// BMMM batch (paper §4).
 const DefaultDIFS = 2
 
 // NAVTable tracks the virtual-carrier-sense reservations a station has

@@ -160,6 +160,22 @@ func TestQueueDropExpired(t *testing.T) {
 	}
 }
 
+// TestQueuePopPreservesCapacity guards the allocation fix in Pop: after
+// popping, pushing again must not grow the backing array.
+func TestQueuePopPreservesCapacity(t *testing.T) {
+	var q Queue
+	for burst := 0; burst < 3; burst++ {
+		q.Push(&sim.Request{ID: 1, Deadline: 100})
+		q.Push(&sim.Request{ID: 2, Deadline: 100})
+		if q.Pop() == nil || q.Pop() == nil {
+			t.Fatal("pop returned nil from non-empty queue")
+		}
+	}
+	if got := cap(q.reqs); got > 2 {
+		t.Fatalf("backing array grew to %d across push/pop bursts, want <= 2", got)
+	}
+}
+
 func TestResponderDelivery(t *testing.T) {
 	var r Responder
 	f := &frames.Frame{Type: frames.CTS}
@@ -212,26 +228,6 @@ func TestDefaultConfig(t *testing.T) {
 	c := DefaultConfig()
 	if c.CWMin <= 0 || c.CWMax < c.CWMin || c.RetryLimit <= 0 {
 		t.Errorf("bad defaults: %+v", c)
-	}
-}
-
-func TestChannelHistory(t *testing.T) {
-	var h ChannelHistory
-	if !h.IdleFor(0) || h.IdleFor(1) {
-		t.Error("fresh history: idle run is 0")
-	}
-	h.Observe(false)
-	h.Observe(false)
-	if !h.IdleFor(2) || h.IdleRun() != 2 {
-		t.Errorf("idle run = %d, want 2", h.IdleRun())
-	}
-	h.Observe(true)
-	if h.IdleFor(1) {
-		t.Error("busy slot must reset the idle run")
-	}
-	h.Observe(false)
-	if !h.IdleFor(1) || h.IdleFor(2) {
-		t.Error("idle run should be exactly 1")
 	}
 }
 

@@ -28,6 +28,12 @@ const (
 	AuditBMMM
 	// AuditLAMM is BMMM over the minimum cover set; same exchange grammar.
 	AuditLAMM
+	// AuditKKLeader is the Kuri–Kasera leader scheme: group RTS, the
+	// leader's CTS before DATA, then the leader's ACK, which a primed
+	// receiver that missed the DATA jams with a NAK. No rounds, and
+	// completion asserts nothing about the receivers the leader speaks
+	// for.
+	AuditKKLeader
 )
 
 // String implements fmt.Stringer.
@@ -43,14 +49,14 @@ func (p AuditProtocol) String() string {
 		return "BMMM"
 	case AuditLAMM:
 		return "LAMM"
+	case AuditKKLeader:
+		return "KK-Leader"
 	}
 	return fmt.Sprintf("AuditProtocol(%d)", uint8(p))
 }
 
 // AuditProtocolFor maps an experiments-style protocol name to its audit
-// state machine. The boolean is false for protocols the auditor has no
-// model for (notably KK-Leader, whose leader ACK and NAK jam it does not
-// model).
+// state machine. The boolean is false for names it does not know.
 func AuditProtocolFor(name string) (AuditProtocol, bool) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "802.11", "plain", "dcf":
@@ -63,6 +69,8 @@ func AuditProtocolFor(name string) (AuditProtocol, bool) {
 		return AuditBMMM, true
 	case "lamm":
 		return AuditLAMM, true
+	case "kk-leader", "kkleader", "kuri":
+		return AuditKKLeader, true
 	}
 	return 0, false
 }
@@ -97,9 +105,9 @@ func (p AuditProtocol) receiverLegal(t frames.Type) bool {
 	case frames.CTS:
 		return p != AuditPlain
 	case frames.ACK:
-		return p == AuditBMW || p.batched()
+		return p == AuditBMW || p.batched() || p == AuditKKLeader
 	case frames.NAK:
-		return p == AuditBSMA
+		return p == AuditBSMA || p == AuditKKLeader
 	default:
 		// RTS/DATA/RAK originate at the sender.
 		return false

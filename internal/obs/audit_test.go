@@ -28,7 +28,7 @@ func TestAuditProtocolFor(t *testing.T) {
 		{"bmw", obs.AuditBMW, true},
 		{"BMMM", obs.AuditBMMM, true},
 		{"lamm", obs.AuditLAMM, true},
-		{"KK-Leader", 0, false},
+		{"KK-Leader", obs.AuditKKLeader, true},
 		{"nonsense", 0, false},
 	}
 	for _, tc := range cases {
@@ -45,7 +45,7 @@ func TestAuditProtocolFor(t *testing.T) {
 func TestAuditorCleanRuns(t *testing.T) {
 	for _, proto := range []experiments.Protocol{
 		experiments.Plain80211, experiments.BSMA, experiments.BMW,
-		experiments.BMMM, experiments.LAMM,
+		experiments.BMMM, experiments.LAMM, experiments.KKLeader,
 	} {
 		t.Run(string(proto), func(t *testing.T) {
 			cfg := experiments.Defaults(proto, 3)
@@ -145,6 +145,9 @@ func TestAuditorMutations(t *testing.T) {
 		limit int
 		feed  func(a *obs.Auditor)
 		want  string
+		// exact requires every finding to carry the wanted rule, so the
+		// legal part of the feed must pass the grammar too.
+		exact bool
 	}{
 		{
 			name: "data-without-cts", proto: obs.AuditBMMM, limit: 64,
@@ -316,6 +319,28 @@ func TestAuditorMutations(t *testing.T) {
 			want: "lifecycle-count",
 		},
 		{
+			// A full leader exchange, the ACK jammed by a NAK, then a retry
+			// whose DATA follows the RTS with no CTS. The legal part must
+			// pass the KK-Leader grammar: BSMA forbids the ACK, BMW wants
+			// rounds, plain 802.11 forbids the RTS.
+			name: "kk-leader-data-without-cts", proto: obs.AuditKKLeader, limit: 64,
+			feed: func(a *obs.Auditor) {
+				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1, 2}}
+				feed(a, sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
+				feed(a, sim.Event{Kind: sim.EvServiceStart, Req: req, Slot: 0})
+				feed(a, sim.Event{Kind: sim.EvContention, Req: req, Slot: 0})
+				tx(a, frames.RTS, 1, 0, 2)
+				tx(a, frames.CTS, 0, 1, 3)
+				tx(a, frames.Data, frames.BroadcastAddr, 0, 4)
+				tx(a, frames.ACK, 0, 1, 9)
+				tx(a, frames.NAK, 0, 2, 9)
+				feed(a, sim.Event{Kind: sim.EvContention, Req: req, Slot: 10})
+				tx(a, frames.RTS, 1, 0, 12)
+				tx(a, frames.Data, frames.BroadcastAddr, 0, 14)
+			},
+			want: "data-without-cts", exact: true,
+		},
+		{
 			name: "illegal-round-plain", proto: obs.AuditPlain, limit: 64,
 			feed: func(a *obs.Auditor) {
 				req := &sim.Request{ID: 1, Kind: sim.Multicast, Src: 0, Dests: []int{1}}
@@ -337,7 +362,8 @@ func TestAuditorMutations(t *testing.T) {
 			for _, f := range a.Findings() {
 				if f.Rule == tc.want {
 					found = true
-					break
+				} else if tc.exact {
+					t.Errorf("unexpected finding %+v", f)
 				}
 			}
 			if !found {

@@ -22,11 +22,15 @@
 // addressed (Dst), a group member (Group), both or neither. The engine
 // computes the role once per frame; a frame with no role for the
 // receiver is a pure overhear, which by the Sleeper contract can only
-// touch the receiver's NAV and so never wakes a sleeping station. Carrier sense is physical: a station senses the
-// medium busy when a transmission that started in an *earlier* slot is
-// still in the air within its range. Transmissions starting in the same
-// slot are mutually invisible — the classic collision vulnerability
-// window of CSMA.
+// touch the receiver's NAV and so never wakes a sleeping station.
+//
+// Carrier sense is physical: a station senses the medium busy when a
+// transmission that started in an *earlier* slot is still in the air
+// within its range. Transmissions starting in the same slot are mutually
+// invisible — the classic collision vulnerability window of CSMA. The
+// engine also answers how long the medium has been idle at a station
+// (Env.IdleFor, the DIFS rule), counting only the slots the station was
+// up, so no MAC keeps its own channel history.
 //
 // # Determinism
 //
@@ -42,9 +46,10 @@
 // The engine carries several optimizations that change no output bit:
 //
 //   - idle-station scheduling: MACs implementing Sleeper are skipped
-//     while quiescent and resynchronised on wake (Wake/WakeExtend); the
-//     awake worklist is kept sorted incrementally (binary insert on
-//     wake, compaction as stations fall asleep) instead of rebuilt;
+//     while quiescent and find nothing to catch up on wake, since the
+//     DIFS idle run is the engine's (Env.IdleFor); the awake worklist is
+//     kept sorted incrementally (binary insert on wake, compaction as
+//     stations fall asleep) instead of rebuilt;
 //   - the event clock: Run jumps the slot counter straight to the next
 //     slot at which anything can happen — the earliest scheduled
 //     arrival (EventSource), wake obligation (a crash/recover

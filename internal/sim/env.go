@@ -48,6 +48,14 @@ func (e *Env) Pos() geom.Point { return e.engine.topo.Pos(e.node) }
 // earlier slot is still in the air within range.
 func (e *Env) CarrierBusy() bool { return e.engine.carrierBusy(e.node) }
 
+// IdleFor reports whether the station has sensed the medium idle for at
+// least n consecutive slots, up to and including the current one. Slots
+// the station spent down do not count and do not end the run. This is
+// the DIFS rule of CSMA/CA (§2.1): a sender may contend only after the
+// medium has been idle for DIFS, while responders answer in the very
+// next slot. The engine keeps the run for every station, asleep or not.
+func (e *Env) IdleFor(n int) bool { return e.engine.idleRun(e.node) >= Slot(n) }
+
 // Transmitting reports whether the station's own transmission is still in
 // the air in the current slot.
 func (e *Env) Transmitting() bool {

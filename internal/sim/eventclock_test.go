@@ -160,10 +160,10 @@ func TestEventClockStopsAtScheduledArrival(t *testing.T) {
 	if len(b.ticked) != 2 || b.ticked[0] != 0 || b.ticked[1] != 50 {
 		t.Fatalf("receiver ticked %v, want [0 50]", b.ticked)
 	}
-	// The wake across the skipped idle stretch is additive: 49 skipped
-	// slots, none busy.
-	if len(b.extends) != 1 || b.extends[0] != 49 {
-		t.Fatalf("extends = %v, want [49]", b.extends)
+	// The skipped stretch was idle throughout, so the woken receiver's
+	// idle run covers slots 0–50.
+	if got := b.runAt(50); got != 51 {
+		t.Fatalf("idle run at wake slot 50 = %d, want 51", got)
 	}
 }
 
@@ -217,11 +217,27 @@ func (d *downWindow) Erase(sender int, recv []int, lost, down []bool, now Slot) 
 	}
 }
 
+// downRecorder is a slot observer recording, at every simulated slot,
+// whether the watched station is down.
+type downRecorder struct {
+	e       *Engine
+	station int
+	at      map[Slot]bool
+}
+
+func (r *downRecorder) Observe(ev Event) {
+	if ev.Kind == EvSlot {
+		r.at[ev.Slot] = r.e.down[r.station]
+	}
+}
+
 func TestEventClockCrashTransitionsAreWakeObligations(t *testing.T) {
 	tp := lineTopo(2, 0.1, 0.15)
 	imp := &downWindow{station: 1, from: 20, to: 30}
 	rec := &spanRecorder{}
-	e := New(Config{Topo: tp, Impairment: imp, SlotObservers: []Observer{rec}})
+	downs := &downRecorder{station: 1, at: map[Slot]bool{}}
+	e := New(Config{Topo: tp, Impairment: imp, SlotObservers: []Observer{rec, downs}})
+	downs.e = e
 	a := &sleepyMAC{quiet: true}
 	b := &sleepyMAC{quiet: true}
 	e.SetMAC(0, a)
@@ -231,29 +247,28 @@ func TestEventClockCrashTransitionsAreWakeObligations(t *testing.T) {
 	if e.Now() != 100 {
 		t.Fatalf("Now = %d, want 100", e.Now())
 	}
-	// Station 1 ticks slot 0, sleeps with a wake obligation at its
-	// crash slot 20; there its history is resynchronised (19 idle slots
-	// skipped) but the Tick is withheld while down. It stays in the
-	// worklist through the down window and resumes ticking at recovery
-	// slot 30, then sleeps for good (no further transitions).
-	if len(b.ticked) != 2 || b.ticked[0] != 0 || b.ticked[1] != 30 {
-		t.Fatalf("crashed station ticked %v, want [0 30]", b.ticked)
+	// Station 1 ticks slot 0 and sleeps for good: a crash transition
+	// flips its down state but does not wake it.
+	if len(b.ticked) != 1 || b.ticked[0] != 0 {
+		t.Fatalf("crashed station ticked %v, want [0]", b.ticked)
 	}
-	if len(b.extends) != 1 || b.extends[0] != 19 {
-		t.Fatalf("extends = %v, want [19] (restore at the down transition)", b.extends)
+	// The clock stops at both transitions and flips the state there.
+	if len(rec.spans) != 3 || rec.spans[0] != [2]Slot{1, 19} ||
+		rec.spans[1] != [2]Slot{21, 29} || rec.spans[2] != [2]Slot{31, 99} {
+		t.Fatalf("spans = %v, want [[1 19] [21 29] [31 99]]", rec.spans)
 	}
-	if len(b.wakes) != 0 {
-		t.Fatalf("wakes = %v, want none", b.wakes)
+	want := map[Slot]bool{0: false, 20: true, 30: false}
+	if len(downs.at) != len(want) {
+		t.Fatalf("simulated slots %v, want 0, 20 and 30", downs.at)
 	}
-	// The skipped stretches: [1,19] before the obligation and [31,99]
-	// after recovery; slots 20–30 are simulated because the woken
-	// station sits in the worklist through its down window.
-	if len(rec.spans) != 2 || rec.spans[0] != [2]Slot{1, 19} || rec.spans[1] != [2]Slot{31, 99} {
-		t.Fatalf("spans = %v, want [[1 19] [31 99]]", rec.spans)
+	for s, d := range want {
+		if got, ok := downs.at[s]; !ok || got != d {
+			t.Fatalf("slot %d: down %v (simulated %v), want %v", s, got, ok, d)
+		}
 	}
-	wantSlots := 1 + 11 // slot 0, then 20..30
-	if len(rec.slots) != wantSlots {
-		t.Fatalf("simulated %d slots (%v), want %d", len(rec.slots), rec.slots, wantSlots)
+	// Slots 0–100 less the ten down slots 20–29, none busy.
+	if env := e.EnvOf(1); !env.IdleFor(91) || env.IdleFor(92) {
+		t.Fatalf("idle run at slot 100 = %d, want 91", idleRunOf(env))
 	}
 }
 

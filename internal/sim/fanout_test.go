@@ -86,8 +86,6 @@ func (m *reportMAC) Tick(env *Env) *frames.Frame {
 func (m *reportMAC) Deliver(*Env, *frames.Frame, Rx) {}
 func (m *reportMAC) Submit(_ *Env, req *Request)     { m.req = req }
 func (m *reportMAC) Quiescent(Slot) bool             { return m.req == nil }
-func (m *reportMAC) Wake(int)                        {}
-func (m *reportMAC) WakeExtend(int)                  {}
 
 // reportRun attaches the hooks to a two-station run: station 0 serves
 // one request arriving at slot 10, station 1 sleeps throughout, and the

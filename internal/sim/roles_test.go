@@ -192,8 +192,6 @@ func (m *toggleMAC) Tick(env *Env) *frames.Frame     { m.lastTick = env.Now(); r
 func (m *toggleMAC) Deliver(*Env, *frames.Frame, Rx) {}
 func (m *toggleMAC) Submit(*Env, *Request)           {}
 func (m *toggleMAC) Quiescent(Slot) bool             { return m.quiet }
-func (m *toggleMAC) Wake(int)                        {}
-func (m *toggleMAC) WakeExtend(int)                  {}
 
 // naiveAwake is the O(stations) rebuild the incremental worklist
 // replaced.

@@ -139,18 +139,18 @@ type MAC interface {
 
 // Sleeper is the optional MAC extension behind idle-station scheduling.
 // A MAC that implements it is skipped by the engine while quiescent: no
-// Tick calls, hence no per-slot carrier-sense bookkeeping for the ~90% of
-// stations that have nothing to do in a typical run. This is safe for
-// bit-identity only because a quiescent MAC's Tick draws no randomness
-// from the engine PRNG and its only per-slot state — the idle-run counter
-// behind the DIFS rule — is a pure function of the channel history, which
-// the engine tracks for every station anyway and hands back through Wake
-// or WakeExtend.
+// Tick calls for the ~90% of stations that have nothing to do in a
+// typical run. This is safe for bit-identity only because a quiescent
+// MAC's Tick draws no randomness from the engine PRNG and keeps no
+// per-slot state: the idle run behind the DIFS rule is the engine's
+// (Env.IdleFor), kept for every station whether it ticks or sleeps, so a
+// woken station has nothing to catch up.
 //
-// The engine wakes a sleeping station when a request is submitted to it,
-// when it decodes a frame addressed to it or naming it in the group, and
-// at each of its crash/recover transitions (Impairment.Crash); everything
-// else that can change MAC state flows through those entry points.
+// The engine wakes a sleeping station when a request is submitted to it
+// and when it decodes a frame addressed to it or naming it in the group;
+// everything else that can change MAC state flows through those entry
+// points. A crash/recover transition does not wake it: a down station is
+// not ticked anyway, and its idle run skips the down slots by itself.
 //
 // An overheard frame (Rx zero) never ends quiescence: it may only
 // extend the station's NAV, which is a pure function of the current slot
@@ -158,24 +158,9 @@ type MAC interface {
 type Sleeper interface {
 	// Quiescent reports whether the MAC has no pending work at or after
 	// the given slot: nothing in service, nothing queued, no response
-	// scheduled. A quiescent MAC's Tick must be a no-op apart from
-	// carrier-sense observation and must not touch the engine PRNG.
+	// scheduled. A quiescent MAC's Tick must be a no-op and must not
+	// touch the engine PRNG.
 	Quiescent(after Slot) bool
-	// Wake is called right before the first Tick after a stretch of
-	// skipped slots during which at least one busy slot occurred.
-	// idleRun is the number of consecutive slots the station's carrier
-	// was idle up to and including the previous slot — exactly the
-	// value its channel history would hold had it observed every
-	// skipped slot.
-	Wake(idleRun int)
-	// WakeExtend is the additive variant of Wake, called when the
-	// carrier stayed idle for the entire skipped stretch: the MAC must
-	// extend its retained idle run by the given number of skipped
-	// slots. The engine cannot use the absolute form here because a MAC
-	// that froze through an earlier crash window (its Tick is withheld
-	// while down) legitimately disagrees with the channel's absolute
-	// idle run; only the increment is common knowledge.
-	WakeExtend(skipped int)
 }
 
 // Source generates traffic. Arrivals is called once per slot per
@@ -222,11 +207,10 @@ const Never = Slot(math.MaxInt64)
 // The engine owns the up/down state of every station in an array it
 // reads in the tick and receiver loops without a call. It fills the
 // array from Crash: once per station at construction, then at each
-// station's announced flip slot, which is also a wake obligation for a
-// sleeping station so its channel history freezes through down windows
-// exactly as the reference path's does (the reference path asks every
-// station every slot instead). Completed frames cost one Erase call
-// each, however many receivers they reach.
+// station's announced flip slot, an obligation of the event clock so
+// the array is right whenever Erase reads it (the reference path asks
+// every station every slot instead). Completed frames cost one Erase
+// call each, however many receivers they reach.
 type Impairment interface {
 	// Crash reports whether the station is crashed at slot now, and
 	// the next slot strictly after now at which that flips (Never if
@@ -364,12 +348,10 @@ type Engine struct {
 	// Carrier sense is epoch-stamped rather than cleared: station i
 	// senses the medium busy at the current slot iff busyStamp[i] == now,
 	// so computeBusy only touches the neighbors of ongoing transmitters
-	// instead of wiping an O(stations) array every slot. prevBusy[i] is
-	// the busy slot preceding busyStamp[i]; together they answer "most
-	// recent busy slot ≤ now-1", the quantity the wake-time idle-run
-	// reconstruction needs even when the wake slot itself is busy.
+	// instead of wiping an O(stations) array every slot. Only stations
+	// that are up are stamped, so busyStamp[i] is also the last busy slot
+	// station i sensed, the end of the idle run behind Env.IdleFor.
 	busyStamp []Slot
-	prevBusy  []Slot
 
 	// topoGen counts SetTopology swaps; cached per-transmission distance
 	// tables are only trusted while their generation matches.
@@ -377,16 +359,10 @@ type Engine struct {
 
 	// Idle-station scheduling (see Sleeper). sleepers[i] is non-nil iff
 	// macs[i] implements Sleeper; asleep marks stations currently skipped
-	// by the tick loop; resync marks freshly woken stations whose channel
-	// history must be restored before their next Tick; sleptAt[i] is the
-	// slot station i last fell asleep in (the last slot its Tick
-	// observed), consulted by the restore to pick the absolute (Wake)
-	// or additive (WakeExtend) reconstruction.
+	// by the tick loop.
 	sleepOK  bool
 	sleepers []Sleeper
 	asleep   []bool
-	resync   []bool
-	sleptAt  []Slot
 	// awake is the tick loop's worklist: exactly the awake stations with
 	// a MAC, in ascending ID order. wake binary-inserts into it and the
 	// tick loop compacts out stations as they fall asleep; awakeDirty
@@ -401,14 +377,20 @@ type Engine struct {
 	numAsleep   int
 
 	// down[i] is station i's crash state at the current slot, nil when
-	// no station can crash (see Impairment).
-	down []bool
+	// no station can crash (see Impairment). The down slots are counted
+	// for Env.IdleFor, which skips them: downSlots[i] holds those of
+	// station i's finished down windows, downFrom[i] the first slot of
+	// its current one, and busyDown[i] the value of downSlots[i] when
+	// busyStamp[i] was written. All four are allocated together.
+	down      []bool
+	downSlots []Slot
+	downFrom  []Slot
+	busyDown  []Slot
 	// The event clock's wake obligations: a binary min-heap over
 	// (wakeAt, wakeWho) ordered by slot then station, holding each
 	// station's next crash/recover transition. They are drained at the
-	// top of every step, which flips down and wakes the station; on the
-	// reference path the heap stays empty and down is refreshed every
-	// slot.
+	// top of every step, which flips down; on the reference path the
+	// heap stays empty and down is refreshed every slot.
 	wakeAt  []Slot
 	wakeWho []int
 
@@ -461,11 +443,8 @@ func New(cfg Config) *Engine {
 		sigRx:       make([][]int32, n),
 		groupMark:   make([]uint64, n),
 		busyStamp:   make([]Slot, n),
-		prevBusy:    make([]Slot, n),
 		sleepers:    make([]Sleeper, n),
 		asleep:      make([]bool, n),
-		resync:      make([]bool, n),
-		sleptAt:     make([]Slot, n),
 		awake:       make([]int, 0, n),
 		awakeDirty:  true,
 		reference:   cfg.Reference,
@@ -476,8 +455,6 @@ func New(cfg Config) *Engine {
 		e.envs[i] = Env{engine: e, node: i}
 		e.txBusyUntil[i] = -1
 		e.busyStamp[i] = -1
-		e.prevBusy[i] = -1
-		e.sleptAt[i] = -1
 	}
 	if e.imp != nil {
 		e.initCrash()
@@ -486,10 +463,8 @@ func New(cfg Config) *Engine {
 }
 
 // initCrash reads every station's crash state at slot 0 and registers
-// its first transition. Idle-skip needs every transition of a sleeping
-// station to be a wake obligation: a crashed station's MAC is not ticked
-// while down, so its channel history freezes — a gap the continuous
-// lastBusy reconstruction alone cannot reproduce.
+// its first transition, allocating the crash arrays on the first station
+// that can ever be down.
 func (e *Engine) initCrash() {
 	for i := range e.macs {
 		down, next := e.imp.Crash(i, e.now)
@@ -497,12 +472,30 @@ func (e *Engine) initCrash() {
 			continue
 		}
 		if e.down == nil {
-			e.down = make([]bool, len(e.macs))
+			n := len(e.macs)
+			e.down = make([]bool, n)
+			e.downSlots = make([]Slot, n)
+			e.downFrom = make([]Slot, n)
+			e.busyDown = make([]Slot, n)
 		}
-		e.down[i] = down
+		e.setDown(i, down)
 		if next != Never && !e.reference {
 			e.pushWake(next, i)
 		}
+	}
+}
+
+// setDown sets station i's crash state at the current slot, keeping the
+// down-slot count behind Env.IdleFor.
+func (e *Engine) setDown(i int, down bool) {
+	if down == e.down[i] {
+		return
+	}
+	e.down[i] = down
+	if down {
+		e.downFrom[i] = e.now
+	} else {
+		e.downSlots[i] += e.now - e.downFrom[i]
 	}
 }
 
@@ -519,10 +512,15 @@ func (e *Engine) SetMAC(i int, m MAC) {
 		e.asleep[i] = false
 		e.numAsleep--
 	}
-	e.resync[i] = false
 	e.macs[i] = m
 	e.sleepers[i], _ = m.(Sleeper)
 	e.awakeDirty = true
+	// A fresh MAC's idle run starts now, as if the previous slot were
+	// busy.
+	e.busyStamp[i] = e.now - 1
+	if e.down != nil {
+		e.busyDown[i] = e.downBefore(i, e.now)
+	}
 }
 
 // AttachMACs installs a MAC for every station using the factory.
@@ -638,22 +636,20 @@ func (e *Engine) step(src Source) {
 	now := e.now
 
 	// 0. Due wake obligations: flip the crash state of stations whose
-	// schedule flips at this slot and return them to the tick loop, so
-	// their channel history is resynchronised at the transition while
-	// the slept span is still fully reconstructible. The reference path
-	// asks every station instead.
+	// schedule flips at this slot. The reference path asks every station
+	// instead.
 	for len(e.wakeAt) > 0 && e.wakeAt[0] <= now {
 		_, i := e.popWake()
 		down, next := e.imp.Crash(i, now)
-		e.down[i] = down
+		e.setDown(i, down)
 		if next != Never {
 			e.pushWake(next, i)
 		}
-		e.wake(i)
 	}
 	if e.reference && e.down != nil {
 		for i := range e.down {
-			e.down[i], _ = e.imp.Crash(i, now)
+			down, _ := e.imp.Crash(i, now)
+			e.setDown(i, down)
 		}
 	}
 
@@ -707,29 +703,6 @@ func (e *Engine) step(src Source) {
 		e.awake[w] = i
 		w++
 		m := e.macs[i]
-		// History restore runs before the crash check: a station woken
-		// at its up→down transition must resynchronise now, while every
-		// slot of the slept span was up and observed; by its recovery
-		// slot the stamps may include busy slots its frozen twin on the
-		// reference path never saw.
-		if e.resync[i] {
-			e.resync[i] = false
-			last := e.busyStamp[i]
-			if last >= now {
-				// Busy in the wake slot itself; the idle run ends at the
-				// busy slot before it.
-				last = e.prevBusy[i]
-			}
-			if last > e.sleptAt[i] {
-				// A busy slot fell inside the slept span: the idle run
-				// restarts there, entirely within engine-observed time.
-				e.sleepers[i].Wake(int(now - 1 - last))
-			} else {
-				// Idle throughout the span: extend whatever run the MAC
-				// retained when it fell asleep.
-				e.sleepers[i].WakeExtend(int(now - 1 - e.sleptAt[i]))
-			}
-		}
 		// A crashed station is silent: no frame, no CTS/ACK response, no
 		// backoff countdown. Its queued requests keep aging toward their
 		// deadlines and its MAC state resumes intact on recovery.
@@ -741,7 +714,6 @@ func (e *Engine) step(src Source) {
 			if e.sleepOK && e.sleepers[i] != nil && e.sleepers[i].Quiescent(now+1) {
 				e.asleep[i] = true
 				e.numAsleep++
-				e.sleptAt[i] = now
 				w--
 			}
 			continue
@@ -773,13 +745,12 @@ func (e *Engine) step(src Source) {
 	e.now++
 }
 
-// wake returns a sleeping station to the tick loop and schedules its
-// channel-history resync. Idempotent for stations already awake.
+// wake returns a sleeping station to the tick loop. Idempotent for
+// stations already awake.
 func (e *Engine) wake(i int) {
 	if e.asleep[i] {
 		e.asleep[i] = false
 		e.numAsleep--
-		e.resync[i] = true
 		if !e.awakeDirty {
 			// A sleeper is never in the list, so i goes in as new.
 			k, _ := slices.BinarySearch(e.awake, i)
@@ -1091,19 +1062,22 @@ func (e *Engine) rxRole(f *frames.Frame, j int) Rx {
 }
 
 // computeBusy stamps the current slot onto the neighbors of every
-// ongoing transmitter — O(active × degree) per slot, with no per-station
-// clearing pass. The stamps double as the busy/idle series behind the
-// wake-time idle-run reconstruction, maintained for every station
-// whether it ticks or sleeps.
+// ongoing transmitter that are up — O(active × degree) per slot, with no
+// per-station clearing pass. The stamps double as the ends of the idle
+// runs behind Env.IdleFor, kept for every station whether it ticks or
+// sleeps.
 func (e *Engine) computeBusy() {
 	now := e.now
 	for ti := 0; ti < e.txN; ti++ {
 		if e.txStart[ti] < now && e.txEnd[ti] >= now {
 			for _, j := range e.topo.Neighbors(int(e.txSender[ti])) {
-				if e.busyStamp[j] != now {
-					e.prevBusy[j] = e.busyStamp[j]
-					e.busyStamp[j] = now
+				if e.down != nil {
+					if e.down[j] {
+						continue
+					}
+					e.busyDown[j] = e.downSlots[j]
 				}
+				e.busyStamp[j] = now
 			}
 		}
 	}
@@ -1112,3 +1086,26 @@ func (e *Engine) computeBusy() {
 // carrierBusy reports whether station i senses energy from another
 // station's transmission that started before the current slot.
 func (e *Engine) carrierBusy(i int) bool { return e.busyStamp[i] == e.now }
+
+// idleRun returns how many consecutive slots station i has sensed the
+// medium idle, up to and including the current one: the slots since its
+// last busy stamp, less those it spent down (a down station senses
+// nothing, so its run neither grows nor ends). While down, that is the
+// run it had at its last up slot.
+func (e *Engine) idleRun(i int) Slot {
+	run := e.now - e.busyStamp[i]
+	if e.down != nil {
+		run -= e.downBefore(i, e.now+1) - e.busyDown[i]
+	}
+	return run
+}
+
+// downBefore returns how many slots before t station i spent down; t
+// must not precede the start of its current down window.
+func (e *Engine) downBefore(i int, t Slot) Slot {
+	d := e.downSlots[i]
+	if e.down[i] {
+		d += t - e.downFrom[i]
+	}
+	return d
+}

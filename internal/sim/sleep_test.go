@@ -1,8 +1,9 @@
 package sim
 
 // Tests of the idle-station scheduler: quiescent Sleeper MACs are
-// skipped by the tick loop, woken on arrivals and deliveries, and handed
-// the exact idle run their channel history missed.
+// skipped by the tick loop, woken on arrivals and deliveries, and find
+// on waking the idle run they would have counted had they ticked every
+// slot.
 
 import (
 	"testing"
@@ -10,13 +11,12 @@ import (
 	"relmac/internal/frames"
 )
 
-// sleepyMAC is a Sleeper test double: it records every Tick slot, every
-// absolute Wake idle run and every additive WakeExtend, and exposes its
-// quiescence as a settable flag.
+// sleepyMAC is a Sleeper test double: it records every Tick slot with
+// the idle run Env.IdleFor reports there, and exposes its quiescence as
+// a settable flag.
 type sleepyMAC struct {
 	ticked    []Slot
-	wakes     []int
-	extends   []int
+	runs      []int // parallel to ticked
 	delivered int
 	quiet     bool
 	// wakeOnDeliver makes the station non-quiescent once it has
@@ -26,7 +26,28 @@ type sleepyMAC struct {
 
 func (m *sleepyMAC) Tick(env *Env) *frames.Frame {
 	m.ticked = append(m.ticked, env.Now())
+	m.runs = append(m.runs, idleRunOf(env))
 	return nil
+}
+
+// runAt returns the idle run the MAC saw at its tick in slot t, or -1
+// if it did not tick then.
+func (m *sleepyMAC) runAt(t Slot) int {
+	for k, s := range m.ticked {
+		if s == t {
+			return m.runs[k]
+		}
+	}
+	return -1
+}
+
+// idleRunOf returns the longest n for which env.IdleFor(n) holds.
+func idleRunOf(env *Env) int {
+	n := 0
+	for env.IdleFor(n + 1) {
+		n++
+	}
+	return n
 }
 func (m *sleepyMAC) Deliver(env *Env, f *frames.Frame, rx Rx) { m.delivered++ }
 func (m *sleepyMAC) Submit(env *Env, req *Request)            {}
@@ -36,8 +57,6 @@ func (m *sleepyMAC) Quiescent(after Slot) bool {
 	}
 	return m.quiet
 }
-func (m *sleepyMAC) Wake(idleRun int)       { m.wakes = append(m.wakes, idleRun) }
-func (m *sleepyMAC) WakeExtend(skipped int) { m.extends = append(m.extends, skipped) }
 
 // oneShot releases a single request at a fixed slot.
 type oneShot struct {
@@ -64,18 +83,14 @@ func TestQuiescentStationSkippedAndWokenByArrival(t *testing.T) {
 		t.Fatalf("quiescent station ticked at %v, want only slot 0", sleepy.ticked)
 	}
 
-	// An arrival at slot 15 must wake it with the additive restore: no
-	// busy slot fell inside the slept stretch (slots 1–14), so the MAC's
-	// retained streak — it observed slot 0 itself — is extended by the
-	// 14 skipped slots rather than overwritten.
+	// An arrival at slot 15 wakes it. No busy slot fell inside the slept
+	// stretch (slots 1–14), so its idle run at slot 15 covers every slot
+	// since slot 0: 16.
 	sleepy.quiet = false
 	src := &oneShot{at: 15, req: &Request{Src: 1, Kind: Broadcast, Deadline: 1000}}
 	e.Run(10, src)
-	if len(sleepy.extends) != 1 || sleepy.extends[0] != 14 {
-		t.Fatalf("extends = %v, want [14]", sleepy.extends)
-	}
-	if len(sleepy.wakes) != 0 {
-		t.Fatalf("wakes = %v, want none (idle span uses the additive restore)", sleepy.wakes)
+	if got := sleepy.runAt(15); got != 16 {
+		t.Fatalf("idle run at wake slot 15 = %d, want 16", got)
 	}
 	want := []Slot{0, 15, 16, 17, 18, 19}
 	if len(sleepy.ticked) != len(want) {
@@ -105,10 +120,10 @@ func TestWakeIdleRunExcludesBusySlots(t *testing.T) {
 	if sleepy.delivered != 1 {
 		t.Fatalf("sleeping receiver missed the data frame: delivered = %d", sleepy.delivered)
 	}
-	// Woken at slot 10; the last busy slot was 6, so the idle streak
-	// through slot 9 is 3 slots (7, 8, 9).
-	if len(sleepy.wakes) != 1 || sleepy.wakes[0] != 3 {
-		t.Fatalf("wakes = %v, want [3]", sleepy.wakes)
+	// Woken at slot 10; the last busy slot was 6, so the idle run at
+	// slot 10 is 4 slots (7, 8, 9, 10).
+	if got := sleepy.runAt(10); got != 4 {
+		t.Fatalf("idle run at wake slot 10 = %d, want 4", got)
 	}
 }
 
@@ -123,19 +138,10 @@ func TestDeliveryWakesReceiverWithObligation(t *testing.T) {
 
 	e.Run(9, nil)
 	// The data frame completes at the end of slot 6 and leaves the
-	// receiver non-quiescent, so it must resume ticking at slot 7 with a
-	// zero idle run (slot 6 itself was busy).
-	if len(sleepy.wakes) != 1 || sleepy.wakes[0] != 0 {
-		t.Fatalf("wakes = %v, want [0]", sleepy.wakes)
-	}
-	found := false
-	for _, s := range sleepy.ticked {
-		if s == 7 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("receiver did not resume ticking at slot 7: ticked = %v", sleepy.ticked)
+	// receiver non-quiescent, so it must resume ticking at slot 7 with an
+	// idle run of 1 (slot 6 itself was busy).
+	if got := sleepy.runAt(7); got != 1 {
+		t.Fatalf("receiver at slot 7: idle run %d (ticked %v), want a tick with run 1", got, sleepy.ticked)
 	}
 }
 
@@ -148,8 +154,5 @@ func TestReferencePathTicksEverySlot(t *testing.T) {
 	e.Run(8, nil)
 	if len(sleepy.ticked) != 8 {
 		t.Fatalf("reference path ticked %d slots, want all 8 (idle-skip must be off)", len(sleepy.ticked))
-	}
-	if len(sleepy.wakes) != 0 || len(sleepy.extends) != 0 {
-		t.Fatalf("reference path issued wakes: %v / extends: %v", sleepy.wakes, sleepy.extends)
 	}
 }

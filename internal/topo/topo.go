@@ -74,35 +74,6 @@ func Grid(nx, ny int, radius float64) *Topology {
 	return FromPoints(pts, radius)
 }
 
-// Clustered places nodes in k Gaussian clusters whose centers are uniform
-// in the unit square; spread is the cluster standard deviation. Positions
-// are clamped to the unit square. Models hot-spot deployments.
-func Clustered(n, k int, spread, radius float64, rng *rand.Rand) *Topology {
-	if k < 1 {
-		k = 1
-	}
-	centers := make([]geom.Point, k)
-	for i := range centers {
-		centers[i] = geom.Pt(rng.Float64(), rng.Float64())
-	}
-	pts := make([]geom.Point, n)
-	for i := range pts {
-		c := centers[rng.Intn(k)]
-		pts[i] = geom.Pt(clamp01(c.X+rng.NormFloat64()*spread), clamp01(c.Y+rng.NormFloat64()*spread))
-	}
-	return FromPoints(pts, radius)
-}
-
-func clamp01(v float64) float64 {
-	if v < 0 {
-		return 0
-	}
-	if v > 1 {
-		return 1
-	}
-	return v
-}
-
 // bounds returns the axis-aligned bounding box of the station positions.
 // Must not be called on an empty topology.
 func (t *Topology) bounds() (minX, minY, maxX, maxY float64) {

@@ -133,32 +133,6 @@ func TestConnected(t *testing.T) {
 	}
 }
 
-func TestClusteredWithinUnitSquare(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	tp := Clustered(200, 4, 0.05, 0.2, rng)
-	if tp.N() != 200 {
-		t.Fatalf("N = %d", tp.N())
-	}
-	for i := 0; i < tp.N(); i++ {
-		p := tp.Pos(i)
-		if p.X < 0 || p.X > 1 || p.Y < 0 || p.Y > 1 {
-			t.Fatalf("node %d outside unit square: %v", i, p)
-		}
-	}
-	// Clusters should produce higher degree variance than uniform.
-	if tp.MaxDegree() <= int(tp.AvgDegree()) {
-		t.Error("clustered topology should have hot spots above the mean degree")
-	}
-}
-
-func TestClusteredDegenerateK(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	tp := Clustered(10, 0, 0.05, 0.2, rng)
-	if tp.N() != 10 {
-		t.Error("k<1 must be clamped, not crash")
-	}
-}
-
 func TestNeighborPositions(t *testing.T) {
 	tp := FromPoints([]geom.Point{geom.Pt(0, 0), geom.Pt(0.1, 0.2)}, 0.5)
 	got := tp.NeighborPositions([]int{1, 0})
