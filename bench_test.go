@@ -360,7 +360,7 @@ func BenchmarkAblationExposedTerminal(b *testing.B) {
 				cfg := experiments.Defaults(experiments.BMMM, int64(i))
 				cfg.Slots = 2000
 				cfg.Rate = 0.0015 // loaded network: broken reservations abound
-				cfg.MAC.ExposedTerminalOpt = opt
+				cfg.ExposedTerminal = opt
 				res, err := experiments.Run(cfg)
 				if err != nil {
 					b.Fatal(err)

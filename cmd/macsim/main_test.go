@@ -7,12 +7,32 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
+
+// runMainEnv, set to 1, makes the test binary run macsim's main instead
+// of the tests. The tests drive the command by re-executing themselves,
+// so every run exercises the code linked into the test binary, the same
+// binary go test's result cache is keyed on.
+const runMainEnv = "MACSIM_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// macsim returns a command running macsim with the given arguments.
+func macsim(args ...string) *exec.Cmd {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	return cmd
+}
 
 // checkGolden compares got with testdata/name byte for byte, or rewrites
 // the file with -update.
@@ -41,7 +61,6 @@ func checkGolden(t *testing.T, name string, got []byte) {
 // histograms), the fault counters of an impaired run, and the trace and
 // span files of a single run in both export formats.
 func TestGoldenOutputs(t *testing.T) {
-	bin := buildMacsim(t)
 	for _, tc := range []struct {
 		golden string
 		args   []string
@@ -51,7 +70,7 @@ func TestGoldenOutputs(t *testing.T) {
 		{"lamm_fault_stats.txt", []string{"-protocol", "LAMM", "-nodes", "40", "-slots", "2000", "-runs", "2",
 			"-per", "0.05", "-ge", "0.01:0.1:0.8", "-crash", "1500:150", "-stats"}},
 	} {
-		out, err := exec.Command(bin, tc.args...).Output()
+		out, err := macsim(tc.args...).Output()
 		if err != nil {
 			t.Fatalf("macsim %v: %v", tc.args, err)
 		}
@@ -62,7 +81,7 @@ func TestGoldenOutputs(t *testing.T) {
 		trace := filepath.Join(dir, "bmmm_trace"+ext)
 		spans := filepath.Join(dir, "bmmm_flight"+ext)
 		args := []string{"-protocol", "BMMM", "-nodes", "20", "-slots", "600", "-runs", "1", "-trace", trace, "-flight", spans}
-		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+		if out, err := macsim(args...).CombinedOutput(); err != nil {
 			t.Fatalf("macsim %v: %v\n%s", args, err, out)
 		}
 		for _, path := range []string{trace, spans} {
@@ -75,22 +94,10 @@ func TestGoldenOutputs(t *testing.T) {
 	}
 }
 
-// buildMacsim builds the command into a test temp directory.
-func buildMacsim(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "macsim")
-	build := exec.Command(filepath.Join(runtime.GOROOT(), "bin", "go"), "build", "-o", bin, ".")
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("build: %v\n%s", err, out)
-	}
-	return bin
-}
-
-// TestBadRunConfigExitsTwo runs the built command with flag values no
+// TestBadRunConfigExitsTwo runs the command with flag values no
 // simulation can be built from and checks each is rejected up front:
 // exit status 2 and the validation message, not a panic or a silent run.
 func TestBadRunConfigExitsTwo(t *testing.T) {
-	bin := buildMacsim(t)
 	for _, tc := range []struct {
 		flag, value, field string
 	}{
@@ -98,7 +105,7 @@ func TestBadRunConfigExitsTwo(t *testing.T) {
 		{"-nodes", "-5", "Nodes"},
 		{"-rate", "2", "Rate"},
 	} {
-		out, err := exec.Command(bin, "-protocol", "BMMM", "-runs", "1", "-slots", "10", tc.flag, tc.value).CombinedOutput()
+		out, err := macsim("-protocol", "BMMM", "-runs", "1", "-slots", "10", tc.flag, tc.value).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 			t.Errorf("%s %s: want exit status 2, got %v\n%s", tc.flag, tc.value, err, out)
@@ -114,11 +121,10 @@ func TestBadRunConfigExitsTwo(t *testing.T) {
 // configuration as the metrics table, so a fault flag changes the
 // chart (lost receptions show up) while a repeat run does not.
 func TestChartHonoursFaultFlags(t *testing.T) {
-	bin := buildMacsim(t)
 	chart := func(extra ...string) string {
 		t.Helper()
 		args := append([]string{"-chart", "60"}, extra...)
-		out, err := exec.Command(bin, args...).CombinedOutput()
+		out, err := macsim(args...).CombinedOutput()
 		if err != nil {
 			t.Fatalf("macsim %v: %v\n%s", args, err, out)
 		}

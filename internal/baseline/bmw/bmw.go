@@ -146,13 +146,12 @@ func (m *Multicaster) OnResponse(st *dcf.Station, env *sim.Env, f *frames.Frame)
 
 // OnDeliver implements dcf.Multicaster.
 func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, rx sim.Rx) {
-	now := env.Now()
 	tm := env.Timing()
 	addressed := rx&sim.RxAddressed != 0
 
 	switch f.Type {
 	case frames.RTS:
-		if f.Group == nil || !addressed || !st.CanRespond(f, now) {
+		if f.Group == nil || !addressed || !st.CanRespond(env, f) {
 			return
 		}
 		if st.HasData(f) {

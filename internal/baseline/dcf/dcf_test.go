@@ -292,10 +292,10 @@ func TestExposedTerminalOptReusesBrokenReservation(t *testing.T) {
 	}
 	completionAt := func(opt bool) sim.Slot {
 		cfg := mac.DefaultConfig()
-		cfg.ExposedTerminalOpt = opt
 		cfg.RetryLimit = 1 // the broken exchange gives up after one try
 		f := dcf.NewPlain(cfg)
-		run := prototest.New(pts, r, func(n int, e *sim.Env) sim.MAC { return f(n, e) })
+		run := prototest.New(pts, r, func(n int, e *sim.Env) sim.MAC { return f(n, e) },
+			prototest.WithExposedTerminal(opt))
 		run.Unicast(5, 0, 1, 100000) // dead reservation (RTS at slot 5)
 		run.Unicast(6, 2, 3, 100000) // arrives after the RTS was heard
 		run.Steps(300)
@@ -324,10 +324,7 @@ func TestExposedTerminalOptStaysConservativeNearReceiver(t *testing.T) {
 		geom.Pt(0.60, 0.66), // 3: station 2's receiver
 	}
 	run := func(opt bool) string {
-		cfg := mac.DefaultConfig()
-		cfg.ExposedTerminalOpt = opt
-		f := dcf.NewPlain(cfg)
-		rn := prototest.New(pts, r, func(n int, e *sim.Env) sim.MAC { return f(n, e) })
+		rn := prototest.New(pts, r, plainFactory(), prototest.WithExposedTerminal(opt))
 		rn.Unicast(5, 0, 1, 100000)
 		rn.Unicast(6, 2, 3, 100000)
 		rn.Steps(200)

@@ -1,10 +1,11 @@
 // Package dcf implements the IEEE 802.11 Distributed Coordination
 // Function substrate that every protocol in the paper builds on:
 //
-//   - Station, a sim.MAC chassis providing CSMA/CA contention with
-//     DIFS-style idle sensing, NAV-based yield ("receiver's protocol" of
-//     Figure 3), FIFO queues with upper-layer timeouts, and the sender
-//     skeleton every protocol shares: contention, the wait for each
+//   - Station, a sim.MAC chassis providing CSMA/CA contention over the
+//     engine's carrier sense (the DIFS idle run and the NAV-based yield
+//     of the "receiver's protocol" of Figure 3, sim.Env.IdleFor and
+//     sim.Env.Yielding), FIFO queues with upper-layer timeouts, and the
+//     sender skeleton every protocol shares: contention, the wait for each
 //     response window, retry with binary exponential backoff and give-up;
 //   - the standard RTS/CTS/DATA/ACK unicast exchange;
 //   - the plain, unreliable 802.11 multicast (contend, transmit the data
@@ -19,10 +20,8 @@ package dcf
 
 import (
 	"relmac/internal/frames"
-	"relmac/internal/geom"
 	"relmac/internal/mac"
 	"relmac/internal/sim"
-	"relmac/internal/topo"
 )
 
 // Multicaster is the protocol-specific half of a sending station. Every
@@ -53,8 +52,8 @@ type Multicaster interface {
 	OnResponse(st *Station, env *sim.Env, f *frames.Frame)
 	// OnDeliver is the receiver side. It is called for every other frame
 	// the station decodes in a role (rx non-zero: addressed to it or
-	// naming it in the group), after the station's NAV and data-log
-	// bookkeeping. Overheard frames stop at the NAV and never reach it.
+	// naming it in the group), after the station's data-log bookkeeping.
+	// Overheard frames stop at the engine's NAV and never reach it.
 	// Responses are scheduled through st.Respond.
 	OnDeliver(st *Station, env *sim.Env, f *frames.Frame, rx sim.Rx)
 }
@@ -72,7 +71,6 @@ type Station struct {
 	cfg  mac.Config
 	addr frames.Addr
 
-	nav     mac.NAVTable
 	backoff *mac.Backoff
 	resp    mac.Responder
 	queue   mac.Queue
@@ -175,7 +173,7 @@ func (st *Station) Tick(env *sim.Env) *frames.Frame {
 	// The sender skeleton: contend until the medium is won, then wait
 	// for each decision slot the exchange asks for.
 	if st.backoff.Active() {
-		if !st.contentionTick(env, now) {
+		if !st.contentionTick(env) {
 			return nil
 		}
 		st.attempts++
@@ -272,8 +270,8 @@ func (st *Station) contend(env *sim.Env) {
 // combined carrier sense and returns true when the station is cleared to
 // transmit in this slot. A medium idle for DIFS is idle now, so the
 // idle-run test covers physical carrier sense.
-func (st *Station) contentionTick(env *sim.Env, now sim.Slot) bool {
-	unavailable := st.nav.Yielding(now) || !env.IdleFor(mac.DefaultDIFS)
+func (st *Station) contentionTick(env *sim.Env) bool {
+	unavailable := env.Yielding() || !env.IdleFor(mac.DefaultDIFS)
 	return st.backoff.Tick(unavailable, env.Rand())
 }
 
@@ -330,9 +328,9 @@ func (st *Station) CancelResponses(pred func(*frames.Frame) bool) int {
 // reservation belonging to a DIFFERENT exchange. Reservations of the same
 // exchange never block a response — a BMMM batch receiver must answer its
 // RTS/RAK even though the batch's own first RTS reserved the medium past
-// that point.
-func (st *Station) CanRespond(f *frames.Frame, now sim.Slot) bool {
-	return !st.nav.YieldingToOther(f.MsgID, now)
+// that point. The reservations are the engine's (sim.Env.YieldingToOther).
+func (st *Station) CanRespond(env *sim.Env, f *frames.Frame) bool {
+	return !env.YieldingToOther(f.MsgID)
 }
 
 // HasData reports whether this station already holds the data that f
@@ -362,79 +360,14 @@ func (st *Station) logData(f *frames.Frame) {
 	st.lastData = append(st.lastData, dataEntry{f.Src, f.MsgID})
 }
 
-// Yielding reports whether the station holds any active reservation.
-func (st *Station) Yielding(now sim.Slot) bool { return st.nav.Yielding(now) }
-
-// yieldDuration returns how long an overheard frame silences this
-// station. Normally that is the frame's full Duration. With the
-// location-aware exposed-terminal optimisation enabled (the future-work
-// direction of the paper's §8), a station that overhears an RTS whose
-// data receivers are all beyond its own transmission range knows its
-// transmissions cannot corrupt their receptions; it reserves only the
-// CTS turnaround (protecting the RTS sender's reception of the CTS) and
-// afterwards relies on physical carrier sense. The residual risk — a
-// collision with the exchange's closing ACKs at the sender — is the
-// classic exposed-terminal trade-off.
-func (st *Station) yieldDuration(env *sim.Env, f *frames.Frame) int {
-	if !st.cfg.ExposedTerminalOpt || f.Type != frames.RTS {
-		return f.Duration
-	}
-	tp := env.Topo()
-	me := env.Pos()
-	if f.Group == nil {
-		if nearReceiver(tp, me, f.Dst) {
-			return f.Duration
-		}
-	} else {
-		for _, a := range f.Group {
-			if nearReceiver(tp, me, a) {
-				return f.Duration
-			}
-		}
-	}
-	ctsWindow := env.Timing().Control + 1
-	if ctsWindow > f.Duration {
-		return f.Duration
-	}
-	return ctsWindow
-}
-
-// nearReceiver reports whether address a names a station within me's
-// transmission range; unknown addresses count as near so the exposed-
-// terminal optimisation stays conservative. A plain function (not a
-// closure over tp/me) so the overhear path allocates nothing.
-func nearReceiver(tp *topo.Topology, me geom.Point, a frames.Addr) bool {
-	if a < 0 || int(a) >= tp.N() {
-		return true // unknown receiver: stay conservative
-	}
-	return me.InRange(tp.Pos(int(a)), tp.Radius())
-}
-
 // Deliver implements sim.MAC. rx is the station's role in the frame,
 // computed by the engine.
 func (st *Station) Deliver(env *sim.Env, f *frames.Frame, rx sim.Rx) {
-	now := env.Now()
 	addressed := rx&sim.RxAddressed != 0
-	switch {
-	case f.Type == frames.Data && rx&sim.RxMember != 0:
-		// Group DATA for this station: log it for HasData. Like every
-		// frame directed at this station, it never raises the NAV.
+	if f.Type == frames.Data && rx&sim.RxMember != 0 {
+		// Group DATA for this station: log it for HasData.
 		st.logData(f)
-	case addressed:
-		// Frames directed at this station never raise its NAV. Note that
-		// being addressed does NOT by itself clear an existing foreign
-		// reservation: a station yielding to another exchange refuses to
-		// answer (paper, Figure 3) until that reservation expires.
-	case f.Duration > 0:
-		// Receiver's protocol (Figure 3): yield for the Duration carried
-		// in a frame not intended for this station.
-		st.nav.ObserveFor(f.MsgID, now, st.yieldDuration(env, f))
 	}
-	if rx == 0 {
-		// A pure overhear: the NAV is all it can change.
-		return
-	}
-
 	if addressed && st.cur != nil && f.MsgID == st.cur.ID {
 		// A reply to the request in service: only its sender reads it.
 		st.sender().OnResponse(st, env, f)

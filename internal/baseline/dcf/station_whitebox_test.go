@@ -9,6 +9,7 @@ import (
 	"relmac/internal/frames"
 	"relmac/internal/geom"
 	"relmac/internal/mac"
+	"relmac/internal/prototest"
 	"relmac/internal/sim"
 	"relmac/internal/topo"
 )
@@ -49,92 +50,83 @@ func TestFinishRequestWithoutCurrent(t *testing.T) {
 	stations[0].FinishRequest(nil, true)
 }
 
+// TestCanRespondSemantics: station 0 overhears station 1's RTS frames to
+// an address naming no station, first of its own exchange 42, then of a
+// foreign exchange 7, both reserving through slot 30.
 func TestCanRespondSemantics(t *testing.T) {
-	st := NewStation(0, mac.DefaultConfig(), nil)
+	var st *Station
+	run := prototest.New([]geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5)}, 0.2,
+		func(node int, env *sim.Env) sim.MAC {
+			s := NewStation(node, mac.DefaultConfig(), nil)
+			if node == 0 {
+				st = s
+			}
+			return s
+		})
+	run.Engine.SetMAC(1, prototest.NewJammer().
+		JamFrameAt(9, &frames.Frame{Type: frames.RTS, Dst: 5, MsgID: 42, Duration: 21}).
+		JamFrameAt(10, &frames.Frame{Type: frames.RTS, Dst: 5, MsgID: 7, Duration: 20}))
+	env := run.Engine.EnvOf(0)
 	f := &frames.Frame{Type: frames.RTS, MsgID: 42, Dst: 0}
-	if !st.CanRespond(f, 10) {
+	canRespondAt := func(slot sim.Slot) bool {
+		run.Steps(int(slot - run.Engine.Now()))
+		return st.CanRespond(env, f)
+	}
+	if !canRespondAt(9) {
 		t.Error("no reservations: must respond")
 	}
-	st.nav.ObserveFor(42, 10, 20) // same exchange
-	if !st.CanRespond(f, 12) {
+	if !canRespondAt(10) {
 		t.Error("own-exchange reservation must not block")
 	}
-	st.nav.ObserveFor(7, 10, 20) // foreign exchange
-	if st.CanRespond(f, 12) {
+	if canRespondAt(12) {
 		t.Error("foreign reservation must block")
 	}
-	if st.CanRespond(f, 29) {
+	if canRespondAt(30) {
 		t.Error("reservation covers through slot 30")
 	}
-	if !st.CanRespond(f, 31) {
+	if !canRespondAt(31) {
 		t.Error("expired reservation must unblock")
 	}
 }
 
+// TestYieldDurationConservativeCases: how long station 0 yields after
+// overhearing one frame from station 1, which is in its range; station 2
+// is out of it.
 func TestYieldDurationConservativeCases(t *testing.T) {
-	cfg := mac.DefaultConfig()
-	cfg.ExposedTerminalOpt = true
-	tp := topo.FromPoints([]geom.Point{
-		geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5), geom.Pt(0.9, 0.9),
-	}, 0.2)
-	eng := sim.New(sim.Config{Topo: tp})
-	var st *Station
-	eng.AttachMACs(func(node int, env *sim.Env) sim.MAC {
-		s := NewStation(node, cfg, &Plain{})
-		if node == 0 {
-			st = s
+	pts := []geom.Point{geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5), geom.Pt(0.9, 0.9)}
+	yield := func(exposed bool, f *frames.Frame) int {
+		run := prototest.New(pts, 0.2, func(node int, env *sim.Env) sim.MAC {
+			return NewStation(node, mac.DefaultConfig(), nil)
+		}, prototest.WithExposedTerminal(exposed))
+		run.Engine.SetMAC(1, prototest.NewJammer().JamFrameAt(0, f))
+		run.Steps(1)
+		n := 0
+		for env := run.Engine.EnvOf(0); env.Yielding(); n++ {
+			run.Steps(1)
 		}
-		return s
-	})
-	eng.Run(1, nil)
-	env := envOf(eng, 0)
-
-	// Non-RTS frames always yield fully.
-	cts := &frames.Frame{Type: frames.CTS, Dst: 1, Duration: 9}
-	if got := st.yieldDuration(env, cts); got != 9 {
-		t.Errorf("CTS yield = %d, want full 9", got)
+		return n
 	}
-	// RTS to an in-range receiver: full duration.
-	rts := &frames.Frame{Type: frames.RTS, Dst: 1, Duration: 7}
-	if got := st.yieldDuration(env, rts); got != 7 {
-		t.Errorf("near-receiver RTS yield = %d, want 7", got)
+	ctsWindow := frames.DefaultTiming().Control + 1
+	for _, c := range []struct {
+		name string
+		f    frames.Frame
+		want int
+	}{
+		{"non-RTS frames yield fully", frames.Frame{Type: frames.CTS, Dst: 1, Duration: 9}, 9},
+		{"RTS to an in-range receiver", frames.Frame{Type: frames.RTS, Dst: 1, Duration: 7}, 7},
+		{"RTS to an out-of-range receiver", frames.Frame{Type: frames.RTS, Dst: 2, Duration: 7}, ctsWindow},
+		{"unknown receiver address", frames.Frame{Type: frames.RTS, Dst: 99, Duration: 7}, 7},
+		{"group RTS with one near member", frames.Frame{Type: frames.RTS, Dst: 2, Group: []frames.Addr{2, 1}, Duration: 12}, 12},
+		{"group RTS with all members far", frames.Frame{Type: frames.RTS, Dst: 2, Group: []frames.Addr{2}, Duration: 12}, ctsWindow},
+		{"duration shorter than the CTS window", frames.Frame{Type: frames.RTS, Dst: 2, Duration: 1}, 1},
+	} {
+		if got := yield(true, &c.f); got != c.want {
+			t.Errorf("%s: yield = %d, want %d", c.name, got, c.want)
+		}
 	}
-	// RTS to an out-of-range receiver: trimmed to the CTS window.
-	far := &frames.Frame{Type: frames.RTS, Dst: 2, Duration: 7}
-	ctsWindow := env.Timing().Control + 1
-	if got := st.yieldDuration(env, far); got != ctsWindow {
-		t.Errorf("far-receiver RTS yield = %d, want %d", got, ctsWindow)
+	if got := yield(false, &frames.Frame{Type: frames.RTS, Dst: 2, Duration: 7}); got != 7 {
+		t.Errorf("option off: yield = %d, want the full 7", got)
 	}
-	// Unknown receiver address: conservative.
-	unknown := &frames.Frame{Type: frames.RTS, Dst: 99, Duration: 7}
-	if got := st.yieldDuration(env, unknown); got != 7 {
-		t.Errorf("unknown receiver yield = %d, want 7", got)
-	}
-	// Group RTS with one near member: full duration.
-	group := &frames.Frame{Type: frames.RTS, Dst: 2, Group: []frames.Addr{2, 1}, Duration: 12}
-	if got := st.yieldDuration(env, group); got != 12 {
-		t.Errorf("near-group RTS yield = %d, want 12", got)
-	}
-	// Group RTS with all members far: trimmed.
-	farGroup := &frames.Frame{Type: frames.RTS, Dst: 2, Group: []frames.Addr{2}, Duration: 12}
-	if got := st.yieldDuration(env, farGroup); got != ctsWindow {
-		t.Errorf("far-group RTS yield = %d", got)
-	}
-	// Duration shorter than the CTS window: never extended.
-	tiny := &frames.Frame{Type: frames.RTS, Dst: 2, Duration: 1}
-	if got := st.yieldDuration(env, tiny); got != 1 {
-		t.Errorf("tiny duration = %d, want 1", got)
-	}
-	// Optimisation disabled: always full.
-	st.cfg.ExposedTerminalOpt = false
-	if got := st.yieldDuration(env, far); got != 7 {
-		t.Errorf("disabled opt must yield fully, got %d", got)
-	}
-}
-
-// envOf digs the per-station Env out of the engine for white-box tests.
-func envOf(eng *sim.Engine, node int) *sim.Env {
-	return eng.EnvOf(node)
 }
 
 func TestGroupAddrs(t *testing.T) {

@@ -80,7 +80,7 @@ func (u *uniFSM) OnDeliver(st *Station, env *sim.Env, f *frames.Frame, rx sim.Rx
 	}
 	switch f.Type {
 	case frames.RTS:
-		if st.CanRespond(f, env.Now()) {
+		if st.CanRespond(env, f) {
 			st.Respond(env, &frames.Frame{
 				Type: frames.CTS, Dst: f.Src, MsgID: f.MsgID,
 				Duration: f.Duration - env.Timing().Control,

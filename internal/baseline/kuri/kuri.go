@@ -121,7 +121,7 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, 
 			// Leader duties: answer the CTS (unless yielding to another
 			// exchange) and expect the data. On a retransmission the leader
 			// already holds the data and simply ACKs it again.
-			if st.CanRespond(f, now) {
+			if st.CanRespond(env, f) {
 				st.Respond(env, &frames.Frame{
 					Type: frames.CTS, Dst: f.Src, MsgID: f.MsgID,
 					Duration: f.Duration - tm.Control,

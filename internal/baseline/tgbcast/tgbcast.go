@@ -142,7 +142,7 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, 
 			// Retransmission of a frame this station already holds:
 			// answer the CTS anyway (the sender is retransmitting for
 			// someone else) but do not arm a NAK.
-			if st.CanRespond(f, now) {
+			if st.CanRespond(env, f) {
 				st.Respond(env, &frames.Frame{
 					Type: frames.CTS, Dst: f.Src, MsgID: f.MsgID,
 					Duration: f.Duration - tm.Control,
@@ -150,7 +150,7 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, 
 			}
 			return
 		}
-		if !st.CanRespond(f, now) {
+		if !st.CanRespond(env, f) {
 			return
 		}
 		st.Respond(env, &frames.Frame{

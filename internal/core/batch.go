@@ -246,14 +246,13 @@ func (b *Batch) OnResponse(st *dcf.Station, env *sim.Env, f *frames.Frame) {
 
 // OnDeliver implements dcf.Multicaster: the receiver side.
 func (b *Batch) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, rx sim.Rx) {
-	now := env.Now()
 	tm := env.Timing()
 	addressed := rx&sim.RxAddressed != 0
 
 	// Receiver side (Figure 3).
 	switch f.Type {
 	case frames.RTS:
-		if f.Group == nil || !addressed || !st.CanRespond(f, now) {
+		if f.Group == nil || !addressed || !st.CanRespond(env, f) {
 			return
 		}
 		st.Respond(env, &frames.Frame{
@@ -263,7 +262,7 @@ func (b *Batch) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, rx sim
 	case frames.RAK:
 		// The station logs member DATA itself (Station.HasData), so the
 		// receiver answers a RAK only for data it holds (Figure 3).
-		if !addressed || !st.HasData(f) || !st.CanRespond(f, now) {
+		if !addressed || !st.HasData(f) || !st.CanRespond(env, f) {
 			return
 		}
 		st.Respond(env, &frames.Frame{

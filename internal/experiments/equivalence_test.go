@@ -3,8 +3,8 @@ package experiments_test
 // The differential equivalence suite behind the engine's hot-path
 // optimizations: the same seed run through the optimized engine and
 // through the reference path (Config.Reference — idle-station
-// scheduling, the transmission free-list, the geometry caches and the
-// LAMM MCS memo all disabled) must produce identical channel-level
+// scheduling, the transmission free-list, the LAMM cover-angle store
+// and MCS memo all disabled) must produce identical channel-level
 // transcripts, identical observer event streams and identical metric
 // summaries for every protocol. Any output-bit drift introduced by a
 // future optimization fails here with the first diverging event.
@@ -287,12 +287,9 @@ func TestOptimizedMatchesReferenceImpaired(t *testing.T) {
 }
 
 // TestOptimizedMatchesReferenceSeeds reruns the gate for LAMM — the
-// protocol with the deepest cache stack (distance tables, MCS memo,
+// protocol with the deepest cache stack (cover angles, MCS memo,
 // idle-skip) — across several seeds, guarding against an equivalence
-// that only holds on one lucky trajectory. (Mid-run topology swaps,
-// which exercise the generation-stamped cache invalidation, are covered
-// by the sim package's own tests; RunConfig does not expose a slot
-// hook.)
+// that only holds on one lucky trajectory.
 func TestOptimizedMatchesReferenceSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seed sweep skipped in -short")

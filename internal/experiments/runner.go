@@ -107,7 +107,11 @@ type RunConfig struct {
 	// stays the single source of randomness.
 	Fault fault.Config
 	MAC   mac.Config
-	Seed  int64
+	// ExposedTerminal turns on the engine's location-aware
+	// exposed-terminal option (sim.Config.ExposedTerminal), the paper's
+	// §8 future work. Off in the paper's setup.
+	ExposedTerminal bool
+	Seed            int64
 	// Observers, Lifecycles, SlotObservers and Tracer are the engine's
 	// four subscription lists (sim.Config): message events, service
 	// detail, channel state, and transmissions with their receptions.
@@ -275,17 +279,18 @@ func Run(cfg RunConfig) (RunResult, error) {
 		imp = inj
 	}
 	eng := sim.New(sim.Config{
-		Topo:          tp,
-		Capture:       cfg.Capture,
-		Impairment:    imp,
-		Seed:          cfg.Seed ^ 0x1e3779b97f4a7c15, // decouple channel RNG from topology
-		Observers:     append([]sim.Observer{col}, cfg.Observers...),
-		SlotObservers: cfg.SlotObservers,
-		Lifecycles:    cfg.Lifecycles,
-		Tracer:        cfg.Tracer,
-		Reference:     cfg.Reference,
-		Profiler:      cfg.Profiler,
-		SlotHook:      hook,
+		Topo:            tp,
+		Capture:         cfg.Capture,
+		Impairment:      imp,
+		Seed:            cfg.Seed ^ 0x1e3779b97f4a7c15, // decouple channel RNG from topology
+		Observers:       append([]sim.Observer{col}, cfg.Observers...),
+		SlotObservers:   cfg.SlotObservers,
+		Lifecycles:      cfg.Lifecycles,
+		Tracer:          cfg.Tracer,
+		Reference:       cfg.Reference,
+		ExposedTerminal: cfg.ExposedTerminal,
+		Profiler:        cfg.Profiler,
+		SlotHook:        hook,
 	})
 	eng.AttachMACs(factory)
 	eng.Run(cfg.Slots, gen)

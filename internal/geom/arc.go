@@ -112,13 +112,6 @@ func (s *ArcSet) Len() int { return len(s.arcs) }
 // Reset empties the set, retaining capacity.
 func (s *ArcSet) Reset() { s.arcs = s.arcs[:0] }
 
-// Clone returns an independent copy of the set.
-func (s *ArcSet) Clone() *ArcSet {
-	c := &ArcSet{arcs: make([]Arc, len(s.arcs))}
-	copy(c.arcs, s.arcs)
-	return c
-}
-
 // segments returns the union normalised to disjoint, sorted, non-wrapping
 // intervals within [0, 2π]. Wrapping arcs are split at 2π.
 func (s *ArcSet) segments() []Arc {

@@ -165,19 +165,6 @@ func TestArcSetNearAbutting(t *testing.T) {
 	}
 }
 
-func TestArcSetCloneIndependent(t *testing.T) {
-	var s ArcSet
-	s.Add(NewArc(0, 1))
-	c := s.Clone()
-	c.Add(NewArc(1, 2))
-	if !almostEq(s.Covered(), 1, 1e-9) {
-		t.Error("mutating a clone affected the original")
-	}
-	if !almostEq(c.Covered(), 2, 1e-9) {
-		t.Error("clone did not accumulate its own arc")
-	}
-}
-
 func TestArcSetResetKeepsWorking(t *testing.T) {
 	var s ArcSet
 	s.Add(FullArc())

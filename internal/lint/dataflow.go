@@ -31,8 +31,8 @@ var engineReadOnly = map[string]bool{
 // events re-enters the engine's bookkeeping mid-slot.
 var envReadOnly = map[string]bool{
 	"Node": true, "Now": true, "Timing": true, "Topo": true, "Neighbors": true,
-	"Pos": true, "CarrierBusy": true, "IdleFor": true, "Transmitting": true,
-	"Rand": true,
+	"Pos": true, "CarrierBusy": true, "IdleFor": true, "Yielding": true,
+	"YieldingToOther": true, "Transmitting": true, "Rand": true,
 }
 
 // randStructs are the math/rand and math/rand/v2 receiver types whose

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one loaded, parsed and type-checked package, the unit every
@@ -36,6 +37,16 @@ type Package struct {
 	TypeErrors []error
 }
 
+// The standard library is type-checked from source once per process:
+// every Loader shares one FileSet and one stdlib source importer, which
+// keeps the packages it has checked. stdMu serialises the importer,
+// which is not safe for concurrent use.
+var (
+	sharedFset  = token.NewFileSet()
+	stdImporter = importer.ForCompiler(sharedFset, "source", nil).(types.ImporterFrom)
+	stdMu       sync.Mutex
+)
+
 // Loader parses and type-checks packages of one module using only the
 // standard library: module-internal imports are resolved against the
 // module root and checked from source recursively, everything else is
@@ -47,9 +58,10 @@ type Loader struct {
 	// ModulePath is the module path declared in go.mod ("relmac").
 	ModulePath string
 
+	// Fset positions every file the Loader parses; it is the FileSet all
+	// Loaders of the process share.
 	Fset *token.FileSet
 
-	std  types.ImporterFrom
 	pkgs map[string]*Package
 }
 
@@ -75,12 +87,10 @@ func NewLoader(root string) (*Loader, error) {
 	if modPath == "" {
 		return nil, fmt.Errorf("lint: no module directive in %s/go.mod", root)
 	}
-	fset := token.NewFileSet()
 	return &Loader{
 		ModuleRoot: root,
 		ModulePath: modPath,
-		Fset:       fset,
-		std:        importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		Fset:       sharedFset,
 		pkgs:       map[string]*Package{},
 	}, nil
 }
@@ -266,5 +276,7 @@ func (m *moduleImporter) Import(path string) (*types.Package, error) {
 		}
 		return pkg.Types, nil
 	}
-	return l.std.ImportFrom(path, l.ModuleRoot, 0)
+	stdMu.Lock()
+	defer stdMu.Unlock()
+	return stdImporter.ImportFrom(path, l.ModuleRoot, 0)
 }

@@ -1,11 +1,12 @@
 // Package mac provides the building blocks shared by every MAC protocol
 // in this repository: the CSMA/CA contention (backoff) state machine of
-// the paper's §2.1, the NAV-based virtual carrier sense ("yield" state),
-// FIFO service queues with deadline expiry, response scheduling for
-// CTS/ACK/RAK/NAK turnaround, and common configuration. The DIFS
-// idle-run rule is not here: the medium's idle run is a function of the
-// carrier-sense series the engine keeps for every station, so the engine
-// answers it (sim.Env.IdleFor) and a MAC only names the DIFS length.
+// the paper's §2.1, FIFO service queues with deadline expiry, response
+// scheduling for CTS/ACK/RAK/NAK turnaround, and common configuration.
+// Carrier sense is not here: the medium's idle run behind the DIFS rule
+// and the NAV (the "yield" state) are functions of the receptions the
+// engine already resolves for every station, so the engine keeps both
+// and answers them (sim.Env.IdleFor, sim.Env.Yielding and
+// sim.Env.YieldingToOther); a MAC only names the DIFS length.
 //
 // Protocol implementations (internal/baseline/..., internal/core) embed
 // these primitives and add their own sender/receiver state machines.
@@ -30,16 +31,6 @@ type Config struct {
 	// on one message before giving up. The paper's simulations rely on
 	// the message Timeout instead; the limit is a safety net.
 	RetryLimit int
-	// ExposedTerminalOpt enables the location-aware exposed-terminal
-	// optimisation explored as the paper's future work (§8): a station
-	// that overhears an RTS whose data receivers are all out of its own
-	// transmission range reserves the medium only through the CTS
-	// turnaround instead of the whole exchange, falling back on physical
-	// carrier sense afterwards. This lets spatially separated exchanges
-	// proceed in parallel at the cost of a small residual risk of
-	// colliding with the exchange's closing ACKs. Off by default — the
-	// paper's protocols do not include it.
-	ExposedTerminalOpt bool
 }
 
 // DefaultConfig returns the parameters used throughout the reproduction.
@@ -185,117 +176,6 @@ func (b *Backoff) Window() int { return b.cw }
 // BMMM batch (paper §4).
 const DefaultDIFS = 2
 
-// NAVTable tracks the virtual-carrier-sense reservations a station has
-// overheard, one entry per exchange (message ID). Real 802.11 keeps a
-// single scalar NAV; the paper's receiver rule, however, distinguishes
-// "yielding to somebody else's exchange" (refuse to answer, Figure 3)
-// from "inside the reservation of the exchange that is polling me" (a
-// BMMM batch receiver must answer its RTS/RAK even though the batch's
-// own first RTS reserved the medium past that point). Keying reservations
-// by exchange makes that distinction exact.
-type NAVTable struct {
-	res []reservation
-}
-
-// reservation is one exchange's entry in a NAVTable.
-type reservation struct {
-	id    int64
-	until sim.Slot
-}
-
-// Observe records that the exchange msgID has reserved the medium through
-// the slot until (inclusive), extending any existing reservation.
-func (n *NAVTable) Observe(msgID int64, until sim.Slot) {
-	for i := range n.res {
-		if r := &n.res[i]; r.id == msgID {
-			if until > r.until {
-				r.until = until
-			}
-			return
-		}
-	}
-	n.res = append(n.res, reservation{msgID, until})
-}
-
-// ObserveFor records a reservation of duration slots following now.
-// Expired entries are pruned in the same pass that looks for the
-// exchange; that is semantics-neutral — an entry with until < now can
-// never affect Yielding, YieldingToOther or Until (all of which prune
-// before answering) — and keeps the table from growing one dead entry
-// per overheard exchange between queries.
-func (n *NAVTable) ObserveFor(msgID int64, now sim.Slot, duration int) {
-	if duration <= 0 {
-		return
-	}
-	until := now + sim.Slot(duration)
-	found := false
-	w := 0
-	for _, r := range n.res {
-		if r.until < now {
-			continue
-		}
-		if r.id == msgID {
-			found = true
-			if until > r.until {
-				r.until = until
-			}
-		}
-		n.res[w] = r
-		w++
-	}
-	n.res = n.res[:w]
-	if !found {
-		n.res = append(n.res, reservation{msgID, until})
-	}
-}
-
-// Yielding reports whether any reservation is active: the station's
-// virtual carrier sense for contention purposes.
-func (n *NAVTable) Yielding(now sim.Slot) bool {
-	n.prune(now)
-	return len(n.res) > 0
-}
-
-// YieldingToOther reports whether a reservation belonging to a different
-// exchange than msgID is active — the paper's "in yield state" test for a
-// station invited to answer a frame of exchange msgID.
-func (n *NAVTable) YieldingToOther(msgID int64, now sim.Slot) bool {
-	n.prune(now)
-	for _, r := range n.res {
-		if r.id != msgID {
-			return true
-		}
-	}
-	return false
-}
-
-// Until returns the latest reserved slot, or now-1 when idle.
-func (n *NAVTable) Until(now sim.Slot) sim.Slot {
-	n.prune(now)
-	max := now - 1
-	for _, r := range n.res {
-		if r.until > max {
-			max = r.until
-		}
-	}
-	return max
-}
-
-// Clear removes every reservation.
-func (n *NAVTable) Clear() { n.res = n.res[:0] }
-
-// prune drops expired reservations.
-func (n *NAVTable) prune(now sim.Slot) {
-	w := 0
-	for _, r := range n.res {
-		if r.until >= now {
-			n.res[w] = r
-			w++
-		}
-	}
-	n.res = n.res[:w]
-}
-
 // Queue is the FIFO of pending service requests at a station's MAC.
 type Queue struct {
 	reqs []*sim.Request
@@ -306,14 +186,6 @@ func (q *Queue) Push(r *sim.Request) { q.reqs = append(q.reqs, r) }
 
 // Len returns the number of queued requests.
 func (q *Queue) Len() int { return len(q.reqs) }
-
-// Head returns the first request without removing it, or nil when empty.
-func (q *Queue) Head() *sim.Request {
-	if len(q.reqs) == 0 {
-		return nil
-	}
-	return q.reqs[0]
-}
 
 // Pop removes and returns the first request, or nil when empty. The
 // remaining requests are shifted down rather than re-slicing from the

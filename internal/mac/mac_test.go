@@ -124,15 +124,15 @@ func TestBackoffDegenerateWindow(t *testing.T) {
 
 func TestQueueFIFO(t *testing.T) {
 	var q Queue
-	if q.Head() != nil || q.Pop() != nil || q.Len() != 0 {
+	if q.Pop() != nil || q.Len() != 0 {
 		t.Error("empty queue misbehaves")
 	}
 	a := &sim.Request{ID: 1, Deadline: 100}
 	b := &sim.Request{ID: 2, Deadline: 100}
 	q.Push(a)
 	q.Push(b)
-	if q.Head() != a || q.Len() != 2 {
-		t.Error("head/len wrong")
+	if q.Len() != 2 {
+		t.Error("len wrong")
 	}
 	if q.Pop() != a || q.Pop() != b || q.Pop() != nil {
 		t.Error("FIFO order broken")
@@ -146,7 +146,7 @@ func TestQueueDropExpired(t *testing.T) {
 	q.Push(&sim.Request{ID: 2, Deadline: 50})
 	q.Push(&sim.Request{ID: 3, Deadline: 5})
 	q.DropExpired(20, func(r *sim.Request) { aborted = append(aborted, r.ID) })
-	if q.Len() != 1 || q.Head().ID != 2 {
+	if q.Len() != 1 || q.reqs[0].ID != 2 {
 		t.Errorf("queue after expiry: len=%d", q.Len())
 	}
 	if len(aborted) != 2 || aborted[0] != 1 || aborted[1] != 3 {
@@ -228,61 +228,5 @@ func TestDefaultConfig(t *testing.T) {
 	c := DefaultConfig()
 	if c.CWMin <= 0 || c.CWMax < c.CWMin || c.RetryLimit <= 0 {
 		t.Errorf("bad defaults: %+v", c)
-	}
-}
-
-func TestNAVTablePerExchange(t *testing.T) {
-	var n NAVTable
-	if n.Yielding(0) || n.YieldingToOther(1, 0) {
-		t.Error("fresh table must be idle")
-	}
-	n.ObserveFor(7, 10, 5) // exchange 7 reserves through slot 15
-	if !n.Yielding(12) {
-		t.Error("reservation must register")
-	}
-	if n.YieldingToOther(7, 12) {
-		t.Error("own exchange must not block")
-	}
-	if !n.YieldingToOther(8, 12) {
-		t.Error("other exchange must block")
-	}
-	if n.Yielding(16) {
-		t.Error("reservation expired")
-	}
-}
-
-func TestNAVTableExtension(t *testing.T) {
-	var n NAVTable
-	n.Observe(1, 10)
-	n.Observe(1, 8) // shorter: no shrink
-	if n.Until(0) != 10 {
-		t.Errorf("until = %d", n.Until(0))
-	}
-	n.Observe(1, 20)
-	if n.Until(0) != 20 {
-		t.Errorf("until = %d after extension", n.Until(0))
-	}
-	n.Observe(2, 25)
-	if n.Until(0) != 25 {
-		t.Error("max over exchanges wrong")
-	}
-	// Exchange 1 expires at 21; only exchange 2 remains.
-	if n.YieldingToOther(2, 22) {
-		t.Error("expired foreign reservation still blocking")
-	}
-	if !n.YieldingToOther(1, 22) {
-		t.Error("exchange 2 should block exchange 1's responses")
-	}
-	n.Clear()
-	if n.Yielding(0) {
-		t.Error("Clear failed")
-	}
-}
-
-func TestNAVTableZeroDuration(t *testing.T) {
-	var n NAVTable
-	n.ObserveFor(1, 5, 0)
-	if n.Yielding(5) {
-		t.Error("zero duration must not reserve")
 	}
 }

@@ -114,6 +114,12 @@ func WithTiming(tm frames.Timing) Option {
 	return func(c *sim.Config) { c.Timing = tm }
 }
 
+// WithExposedTerminal sets the engine's exposed-terminal option
+// (sim.Config.ExposedTerminal).
+func WithExposedTerminal(on bool) Option {
+	return func(c *sim.Config) { c.ExposedTerminal = on }
+}
+
 // Multicast schedules a multicast request from src to dests at slot t
 // with the given timeout in slots, returning it. The engine numbers it
 // at submission: the n-th request the run submits has ID n.

@@ -21,8 +21,8 @@
 // was decodable there, together with the receiver's role in it (Rx):
 // addressed (Dst), a group member (Group), both or neither. The engine
 // computes the role once per frame; a frame with no role for the
-// receiver is a pure overhear, which by the Sleeper contract can only
-// touch the receiver's NAV and so never wakes a sleeping station.
+// receiver is a pure overhear, which only raises the receiver's NAV and
+// never reaches its MAC, so it never wakes a sleeping station.
 //
 // Carrier sense is physical: a station senses the medium busy when a
 // transmission that started in an *earlier* slot is still in the air
@@ -31,6 +31,18 @@
 // engine also answers how long the medium has been idle at a station
 // (Env.IdleFor, the DIFS rule), counting only the slots the station was
 // up, so no MAC keeps its own channel history.
+//
+// Virtual carrier sense is the engine's too. Every clean frame that
+// announces a Duration and is not directed at a station — not addressed
+// to it, and not a DATA frame naming it in the group — raises that
+// station's NAV, kept per exchange so that a station can tell another
+// exchange's reservation (it refuses to answer, Figure 3) from the one of
+// the exchange polling it (Env.Yielding, Env.YieldingToOther). Two
+// entries per station make that exact: the reservation reaching
+// furthest, and the furthest among the other exchanges. With
+// Config.ExposedTerminal (the paper's §8 future work) an overheard RTS
+// whose receivers are all out of the station's range reserves only the
+// CTS turnaround.
 //
 // # Determinism
 //
@@ -65,9 +77,7 @@
 //     hot scalars (sender, start, end, generation) live in parallel
 //     slices that resolveSlot, computeBusy and completeSlot stream
 //     through, with corruption masks recycled in place of the former
-//     record free-list;
-//   - per-neighbor distance tables captured at transmission start
-//     instead of per-collision sqrt calls.
+//     record free-list.
 //
 // All of them are gated by Config.Reference, which forces the original
 // naive path; the equivalence tests drive both paths to identical

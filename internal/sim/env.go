@@ -56,6 +56,24 @@ func (e *Env) CarrierBusy() bool { return e.engine.carrierBusy(e.node) }
 // next slot. The engine keeps the run for every station, asleep or not.
 func (e *Env) IdleFor(n int) bool { return e.engine.idleRun(e.node) >= Slot(n) }
 
+// Yielding reports whether the station's NAV holds a reservation
+// covering the current slot: its virtual carrier sense. The engine
+// raises the NAV for every clean frame announcing a Duration that is not
+// directed at the station — not addressed to it, and not a DATA frame
+// naming it in the group (the receiver's protocol of Figure 3) — so a
+// MAC never sees the frames behind it.
+func (e *Env) Yielding() bool { return e.engine.nav[e.node].yielding(e.engine.now) }
+
+// YieldingToOther reports whether the station's NAV holds a reservation
+// covering the current slot that belongs to an exchange other than
+// msgID: the paper's "in yield state" test for a station invited to
+// answer a frame of exchange msgID. Reservations of the same exchange
+// never block — a BMMM batch receiver must answer its RTS/RAK even
+// though the batch's own first RTS reserved the medium past that point.
+func (e *Env) YieldingToOther(msgID int64) bool {
+	return e.engine.nav[e.node].yieldingToOther(msgID, e.engine.now)
+}
+
 // Transmitting reports whether the station's own transmission is still in
 // the air in the current slot.
 func (e *Env) Transmitting() bool {

@@ -16,15 +16,20 @@ import (
 // sense entirely — a stress generator for channel invariants. Its frames
 // carry random destinations and groups (duplicates, BroadcastAddr,
 // NoAddr, IDs naming no station, nil and empty non-nil), and Deliver
-// checks the engine's receiver role against the naive definition.
+// checks the engine's receiver role against the naive definition. With
+// nav set, every Tick checks the engine's NAV against the oracle first.
 type chaosMAC struct {
 	t     *testing.T
 	rng   *rand.Rand
 	rate  float64
-	roles *[4]int // deliveries seen per Rx value, when non-nil
+	roles *[4]int    // deliveries seen per Rx value, when non-nil
+	nav   *navOracle // NAV oracle, when non-nil
 }
 
 func (m *chaosMAC) Tick(env *Env) *frames.Frame {
+	if m.nav != nil {
+		m.nav.check(m.t, env)
+	}
 	if env.Transmitting() || m.rng.Float64() >= m.rate {
 		return nil
 	}
@@ -34,7 +39,7 @@ func (m *chaosMAC) Tick(env *Env) *frames.Frame {
 	}
 	return &frames.Frame{
 		Type: t, Dst: chaosAddr(m.rng), Group: chaosGroup(m.rng),
-		MsgID: int64(m.rng.Intn(50)), Duration: m.rng.Intn(10),
+		MsgID: int64(m.rng.Intn(chaosIDs)), Duration: m.rng.Intn(10),
 	}
 }
 
@@ -75,6 +80,10 @@ func (m *chaosMAC) Deliver(env *Env, f *frames.Frame, rx Rx) {
 	}
 	if slices.Contains(f.Group, j) {
 		want |= RxMember
+	}
+	if rx == 0 {
+		m.t.Errorf("slot %d: station %d was handed an overheard frame (dst %v group %v)",
+			env.Now(), j, f.Dst, f.Group)
 	}
 	if rx != want {
 		m.t.Errorf("slot %d: station %d got rx %b for dst %v group %v, want %b",

@@ -110,7 +110,8 @@ func (r AbortReason) String() string {
 // once per frame and handed to MAC.Deliver. Every station in range
 // decodes every clean frame (the paper's model); the role says whether
 // the frame concerns it. A zero Rx is a pure overhear: the receiver's
-// protocol (Figure 3) only sets its NAV.
+// protocol (Figure 3) only sets its NAV, which the engine keeps, so such
+// a frame never reaches the MAC.
 type Rx uint8
 
 // Receiver roles; a frame may carry both.
@@ -131,7 +132,9 @@ type MAC interface {
 	// implementation bug).
 	Tick(env *Env) *frames.Frame
 	// Deliver is invoked at the end of the slot in which the station
-	// successfully decoded the frame, with the station's role in it.
+	// successfully decoded a frame it has a role in (rx non-zero), after
+	// the engine raised the station's NAV for it if it is due (see
+	// Env.Yielding). Overheard frames are never delivered.
 	Deliver(env *Env, f *frames.Frame, rx Rx)
 	// Submit hands a new service request to the MAC.
 	Submit(env *Env, req *Request)
@@ -151,10 +154,6 @@ type MAC interface {
 // everything else that can change MAC state flows through those entry
 // points. A crash/recover transition does not wake it: a down station is
 // not ticked anyway, and its idle run skips the down slots by itself.
-//
-// An overheard frame (Rx zero) never ends quiescence: it may only
-// extend the station's NAV, which is a pure function of the current slot
-// when next consulted, so the engine does not ask Quiescent after one.
 type Sleeper interface {
 	// Quiescent reports whether the MAC has no pending work at or after
 	// the given slot: nothing in service, nothing queued, no response
@@ -260,12 +259,22 @@ type Config struct {
 	// disables event-driven slot skipping (the hook must observe every
 	// slot), but not idle-station scheduling.
 	SlotHook func(now Slot, e *Engine)
+	// ExposedTerminal enables the location-aware exposed-terminal option
+	// explored as the paper's future work (§8): a station that overhears
+	// an RTS whose data receivers are all out of its own transmission
+	// range reserves the medium only through the CTS turnaround instead
+	// of the whole exchange, falling back on physical carrier sense
+	// afterwards. This lets spatially separated exchanges proceed in
+	// parallel at the cost of a small residual risk of colliding with the
+	// exchange's closing ACKs. Off by default — the paper's protocols do
+	// not include it.
+	ExposedTerminal bool
 	// Reference disables the engine's hot-path optimizations —
-	// idle-station scheduling, event-driven slot skipping, transmission
-	// storage recycling and the cached per-neighbor distances — and runs
-	// the original naive resolution path. Output is bit-identical either
-	// way; the reference path exists so the equivalence tests can prove
-	// it and cmd/relbench can measure the gap.
+	// idle-station scheduling, event-driven slot skipping and
+	// transmission storage recycling — and runs the original naive
+	// resolution path. Output is bit-identical either way; the reference
+	// path exists so the equivalence tests can prove it and cmd/relbench
+	// can measure the gap.
 	Reference bool
 	// Profiler, when non-nil, receives phase-boundary marks from the
 	// slot loop (see profiler.go) — the runtime profiling feed behind
@@ -310,13 +319,6 @@ type Engine struct {
 	txEnd     []Slot   // inclusive last slot
 	txRecv    [][]int  // in-range stations at start, sorted
 	txCorrupt [][]bool // parallel to txRecv
-	// txNDists are the sender→receiver distances parallel to txRecv,
-	// shared with the topology's precomputed table; valid only while
-	// txTopoGen matches the engine's. After a mid-flight topology swap
-	// the resolver falls back to live distance queries, preserving the
-	// pre-cache semantics exactly.
-	txNDists  [][]float64
-	txTopoGen []uint64
 	txN       int
 
 	// txBusyUntil[i] is the last slot station i's own transmission
@@ -353,9 +355,12 @@ type Engine struct {
 	// station i sensed, the end of the idle run behind Env.IdleFor.
 	busyStamp []Slot
 
-	// topoGen counts SetTopology swaps; cached per-transmission distance
-	// tables are only trusted while their generation matches.
-	topoGen uint64
+	// nav[i] is station i's virtual carrier sense, raised by completeSlot
+	// for every clean frame not directed at the station (see raisesNAV)
+	// and read through Env.Yielding and Env.YieldingToOther. exposed is
+	// Config.ExposedTerminal, which shortens some raises (navDuration).
+	nav     []navState
+	exposed bool
 
 	// Idle-station scheduling (see Sleeper). sleepers[i] is non-nil iff
 	// macs[i] implements Sleeper; asleep marks stations currently skipped
@@ -443,6 +448,8 @@ func New(cfg Config) *Engine {
 		sigRx:       make([][]int32, n),
 		groupMark:   make([]uint64, n),
 		busyStamp:   make([]Slot, n),
+		nav:         make([]navState, n),
+		exposed:     cfg.ExposedTerminal,
 		sleepers:    make([]Sleeper, n),
 		asleep:      make([]bool, n),
 		awake:       make([]int, 0, n),
@@ -515,8 +522,9 @@ func (e *Engine) SetMAC(i int, m MAC) {
 	e.macs[i] = m
 	e.sleepers[i], _ = m.(Sleeper)
 	e.awakeDirty = true
-	// A fresh MAC's idle run starts now, as if the previous slot were
-	// busy.
+	// A fresh MAC holds no reservation, and its idle run starts now, as
+	// if the previous slot were busy.
+	e.nav[i] = navState{}
 	e.busyStamp[i] = e.now - 1
 	if e.down != nil {
 		e.busyDown[i] = e.downBefore(i, e.now)
@@ -546,7 +554,6 @@ func (e *Engine) SetTopology(tp *topo.Topology) {
 		panic("sim: SetTopology must preserve the station count")
 	}
 	e.topo = tp
-	e.topoGen++
 }
 
 // Timing returns the frame airtimes in use.
@@ -823,8 +830,6 @@ func (e *Engine) startTx(sender int, f *frames.Frame) {
 		e.txEnd = append(e.txEnd, 0)
 		e.txRecv = append(e.txRecv, nil)
 		e.txCorrupt = append(e.txCorrupt, nil)
-		e.txNDists = append(e.txNDists, nil)
-		e.txTopoGen = append(e.txTopoGen, 0)
 	}
 	e.txFrame[r] = f
 	e.txSender[r] = int32(sender)
@@ -842,12 +847,6 @@ func (e *Engine) startTx(sender int, f *frames.Frame) {
 		e.txCorrupt[r] = cor
 	} else {
 		e.txCorrupt[r] = make([]bool, len(nb))
-	}
-	if e.reference {
-		e.txNDists[r] = nil
-	} else {
-		e.txNDists[r] = e.topo.NeighborDists(sender)
-		e.txTopoGen[r] = e.topoGen
 	}
 	e.txN = r + 1
 	e.txBusyUntil[sender] = e.txEnd[r]
@@ -923,19 +922,11 @@ func (e *Engine) resolveStation(j int) bool {
 		}
 		return true
 	}
-	// Collision: ask the capture model which signal survives. Distances
-	// come from the table captured at transmission start; Dist is
-	// symmetric (math.Hypot of the same deltas), so txNDists[ti][ri] is
-	// bit-for-bit the e.topo.Dist(j, sender) the naive path computes. The
-	// live query remains for transmissions launched under a topology
-	// since swapped out.
+	// Collision: ask the capture model which signal survives, given each
+	// sender's distance under the current topology.
 	d := e.dists[:0]
-	for k, ti := range sigs {
-		if nd := e.txNDists[ti]; nd != nil && e.txTopoGen[ti] == e.topoGen {
-			d = append(d, nd[rxs[k]])
-		} else {
-			d = append(d, e.topo.Dist(j, int(e.txSender[ti])))
-		}
+	for _, ti := range sigs {
+		d = append(d, e.topo.Dist(j, int(e.txSender[ti])))
 	}
 	e.dists = d
 	win := e.capture.Resolve(d, e.rng.Float64())
@@ -989,8 +980,6 @@ func (e *Engine) completeSlot() {
 				e.txEnd[w] = e.txEnd[r]
 				e.txRecv[w], e.txRecv[r] = e.txRecv[r], nil
 				e.txCorrupt[w], e.txCorrupt[r] = e.txCorrupt[r], e.txCorrupt[w]
-				e.txNDists[w], e.txNDists[r] = e.txNDists[r], nil
-				e.txTopoGen[w] = e.txTopoGen[r]
 			}
 			w++
 			continue
@@ -1013,12 +1002,17 @@ func (e *Engine) completeSlot() {
 			}
 			if m := e.macs[j]; m != nil {
 				rx := e.rxRole(f, j)
+				if raisesNAV(f, rx) {
+					e.nav[j].raise(f.MsgID, now+Slot(e.navDuration(f, j))+1)
+				}
+				if rx == 0 {
+					// A pure overhear: the NAV is all it changes.
+					continue
+				}
 				m.Deliver(&e.envs[j], f, rx)
 				// A sleeping receiver stays asleep unless the frame left
 				// it something to do — a scheduled response, typically.
-				// Overheard frames (rx == 0) only touch the NAV, which
-				// never ends quiescence (see Sleeper).
-				if rx != 0 && e.asleep[j] && !e.sleepers[j].Quiescent(now+1) {
+				if e.asleep[j] && !e.sleepers[j].Quiescent(now+1) {
 					e.wake(j)
 				}
 			}
@@ -1029,7 +1023,6 @@ func (e *Engine) completeSlot() {
 		// the tail for the next startTx to recycle.
 		e.txFrame[r] = nil
 		e.txRecv[r] = nil
-		e.txNDists[r] = nil
 	}
 	e.txN = w
 }

@@ -19,14 +19,6 @@ type Topology struct {
 	radius    float64
 	pos       []geom.Point
 	neighbors [][]int
-	// neighborDist[i] holds the distances to neighbors[i], index-parallel.
-	// Computed with the same geom.Point.Dist the live Dist method uses, so
-	// the cached values are bit-identical to on-demand queries — the
-	// engine's collision resolver depends on that to stay reproducible.
-	// Materialized lazily, one station at a time on first NeighborDists
-	// call, so a 1M-station topology does not pay O(total-degree) float64
-	// storage up front for tables most stations never consult.
-	neighborDist [][]float64
 }
 
 // FromPoints builds a topology from explicit positions. The radius must be
@@ -122,7 +114,6 @@ func gridDims(extX, extY, size float64, n int) (float64, int, int) {
 func (t *Topology) buildNeighbors() {
 	n := len(t.pos)
 	t.neighbors = make([][]int, n)
-	t.neighborDist = make([][]float64, n)
 	if n == 0 {
 		return
 	}
@@ -209,32 +200,6 @@ func (t *Topology) Positions() []geom.Point {
 // it.
 func (t *Topology) Neighbors(i int) []int { return t.neighbors[i] }
 
-// NeighborDists returns the distances from station i to each of its
-// neighbors, index-parallel to Neighbors(i). The values are bit-identical
-// to calling Dist for each pair. The returned slice is shared; callers
-// must not modify it.
-//
-// The table is materialized lazily on first call per station. The first
-// call for a given station is not safe to race with other calls on the
-// same Topology; the engine only queries it from its transmission-start
-// phase.
-func (t *Topology) NeighborDists(i int) []float64 {
-	if d := t.neighborDist[i]; d != nil {
-		return d
-	}
-	nb := t.neighbors[i]
-	if len(nb) == 0 {
-		return nil
-	}
-	// Amortized: built once per station, owned by the topology thereafter.
-	t.neighborDist[i] = make([]float64, len(nb))
-	d := t.neighborDist[i]
-	for k, j := range nb {
-		d[k] = t.pos[i].Dist(t.pos[j])
-	}
-	return d
-}
-
 // Degree returns the number of neighbors of station i.
 func (t *Topology) Degree(i int) int { return len(t.neighbors[i]) }
 
@@ -257,17 +222,6 @@ func (t *Topology) AvgDegree() float64 {
 		total += len(nb)
 	}
 	return float64(total) / float64(len(t.pos))
-}
-
-// MaxDegree returns the largest neighbor count in the topology.
-func (t *Topology) MaxDegree() int {
-	max := 0
-	for _, nb := range t.neighbors {
-		if len(nb) > max {
-			max = len(nb)
-		}
-	}
-	return max
 }
 
 // Connected reports whether the neighbor graph is connected (ignoring
