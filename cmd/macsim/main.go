@@ -135,12 +135,12 @@ func main() {
 
 	if *chartSlots > 0 {
 		// One run of the first protocol, cut at the charted horizon, with
-		// the occupancy chart as the engine's tracer.
+		// the occupancy chart observing it.
 		cfg := runCfg(protos[0], *seed)
 		cfg.Slots = *chartSlots
 		ch := chart.New(cfg.Nodes, 0, sim.Slot(*chartSlots-1))
 		ch.ShowLosses = true
-		cfg.Tracer = []sim.Observer{ch}
+		cfg.Observers = []sim.Observer{ch}
 		if _, err := experiments.Run(cfg); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -23,10 +23,9 @@ import (
 // printer traces every transmission to stdout.
 type printer struct{}
 
-func (printer) Observe(ev sim.Event) {
-	if ev.Kind != sim.EvFrameTx {
-		return
-	}
+func (printer) Kinds() sim.KindSet { return sim.Kinds(sim.EvFrameTx) }
+
+func (printer) Observe(ev *sim.Event) {
 	span := fmt.Sprintf("%d", ev.Start)
 	if ev.End != ev.Start {
 		span = fmt.Sprintf("%d-%d", ev.Start, ev.End)
@@ -55,7 +54,7 @@ func main() {
 	// Wire up the engine with metrics and a transmission trace, and run
 	// the Location Aware Multicast MAC on every station.
 	col := metrics.NewCollector()
-	eng := sim.New(sim.Config{Topo: tp, Seed: *seed, Observers: []sim.Observer{col}, Tracer: []sim.Observer{printer{}}})
+	eng := sim.New(sim.Config{Topo: tp, Seed: *seed, Observers: []sim.Observer{col, printer{}}})
 	eng.AttachMACs(core.NewLAMM(mac.DefaultConfig()))
 
 	// Submit one multicast from station 0 to all seven receivers with a

@@ -77,9 +77,10 @@ func (f *flood) Arrivals(now sim.Slot) []*sim.Request {
 	return reqs
 }
 
-// Observe extends the metrics collector: a station's first DATA
-// reception triggers its own rebroadcast after a tiny processing delay.
-func (f *flood) Observe(ev sim.Event) {
+// Observe extends the metrics collector, whose Kinds it keeps (they
+// include data-rx): a station's first DATA reception triggers its own
+// rebroadcast after a tiny processing delay.
+func (f *flood) Observe(ev *sim.Event) {
 	f.Collector.Observe(ev)
 	if ev.Kind != sim.EvDataRx || f.seen[ev.Station] {
 		return

@@ -23,8 +23,8 @@ import (
 	"relmac/internal/sim"
 )
 
-// Chart is a sim.Observer of Config.Tracer (transmissions and
-// receptions) and accumulates the diagram.
+// Chart is a sim.Observer of the transmissions and the lost receptions,
+// and accumulates the diagram.
 type Chart struct {
 	n        int
 	from, to sim.Slot // inclusive window
@@ -66,9 +66,13 @@ func symbol(t frames.Type) rune {
 	}
 }
 
+// Kinds implements sim.Observer: the transmissions and the lost
+// receptions.
+func (c *Chart) Kinds() sim.KindSet { return sim.Kinds(sim.EvFrameTx, sim.EvRxLost) }
+
 // Observe implements sim.Observer: a transmission fills its sender's
 // row over its airtime, a loss marks the receiver's cell.
-func (c *Chart) Observe(ev sim.Event) {
+func (c *Chart) Observe(ev *sim.Event) {
 	if ev.Station < 0 || ev.Station >= c.n {
 		return
 	}

@@ -51,13 +51,13 @@ type txSpan struct {
 	dur        int
 }
 
-// spanTracer records every transmission's span from Config.Tracer.
+// spanTracer records every transmission's span.
 type spanTracer struct{ tx []txSpan }
 
-func (s *spanTracer) Observe(ev sim.Event) {
-	if ev.Kind == sim.EvFrameTx {
-		s.tx = append(s.tx, txSpan{ev.Start, ev.End, ev.Frame.Duration})
-	}
+func (s *spanTracer) Kinds() sim.KindSet { return sim.Kinds(sim.EvFrameTx) }
+
+func (s *spanTracer) Observe(ev *sim.Event) {
+	s.tx = append(s.tx, txSpan{ev.Start, ev.End, ev.Frame.Duration})
 }
 
 func TestBMMMTimingNoIdleGaps(t *testing.T) {
@@ -70,7 +70,7 @@ func TestBMMMTimingNoIdleGaps(t *testing.T) {
 		spans := &spanTracer{}
 		pts := prototest.Star(2, r, 0.7)
 		run := prototest.New(pts, r, bmmmFactory(), prototest.WithTiming(tm),
-			func(c *sim.Config) { c.Tracer = []sim.Observer{spans} })
+			func(c *sim.Config) { c.Observers = append(c.Observers, spans) })
 		run.Multicast(5, 0, []int{1, 2}, 100)
 		run.Steps(40)
 		// Expected: RTS@5 CTS@6 RTS@7 CTS@8 DATA@9..8+D RAK@9+D ACK@10+D

@@ -31,10 +31,9 @@ func newDataLogShadow(t *testing.T, n int) *dataLogShadow {
 	return s
 }
 
-func (s *dataLogShadow) Observe(ev sim.Event) {
-	if ev.Kind != sim.EvRxOK {
-		return
-	}
+func (s *dataLogShadow) Kinds() sim.KindSet { return sim.Kinds(sim.EvRxOK) }
+
+func (s *dataLogShadow) Observe(ev *sim.Event) {
 	f, receiver, now := ev.Frame, ev.Station, ev.Slot
 	member := slices.Contains(f.Group, frames.Addr(receiver))
 	switch {
@@ -85,7 +84,7 @@ func TestSenderNeverRevisitsMessage(t *testing.T) {
 				cfg.Fault = c.fault
 				cfg.Speed = c.speed
 				sh := newDataLogShadow(t, cfg.Nodes)
-				cfg.Tracer = []sim.Observer{sh}
+				cfg.Observers = []sim.Observer{sh}
 				if _, err := Run(cfg); err != nil {
 					t.Fatal(err)
 				}

@@ -33,7 +33,11 @@ func (tr *transcript) add(format string, args ...any) {
 	tr.lines = append(tr.lines, fmt.Sprintf(format, args...))
 }
 
-func (tr *transcript) Observe(ev sim.Event) {
+func (tr *transcript) Kinds() sim.KindSet {
+	return sim.Kinds(sim.EvFrameTx, sim.EvRxOK, sim.EvRxLost)
+}
+
+func (tr *transcript) Observe(ev *sim.Event) {
 	f := ev.Frame
 	switch ev.Kind {
 	case sim.EvFrameTx:
@@ -63,9 +67,8 @@ func runOnce(t *testing.T, proto experiments.Protocol, reference bool) ([]string
 	tracer := obs.NewTracer(1 << 20)
 	cfg := experiments.Defaults(proto, 11)
 	cfg.Slots = 2000
-	cfg.Observers = []sim.Observer{tracer}
 	ch := &transcript{}
-	cfg.Tracer = []sim.Observer{ch}
+	cfg.Observers = []sim.Observer{tracer, ch}
 	cfg.Reference = reference
 
 	res, err := experiments.Run(cfg)
@@ -131,9 +134,8 @@ type witnesses struct {
 }
 
 // runFull executes one run with the full observer stack attached — the
-// channel transcript, an airtime ledger on Observers and SlotObservers,
-// and a conformance auditor on Observers and Lifecycles — and collects
-// every witness. mutate
+// traced observer stream, an airtime ledger, a conformance auditor and
+// the channel transcript — and collects every witness. mutate
 // customises the configuration before the run (traffic mode,
 // impairments, slot count).
 func runFull(t *testing.T, proto experiments.Protocol, reference bool,
@@ -145,18 +147,14 @@ func runFull(t *testing.T, proto experiments.Protocol, reference bool,
 
 	tracer := obs.NewTracer(1 << 20)
 	ch := &transcript{}
-	cfg.Tracer = []sim.Observer{ch}
 	reg := obs.NewRegistry()
 	led := obs.NewLedger(reg, "eq")
-	cfg.Observers = []sim.Observer{tracer, led}
-	cfg.SlotObservers = []sim.Observer{led}
 	ap, ok := obs.AuditProtocolFor(string(proto))
 	if !ok {
 		t.Fatalf("no audit model for %s", proto)
 	}
 	aud := obs.NewAuditor(ap, cfg.MAC.RetryLimit)
-	cfg.Observers = append(cfg.Observers, aud)
-	cfg.Lifecycles = []sim.Observer{aud}
+	cfg.Observers = []sim.Observer{tracer, led, aud, ch}
 	if mutate != nil {
 		mutate(&cfg)
 	}

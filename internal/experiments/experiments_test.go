@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"relmac/internal/metrics"
+	"relmac/internal/obs"
 	"relmac/internal/sim"
 )
 
@@ -73,6 +74,13 @@ func TestRunRejectsBadRunConfig(t *testing.T) {
 		{"negative-speed", "Speed", func(c *RunConfig) { c.Speed = -0.001 }},
 		{"nan-speed", "Speed", func(c *RunConfig) { c.Speed = math.NaN() }},
 		{"negative-slots", "Slots", func(c *RunConfig) { c.Slots = -1 }},
+		{"lifecycles-only", "Lifecycles", func(c *RunConfig) {
+			c.Observers = []sim.Observer{obs.NewTracer(0)}
+			c.Lifecycles = []sim.Observer{obs.NewFlight(nil, "", 0)}
+		}},
+		{"slot-observers-only", "SlotObservers", func(c *RunConfig) {
+			c.SlotObservers = []sim.Observer{obs.NewLedger(obs.NewRegistry(), "x")}
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

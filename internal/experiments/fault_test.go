@@ -181,11 +181,12 @@ func TestSeedForPairsProtocols(t *testing.T) {
 // submitLog records the identity of every request handed to a MAC.
 type submitLog struct{ subs []string }
 
-func (l *submitLog) Observe(ev sim.Event) {
-	if req := ev.Req; ev.Kind == sim.EvSubmit {
-		l.subs = append(l.subs, fmt.Sprintf("id=%d src=%d kind=%v dests=%v arrival=%d",
-			req.ID, req.Src, req.Kind, req.Dests, req.Arrival))
-	}
+func (l *submitLog) Kinds() sim.KindSet { return sim.Kinds(sim.EvSubmit) }
+
+func (l *submitLog) Observe(ev *sim.Event) {
+	req := ev.Req
+	l.subs = append(l.subs, fmt.Sprintf("id=%d src=%d kind=%v dests=%v arrival=%d",
+		req.ID, req.Src, req.Kind, req.Dests, req.Arrival))
 }
 
 // TestPairedArrivals is what the pairing of TestSeedForPairsProtocols

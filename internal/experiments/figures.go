@@ -266,7 +266,7 @@ func Fig2() (string, error) {
 		}
 		tp := topo.FromPoints(pts, 0.2)
 		rec := &timelineTracer{}
-		eng := sim.New(sim.Config{Topo: tp, Tracer: []sim.Observer{rec}})
+		eng := sim.New(sim.Config{Topo: tp, Observers: []sim.Observer{rec}})
 		eng.AttachMACs(factory)
 		script := traffic.NewScript()
 		script.At(0, &sim.Request{Kind: sim.Multicast, Src: 0,
@@ -297,11 +297,11 @@ type timelineTracer struct {
 	lines []string
 }
 
+// Kinds implements sim.Observer.
+func (t *timelineTracer) Kinds() sim.KindSet { return sim.Kinds(sim.EvFrameTx) }
+
 // Observe implements sim.Observer.
-func (t *timelineTracer) Observe(ev sim.Event) {
-	if ev.Kind != sim.EvFrameTx {
-		return
-	}
+func (t *timelineTracer) Observe(ev *sim.Event) {
 	span := fmt.Sprintf("%d", ev.Start)
 	if ev.End != ev.Start {
 		span = fmt.Sprintf("%d-%d", ev.Start, ev.End)

@@ -34,7 +34,6 @@ func TestLedgerConservationAllProtocols(t *testing.T) {
 				cfg.Slots = 1500
 				cfg.Fault = imp.fault
 				cfg.Observers = []sim.Observer{led}
-				cfg.SlotObservers = []sim.Observer{led}
 				if _, err := Run(cfg); err != nil {
 					t.Fatal(err)
 				}
@@ -70,7 +69,7 @@ type spanLedger struct {
 	spans int
 }
 
-func (l *spanLedger) Observe(ev sim.Event) {
+func (l *spanLedger) Observe(ev *sim.Event) {
 	if ev.Kind == sim.EvIdleSpan {
 		l.spans++
 	}
@@ -92,7 +91,6 @@ func TestLedgerIdleSpansMatchPerSlot(t *testing.T) {
 				cfg.Slots = 6000
 				cfg.Reference = reference
 				cfg.Observers = []sim.Observer{led}
-				cfg.SlotObservers = []sim.Observer{led}
 				if _, err := Run(cfg); err != nil {
 					t.Fatal(err)
 				}
@@ -127,7 +125,6 @@ func TestLedgerDisabledBitIdentical(t *testing.T) {
 			reg := obs.NewRegistry()
 			led := obs.NewLedger(reg, "BMMM")
 			cfg.Observers = []sim.Observer{led}
-			cfg.SlotObservers = []sim.Observer{led}
 		}
 		res, err := Run(cfg)
 		if err != nil {

@@ -50,7 +50,11 @@ type submitLog struct {
 	terms map[int64]int
 }
 
-func (l *submitLog) Observe(ev sim.Event) {
+func (l *submitLog) Kinds() sim.KindSet {
+	return sim.Kinds(sim.EvSubmit, sim.EvComplete, sim.EvAbort)
+}
+
+func (l *submitLog) Observe(ev *sim.Event) {
 	switch ev.Kind {
 	case sim.EvSubmit:
 		r := ev.Req

@@ -14,8 +14,10 @@ import (
 // txCounter counts transmissions started by stations other than skip.
 type txCounter struct{ skip, n int }
 
-func (c *txCounter) Observe(ev sim.Event) {
-	if ev.Kind == sim.EvFrameTx && ev.Station != c.skip {
+func (c *txCounter) Kinds() sim.KindSet { return sim.Kinds(sim.EvFrameTx) }
+
+func (c *txCounter) Observe(ev *sim.Event) {
+	if ev.Station != c.skip {
 		c.n++
 	}
 }
@@ -31,7 +33,7 @@ func overhearRun(t *testing.T, p Protocol, f *frames.Frame) (quiet, yielding boo
 		geom.Pt(0.5, 0.5), geom.Pt(0.62, 0.5), geom.Pt(0.5, 0.62), geom.Pt(0.38, 0.5),
 	}, 0.15)
 	tr := &txCounter{skip: 3}
-	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Tracer: []sim.Observer{tr}})
+	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Observers: []sim.Observer{tr}})
 	factory, err := Factory(p, mac.DefaultConfig())
 	if err != nil {
 		t.Fatal(err)

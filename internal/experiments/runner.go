@@ -15,7 +15,9 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -112,15 +114,16 @@ type RunConfig struct {
 	// §8 future work. Off in the paper's setup.
 	ExposedTerminal bool
 	Seed            int64
-	// Observers, Lifecycles, SlotObservers and Tracer are the engine's
-	// four subscription lists (sim.Config): message events, service
-	// detail, channel state, and transmissions with their receptions.
-	// The metrics collector goes first on Observers, so it sees each
-	// message event before the observers listed here.
-	Observers     []sim.Observer
-	Lifecycles    []sim.Observer
-	SlotObservers []sim.Observer
-	Tracer        []sim.Observer
+	// Observers is the engine's subscription list (sim.Config): each
+	// entry receives the event kinds it declares, in list order. The
+	// metrics collector goes first, so it sees each event before the
+	// observers listed here.
+	Observers []sim.Observer
+	// Lifecycles and SlotObservers subscribe nothing; they are kept so
+	// that callers which fill them still compile. Validate rejects an
+	// entry on them that is not also on Observers, so no such caller
+	// silently loses its events.
+	Lifecycles, SlotObservers []sim.Observer
 	// Reference runs the engine's naive path (sim.Config.Reference) and,
 	// for LAMM, disables the MCS memo. Results are bit-identical with the
 	// flag on and off; it exists for equivalence tests and cmd/relbench.
@@ -212,9 +215,20 @@ func faultFactory(cfg *RunConfig, fseed int64) (func(node int, env *sim.Env) sim
 // Validate reports the first run parameter that no simulation can be
 // built from: fewer than one station, a radius that is not positive
 // (NaN included), a per-slot generation rate outside [0,1], a negative
-// (or NaN) speed, or a negative horizon. Slots == 0 is valid: it builds
-// the run without simulating a slot.
+// (or NaN) speed, a negative horizon, or an entry on Lifecycles or
+// SlotObservers that is not on Observers. Slots == 0 is valid: it
+// builds the run without simulating a slot.
 func (c RunConfig) Validate() error {
+	for _, l := range []struct {
+		name string
+		obs  []sim.Observer
+	}{{"Lifecycles", c.Lifecycles}, {"SlotObservers", c.SlotObservers}} {
+		for _, o := range l.obs {
+			if !slices.ContainsFunc(c.Observers, func(p sim.Observer) bool { return sameObserver(o, p) }) {
+				return fmt.Errorf("experiments: %T on %s but not on Observers, which alone subscribes", o, l.name)
+			}
+		}
+	}
 	switch {
 	case c.Nodes < 1:
 		return fmt.Errorf("experiments: Nodes %d, need at least 1", c.Nodes)
@@ -228,6 +242,12 @@ func (c RunConfig) Validate() error {
 		return fmt.Errorf("experiments: negative Slots %d", c.Slots)
 	}
 	return nil
+}
+
+// sameObserver reports whether a and b are the same attachment, without
+// comparing values whose dynamic type cannot be compared.
+func sameObserver(a, b sim.Observer) bool {
+	return reflect.ValueOf(a).Comparable() && a == b
 }
 
 // Run executes one simulation run to completion. An invalid run or fault
@@ -284,9 +304,6 @@ func Run(cfg RunConfig) (RunResult, error) {
 		Impairment:      imp,
 		Seed:            cfg.Seed ^ 0x1e3779b97f4a7c15, // decouple channel RNG from topology
 		Observers:       append([]sim.Observer{col}, cfg.Observers...),
-		SlotObservers:   cfg.SlotObservers,
-		Lifecycles:      cfg.Lifecycles,
-		Tracer:          cfg.Tracer,
 		Reference:       cfg.Reference,
 		ExposedTerminal: cfg.ExposedTerminal,
 		Profiler:        cfg.Profiler,

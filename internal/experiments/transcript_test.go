@@ -2,8 +2,8 @@ package experiments_test
 
 // The cross-commit trajectory pin. The equivalence suite compares two
 // engine paths inside one tree; this test compares the tree against a
-// recorded past. Every event a run emits on the Tracer, Observers and
-// Lifecycles lists, with its slot and payload, is folded in order into
+// recorded past. Every event a run emits but the channel state, with its
+// slot and payload, is folded in order into
 // one SHA-256 per case, so any change to event order, frame contents or
 // PRNG draw order shows up as a changed hash. A refactor that claims "same bytes" must leave
 // testdata/transcript_golden.txt untouched.
@@ -23,8 +23,9 @@ import (
 	"relmac/internal/sim"
 )
 
-// hashRecorder folds every event of the Observers, Lifecycles and
-// Tracer lists into a running SHA-256, one formatted line per event.
+// hashRecorder folds every message and service-detail event, and
+// through its channelView every transmission and reception, into a
+// running SHA-256, one formatted line per event.
 type hashRecorder struct {
 	h hash.Hash
 	n int
@@ -50,9 +51,14 @@ func reqString(req *sim.Request) string {
 		req.ID, req.Kind, req.Src, req.Dests, req.Arrival, req.Deadline)
 }
 
+// Kinds implements sim.Observer.
+func (r *hashRecorder) Kinds() sim.KindSet {
+	return sim.MessageKinds | sim.Kinds(sim.EvServiceStart, sim.EvRoundStart, sim.EvResponseDrop)
+}
+
 // Observe formats one event of the message, service-detail or
-// reception classes.
-func (r *hashRecorder) Observe(ev sim.Event) {
+// reception kinds.
+func (r *hashRecorder) Observe(ev *sim.Event) {
 	now, req, f := ev.Slot, ev.Req, ev.Frame
 	switch ev.Kind {
 	case sim.EvRxOK:
@@ -83,11 +89,14 @@ func (r *hashRecorder) Observe(ev sim.Event) {
 	}
 }
 
-// channelView is the recorder's subscription to Config.Tracer, where
-// frame-tx folds in as a channel span.
+// channelView is the recorder's subscription to the transmissions and
+// the receptions. Attached after the recorder, it folds each frame-tx
+// in a second time, as a channel span.
 type channelView struct{ *hashRecorder }
 
-func (v channelView) Observe(ev sim.Event) {
+func (v channelView) Kinds() sim.KindSet { return sim.Kinds(sim.EvFrameTx, sim.EvRxOK, sim.EvRxLost) }
+
+func (v channelView) Observe(ev *sim.Event) {
 	if ev.Kind == sim.EvFrameTx {
 		v.add("tx %d [%d,%d] %s", ev.Station, ev.Start, ev.End, frameString(ev.Frame))
 		return
@@ -129,9 +138,7 @@ func TestTranscriptGolden(t *testing.T) {
 					cfg.MAC.RetryLimit = 3
 				}
 				rec := newHashRecorder()
-				cfg.Tracer = []sim.Observer{channelView{rec}}
-				cfg.Observers = []sim.Observer{rec}
-				cfg.Lifecycles = []sim.Observer{rec}
+				cfg.Observers = []sim.Observer{rec, channelView{rec}}
 				if _, err := experiments.Run(cfg); err != nil {
 					t.Fatalf("%s %s seed %d: %v", p, fc.name, seed, err)
 				}
@@ -168,9 +175,7 @@ func TestMobileFaultGolden(t *testing.T) {
 			cfg.Speed = 0.002
 			cfg.Fault = transcriptFaults[1].cfg
 			rec := newHashRecorder()
-			cfg.Tracer = []sim.Observer{channelView{rec}}
-			cfg.Observers = []sim.Observer{rec}
-			cfg.Lifecycles = []sim.Observer{rec}
+			cfg.Observers = []sim.Observer{rec, channelView{rec}}
 			res, err := experiments.Run(cfg)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", p, seed, err)

@@ -18,13 +18,9 @@ import (
 
 // Watch is the one attach point for the observability surfaces: it
 // names which surfaces every run carries, builds a fresh instance of
-// each per run, appends it once to each RunConfig list it belongs to,
-// registers it with the metrics server and pools it per protocol.
-//
-// The lists follow one rule, one attachment per list: the ledger goes on
-// Observers and SlotObservers, the flight recorder and the auditor on
-// Observers and Lifecycles, every other surface on Observers, and the
-// phase timer in Profiler.
+// each per run, appends it once to RunConfig.Observers (the phase timer
+// goes in Profiler), registers it with the metrics server and pools it
+// per protocol. Each surface declares the event kinds it reads.
 //
 // Attach may run on several goroutines at once, so Instrument = w.Attach
 // instruments a whole sweep. Run adds the post-run step a single run
@@ -120,7 +116,6 @@ func (w *Watch) attach(cfg *RunConfig) (*watched, *obs.Tracer, *obs.Flight) {
 	if w.Ledger {
 		led = obs.NewLedger(w.Registry, name)
 		cfg.Observers = append(cfg.Observers, led)
-		cfg.SlotObservers = append(cfg.SlotObservers, led)
 	}
 	if w.Drift {
 		run.drift = obs.NewDriftMonitor(analysis.RoundModelFor(name))
@@ -140,7 +135,6 @@ func (w *Watch) attach(cfg *RunConfig) (*watched, *obs.Tracer, *obs.Flight) {
 		}
 		fl = obs.NewFlight(reg, prefix, 0)
 		cfg.Observers = append(cfg.Observers, fl)
-		cfg.Lifecycles = append(cfg.Lifecycles, fl)
 		if w.Flight {
 			run.flight = fl
 		}
@@ -149,7 +143,6 @@ func (w *Watch) attach(cfg *RunConfig) (*watched, *obs.Tracer, *obs.Flight) {
 	if w.Audit && auditable {
 		run.audit = obs.NewAuditor(ap, cfg.MAC.RetryLimit)
 		cfg.Observers = append(cfg.Observers, run.audit)
-		cfg.Lifecycles = append(cfg.Lifecycles, run.audit)
 	}
 	if w.Phases {
 		run.timer = prof.New()

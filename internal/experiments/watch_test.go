@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"relmac/internal/fault"
 	"relmac/internal/obs"
 	"relmac/internal/sim"
 )
@@ -25,32 +26,74 @@ func everySurface(dir string) *Watch {
 	}
 }
 
-// TestWatchOneAttachmentPerList: each surface is appended once to each
-// list it belongs to — the ledger on Observers and SlotObservers, the
-// flight recorder and the auditor on Observers and Lifecycles, the rest
-// on Observers — and the phase timer goes in Profiler.
+// TestWatchOneAttachmentPerList: each surface is appended once to
+// Observers, declaring the kinds its output reads, the lists that
+// subscribe nothing stay empty, and the phase timer goes in Profiler.
 func TestWatchOneAttachmentPerList(t *testing.T) {
 	cfg := Defaults(BMMM, 1)
 	everySurface(t.TempDir()).Attach(&cfg)
-	kinds := func(list []string) string { return strings.Join(list, ",") }
-	var obsKinds, slotKinds, lcKinds []string
+	var got []string
 	for _, o := range cfg.Observers {
-		obsKinds = append(obsKinds, fmt.Sprintf("%T", o))
+		var kinds []string
+		for k := sim.EvSubmit; k <= sim.EvRxLost; k++ {
+			if o.Kinds().Has(k) {
+				kinds = append(kinds, k.String())
+			}
+		}
+		got = append(got, fmt.Sprintf("%T %s", o, strings.Join(kinds, ",")))
 	}
-	for _, o := range cfg.SlotObservers {
-		slotKinds = append(slotKinds, fmt.Sprintf("%T", o))
+	want := []string{
+		"*obs.Stats submit,contention,frame-tx,data-rx,round,complete,abort",
+		"*obs.Ledger submit,contention,frame-tx,round,complete,abort,slot,idle-span",
+		"*obs.DriftMonitor round,complete",
+		"*obs.Tracer submit,contention,frame-tx,data-rx,round,complete,abort",
+		"*obs.Flight submit,contention,frame-tx,data-rx,round,complete,abort,service-start,round-start,response-drop",
+		"*obs.Auditor submit,contention,frame-tx,round,complete,abort,service-start,round-start",
 	}
-	for _, o := range cfg.Lifecycles {
-		lcKinds = append(lcKinds, fmt.Sprintf("%T", o))
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("Observers:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
-	for _, c := range []struct{ list, got, want string }{
-		{"Observers", kinds(obsKinds), "*obs.Stats,*obs.Ledger,*obs.DriftMonitor,*obs.Tracer,*obs.Flight,*obs.Auditor"},
-		{"SlotObservers", kinds(slotKinds), "*obs.Ledger"},
-		{"Lifecycles", kinds(lcKinds), "*obs.Flight,*obs.Auditor"},
-		{"Profiler", fmt.Sprintf("%T", cfg.Profiler), "*prof.PhaseTimer"},
-	} {
-		if c.got != c.want {
-			t.Errorf("%s = %s, want %s", c.list, c.got, c.want)
+	if len(cfg.Lifecycles) != 0 || len(cfg.SlotObservers) != 0 {
+		t.Errorf("Lifecycles %v, SlotObservers %v; want both empty", cfg.Lifecycles, cfg.SlotObservers)
+	}
+	if got := fmt.Sprintf("%T", cfg.Profiler); got != "*prof.PhaseTimer" {
+		t.Errorf("Profiler = %s, want *prof.PhaseTimer", got)
+	}
+}
+
+// TestLegacyListsSubscribeNothing attaches the way perfbench does — the
+// ledger on Observers and SlotObservers, the flight recorder and the
+// auditor on Observers and Lifecycles — and checks that the run matches
+// one with the same surfaces on Observers alone: the same ledger
+// snapshot, audit and summary. A surface subscribed twice would count
+// each slot twice and see every frame twice.
+func TestLegacyListsSubscribeNothing(t *testing.T) {
+	for _, p := range AllProtocols {
+		run := func(legacy bool) string {
+			cfg := Defaults(p, 3)
+			cfg.Nodes, cfg.Slots = 40, 2000
+			cfg.Fault = fault.Config{PER: 0.02, Crash: fault.Crash{MTTF: 1500, MTTR: 150}}
+			led := obs.NewLedger(obs.NewRegistry(), "legacy")
+			fl := obs.NewFlight(nil, "", 0)
+			ap, _ := obs.AuditProtocolFor(string(p))
+			aud := obs.NewAuditor(ap, cfg.MAC.RetryLimit)
+			cfg.Observers = []sim.Observer{led, fl, aud}
+			if legacy {
+				cfg.SlotObservers = []sim.Observer{led}
+				cfg.Lifecycles = []sim.Observer{fl, aud}
+			}
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatalf("%s legacy=%v: %v", p, legacy, err)
+			}
+			snap := led.Snapshot()
+			if snap.TotalSlots != int64(cfg.Slots) {
+				t.Errorf("%s legacy=%v: ledger counts %d slots of %d", p, legacy, snap.TotalSlots, cfg.Slots)
+			}
+			return fmt.Sprintf("%+v\n%+v\n%+v\n%+v", snap, fl.Stats(), aud.Report(), res.Summary)
+		}
+		if plain, legacy := run(false), run(true); plain != legacy {
+			t.Errorf("%s: a perfbench-style attach diverged:\n  Observers alone: %s\n  legacy lists:    %s", p, plain, legacy)
 		}
 	}
 }
@@ -72,8 +115,8 @@ func TestWatchPoolsInSeedOrder(t *testing.T) {
 				// One finding per run, tagged with the run's seed: a
 				// completion before service start.
 				req := &sim.Request{ID: seed, Kind: sim.Broadcast}
-				o.Observe(sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
-				o.Observe(sim.Event{Kind: sim.EvComplete, Req: req, Slot: 1})
+				o.Observe(&sim.Event{Kind: sim.EvSubmit, Req: req, Slot: 0})
+				o.Observe(&sim.Event{Kind: sim.EvComplete, Req: req, Slot: 1})
 			}
 		}
 	}

@@ -236,9 +236,11 @@ type tap struct {
 	slots int
 }
 
-func (t *tap) Observe(ev sim.Event) {
+func (t *tap) Observe(ev *sim.Event) {
 	t.slots++
 }
+
+func (t *tap) Kinds() sim.KindSet { return sim.Kinds(sim.EvSlot) }
 `
 	mutated := strings.Replace(clean, "t.slots++", "t.slots += t.rng.Intn(4)", 1)
 

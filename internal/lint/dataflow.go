@@ -17,8 +17,8 @@ import (
 //     function. Parameters, fields and other call results are tainted —
 //     they alias the simulation's shared, order-sensitive stream;
 //   - engine writes: stores whose lvalue chain passes through
-//     sim.Engine/Env state, a *sim.Request or a *frames.Frame, and calls
-//     to the mutating Engine/Env methods.
+//     sim.Engine/Env state, a *sim.Event, a *sim.Request or a
+//     *frames.Frame, and calls to the mutating Engine/Env methods.
 
 // engineReadOnly are the sim.Engine methods hook code may call: pure
 // observations of the engine's public state.
@@ -195,10 +195,12 @@ func (df *funcData) isEngineOrEnv(t types.Type) bool {
 	return name == "Engine" || name == "Env"
 }
 
-// isShownRecord reports whether t is *sim.Request or *frames.Frame.
+// isShownRecord reports whether t is *sim.Event, *sim.Request or
+// *frames.Frame: the records the engine shows its hooks read-only.
 func (df *funcData) isShownRecord(t types.Type) bool {
 	s := types.TypeString(t, nil)
-	return s == "*"+df.simPath+".Request" || s == "*"+path.Dir(df.simPath)+"/frames.Frame"
+	return s == "*"+df.simPath+".Event" || s == "*"+df.simPath+".Request" ||
+		s == "*"+path.Dir(df.simPath)+"/frames.Frame"
 }
 
 // scanWrite raises the engine-write fact for the stores of an assignment

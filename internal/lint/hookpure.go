@@ -17,8 +17,9 @@ import (
 //   - one store through sim.Engine/Env state, or a call to a mutating
 //     engine method (the Env.Report* dispatchers included — hook code
 //     re-entering the engine's bookkeeping), couples measurement to
-//     dynamics, as does a store through the *sim.Request or
-//     *frames.Frame the engine shows every observer and the MACs alike.
+//     dynamics, as does a store through the *sim.Event the engine shows
+//     every subscriber in turn, or through the *sim.Request or
+//     *frames.Frame it shows every observer and the MACs alike.
 //
 // Either failure is the drift the golden byte-diff tests catch after the
 // fact; this check flags it at review time instead.

@@ -27,13 +27,12 @@
 //     calls — recycling there must use explicit deterministic free-lists;
 //   - docpresent: every sim-path package carries a package doc comment
 //     stating its role, determinism constraints and entry points;
-//   - hookpure: hook implementations (sim.Observer, whichever of the
-//     four subscription lists it is on, and sim.Profiler) must reach
-//     neither a PRNG draw — a draw inside a hook shifts every later draw
-//     in the run, so attaching the hook changes trajectories — nor an
-//     engine-state mutation (stores through engine state or through the
-//     requests and frames the engine shows, or non-allowlisted
-//     Engine/Env method calls);
+//   - hookpure: hook implementations (sim.Observer and sim.Profiler)
+//     must reach neither a PRNG draw — a draw inside a hook shifts every
+//     later draw in the run, so attaching the hook changes trajectories
+//     — nor an engine-state mutation (stores through engine state or
+//     through the events, requests and frames the engine shows, or
+//     non-allowlisted Engine/Env method calls);
 //   - maporder: map iteration in sim-path packages must not leak Go's
 //     randomized iteration order — no draws, output, unsorted result
 //     appends or float accumulation in range bodies.

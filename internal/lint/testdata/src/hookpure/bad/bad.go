@@ -20,7 +20,9 @@ type reinjector struct {
 	req *sim.Request
 }
 
-func (r *reinjector) Observe(ev sim.Event) { // want `hook \(bad\.reinjector\)\.Observe reaches an engine-state mutation`
+func (r *reinjector) Kinds() sim.KindSet { return sim.Kinds(sim.EvSlot) }
+
+func (r *reinjector) Observe(ev *sim.Event) { // want `hook \(bad\.reinjector\)\.Observe reaches an engine-state mutation`
 	if ev.Kind == sim.EvSlot {
 		r.env.ReportAbort(r.req, sim.AbortDeadline)
 	}
@@ -32,7 +34,9 @@ type dropForger struct {
 	env *sim.Env
 }
 
-func (d *dropForger) Observe(ev sim.Event) { // want `hook \(bad\.dropForger\)\.Observe reaches an engine-state mutation`
+func (d *dropForger) Kinds() sim.KindSet { return sim.Kinds(sim.EvSlot) }
+
+func (d *dropForger) Observe(ev *sim.Event) { // want `hook \(bad\.dropForger\)\.Observe reaches an engine-state mutation`
 	if ev.Kind == sim.EvSlot {
 		forge(d.env)
 	}

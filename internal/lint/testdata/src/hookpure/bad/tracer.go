@@ -12,7 +12,9 @@ type abortTracer struct {
 	req *sim.Request
 }
 
-func (t *abortTracer) Observe(ev sim.Event) { // want `hook \(bad\.abortTracer\)\.Observe reaches an engine-state mutation`
+func (t *abortTracer) Kinds() sim.KindSet { return sim.Kinds(sim.EvRxOK) }
+
+func (t *abortTracer) Observe(ev *sim.Event) { // want `hook \(bad\.abortTracer\)\.Observe reaches an engine-state mutation`
 	if ev.Kind == sim.EvRxOK {
 		t.env.ReportAbort(t.req, sim.AbortDeadline)
 	}

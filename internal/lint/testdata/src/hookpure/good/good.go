@@ -18,7 +18,9 @@ type spanRecorder struct {
 	seen []sim.Slot
 }
 
-func (s *spanRecorder) Observe(ev sim.Event) {
+func (s *spanRecorder) Kinds() sim.KindSet { return sim.Kinds(sim.EvSlot, sim.EvIdleSpan) }
+
+func (s *spanRecorder) Observe(ev *sim.Event) {
 	switch ev.Kind {
 	case sim.EvSlot:
 		if s.env != nil && s.env.Now() == ev.Slot {

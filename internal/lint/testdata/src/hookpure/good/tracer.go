@@ -13,7 +13,9 @@ type rxCounter struct {
 	lastStart sim.Slot
 }
 
-func (c *rxCounter) Observe(ev sim.Event) {
+func (c *rxCounter) Kinds() sim.KindSet { return sim.Kinds(sim.EvFrameTx, sim.EvRxOK, sim.EvRxLost) }
+
+func (c *rxCounter) Observe(ev *sim.Event) {
 	switch ev.Kind {
 	case sim.EvFrameTx:
 		c.starts++

@@ -16,7 +16,9 @@ type jitterTap struct {
 	rng *rand.Rand
 }
 
-func (t *jitterTap) Observe(ev sim.Event) { // want `hook \(bad\.jitterTap\)\.Observe reaches a PRNG draw`
+func (t *jitterTap) Kinds() sim.KindSet { return sim.Kinds(sim.EvSlot) }
+
+func (t *jitterTap) Observe(ev *sim.Event) { // want `hook \(bad\.jitterTap\)\.Observe reaches a PRNG draw`
 	_ = t.rng.Intn(8)
 }
 
@@ -28,7 +30,9 @@ type jitterTracer struct {
 	lags []int
 }
 
-func (t *jitterTracer) Observe(ev sim.Event) { // want `hook \(bad\.jitterTracer\)\.Observe reaches a PRNG draw`
+func (t *jitterTracer) Kinds() sim.KindSet { return sim.Kinds(sim.EvFrameTx) }
+
+func (t *jitterTracer) Observe(ev *sim.Event) { // want `hook \(bad\.jitterTracer\)\.Observe reaches a PRNG draw`
 	if ev.Kind == sim.EvFrameTx {
 		t.lags = append(t.lags, t.rng.Intn(4))
 	}
@@ -38,7 +42,9 @@ func (t *jitterTracer) Observe(ev sim.Event) { // want `hook \(bad\.jitterTracer
 // call-graph closure still attributes the draw to the hook.
 type globalTap struct{}
 
-func (globalTap) Observe(ev sim.Event) { // want `hook \(bad\.globalTap\)\.Observe reaches a PRNG draw`
+func (globalTap) Kinds() sim.KindSet { return sim.Kinds(sim.EvSlot) }
+
+func (globalTap) Observe(ev *sim.Event) { // want `hook \(bad\.globalTap\)\.Observe reaches a PRNG draw`
 	if ev.Kind == sim.EvSlot {
 		jitter()
 	}

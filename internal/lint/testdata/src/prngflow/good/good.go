@@ -15,7 +15,9 @@ type counterTap struct {
 	rng   *rand.Rand
 }
 
-func (t *counterTap) Observe(ev sim.Event) {
+func (t *counterTap) Kinds() sim.KindSet { return sim.Kinds(sim.EvSlot) }
+
+func (t *counterTap) Observe(ev *sim.Event) {
 	t.slots += len(ev.Airing)
 }
 

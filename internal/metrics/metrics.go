@@ -79,9 +79,16 @@ type Collector struct {
 // NewCollector returns an empty Collector.
 func NewCollector() *Collector { return &Collector{} }
 
-// Observe implements sim.Observer; it subscribes to the message events.
-// Events for IDs it has not seen submitted leave the records alone.
-func (c *Collector) Observe(ev sim.Event) {
+// Kinds implements sim.Observer: the records are built from the
+// submissions, the transmissions, the DATA receptions and the terminal
+// events.
+func (c *Collector) Kinds() sim.KindSet {
+	return sim.Kinds(sim.EvSubmit, sim.EvFrameTx, sim.EvDataRx, sim.EvComplete, sim.EvAbort)
+}
+
+// Observe implements sim.Observer. Events for IDs it has not seen
+// submitted leave the records alone.
+func (c *Collector) Observe(ev *sim.Event) {
 	var r *Record
 	if id := ev.MsgID(); id >= 1 && id <= int64(len(c.records)) {
 		r = c.records[id-1]

@@ -10,20 +10,20 @@ import (
 
 func submit(c *Collector, id int64, kind sim.Kind, dests []int, arrival, deadline sim.Slot) *sim.Request {
 	req := &sim.Request{ID: id, Kind: kind, Src: 0, Dests: dests, Arrival: arrival, Deadline: deadline}
-	c.Observe(sim.Event{Kind: sim.EvSubmit, Req: req, Slot: arrival})
+	c.Observe(&sim.Event{Kind: sim.EvSubmit, Req: req, Slot: arrival})
 	return req
 }
 
 // contend feeds a contention event and then counts it on the request,
 // as Env.ReportContention does.
 func contend(c *Collector, req *sim.Request, now sim.Slot) {
-	c.Observe(sim.Event{Kind: sim.EvContention, Req: req, Slot: now})
+	c.Observe(&sim.Event{Kind: sim.EvContention, Req: req, Slot: now})
 	req.Contentions++
 }
 
 // dataRx is receiver's decode of message msg's DATA frame at now.
-func dataRx(msg int64, receiver int, now sim.Slot) sim.Event {
-	return sim.Event{Kind: sim.EvDataRx, Frame: &frames.Frame{Type: frames.Data, MsgID: msg}, Station: receiver, Slot: now}
+func dataRx(msg int64, receiver int, now sim.Slot) *sim.Event {
+	return &sim.Event{Kind: sim.EvDataRx, Frame: &frames.Frame{Type: frames.Data, MsgID: msg}, Station: receiver, Slot: now}
 }
 
 func TestRecordLifecycle(t *testing.T) {
@@ -35,7 +35,7 @@ func TestRecordLifecycle(t *testing.T) {
 	c.Observe(dataRx(1, 2, 40))
 	c.Observe(dataRx(1, 2, 41)) // duplicate must not double count
 	c.Observe(dataRx(1, 3, 42))
-	c.Observe(sim.Event{Kind: sim.EvComplete, Req: req, Slot: 60})
+	c.Observe(&sim.Event{Kind: sim.EvComplete, Req: req, Slot: 60})
 
 	r := c.Records()[0]
 	if r.Contentions != 2 {
@@ -67,7 +67,7 @@ func TestSuccessRequiresTimelyCompletion(t *testing.T) {
 	c := NewCollector()
 	req := submit(c, 1, sim.Broadcast, []int{1}, 0, 100)
 	c.Observe(dataRx(1, 1, 50))
-	c.Observe(sim.Event{Kind: sim.EvComplete, Req: req, Slot: 150}) // after deadline
+	c.Observe(&sim.Event{Kind: sim.EvComplete, Req: req, Slot: 150}) // after deadline
 	if c.Records()[0].Successful(0.5) {
 		t.Error("completion after the deadline is a timeout, not a success")
 	}
@@ -86,7 +86,7 @@ func TestBSMAStyleFalseCompletion(t *testing.T) {
 	// delivery rate at any positive threshold must be 0 (paper §7.3).
 	c := NewCollector()
 	req := submit(c, 1, sim.Multicast, []int{1, 2}, 0, 100)
-	c.Observe(sim.Event{Kind: sim.EvComplete, Req: req, Slot: 20})
+	c.Observe(&sim.Event{Kind: sim.EvComplete, Req: req, Slot: 20})
 	s := c.Summarize(0.9, Filter{})
 	if s.SuccessRate != 0 {
 		t.Errorf("success rate = %v, want 0", s.SuccessRate)
@@ -99,7 +99,7 @@ func TestBSMAStyleFalseCompletion(t *testing.T) {
 func TestEmptyDestsCountsDelivered(t *testing.T) {
 	c := NewCollector()
 	req := submit(c, 1, sim.Multicast, nil, 0, 100)
-	c.Observe(sim.Event{Kind: sim.EvComplete, Req: req, Slot: 5})
+	c.Observe(&sim.Event{Kind: sim.EvComplete, Req: req, Slot: 5})
 	if !c.Records()[0].Successful(1.0) {
 		t.Error("no intended receivers: trivially successful")
 	}
@@ -110,11 +110,11 @@ func TestSummarizeFilters(t *testing.T) {
 	// Multicast, in horizon, successful.
 	r1 := submit(c, 1, sim.Multicast, []int{1}, 0, 100)
 	c.Observe(dataRx(1, 1, 10))
-	c.Observe(sim.Event{Kind: sim.EvComplete, Req: r1, Slot: 15})
+	c.Observe(&sim.Event{Kind: sim.EvComplete, Req: r1, Slot: 15})
 	// Unicast (excluded by GroupFilter).
 	r2 := submit(c, 2, sim.Unicast, []int{2}, 0, 100)
 	c.Observe(dataRx(2, 2, 12))
-	c.Observe(sim.Event{Kind: sim.EvComplete, Req: r2, Slot: 14})
+	c.Observe(&sim.Event{Kind: sim.EvComplete, Req: r2, Slot: 14})
 	// Broadcast whose deadline exceeds the horizon (excluded).
 	submit(c, 3, sim.Broadcast, []int{1, 2}, 9950, 10050)
 
@@ -140,12 +140,12 @@ func TestSummarizeAverages(t *testing.T) {
 	contend(c, a, 3)
 	c.Observe(dataRx(1, 1, 10))
 	c.Observe(dataRx(1, 2, 10))
-	c.Observe(sim.Event{Kind: sim.EvComplete, Req: a, Slot: 20})
+	c.Observe(&sim.Event{Kind: sim.EvComplete, Req: a, Slot: 20})
 
 	b := submit(c, 2, sim.Multicast, []int{3, 4}, 10, 210)
 	contend(c, b, 11)
 	c.Observe(dataRx(2, 3, 40))
-	c.Observe(sim.Event{Kind: sim.EvComplete, Req: b, Slot: 50})
+	c.Observe(&sim.Event{Kind: sim.EvComplete, Req: b, Slot: 50})
 
 	s := c.Summarize(0.9, Filter{})
 	if !almost(s.AvgContentions, 2) {
@@ -164,9 +164,9 @@ func TestSummarizeAverages(t *testing.T) {
 
 func TestFrameCounting(t *testing.T) {
 	c := NewCollector()
-	c.Observe(sim.Event{Kind: sim.EvFrameTx, Frame: &frames.Frame{Type: frames.RTS}, Station: 0, Slot: 0})
-	c.Observe(sim.Event{Kind: sim.EvFrameTx, Frame: &frames.Frame{Type: frames.RTS}, Station: 1, Slot: 0})
-	c.Observe(sim.Event{Kind: sim.EvFrameTx, Frame: &frames.Frame{Type: frames.RAK}, Station: 0, Slot: 5})
+	c.Observe(&sim.Event{Kind: sim.EvFrameTx, Frame: &frames.Frame{Type: frames.RTS}, Station: 0, Slot: 0})
+	c.Observe(&sim.Event{Kind: sim.EvFrameTx, Frame: &frames.Frame{Type: frames.RTS}, Station: 1, Slot: 0})
+	c.Observe(&sim.Event{Kind: sim.EvFrameTx, Frame: &frames.Frame{Type: frames.RAK}, Station: 0, Slot: 5})
 	if c.FrameCount(frames.RTS) != 2 || c.FrameCount(frames.RAK) != 1 || c.FrameCount(frames.NAK) != 0 {
 		t.Error("frame counts wrong")
 	}
@@ -175,8 +175,8 @@ func TestFrameCounting(t *testing.T) {
 func TestAbortRecorded(t *testing.T) {
 	c := NewCollector()
 	req := submit(c, 1, sim.Multicast, []int{1}, 0, 100)
-	c.Observe(sim.Event{Kind: sim.EvRound, Req: req, Residual: 1, Slot: 50})
-	c.Observe(sim.Event{Kind: sim.EvAbort, Req: req, Reason: sim.AbortRetries, Slot: 101})
+	c.Observe(&sim.Event{Kind: sim.EvRound, Req: req, Residual: 1, Slot: 50})
+	c.Observe(&sim.Event{Kind: sim.EvAbort, Req: req, Reason: sim.AbortRetries, Slot: 101})
 	rec := c.Records()[0]
 	if !rec.Aborted {
 		t.Error("abort not recorded")
@@ -193,10 +193,10 @@ func TestUnknownIDsIgnored(t *testing.T) {
 	c := NewCollector()
 	// Events for never-submitted IDs must not crash or create records.
 	c.Observe(dataRx(99, 1, 5))
-	c.Observe(sim.Event{Kind: sim.EvContention, Req: &sim.Request{ID: 98}, Slot: 5})
-	c.Observe(sim.Event{Kind: sim.EvComplete, Req: &sim.Request{ID: 97}, Slot: 5})
-	c.Observe(sim.Event{Kind: sim.EvAbort, Req: &sim.Request{ID: 96}, Reason: sim.AbortDeadline, Slot: 5})
-	c.Observe(sim.Event{Kind: sim.EvRound, Req: &sim.Request{ID: 95}, Residual: 2, Slot: 5})
+	c.Observe(&sim.Event{Kind: sim.EvContention, Req: &sim.Request{ID: 98}, Slot: 5})
+	c.Observe(&sim.Event{Kind: sim.EvComplete, Req: &sim.Request{ID: 97}, Slot: 5})
+	c.Observe(&sim.Event{Kind: sim.EvAbort, Req: &sim.Request{ID: 96}, Reason: sim.AbortDeadline, Slot: 5})
+	c.Observe(&sim.Event{Kind: sim.EvRound, Req: &sim.Request{ID: 95}, Residual: 2, Slot: 5})
 	if len(c.Records()) != 0 {
 		t.Error("phantom records created")
 	}
@@ -286,7 +286,7 @@ func TestWelchT(t *testing.T) {
 func TestFrameCounterCoversAllTypes(t *testing.T) {
 	c := NewCollector()
 	for _, ft := range frames.Types() {
-		c.Observe(sim.Event{Kind: sim.EvFrameTx, Frame: &frames.Frame{Type: ft}, Station: 0, Slot: 0})
+		c.Observe(&sim.Event{Kind: sim.EvFrameTx, Frame: &frames.Frame{Type: ft}, Station: 0, Slot: 0})
 	}
 	for _, ft := range frames.Types() {
 		if got := c.FrameCount(ft); got != 1 {

@@ -169,8 +169,7 @@ type auditMsg struct {
 // CTS transmitted" is a true violation, while a transmitted-but-collided
 // CTS never produces a false positive.
 //
-// Subscribe it to the message events and the service detail
-// (Config.Observers and Config.Lifecycles); unicast traffic
+// It reads the message events and the service detail; unicast traffic
 // is ignored. All methods take an internal lock so HTTP snapshot readers
 // can observe a live run.
 type Auditor struct {
@@ -209,14 +208,18 @@ func (a *Auditor) flag(msgID int64, now sim.Slot, station int, rule, format stri
 	}
 }
 
-// Observe implements sim.Observer; the auditor subscribes to the
-// message events and the service detail.
-func (a *Auditor) Observe(ev sim.Event) {
+// Kinds implements sim.Observer: the message events and the service
+// detail, less the DATA receptions and the response drops. Reception
+// carries no grammar, and a stale response silently discarded is lossy
+// but legal.
+func (a *Auditor) Kinds() sim.KindSet {
+	return sim.Kinds(sim.EvSubmit, sim.EvContention, sim.EvFrameTx, sim.EvRound, sim.EvComplete, sim.EvAbort,
+		sim.EvServiceStart, sim.EvRoundStart)
+}
+
+// Observe implements sim.Observer.
+func (a *Auditor) Observe(ev *sim.Event) {
 	switch ev.Kind {
-	case sim.EvDataRx, sim.EvResponseDrop:
-		// Reception carries no grammar, and a stale response silently
-		// discarded is lossy but legal.
-		return
 	case sim.EvSubmit:
 		if req := ev.Req; req.Kind != sim.Unicast {
 			a.mu.Lock()

@@ -56,7 +56,6 @@ func TestAuditorCleanRuns(t *testing.T) {
 			}
 			aud := obs.NewAuditor(ap, cfg.MAC.RetryLimit)
 			cfg.Observers = append(cfg.Observers, aud)
-			cfg.Lifecycles = append(cfg.Lifecycles, aud)
 			if _, err := experiments.Run(cfg); err != nil {
 				t.Fatal(err)
 			}
@@ -81,7 +80,7 @@ func feed(o sim.Observer, ev sim.Event) {
 	if ev.Kind == sim.EvSubmit {
 		ev.Req.Residual = len(ev.Req.Dests)
 	}
-	o.Observe(ev)
+	o.Observe(&ev)
 	switch ev.Kind {
 	case sim.EvContention:
 		ev.Req.Contentions++
@@ -411,7 +410,7 @@ func TestAuditorDetectsMutantProtocol(t *testing.T) {
 		geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5), geom.Pt(0.5, 0.6), geom.Pt(0.42, 0.42),
 	}
 	tp := topo.FromPoints(pts, 0.2)
-	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Observers: []sim.Observer{aud}, Lifecycles: []sim.Observer{aud}})
+	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Observers: []sim.Observer{aud}})
 	eng.AttachMACs(func(node int, env *sim.Env) sim.MAC {
 		return dcf.NewStation(node, cfg, core.NewBatch(overPoller{}))
 	})

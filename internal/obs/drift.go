@@ -32,8 +32,12 @@ func NewDriftMonitor(model analysis.RoundModel) *DriftMonitor {
 // Accum exposes the underlying accumulator (for cross-run Merge).
 func (d *DriftMonitor) Accum() *analysis.DriftAccum { return d.accum }
 
-// Observe implements sim.Observer; it subscribes to the message events.
-func (d *DriftMonitor) Observe(ev sim.Event) {
+// Kinds implements sim.Observer: the monitor reads the round reports and
+// the completions.
+func (d *DriftMonitor) Kinds() sim.KindSet { return sim.Kinds(sim.EvRound, sim.EvComplete) }
+
+// Observe implements sim.Observer.
+func (d *DriftMonitor) Observe(ev *sim.Event) {
 	switch ev.Kind {
 	case sim.EvRound:
 		if len(ev.Req.Dests) != 0 {

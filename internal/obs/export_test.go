@@ -87,7 +87,7 @@ func TestTracerForcedWrapSurfacesDrops(t *testing.T) {
 	tr := NewTracer(4)
 	req := &sim.Request{ID: 1, Src: 0}
 	for i := 0; i < 10; i++ {
-		tr.Observe(sim.Event{Kind: sim.EvContention, Req: req, Slot: sim.Slot(i)})
+		tr.Observe(&sim.Event{Kind: sim.EvContention, Req: req, Slot: sim.Slot(i)})
 	}
 	if got := tr.Dropped(); got != 6 {
 		t.Fatalf("dropped = %d, want 6", got)
@@ -143,7 +143,7 @@ func TestTracerForcedWrapSurfacesDrops(t *testing.T) {
 
 func TestTracerNoWrapNoMeta(t *testing.T) {
 	tr := NewTracer(16)
-	tr.Observe(sim.Event{Kind: sim.EvContention, Req: &sim.Request{ID: 1}, Slot: 0})
+	tr.Observe(&sim.Event{Kind: sim.EvContention, Req: &sim.Request{ID: 1}, Slot: 0})
 	var jsonl bytes.Buffer
 	if err := tr.WriteJSONL(&jsonl); err != nil {
 		t.Fatal(err)
@@ -236,8 +236,8 @@ func TestMetricsServerSnapshot(t *testing.T) {
 	reg := NewRegistry()
 	srv := NewMetricsServer(reg)
 	l := NewLedger(reg, "BMMM")
-	l.Observe(sim.Event{Kind: sim.EvSlot, Slot: 0})
-	l.Observe(sim.Event{Kind: sim.EvSlot, Slot: 1, Airing: []sim.AiringTx{{Frame: &frames.Frame{Type: frames.Data, MsgID: 1}, Sender: 0}}})
+	l.Observe(&sim.Event{Kind: sim.EvSlot, Slot: 0})
+	l.Observe(&sim.Event{Kind: sim.EvSlot, Slot: 1, Airing: []sim.AiringTx{{Frame: &frames.Frame{Type: frames.Data, MsgID: 1}, Sender: 0}}})
 	srv.Extra("drift", func() any { return map[string]float64{"rel_err": 0.01} })
 
 	rec := httptest.NewRecorder()

@@ -92,9 +92,8 @@ type FlightStats struct {
 	RespDrops int64 `json:"resp_drops"`
 }
 
-// Flight is the per-message lifecycle recorder: subscribed to the
-// message events (Config.Observers) and the service detail
-// (Config.Lifecycles), it assembles, for every multicast/broadcast
+// Flight is the per-message lifecycle recorder: from the message events
+// and the service detail it assembles, for every multicast/broadcast
 // message, the span tree from arrival through
 // queueing, per-round contention, control/data airtime and retry to
 // delivery or abort. Unicast DCF traffic is out of scope — the paper's
@@ -165,8 +164,14 @@ func (f *Flight) rec(msgID int64) *FlightRecord {
 	return f.recs[i]
 }
 
+// Kinds implements sim.Observer: the message events and the service
+// detail.
+func (f *Flight) Kinds() sim.KindSet {
+	return sim.MessageKinds | sim.Kinds(sim.EvServiceStart, sim.EvRoundStart, sim.EvResponseDrop)
+}
+
 // Observe implements sim.Observer.
-func (f *Flight) Observe(ev sim.Event) {
+func (f *Flight) Observe(ev *sim.Event) {
 	if ev.Kind == sim.EvSubmit && ev.Req.Kind == sim.Unicast {
 		return
 	}
@@ -261,7 +266,7 @@ func (f *Flight) submit(req *sim.Request, now sim.Slot) {
 // control versus data airtime, the engine's own span for the frame. The
 // sender's first frame after a contention begin closes that contention
 // span.
-func (f *Flight) frameTx(r *FlightRecord, ev sim.Event) {
+func (f *Flight) frameTx(r *FlightRecord, ev *sim.Event) {
 	fr, air := ev.Frame, int(ev.End-ev.Start+1)
 	r.Frames = append(r.Frames, FlightFrame{
 		Type: fr.Type, Name: fr.Type.String(), Sender: ev.Station, Start: ev.Start, Airtime: air,

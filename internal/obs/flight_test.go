@@ -35,10 +35,8 @@ var flightProtocols = []struct {
 
 // fig2Flight executes the Figure-2 scenario (one multicast from station
 // 0 to stations 1-3, clean channel) under the given protocol with a
-// flight recorder on the Observers and Lifecycles lists, plus any extra
-// observers on each (the auditor in the conformance tests).
-func fig2Flight(t *testing.T, factory func(mac.Config) func(int, *sim.Env) sim.MAC,
-	extraObs []sim.Observer, extraLife []sim.Observer) *obs.Flight {
+// flight recorder attached.
+func fig2Flight(t *testing.T, factory func(mac.Config) func(int, *sim.Env) sim.MAC) *obs.Flight {
 	t.Helper()
 	fl := obs.NewFlight(nil, "", 0)
 	pts := []geom.Point{
@@ -47,8 +45,7 @@ func fig2Flight(t *testing.T, factory func(mac.Config) func(int, *sim.Env) sim.M
 	tp := topo.FromPoints(pts, 0.2)
 	eng := sim.New(sim.Config{
 		Topo: tp, Seed: 1,
-		Observers:  append([]sim.Observer{fl}, extraObs...),
-		Lifecycles: append([]sim.Observer{fl}, extraLife...),
+		Observers: []sim.Observer{fl},
 	})
 	eng.AttachMACs(factory(mac.DefaultConfig()))
 	script := traffic.NewScript()
@@ -65,7 +62,7 @@ func fig2Flight(t *testing.T, factory func(mac.Config) func(int, *sim.Env) sim.M
 func TestFlightGolden(t *testing.T) {
 	for _, tc := range flightProtocols {
 		t.Run(tc.name, func(t *testing.T) {
-			fl := fig2Flight(t, tc.factory, nil, nil)
+			fl := fig2Flight(t, tc.factory)
 			var buf bytes.Buffer
 			if err := fl.WriteSpansJSONL(&buf); err != nil {
 				t.Fatal(err)
@@ -93,7 +90,7 @@ func TestFlightGolden(t *testing.T) {
 // exchange of Figure 2, and stage sums consistent with the timing model
 // (12 control slots, 5 data slots, queueing 0).
 func TestFlightFigure2Spans(t *testing.T) {
-	fl := fig2Flight(t, core.NewBMMM, nil, nil)
+	fl := fig2Flight(t, core.NewBMMM)
 	recs := fl.Records()
 	if len(recs) != 1 {
 		t.Fatalf("records = %d, want 1", len(recs))
@@ -139,8 +136,7 @@ func TestFlightNeutrality(t *testing.T) {
 	tp := topo.FromPoints(pts, 0.2)
 	eng := sim.New(sim.Config{
 		Topo: tp, Seed: 1,
-		Observers:  []sim.Observer{accompanied, fl, aud},
-		Lifecycles: []sim.Observer{fl, aud},
+		Observers: []sim.Observer{accompanied, fl, aud},
 	})
 	eng.AttachMACs(core.NewBMMM(mac.DefaultConfig()))
 	script := traffic.NewScript()
@@ -183,7 +179,6 @@ func TestFlightRunNeutrality(t *testing.T) {
 		}
 		aud := obs.NewAuditor(ap, wired.MAC.RetryLimit)
 		wired.Observers = append(wired.Observers, fl, aud)
-		wired.Lifecycles = append(wired.Lifecycles, fl, aud)
 		res, err := experiments.Run(wired)
 		if err != nil {
 			t.Fatal(err)
@@ -211,7 +206,7 @@ func TestFlightStageHistograms(t *testing.T) {
 		geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5), geom.Pt(0.5, 0.6), geom.Pt(0.42, 0.42),
 	}
 	tp := topo.FromPoints(pts, 0.2)
-	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Observers: []sim.Observer{fl}, Lifecycles: []sim.Observer{fl}})
+	eng := sim.New(sim.Config{Topo: tp, Seed: 1, Observers: []sim.Observer{fl}})
 	eng.AttachMACs(core.NewBMMM(mac.DefaultConfig()))
 	script := traffic.NewScript()
 	script.At(0, &sim.Request{Kind: sim.Multicast, Src: 0,
@@ -242,7 +237,7 @@ func TestFlightStageHistograms(t *testing.T) {
 func TestFlightCapacity(t *testing.T) {
 	fl := obs.NewFlight(nil, "", 2)
 	for i := int64(1); i <= 4; i++ {
-		fl.Observe(sim.Event{Kind: sim.EvSubmit, Req: &sim.Request{ID: i, Kind: sim.Multicast, Src: 0, Dests: []int{1}}, Slot: 0})
+		fl.Observe(&sim.Event{Kind: sim.EvSubmit, Req: &sim.Request{ID: i, Kind: sim.Multicast, Src: 0, Dests: []int{1}}, Slot: 0})
 	}
 	st := fl.Stats()
 	if st.Tracked != 2 || st.Dropped != 2 {
@@ -262,7 +257,7 @@ func TestFlightCapacity(t *testing.T) {
 // the flight recorder.
 func TestFlightIgnoresUnicast(t *testing.T) {
 	fl := obs.NewFlight(nil, "", 0)
-	fl.Observe(sim.Event{Kind: sim.EvSubmit, Req: &sim.Request{ID: 1, Kind: sim.Unicast, Src: 0, Dests: []int{1}}, Slot: 0})
+	fl.Observe(&sim.Event{Kind: sim.EvSubmit, Req: &sim.Request{ID: 1, Kind: sim.Unicast, Src: 0, Dests: []int{1}}, Slot: 0})
 	if st := fl.Stats(); st.Tracked != 0 {
 		t.Errorf("tracked = %d, want 0 for unicast", st.Tracked)
 	}

@@ -29,7 +29,6 @@ func TestMetricsServerConcurrentWithRun(t *testing.T) {
 	cfg := experiments.Defaults(experiments.BMMM, 11)
 	cfg.Nodes, cfg.Slots = 60, 5000
 	cfg.Observers = append(cfg.Observers, fl)
-	cfg.Lifecycles = append(cfg.Lifecycles, fl)
 
 	done := make(chan error, 1)
 	go func() {

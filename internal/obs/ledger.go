@@ -117,9 +117,6 @@ func busyPriority(c Category) int {
 // "<prefix>.airtime.<category>" in the registry alongside
 // "<prefix>.airtime.total".
 //
-// Subscribe the same instance to both classes: append it to
-// Config.Observers and to Config.SlotObservers (RunConfig.Observers and
-// RunConfig.SlotObservers in experiments).
 // Use a fresh Ledger per engine run — its per-message state is indexed
 // by the run's message numbers, while the shared registry counters
 // accumulate across runs, exactly like Stats.
@@ -170,8 +167,14 @@ func NewLedger(reg *Registry, prefix string) *Ledger {
 	return l
 }
 
+// Kinds implements sim.Observer: the ledger reads the channel state and
+// every message event but the DATA receptions.
+func (l *Ledger) Kinds() sim.KindSet {
+	return sim.MessageKinds&^sim.Kinds(sim.EvDataRx) | sim.Kinds(sim.EvSlot, sim.EvIdleSpan)
+}
+
 // Observe implements sim.Observer.
-func (l *Ledger) Observe(ev sim.Event) {
+func (l *Ledger) Observe(ev *sim.Event) {
 	switch ev.Kind {
 	case sim.EvSlot:
 		l.slot(ev.Airing, ev.Collided)

@@ -20,13 +20,13 @@
 //     conformance checks.
 //
 // Every surface is a sim.Observer: one Observe method that switches on
-// the sim.EventKind. It attaches by being appended to the subscription
-// lists of the event classes it reads — sim.Config (or
-// experiments.RunConfig) Observers for the message events, plus
-// SlotObservers for the Ledger and Lifecycles for Flight and Auditor.
+// the sim.EventKind, and one Kinds method naming the kinds it reads —
+// the message events, plus the channel state for the Ledger and the
+// service detail for Flight and Auditor. It attaches by being appended
+// once to sim.Config (or experiments.RunConfig) Observers;
 // experiments.Watch does this for every surface a command line names.
-// The engine hands each event to each list entry once, in list order,
-// and an empty list costs one length check per event.
+// The engine hands each event to each subscriber of its kind once, in
+// list order, and a kind nobody reads costs one length check per event.
 //
 // Stats and DriftMonitor read per-message counts off the sim.Request;
 // the Ledger, Flight and Auditor index their own state by ID-1.

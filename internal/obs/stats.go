@@ -58,10 +58,12 @@ func NewStats(reg *Registry, prefix string) *Stats {
 	return s
 }
 
-// Observe implements sim.Observer; it subscribes to the message events.
-// The per-message histograms read the request's engine-kept counts at
+// Kinds implements sim.Observer: Stats counts every message event.
+func (s *Stats) Kinds() sim.KindSet { return sim.MessageKinds }
+
+// Observe implements sim.Observer. The per-message histograms read the request's engine-kept counts at
 // its terminal event.
-func (s *Stats) Observe(ev sim.Event) {
+func (s *Stats) Observe(ev *sim.Event) {
 	switch ev.Kind {
 	case sim.EvSubmit:
 		s.submits.Inc()

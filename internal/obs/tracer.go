@@ -68,9 +68,11 @@ func (t *Tracer) record(ev Event) {
 	t.dropped.Add(1)
 }
 
-// Observe implements sim.Observer; it subscribes to the message events.
-// A frame-tx event's Dur is its airtime on the engine's timing.
-func (t *Tracer) Observe(ev sim.Event) {
+// Kinds implements sim.Observer: the tracer records the message events.
+func (t *Tracer) Kinds() sim.KindSet { return sim.MessageKinds }
+
+// Observe implements sim.Observer. A frame-tx event's Dur is its airtime on the engine's timing.
+func (t *Tracer) Observe(ev *sim.Event) {
 	rec := Event{Kind: ev.Kind, Slot: ev.Slot, Station: ev.Station, Residual: ev.Residual, Reason: ev.Reason}
 	if ev.Req != nil {
 		rec.Station, rec.MsgID = ev.Req.Src, ev.Req.ID

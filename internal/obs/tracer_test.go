@@ -168,7 +168,7 @@ func TestTracerChromeTrace(t *testing.T) {
 func TestTracerRingBufferWraps(t *testing.T) {
 	tr := obs.NewTracer(4)
 	for i := 0; i < 10; i++ {
-		tr.Observe(sim.Event{Kind: sim.EvDataRx, Frame: &frames.Frame{Type: frames.Data, MsgID: int64(i)}, Station: i, Slot: sim.Slot(i)})
+		tr.Observe(&sim.Event{Kind: sim.EvDataRx, Frame: &frames.Frame{Type: frames.Data, MsgID: int64(i)}, Station: i, Slot: sim.Slot(i)})
 	}
 	if tr.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", tr.Len())
@@ -195,10 +195,7 @@ func TestTracerFrameTxRecordsAirtime(t *testing.T) {
 		geom.Pt(0.5, 0.5), geom.Pt(0.6, 0.5), geom.Pt(0.5, 0.6), geom.Pt(0.42, 0.42),
 	}
 	run := prototest.New(pts, 0.2, core.NewBMMM(mac.DefaultConfig()), prototest.WithTiming(tm),
-		func(c *sim.Config) {
-			c.Observers = append(c.Observers, tr, fl)
-			c.Lifecycles = append(c.Lifecycles, fl)
-		})
+		func(c *sim.Config) { c.Observers = append(c.Observers, tr, fl) })
 	run.Multicast(0, 0, []int{1, 2, 3}, 1000)
 	run.Steps(120)
 

@@ -23,18 +23,19 @@ import (
 // "12 TX RTS 0→1" and "13 RX CTS 1→0 @0".
 type TraceRecorder struct {
 	Events []string
-	// TxOnly suppresses RX events when set.
-	TxOnly bool
 }
 
-// Observe implements sim.Observer; the recorder subscribes to
-// Config.Tracer.
-func (r *TraceRecorder) Observe(ev sim.Event) {
+// Kinds implements sim.Observer: the transmissions and the receptions.
+func (r *TraceRecorder) Kinds() sim.KindSet {
+	return sim.Kinds(sim.EvFrameTx, sim.EvRxOK, sim.EvRxLost)
+}
+
+// Observe implements sim.Observer.
+func (r *TraceRecorder) Observe(ev *sim.Event) {
 	f := ev.Frame
-	switch {
-	case ev.Kind == sim.EvFrameTx:
+	if ev.Kind == sim.EvFrameTx {
 		r.Events = append(r.Events, fmt.Sprintf("%d TX %s %s→%s", ev.Start, f.Type, f.Src, f.Dst))
-	case !r.TxOnly:
+	} else {
 		verb := "RX"
 		if ev.Kind == sim.EvRxLost {
 			verb = "LOST"
@@ -82,7 +83,7 @@ func New(pts []geom.Point, radius float64, factory Factory, opts ...Option) *Run
 		Script:    traffic.NewScript(),
 		Topo:      tp,
 	}
-	cfg := sim.Config{Topo: tp, Observers: []sim.Observer{r.Collector}, Tracer: []sim.Observer{r.Trace}}
+	cfg := sim.Config{Topo: tp, Observers: []sim.Observer{r.Collector, r.Trace}}
 	for _, o := range opts {
 		o(&cfg)
 	}

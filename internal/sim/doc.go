@@ -87,26 +87,27 @@
 // scan per receiver) and flat signal collection (a station's first
 // signal of the slot sits in a per-station array; its signal slices
 // are touched only from the second signal on). Skipped idle spans draw
-// nothing from the PRNG and are reported to each slot observer as one
+// nothing from the PRNG and are reported to each slot subscriber as one
 // EvIdleSpan event, exactly equivalent to the per-slot EvSlot events
 // with no airing of the reference path.
 //
 // # Events
 //
 // Every engine event is an Event — an EventKind plus payload — handed
-// to the one hook method, Observer.Observe. The kinds fall into four
-// classes, and each class has its own subscription list in Config:
-// message events (submit, contention, frame-tx, data-rx, round,
-// complete, abort) on Observers, service detail (service-start,
-// round-start, response-drop) on Lifecycles, channel state (slot,
-// idle-span) on SlotObservers, and transmissions with their per-receiver
-// outcomes (frame-tx, rx-ok, rx-lost) on Tracer. frame-tx is the one
-// kind on two lists, Observers first. An observer that wants two classes
-// is appended to both lists and still sees each event once. Every event
-// goes out through one engine helper, emit: a plain range over the
-// class's list in registration order, charged to PhaseObserver, with no
-// allocation, so a class nobody subscribed to costs one length check. A
-// new event is a new EventKind on the list of its class, not a new
+// to the one hook method, Observer.Observe. The 14 kinds fall into four
+// groups: message events (submit, contention, frame-tx, data-rx, round,
+// complete, abort), service detail (service-start, round-start,
+// response-drop), channel state (slot, idle-span) and per-receiver
+// outcomes (rx-ok, rx-lost). Config has one subscription list,
+// Observers, and each entry declares the kinds it wants in
+// Observer.Kinds, a KindSet. New reads the sets once and keeps one
+// fan-out list per kind, in registration order. Every event goes out
+// through one engine helper, emit: it copies the event into the
+// engine's one scratch Event and ranges over its kind's list, passing
+// each subscriber a pointer, charged to PhaseObserver, with no
+// allocation, so a kind nobody subscribed to costs one length check.
+// The event is valid only during the call and is read-only
+// (hookpure-checked). A new event is a new EventKind, not a new
 // interface. The Request every message event carries is the one record
 // of the message: the engine numbers it at submission, whatever Source
 // made it, and keeps its contention, round and residual counts there
@@ -117,8 +118,8 @@
 // New builds an Engine from a Config; SetMAC/AttachMACs install the
 // per-station protocol state machines; Run/Step advance the clock. Env
 // is the window a MAC sees; its Report* methods emit the events only a
-// MAC can know. The instrumentation surfaces are the four Observer
-// lists, one SlotHook and one Profiler; relmaclint's hookpure check
+// MAC can know. The instrumentation surfaces are the Observers list, one
+// SlotHook and one Profiler; relmaclint's hookpure check
 // holds every Observer and Profiler implementation to PRNG and
 // engine-state neutrality. The SlotHook is exempt: its job is to move
 // stations (mobility).

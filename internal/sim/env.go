@@ -87,20 +87,20 @@ func (e *Env) Rand() *rand.Rand { return e.engine.rng }
 // ReportContention emits EvContention: the station is entering a
 // CSMA/CA contention phase for the request, counted on it afterwards.
 func (e *Env) ReportContention(req *Request) {
-	e.engine.emit(e.engine.observers, Event{Kind: EvContention, Slot: e.engine.now, Station: e.node, Req: req})
+	e.engine.emit(Event{Kind: EvContention, Slot: e.engine.now, Station: e.node, Req: req})
 	req.Contentions++
 }
 
 // ReportComplete emits EvComplete: the sending MAC considers the request
 // served.
 func (e *Env) ReportComplete(req *Request) {
-	e.engine.emit(e.engine.observers, Event{Kind: EvComplete, Slot: e.engine.now, Station: e.node, Req: req})
+	e.engine.emit(Event{Kind: EvComplete, Slot: e.engine.now, Station: e.node, Req: req})
 }
 
 // ReportAbort emits EvAbort: the sending MAC abandoned the request, for
 // the given reason (deadline passed or retry budget exhausted).
 func (e *Env) ReportAbort(req *Request, reason AbortReason) {
-	e.engine.emit(e.engine.observers, Event{Kind: EvAbort, Slot: e.engine.now, Station: e.node, Req: req, Reason: reason})
+	e.engine.emit(Event{Kind: EvAbort, Slot: e.engine.now, Station: e.node, Req: req, Reason: reason})
 }
 
 // ReportRound emits EvRound: a multi-round group protocol finished one
@@ -109,7 +109,7 @@ func (e *Env) ReportAbort(req *Request, reason AbortReason) {
 // shrinks more slowly (or not at all) and the round count grows. The
 // request's counts follow afterwards.
 func (e *Env) ReportRound(req *Request, residual int) {
-	e.engine.emit(e.engine.observers, Event{Kind: EvRound, Slot: e.engine.now, Station: e.node, Req: req, Residual: residual})
+	e.engine.emit(Event{Kind: EvRound, Slot: e.engine.now, Station: e.node, Req: req, Residual: residual})
 	req.Rounds++
 	req.Residual = residual
 }
@@ -117,17 +117,17 @@ func (e *Env) ReportRound(req *Request, residual int) {
 // ReportServiceStart emits EvServiceStart: the station dequeued the
 // request into service.
 func (e *Env) ReportServiceStart(req *Request) {
-	e.engine.emit(e.engine.lifecycles, Event{Kind: EvServiceStart, Slot: e.engine.now, Station: e.node, Req: req})
+	e.engine.emit(Event{Kind: EvServiceStart, Slot: e.engine.now, Station: e.node, Req: req})
 }
 
 // ReportRoundStart emits EvRoundStart: a group protocol is opening the
 // given 1-based round of the request and will poll polled receivers.
 func (e *Env) ReportRoundStart(req *Request, round, polled int) {
-	e.engine.emit(e.engine.lifecycles, Event{Kind: EvRoundStart, Slot: e.engine.now, Station: e.node, Req: req, Round: round, Polled: polled})
+	e.engine.emit(Event{Kind: EvRoundStart, Slot: e.engine.now, Station: e.node, Req: req, Round: round, Polled: polled})
 }
 
 // ReportResponseDrop emits EvResponseDrop: this station discarded a
 // stale scheduled response.
 func (e *Env) ReportResponseDrop(f *frames.Frame) {
-	e.engine.emit(e.engine.lifecycles, Event{Kind: EvResponseDrop, Slot: e.engine.now, Station: e.node, Frame: f})
+	e.engine.emit(Event{Kind: EvResponseDrop, Slot: e.engine.now, Station: e.node, Frame: f})
 }

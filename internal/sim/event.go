@@ -8,16 +8,14 @@ import (
 
 // EventKind names one engine event. Every hook sees the engine through
 // one Observer.Observe method; the kind says which payload fields of the
-// Event are set. A new event is a new kind on this list, delivered to
-// the one Config list of its class.
+// Event are set. A new event is a new kind on this list.
 type EventKind uint8
 
-// Event kinds by class. Each class goes to one Config list, and no kind
-// goes to two lists except frame-tx, which the message and the channel
-// classes share.
+// Event kinds, in four groups. An observer subscribes to the kinds it
+// names in Kinds, whatever their group.
 const (
-	// Message events (Config.Observers): what the MACs decided about a
-	// request — the feed of the metrics collector.
+	// Message events: what the MACs decided about a request — the feed
+	// of the metrics collector.
 
 	// EvSubmit: a request reached its MAC (Req), numbered by the engine.
 	EvSubmit EventKind = iota
@@ -25,7 +23,7 @@ const (
 	// the quantity plotted in Figure 9 and analysed in §6.
 	EvContention
 	// EvFrameTx: a transmission starts (Frame, Station is the sender,
-	// Start/End its inclusive airtime). Also on Config.Tracer.
+	// Start/End its inclusive airtime).
 	EvFrameTx
 	// EvDataRx: Station decoded the DATA frame Frame, intended receiver
 	// or mere overhearer alike; a counter of deliveries filters by the
@@ -40,9 +38,9 @@ const (
 	// EvAbort: the sending MAC abandoned Req for Reason.
 	EvAbort
 
-	// Service detail (Config.Lifecycles): the per-message events the
-	// flight recorder and the conformance auditor add to the message
-	// events to rebuild a message's span tree.
+	// Service detail: the per-message events the flight recorder and
+	// the conformance auditor add to the message events to rebuild a
+	// message's span tree.
 
 	// EvServiceStart: the MAC dequeued Req into service — the boundary
 	// between queueing delay and service time.
@@ -56,8 +54,9 @@ const (
 	// (CTS/ACK/NAK) that went stale before the medium let it go out.
 	EvResponseDrop
 
-	// Channel state (Config.SlotObservers): what the medium carried —
-	// the airtime ledger's feed.
+	// Channel state: what the medium carried — the airtime ledger's
+	// feed. An observer of EvSlot wants EvIdleSpan too, or it misses
+	// the slots the event clock skips.
 
 	// EvSlot: one simulated slot, after interference resolution and
 	// before frame completions, so Airing includes transmissions ending
@@ -72,13 +71,35 @@ const (
 	// delivers instead.
 	EvIdleSpan
 
-	// Receptions (Config.Tracer, with EvFrameTx): per-receiver outcomes.
+	// Receptions: per-receiver outcomes, which with EvFrameTx are a
+	// channel trace.
 
 	// EvRxOK: Station decoded Frame (at its final slot).
 	EvRxOK
 	// EvRxLost: Frame ended corrupted or erased at the in-range Station.
 	EvRxLost
+
+	numKinds
 )
+
+// KindSet is a set of event kinds, one bit per EventKind.
+type KindSet uint16
+
+// MessageKinds are the seven message events, submit through abort.
+const MessageKinds KindSet = 1<<EvSubmit | 1<<EvContention | 1<<EvFrameTx |
+	1<<EvDataRx | 1<<EvRound | 1<<EvComplete | 1<<EvAbort
+
+// Kinds returns the set of the given kinds.
+func Kinds(ks ...EventKind) KindSet {
+	var s KindSet
+	for _, k := range ks {
+		s |= 1 << k
+	}
+	return s
+}
+
+// Has reports whether k is in the set.
+func (s KindSet) Has(k EventKind) bool { return s&(1<<k) != 0 }
 
 // String implements fmt.Stringer. The names of the message events are
 // the "event" field of the obs trace schema.
@@ -146,7 +167,7 @@ type Event struct {
 
 // MsgID is the message the event concerns: its request's ID, else its
 // frame's MsgID, else 0.
-func (ev Event) MsgID() int64 {
+func (ev *Event) MsgID() int64 {
 	switch {
 	case ev.Req != nil:
 		return ev.Req.ID
@@ -167,28 +188,51 @@ type AiringTx struct {
 }
 
 // Observer is the one engine hook: Observe receives every event of the
-// classes it subscribed to, in engine order. The engine calls it from
-// inside the slot loop, so implementations must be cheap, must not
-// touch the engine PRNG or engine state and must not mutate the frames
-// and requests they are shown (hookpure-checked).
+// kinds in Kinds, in engine order. The engine reads Kinds once, when it
+// is built. It calls Observe from inside the slot loop, so
+// implementations must be cheap, must not touch the engine PRNG or
+// engine state and must not mutate the event, frames and requests they
+// are shown (hookpure-checked). The event is the engine's scratch
+// record, valid only during the call: copy what must outlive it.
 type Observer interface {
-	Observe(ev Event)
+	Observe(ev *Event)
+	Kinds() KindSet
 }
 
-// emit hands ev to every observer on list in order, charging the calls
-// to PhaseObserver. It is the engine's only dispatch: a class nobody
-// subscribed to costs one (inlined) length check, and no event
-// allocates.
-func (e *Engine) emit(list []Observer, ev Event) {
-	if len(list) != 0 {
-		e.fanOut(list, ev)
+// subscribe builds the per-kind fan-out lists from obs, each in
+// registration order, carved from one allocation.
+func (e *Engine) subscribe(obs []Observer) {
+	n := len(obs)
+	buf := make([]Observer, len(e.subs)*n)
+	for k := range e.subs {
+		e.subs[k] = buf[k*n : k*n : (k+1)*n]
+	}
+	for _, o := range obs {
+		ks := o.Kinds()
+		for k := range e.subs {
+			if ks.Has(EventKind(k)) {
+				e.subs[k] = append(e.subs[k], o)
+			}
+		}
 	}
 }
 
-func (e *Engine) fanOut(list []Observer, ev Event) {
+// emit hands ev to every subscriber of its kind in order, charging the
+// calls to PhaseObserver. It is the engine's only dispatch: a kind
+// nobody subscribed to costs one (inlined) length check. The event is
+// copied once into the engine's scratch record, and every subscriber
+// gets a pointer to that, so no event allocates.
+func (e *Engine) emit(ev Event) {
+	if len(e.subs[ev.Kind]) != 0 {
+		e.ev = ev
+		e.fanOut(e.subs[ev.Kind])
+	}
+}
+
+func (e *Engine) fanOut(subs []Observer) {
 	e.dispatch()
-	for _, o := range list {
-		o.Observe(ev)
+	for _, o := range subs {
+		o.Observe(&e.ev)
 	}
 	e.resume()
 }

@@ -55,7 +55,9 @@ type spanRecorder struct {
 	spans [][2]Slot
 }
 
-func (r *spanRecorder) Observe(ev Event) {
+func (r *spanRecorder) Kinds() KindSet { return Kinds(EvSlot, EvIdleSpan) }
+
+func (r *spanRecorder) Observe(ev *Event) {
 	if ev.Kind == EvIdleSpan {
 		r.spans = append(r.spans, [2]Slot{ev.Start, ev.End})
 	} else {
@@ -66,7 +68,7 @@ func (r *spanRecorder) Observe(ev Event) {
 func TestEventClockSkipsWholeIdleRun(t *testing.T) {
 	tp := lineTopo(2, 0.1, 0.15)
 	rec := &spanRecorder{}
-	e := New(Config{Topo: tp, SlotObservers: []Observer{rec}})
+	e := New(Config{Topo: tp, Observers: []Observer{rec}})
 	a := &sleepyMAC{quiet: true}
 	b := &sleepyMAC{quiet: true}
 	e.SetMAC(0, a)
@@ -98,7 +100,7 @@ type spanCounter struct {
 	spans int
 }
 
-func (c *spanCounter) Observe(ev Event) {
+func (c *spanCounter) Observe(ev *Event) {
 	if ev.Kind == EvIdleSpan {
 		c.spans++
 	}
@@ -112,7 +114,7 @@ func TestEventClockSpansMatchReferenceSlots(t *testing.T) {
 	run := func(reference bool) *spanCounter {
 		tp := lineTopo(2, 0.1, 0.15)
 		rec := &spanCounter{}
-		e := New(Config{Topo: tp, Reference: reference, SlotObservers: []Observer{rec}})
+		e := New(Config{Topo: tp, Reference: reference, Observers: []Observer{rec}})
 		e.SetMAC(0, &sleepyMAC{quiet: true})
 		e.SetMAC(1, &sleepyMAC{quiet: true})
 		src := newSlotSource()
@@ -225,7 +227,9 @@ type downRecorder struct {
 	at      map[Slot]bool
 }
 
-func (r *downRecorder) Observe(ev Event) {
+func (r *downRecorder) Kinds() KindSet { return Kinds(EvSlot) }
+
+func (r *downRecorder) Observe(ev *Event) {
 	if ev.Kind == EvSlot {
 		r.at[ev.Slot] = r.e.down[r.station]
 	}
@@ -236,7 +240,7 @@ func TestEventClockCrashTransitionsAreWakeObligations(t *testing.T) {
 	imp := &downWindow{station: 1, from: 20, to: 30}
 	rec := &spanRecorder{}
 	downs := &downRecorder{station: 1, at: map[Slot]bool{}}
-	e := New(Config{Topo: tp, Impairment: imp, SlotObservers: []Observer{rec, downs}})
+	e := New(Config{Topo: tp, Impairment: imp, Observers: []Observer{rec, downs}})
 	downs.e = e
 	a := &sleepyMAC{quiet: true}
 	b := &sleepyMAC{quiet: true}

@@ -1,9 +1,9 @@
 package sim
 
-// Tests of the engine's own observer fan-out: every observer on a
-// subscription list sees every event of its class exactly once, in
-// registration order, and a panicking attachment names itself in the
-// runtime traceback.
+// Tests of the engine's own observer fan-out: every observer sees every
+// event of the kinds it subscribed to exactly once, in registration
+// order, and a panicking attachment names itself in the runtime
+// traceback.
 
 import (
 	"fmt"
@@ -37,20 +37,32 @@ func (p *phaseProbe) RunStart()      { p.cur = PhaseUntracked }
 func (p *phaseProbe) Enter(ph Phase) { p.cur = ph }
 func (p *phaseProbe) RunEnd()        {}
 
-// logObserver appends "name:event@slot" entries to a shared eventLog;
-// an idle span logs as "idle-span-to-<end>" at its first slot.
+// logObserver appends "name:event@slot" entries to a shared eventLog
+// for the kinds it subscribed to; an idle span logs as
+// "idle-span-to-<end>" at its first slot, and an event with a request
+// adds the request's counts as the observer sees them:
+// "{c<contentions> r<rounds> s<residual>}".
 type logObserver struct {
-	name string
-	log  *eventLog
+	name  string
+	log   *eventLog
+	kinds KindSet
 }
 
-func (o *logObserver) Observe(ev Event) {
+func (o *logObserver) Kinds() KindSet { return o.kinds }
+
+func (o *logObserver) Observe(ev *Event) {
 	name := ev.Kind.String()
 	if ev.Kind == EvIdleSpan {
 		name = fmt.Sprintf("%s-to-%d", name, ev.End)
 	}
+	if r := ev.Req; r != nil {
+		name += fmt.Sprintf("{c%d r%d s%d}", r.Contentions, r.Rounds, r.Residual)
+	}
 	o.log.add(o.name, name, ev.Slot)
 }
+
+// allKinds subscribes to every event.
+const allKinds KindSet = 1<<numKinds - 1
 
 // reportMAC is a Sleeper that serves each submitted request through
 // every Env.Report* call: on its first Tick it opens service and a
@@ -96,76 +108,105 @@ func reportRun(cfg Config) {
 	e.SetMAC(0, &reportMAC{})
 	e.SetMAC(1, &sleepyMAC{quiet: true})
 	src := newSlotSource()
-	src.add(10, &Request{Src: 0, Kind: Broadcast, Deadline: 1000})
+	src.add(10, &Request{Src: 0, Kind: Broadcast, Dests: []int{1}, Deadline: 1000})
 	e.Run(60, src)
 }
 
-// TestMultiObserverFansOutInRegistrationOrder attaches two observers to
-// each subscription list to one run: every event reaches each
-// subscriber of its class exactly once, in registration order, frame-tx
-// reaches Observers before Tracer, and each skipped stretch is one
-// idle-span event per slot observer.
+// TestMultiObserverFansOutInRegistrationOrder attaches observers with
+// overlapping kind sets to one list: every event reaches exactly the
+// entries that declare its kind, once each, in registration order; an
+// entry with an empty set is never called; each skipped stretch is one
+// idle-span event; and the request counts an observer sees are the ones
+// before the event. The second run keeps station 1 down, so its
+// reception is lost: between them the runs emit all 14 kinds.
 func TestMultiObserverFansOutInRegistrationOrder(t *testing.T) {
-	log := &eventLog{}
-	reportRun(Config{
-		Observers:     []Observer{&logObserver{"o1", log}, &logObserver{"o2", log}},
-		SlotObservers: []Observer{&logObserver{"s1", log}, &logObserver{"s2", log}},
-		Lifecycles:    []Observer{&logObserver{"l1", log}, &logObserver{"l2", log}},
-		Tracer:        []Observer{&logObserver{"t1", log}, &logObserver{"t2", log}},
-	})
+	service := Kinds(EvServiceStart, EvRoundStart, EvResponseDrop)
+	seen := KindSet(0)
+	for _, down := range []bool{false, true} {
+		log := &eventLog{}
+		obs := []*logObserver{
+			{"all1", log, allKinds},
+			{"msg", log, MessageKinds},
+			{"none", log, 0},
+			{"svc", log, service | Kinds(EvFrameTx)},
+			{"chan", log, Kinds(EvSlot, EvIdleSpan)},
+			{"rx", log, Kinds(EvFrameTx, EvRxOK, EvRxLost)},
+			{"all2", log, allKinds},
+		}
+		cfg := Config{}
+		for _, o := range obs {
+			cfg.Observers = append(cfg.Observers, o)
+		}
+		if down {
+			cfg.Impairment = &downWindow{station: 1, from: 0, to: 1000}
+		}
+		reportRun(cfg)
 
-	// pair expands one event into its two attachments' entries.
-	var want []string
-	pair := func(kind, ev string, now Slot) {
-		for _, n := range []string{"1", "2"} {
-			want = append(want, fmt.Sprintf("%s%s:%s@%d", kind, n, ev, now))
+		// The engine's event stream is what the all-kinds entry saw; on
+		// the clean run it is pinned in full.
+		var stream []string
+		for _, l := range log.lines {
+			if ev, ok := strings.CutPrefix(l, "all1:"); ok {
+				stream = append(stream, ev)
+			}
+		}
+		if !down {
+			want := []string{"slot@0", "idle-span-to-9@1",
+				"submit{c0 r0 s1}@10", "service-start{c0 r0 s1}@10", "round-start{c0 r0 s1}@10",
+				"contention{c0 r0 s1}@10", "frame-tx@10"}
+			for now := 10; now <= 14; now++ {
+				want = append(want, fmt.Sprintf("slot@%d", now))
+			}
+			want = append(want, "rx-ok@14", "data-rx@14",
+				"round{c1 r0 s1}@15", "complete{c1 r1 s0}@15", "abort{c1 r1 s0}@15",
+				"response-drop@15", "slot@15", "idle-span-to-59@16")
+			if got := strings.Join(stream, "\n"); got != strings.Join(want, "\n") {
+				t.Fatalf("engine stream:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
+			}
+		}
+		// Its fan-out: each event to every entry declaring its kind.
+		var want []string
+		for _, ev := range stream {
+			name := ev[:strings.IndexAny(ev, "{@")]
+			if strings.HasPrefix(name, "idle-span") {
+				name = "idle-span"
+			}
+			kind := EventKind(0)
+			for kind < numKinds && kind.String() != name {
+				kind++
+			}
+			seen |= Kinds(kind)
+			for _, o := range obs {
+				if o.kinds.Has(kind) {
+					want = append(want, o.name+":"+ev)
+				}
+			}
+		}
+		if got := strings.Join(log.lines, "\n"); got != strings.Join(want, "\n") {
+			t.Fatalf("down=%v: fan-out:\n%s\nwant:\n%s", down, got, strings.Join(want, "\n"))
 		}
 	}
-	pair("s", "slot", 0)
-	pair("s", "idle-span-to-9", 1)
-	pair("o", "submit", 10)
-	pair("l", "service-start", 10)
-	pair("l", "round-start", 10)
-	pair("o", "contention", 10)
-	pair("o", "frame-tx", 10)
-	pair("t", "frame-tx", 10)
-	for now := Slot(10); now <= 14; now++ {
-		pair("s", "slot", now)
-	}
-	pair("t", "rx-ok", 14)
-	pair("o", "data-rx", 14)
-	pair("o", "round", 15)
-	pair("o", "complete", 15)
-	pair("o", "abort", 15)
-	pair("l", "response-drop", 15)
-	pair("s", "slot", 15)
-	pair("s", "idle-span-to-59", 16)
-
-	if got := strings.Join(log.lines, "\n"); got != strings.Join(want, "\n") {
-		t.Fatalf("event stream:\n%s\nwant:\n%s", got, strings.Join(want, "\n"))
+	if seen != allKinds {
+		t.Errorf("the runs emitted kinds %014b, want all %d", seen, numKinds)
 	}
 }
 
-// TestHookDispatchChargedToObserverPhase: every event on every
-// subscription list reaches its observer while the profiler's current
-// phase is PhaseObserver, wherever the engine or a MAC fires it. The
-// second run keeps station 1 down, so its reception is lost and rx-lost
-// fires too.
+// TestHookDispatchChargedToObserverPhase: every event reaches its
+// observer while the profiler's current phase is PhaseObserver,
+// wherever the engine or a MAC fires it. The second run keeps station 1
+// down, so its reception is lost and rx-lost fires too.
 func TestHookDispatchChargedToObserverPhase(t *testing.T) {
 	for _, down := range []bool{false, true} {
 		probe := &phaseProbe{}
 		log := &eventLog{probe: probe}
 		cfg := Config{
-			Observers:     []Observer{&logObserver{"o", log}},
-			SlotObservers: []Observer{&logObserver{"s", log}},
-			Lifecycles:    []Observer{&logObserver{"l", log}},
-			Tracer:        []Observer{&logObserver{"t", log}},
-			Profiler:      probe,
+			Observers: []Observer{&logObserver{"o", log, allKinds}},
+			Profiler:  probe,
 		}
-		want := "t:rx-ok@14"
+		want := "o:rx-ok@14"
 		if down {
 			cfg.Impairment = &downWindow{station: 1, from: 0, to: 1000}
-			want = "t:rx-lost@14"
+			want = "o:rx-lost@14"
 		}
 		reportRun(cfg)
 		if got := strings.Join(log.lines, "\n"); !strings.Contains(got, want) {
@@ -181,7 +222,9 @@ func TestHookDispatchChargedToObserverPhase(t *testing.T) {
 // panicky panics on the first event of its kind.
 type panicky struct{ kind EventKind }
 
-func (p panicky) Observe(ev Event) {
+func (p panicky) Kinds() KindSet { return Kinds(p.kind) }
+
+func (p panicky) Observe(ev *Event) {
 	if ev.Kind == p.kind {
 		panic("boom")
 	}
@@ -192,23 +235,23 @@ func (p panicky) Observe(ev Event) {
 // loop, so a panicking attachment's panic leaves Run unchanged, the
 // frame directly below the panic in the traceback is the attachment's
 // own method, and the attachments registered before it saw the event
-// while those after did not.
+// while those after did not. The cases are one kind of each group: a
+// message event, channel state, service detail, and a transmission.
 func TestMultiObserverPanicIdentifiesObserver(t *testing.T) {
 	cases := []struct {
 		name string
 		kind EventKind
-		list func(cfg *Config) *[]Observer
 	}{
-		{"observer", EvSubmit, func(cfg *Config) *[]Observer { return &cfg.Observers }},
-		{"slot", EvSlot, func(cfg *Config) *[]Observer { return &cfg.SlotObservers }},
-		{"lifecycle", EvServiceStart, func(cfg *Config) *[]Observer { return &cfg.Lifecycles }},
-		{"tracer", EvFrameTx, func(cfg *Config) *[]Observer { return &cfg.Tracer }},
+		{"observer", EvSubmit},
+		{"slot", EvSlot},
+		{"lifecycle", EvServiceStart},
+		{"tracer", EvFrameTx},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			before, after := &eventLog{}, &eventLog{}
-			var cfg Config
-			*tc.list(&cfg) = []Observer{&logObserver{"a", before}, panicky{tc.kind}, &logObserver{"b", after}}
+			ks := Kinds(tc.kind)
+			cfg := Config{Observers: []Observer{&logObserver{"a", before, ks}, panicky{tc.kind}, &logObserver{"b", after, ks}}}
 			defer func() {
 				r := recover()
 				if r != "boom" {
@@ -225,7 +268,7 @@ func TestMultiObserverPanicIdentifiesObserver(t *testing.T) {
 				if !strings.Contains(top, "sim.panicky.Observe") {
 					t.Errorf("frame below the panic = %q, want sim.panicky.Observe", top)
 				}
-				if n := len(before.lines); n != 1 || !strings.HasPrefix(before.lines[0], "a:"+tc.kind.String()+"@") {
+				if n := len(before.lines); n != 1 || !strings.HasPrefix(before.lines[0], "a:"+tc.kind.String()) {
 					t.Errorf("attachment before the panic saw %v, want one %s", before.lines, tc.kind)
 				}
 				if len(after.lines) != 0 {
@@ -243,7 +286,9 @@ type recLifecycle struct {
 	lines []string
 }
 
-func (r *recLifecycle) Observe(ev Event) {
+func (r *recLifecycle) Kinds() KindSet { return Kinds(EvServiceStart, EvRoundStart, EvResponseDrop) }
+
+func (r *recLifecycle) Observe(ev *Event) {
 	switch ev.Kind {
 	case EvServiceStart:
 		r.lines = append(r.lines, fmt.Sprintf("service msg=%d t=%d", ev.Req.ID, ev.Slot))
@@ -254,8 +299,8 @@ func (r *recLifecycle) Observe(ev Event) {
 	}
 }
 
-// TestEnvLifecycleReporting pins the Env.Report* dispatch: an empty
-// Lifecycles list is a no-op, a subscriber sees the arguments verbatim
+// TestEnvLifecycleReporting pins the Env.Report* dispatch: a kind with
+// no subscriber is a no-op, a subscriber sees the arguments verbatim
 // with the engine clock and the reporting station's ID attached.
 func TestEnvLifecycleReporting(t *testing.T) {
 	tp := lineTopo(2, 0.1, 0.15)
@@ -266,7 +311,7 @@ func TestEnvLifecycleReporting(t *testing.T) {
 	env.ReportResponseDrop(&frames.Frame{Type: frames.ACK})
 
 	rec := &recLifecycle{}
-	env = New(Config{Topo: tp, Lifecycles: []Observer{rec}}).EnvOf(1)
+	env = New(Config{Topo: tp, Observers: []Observer{rec}}).EnvOf(1)
 	req := &Request{ID: 4}
 	env.ReportServiceStart(req)
 	env.ReportRoundStart(req, 2, 3)

@@ -106,7 +106,9 @@ type invariantTracer struct {
 	txer  map[*frames.Frame]int
 }
 
-func (tr *invariantTracer) Observe(ev Event) {
+func (tr *invariantTracer) Kinds() KindSet { return Kinds(EvFrameTx, EvRxOK, EvRxLost) }
+
+func (tr *invariantTracer) Observe(ev *Event) {
 	f := ev.Frame
 	switch ev.Kind {
 	case EvFrameTx:
@@ -149,7 +151,7 @@ func TestChannelInvariantsUnderChaos(t *testing.T) {
 		t: t, topo: tp, tm: frames.DefaultTiming(),
 		start: map[*frames.Frame]Slot{}, txer: map[*frames.Frame]int{},
 	}
-	e := New(Config{Topo: tp, Tracer: []Observer{tr}, Seed: 5, Capture: capture.ZorziRao{}})
+	e := New(Config{Topo: tp, Observers: []Observer{tr}, Seed: 5, Capture: capture.ZorziRao{}})
 	for i := 0; i < tp.N(); i++ {
 		e.SetMAC(i, &chaosMAC{t: t, rng: rand.New(rand.NewSource(int64(i))), rate: 0.2})
 	}
@@ -168,7 +170,7 @@ func TestEveryNeighborAccountedFor(t *testing.T) {
 	counts := map[*frames.Frame]int{}
 	senders := map[*frames.Frame]int{}
 	ends := map[*frames.Frame]Slot{}
-	tr := observeFunc(func(ev Event) {
+	tr := observeFunc(Kinds(EvFrameTx, EvRxOK, EvRxLost), func(ev *Event) {
 		if ev.Kind == EvFrameTx {
 			senders[ev.Frame] = ev.Station
 			ends[ev.Frame] = ev.End
@@ -176,7 +178,7 @@ func TestEveryNeighborAccountedFor(t *testing.T) {
 			counts[ev.Frame]++
 		}
 	})
-	e := New(Config{Topo: tp, Tracer: []Observer{tr}, Seed: 9})
+	e := New(Config{Topo: tp, Observers: []Observer{tr}, Seed: 9})
 	for i := 0; i < tp.N(); i++ {
 		e.SetMAC(i, &chaosMAC{t: t, rng: rand.New(rand.NewSource(100 + int64(i))), rate: 0.15})
 	}
@@ -202,13 +204,13 @@ func TestChaosDeterminism(t *testing.T) {
 		rng := rand.New(rand.NewSource(33))
 		tp := topo.Uniform(12, 0.3, rng)
 		var log []string
-		tr := observeFunc(func(ev Event) {
+		tr := observeFunc(Kinds(EvRxOK), func(ev *Event) {
 			if ev.Kind == EvRxOK {
 				log = append(log, fmt.Sprintf("%d:%s@%d", ev.Slot, ev.Frame.Type, ev.Station))
 			}
 		})
 		imp := newLossyLinks(0.05, 78)
-		e := New(Config{Topo: tp, Tracer: []Observer{tr}, Seed: 77, Capture: capture.ZorziRao{}, Impairment: imp})
+		e := New(Config{Topo: tp, Observers: []Observer{tr}, Seed: 77, Capture: capture.ZorziRao{}, Impairment: imp})
 		for i := 0; i < tp.N(); i++ {
 			e.SetMAC(i, &chaosMAC{t: t, rng: rand.New(rand.NewSource(7 + int64(i))), rate: 0.25})
 		}

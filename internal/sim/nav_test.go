@@ -62,8 +62,8 @@ func (n *navTable) prune(now Slot) {
 	n.res = slices.DeleteFunc(n.res, func(r reservation) bool { return r.until < now })
 }
 
-// navOracle rebuilds every station's NAV from the rx-ok events on the
-// Tracer list, with the receiver rule of the dcf station that kept its
+// navOracle rebuilds every station's NAV from the rx-ok events, with
+// the receiver rule of the dcf station that kept its
 // own NAV: a clean frame raises the receiver's NAV for its Duration
 // unless it is group DATA naming the receiver or is addressed to it;
 // with the exposed-terminal option, an RTS whose receivers all lie out
@@ -84,7 +84,9 @@ func newNAVOracle(tp *topo.Topology, exposed bool) *navOracle {
 	return &navOracle{tp: tp, tm: frames.DefaultTiming(), exposed: exposed, nav: make([]navTable, tp.N())}
 }
 
-func (o *navOracle) Observe(ev Event) {
+func (o *navOracle) Kinds() KindSet { return Kinds(EvRxOK) }
+
+func (o *navOracle) Observe(ev *Event) {
 	if ev.Kind != EvRxOK {
 		return
 	}
@@ -165,7 +167,7 @@ func TestNAVMatchesOracleUnderChaos(t *testing.T) {
 			rng := rand.New(rand.NewSource(17))
 			tp := topo.Uniform(20, 0.35, rng)
 			o := newNAVOracle(tp, exposed)
-			e := New(Config{Topo: tp, Seed: 4, Capture: capture.ZorziRao{}, Tracer: []Observer{o},
+			e := New(Config{Topo: tp, Seed: 4, Capture: capture.ZorziRao{}, Observers: []Observer{o},
 				Reference: ref, ExposedTerminal: exposed})
 			chaos := func(i int) *chaosMAC {
 				return &chaosMAC{t: t, rng: rand.New(rand.NewSource(rng.Int63())), rate: 0.15, nav: o}

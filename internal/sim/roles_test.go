@@ -262,7 +262,7 @@ func TestAwakeWorklistMatchesRebuild(t *testing.T) {
 // in the group, and still reported.
 func TestOverhearerGetsOnDataRx(t *testing.T) {
 	var receivers []int
-	obs := observeFunc(func(ev Event) {
+	obs := observeFunc(Kinds(EvDataRx), func(ev *Event) {
 		if ev.Kind == EvDataRx {
 			receivers = append(receivers, ev.Station)
 		}

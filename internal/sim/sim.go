@@ -243,16 +243,11 @@ type Config struct {
 	// Impairment, when non-nil, injects channel errors and node crashes
 	// (internal/fault). Nil keeps the unimpaired fast path.
 	Impairment Impairment
-	// Observers, Lifecycles, SlotObservers and Tracer subscribe to the
-	// four event classes (see EventKind): message events, service
-	// detail, channel state, and transmissions with their per-receiver
-	// outcomes. Every list is dispatched in order, each event reaches
-	// each entry once, and an empty list costs one length check per
-	// event. frame-tx goes to Observers before Tracer.
-	Observers     []Observer
-	Lifecycles    []Observer
-	SlotObservers []Observer
-	Tracer        []Observer
+	// Observers subscribe to engine events: each entry receives the
+	// kinds its Kinds method names, once per event, in registration
+	// order. A kind nobody subscribed to costs one length check per
+	// event.
+	Observers []Observer
 	// SlotHook, when non-nil, runs at the start of every slot before
 	// traffic arrivals and MAC ticks. Mobility drivers use it to advance
 	// node positions and swap refreshed topologies in. A slot hook
@@ -292,13 +287,12 @@ type Engine struct {
 	capture capture.Model
 	imp     Impairment
 	rng     *rand.Rand
-	// The subscription lists of Config; emit ranges over one of them
-	// per event.
-	observers  []Observer
-	lifecycles []Observer
-	slotObs    []Observer
-	tracer     []Observer
-	slotHook   func(now Slot, e *Engine)
+	// subs is each kind's subscribers from Config.Observers, in
+	// registration order; emit ranges over one of them per event and
+	// hands each subscriber ev, the one scratch event.
+	subs     [numKinds][]Observer
+	ev       Event
+	slotHook func(now Slot, e *Engine)
 
 	now    Slot
 	macs   []MAC
@@ -435,10 +429,6 @@ func New(cfg Config) *Engine {
 		capture:     cap,
 		imp:         cfg.Impairment,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
-		observers:   cfg.Observers,
-		lifecycles:  cfg.Lifecycles,
-		slotObs:     cfg.SlotObservers,
-		tracer:      cfg.Tracer,
 		slotHook:    hook,
 		macs:        make([]MAC, n),
 		envs:        make([]Env, n),
@@ -463,6 +453,7 @@ func New(cfg Config) *Engine {
 		e.txBusyUntil[i] = -1
 		e.busyStamp[i] = -1
 	}
+	e.subscribe(cfg.Observers)
 	if e.imp != nil {
 		e.initCrash()
 	}
@@ -633,9 +624,9 @@ func (e *Engine) skipTarget(src Source, es EventSource, target Slot) Slot {
 }
 
 // skipTo jumps the clock to the given slot, reporting the skipped
-// stretch — all idle by construction — to the slot observers.
+// stretch — all idle by construction — as one EvIdleSpan.
 func (e *Engine) skipTo(next Slot) {
-	e.emit(e.slotObs, Event{Kind: EvIdleSpan, Slot: e.now, Start: e.now, End: next - 1})
+	e.emit(Event{Kind: EvIdleSpan, Slot: e.now, Start: e.now, End: next - 1})
 	e.now = next
 }
 
@@ -682,7 +673,7 @@ func (e *Engine) step(src Source) {
 			e.wake(req.Src)
 			e.lastID++
 			req.ID, req.Contentions, req.Rounds, req.Residual = e.lastID, 0, 0, len(req.Dests)
-			e.emit(e.observers, Event{Kind: EvSubmit, Slot: now, Station: req.Src, Req: req})
+			e.emit(Event{Kind: EvSubmit, Slot: now, Station: req.Src, Req: req})
 			m.Submit(&e.envs[req.Src], req)
 		}
 	}
@@ -740,7 +731,7 @@ func (e *Engine) step(src Source) {
 	// registered, none completed yet) and the collision flag is fresh
 	// from resolution. Draws nothing from the PRNG, so the unobserved
 	// and the observed path simulate bit-identically.
-	if len(e.slotObs) != 0 {
+	if len(e.subs[EvSlot]) != 0 {
 		e.emitSlot()
 	}
 
@@ -850,9 +841,7 @@ func (e *Engine) startTx(sender int, f *frames.Frame) {
 	}
 	e.txN = r + 1
 	e.txBusyUntil[sender] = e.txEnd[r]
-	ev := Event{Kind: EvFrameTx, Slot: e.now, Station: sender, Frame: f, Start: e.txStart[r], End: e.txEnd[r]}
-	e.emit(e.observers, ev)
-	e.emit(e.tracer, ev)
+	e.emit(Event{Kind: EvFrameTx, Slot: e.now, Station: sender, Frame: f, Start: e.txStart[r], End: e.txEnd[r]})
 }
 
 // firstSig is a station's signal count for the current slot and the
@@ -938,10 +927,10 @@ func (e *Engine) resolveStation(j int) bool {
 	return true
 }
 
-// emitSlot hands the slot observers the channel state of the current
-// slot: every transmission in the air (via the reused scratch list) and
-// whether resolution saw a signal overlap. Called only when a slot
-// observer is attached; the airing list is built in PhaseResolve.
+// emitSlot hands the EvSlot subscribers the channel state of the
+// current slot: every transmission in the air (via the reused scratch
+// list) and whether resolution saw a signal overlap. Called only when
+// someone subscribed; the airing list is built in PhaseResolve.
 func (e *Engine) emitSlot() {
 	now := e.now
 	airing := e.airScratch[:0]
@@ -955,7 +944,7 @@ func (e *Engine) emitSlot() {
 			})
 		}
 	}
-	e.emit(e.slotObs, Event{Kind: EvSlot, Slot: now, Airing: airing, Collided: e.slotCollided})
+	e.emit(Event{Kind: EvSlot, Slot: now, Airing: airing, Collided: e.slotCollided})
 	// Break the frame references before recycling the scratch so retained
 	// frames stay collectable once their transmissions complete.
 	for i := range airing {
@@ -993,12 +982,12 @@ func (e *Engine) completeSlot() {
 		e.markGroup(f)
 		for ri, j := range e.txRecv[r] {
 			if lost[ri] {
-				e.emit(e.tracer, Event{Kind: EvRxLost, Slot: now, Station: j, Frame: f})
+				e.emit(Event{Kind: EvRxLost, Slot: now, Station: j, Frame: f})
 				continue
 			}
-			e.emit(e.tracer, Event{Kind: EvRxOK, Slot: now, Station: j, Frame: f})
+			e.emit(Event{Kind: EvRxOK, Slot: now, Station: j, Frame: f})
 			if f.Type == frames.Data {
-				e.emit(e.observers, Event{Kind: EvDataRx, Slot: now, Station: j, Frame: f})
+				e.emit(Event{Kind: EvDataRx, Slot: now, Station: j, Frame: f})
 			}
 			if m := e.macs[j]; m != nil {
 				rx := e.rxRole(f, j)

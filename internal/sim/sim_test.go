@@ -271,7 +271,7 @@ func TestDoubleTransmitPanics(t *testing.T) {
 func TestObserverDataRx(t *testing.T) {
 	tp := lineTopo(3, 0.1, 0.15)
 	var got []string
-	obs := observeFunc(func(ev Event) {
+	obs := observeFunc(Kinds(EvDataRx), func(ev *Event) {
 		if ev.Kind == EvDataRx {
 			got = append(got, fmt.Sprintf("%d@%d:%d", ev.Frame.MsgID, ev.Station, ev.Slot))
 		}
@@ -286,10 +286,17 @@ func TestObserverDataRx(t *testing.T) {
 	}
 }
 
-// observeFunc adapts a closure to the Observer interface for tests.
-type observeFunc func(Event)
+// funcObserver adapts a closure to the Observer interface for tests.
+type funcObserver struct {
+	kinds KindSet
+	fn    func(*Event)
+}
 
-func (f observeFunc) Observe(ev Event) { f(ev) }
+func (o funcObserver) Observe(ev *Event) { o.fn(ev) }
+func (o funcObserver) Kinds() KindSet    { return o.kinds }
+
+// observeFunc subscribes fn to the given kinds.
+func observeFunc(kinds KindSet, fn func(*Event)) Observer { return funcObserver{kinds, fn} }
 
 func TestDeterministicWithSeed(t *testing.T) {
 	run := func() []string {

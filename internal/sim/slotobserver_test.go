@@ -15,9 +15,11 @@ type recSlotObs struct {
 	lines []string
 }
 
+func (r *recSlotObs) Kinds() KindSet { return Kinds(EvSlot, EvIdleSpan) }
+
 // Observe records a skipped stretch as the per-slot lines it stands
 // for.
-func (r *recSlotObs) Observe(ev Event) {
+func (r *recSlotObs) Observe(ev *Event) {
 	if ev.Kind == EvIdleSpan {
 		for t := ev.Start; t <= ev.End; t++ {
 			r.slot(t, nil, false)
@@ -38,7 +40,7 @@ func (r *recSlotObs) slot(now Slot, airing []AiringTx, collided bool) {
 func TestSlotObserverSeesAiringAndIdle(t *testing.T) {
 	tp := lineTopo(2, 0.1, 0.15)
 	rec := &recSlotObs{}
-	e, macs := engineWithScripts(t, tp, Config{SlotObservers: []Observer{rec}})
+	e, macs := engineWithScripts(t, tp, Config{Observers: []Observer{rec}})
 	macs[0].at(1, ctl(frames.Data, 0, 1)) // airs slots 1..5
 	e.Run(7, nil)
 	want := []string{
@@ -64,7 +66,7 @@ func TestSlotObserverCollisionFlag(t *testing.T) {
 	// Hidden terminals: 0 and 2 collide at 1.
 	tp := lineTopo(3, 0.1, 0.15)
 	rec := &recSlotObs{}
-	e, macs := engineWithScripts(t, tp, Config{SlotObservers: []Observer{rec}})
+	e, macs := engineWithScripts(t, tp, Config{Observers: []Observer{rec}})
 	macs[0].at(0, ctl(frames.RTS, 0, 1))
 	macs[2].at(0, ctl(frames.RTS, 2, 1))
 	e.Run(2, nil)
@@ -81,7 +83,7 @@ func TestSlotObserverHalfDuplexOverlapFlagged(t *testing.T) {
 	// duplex) but two signals still overlapped at its radio — collided.
 	tp := lineTopo(3, 0.1, 0.15)
 	rec := &recSlotObs{}
-	e, macs := engineWithScripts(t, tp, Config{SlotObservers: []Observer{rec}})
+	e, macs := engineWithScripts(t, tp, Config{Observers: []Observer{rec}})
 	macs[0].at(0, ctl(frames.CTS, 0, 1))
 	macs[1].at(0, ctl(frames.CTS, 1, 0))
 	macs[2].at(0, ctl(frames.CTS, 2, 1))
@@ -97,7 +99,7 @@ func TestSlotObserverMutualTransmissionNotCollision(t *testing.T) {
 	// so the collision flag stays clear.
 	tp := lineTopo(2, 0.1, 0.15)
 	rec := &recSlotObs{}
-	e, macs := engineWithScripts(t, tp, Config{SlotObservers: []Observer{rec}})
+	e, macs := engineWithScripts(t, tp, Config{Observers: []Observer{rec}})
 	macs[0].at(0, ctl(frames.CTS, 0, 1))
 	macs[1].at(0, ctl(frames.CTS, 1, 0))
 	e.Run(1, nil)
@@ -112,7 +114,7 @@ func TestSlotObserverSingleArrivalAtTransmitterNotCollision(t *testing.T) {
 	// no physical overlap, so the collision flag stays clear.
 	tp := lineTopo(3, 0.1, 0.15) // 0-1 and 1-2 in range; 0-2 not
 	rec := &recSlotObs{}
-	e, macs := engineWithScripts(t, tp, Config{SlotObservers: []Observer{rec}})
+	e, macs := engineWithScripts(t, tp, Config{Observers: []Observer{rec}})
 	macs[0].at(0, ctl(frames.CTS, 0, 1))
 	macs[1].at(0, ctl(frames.CTS, 1, 2))
 	e.Run(1, nil)
@@ -133,7 +135,7 @@ func TestSlotObserverBitIdentical(t *testing.T) {
 		imp := newLossyLinks(0.5, 6)
 		cfg := Config{Seed: 5, Capture: capture.ZorziRao{}, Impairment: imp}
 		if attach {
-			cfg.SlotObservers = []Observer{&recSlotObs{}}
+			cfg.Observers = []Observer{&recSlotObs{}}
 		}
 		e, macs := engineWithScripts(t, tp, cfg)
 		macs[0].at(0, ctl(frames.Data, 0, 1)).at(7, ctl(frames.RTS, 0, 1))
