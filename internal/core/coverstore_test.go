@@ -204,3 +204,138 @@ func TestCoverStoreTopologySwap(t *testing.T) {
 		}
 	}
 }
+
+// fuzzTopology decodes a topology for FuzzCoverUpdate: the first byte
+// picks 2–41 stations and the location noise, then each station reads an
+// op byte (the input repeats when it runs short). By op&3 a station is
+// fresh (two bytes per coordinate, inside one radius of the centre), a
+// copy of an earlier one, at exactly r from an earlier one, or an
+// earlier one moved by up to ±1.3e-9 per coordinate.
+func fuzzTopology(data []byte) (*topo.Topology, *NoisyLocations) {
+	const r = 0.2
+	n := 2 + int(data[0])%40
+	var locs *NoisyLocations
+	if data[0] >= 128 {
+		locs = &NoisyLocations{Sigma: 0.01 * float64(1+data[0]%3), Seed: int64(data[0])}
+	}
+	body := data[1:]
+	at := 0
+	next := func() byte {
+		b := body[at%len(body)]
+		at++
+		return b
+	}
+	word := func() float64 {
+		hi := next()
+		return float64(uint16(hi)<<8|uint16(next())) / 65535
+	}
+	pts := make([]geom.Point, n)
+	for i := range pts {
+		op := next() & 3
+		if i == 0 || op == 0 {
+			pts[i] = geom.Pt(0.5+2*r*(word()-0.5), 0.5+2*r*(word()-0.5))
+			continue
+		}
+		p := pts[int(next())%i]
+		switch op {
+		case 1:
+			pts[i] = p
+		case 2:
+			th := 2 * math.Pi * word()
+			pts[i] = geom.Pt(p.X+r*math.Cos(th), p.Y+r*math.Sin(th))
+		case 3:
+			tiny := func() float64 { return float64(int(next())-128) * 1e-11 }
+			pts[i] = p.Add(geom.Pt(tiny(), tiny()))
+		}
+	}
+	return topo.FromPoints(pts, r), locs
+}
+
+// FuzzCoverUpdate checks the store against the point-based geometry on
+// decoded topologies: for every station's receiver set (its neighbours,
+// in an order and with ACK sets drawn from the input), the store's MCS(S)
+// must equal geom.MinCoverSet and its UPDATE must equal geom.Update on
+// the believed points, whether the arrangement or the float sweep
+// decided it.
+func FuzzCoverUpdate(f *testing.F) {
+	f.Add([]byte{8, 0, 0x80, 0, 0x80, 0, 0, 0x90, 0, 0x70, 0, 1, 0, 2, 1, 0x40, 0})
+	f.Add([]byte{20, 0, 0x10, 0x20, 0x30, 0x40, 0, 0x50, 0x60, 0x70, 0x80, 3, 0, 0x81, 0x7f})
+	f.Add([]byte{39, 0xff, 0x00, 0x7f, 0x3c, 0xc3, 0x5a, 0xa5, 0x01, 0xfe, 0x42, 0x24, 0x99})
+	f.Add([]byte{140, 0, 0x80, 0, 0x80, 0, 2, 0, 0x20, 0, 2, 1, 0x90, 0x10, 1, 0, 3, 0, 0x90, 0x70})
+	f.Add([]byte{200, 0, 0x60, 0, 0xa0, 0, 0, 0xa0, 0, 0x60, 0, 0, 0x80, 0, 0x80, 0, 3, 2, 0x85, 0x7a})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			t.Skip("need a header and at least one body byte")
+		}
+		tp, locs := fuzzTopology(data)
+		_, env := newTestEngine(tp)
+		geo := newCoverStore(locs)
+		r := tp.Radius()
+		for sender := 0; sender < tp.N(); sender++ {
+			S := slices.Clone(tp.Neighbors(sender))
+			if len(S) < 1 {
+				continue
+			}
+			if data[sender%len(data)]&1 != 0 {
+				slices.Reverse(S)
+			}
+			pts := make([]geom.Point, len(S))
+			for k, id := range S {
+				pts[k] = believedPos(locs, env, id)
+			}
+			if got, want := geo.minCoverSet(env, S), geom.MinCoverSet(pts, r); !slices.Equal(got, want) {
+				t.Fatalf("sender %d: store MCS %v, points MCS %v", sender, got, want)
+			}
+			for trial := 0; trial < 3; trial++ {
+				var acked []int
+				var ackPts []geom.Point
+				for k, id := range S {
+					if data[(sender+k*3+trial)%len(data)]>>uint(trial)&3 == 0 {
+						acked = append(acked, id)
+						ackPts = append(ackPts, pts[k])
+					}
+				}
+				var want []int
+				for _, idx := range geom.Update(pts, ackPts, r) {
+					want = append(want, S[idx])
+				}
+				if got := geo.update(env, S, acked); !slices.Equal(got, want) {
+					t.Fatalf("sender %d acked %v: store UPDATE %v, points UPDATE %v", sender, acked, got, want)
+				}
+			}
+		}
+	})
+}
+
+// TestCoverStoreUpdateFallbacksRun proves both of UPDATE's branches run:
+// with exact locations every test is decided on the stations'
+// arrangements, and with noisy ones an ACKer off a station's neighbour
+// list (a believed position in range of a true non-neighbour) sends the
+// test to the float sweep; both agree with geom.Update throughout.
+func TestCoverStoreUpdateFallbacksRun(t *testing.T) {
+	for _, sigma := range []float64{0, 0.05} {
+		rng := rand.New(rand.NewSource(31))
+		tp := topo.Uniform(150, 0.2, rng)
+		_, env := newTestEngine(tp)
+		var locs *NoisyLocations
+		if sigma > 0 {
+			locs = &NoisyLocations{Sigma: sigma, Seed: 3}
+		}
+		geo := newCoverStore(locs)
+		tests := 0
+		for sender := 0; sender < tp.N(); sender += 2 {
+			S := slices.Clone(tp.Neighbors(sender))
+			if len(S) < 2 {
+				continue
+			}
+			storeOracle(t, env, geo, locs, S, rng)
+			tests += 3 * len(S)
+		}
+		switch {
+		case sigma == 0 && geo.floatCovers != 0:
+			t.Errorf("exact locations: %d of %d UPDATE tests swept in floats", geo.floatCovers, tests)
+		case sigma > 0 && (geo.floatCovers == 0 || geo.floatCovers == tests):
+			t.Errorf("noisy locations: %d of %d UPDATE tests swept in floats, want some but not all", geo.floatCovers, tests)
+		}
+	}
+}

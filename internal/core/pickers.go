@@ -69,11 +69,14 @@ type lammPicker struct {
 }
 
 // mcsMemo caches MCS(S) results per receiver sequence. The cover angles
-// come from the run's coverStore, but the search over them — the
+// come from the run's coverStore and the search decides coverage on arc
+// bitsets, but filling and arranging the table and searching it — the
 // exact branch and bound up to geom.ExactMCSLimit receivers, the greedy
 // rule beyond — is still the most expensive computation a LAMM station
 // performs, and the same remainder set recurs across the rounds and
-// retries of a message. The key encodes the *ordered* ID sequence, not
+// retries of a message: about a quarter of the lookups on the Figure
+// 6(a) density runs hit, and dropping the memo made those runs ~10 %
+// slower. The key encodes the *ordered* ID sequence, not
 // the set: MinCoverSet returns the first minimal cover its enumeration
 // order finds, and that order follows the input order, so an
 // order-insensitive key could hand back a different (equally minimal)
@@ -117,9 +120,10 @@ func (c *mcsMemo) encode(S []int) []byte {
 // shares. For each station i it keeps the cover angles
 // CoverAngle(pos(i), pos(j), r) of its neighbours j, index-parallel to
 // topo.Neighbors(i) — O(Σ degree) entries, each computed once per
-// topology snapshot. Rows materialise on first use and are dropped when
-// the topology pointer changes, the rule mcsMemo follows; believed
-// positions are fixed per snapshot, so a row never goes stale in between.
+// topology snapshot — and their arc arrangement, on which UPDATE decides
+// coverage. Rows materialise on first use and are dropped when the
+// topology pointer changes, the rule mcsMemo follows; believed positions
+// are fixed per snapshot, so a row never goes stale in between.
 //
 // The store is byte-identical to computing the angles on demand: every
 // entry is the CoverAngle call the point-based path makes, with the same
@@ -127,19 +131,36 @@ func (c *mcsMemo) encode(S []int) []byte {
 // directly, because topo admits neighbours by Dist2 <= r*r while
 // CoverAngle rejects by Hypot > r — the tests can disagree at the range
 // edge, and believed positions need not respect true neighbourhoods.
-// The same fallback gives a station paired with itself the full arc
-// UPDATE relies on when an ACKer is in S.
+// geom.BeyondCover spares that call for pairs clearly out of range. The
+// same fallback gives a station paired with itself the full arc UPDATE
+// relies on when an ACKer is in S.
 //
-// One table and two arc buffers are shared scratch: stations run one at a
-// time, and neither Poll nor Update keeps scratch across calls. A factory
-// holding a coverStore therefore serves one engine at a time.
+// The table, its sort scratch and the buffers below are shared scratch:
+// stations run one at a time, and neither Poll nor Update keeps scratch
+// across calls. A factory holding a coverStore therefore serves one
+// engine at a time.
 type coverStore struct {
 	locs  *NoisyLocations
 	topo  *topo.Topology // snapshot the rows were computed against
-	rows  [][]coverAngle // rows[i]: empty until first use
+	rows  []coverRow
 	table geom.CoverTable
+	slot  []int32      // slot[id]: 1 + id's index in the S being filled
+	set   []int32      // set[b]: 1 + the row index that last set column b
+	pts   []geom.Point // believed positions of the S being filled
+	acc   []uint64
 	arcs  []geom.Arc
+	use   []bool
 	segs  []geom.Arc
+
+	floatCovers int // UPDATE tests the arrangements left to the float sweep
+}
+
+// coverRow is one station's stored CoverAngle results and their
+// arrangement.
+type coverRow struct {
+	ready  bool
+	angles []coverAngle
+	arr    geom.Arrangement
 }
 
 // coverAngle is one stored CoverAngle result.
@@ -160,51 +181,83 @@ func (s *coverStore) bind(env *sim.Env) {
 	}
 	s.topo = tp
 	if len(s.rows) != tp.N() {
-		s.rows = make([][]coverAngle, tp.N())
+		s.rows = make([]coverRow, tp.N())
+		s.slot = make([]int32, tp.N())
 	}
 	for i := range s.rows {
-		s.rows[i] = s.rows[i][:0]
+		s.rows[i].ready = false
 	}
 }
 
-// row returns station i's neighbours and their stored cover angles,
-// materialising the row on first use after a bind.
-func (s *coverStore) row(env *sim.Env, i int) ([]int, []coverAngle) {
-	nb, row := s.topo.Neighbors(i), s.rows[i]
-	if len(row) != len(nb) {
+// row returns station i's neighbours and its row, materialising the row
+// on first use after a bind.
+func (s *coverStore) row(env *sim.Env, i int) ([]int, *coverRow) {
+	nb, row := s.topo.Neighbors(i), &s.rows[i]
+	if !row.ready {
 		p := believedPos(s.locs, env, i)
+		row.angles = row.angles[:0]
+		arcs, use := s.arcs[:0], s.use[:0]
 		for _, q := range nb {
 			a, ok := geom.CoverAngle(p, believedPos(s.locs, env, q), s.topo.Radius())
-			row = append(row, coverAngle{a, ok})
+			row.angles = append(row.angles, coverAngle{a, ok})
+			arcs, use = append(arcs, a), append(use, ok)
 		}
-		s.rows[i] = row
+		s.table.Arrange(&row.arr, arcs, use)
+		s.arcs, s.use = arcs, use
+		row.ready = true
 	}
 	return nb, row
 }
 
 // angle returns CoverAngle(pos(i), pos(j), r) for a bound store; nb and
 // row are station i's, from s.row.
-func (s *coverStore) angle(env *sim.Env, i, j int, nb []int, row []coverAngle) (geom.Arc, bool) {
+func (s *coverStore) angle(env *sim.Env, i, j int, nb []int, row *coverRow) (geom.Arc, bool) {
 	if k, found := slices.BinarySearch(nb, j); found {
-		return row[k].arc, row[k].ok
+		return row.angles[k].arc, row.angles[k].ok
 	}
-	return geom.CoverAngle(believedPos(s.locs, env, i), believedPos(s.locs, env, j), s.topo.Radius())
+	return s.direct(believedPos(s.locs, env, i), believedPos(s.locs, env, j))
 }
 
-// minCoverSet computes MCS(S) from the stored angles. The result is the
-// table's buffer, valid until the store's next use.
+// direct is CoverAngle(p, q, r) for a pair off the neighbour lists.
+func (s *coverStore) direct(p, q geom.Point) (geom.Arc, bool) {
+	if geom.BeyondCover(p, q, s.topo.Radius()) {
+		return geom.Arc{}, false
+	}
+	return geom.CoverAngle(p, q, s.topo.Radius())
+}
+
+// minCoverSet computes MCS(S) from the stored angles. Each member's row
+// sets the pairs with its neighbours, found through slot; the remaining
+// pairs are computed directly. The result is the table's buffer, valid
+// until the store's next use.
 func (s *coverStore) minCoverSet(env *sim.Env, S []int) []int {
 	s.bind(env)
 	t := &s.table
 	t.Reset(len(S))
+	s.pts = s.pts[:0]
+	for b, j := range S {
+		s.slot[j] = int32(b + 1)
+		s.pts = append(s.pts, believedPos(s.locs, env, j))
+	}
+	s.set = append(s.set[:0], make([]int32, len(S))...)
 	for a, i := range S {
 		nb, row := s.row(env, i)
-		for b, j := range S {
-			if a != b {
-				arc, ok := s.angle(env, i, j, nb, row)
-				t.Set(a, b, arc, ok)
+		for k, q := range nb {
+			if b := int(s.slot[q]) - 1; b >= 0 {
+				t.Set(a, b, row.angles[k].arc, row.angles[k].ok)
+				s.set[b] = int32(a + 1)
 			}
 		}
+		for b := range S {
+			if b != a && s.set[b] != int32(a+1) {
+				if arc, ok := s.direct(s.pts[a], s.pts[b]); ok {
+					t.Set(a, b, arc, ok)
+				}
+			}
+		}
+	}
+	for _, j := range S {
+		s.slot[j] = 0
 	}
 	return t.MinCoverSet()
 }
@@ -215,21 +268,54 @@ func (s *coverStore) update(env *sim.Env, S, acked []int) []int {
 	s.bind(env)
 	out := make([]int, 0, len(S))
 	for _, i := range S {
-		nb, row := s.row(env, i)
-		arcs := s.arcs[:0]
-		for _, j := range acked {
-			if a, ok := s.angle(env, i, j, nb, row); ok {
-				arcs = append(arcs, a)
-			}
-		}
-		var covered bool
-		covered, s.segs = geom.CircleCovered(arcs, s.segs)
-		s.arcs = arcs
-		if !covered {
+		if !s.covered(env, i, acked) {
 			out = append(out, i)
 		}
 	}
 	return out
+}
+
+// covered reports whether the ACKers' disks cover station i's, the
+// Theorem 4 test geom.CircleCovered makes on their cover angles. It is
+// decided on i's arrangement unless an ACKer's angle is not in it (a
+// believed position off the neighbour list) or the bitsets cannot tell;
+// then the float sweep decides.
+func (s *coverStore) covered(env *sim.Env, i int, acked []int) bool {
+	nb, row := s.row(env, i)
+	acc := append(s.acc[:0], make([]uint64, row.arr.Words())...)
+	s.acc = acc
+	swept := false
+	for _, j := range acked {
+		if j == i {
+			return true // a station's cover angle for itself is the full arc
+		}
+		if k, found := slices.BinarySearch(nb, j); found {
+			if row.angles[k].ok {
+				row.arr.Or(acc, k)
+			}
+		} else if a, ok := s.direct(believedPos(s.locs, env, i), believedPos(s.locs, env, j)); ok {
+			if a.IsFull() {
+				return true
+			}
+			swept = true
+		}
+	}
+	if !swept {
+		if covered, sure := row.arr.Covered(acc); sure {
+			return covered
+		}
+	}
+	s.floatCovers++
+	arcs := s.arcs[:0]
+	for _, j := range acked {
+		if a, ok := s.angle(env, i, j, nb, row); ok {
+			arcs = append(arcs, a)
+		}
+	}
+	var covered bool
+	covered, s.segs = geom.CircleCovered(arcs, s.segs)
+	s.arcs = arcs
+	return covered
 }
 
 // believedPos returns the position the sender believes station id has:

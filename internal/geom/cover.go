@@ -32,6 +32,19 @@ func CoverAngle(p, q Point, r float64) (Arc, bool) {
 	return CenteredArc(p.Angle(q), 2*half), true
 }
 
+// BeyondCover reports, from the squared distance alone, that
+// CoverAngle(p, q, r) is certainly not ok: Dist2 exceeds r² by a
+// relative rangeSlack. Dist2 errs by at most three roundings (relative
+// 2⁻⁵²) and Hypot, r·r and the product by a few more, so any pair it
+// rejects has Hypot(p−q) > r by a margin of ~5e-10 relative, far above
+// them all. Pairs within the slack are left to CoverAngle.
+func BeyondCover(p, q Point, r float64) bool {
+	return p.Dist2(q) > r*r*(1+rangeSlack)
+}
+
+// rangeSlack is BeyondCover's relative margin on r².
+const rangeSlack = 1e-9
+
 // CoverArcs returns the cover angles of p for each member of cover that is
 // within radius r of p. The sector union of the result is contained in
 // the union of the members' disks.

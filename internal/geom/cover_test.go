@@ -269,3 +269,37 @@ func TestUpdateSound(t *testing.T) {
 		}
 	}
 }
+
+// TestBeyondCoverAgreesWithCoverAngle places pairs within a relative
+// 1e-16 … 1e-7 of the range edge on either side, over radii and
+// positions of several magnitudes: whenever BeyondCover rejects a pair,
+// CoverAngle must reject it too, and a pair a relative 3e-9 beyond
+// range must be rejected by the shortcut itself.
+func TestBeyondCoverAgreesWithCoverAngle(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	rejected := 0
+	for k := 0; k < 200_000; k++ {
+		r := math.Pow(10, -3+4*rng.Float64())
+		p := Pt((rng.Float64()-0.5)*100*r, (rng.Float64()-0.5)*100*r)
+		delta := math.Pow(10, -16+9*rng.Float64())
+		if rng.Intn(2) == 0 {
+			delta = -delta
+		}
+		th := rng.Float64() * 2 * math.Pi
+		d := r * (1 + delta)
+		q := Pt(p.X+d*math.Cos(th), p.Y+d*math.Sin(th))
+		if BeyondCover(p, q, r) {
+			rejected++
+			if _, ok := CoverAngle(p, q, r); ok {
+				t.Fatalf("BeyondCover(%v, %v, %v) but CoverAngle is ok (Hypot %v)", p, q, r, p.Dist(q))
+			}
+		}
+		far := r * (1 + 3e-9)
+		if q := Pt(p.X+far*math.Cos(th), p.Y+far*math.Sin(th)); !BeyondCover(p, q, r) {
+			t.Fatalf("BeyondCover missed a pair %g beyond range", 3e-9)
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no pair rejected")
+	}
+}

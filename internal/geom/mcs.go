@@ -66,6 +66,11 @@ func GreedyCoverSet(pts []Point, r float64) []int {
 // caller that already knows the angles (a per-topology store) fills the
 // table without computing any.
 //
+// Up to 64 points, each node's circle is also cut into its arc
+// arrangement (arrange.go), and the search decides coverage on those
+// bitsets, sweeping floats only where the bitsets cannot tell. The
+// results are the float search's, bit for bit.
+//
 // The flat n·n buffers and all search scratch grow to the largest n seen
 // and are reused: after warm-up, a fill and a search allocate nothing.
 // Results are returned in table-owned slices, valid until the next
@@ -76,6 +81,24 @@ type CoverTable struct {
 	arcs    []Arc    // arcs[i*n+j]: cover angle of i for j, valid when has
 	has     []bool   // has[i*n+j]: j's disk contributes to covering i's
 	helpers []uint64 // helpers[i]: bitmask of j≠i with has (n ≤ 64 only)
+	helped  []uint64 // helped[j]: bitmask of i≠j with has (n ≤ 64 only)
+
+	// The arrangement, built by arrange on first search after a fill.
+	arranged bool
+	clean    bool // every node arranged, no tiny elementary arc
+	cut      cutter
+	cuts     []float64 // cuts[off[i]:off[i+1]]: node i's cut points
+	qcut     []int64   // the cut points in qScale fixed point
+	off      []int
+	elem     []uint64 // elem[i*n+j]: elementary arcs of i that j covers
+	all      []uint64 // all[i]: every elementary arc of i; 0 if none built
+	tiny     []uint64 // tiny[i]: elementary arcs of i within tinyArc
+	cov      []uint64 // greedy: covered elementary arcs per node
+	score    []int64  // greedy: fixed-point candidate scores
+
+	// Fallback census: coverage tests swept in floats, greedy runs on
+	// the float rule, and bitset greedy picks re-ranked in floats.
+	floatCovers, floatGreedies, ties int
 
 	segs     []Arc   // split segments of the coverage check in progress
 	acc      [][]Arc // acc[i]: merged segments already covering node i
@@ -101,13 +124,16 @@ func (t *CoverTable) Reset(n int) {
 	clear(t.has)
 	if cap(t.helpers) < n {
 		t.helpers = make([]uint64, n)
+		t.helped = make([]uint64, n)
 		t.covered = make([]float64, n)
 		t.selected = make([]bool, n)
 		t.dirty = make([]bool, n)
 	}
-	t.helpers, t.covered = t.helpers[:n], t.covered[:n]
+	t.helpers, t.helped, t.covered = t.helpers[:n], t.helped[:n], t.covered[:n]
 	t.selected, t.dirty = t.selected[:n], t.dirty[:n]
 	clear(t.helpers)
+	clear(t.helped)
+	t.arranged = false
 	for len(t.acc) < n {
 		t.acc = append(t.acc, nil)
 	}
@@ -122,7 +148,9 @@ func (t *CoverTable) Set(i, j int, a Arc, ok bool) {
 	t.arcs[k] = a
 	if ok && t.n <= 64 {
 		t.helpers[i] |= 1 << uint(j)
+		t.helped[j] |= 1 << uint(i)
 	}
+	t.arranged = false
 }
 
 // Fill resets the table to pts and computes every pairwise cover angle.
@@ -148,10 +176,8 @@ func (t *CoverTable) MinCoverSet() []int {
 	return t.greedyCoverSet()
 }
 
-// coveredBy reports whether node i's disk is fully covered by the nodes
-// whose bits are set in mask (i's own bit is ignored). It is the hot path
-// of the exact search.
-func (t *CoverTable) coveredBy(i int, mask uint64) bool {
+// coveredByFloat is coveredBy decided by the float sweep alone.
+func (t *CoverTable) coveredByFloat(i int, mask uint64) bool {
 	segs := t.segs[:0]
 	row := t.arcs[i*t.n : (i+1)*t.n]
 	for rest := mask & t.helpers[i]; rest != 0; rest &= rest - 1 {
@@ -260,6 +286,7 @@ func (t *CoverTable) exactCoverSet() []int {
 		t.out = append(t.out[:0], 0)
 		return t.out
 	}
+	t.arrange()
 	greedy := t.greedyCoverSet()
 	all := uint64(1)<<uint(n) - 1
 	// Mandatory nodes: not coverable even by all other nodes combined.
@@ -400,6 +427,18 @@ func (t *CoverTable) greedyCoverSet() []int {
 		t.order = append(t.order[:0], 0)
 		return t.order
 	}
+	t.arrange()
+	if t.clean {
+		return t.greedyBits()
+	}
+	t.floatGreedies++
+	return t.greedyFloat()
+}
+
+// greedyFloat is greedyCoverSet on float arc sweeps, for tables without
+// a clean arrangement.
+func (t *CoverTable) greedyFloat() []int {
+	n := t.n
 	selected, covered, gain, dirty := t.selected, t.covered, t.gain, t.dirty
 	clear(selected)
 	clear(covered)

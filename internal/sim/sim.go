@@ -982,11 +982,15 @@ func (e *Engine) completeSlot() {
 		e.markGroup(f)
 		for ri, j := range e.txRecv[r] {
 			if lost[ri] {
-				e.emit(Event{Kind: EvRxLost, Slot: now, Station: j, Frame: f})
+				if e.wants(EvRxLost) {
+					e.emit(Event{Kind: EvRxLost, Slot: now, Station: j, Frame: f})
+				}
 				continue
 			}
-			e.emit(Event{Kind: EvRxOK, Slot: now, Station: j, Frame: f})
-			if f.Type == frames.Data {
+			if e.wants(EvRxOK) {
+				e.emit(Event{Kind: EvRxOK, Slot: now, Station: j, Frame: f})
+			}
+			if f.Type == frames.Data && e.wants(EvDataRx) {
 				e.emit(Event{Kind: EvDataRx, Slot: now, Station: j, Frame: f})
 			}
 			if m := e.macs[j]; m != nil {
