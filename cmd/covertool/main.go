@@ -31,6 +31,10 @@ func main() {
 	seed := flag.Int64("seed", 1, "seed for -random")
 	spread := flag.Float64("spread", 0.15, "spread of random points around (0.5,0.5)")
 	flag.Parse()
+	if !(*radius > 0) || !finite(*radius) {
+		fmt.Fprintf(os.Stderr, "radius %g; it must be positive and finite\n", *radius)
+		os.Exit(2)
+	}
 
 	var pts []geom.Point
 	if *random > 0 {
@@ -59,6 +63,12 @@ func main() {
 	if len(pts) == 0 {
 		fmt.Fprintln(os.Stderr, "no points; pipe \"x y\" lines or use -random N")
 		os.Exit(2)
+	}
+	for i, p := range pts {
+		if !finite(p.X) || !finite(p.Y) {
+			fmt.Fprintf(os.Stderr, "point %d is (%g, %g); coordinates must be finite\n", i, p.X, p.Y)
+			os.Exit(2)
+		}
 	}
 
 	fmt.Printf("%d stations, radius %g\n\n", len(pts), *radius)
@@ -111,9 +121,14 @@ func renderMap(pts []geom.Point, inMCS map[int]bool) {
 	if maxY == minY {
 		maxY = minY + 1e-9
 	}
+	// cell maps v in [lo, hi] onto 0..n-1. The terms are halved so that
+	// the extent of any finite coordinates stays finite; halving is exact,
+	// so the cells are those of the unhalved formula.
+	cell := func(v, lo, hi float64, n int) int {
+		return int((v/2 - lo/2) / (hi/2 - lo/2) * float64(n-1))
+	}
 	for i, p := range pts {
-		x := int((p.X - minX) / (maxX - minX) * float64(W-1))
-		y := int((p.Y - minY) / (maxY - minY) * float64(H-1))
+		x, y := cell(p.X, minX, maxX, W), cell(p.Y, minY, maxY, H)
 		c := byte('o')
 		if inMCS[i] {
 			c = '*'
@@ -125,16 +140,4 @@ func renderMap(pts []geom.Point, inMCS map[int]bool) {
 	}
 }
 
-func min(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }

@@ -3,7 +3,6 @@ package geom
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // FullCircle is the total angular measure of a circle, 2π radians.
@@ -81,119 +80,65 @@ func normAngle(a float64) float64 {
 	return a
 }
 
-// ArcSet accumulates a union of arcs on a single circle and answers
-// coverage queries. The zero value is an empty set ready to use.
-//
-// ArcSet is the engine behind Theorem 4 of the paper: the transmission
-// area of a node p is completely covered by a set of nodes C if the union
-// of p's cover angles for the members of C is the full circle.
-type ArcSet struct {
-	arcs []Arc
+// splitArc appends a (possibly wrapping) arc to buf as non-wrapping
+// segments.
+func splitArc(buf []Arc, a Arc) []Arc {
+	if a.Hi > FullCircle {
+		return append(buf, Arc{Lo: a.Lo, Hi: FullCircle}, Arc{Lo: 0, Hi: a.Hi - FullCircle})
+	}
+	return append(buf, a)
 }
 
-// Add inserts an arc into the set.
-func (s *ArcSet) Add(a Arc) {
-	if a.Measure() <= 0 {
-		return
-	}
-	s.arcs = append(s.arcs, a)
-}
-
-// AddAll inserts every arc in the slice.
-func (s *ArcSet) AddAll(arcs []Arc) {
-	for _, a := range arcs {
-		s.Add(a)
-	}
-}
-
-// Len returns the number of arcs added (before merging).
-func (s *ArcSet) Len() int { return len(s.arcs) }
-
-// Reset empties the set, retaining capacity.
-func (s *ArcSet) Reset() { s.arcs = s.arcs[:0] }
-
-// segments returns the union normalised to disjoint, sorted, non-wrapping
-// intervals within [0, 2π]. Wrapping arcs are split at 2π.
-func (s *ArcSet) segments() []Arc {
-	if len(s.arcs) == 0 {
-		return nil
-	}
-	split := make([]Arc, 0, len(s.arcs)+4)
-	for _, a := range s.arcs {
-		if a.IsFull() {
-			return []Arc{{Lo: 0, Hi: FullCircle}}
-		}
-		if a.Hi > FullCircle {
-			split = append(split, Arc{Lo: a.Lo, Hi: FullCircle}, Arc{Lo: 0, Hi: a.Hi - FullCircle})
-		} else {
-			split = append(split, a)
+// mergeArc inserts a (possibly wrapping) arc into a merged, sorted list
+// of non-wrapping segments, keeping the list merged and sorted. It is
+// the one place the float coverage rule forgives a gap: segments less
+// than coverEps apart are merged, while the seam at 0/2π is never
+// crossed, so it counts as two gaps.
+func mergeArc(segs []Arc, a Arc) []Arc {
+	segs = splitArc(segs, a)
+	for i := 1; i < len(segs); i++ {
+		for j := i; j > 0 && segs[j].Lo < segs[j-1].Lo; j-- {
+			segs[j], segs[j-1] = segs[j-1], segs[j]
 		}
 	}
-	sort.Slice(split, func(i, j int) bool { return split[i].Lo < split[j].Lo })
-	merged := split[:1]
-	for _, a := range split[1:] {
-		last := &merged[len(merged)-1]
-		if a.Lo <= last.Hi+coverEps {
-			if a.Hi > last.Hi {
-				last.Hi = a.Hi
+	w := 0
+	for i := 1; i < len(segs); i++ {
+		if segs[i].Lo <= segs[w].Hi+coverEps {
+			if segs[i].Hi > segs[w].Hi {
+				segs[w].Hi = segs[i].Hi
 			}
 		} else {
-			merged = append(merged, a)
+			w++
+			segs[w] = segs[i]
 		}
 	}
-	return merged
+	return segs[:w+1]
 }
 
-// Covered returns the total angular measure of the union, in radians.
-func (s *ArcSet) Covered() float64 {
-	var sum float64
-	for _, seg := range s.segments() {
-		sum += seg.Measure()
+// measureOf sums the measures of merged, sorted segments.
+func measureOf(segs []Arc) float64 {
+	var total float64
+	for _, s := range segs {
+		total += s.Hi - s.Lo
 	}
-	if sum > FullCircle {
-		sum = FullCircle
+	if total > FullCircle {
+		total = FullCircle
 	}
-	return sum
+	return total
 }
 
-// Uncovered returns the total angular measure NOT covered by the union.
-func (s *ArcSet) Uncovered() float64 { return FullCircle - s.Covered() }
-
-// IsFull reports whether the union covers the entire circle, i.e. the
-// paper's condition "∪ᵢ[αᵢ, βᵢ] = [0, 360]".
-func (s *ArcSet) IsFull() bool {
-	segs := s.segments()
-	if len(segs) == 0 {
-		return false
-	}
-	if len(segs) == 1 {
-		return segs[0].Lo <= coverEps && segs[0].Hi >= FullCircle-coverEps
-	}
-	// More than one disjoint segment means at least one gap.
-	return false
-}
-
-// Gaps returns the maximal uncovered arcs, normalised to [0, 2π). An empty
-// result means the circle is fully covered.
-func (s *ArcSet) Gaps() []Arc {
-	segs := s.segments()
-	if len(segs) == 0 {
-		return []Arc{FullArc()}
-	}
-	var gaps []Arc
-	// Gap before the first segment, wrapping from the last one.
-	if segs[0].Lo > coverEps || segs[len(segs)-1].Hi < FullCircle-coverEps {
-		lo := segs[len(segs)-1].Hi
-		hi := segs[0].Lo + FullCircle
-		if hi-lo > coverEps {
-			gaps = append(gaps, Arc{Lo: normAngle(lo), Hi: normAngle(lo) + (hi - lo)})
+// CircleCovered reports whether the union of arcs is the full circle,
+// the paper's condition "∪ᵢ[αᵢ, βᵢ] = [0, 360]" of Theorem 4: their
+// merged list is one segment from 0 to 2π, up to coverEps at each end.
+// The segments are merged in scratch, which is returned for reuse, so a
+// caller that keeps it allocates nothing per call.
+func CircleCovered(arcs, scratch []Arc) (bool, []Arc) {
+	segs := scratch[:0]
+	for _, a := range arcs {
+		if a.IsFull() {
+			return true, segs
 		}
+		segs = mergeArc(segs, a)
 	}
-	for i := 1; i < len(segs); i++ {
-		lo, hi := segs[i-1].Hi, segs[i].Lo
-		if hi-lo > coverEps {
-			gaps = append(gaps, Arc{Lo: lo, Hi: hi})
-		}
-	}
-	return gaps
+	return len(segs) == 1 && segs[0].Lo <= coverEps && segs[0].Hi >= FullCircle-coverEps, segs
 }

@@ -58,61 +58,65 @@ func TestCenteredArc(t *testing.T) {
 	}
 }
 
+// union merges arcs into the list CircleCovered decides from, and
+// returns that decision with it.
+func union(arcs ...Arc) (segs []Arc, full bool) {
+	for _, a := range arcs {
+		segs = mergeArc(segs, a)
+	}
+	full, _ = CircleCovered(arcs, nil)
+	return segs, full
+}
+
 func TestArcSetEmpty(t *testing.T) {
-	var s ArcSet
-	if s.IsFull() {
+	segs, full := union()
+	if full {
 		t.Error("empty set reported full")
 	}
-	if s.Covered() != 0 {
-		t.Errorf("Covered = %v, want 0", s.Covered())
+	if got := measureOf(segs); got != 0 {
+		t.Errorf("measure = %v, want 0", got)
 	}
-	gaps := s.Gaps()
+	gaps := gapsOf(segs)
 	if len(gaps) != 1 || !gaps[0].IsFull() {
-		t.Errorf("Gaps of empty set = %v, want one full arc", gaps)
+		t.Errorf("gaps of empty set = %v, want one full arc", gaps)
 	}
 }
 
 func TestArcSetUnionSimple(t *testing.T) {
-	var s ArcSet
-	s.Add(NewArc(0, 1))
-	s.Add(NewArc(2, 3))
-	if s.IsFull() {
+	segs, full := union(NewArc(0, 1), NewArc(2, 3))
+	if full {
 		t.Error("two disjoint arcs reported full")
 	}
-	if got := s.Covered(); !almostEq(got, 2, 1e-9) {
-		t.Errorf("Covered = %v, want 2", got)
+	if got := measureOf(segs); !almostEq(got, 2, 1e-9) {
+		t.Errorf("measure = %v, want 2", got)
 	}
-	gaps := s.Gaps()
-	if len(gaps) != 2 {
+	if gaps := gapsOf(segs); len(gaps) != 2 {
 		t.Fatalf("gaps = %v, want two", gaps)
 	}
 }
 
 func TestArcSetMergeOverlap(t *testing.T) {
-	var s ArcSet
-	s.Add(NewArc(0, 2))
-	s.Add(NewArc(1, 3))
-	if got := s.Covered(); !almostEq(got, 3, 1e-9) {
-		t.Errorf("Covered = %v, want 3", got)
+	segs, _ := union(NewArc(0, 2), NewArc(1, 3))
+	if got := measureOf(segs); !almostEq(got, 3, 1e-9) || len(segs) != 1 {
+		t.Errorf("segments %v (measure %v), want one of measure 3", segs, got)
 	}
 }
 
 func TestArcSetWrapCoverage(t *testing.T) {
-	var s ArcSet
-	s.Add(NewArc(3*math.Pi/2, math.Pi/2)) // wraps east
-	s.Add(NewArc(math.Pi/2-0.01, 3*math.Pi/2+0.01))
-	if !s.IsFull() {
+	_, full := union(
+		NewArc(3*math.Pi/2, math.Pi/2), // wraps east
+		NewArc(math.Pi/2-0.01, 3*math.Pi/2+0.01))
+	if !full {
 		t.Error("two half-circles with overlap should be full")
 	}
 }
 
 func TestArcSetAlmostFullGap(t *testing.T) {
-	var s ArcSet
-	s.Add(NewArc(0.001, 2*math.Pi-0.001))
-	if s.IsFull() {
+	segs, full := union(NewArc(0.001, 2*math.Pi-0.001))
+	if full {
 		t.Error("a 0.002 rad gap must not count as full")
 	}
-	gaps := s.Gaps()
+	gaps := gapsOf(segs)
 	if len(gaps) != 1 {
 		t.Fatalf("gaps = %v", gaps)
 	}
@@ -123,23 +127,19 @@ func TestArcSetAlmostFullGap(t *testing.T) {
 
 func TestArcSetThreeThirds(t *testing.T) {
 	third := 2 * math.Pi / 3
-	var s ArcSet
-	s.Add(NewArc(0, third))
-	s.Add(NewArc(third, 2*third))
-	if s.IsFull() {
+	if _, full := union(NewArc(0, third), NewArc(third, 2*third)); full {
 		t.Error("two thirds should not be full")
 	}
-	s.Add(NewArc(2*third, 2*math.Pi))
-	if !s.IsFull() {
+	if _, full := union(NewArc(0, third), NewArc(third, 2*third), NewArc(2*third, 2*math.Pi)); !full {
 		t.Error("three abutting thirds should be full")
 	}
 }
 
 // TestArcSetNearAbutting pins the coverEps tolerance: unions whose ends
 // or seams miss by float noise (1e-12, far below coverEps) are full,
-// while a genuine 1e-6 gap is not. An exact float comparison in IsFull's
-// single-segment test or in the segment merge turns one of the full
-// cases into a false coverage hole.
+// while a genuine 1e-6 gap is not. An exact float comparison in
+// CircleCovered's single-segment test or in mergeArc's merge turns one
+// of the full cases into a false coverage hole.
 func TestArcSetNearAbutting(t *testing.T) {
 	const noise = 1e-12
 	cases := []struct {
@@ -154,76 +154,72 @@ func TestArcSetNearAbutting(t *testing.T) {
 		{"genuine gap", []Arc{NewArc(0, math.Pi), NewArc(math.Pi+1e-6, FullCircle)}, false},
 	}
 	for _, c := range cases {
-		var s ArcSet
-		s.AddAll(c.arcs)
-		if got := s.IsFull(); got != c.full {
-			t.Errorf("%s: IsFull = %v, want %v (segments %v)", c.name, got, c.full, s.segments())
+		segs, full := union(c.arcs...)
+		if full != c.full {
+			t.Errorf("%s: CircleCovered = %v, want %v (segments %v)", c.name, full, c.full, segs)
 		}
-		if gaps := s.Gaps(); (len(gaps) == 0) != c.full {
-			t.Errorf("%s: Gaps = %v, want none iff full", c.name, gaps)
+		if gaps := gapsOf(segs); (len(gaps) == 0) != c.full {
+			t.Errorf("%s: gaps = %v, want none iff full", c.name, gaps)
 		}
 	}
 }
 
+// TestArcSetResetKeepsWorking checks that the scratch CircleCovered
+// hands back is emptied on reuse, also after an early exit on a full
+// arc.
 func TestArcSetResetKeepsWorking(t *testing.T) {
-	var s ArcSet
-	s.Add(FullArc())
-	s.Reset()
-	if s.Covered() != 0 || s.Len() != 0 {
-		t.Error("Reset did not clear the set")
+	full, scratch := CircleCovered([]Arc{NewArc(0, 1), FullArc()}, nil)
+	if !full {
+		t.Fatal("a full arc did not cover the circle")
 	}
-	s.Add(NewArc(0, 1))
-	if !almostEq(s.Covered(), 1, 1e-9) {
-		t.Error("set unusable after Reset")
+	full, scratch = CircleCovered([]Arc{NewArc(0, 1)}, scratch)
+	if full || !almostEq(measureOf(scratch), 1, 1e-9) {
+		t.Errorf("reused scratch: full %v, segments %v; want one arc of measure 1", full, scratch)
 	}
 }
 
-// Property: Covered() never exceeds 2π and equals the Monte-Carlo measure
-// of the union within tolerance.
+// Property: the measure of the merged list never exceeds 2π and equals
+// the Monte-Carlo measure of the union within tolerance.
 func TestArcSetCoveredMatchesSampling(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
-		var s ArcSet
-		n := 1 + rng.Intn(6)
-		for i := 0; i < n; i++ {
+		arcs := make([]Arc, 1+rng.Intn(6))
+		for i := range arcs {
 			lo := rng.Float64() * 2 * math.Pi
 			w := rng.Float64() * math.Pi
-			s.Add(CenteredArc(lo, w))
+			arcs[i] = CenteredArc(lo, w)
 		}
-		covered := s.Covered()
+		segs, _ := union(arcs...)
+		covered := measureOf(segs)
 		if covered < 0 || covered > 2*math.Pi+1e-9 {
-			t.Fatalf("Covered out of range: %v", covered)
+			t.Fatalf("measure out of range: %v", covered)
 		}
 		const samples = 20000
 		hits := 0
 		for k := 0; k < samples; k++ {
 			th := rng.Float64() * 2 * math.Pi
-			in := false
-			for _, a := range s.arcs {
+			for _, a := range arcs {
 				if a.Contains(th) {
-					in = true
+					hits++
 					break
 				}
-			}
-			if in {
-				hits++
 			}
 		}
 		mc := 2 * math.Pi * float64(hits) / samples
 		if math.Abs(mc-covered) > 0.12 {
-			t.Fatalf("trial %d: Covered=%v, Monte-Carlo=%v", trial, covered, mc)
+			t.Fatalf("trial %d: measure=%v, Monte-Carlo=%v", trial, covered, mc)
 		}
 	}
 }
 
-// Property: adding arcs never decreases coverage (monotonicity).
+// Property: merging arcs never decreases coverage (monotonicity).
 func TestArcSetMonotone(t *testing.T) {
 	f := func(seeds []float64) bool {
-		var s ArcSet
+		var segs []Arc
 		prev := 0.0
 		for i := 0; i+1 < len(seeds); i += 2 {
-			s.Add(CenteredArc(seeds[i], math.Abs(math.Mod(seeds[i+1], math.Pi))))
-			cov := s.Covered()
+			segs = mergeArc(segs, CenteredArc(seeds[i], math.Abs(math.Mod(seeds[i+1], math.Pi))))
+			cov := measureOf(segs)
 			if cov+1e-9 < prev {
 				return false
 			}
@@ -236,20 +232,25 @@ func TestArcSetMonotone(t *testing.T) {
 	}
 }
 
-// Property: Gaps() and Covered() are complementary.
+// Property: CoverageGaps complements the measure of a node's merged
+// cover angles, and is empty exactly when DiskCovered holds.
 func TestArcSetGapsComplementCoverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 100; trial++ {
-		var s ArcSet
-		for i, n := 0, rng.Intn(8); i < n; i++ {
-			s.Add(CenteredArc(rng.Float64()*2*math.Pi, rng.Float64()*2))
-		}
+	const r = 0.2
+	for trial := 0; trial < 200; trial++ {
+		p := Pt(0.5, 0.5)
+		cover := clusterPoints(rng, rng.Intn(8), p, r*(0.3+rng.Float64()))
+		segs, _ := union(CoverArcs(p, cover, r)...)
+		gaps := CoverageGaps(p, cover, r)
 		var gapSum float64
-		for _, g := range s.Gaps() {
+		for _, g := range gaps {
 			gapSum += g.Measure()
 		}
-		if !almostEq(gapSum+s.Covered(), 2*math.Pi, 1e-6) {
-			t.Fatalf("gaps (%v) + covered (%v) != 2π", gapSum, s.Covered())
+		if !almostEq(gapSum+measureOf(segs), 2*math.Pi, 1e-6) {
+			t.Fatalf("gaps (%v) + covered (%v) != 2π", gapSum, measureOf(segs))
+		}
+		if (len(gaps) == 0) != DiskCovered(p, cover, r) {
+			t.Fatalf("trial %d: gaps %v but DiskCovered %v", trial, gaps, DiskCovered(p, cover, r))
 		}
 	}
 }

@@ -13,14 +13,14 @@ import (
 // and "the arcs in M cover the circle" becomes "every elementary arc
 // meets M": the Theorem 4 test on words instead of a sort and a sweep.
 //
-// The float sweep (segmentsCoverCircle) forgives every gap no longer
-// than coverEps, the seam at 0/2π counting as two gaps. Its gaps run
-// between cut points, so the two tests can differ only on an uncovered
-// run made of elementary arcs no longer than tinyArc: a bitset decision
-// is taken when nothing is uncovered (covered) or when some uncovered
-// elementary arc is longer than tinyArc (not covered, since that gap is
-// longer than coverEps by far more than the rounding of reach+coverEps).
-// Otherwise the caller falls back to the float sweep.
+// The float test (CircleCovered, through mergeArc) forgives every gap
+// no longer than coverEps, the seam at 0/2π counting as two gaps. Its
+// gaps run between cut points, so the two tests can differ only on an
+// uncovered run made of elementary arcs no longer than tinyArc: a bitset
+// decision is taken when nothing is uncovered (covered) or when some
+// uncovered elementary arc is longer than tinyArc (not covered, since
+// that gap is longer than coverEps by far more than the rounding of
+// Hi+coverEps). Otherwise the caller falls back to the float sweep.
 const tinyArc = 2 * coverEps
 
 // arrangeable reports whether an arrangement can represent a: the full
@@ -368,7 +368,12 @@ func (t *CoverTable) coveredBy(i int, mask uint64) bool {
 		}
 	}
 	t.floatCovers++
-	return t.coveredByFloat(i, mask)
+	members := t.members[:0]
+	for rest := mask & t.helpers[i]; rest != 0; rest &= rest - 1 {
+		members = append(members, bits.TrailingZeros64(rest))
+	}
+	t.members = members
+	return t.sweptCover(i, members)
 }
 
 // greedyBits is greedyCoverSet on the arrangements of a clean table. A

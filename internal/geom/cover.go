@@ -24,8 +24,8 @@ func CoverAngle(p, q Point, r float64) (Arc, bool) {
 		return Arc{}, false
 	}
 	if d < coverEps {
-		// Co-located up to numerical noise: below the same slack segments()
-		// uses, acos(d/2r) ≈ π/2 carries no angular information anyway.
+		// Co-located up to numerical noise: below the same slack mergeArc
+		// forgives, acos(d/2r) ≈ π/2 carries no angular information anyway.
 		return FullArc(), true
 	}
 	half := math.Acos(d / (2 * r))
@@ -68,25 +68,52 @@ func CoverArcs(p Point, cover []Point, r float64) []Arc {
 // nothing, per Definition 2, even though their disks may overlap A(p);
 // the paper's scheme is deliberately conservative there).
 func DiskCovered(p Point, cover []Point, r float64) bool {
-	var set ArcSet
+	arcs := make([]Arc, 0, len(cover))
 	for _, q := range cover {
 		if a, ok := CoverAngle(p, q, r); ok {
 			if a.IsFull() {
 				return true
 			}
-			set.Add(a)
+			arcs = append(arcs, a)
 		}
 	}
-	return set.IsFull()
+	covered, _ := CircleCovered(arcs, nil)
+	return covered
 }
 
 // CoverageGaps returns the angular gaps of A(p) left uncovered by the
 // members of cover (empty when DiskCovered would return true). Useful for
 // diagnostics and for greedy cover-set construction.
 func CoverageGaps(p Point, cover []Point, r float64) []Arc {
-	var set ArcSet
-	set.AddAll(CoverArcs(p, cover, r))
-	return set.Gaps()
+	var segs []Arc
+	for _, a := range CoverArcs(p, cover, r) {
+		segs = mergeArc(segs, a)
+	}
+	return gapsOf(segs)
+}
+
+// gapsOf returns the complement of a merged list: the gap across the
+// 0/2π seam first, normalised to start in [0, 2π), then the gaps between
+// segments. Gaps within coverEps (after merging, only the seam's) are
+// dropped, so the result is empty exactly when CircleCovered holds.
+func gapsOf(segs []Arc) []Arc {
+	if len(segs) == 0 {
+		return []Arc{FullArc()}
+	}
+	var gaps []Arc
+	first, last := segs[0], segs[len(segs)-1]
+	if first.Lo > coverEps || last.Hi < FullCircle-coverEps {
+		lo, hi := last.Hi, first.Lo+FullCircle
+		if hi-lo > coverEps {
+			gaps = append(gaps, Arc{Lo: normAngle(lo), Hi: normAngle(lo) + (hi - lo)})
+		}
+	}
+	for k := 1; k < len(segs); k++ {
+		if lo, hi := segs[k-1].Hi, segs[k].Lo; hi-lo > coverEps {
+			gaps = append(gaps, Arc{Lo: lo, Hi: hi})
+		}
+	}
+	return gaps
 }
 
 // IsCoverSet reports whether sub (given as indices into pts) is a cover

@@ -100,12 +100,12 @@ type CoverTable struct {
 	// the float rule, and bitset greedy picks re-ranked in floats.
 	floatCovers, floatGreedies, ties int
 
-	segs     []Arc   // split segments of the coverage check in progress
+	segs     []Arc   // merged segments of the coverage check in progress
+	swept    []Arc   // the arcs that check sweeps
+	members  []int   // the nodes whose arcs it sweeps
 	acc      [][]Arc // acc[i]: merged segments already covering node i
 	covered  []float64
-	gain     []float64 // gain[j*n+i]: greedy's coverage gain of j for i
 	selected []bool
-	dirty    []bool // dirty[i]: row i of gain is out of date
 	open     []int
 	order    []int
 	trial    []int
@@ -118,19 +118,17 @@ func (t *CoverTable) Reset(n int) {
 	if cap(t.has) < n*n {
 		t.arcs = make([]Arc, n*n)
 		t.has = make([]bool, n*n)
-		t.gain = make([]float64, n*n)
 	}
-	t.arcs, t.has, t.gain = t.arcs[:n*n], t.has[:n*n], t.gain[:n*n]
+	t.arcs, t.has = t.arcs[:n*n], t.has[:n*n]
 	clear(t.has)
 	if cap(t.helpers) < n {
 		t.helpers = make([]uint64, n)
 		t.helped = make([]uint64, n)
 		t.covered = make([]float64, n)
 		t.selected = make([]bool, n)
-		t.dirty = make([]bool, n)
 	}
 	t.helpers, t.helped, t.covered = t.helpers[:n], t.helped[:n], t.covered[:n]
-	t.selected, t.dirty = t.selected[:n], t.dirty[:n]
+	t.selected = t.selected[:n]
 	clear(t.helpers)
 	clear(t.helped)
 	t.arranged = false
@@ -174,85 +172,6 @@ func (t *CoverTable) MinCoverSet() []int {
 		return t.exactCoverSet()
 	}
 	return t.greedyCoverSet()
-}
-
-// coveredByFloat is coveredBy decided by the float sweep alone.
-func (t *CoverTable) coveredByFloat(i int, mask uint64) bool {
-	segs := t.segs[:0]
-	row := t.arcs[i*t.n : (i+1)*t.n]
-	for rest := mask & t.helpers[i]; rest != 0; rest &= rest - 1 {
-		a := row[bits.TrailingZeros64(rest)]
-		if a.IsFull() {
-			t.segs = segs
-			return true
-		}
-		segs = splitArc(segs, a)
-	}
-	t.segs = segs
-	return segmentsCoverCircle(segs)
-}
-
-// coveredByList is coveredBy for a member list, which has no size limit.
-// It decides the same Theorem 4 test IsCoverSet applies through
-// DiskCovered, from the stored angles.
-func (t *CoverTable) coveredByList(i int, members []int) bool {
-	segs := t.segs[:0]
-	row := i * t.n
-	for _, j := range members {
-		if !t.has[row+j] {
-			continue
-		}
-		a := t.arcs[row+j]
-		if a.IsFull() {
-			t.segs = segs
-			return true
-		}
-		segs = splitArc(segs, a)
-	}
-	t.segs = segs
-	return segmentsCoverCircle(segs)
-}
-
-// CircleCovered reports whether the union of arcs is the full circle:
-// the Theorem 4 test DiskCovered applies to a node's cover angles. The
-// split segments are built in scratch, which is returned for reuse, so
-// a caller that keeps it allocates nothing per call.
-func CircleCovered(arcs, scratch []Arc) (bool, []Arc) {
-	segs := scratch[:0]
-	for _, a := range arcs {
-		if a.IsFull() {
-			return true, segs
-		}
-		segs = splitArc(segs, a)
-	}
-	return segmentsCoverCircle(segs), segs
-}
-
-// segmentsCoverCircle reports whether the non-wrapping segments cover
-// [0, 2π). The slice is sorted in place (insertion sort: the inputs are
-// tiny).
-func segmentsCoverCircle(segs []Arc) bool {
-	if len(segs) == 0 {
-		return false
-	}
-	for i := 1; i < len(segs); i++ {
-		for j := i; j > 0 && segs[j].Lo < segs[j-1].Lo; j-- {
-			segs[j], segs[j-1] = segs[j-1], segs[j]
-		}
-	}
-	if segs[0].Lo > coverEps {
-		return false
-	}
-	reach := segs[0].Hi
-	for _, s := range segs[1:] {
-		if s.Lo > reach+coverEps {
-			return false
-		}
-		if s.Hi > reach {
-			reach = s.Hi
-		}
-	}
-	return reach >= FullCircle-coverEps
 }
 
 // feasible reports whether the subset encoded by mask is a cover set:
@@ -333,15 +252,6 @@ func (t *CoverTable) firstFeasible(k int, mandatory uint64) (uint64, bool) {
 	return 0, false
 }
 
-// splitArc appends a (possibly wrapping) arc to buf as non-wrapping
-// segments.
-func splitArc(buf []Arc, a Arc) []Arc {
-	if a.Hi > FullCircle {
-		return append(buf, Arc{Lo: a.Lo, Hi: FullCircle}, Arc{Lo: 0, Hi: a.Hi - FullCircle})
-	}
-	return append(buf, a)
-}
-
 // coveredWith returns the covered measure of segs ∪ {a}, where segs is a
 // merged, sorted list of non-wrapping segments. It sweeps segs and a's
 // one or two segments in the order a stable sort of segs+split(a) by Lo
@@ -381,41 +291,6 @@ func sweep(total, reach float64, s Arc) (float64, float64) {
 	return total, reach
 }
 
-// mergeArc inserts a (possibly wrapping) arc into a merged, sorted list
-// of non-wrapping segments, keeping the list merged and sorted.
-func mergeArc(segs []Arc, a Arc) []Arc {
-	segs = splitArc(segs, a)
-	for i := 1; i < len(segs); i++ {
-		for j := i; j > 0 && segs[j].Lo < segs[j-1].Lo; j-- {
-			segs[j], segs[j-1] = segs[j-1], segs[j]
-		}
-	}
-	w := 0
-	for i := 1; i < len(segs); i++ {
-		if segs[i].Lo <= segs[w].Hi+coverEps {
-			if segs[i].Hi > segs[w].Hi {
-				segs[w].Hi = segs[i].Hi
-			}
-		} else {
-			w++
-			segs[w] = segs[i]
-		}
-	}
-	return segs[:w+1]
-}
-
-// measureOf sums the measures of merged, sorted segments.
-func measureOf(segs []Arc) float64 {
-	var total float64
-	for _, s := range segs {
-		total += s.Hi - s.Lo
-	}
-	if total > FullCircle {
-		total = FullCircle
-	}
-	return total
-}
-
 // greedyCoverSet is GreedyCoverSet over the table; the result is in
 // increasing order.
 func (t *CoverTable) greedyCoverSet() []int {
@@ -439,16 +314,14 @@ func (t *CoverTable) greedyCoverSet() []int {
 // a clean arrangement.
 func (t *CoverTable) greedyFloat() []int {
 	n := t.n
-	selected, covered, gain, dirty := t.selected, t.covered, t.gain, t.dirty
+	selected, covered := t.selected, t.covered
 	clear(selected)
 	clear(covered)
 	// acc[i] holds the merged, sorted, non-wrapping segments already
-	// covering node i's circle; covered[i] their total measure. This
-	// loop dominates LAMM's CPU time in dense topologies.
+	// covering node i's circle; covered[i] their total measure.
 	acc := t.acc[:n]
 	for i := range acc {
 		acc[i] = acc[i][:0]
-		dirty[i] = true
 	}
 	uncov := func(i int) float64 {
 		if selected[i] {
@@ -468,36 +341,19 @@ func (t *CoverTable) greedyFloat() []int {
 		if len(open) == 0 {
 			break
 		}
-		// The gain of candidate j for node i depends only on acc[i] and
-		// the arc, so node i's gains are recomputed only after acc[i]
-		// changed; the cached values are the very floats a recomputation
-		// would give. A j that cannot help i gains exactly +0, which
-		// leaves any sum unchanged.
-		for _, i := range open {
-			if !dirty[i] {
-				continue
-			}
-			dirty[i] = false
-			for j := 0; j < n; j++ {
-				if selected[j] {
-					continue
-				}
-				g := 0.0
-				if j != i && t.has[i*n+j] {
-					g = coveredWith(acc[i], t.arcs[i*n+j]) - covered[i]
-				}
-				gain[j*n+i] = g
-			}
-		}
+		// Each round scores every candidate afresh: its own uncovered
+		// measure, since selecting it discharges its own obligation, plus
+		// what it would newly cover of each open node, in index order.
 		best, bestScore := -1, -1.0
 		for j := 0; j < n; j++ {
 			if selected[j] {
 				continue
 			}
-			score := uncov(j) // selecting j discharges its own obligation
-			col := gain[j*n : (j+1)*n]
+			score := uncov(j)
 			for _, i := range open {
-				score += col[i]
+				if i != j && t.has[i*n+j] {
+					score += coveredWith(acc[i], t.arcs[i*n+j]) - covered[i]
+				}
 			}
 			if score > bestScore {
 				best, bestScore = j, score
@@ -512,7 +368,6 @@ func (t *CoverTable) greedyFloat() []int {
 			if i != best && t.has[i*n+best] {
 				acc[i] = mergeArc(acc[i], t.arcs[i*n+best])
 				covered[i] = measureOf(acc[i])
-				dirty[i] = true
 			}
 		}
 	}
@@ -528,7 +383,7 @@ func (t *CoverTable) greedyFloat() []int {
 		}
 	}
 	t.order, t.trial = order, trial
-	sortInts(order)
+	slices.Sort(order)
 	return order
 }
 
@@ -541,11 +396,27 @@ func (t *CoverTable) isCover(members []int) bool {
 		in[j] = true
 	}
 	for i := 0; i < t.n; i++ {
-		if !in[i] && !t.coveredByList(i, members) {
+		if !in[i] && !t.sweptCover(i, members) {
 			return false
 		}
 	}
 	return true
+}
+
+// sweptCover reports whether the members' stored angles for node i cover
+// its circle, as CircleCovered decides it: the float test behind every
+// coverage decision the arrangements leave open.
+func (t *CoverTable) sweptCover(i int, members []int) bool {
+	arcs := t.swept[:0]
+	for _, j := range members {
+		if k := i*t.n + j; t.has[k] {
+			arcs = append(arcs, t.arcs[k])
+		}
+	}
+	var covered bool
+	covered, t.segs = CircleCovered(arcs, t.segs)
+	t.swept = arcs
+	return covered
 }
 
 // CoverSetSizeBound returns a trivial lower bound on the minimum cover set
@@ -566,12 +437,4 @@ func CoverSetSizeBound(pts []Point, r float64) int {
 		}
 	}
 	return count
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

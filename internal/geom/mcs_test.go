@@ -213,8 +213,9 @@ func BenchmarkDiskCovered(b *testing.B) {
 
 // naiveGreedyCoverSet is GreedyCoverSet written straight from its
 // definition, point by point: every score recomputed from CoverAngle at
-// every step, pruning decided by IsCoverSet. It is the oracle for the
-// table search's cached gains and reused buffers.
+// every step, pruning decided by IsCoverSet. It is the one oracle for
+// both table greedies, the bitset one and the float one, and for their
+// reused buffers.
 func naiveGreedyCoverSet(pts []Point, r float64) []int {
 	n := len(pts)
 	if n <= 1 {
@@ -273,7 +274,7 @@ func naiveGreedyCoverSet(pts []Point, r float64) []int {
 			order = trial
 		}
 	}
-	sortInts(order)
+	slices.Sort(order)
 	return order
 }
 
@@ -297,7 +298,8 @@ func naiveCoveredWith(segs []Arc, a Arc) float64 {
 
 // TestGreedyCoverSetMatchesNaive pins the table search's greedy rule to
 // the definition on the set sizes LAMM meets, 2–40 receivers, with one
-// reused table across all trials.
+// reused table across all trials: the greedy as routed, and the float
+// greedy run on every table, clean or not.
 func TestGreedyCoverSetMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	const r = 0.2
@@ -309,6 +311,9 @@ func TestGreedyCoverSetMatchesNaive(t *testing.T) {
 		tab.Fill(pts, r)
 		if got := tab.greedyCoverSet(); !slices.Equal(got, want) {
 			t.Fatalf("trial %d (n=%d): table greedy %v, naive %v", trial, n, got, want)
+		}
+		if got := tab.greedyFloat(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d (n=%d): float greedy %v, naive %v", trial, n, got, want)
 		}
 	}
 }

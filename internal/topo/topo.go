@@ -265,6 +265,9 @@ func (t *Topology) NeighborPositions(ids []int) []geom.Point {
 	return out
 }
 
+// sortInts sorts a neighbour list in place. It stays an insertion sort:
+// on these short lists, a few ID-ordered cell runs each, slices.Sort
+// measured slower in topology set-up.
 func sortInts(a []int) {
 	for i := 1; i < len(a); i++ {
 		for j := i; j > 0 && a[j] < a[j-1]; j-- {
