@@ -297,11 +297,11 @@ func BenchmarkEngineThroughput(b *testing.B) {
 }
 
 // BenchmarkEngineThroughputReference measures the identical workload on
-// the reference path (sim.Config.Reference): idle-station scheduling,
-// the transmission free-list, the cached geometry tables and the LAMM
-// MCS memo are all disabled. The optimized-vs-reference ratio is the
-// machine-independent speedup figure cmd/relbench records in BENCH.json
-// and guards against regression via BENCH_BASELINE.json.
+// the engine's reference path (sim.Config.Reference): idle-station
+// scheduling, event-driven slot skipping and transmission storage
+// recycling are disabled. Read against BenchmarkEngineThroughput, it
+// times the gap whose exact work savings TestOptimizationCensus
+// (internal/experiments) pins per protocol.
 func BenchmarkEngineThroughputReference(b *testing.B) {
 	cfg := experiments.Defaults(experiments.BMMM, 3)
 	cfg.Reference = true

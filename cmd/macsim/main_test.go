@@ -104,6 +104,8 @@ func TestBadRunConfigExitsTwo(t *testing.T) {
 		{"-radius", "0", "Radius"},
 		{"-nodes", "-5", "Nodes"},
 		{"-rate", "2", "Rate"},
+		{"-timeout", "-5", "Timeout"},
+		{"-threshold", "1.5", "Threshold"},
 	} {
 		out, err := macsim("-protocol", "BMMM", "-runs", "1", "-slots", "10", tc.flag, tc.value).CombinedOutput()
 		var exit *exec.ExitError

@@ -87,7 +87,8 @@ func NewLAMM(cfg mac.Config) func(node int, env *sim.Env) sim.MAC {
 // store and the per-topology MCS memo disabled: every round re-derives
 // MCS(S) and UPDATE from the believed points through geom.MinCoverSet
 // and geom.Update. It exists for the reference-vs-optimized equivalence
-// tests and for cmd/relbench; results are bit-identical to NewLAMM.
+// tests, the optimization census and the reference benchmarks; results
+// are bit-identical to NewLAMM.
 func NewLAMMReference(cfg mac.Config) func(node int, env *sim.Env) sim.MAC {
 	return func(node int, env *sim.Env) sim.MAC {
 		return dcf.NewStation(node, cfg, &Batch{pick: newLAMMPicker(nil, nil)})

@@ -9,6 +9,7 @@ import (
 	"relmac/internal/metrics"
 	"relmac/internal/obs"
 	"relmac/internal/sim"
+	"relmac/internal/traffic"
 )
 
 func TestFactoryKnownProtocols(t *testing.T) {
@@ -74,6 +75,13 @@ func TestRunRejectsBadRunConfig(t *testing.T) {
 		{"negative-speed", "Speed", func(c *RunConfig) { c.Speed = -0.001 }},
 		{"nan-speed", "Speed", func(c *RunConfig) { c.Speed = math.NaN() }},
 		{"negative-slots", "Slots", func(c *RunConfig) { c.Slots = -1 }},
+		{"negative-timeout", "Timeout", func(c *RunConfig) { c.Timeout = -5 }},
+		{"threshold-above-one", "Threshold", func(c *RunConfig) { c.Threshold = 1.5 }},
+		{"negative-threshold", "Threshold", func(c *RunConfig) { c.Threshold = -0.1 }},
+		{"nan-threshold", "Threshold", func(c *RunConfig) { c.Threshold = math.NaN() }},
+		{"zero-mix", "Mix", func(c *RunConfig) { c.Mix = traffic.Mix{} }},
+		{"negative-mix", "Mix", func(c *RunConfig) { c.Mix.Unicast = -0.2 }},
+		{"nan-mix", "Mix", func(c *RunConfig) { c.Mix.Broadcast = math.NaN() }},
 		{"lifecycles-only", "Lifecycles", func(c *RunConfig) {
 			c.Observers = []sim.Observer{obs.NewTracer(0)}
 			c.Lifecycles = []sim.Observer{obs.NewFlight(nil, "", 0)}
@@ -97,13 +105,18 @@ func TestRunRejectsBadRunConfig(t *testing.T) {
 		})
 	}
 	// The boundaries stay valid: a build-only run (Slots 0), a single
-	// station, the rate endpoints and a moving run.
+	// station, the rate endpoints, a moving run, a zero timeout, the
+	// threshold endpoints and Overhead's mix without unicasts.
 	for _, edit := range []func(*RunConfig){
 		func(c *RunConfig) { c.Slots = 0 },
 		func(c *RunConfig) { c.Nodes = 1 },
 		func(c *RunConfig) { c.Rate = 1 },
 		func(c *RunConfig) { c.Rate = 0 },
 		func(c *RunConfig) { c.Speed = 0.004 },
+		func(c *RunConfig) { c.Timeout = 0 },
+		func(c *RunConfig) { c.Threshold = 0 },
+		func(c *RunConfig) { c.Threshold = 1 },
+		func(c *RunConfig) { c.Mix = traffic.Mix{Multicast: 0.5, Broadcast: 0.5} },
 	} {
 		cfg := Defaults(BMMM, 1)
 		cfg.Slots = 10

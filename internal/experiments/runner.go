@@ -126,7 +126,8 @@ type RunConfig struct {
 	Lifecycles, SlotObservers []sim.Observer
 	// Reference runs the engine's naive path (sim.Config.Reference) and,
 	// for LAMM, disables the MCS memo. Results are bit-identical with the
-	// flag on and off; it exists for equivalence tests and cmd/relbench.
+	// flag on and off; it exists for the equivalence tests, the
+	// optimization census and BenchmarkEngineThroughputReference.
 	Reference bool
 	// EventTraffic has no effect; it is kept so that callers which set
 	// it still compile. Every run draws arrivals by geometric
@@ -215,9 +216,10 @@ func faultFactory(cfg *RunConfig, fseed int64) (func(node int, env *sim.Env) sim
 // Validate reports the first run parameter that no simulation can be
 // built from: fewer than one station, a radius that is not positive
 // (NaN included), a per-slot generation rate outside [0,1], a negative
-// (or NaN) speed, a negative horizon, or an entry on Lifecycles or
-// SlotObservers that is not on Observers. Slots == 0 is valid: it
-// builds the run without simulating a slot.
+// (or NaN) speed, a negative horizon, a negative timeout, a reliability
+// threshold outside [0,1], a degenerate traffic mix (traffic.Mix.Validate),
+// or an entry on Lifecycles or SlotObservers that is not on Observers.
+// Slots == 0 is valid: it builds the run without simulating a slot.
 func (c RunConfig) Validate() error {
 	for _, l := range []struct {
 		name string
@@ -240,6 +242,13 @@ func (c RunConfig) Validate() error {
 		return fmt.Errorf("experiments: Speed %v, need >= 0", c.Speed)
 	case c.Slots < 0:
 		return fmt.Errorf("experiments: negative Slots %d", c.Slots)
+	case c.Timeout < 0:
+		return fmt.Errorf("experiments: negative Timeout %d", c.Timeout)
+	case !(c.Threshold >= 0 && c.Threshold <= 1):
+		return fmt.Errorf("experiments: Threshold %v outside [0,1]", c.Threshold)
+	}
+	if err := c.Mix.Validate(); err != nil {
+		return fmt.Errorf("experiments: Mix: %w", err)
 	}
 	return nil
 }

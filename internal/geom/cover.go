@@ -68,16 +68,35 @@ func CoverArcs(p Point, cover []Point, r float64) []Arc {
 // nothing, per Definition 2, even though their disks may overlap A(p);
 // the paper's scheme is deliberately conservative there).
 func DiskCovered(p Point, cover []Point, r float64) bool {
-	arcs := make([]Arc, 0, len(cover))
+	s := newCoverScratch(len(cover))
+	return s.diskCovered(p, cover, r)
+}
+
+// coverScratch holds DiskCovered's two buffers, p's cover angles and
+// their merged list, so that a loop over many disks allocates them once.
+type coverScratch struct{ arcs, segs []Arc }
+
+// newCoverScratch sizes the buffers for covers of up to n members: one
+// angle per member, and n+2 segments. The merged list of k arcs holds at
+// most k+1 segments, as the pieces of wrapping arcs merge at the seam,
+// and mergeArc appends up to two pieces before it merges them.
+func newCoverScratch(n int) coverScratch {
+	return coverScratch{arcs: make([]Arc, 0, n), segs: make([]Arc, 0, n+2)}
+}
+
+// diskCovered is DiskCovered on the scratch buffers.
+func (s *coverScratch) diskCovered(p Point, cover []Point, r float64) bool {
+	s.arcs = s.arcs[:0]
 	for _, q := range cover {
 		if a, ok := CoverAngle(p, q, r); ok {
 			if a.IsFull() {
 				return true
 			}
-			arcs = append(arcs, a)
+			s.arcs = append(s.arcs, a)
 		}
 	}
-	covered, _ := CircleCovered(arcs, nil)
+	var covered bool
+	covered, s.segs = CircleCovered(s.arcs, s.segs)
 	return covered
 }
 
@@ -133,11 +152,12 @@ func IsCoverSet(pts []Point, sub []int, r float64) bool {
 			cover = append(cover, pts[i])
 		}
 	}
+	s := newCoverScratch(len(cover))
 	for i, p := range pts {
 		if selected[i] {
 			continue
 		}
-		if !DiskCovered(p, cover, r) {
+		if !s.diskCovered(p, cover, r) {
 			return false
 		}
 	}
@@ -152,8 +172,9 @@ func IsCoverSet(pts []Point, sub []int, r float64) bool {
 // data frame without collision and need no further service.
 func Update(pts []Point, ack []Point, r float64) []int {
 	remaining := make([]int, 0, len(pts))
+	s := newCoverScratch(len(ack))
 	for i, p := range pts {
-		if !DiskCovered(p, ack, r) {
+		if !s.diskCovered(p, ack, r) {
 			remaining = append(remaining, i)
 		}
 	}

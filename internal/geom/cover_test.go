@@ -303,3 +303,26 @@ func TestBeyondCoverAgreesWithCoverAngle(t *testing.T) {
 		t.Fatal("no pair rejected")
 	}
 }
+
+// TestUpdateAllocsFlatInReceivers: Update shares one angle buffer and one
+// merge scratch across its receivers, so its allocation count does not
+// grow with |S|.
+func TestUpdateAllocsFlatInReceivers(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const r = 0.2
+	random := func(n int) []Point {
+		pts := make([]Point, n)
+		for k := range pts {
+			pts[k] = Pt(0.3+rng.Float64()*0.4, 0.3+rng.Float64()*0.4)
+		}
+		return pts
+	}
+	ack := random(6)
+	allocs := func(pts []Point) float64 {
+		return testing.AllocsPerRun(20, func() { Update(pts, ack, r) })
+	}
+	small, large := allocs(random(4)), allocs(random(200))
+	if large != small {
+		t.Errorf("Update allocates %v times on 4 receivers, %v on 200", small, large)
+	}
+}

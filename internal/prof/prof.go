@@ -1,8 +1,7 @@
 // Package prof is the engine's runtime profiler: it attributes every
 // Engine.Run nanosecond to an exclusive phase (sim.Phase) and turns the
 // result into the phase-decomposition report behind `macsim -phases`,
-// `experiments -phases`, the relbench phase section and the
-// MetricsServer's relmac_phase_* series.
+// `experiments -phases` and the MetricsServer's relmac_phase_* series.
 //
 // Determinism constraints (the package is sim-path for relmaclint):
 // PhaseTimer never calls time.Now — the wall clock enters only as an

@@ -123,8 +123,8 @@ func TestAggregate(t *testing.T) {
 	}
 }
 
-// TestReportJSONRoundTrip guards the report's wire shape — the relbench
-// phase section and the /snapshot profile section embed it verbatim.
+// TestReportJSONRoundTrip guards the report's wire shape — the /snapshot
+// profile section embeds it verbatim.
 func TestReportJSONRoundTrip(t *testing.T) {
 	clk := &fakeClock{step: []time.Duration{0, 0, 10, 10}}
 	pt := NewWithClock(clk.now)

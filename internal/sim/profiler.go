@@ -50,7 +50,7 @@ const (
 const NumPhases = int(numPhases)
 
 // String implements fmt.Stringer; the names are the stable keys used in
-// reports, metrics series and BENCH.json.
+// reports, metrics series and perfbench's per-phase metrics.
 func (p Phase) String() string {
 	switch p {
 	case PhaseUntracked:

@@ -268,8 +268,9 @@ type Config struct {
 	// idle-station scheduling, event-driven slot skipping and
 	// transmission storage recycling — and runs the original naive
 	// resolution path. Output is bit-identical either way; the reference
-	// path exists so the equivalence tests can prove it and cmd/relbench
-	// can measure the gap.
+	// path exists so the equivalence tests can prove it, the optimization
+	// census can count what it saves and BenchmarkEngineThroughputReference
+	// can time the gap.
 	Reference bool
 	// Profiler, when non-nil, receives phase-boundary marks from the
 	// slot loop (see profiler.go) — the runtime profiling feed behind

@@ -19,13 +19,18 @@ type Mix struct {
 // DefaultMix returns the paper's 0.2 / 0.4 / 0.4 traffic mix.
 func DefaultMix() Mix { return Mix{Unicast: 0.2, Multicast: 0.4, Broadcast: 0.4} }
 
-// Validate reports an error for a degenerate mix.
+// Validate reports an error for a degenerate mix: a component that is
+// negative or NaN, or components whose sum is zero or infinite. pick
+// would turn every request of such a mix into a broadcast.
 func (m Mix) Validate() error {
-	if m.Unicast < 0 || m.Multicast < 0 || m.Broadcast < 0 {
-		return fmt.Errorf("traffic: negative mix component %+v", m)
+	if !(m.Unicast >= 0 && m.Multicast >= 0 && m.Broadcast >= 0) {
+		return fmt.Errorf("traffic: negative or NaN mix component %+v", m)
 	}
-	if m.Unicast+m.Multicast+m.Broadcast <= 0 {
+	switch total := m.Unicast + m.Multicast + m.Broadcast; {
+	case total == 0:
 		return fmt.Errorf("traffic: mix sums to zero")
+	case math.IsInf(total, 0):
+		return fmt.Errorf("traffic: mix %+v sums to infinity", m)
 	}
 	return nil
 }

@@ -16,8 +16,18 @@ func TestMixValidate(t *testing.T) {
 	if (Mix{Unicast: -1, Multicast: 1, Broadcast: 1}).Validate() == nil {
 		t.Error("negative component must fail")
 	}
-	if (Mix{}).Validate() == nil {
-		t.Error("zero mix must fail")
+	for _, m := range []Mix{
+		{},
+		{Unicast: math.NaN(), Multicast: 1, Broadcast: 1},
+		{Unicast: 1, Multicast: 1, Broadcast: math.Inf(1)},
+		{Unicast: math.MaxFloat64, Multicast: math.MaxFloat64},
+	} {
+		if m.Validate() == nil {
+			t.Errorf("mix %+v must fail", m)
+		}
+	}
+	if err := (Mix{Multicast: 0.5, Broadcast: 0.5}).Validate(); err != nil {
+		t.Errorf("mix with a zero component rejected: %v", err)
 	}
 }
 
