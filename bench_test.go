@@ -12,6 +12,7 @@ package relmac_test
 
 import (
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 
@@ -56,107 +57,63 @@ func BenchmarkTable1(b *testing.B) {
 	b.ReportMetric(rows[1].BSMA, "BSMA-cp-n10")
 }
 
-// BenchmarkFigure2 regenerates the BMW-vs-BMMM timeline diagram.
-func BenchmarkFigure2(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Fig2(); err != nil {
+// benchStudy runs the catalogue study name and reports the LAMM-column
+// mean of its output file as unit.
+func benchStudy(b *testing.B, name, file, unit string) {
+	b.Helper()
+	i := slices.IndexFunc(experiments.Studies, func(s experiments.Study) bool { return s.Name == name })
+	if i < 0 {
+		b.Fatalf("no study %q", name)
+	}
+	study := experiments.Studies[i]
+	out := slices.Index(study.Files, file)
+	var metric float64
+	for n := 0; n < b.N; n++ {
+		outs, err := study.Run(benchOpts())
+		if err != nil {
 			b.Fatal(err)
 		}
+		if unit != "" {
+			metric = lastColMean(outs[out].Table, b)
+		}
+	}
+	if unit != "" {
+		b.ReportMetric(metric, unit)
 	}
 }
+
+// BenchmarkFigure2 regenerates the BMW-vs-BMMM timeline diagram.
+func BenchmarkFigure2(b *testing.B) { benchStudy(b, "fig2", "fig2.txt", "") }
 
 // BenchmarkFigure5 regenerates the fₙ series (analysis + recurrence).
 func BenchmarkFigure5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		pts := analysis.Figure5(25, 0.9)
-		if len(pts) != 25 {
-			b.Fatal("figure 5 malformed")
-		}
-	}
+	benchStudy(b, "fig5", "fig5.csv", "")
 	b.ReportMetric(analysis.ExpectedRounds(25, 0.9), "f25")
 }
 
-func benchDensity(b *testing.B, pick func(f6a, f9a, f10a *report.Table) *report.Table, unit string) {
-	b.Helper()
-	var metric float64
-	for i := 0; i < b.N; i++ {
-		f6a, f9a, f10a, err := experiments.Density(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		metric = lastColMean(pick(f6a, f9a, f10a), b)
-	}
-	b.ReportMetric(metric, unit)
-}
-
 // BenchmarkFigure6a: successful delivery rate vs nodal density.
-func BenchmarkFigure6a(b *testing.B) {
-	benchDensity(b, func(a, _, _ *report.Table) *report.Table { return a }, "LAMM-delivery")
-}
+func BenchmarkFigure6a(b *testing.B) { benchStudy(b, "density", "fig6a.csv", "LAMM-delivery") }
 
 // BenchmarkFigure9a: avg contention phases vs nodal density.
-func BenchmarkFigure9a(b *testing.B) {
-	benchDensity(b, func(_, a, _ *report.Table) *report.Table { return a }, "LAMM-contentions")
-}
+func BenchmarkFigure9a(b *testing.B) { benchStudy(b, "density", "fig9a.csv", "LAMM-contentions") }
 
 // BenchmarkFigure10a: avg completion time vs nodal density.
-func BenchmarkFigure10a(b *testing.B) {
-	benchDensity(b, func(_, _, a *report.Table) *report.Table { return a }, "LAMM-completion")
-}
-
-func benchRate(b *testing.B, pick func(f6b, f9b, f10b *report.Table) *report.Table, unit string) {
-	b.Helper()
-	var metric float64
-	for i := 0; i < b.N; i++ {
-		f6b, f9b, f10b, err := experiments.Rate(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		metric = lastColMean(pick(f6b, f9b, f10b), b)
-	}
-	b.ReportMetric(metric, unit)
-}
+func BenchmarkFigure10a(b *testing.B) { benchStudy(b, "density", "fig10a.csv", "LAMM-completion") }
 
 // BenchmarkFigure6b: successful delivery rate vs generation rate.
-func BenchmarkFigure6b(b *testing.B) {
-	benchRate(b, func(a, _, _ *report.Table) *report.Table { return a }, "LAMM-delivery")
-}
+func BenchmarkFigure6b(b *testing.B) { benchStudy(b, "rate", "fig6b.csv", "LAMM-delivery") }
 
 // BenchmarkFigure9b: avg contention phases vs generation rate.
-func BenchmarkFigure9b(b *testing.B) {
-	benchRate(b, func(_, a, _ *report.Table) *report.Table { return a }, "LAMM-contentions")
-}
+func BenchmarkFigure9b(b *testing.B) { benchStudy(b, "rate", "fig9b.csv", "LAMM-contentions") }
 
 // BenchmarkFigure10b: avg completion time vs generation rate.
-func BenchmarkFigure10b(b *testing.B) {
-	benchRate(b, func(_, _, a *report.Table) *report.Table { return a }, "LAMM-completion")
-}
+func BenchmarkFigure10b(b *testing.B) { benchStudy(b, "rate", "fig10b.csv", "LAMM-completion") }
 
 // BenchmarkFigure7: successful delivery rate vs timeout.
-func BenchmarkFigure7(b *testing.B) {
-	var metric float64
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.Fig7(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		metric = lastColMean(tb, b)
-	}
-	b.ReportMetric(metric, "LAMM-delivery")
-}
+func BenchmarkFigure7(b *testing.B) { benchStudy(b, "fig7", "fig7.csv", "LAMM-delivery") }
 
 // BenchmarkFigure8: successful delivery rate vs reliability threshold.
-func BenchmarkFigure8(b *testing.B) {
-	var metric float64
-	for i := 0; i < b.N; i++ {
-		tb, err := experiments.Fig8(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		metric = lastColMean(tb, b)
-	}
-	b.ReportMetric(metric, "LAMM-delivery")
-}
+func BenchmarkFigure8(b *testing.B) { benchStudy(b, "fig8", "fig8.csv", "LAMM-delivery") }
 
 // BenchmarkProtocolRun measures one full default-configuration run per
 // protocol — the unit of work behind every figure point.
@@ -361,66 +318,6 @@ func BenchmarkAblationExposedTerminal(b *testing.B) {
 				cfg.Slots = 2000
 				cfg.Rate = 0.0015 // loaded network: broken reservations abound
 				cfg.ExposedTerminal = opt
-				res, err := experiments.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rate += res.Summary.SuccessRate
-			}
-			b.ReportMetric(rate/float64(b.N), "delivery")
-		})
-	}
-}
-
-// BenchmarkAblationLocationError sweeps LAMM's tolerance to GPS error
-// (the paper assumes location info "is accurate enough"; DESIGN.md's
-// location-error study quantifies it). Sigma is in unit-square units;
-// the transmission radius is 0.2.
-func BenchmarkAblationLocationError(b *testing.B) {
-	for _, tc := range []struct {
-		name  string
-		sigma float64
-	}{
-		{"sigma0", 0}, {"sigma0.01", 0.01}, {"sigma0.05", 0.05}, {"sigma0.15", 0.15},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var rate, deliv float64
-			for i := 0; i < b.N; i++ {
-				cfg := experiments.Defaults(experiments.LAMM, int64(i))
-				cfg.Slots = 2000
-				cfg.Fault.LocNoise = tc.sigma
-				res, err := experiments.Run(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				s := res.Summary
-				rate += s.SuccessRate
-				deliv += s.MeanDeliveredFraction
-			}
-			b.ReportMetric(rate/float64(b.N), "delivery")
-			b.ReportMetric(deliv/float64(b.N), "reached-frac")
-		})
-	}
-}
-
-// BenchmarkAblationMobility measures LAMM under random-waypoint movement
-// (an extension beyond the paper's static topologies): stale membership
-// and stale locations erode delivery as speed rises. Speeds are in
-// unit-square units per slot; 0.004 ≈ two radio radii per message
-// lifetime.
-func BenchmarkAblationMobility(b *testing.B) {
-	for _, tc := range []struct {
-		name  string
-		speed float64
-	}{
-		{"static", 0}, {"slow", 0.0005}, {"fast", 0.004},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			var rate float64
-			for i := 0; i < b.N; i++ {
-				cfg := experiments.Defaults(experiments.LAMM, int64(i))
-				cfg.Slots = 2000
-				cfg.Speed = tc.speed
 				res, err := experiments.Run(cfg)
 				if err != nil {
 					b.Fatal(err)

@@ -439,6 +439,6 @@ func TestLAMMNoisyLargeErrorBreaksTheorem3(t *testing.T) {
 	// by a geometrically-wrong UPDATE after ITS copy collided". Absent
 	// collisions this is rare, so do not require over > 0 — only check
 	// the machinery runs and never panics. The erosion is measured by
-	// BenchmarkAblationLocationError under real load.
+	// the gpserr study (cmd/experiments -exp gpserr) under real load.
 	t.Logf("completed-with-missing: %d/30", over)
 }

@@ -37,10 +37,7 @@ const DriftTolerance = 0.35
 func Drift(o Options) (*report.Table, map[Protocol]analysis.DriftSummary, error) {
 	o = o.normal()
 	w := &Watch{Drift: true, Flight: o.FlightDir != ""}
-	_, err := Sweep(1, o.Protocols, o.Runs, func(p int, cfg *RunConfig) {
-		o.apply(cfg)
-		w.Attach(cfg)
-	}, false)
+	_, err := Sweep(o, 1, func(_ int, cfg *RunConfig) { w.Attach(cfg) }, false)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -182,7 +182,7 @@ func TestPaperOrderingHolds(t *testing.T) {
 }
 
 func TestSweepShapes(t *testing.T) {
-	results, err := Sweep(2, []Protocol{BMMM}, 2, func(p int, cfg *RunConfig) {
+	results, err := Sweep(Options{Runs: 2, Protocols: []Protocol{BMMM}}, 2, func(p int, cfg *RunConfig) {
 		cfg.Slots = 600
 		cfg.Nodes = 40 + 20*p
 	}, false)
@@ -201,9 +201,8 @@ func TestSweepShapes(t *testing.T) {
 }
 
 func TestSweepKeepsCollectors(t *testing.T) {
-	results, err := Sweep(1, []Protocol{BMMM}, 2, func(p int, cfg *RunConfig) {
-		cfg.Slots = 600
-	}, true)
+	results, err := Sweep(Options{Runs: 2, Slots: 600, Protocols: []Protocol{BMMM}}, 1,
+		func(int, *RunConfig) {}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,25 +266,18 @@ func TestQuickFigures(t *testing.T) {
 		t.Skip("simulation sweeps")
 	}
 	o := Options{Runs: 1, Slots: 800, Protocols: []Protocol{BMMM, LAMM}}
-	f6a, f9a, f10a, err := Density(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tb := range []*struct {
-		name string
-		rows int
-	}{{f6a.Title, len(f6a.Rows)}, {f9a.Title, len(f9a.Rows)}, {f10a.Title, len(f10a.Rows)}} {
-		if tb.rows != len(DensityPoints) {
-			t.Errorf("%s: rows = %d", tb.name, tb.rows)
+	for _, tb := range runStudy(t, "density", o) {
+		if len(tb.Rows) != len(DensityPoints) {
+			t.Errorf("%s: rows = %d", tb.Title, len(tb.Rows))
 		}
 	}
-	f7, err := Fig7(Options{Runs: 1, Slots: 800, Protocols: []Protocol{BMMM}})
-	if err != nil || len(f7.Rows) != len(TimeoutPoints) {
-		t.Errorf("fig7: %v rows=%d", err, len(f7.Rows))
+	o.Protocols = []Protocol{BMMM}
+	if f7 := runStudy(t, "fig7", o)[0]; len(f7.Rows) != len(TimeoutPoints) {
+		t.Errorf("fig7: rows=%d", len(f7.Rows))
 	}
-	f8, err := Fig8(Options{Runs: 1, Slots: 800, Protocols: []Protocol{BMMM}})
-	if err != nil || len(f8.Rows) != len(ThresholdPoints) {
-		t.Errorf("fig8: %v rows=%d", err, len(f8.Rows))
+	f8 := runStudy(t, "fig8", o)[0]
+	if len(f8.Rows) != len(ThresholdPoints) {
+		t.Errorf("fig8: rows=%d", len(f8.Rows))
 	}
 	// Figure 8 success rates must be non-increasing in the threshold.
 	prev := 2.0
@@ -296,9 +288,8 @@ func TestQuickFigures(t *testing.T) {
 		}
 		prev = v
 	}
-	_, f9b, _, err := Rate(Options{Runs: 1, Slots: 800, Protocols: []Protocol{BMMM}})
-	if err != nil || len(f9b.Rows) != len(RatePoints) {
-		t.Errorf("rate sweep: %v", err)
+	if f9b := runStudy(t, "rate", o)[1]; len(f9b.Rows) != len(RatePoints) {
+		t.Errorf("rate sweep: rows=%d", len(f9b.Rows))
 	}
 }
 
@@ -341,10 +332,7 @@ func TestMobilitySweepQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	tb, err := Mobility(Options{Runs: 1, Slots: 600, Protocols: []Protocol{BMMM}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := runStudy(t, "mobility", Options{Runs: 1, Slots: 600, Protocols: []Protocol{BMMM}})[0]
 	if len(tb.Rows) != len(MobilitySpeeds) {
 		t.Errorf("rows = %d", len(tb.Rows))
 	}
@@ -354,10 +342,7 @@ func TestLocationErrorSweepQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	tb, err := LocationError(Options{Runs: 1, Slots: 600})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := runStudy(t, "gpserr", Options{Runs: 1, Slots: 600})[0]
 	if len(tb.Rows) != len(GPSSigmas) {
 		t.Errorf("rows = %d", len(tb.Rows))
 	}
@@ -367,10 +352,7 @@ func TestOverheadSweepQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	tb, err := Overhead(Options{Runs: 2, Slots: 1500, Protocols: []Protocol{BMMM, LAMM}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	tb := runStudy(t, "overhead", Options{Runs: 2, Slots: 1500, Protocols: []Protocol{BMMM, LAMM}})[0]
 	if len(tb.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tb.Rows))
 	}

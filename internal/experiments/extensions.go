@@ -13,8 +13,8 @@ import (
 // the mobility sweep (random waypoint; the paper is static-only), the
 // LAMM location-error sweep (the paper assumes GPS accuracy suffices)
 // and the §5 frame-overhead count. Like the paper's figures they are
-// Sweeps over Run, so every Options field and every Instrument hook
-// reaches them.
+// Sweeps over Run, so every Options field, the Watch and the progress
+// meter included, reaches them.
 
 // MobilitySpeeds are the node speeds swept by the mobility study, in
 // unit-square units per slot. At the paper's scale (radius 0.2 ≈ 500 ft)
@@ -26,41 +26,25 @@ var MobilitySpeeds = []float64{0, 0.0005, 0.001, 0.002, 0.004}
 // location-error study (unit-square units; the radio radius is 0.2).
 var GPSSigmas = []float64{0, 0.01, 0.02, 0.05, 0.1, 0.2}
 
-// Mobility sweeps node speed (RunConfig.Speed) for every protocol and
+// mobilityStudy sweeps node speed (RunConfig.Speed) for every protocol and
 // reports the successful delivery rate — the extension study of
 // DESIGN.md §22. Speed 0 is the static Table 2 run; moving runs refresh
 // the topology every beacon period (50 slots).
-func Mobility(o Options) (*report.Table, error) {
-	o = o.normal()
-	results, err := Sweep(len(MobilitySpeeds), o.Protocols, o.Runs, func(p int, cfg *RunConfig) {
-		o.apply(cfg)
-		cfg.Speed = MobilitySpeeds[p]
-	}, false)
-	if err != nil {
-		return nil, err
-	}
-	header := append([]string{"speed (units/slot)"}, protocolNames(o.Protocols)...)
-	tb := report.NewTable("Extension: successful delivery rate vs node speed (random waypoint)", header...)
-	for pi, speed := range MobilitySpeeds {
-		row := []interface{}{fmt.Sprintf("%g", speed)}
-		for pr := range o.Protocols {
-			row = append(row, results[pi][pr].SuccessRate.Mean())
-		}
-		tb.AddRow(row...)
-	}
-	tb.Note = fmt.Sprintf("beacon/topology refresh every %d slots; membership staleness dominates", beaconEvery)
-	return tb, nil
+func mobilityStudy(o Options) ([]Output, error) {
+	return sweepAxis(o, len(MobilitySpeeds), func(p int, cfg *RunConfig) { cfg.Speed = MobilitySpeeds[p] },
+		"speed (units/slot)", labels("%g", MobilitySpeeds),
+		plot{title: "Extension: successful delivery rate vs node speed (random waypoint)", value: successRate,
+			note: fmt.Sprintf("beacon/topology refresh every %d slots; membership staleness dominates", beaconEvery)})
 }
 
-// LocationError sweeps LAMM's GPS-error standard deviation
+// locationError sweeps LAMM's GPS-error standard deviation
 // (Fault.LocNoise) and reports the successful delivery rate and the
 // fraction of intended receivers actually reached — the location-error
 // study of DESIGN.md §20. The sweep owns the LocNoise axis; any other
 // impairment in o.Fault rides along.
-func LocationError(o Options) (*report.Table, error) {
-	o = o.normal()
-	results, err := Sweep(len(GPSSigmas), []Protocol{LAMM}, o.Runs, func(p int, cfg *RunConfig) {
-		o.apply(cfg)
+func locationError(o Options) ([]Output, error) {
+	o.Protocols = []Protocol{LAMM}
+	results, err := Sweep(o, len(GPSSigmas), func(p int, cfg *RunConfig) {
 		cfg.Fault.LocNoise = GPSSigmas[p]
 	}, false)
 	if err != nil {
@@ -74,18 +58,17 @@ func LocationError(o Options) (*report.Table, error) {
 			cell.SuccessRate.Mean(), cell.MeanDeliveredFraction.Mean())
 	}
 	tb.Note = "flat curves support the paper's claim that geolocation accuracy suffices"
-	return tb, nil
+	return []Output{{Table: tb}}, nil
 }
 
-// Overhead measures the §5 claim that LAMM "significantly reduces the
+// overhead measures the §5 claim that LAMM "significantly reduces the
 // number of RTS, CTS, RAK and ACK frames" relative to BMMM: control and
 // data frames transmitted per completed group message, under a pure
 // multicast/broadcast workload (no unicast, so every frame counted
 // belongs to group service).
-func Overhead(o Options) (*report.Table, error) {
+func overhead(o Options) ([]Output, error) {
 	o = o.normal()
-	results, err := Sweep(1, o.Protocols, o.Runs, func(_ int, cfg *RunConfig) {
-		o.apply(cfg)
+	results, err := Sweep(o, 1, func(_ int, cfg *RunConfig) {
 		cfg.Mix = traffic.Mix{Multicast: 0.5, Broadcast: 0.5}
 	}, true)
 	if err != nil {
@@ -114,5 +97,5 @@ func Overhead(o Options) (*report.Table, error) {
 		tb.AddRow(row...)
 	}
 	tb.Note = "pure group workload (no unicast); paper §5 predicts LAMM ≪ BMMM on control frames"
-	return tb, nil
+	return []Output{{Table: tb}}, nil
 }

@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"fmt"
-
 	"relmac/internal/fault"
-	"relmac/internal/report"
 )
 
 // This file holds the fault-model sweeps: the paper evaluates on a
@@ -22,73 +19,36 @@ var FaultPERs = []float64{0, 0.02, 0.05, 0.1, 0.2, 0.4}
 // retransmission loops are what the impairments stress.
 var FaultProtocols = []Protocol{BMW, BMMM, LAMM}
 
-// FaultPER sweeps the i.i.d. packet error rate and reports, per
+// faultPER sweeps the i.i.d. packet error rate and reports, per
 // protocol, the fraction of intended receivers reached and the mean
 // number of contention phases per message. Any impairment already in
 // o.Fault (bursty links, crashes) is kept, with only the PER axis
 // overridden per point.
-func FaultPER(o Options) (delivery, contentions *report.Table, err error) {
+func faultPER(o Options) ([]Output, error) {
 	if len(o.Protocols) == 0 {
 		o.Protocols = FaultProtocols
 	}
-	o = o.normal()
-	results, err := Sweep(len(FaultPERs), o.Protocols, o.Runs, func(p int, cfg *RunConfig) {
-		o.apply(cfg)
-		cfg.Fault.PER = FaultPERs[p]
-	}, false)
-	if err != nil {
-		return nil, nil, err
-	}
-	xs := make([]string, len(FaultPERs))
-	for p, per := range FaultPERs {
-		xs[p] = fmt.Sprintf("%g", per)
-	}
-	ts := sweepTables(o, xs, "PER", results,
-		[]string{
-			"Fault study: fraction of intended receivers reached vs packet error rate",
-			"Fault study: avg contention phases vs packet error rate",
-		},
-		[]string{"reached", "contentions"})
-	ts[0].Note = "reliable protocols hold delivery by retransmitting; " +
-		"the extra contention phases are the price"
-	return ts[0], ts[1], nil
+	return sweepAxis(o, len(FaultPERs), func(p int, cfg *RunConfig) { cfg.Fault.PER = FaultPERs[p] },
+		"PER", labels("%g", FaultPERs),
+		plot{title: "Fault study: fraction of intended receivers reached vs packet error rate", value: reached,
+			note: "reliable protocols hold delivery by retransmitting; the extra contention phases are the price"},
+		plot{title: "Fault study: avg contention phases vs packet error rate", value: contentions})
 }
 
-// FaultBurst compares each protocol on a clean channel, under i.i.d.
+// faultBurst compares each protocol on a clean channel, under i.i.d.
 // loss, and under a Gilbert–Elliott bursty channel with the same
 // long-run loss rate, isolating the effect of burstiness from the
 // effect of loss. The GE chain uses p(G→B)=0.05, p(B→G)=0.45 (mean
 // burst 2.2 slots, 10% of slots bad) with PER 1 in the bad state —
 // long-run loss ≈ 10%, matching the i.i.d. column's PER 0.1.
-func FaultBurst(o Options) (*report.Table, error) {
+func faultBurst(o Options) ([]Output, error) {
 	if len(o.Protocols) == 0 {
 		o.Protocols = FaultProtocols
 	}
-	o = o.normal()
-	configs := []struct {
-		name string
-		fc   fault.Config
-	}{
-		{"clean", fault.Config{}},
-		{"iid PER 0.1", fault.Config{PER: 0.1}},
-		{"GE burst (10% bad)", fault.Config{GE: fault.GilbertElliott{
-			PGoodBad: 0.05, PBadGood: 0.45, PERBad: 1,
-		}}},
-	}
-	results, err := Sweep(len(configs), o.Protocols, o.Runs, func(p int, cfg *RunConfig) {
-		o.apply(cfg)
-		cfg.Fault = configs[p].fc
-	}, false)
-	if err != nil {
-		return nil, err
-	}
-	xs := make([]string, len(configs))
-	for p := range configs {
-		xs[p] = configs[p].name
-	}
-	tb := sweepTables(o, xs, "channel", results,
-		[]string{"Fault study: receivers reached, i.i.d. vs bursty loss at equal rate"},
-		[]string{"reached"})[0]
-	tb.Note = "equal long-run loss; differences isolate burst correlation"
-	return tb, nil
+	channels := []string{"clean", "iid PER 0.1", "GE burst (10% bad)"}
+	configs := []fault.Config{{}, {PER: 0.1}, {GE: fault.GilbertElliott{PGoodBad: 0.05, PBadGood: 0.45, PERBad: 1}}}
+	return sweepAxis(o, len(configs), func(p int, cfg *RunConfig) { cfg.Fault = configs[p] },
+		"channel", labels("%s", channels),
+		plot{title: "Fault study: receivers reached, i.i.d. vs bursty loss at equal rate", value: reached,
+			note: "equal long-run loss; differences isolate burst correlation"})
 }

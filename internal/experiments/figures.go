@@ -15,8 +15,8 @@ import (
 	"relmac/internal/traffic"
 )
 
-// Options tunes how much work an experiment does. The zero value is
-// replaced by the full-fidelity defaults.
+// Options tunes how much work an experiment does and what watches it.
+// The zero value is replaced by the full-fidelity defaults.
 type Options struct {
 	// Runs is the number of independent simulation runs per plotted
 	// point (the paper uses 100).
@@ -35,15 +35,13 @@ type Options struct {
 	// exceeds DriftTolerance, so a clean gate writes nothing and a
 	// tripped one ships the evidence for the drill-down.
 	FlightDir string
-}
-
-// apply copies the per-run knobs every sweep honours — duration and the
-// sweep-wide impairment — onto one run's
-// configuration. Sweeps that override Fault per point do so after
-// calling apply.
-func (o Options) apply(cfg *RunConfig) {
-	cfg.Slots = o.Slots
-	cfg.Fault = o.Fault
+	// Watch, when non-nil, gives every run of every sweep fresh
+	// observability surfaces (Watch.Attach), after the sweep's own
+	// changes to the run. Attached observers must not perturb results
+	// (the engine guarantees observer neutrality).
+	Watch *Watch
+	// Progress reports each sweep's progress; the zero value is silent.
+	Progress ProgressMeter
 }
 
 func (o Options) normal() Options {
@@ -59,9 +57,6 @@ func (o Options) normal() Options {
 	return o
 }
 
-// Quick returns reduced-fidelity options for smoke tests and benchmarks.
-func Quick() Options { return Options{Runs: 3, Slots: 2500} }
-
 // DensityPoints are the node counts swept for Figures 6(a), 9(a), 10(a);
 // the x axis reported is the measured average number of neighbors.
 var DensityPoints = []int{30, 60, 100, 150, 200}
@@ -76,43 +71,6 @@ var TimeoutPoints = []int{100, 150, 200, 250, 300}
 // ThresholdPoints are the reliability thresholds swept for Figure 8.
 var ThresholdPoints = []float64{0.5, 0.6, 0.7, 0.8, 0.9, 1.0}
 
-// metricCol extracts one plotted metric from a cell.
-func metricCol(cell *PointStats, metric string) float64 {
-	switch metric {
-	case "success":
-		return cell.SuccessRate.Mean()
-	case "contentions":
-		return cell.AvgContentions.Mean()
-	case "completion":
-		return cell.AvgCompletionTime.Mean()
-	case "reached":
-		return cell.MeanDeliveredFraction.Mean()
-	default:
-		panic("unknown metric " + metric)
-	}
-}
-
-// sweepTables renders one table per metric from a finished sweep.
-func sweepTables(o Options, xs []string, xName string,
-	results [][]PointStats, titles, metrics []string) []*report.Table {
-
-	tables := make([]*report.Table, len(metrics))
-	for m := range metrics {
-		header := append([]string{xName}, protocolNames(o.Protocols)...)
-		tb := report.NewTable(titles[m], header...)
-		for p := range xs {
-			row := make([]interface{}, 0, len(header))
-			row = append(row, xs[p])
-			for pr := range o.Protocols {
-				row = append(row, metricCol(&results[p][pr], metrics[m]))
-			}
-			tb.AddRow(row...)
-		}
-		tables[m] = tb
-	}
-	return tables
-}
-
 func protocolNames(ps []Protocol) []string {
 	out := make([]string, len(ps))
 	for i, p := range ps {
@@ -121,93 +79,48 @@ func protocolNames(ps []Protocol) []string {
 	return out
 }
 
-// Density runs the nodal-density sweep once and returns the three tables
-// it feeds: Figure 6(a) successful delivery rate, Figure 9(a) average
+// density runs the nodal-density sweep once for the three tables it
+// feeds: Figure 6(a) successful delivery rate, Figure 9(a) average
 // number of contention phases, Figure 10(a) average message completion
 // time — each versus the measured average number of neighbors.
-func Density(o Options) (fig6a, fig9a, fig10a *report.Table, err error) {
-	o = o.normal()
-	results, err := Sweep(len(DensityPoints), o.Protocols, o.Runs, func(p int, cfg *RunConfig) {
-		cfg.Nodes = DensityPoints[p]
-		o.apply(cfg)
-	}, false)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	xs := make([]string, len(DensityPoints))
-	for p := range DensityPoints {
-		xs[p] = fmt.Sprintf("%.1f", results[p][0].AvgDegree.Mean())
-	}
-	ts := sweepTables(o, xs, "avg neighbors", results,
-		[]string{
-			"Figure 6(a): successful delivery rate vs nodal density",
-			"Figure 9(a): avg contention phases vs nodal density",
-			"Figure 10(a): avg completion time vs nodal density",
-		},
-		[]string{"success", "contentions", "completion"})
-	return ts[0], ts[1], ts[2], nil
+func density(o Options) ([]Output, error) {
+	return sweepAxis(o, len(DensityPoints), func(p int, cfg *RunConfig) { cfg.Nodes = DensityPoints[p] },
+		"avg neighbors", func(_ int, cell *PointStats) string { return fmt.Sprintf("%.1f", cell.AvgDegree.Mean()) },
+		plot{title: "Figure 6(a): successful delivery rate vs nodal density", value: successRate},
+		plot{title: "Figure 9(a): avg contention phases vs nodal density", value: contentions},
+		plot{title: "Figure 10(a): avg completion time vs nodal density", value: completionTime})
 }
 
-// Rate runs the message-generation-rate sweep and returns the tables for
-// Figures 6(b), 9(b) and 10(b).
-func Rate(o Options) (fig6b, fig9b, fig10b *report.Table, err error) {
-	o = o.normal()
-	results, err := Sweep(len(RatePoints), o.Protocols, o.Runs, func(p int, cfg *RunConfig) {
-		cfg.Rate = RatePoints[p]
-		o.apply(cfg)
-	}, false)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	xs := make([]string, len(RatePoints))
-	for p, r := range RatePoints {
-		xs[p] = fmt.Sprintf("%g", r)
-	}
-	ts := sweepTables(o, xs, "msg rate", results,
-		[]string{
-			"Figure 6(b): successful delivery rate vs message generation rate",
-			"Figure 9(b): avg contention phases vs message generation rate",
-			"Figure 10(b): avg completion time vs message generation rate",
-		},
-		[]string{"success", "contentions", "completion"})
-	return ts[0], ts[1], ts[2], nil
+// rate runs the message-generation-rate sweep for Figures 6(b), 9(b)
+// and 10(b).
+func rate(o Options) ([]Output, error) {
+	return sweepAxis(o, len(RatePoints), func(p int, cfg *RunConfig) { cfg.Rate = RatePoints[p] },
+		"msg rate", labels("%g", RatePoints),
+		plot{title: "Figure 6(b): successful delivery rate vs message generation rate", value: successRate},
+		plot{title: "Figure 9(b): avg contention phases vs message generation rate", value: contentions},
+		plot{title: "Figure 10(b): avg completion time vs message generation rate", value: completionTime})
 }
 
-// Fig7 sweeps the upper-layer timeout (Figure 7: successful delivery
+// fig7 sweeps the upper-layer timeout (Figure 7: successful delivery
 // rate vs timeout).
-func Fig7(o Options) (*report.Table, error) {
-	o = o.normal()
-	results, err := Sweep(len(TimeoutPoints), o.Protocols, o.Runs, func(p int, cfg *RunConfig) {
-		cfg.Timeout = TimeoutPoints[p]
-		o.apply(cfg)
-	}, false)
-	if err != nil {
-		return nil, err
-	}
-	xs := make([]string, len(TimeoutPoints))
-	for p, v := range TimeoutPoints {
-		xs[p] = fmt.Sprintf("%d", v)
-	}
-	return sweepTables(o, xs, "timeout (slots)", results,
-		[]string{"Figure 7: successful delivery rate vs timeout"},
-		[]string{"success"})[0], nil
+func fig7(o Options) ([]Output, error) {
+	return sweepAxis(o, len(TimeoutPoints), func(p int, cfg *RunConfig) { cfg.Timeout = TimeoutPoints[p] },
+		"timeout (slots)", labels("%d", TimeoutPoints),
+		plot{title: "Figure 7: successful delivery rate vs timeout", value: successRate})
 }
 
-// Fig8 runs the default workload once per protocol and re-applies the
+// fig8 runs the default workload once per protocol and re-applies the
 // success criterion at each reliability threshold (Figure 8).
-func Fig8(o Options) (*report.Table, error) {
+func fig8(o Options) ([]Output, error) {
 	o = o.normal()
-	results, err := Sweep(1, o.Protocols, o.Runs, func(p int, cfg *RunConfig) {
-		o.apply(cfg)
-	}, true)
+	results, err := Sweep(o, 1, func(int, *RunConfig) {}, true)
 	if err != nil {
 		return nil, err
 	}
 	header := append([]string{"threshold"}, protocolNames(o.Protocols)...)
 	tb := report.NewTable("Figure 8: successful delivery rate vs reliability threshold", header...)
 	for _, th := range ThresholdPoints {
-		row := make([]interface{}, 0, len(header))
-		row = append(row, fmt.Sprintf("%.0f%%", th*100))
+		row := []interface{}{fmt.Sprintf("%.0f%%", th*100)}
 		for pr := range o.Protocols {
 			cell := &results[0][pr]
 			var agg metrics.Sample
@@ -221,7 +134,7 @@ func Fig8(o Options) (*report.Table, error) {
 		}
 		tb.AddRow(row...)
 	}
-	return tb, nil
+	return []Output{{Table: tb}}, nil
 }
 
 // TableOne renders the paper's Table 1 from the closed-form analysis.

@@ -147,15 +147,12 @@ func TestLedgerDisabledBitIdentical(t *testing.T) {
 
 func TestSweepStatusLiveUpdates(t *testing.T) {
 	st := &SweepStatus{}
-	saved := Progress
 	tick := 0
-	Progress = ProgressMeter{Status: st, Clock: func() time.Time {
+	o := Options{Runs: 2, Protocols: []Protocol{BMMM}, Progress: ProgressMeter{Status: st, Clock: func() time.Time {
 		tick++
 		return time.Unix(int64(tick), 0)
-	}}
-	defer func() { Progress = saved }()
-
-	_, err := Sweep(2, []Protocol{BMMM}, 2, func(p int, cfg *RunConfig) {
+	}}}
+	_, err := Sweep(o, 2, func(p int, cfg *RunConfig) {
 		cfg.Nodes = 15
 		cfg.Slots = 300
 	}, false)

@@ -8,23 +8,18 @@ import (
 
 // TestSweepProgressFakeClock drives Sweep's progress reporting with an
 // injected clock: the elapsed/ETA line becomes a pure function of the
-// fake timestamps, which is exactly what the ProgressMeter refactor
-// bought — the sweep path itself never reads the wall clock.
+// fake timestamps, as the sweep path itself never reads the wall clock.
 func TestSweepProgressFakeClock(t *testing.T) {
-	old := Progress
-	defer func() { Progress = old }()
-
 	var buf bytes.Buffer
 	tick := 0
-	Progress = ProgressMeter{
+	o := Options{Runs: 1, Protocols: []Protocol{BMMM}, Progress: ProgressMeter{
 		W: &buf,
 		Clock: func() time.Time {
 			tick++
 			return time.Unix(int64(tick), 0)
 		},
-	}
-
-	_, err := Sweep(1, []Protocol{BMMM}, 1, func(point int, cfg *RunConfig) {
+	}}
+	_, err := Sweep(o, 1, func(point int, cfg *RunConfig) {
 		cfg.Nodes = 8
 		cfg.Slots = 50
 	}, false)
@@ -60,12 +55,10 @@ func TestProgressMeterDefaultClock(t *testing.T) {
 
 // TestSweepProgressDisabled keeps the no-reporting fast path silent.
 func TestSweepProgressDisabled(t *testing.T) {
-	old := Progress
-	defer func() { Progress = old }()
 	calls := 0
-	Progress = ProgressMeter{Clock: func() time.Time { calls++; return time.Unix(int64(calls), 0) }}
-
-	_, err := Sweep(1, []Protocol{BMMM}, 1, func(point int, cfg *RunConfig) {
+	o := Options{Runs: 1, Protocols: []Protocol{BMMM},
+		Progress: ProgressMeter{Clock: func() time.Time { calls++; return time.Unix(int64(calls), 0) }}}
+	_, err := Sweep(o, 1, func(point int, cfg *RunConfig) {
 		cfg.Nodes = 8
 		cfg.Slots = 50
 	}, false)

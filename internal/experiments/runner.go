@@ -19,6 +19,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"relmac/internal/baseline/bmw"
@@ -137,9 +138,9 @@ type RunConfig struct {
 	// (sim.Config.Profiler) — typically a prof.PhaseTimer. Profilers
 	// are PRNG-neutral and mutation-free by contract, so results are
 	// byte-identical with and without one. One profiler serves one
-	// engine at a time: sweeps attach a fresh one per run (Watch.Attach
-	// as Instrument) and pool them with prof.Aggregate. Nil keeps the
-	// engine's zero-cost path.
+	// engine at a time: sweeps attach a fresh one per run (Options.Watch)
+	// and pool them with prof.Aggregate. Nil keeps the engine's
+	// zero-cost path.
 	Profiler sim.Profiler
 }
 
@@ -369,30 +370,19 @@ func (pm ProgressMeter) clock() func() time.Time {
 	return pm.Clock
 }
 
-// Progress configures sweep progress reporting. Set Progress.W
-// (typically to os.Stderr) before starting sweeps; Sweep snapshots the
-// meter at entry, so it must not be mutated while a sweep is in flight.
-var Progress ProgressMeter
-
-// Instrument, when non-nil, is invoked on every run configuration after
-// the sweep's own mutation and before the run executes — the hook the
-// cmd layer sets to a Watch's Attach, giving every run of a whole sweep
-// fresh observability surfaces without touching each sweep function.
-// It is called from worker goroutines, so it must be safe for concurrent
-// use; like Progress it is snapshotted at Sweep entry and must not be
-// mutated while a sweep is in flight. Attached observers must not
-// perturb results (the engine guarantees observer neutrality).
-var Instrument func(cfg *RunConfig)
-
-// Sweep runs `runs` independent simulations for every (point, protocol)
-// pair, in parallel across the machine's cores. mutate configures the
-// run for sweep point i starting from the paper defaults. When
-// keepCollectors is true the per-run collectors are retained for
-// post-hoc re-thresholding. Each cell folds its runs in run order once
-// the pool drains, so the aggregate floats do not depend on which
+// Sweep runs o.Runs independent simulations for every (point,
+// protocol) pair of o.Protocols, in parallel across the machine's
+// cores. Each run starts from the paper defaults with o.Slots and
+// o.Fault applied; mutate then configures it for sweep point i (a study
+// that owns a fault axis overrides o.Fault there), and o.Watch, when
+// set, attaches its surfaces last. Sweep reports to o.Progress as runs
+// end. When keepCollectors is true the per-run collectors are retained
+// for post-hoc re-thresholding. Each cell folds its runs in run order
+// once the pool drains, so the aggregate floats do not depend on which
 // worker finished first.
-func Sweep(points int, protocols []Protocol, runs int,
-	mutate func(point int, cfg *RunConfig), keepCollectors bool) ([][]PointStats, error) {
+func Sweep(o Options, points int, mutate func(point int, cfg *RunConfig), keepCollectors bool) ([][]PointStats, error) {
+	o = o.normal()
+	protocols, runs, progress := o.Protocols, o.Runs, o.Progress
 
 	// One entry per run, indexed (point, proto, run); workers write
 	// disjoint entries, and wg.Wait orders those writes before the fold.
@@ -406,17 +396,12 @@ func Sweep(points int, protocols []Protocol, runs int,
 	outAt := func(point, proto, run int) *runOut {
 		return &outs[(point*len(protocols)+proto)*runs+run]
 	}
-	type task struct{ point, proto, run int }
-	tasks := make(chan task)
+	// Workers claim runs in index order: point, then protocol, then run.
+	var next atomic.Int64
 	var mu sync.Mutex
 	var firstErr error
 	var wg sync.WaitGroup
 	workers := runtime.NumCPU()
-	if workers < 1 {
-		workers = 1
-	}
-	progress := Progress
-	instrument := Instrument
 	clock := progress.clock()
 	start := clock()
 	perPoint := len(protocols) * runs
@@ -431,14 +416,16 @@ func Sweep(points int, protocols []Protocol, runs int,
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for tk := range tasks {
-				cfg := Defaults(protocols[tk.proto], seedFor(tk.point, tk.proto, tk.run))
-				mutate(tk.point, &cfg)
-				if instrument != nil {
-					instrument(&cfg)
+			for i := int(next.Add(1)) - 1; i < len(outs); i = int(next.Add(1)) - 1 {
+				point, proto, run := i/perPoint, i/runs%len(protocols), i%runs
+				cfg := Defaults(protocols[proto], seedFor(point, proto, run))
+				cfg.Slots, cfg.Fault = o.Slots, o.Fault
+				mutate(point, &cfg)
+				if o.Watch != nil {
+					o.Watch.Attach(&cfg)
 				}
 				res, err := Run(cfg)
-				out := outAt(tk.point, tk.proto, tk.run)
+				out := &outs[i]
 				out.summary, out.degree, out.horizon = res.Summary, res.AvgDegree, res.Horizon
 				if keepCollectors {
 					out.col = res.Collector
@@ -448,17 +435,14 @@ func Sweep(points int, protocols []Protocol, runs int,
 					firstErr = err
 				}
 				done++
-				pointDone[tk.point]++
-				pointComplete := pointDone[tk.point] == perPoint
+				pointDone[point]++
+				pointComplete := pointDone[point] == perPoint
 				if pointComplete {
 					pointsDone++
 				}
 				if progress.Status != nil || (progress.W != nil && pointComplete) {
 					elapsed := clock().Sub(start)
-					eta := time.Duration(0)
-					if done > 0 {
-						eta = elapsed * time.Duration(total-done) / time.Duration(done)
-					}
+					eta := elapsed * time.Duration(total-done) / time.Duration(done)
 					if progress.Status != nil {
 						progress.Status.update(done, pointsDone, elapsed, eta)
 					}
@@ -473,14 +457,6 @@ func Sweep(points int, protocols []Protocol, runs int,
 			}
 		}()
 	}
-	for p := 0; p < points; p++ {
-		for pr := range protocols {
-			for r := 0; r < runs; r++ {
-				tasks <- task{p, pr, r}
-			}
-		}
-	}
-	close(tasks)
 	wg.Wait()
 	if progress.Status != nil {
 		progress.Status.finish(clock().Sub(start))

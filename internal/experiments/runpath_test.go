@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"relmac/internal/fault"
 	"relmac/internal/metrics"
 	"relmac/internal/mobility"
-	"relmac/internal/report"
 	"relmac/internal/sim"
 	"relmac/internal/topo"
 	"relmac/internal/traffic"
@@ -19,47 +17,64 @@ import (
 )
 
 // These tests pin the single run path: every simulation study builds its
-// engines in Run and fans out through Sweep, so the Instrument hook, the
-// progress meter and every Options field reach all of them.
+// engines in Run and fans out through Sweep, so the Watch, the progress
+// meter and every other Options field reach all of them.
 
-// TestStudiesInstrumentEveryRun counts Instrument calls and progress
-// lines per study: each must see exactly points × protocols × runs
-// calls and one progress line per point. Fig7 is the control, a study
-// that always ran through Sweep.
+// TestStudiesInstrumentEveryRun runs every study of the catalogue with
+// a Watch and a progress meter in Options. Each sweep study must attach
+// the Watch to exactly points × protocols × runs runs and print one
+// progress line per point; the closed-form and scripted studies attach
+// nothing. Every study returns one output per file.
 func TestStudiesInstrumentEveryRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweeps")
 	}
-	savedI, savedP := Instrument, Progress
-	defer func() { Instrument, Progress = savedI, savedP }()
-	var calls atomic.Int64
-	Instrument = func(*RunConfig) { calls.Add(1) }
-	var lines bytes.Buffer
-	Progress = ProgressMeter{W: &lines}
-
-	protos := []Protocol{BMMM, LAMM}
-	o := Options{Runs: 2, Slots: 200, Protocols: protos}
-	for _, tc := range []struct {
-		name   string
-		study  func(Options) (*report.Table, error)
-		points int
-		protos int
-	}{
-		{"Fig7", Fig7, len(TimeoutPoints), len(protos)},
-		{"Mobility", Mobility, len(MobilitySpeeds), len(protos)},
-		{"LocationError", LocationError, len(GPSSigmas), 1},
-		{"Overhead", Overhead, 1, len(protos)},
-	} {
-		calls.Store(0)
-		lines.Reset()
-		if _, err := tc.study(o); err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+	paper, faulty := len(PaperProtocols), len(FaultProtocols)
+	shapes := map[string]struct{ points, protos int }{
+		"table1": {}, "fig2": {}, "fig5": {},
+		"density":    {len(DensityPoints), paper},
+		"rate":       {len(RatePoints), paper},
+		"fig7":       {len(TimeoutPoints), paper},
+		"mobility":   {len(MobilitySpeeds), paper},
+		"overhead":   {1, paper},
+		"fault":      {len(FaultPERs), faulty},
+		"faultburst": {3, faulty},
+		"drift":      {1, paper},
+		"gpserr":     {len(GPSSigmas), 1},
+		"fig8":       {1, paper},
+	}
+	for _, s := range Studies {
+		shape, ok := shapes[s.Name]
+		if !ok {
+			t.Errorf("%s: no expected shape in this test", s.Name)
+			continue
 		}
-		if want := int64(tc.points * tc.protos * o.Runs); calls.Load() != want {
-			t.Errorf("%s: Instrument ran %d times, want %d", tc.name, calls.Load(), want)
+		if s.Sweep != (shape.points > 0) {
+			t.Errorf("%s: Sweep is %v, want %v", s.Name, s.Sweep, !s.Sweep)
 		}
-		if got := strings.Count(lines.String(), "sweep: point "); got != tc.points {
-			t.Errorf("%s: %d progress lines, want %d", tc.name, got, tc.points)
+		w := &Watch{}
+		var lines bytes.Buffer
+		outs, err := s.Run(Options{Runs: 1, Slots: 200, Watch: w, Progress: ProgressMeter{W: &lines}})
+		if err != nil {
+			t.Fatalf("%s: %v", s.Name, err)
+		}
+		if len(outs) != len(s.Files) {
+			t.Errorf("%s: %d outputs for %d files", s.Name, len(outs), len(s.Files))
+		}
+		for i, out := range outs {
+			if out.Table == nil && out.Text == "" {
+				t.Errorf("%s: output %d is empty", s.Name, i)
+			}
+		}
+		attached := 0
+		for _, pl := range w.pools {
+			attached += len(pl.runs)
+		}
+		if want := shape.points * shape.protos; attached != want {
+			t.Errorf("%s: Watch attached to %d runs, want %d", s.Name, attached, want)
+		}
+		if got := strings.Count(lines.String(), "sweep: point "); got != shape.points {
+			t.Errorf("%s: %d progress lines, want %d", s.Name, got, shape.points)
 		}
 	}
 }
@@ -72,15 +87,9 @@ func TestLocationErrorHonoursFault(t *testing.T) {
 		t.Skip("simulation sweep")
 	}
 	o := Options{Runs: 2, Slots: 800}
-	clean, err := LocationError(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	clean := runStudy(t, "gpserr", o)[0]
 	o.Fault = fault.Config{PER: 1}
-	lossy, err := LocationError(o)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lossy := runStudy(t, "gpserr", o)[0]
 	for i := range clean.Rows {
 		c, l := parseF(t, clean.Rows[i][3]), parseF(t, lossy.Rows[i][3])
 		if !(l < c) {
@@ -100,7 +109,7 @@ func TestSweepFoldsInRunOrder(t *testing.T) {
 		cfg.Nodes = 30 + 20*p
 		cfg.Slots = 400
 	}
-	got, err := Sweep(points, protos, runs, mutate, true)
+	got, err := Sweep(Options{Runs: runs, Protocols: protos}, points, mutate, true)
 	if err != nil {
 		t.Fatal(err)
 	}

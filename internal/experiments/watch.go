@@ -22,8 +22,8 @@ import (
 // goes in Profiler), registers it with the metrics server and pools it
 // per protocol. Each surface declares the event kinds it reads.
 //
-// Attach may run on several goroutines at once, so Instrument = w.Attach
-// instruments a whole sweep. Run adds the post-run step a single run
+// Attach may run on several goroutines at once, so Options.Watch = w
+// instruments every run of a sweep. Run adds the post-run step a single run
 // needs. The pooled views (PhaseTable, LedgerSnapshots, DriftSummaries,
 // Audits, Flights) are read once the runs have ended; they list
 // protocols in ExtendedProtocols order and runs in seed order, never in
