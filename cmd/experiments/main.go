@@ -62,12 +62,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	// The sweeps fix every other run parameter; -slots is the one the
-	// flags set, so it is checked before any sweep starts.
-	probe := experiments.Defaults(experiments.BMMM, 0)
-	probe.Slots = *slots
-	if err := probe.Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
+	// The sweeps fix every other run parameter; -runs and -slots are the
+	// ones the flags set, so they are checked before any sweep starts. A
+	// zero would select experiments.Options' defaults, not what was asked.
+	if *runs <= 0 || *slots <= 0 {
+		fmt.Fprintf(os.Stderr, "experiments: -runs and -slots must be positive (runs=%d slots=%d)\n", *runs, *slots)
 		os.Exit(2)
 	}
 

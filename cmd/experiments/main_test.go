@@ -38,3 +38,22 @@ func TestUnknownExperimentExitsTwo(t *testing.T) {
 		}
 	}
 }
+
+// TestNonPositiveRunsOrSlotsExitsTwo: a run count or duration that is not
+// positive runs nothing and exits 2, instead of falling back to the
+// full-fidelity defaults.
+func TestNonPositiveRunsOrSlotsExitsTwo(t *testing.T) {
+	for _, args := range [][]string{{"-runs", "-3", "-slots", "50"}, {"-runs", "0"}, {"-slots", "0"}, {"-slots", "-5"}} {
+		cmd := exec.Command(os.Args[0], append([]string{"-exp", "fig8", "-out", "", "-progress=false"}, args...)...)
+		cmd.Env = append(os.Environ(), runMainEnv+"=1")
+		out, err := cmd.CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: want exit status 2, got %v\n%s", args, err, out)
+			continue
+		}
+		if msg := string(out); !strings.Contains(msg, "must be positive") || strings.Contains(msg, "Figure 8") {
+			t.Errorf("%v: want the rejection and no table, got:\n%s", args, msg)
+		}
+	}
+}

@@ -47,7 +47,6 @@ const (
 // Multicaster is the BMW group-service state machine.
 type Multicaster struct {
 	st      state
-	group   []frames.Addr
 	targets []int
 	idx     int
 	cts     ctsKind
@@ -63,7 +62,6 @@ func New(cfg mac.Config) func(node int, env *sim.Env) sim.MAC {
 
 // Begin implements dcf.Multicaster.
 func (m *Multicaster) Begin(st *dcf.Station, env *sim.Env, req *sim.Request) {
-	m.group = dcf.GroupAddrs(req.Dests)
 	m.targets = req.Dests
 	m.idx = 0
 	// BMW's rounds are per-receiver: the first one opens here, each later
@@ -78,11 +76,11 @@ func (m *Multicaster) Won(st *dcf.Station, env *sim.Env) *frames.Frame {
 	m.cts = ctsNone
 	m.st = waitCTS
 	st.WaitUntil(env.Now() + 2)
-	return &frames.Frame{
+	return st.Send(&frames.Frame{
 		Type: frames.RTS, Dst: frames.Addr(m.targets[m.idx]),
-		MsgID: st.Current().ID, Group: m.group,
+		MsgID:    st.Current().ID,
 		Duration: tm.Control + tm.Data + tm.Control, // CTS + DATA + ACK
-	}
+	}, m.targets)
 }
 
 // Next implements dcf.Multicaster.
@@ -96,11 +94,11 @@ func (m *Multicaster) Next(st *dcf.Station, env *sim.Env) *frames.Frame {
 		m.gotACK = false
 		m.st = waitACK
 		st.WaitUntil(env.Now() + sim.Slot(tm.Data) + 1)
-		return &frames.Frame{
+		return st.Send(&frames.Frame{
 			Type: frames.Data, Dst: frames.Addr(m.targets[m.idx]),
-			MsgID: st.Current().ID, Group: m.group,
+			MsgID:    st.Current().ID,
 			Duration: tm.Control, // the pending ACK
-		}
+		}, m.targets)
 	case m.st == waitACK && m.gotACK:
 		m.advance(st, env)
 	default:
@@ -162,11 +160,12 @@ func (m *Multicaster) OnDeliver(st *dcf.Station, env *sim.Env, f *frames.Frame, 
 			})
 			return
 		}
-		st.Respond(env, &frames.Frame{
+		cts := st.Respond(env, &frames.Frame{
 			Type: frames.CTS, Dst: f.Src, MsgID: f.MsgID,
-			Missing:  []int{int(f.MsgID)},
 			Duration: tm.Data + tm.Control, // DATA + ACK to come
 		})
+		// The list goes into the scheduled frame's own reused storage.
+		cts.Missing = append(cts.Missing, int(f.MsgID))
 	case frames.Data:
 		if rx&sim.RxMember == 0 {
 			return

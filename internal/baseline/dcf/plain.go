@@ -20,10 +20,9 @@ func (Plain) Begin(st *Station, env *sim.Env, req *sim.Request) {}
 func (Plain) Won(st *Station, env *sim.Env) *frames.Frame {
 	req := st.cur
 	st.WaitUntil(env.Now() + sim.Slot(env.Timing().Data)) // first slot after the data frame
-	return &frames.Frame{
-		Type: frames.Data, Dst: frames.BroadcastAddr,
-		MsgID: req.ID, Group: GroupAddrs(req.Dests),
-	}
+	return st.Send(&frames.Frame{
+		Type: frames.Data, Dst: frames.BroadcastAddr, MsgID: req.ID,
+	}, req.Dests)
 }
 
 // Next implements Multicaster: the data frame has left the air, so the

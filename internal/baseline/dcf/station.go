@@ -39,12 +39,12 @@ type Multicaster interface {
 	// the first contention phase when Begin returns.
 	Begin(st *Station, env *sim.Env, req *sim.Request)
 	// Won is called in the slot the station wins the medium and returns
-	// the exchange's opening frame.
+	// the exchange's opening frame, built with st.Send.
 	Won(st *Station, env *sim.Env) *frames.Frame
 	// Next is called at the decision slot set through st.WaitUntil — at
 	// the next slot the station may transmit, if none was set. It returns
-	// the exchange's next frame, or nil once it has ended the exchange
-	// with st.Retry, st.NextRound or st.FinishRequest.
+	// the exchange's next frame, built with st.Send, or nil once it has
+	// ended the exchange with st.Retry, st.NextRound or st.FinishRequest.
 	Next(st *Station, env *sim.Env) *frames.Frame
 	// OnResponse receives every frame addressed to this station that
 	// carries the MsgID of the request in service: the CTS, ACK and NAK
@@ -54,7 +54,8 @@ type Multicaster interface {
 	// the station decodes in a role (rx non-zero: addressed to it or
 	// naming it in the group), after the station's data-log bookkeeping.
 	// Overheard frames stop at the engine's NAV and never reach it.
-	// Responses are scheduled through st.Respond.
+	// Responses are scheduled through st.Respond. f, like the frame
+	// OnResponse receives, is its sender's and must not be kept.
 	OnDeliver(st *Station, env *sim.Env, f *frames.Frame, rx sim.Rx)
 }
 
@@ -71,9 +72,16 @@ type Station struct {
 	cfg  mac.Config
 	addr frames.Addr
 
-	backoff *mac.Backoff
+	backoff mac.Backoff
 	resp    mac.Responder
 	queue   mac.Queue
+	// out is the frame the station transmits and group the storage of
+	// its Group list: Send and the Responder fill them, and they live
+	// until the end of the slot that completes the frame's airtime
+	// (DESIGN.md, "Frame lifetime"). A station starts no frame while it
+	// is on the air, so one of each is enough.
+	out   frames.Frame
+	group []frames.Addr
 
 	cur *sim.Request
 	mc  Multicaster
@@ -153,8 +161,8 @@ func (st *Station) Tick(env *sim.Env) *frames.Frame {
 	}
 	// Receiver-role responses have SIFS priority over everything; stale
 	// ones are reported as they are discarded.
-	if f := st.resp.Due(now, st.dropHook); f != nil {
-		return f
+	if st.resp.Due(now, st.dropHook, &st.out) {
+		return &st.out
 	}
 	// Queue maintenance.
 	st.queue.DropExpired(now, st.abortHook)
@@ -303,18 +311,32 @@ func (st *Station) Attempts() int { return st.attempts }
 // calls the sender's Next no earlier than at.
 func (st *Station) WaitUntil(at sim.Slot) { st.nextAt = at }
 
-// Respond schedules a receiver-side response frame for the next slot
-// (the slotted-model equivalent of a SIFS turnaround).
-func (st *Station) Respond(env *sim.Env, f *frames.Frame) {
-	f.Src = st.addr
-	st.resp.ScheduleAt(env.Now()+1, f)
+// Send fills the station's outgoing frame with a copy of *f and returns
+// it, for Won and Next to hand to the engine. A non-nil group becomes
+// the frame's Group, the station IDs written as addresses into the
+// station's own storage.
+func (st *Station) Send(f *frames.Frame, group []int) *frames.Frame {
+	st.out = *f
+	if group != nil {
+		st.group = groupAddrs(st.group, group)
+		st.out.Group = st.group
+	}
+	return &st.out
 }
 
-// RespondAt schedules a receiver-side frame for an arbitrary future slot.
-// BSMA receivers use it to arm a NAK at their WAIT_FOR_DATA deadline.
-func (st *Station) RespondAt(at sim.Slot, f *frames.Frame) {
+// Respond schedules a copy of a receiver-side response frame for the
+// next slot (the slotted-model equivalent of a SIFS turnaround) and
+// returns the scheduled frame (mac.Responder.ScheduleAt).
+func (st *Station) Respond(env *sim.Env, f *frames.Frame) *frames.Frame {
+	return st.RespondAt(env.Now()+1, f)
+}
+
+// RespondAt schedules a copy of a receiver-side frame for an arbitrary
+// future slot. BSMA receivers use it to arm a NAK at their WAIT_FOR_DATA
+// deadline.
+func (st *Station) RespondAt(at sim.Slot, f *frames.Frame) *frames.Frame {
 	f.Src = st.addr
-	st.resp.ScheduleAt(at, f)
+	return st.resp.ScheduleAt(at, f)
 }
 
 // CancelResponses withdraws scheduled responses matching the predicate
@@ -349,13 +371,18 @@ func (st *Station) HasData(f *frames.Frame) bool {
 	return false
 }
 
-// logData records the member DATA frame f as its sender's latest.
-func (st *Station) logData(f *frames.Frame) {
+// logData records the member DATA frame f as its sender's latest. The
+// senders a station decodes are its neighbours, so the log is sized for
+// all of them on first use.
+func (st *Station) logData(env *sim.Env, f *frames.Frame) {
 	for i := range st.lastData {
 		if st.lastData[i].src == f.Src {
 			st.lastData[i].id = f.MsgID
 			return
 		}
+	}
+	if st.lastData == nil {
+		st.lastData = make([]dataEntry, 0, len(env.Topo().Neighbors(int(st.addr))))
 	}
 	st.lastData = append(st.lastData, dataEntry{f.Src, f.MsgID})
 }
@@ -366,7 +393,7 @@ func (st *Station) Deliver(env *sim.Env, f *frames.Frame, rx sim.Rx) {
 	addressed := rx&sim.RxAddressed != 0
 	if f.Type == frames.Data && rx&sim.RxMember != 0 {
 		// Group DATA for this station: log it for HasData.
-		st.logData(f)
+		st.logData(env, f)
 	}
 	if addressed && st.cur != nil && f.MsgID == st.cur.ID {
 		// A reply to the request in service: only its sender reads it.

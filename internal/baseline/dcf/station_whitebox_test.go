@@ -130,11 +130,16 @@ func TestYieldDurationConservativeCases(t *testing.T) {
 }
 
 func TestGroupAddrs(t *testing.T) {
-	got := GroupAddrs([]int{3, 1, 2})
+	got := groupAddrs(nil, []int{3, 1, 2})
 	if len(got) != 3 || got[0] != 3 || got[1] != 1 || got[2] != 2 {
 		t.Errorf("GroupAddrs = %v", got)
 	}
-	if GroupAddrs(nil) == nil {
-		t.Log("nil input yields empty (acceptable)")
+	// The buffer is reused: a shorter list overwrites it in place.
+	again := groupAddrs(got, []int{5})
+	if len(again) != 1 || again[0] != 5 || &again[0] != &got[0] {
+		t.Errorf("groupAddrs(buf, [5]) = %v, want [5] in buf's storage", again)
+	}
+	if n := len(groupAddrs(got, nil)); n != 0 {
+		t.Errorf("groupAddrs(buf, nil) has %d entries, want 0", n)
 	}
 }

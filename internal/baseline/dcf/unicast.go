@@ -1,6 +1,8 @@
 package dcf
 
 import (
+	"slices"
+
 	"relmac/internal/frames"
 	"relmac/internal/sim"
 )
@@ -36,10 +38,10 @@ func (u *uniFSM) Won(st *Station, env *sim.Env) *frames.Frame {
 	u.gotCTS = false
 	u.state = uniWaitCTS
 	st.WaitUntil(env.Now() + 2) // RTS occupies this slot; CTS the next
-	return &frames.Frame{
+	return st.Send(&frames.Frame{
 		Type: frames.RTS, Dst: u.target, MsgID: st.cur.ID,
 		Duration: tm.Control + tm.Data + tm.Control, // CTS + DATA + ACK
-	}
+	}, nil)
 }
 
 // Next implements Multicaster: DATA after a CTS, done after an ACK.
@@ -50,10 +52,10 @@ func (u *uniFSM) Next(st *Station, env *sim.Env) *frames.Frame {
 		u.gotACK = false
 		u.state = uniWaitACK
 		st.WaitUntil(env.Now() + sim.Slot(tm.Data) + 1)
-		return &frames.Frame{
+		return st.Send(&frames.Frame{
 			Type: frames.Data, Dst: u.target, MsgID: st.cur.ID,
 			Duration: tm.Control, // the pending ACK
-		}
+		}, nil)
 	case u.state == uniWaitACK && u.gotACK:
 		st.FinishRequest(env, true)
 	default:
@@ -96,11 +98,12 @@ func (u *uniFSM) OnDeliver(st *Station, env *sim.Env, f *frames.Frame, rx sim.Rx
 	}
 }
 
-// GroupAddrs converts intended-receiver station IDs into frame addresses.
-func GroupAddrs(dests []int) []frames.Addr {
-	out := make([]frames.Addr, len(dests))
-	for i, d := range dests {
-		out[i] = frames.Addr(d)
+// groupAddrs writes intended-receiver station IDs as frame addresses
+// into dst's storage and returns the list.
+func groupAddrs(dst []frames.Addr, dests []int) []frames.Addr {
+	dst = slices.Grow(dst[:0], len(dests))
+	for _, d := range dests {
+		dst = append(dst, frames.Addr(d))
 	}
-	return out
+	return dst
 }

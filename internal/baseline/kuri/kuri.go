@@ -39,7 +39,6 @@ const (
 // Multicaster is the leader-based group service state machine.
 type Multicaster struct {
 	st     state
-	group  []frames.Addr
 	leader frames.Addr
 	gotCTS bool
 	gotACK bool
@@ -55,7 +54,6 @@ func New(cfg mac.Config) func(node int, env *sim.Env) sim.MAC {
 
 // Begin implements dcf.Multicaster.
 func (m *Multicaster) Begin(st *dcf.Station, env *sim.Env, req *sim.Request) {
-	m.group = dcf.GroupAddrs(req.Dests)
 	m.leader = frames.Addr(req.Dests[0])
 }
 
@@ -65,10 +63,10 @@ func (m *Multicaster) Won(st *dcf.Station, env *sim.Env) *frames.Frame {
 	m.gotCTS = false
 	m.st = waitCTS
 	st.WaitUntil(env.Now() + 2)
-	return &frames.Frame{
-		Type: frames.RTS, Dst: m.leader, MsgID: st.Current().ID, Group: m.group,
+	return st.Send(&frames.Frame{
+		Type: frames.RTS, Dst: m.leader, MsgID: st.Current().ID,
 		Duration: tm.Control + tm.Data + tm.Control, // CTS + DATA + ACK
-	}
+	}, st.Current().Dests)
 }
 
 // Next implements dcf.Multicaster.
@@ -79,11 +77,11 @@ func (m *Multicaster) Next(st *dcf.Station, env *sim.Env) *frames.Frame {
 		m.gotACK = false
 		m.st = waitACK
 		st.WaitUntil(env.Now() + sim.Slot(tm.Data) + 1)
-		return &frames.Frame{
+		return st.Send(&frames.Frame{
 			Type: frames.Data, Dst: frames.BroadcastAddr,
-			MsgID: st.Current().ID, Group: m.group,
+			MsgID:    st.Current().ID,
 			Duration: tm.Control, // the ACK (or the NAK jam) slot
-		}
+		}, st.Current().Dests)
 	case m.st == waitACK && m.gotACK:
 		// A clean ACK means the leader holds the data AND no primed
 		// receiver jammed with a NAK.

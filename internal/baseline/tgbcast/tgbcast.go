@@ -37,7 +37,6 @@ type Multicaster struct {
 	UseNAK bool
 
 	st      state
-	group   []frames.Addr
 	gotCTS  bool
 	nakSeen bool
 }
@@ -59,10 +58,9 @@ func factory(cfg mac.Config, nak bool) func(node int, env *sim.Env) sim.MAC {
 	}
 }
 
-// Begin implements dcf.Multicaster.
-func (m *Multicaster) Begin(st *dcf.Station, env *sim.Env, req *sim.Request) {
-	m.group = dcf.GroupAddrs(req.Dests)
-}
+// Begin implements dcf.Multicaster: every frame names the whole group,
+// so there is nothing to prepare.
+func (m *Multicaster) Begin(st *dcf.Station, env *sim.Env, req *sim.Request) {}
 
 // nakWindow is the number of slots after the data frame ends during which
 // the sender listens for NAKs (WAIT_FOR_NAK): one slot for the NAK
@@ -79,10 +77,10 @@ func (m *Multicaster) Won(st *dcf.Station, env *sim.Env) *frames.Frame {
 	if m.UseNAK {
 		dur += nakWindow
 	}
-	return &frames.Frame{
+	return st.Send(&frames.Frame{
 		Type: frames.RTS, Dst: frames.BroadcastAddr,
-		MsgID: st.Current().ID, Group: m.group, Duration: dur,
-	}
+		MsgID: st.Current().ID, Duration: dur,
+	}, st.Current().Dests)
 }
 
 // Next implements dcf.Multicaster.
@@ -99,10 +97,10 @@ func (m *Multicaster) Next(st *dcf.Station, env *sim.Env) *frames.Frame {
 			dur = nakWindow
 		}
 		st.WaitUntil(until)
-		return &frames.Frame{
+		return st.Send(&frames.Frame{
 			Type: frames.Data, Dst: frames.BroadcastAddr,
-			MsgID: st.Current().ID, Group: m.group, Duration: dur,
-		}
+			MsgID: st.Current().ID, Duration: dur,
+		}, st.Current().Dests)
 	case m.st == afterData && !m.nakSeen:
 		// [19] finishes right after the data frame; BSMA finishes when
 		// its NAK window stayed silent. Either way the sender cannot

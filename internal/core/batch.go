@@ -25,6 +25,8 @@
 package core
 
 import (
+	"slices"
+
 	"relmac/internal/baseline/dcf"
 	"relmac/internal/frames"
 	"relmac/internal/mac"
@@ -39,6 +41,7 @@ type Picker interface {
 	Poll(env *sim.Env, S []int) []int
 	// Update returns the receivers still unserved after a round in which
 	// the stations in acked (a subset of the polled set) returned ACKs.
+	// It may write the result into S's storage, which the Batch owns.
 	Update(env *sim.Env, S []int, acked []int) []int
 }
 
@@ -55,17 +58,13 @@ const (
 type Batch struct {
 	pick Picker
 
-	ph   phase
-	S    []int // remaining intended receivers
-	poll []int // stations polled this round
-	// pollAddrs is poll as frame addresses, built once per round: every
-	// RTS and RAK of the round carries the same group, and receivers
-	// only read it, so the frames can share one slice. A fresh slice is
-	// built each round — frames outlive rounds in tracers and tests.
-	pollAddrs []frames.Addr
-	i         int // next poll/RAK index
-	anyCTS    bool
-	acked     map[int]bool
+	ph     phase
+	S      []int // remaining intended receivers, the DATA frame's group
+	poll   []int // stations polled this round, the RTS and RAK frames' group
+	i      int   // next poll/RAK index
+	anyCTS bool
+	heard  []int // stations whose ACK arrived this round
+	acked  []int // poll ∩ heard in poll order, handed to Update
 }
 
 // NewBMMM returns a sim.MAC factory for stations running BMMM.
@@ -118,7 +117,7 @@ func NewBatch(p Picker) *Batch { return &Batch{pick: p} }
 
 // Begin implements dcf.Multicaster.
 func (b *Batch) Begin(st *dcf.Station, env *sim.Env, req *sim.Request) {
-	b.S = append(b.S[:0:0], req.Dests...)
+	b.S = append(b.S[:0], req.Dests...)
 }
 
 // OpenRound implements dcf.RoundOpener: every round — the first, each
@@ -126,7 +125,6 @@ func (b *Batch) Begin(st *dcf.Station, env *sim.Env, req *sim.Request) {
 // receivers and is reported before its contention phase opens.
 func (b *Batch) OpenRound(st *dcf.Station, env *sim.Env) {
 	b.poll = b.pick.Poll(env, b.S)
-	b.pollAddrs = dcf.GroupAddrs(b.poll)
 	// The station counts a contention phase when it is won, so
 	// Attempts()+1 is the 1-based ordinal of the round about to run.
 	env.ReportRoundStart(st.Current(), st.Attempts()+1, len(b.poll))
@@ -136,14 +134,7 @@ func (b *Batch) OpenRound(st *dcf.Station, env *sim.Env) {
 func (b *Batch) Won(st *dcf.Station, env *sim.Env) *frames.Frame {
 	b.i = 0
 	b.anyCTS = false
-	// Reuse the ACK set across rounds; only lookups and keyed writes
-	// touch it, so clearing instead of reallocating cannot perturb
-	// any iteration order.
-	if b.acked == nil {
-		b.acked = make(map[int]bool, len(b.poll))
-	} else {
-		clear(b.acked)
-	}
+	b.heard = slices.Grow(b.heard[:0], len(b.poll))
 	b.ph = polling
 	return b.tickPolling(st, env)
 }
@@ -167,11 +158,11 @@ func (b *Batch) tickPolling(st *dcf.Station, env *sim.Env) *frames.Frame {
 		target := b.poll[b.i]
 		b.i++
 		st.WaitUntil(now + 2) // RTS this slot, CTS next, decide after
-		return &frames.Frame{
+		return st.Send(&frames.Frame{
 			Type: frames.RTS, Dst: frames.Addr(target),
-			MsgID: req.ID, Group: b.pollAddrs,
+			MsgID:    req.ID,
 			Duration: tm.BatchDuration(n, b.i),
-		}
+		}, b.poll)
 	}
 	// All RTS/CTS pairs done.
 	if !b.anyCTS {
@@ -183,11 +174,11 @@ func (b *Batch) tickPolling(st *dcf.Station, env *sim.Env) *frames.Frame {
 	b.ph = raking
 	b.i = 0
 	st.WaitUntil(now + sim.Slot(tm.Data)) // first RAK right after the data
-	return &frames.Frame{
+	return st.Send(&frames.Frame{
 		Type: frames.Data, Dst: frames.BroadcastAddr,
-		MsgID: req.ID, Group: dcf.GroupAddrs(b.S),
+		MsgID:    req.ID,
 		Duration: n * (tm.Control + tm.Control), // the RAK/ACK tail
-	}
+	}, b.S)
 }
 
 // tickRaking sends the next RAK, or — after the last ACK window — closes
@@ -201,22 +192,22 @@ func (b *Batch) tickRaking(st *dcf.Station, env *sim.Env) *frames.Frame {
 		target := b.poll[b.i]
 		b.i++
 		st.WaitUntil(now + 2) // RAK this slot, ACK next, decide after
-		return &frames.Frame{
+		return st.Send(&frames.Frame{
 			Type: frames.RAK, Dst: frames.Addr(target),
-			MsgID: req.ID, Group: b.pollAddrs,
+			MsgID:    req.ID,
 			Duration: tm.RAKDuration(n, b.i),
-		}
+		}, b.poll)
 	}
 	// Round complete: retire the acknowledged receivers and report the
 	// residual — how many intended receivers the next round (if any)
 	// still has to reach.
-	acked := make([]int, 0, len(b.acked))
+	b.acked = slices.Grow(b.acked[:0], len(b.heard))
 	for _, id := range b.poll {
-		if b.acked[id] {
-			acked = append(acked, id)
+		if containsInt(b.heard, id) {
+			b.acked = append(b.acked, id)
 		}
 	}
-	b.S = b.pick.Update(env, b.S, acked)
+	b.S = b.pick.Update(env, b.S, b.acked)
 	env.ReportRound(req, len(b.S))
 	switch {
 	case len(b.S) == 0:
@@ -241,7 +232,7 @@ func (b *Batch) OnResponse(st *dcf.Station, env *sim.Env, f *frames.Frame) {
 	case f.Type == frames.CTS && b.ph == polling:
 		b.anyCTS = true
 	case f.Type == frames.ACK && b.ph == raking:
-		b.acked[int(f.Src)] = true
+		b.heard = append(b.heard, int(f.Src))
 	}
 }
 

@@ -10,17 +10,13 @@ import (
 )
 
 // newLAMMPicker builds the LAMM strategy. geo is the run's shared cover
-// geometry and enables the per-topology MCS memo; nil selects the
-// reference path, which re-derives MCS(S) and UPDATE from believed
-// points every round, so equivalence tests can prove the store and the
-// memo change no output bit. Cached covers are returned without copying —
-// Poll results are read-only under the Picker contract.
+// geometry with its per-topology MCS memo; nil selects the reference
+// path, which re-derives MCS(S) and UPDATE from believed points every
+// round, so equivalence tests can prove the store and the memo change no
+// output bit. Cached covers are returned without copying — Poll results
+// are read-only under the Picker contract.
 func newLAMMPicker(locs *NoisyLocations, geo *coverStore) *lammPicker {
-	p := &lammPicker{locs: locs, geo: geo}
-	if geo != nil {
-		p.memo = &mcsMemo{}
-	}
-	return p
+	return &lammPicker{locs: locs, geo: geo}
 }
 
 // bmmmPicker is BMMM's trivial strategy: poll every remaining receiver,
@@ -30,11 +26,11 @@ type bmmmPicker struct{}
 // Poll implements Picker.
 func (bmmmPicker) Poll(env *sim.Env, S []int) []int { return S }
 
-// Update implements Picker: S \ S_ACK (Figure 3, sender's protocol).
-// acked is at most a batch round's poll set, small enough that a linear
-// membership scan beats building a set.
+// Update implements Picker: S \ S_ACK (Figure 3, sender's protocol),
+// written into S's storage. acked is at most a batch round's poll set,
+// small enough that a linear membership scan beats building a set.
 func (bmmmPicker) Update(env *sim.Env, S []int, acked []int) []int {
-	out := make([]int, 0, len(S))
+	out := S[:0]
 	for _, id := range S {
 		if !containsInt(acked, id) {
 			out = append(out, id)
@@ -65,50 +61,70 @@ func containsInt(s []int, v int) bool {
 type lammPicker struct {
 	locs *NoisyLocations
 	geo  *coverStore // nil on the reference path
-	memo *mcsMemo
 }
 
-// mcsMemo caches MCS(S) results per receiver sequence. The cover angles
-// come from the run's coverStore and the search decides coverage on arc
-// bitsets, but filling and arranging the table and searching it — the
-// exact branch and bound up to geom.ExactMCSLimit receivers, the greedy
-// rule beyond — is still the most expensive computation a LAMM station
-// performs, and the same remainder set recurs across the rounds and
-// retries of a message: about a quarter of the lookups on the Figure
-// 6(a) density runs hit, and dropping the memo made those runs ~10 %
-// slower. The key encodes the *ordered* ID sequence, not
-// the set: MinCoverSet returns the first minimal cover its enumeration
-// order finds, and that order follows the input order, so an
-// order-insensitive key could hand back a different (equally minimal)
-// cover than the uncached computation — changing output bits. Believed
-// positions are fixed per topology snapshot (NoisyLocations materialises
-// once), so entries stay valid until the topology pointer changes.
+// mcsMemo caches MCS(S) results per receiver sequence for every station
+// of a run: MCS(S) depends only on S and the believed positions, not on
+// which station asks. The cover angles come from the run's coverStore
+// and the search decides coverage on arc bitsets, but filling and
+// arranging the table and searching it — the exact branch and bound up
+// to geom.ExactMCSLimit receivers, the greedy rule beyond — is still the
+// most expensive computation a LAMM station performs, and the same
+// remainder set recurs across the rounds and retries of a message: about
+// a quarter of the lookups on the Figure 6(a) density runs hit, and
+// dropping the memo made those runs ~10 % slower. The key encodes the
+// *ordered* ID sequence, not the set: MinCoverSet returns the first
+// minimal cover its enumeration order finds, and that order follows the
+// input order, so an order-insensitive key could hand back a different
+// (equally minimal) cover than the uncached computation — changing
+// output bits. Believed positions are fixed per topology snapshot
+// (NoisyLocations materialises once), so entries stay valid until the
+// topology pointer changes.
+//
+// The covers are stored back to back in one append-only arena, so a
+// miss costs its key and no cover slice of its own. A returned cover is
+// capped at its length and never overwritten; an arena the appends
+// outgrow stays alive while a cover in it is in use.
 type mcsMemo struct {
-	topo *topo.Topology // snapshot the entries were computed against
-	m    map[string][]int
-	key  []byte
+	topo   *topo.Topology // snapshot the entries were computed against
+	m      map[string]memoSpan
+	covers []int
+	key    []byte
 }
+
+// memoSpan locates one stored cover in the arena.
+type memoSpan struct{ off, n int32 }
 
 // lookup returns the memoised cover for the sequence S, resetting the
 // cache when the topology snapshot changed.
 func (c *mcsMemo) lookup(tp *topo.Topology, S []int) ([]int, bool) {
 	if c.topo != tp {
 		c.topo = tp
-		c.m = make(map[string][]int)
+		c.m = make(map[string]memoSpan)
+		c.covers = nil
 		return nil, false
 	}
-	out, ok := c.m[string(c.encode(S))]
-	return out, ok
+	sp, ok := c.m[string(c.encode(S))]
+	if !ok {
+		return nil, false
+	}
+	end := int(sp.off + sp.n)
+	return c.covers[sp.off:end:end], true
 }
 
-// store records the cover computed for the sequence S.
-func (c *mcsMemo) store(S, cover []int) {
-	c.m[string(c.encode(S))] = cover
+// store records a copy of the cover computed for the sequence S and
+// returns it.
+func (c *mcsMemo) store(S, cover []int) []int {
+	off := len(c.covers)
+	c.covers = append(c.covers, cover...)
+	end := len(c.covers)
+	c.m[string(c.encode(S))] = memoSpan{int32(off), int32(len(cover))}
+	return c.covers[off:end:end]
 }
 
 // encode packs the ID sequence into the reused key buffer.
 func (c *mcsMemo) encode(S []int) []byte {
-	k := c.key[:0]
+	k := slices.Grow(c.key[:0], 4*len(S))
 	for _, id := range S {
 		k = append(k, byte(id), byte(id>>8), byte(id>>16), byte(id>>24))
 	}
@@ -135,22 +151,27 @@ func (c *mcsMemo) encode(S []int) []byte {
 // same fallback gives a station paired with itself the full arc UPDATE
 // relies on when an ACKer is in S.
 //
-// The table, its sort scratch and the buffers below are shared scratch:
-// stations run one at a time, and neither Poll nor Update keeps scratch
-// across calls. A factory holding a coverStore therefore serves one
-// engine at a time.
+// The store also holds the run's MCS memo. The table, its sort scratch
+// and the buffers below it are shared scratch: stations run one at a
+// time, and neither Poll nor Update keeps scratch across calls. A
+// factory holding a coverStore therefore serves one engine at a time.
 type coverStore struct {
 	locs  *NoisyLocations
 	topo  *topo.Topology // snapshot the rows were computed against
 	rows  []coverRow
+	memo  mcsMemo
 	table geom.CoverTable
-	slot  []int32      // slot[id]: 1 + id's index in the S being filled
-	set   []int32      // set[b]: 1 + the row index that last set column b
+	slot  []int32  // slot[id]: 1 + id's index in the S being filled or in acked
+	set   []int32  // set[b]: 1 + the row index that last set column b
+	seen  []uint32 // seen[id] == gen: ACKer id is on the row covered walks
+	gen   uint32
 	pts   []geom.Point // believed positions of the S being filled
 	acc   []uint64
 	arcs  []geom.Arc
 	use   []bool
 	segs  []geom.Arc
+	cover []int // a computed cover on its way into the memo
+	rem   []int // update's result
 
 	floatCovers int // UPDATE tests the arrangements left to the float sweep
 }
@@ -183,6 +204,7 @@ func (s *coverStore) bind(env *sim.Env) {
 	if len(s.rows) != tp.N() {
 		s.rows = make([]coverRow, tp.N())
 		s.slot = make([]int32, tp.N())
+		s.seen = make([]uint32, tp.N())
 	}
 	for i := range s.rows {
 		s.rows[i].ready = false
@@ -263,37 +285,61 @@ func (s *coverStore) minCoverSet(env *sim.Env, S []int) []int {
 }
 
 // update is geom.Update over the stored angles: the members of S whose
-// disks the ACKers' disks do not cover.
+// disks the ACKers' disks do not cover. The ACKers are marked in slot
+// for the duration, as minCoverSet marks S. The result is the store's
+// buffer, valid until its next use.
 func (s *coverStore) update(env *sim.Env, S, acked []int) []int {
 	s.bind(env)
-	out := make([]int, 0, len(S))
+	for k, j := range acked {
+		s.slot[j] = int32(k + 1)
+	}
+	out := s.rem[:0]
 	for _, i := range S {
 		if !s.covered(env, i, acked) {
 			out = append(out, i)
 		}
 	}
+	for _, j := range acked {
+		s.slot[j] = 0
+	}
+	s.rem = out
 	return out
 }
 
 // covered reports whether the ACKers' disks cover station i's, the
-// Theorem 4 test geom.CircleCovered makes on their cover angles. It is
-// decided on i's arrangement unless an ACKer's angle is not in it (a
-// believed position off the neighbour list) or the bitsets cannot tell;
-// then the float sweep decides.
+// Theorem 4 test geom.CircleCovered makes on their cover angles. The
+// ACKers are the stations update marked in slot. It is decided on i's
+// arrangement unless an ACKer's angle is not in it (a believed position
+// off the neighbour list) or the bitsets cannot tell; then the float
+// sweep decides.
 func (s *coverStore) covered(env *sim.Env, i int, acked []int) bool {
+	if s.slot[i] != 0 {
+		return true // a station's cover angle for itself is the full arc
+	}
 	nb, row := s.row(env, i)
 	acc := append(s.acc[:0], make([]uint64, row.arr.Words())...)
 	s.acc = acc
-	swept := false
-	for _, j := range acked {
-		if j == i {
-			return true // a station's cover angle for itself is the full arc
-		}
-		if k, found := slices.BinarySearch(nb, j); found {
+	// One walk of i's row finds the ACKers on it; the rest are off it.
+	s.gen++
+	onRow := 0
+	for k, q := range nb {
+		if s.slot[q] != 0 {
+			s.seen[q] = s.gen
+			onRow++
 			if row.angles[k].ok {
 				row.arr.Or(acc, k)
 			}
-		} else if a, ok := s.direct(believedPos(s.locs, env, i), believedPos(s.locs, env, j)); ok {
+		}
+	}
+	swept := false
+	for _, j := range acked {
+		if onRow == len(acked) {
+			break
+		}
+		if s.seen[j] == s.gen {
+			continue
+		}
+		if a, ok := s.direct(believedPos(s.locs, env, i), believedPos(s.locs, env, j)); ok {
 			if a.IsFull() {
 				return true
 			}
@@ -316,6 +362,18 @@ func (s *coverStore) covered(env *sim.Env, i int, acked []int) bool {
 	covered, s.segs = geom.CircleCovered(arcs, s.segs)
 	s.arcs = arcs
 	return covered
+}
+
+// poll is MCS(S) as station IDs, through the memo.
+func (s *coverStore) poll(env *sim.Env, S []int) []int {
+	if out, ok := s.memo.lookup(env.Topo(), S); ok {
+		return out
+	}
+	s.cover = s.cover[:0]
+	for _, idx := range s.minCoverSet(env, S) {
+		s.cover = append(s.cover, S[idx])
+	}
+	return s.memo.store(S, s.cover)
 }
 
 // believedPos returns the position the sender believes station id has:
@@ -343,25 +401,15 @@ func (p *lammPicker) Poll(env *sim.Env, S []int) []int {
 	if len(S) <= 1 {
 		return S
 	}
-	if p.memo != nil {
-		if out, ok := p.memo.lookup(env.Topo(), S); ok {
-			return out
+	if p.geo == nil {
+		sel := geom.MinCoverSet(p.points(env, S), env.Topo().Radius())
+		out := make([]int, len(sel))
+		for k, idx := range sel {
+			out[k] = S[idx]
 		}
+		return out
 	}
-	var sel []int
-	if p.geo != nil {
-		sel = p.geo.minCoverSet(env, S)
-	} else {
-		sel = geom.MinCoverSet(p.points(env, S), env.Topo().Radius())
-	}
-	out := make([]int, len(sel))
-	for k, idx := range sel {
-		out[k] = S[idx]
-	}
-	if p.memo != nil {
-		p.memo.store(S, out)
-	}
-	return out
+	return p.geo.poll(env, S)
 }
 
 // Update implements Picker using the angle-based UPDATE(S, S_ACK)
@@ -371,7 +419,7 @@ func (p *lammPicker) Update(env *sim.Env, S []int, acked []int) []int {
 		return S
 	}
 	if p.geo != nil {
-		return p.geo.update(env, S, acked)
+		return append(S[:0], p.geo.update(env, S, acked)...)
 	}
 	rem := geom.Update(p.points(env, S), p.points(env, acked), env.Topo().Radius())
 	out := make([]int, len(rem))

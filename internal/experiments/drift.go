@@ -35,9 +35,12 @@ const DriftTolerance = 0.35
 // flight_<protocol>_run<N>.jsonl — the per-message evidence behind a
 // tripped gate.
 func Drift(o Options) (*report.Table, map[Protocol]analysis.DriftSummary, error) {
-	o = o.normal()
+	o, err := o.normal()
+	if err != nil {
+		return nil, nil, err
+	}
 	w := &Watch{Drift: true, Flight: o.FlightDir != ""}
-	_, err := Sweep(o, 1, func(_ int, cfg *RunConfig) { w.Attach(cfg) }, false)
+	_, err = Sweep(o, 1, func(_ int, cfg *RunConfig) { w.Attach(cfg) }, false)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -67,7 +67,10 @@ func locationError(o Options) ([]Output, error) {
 // multicast/broadcast workload (no unicast, so every frame counted
 // belongs to group service).
 func overhead(o Options) ([]Output, error) {
-	o = o.normal()
+	o, err := o.normal()
+	if err != nil {
+		return nil, err
+	}
 	results, err := Sweep(o, 1, func(_ int, cfg *RunConfig) {
 		cfg.Mix = traffic.Mix{Multicast: 0.5, Broadcast: 0.5}
 	}, true)

@@ -16,7 +16,8 @@ import (
 )
 
 // Options tunes how much work an experiment does and what watches it.
-// The zero value is replaced by the full-fidelity defaults.
+// Zero fields are replaced by the full-fidelity defaults; a negative
+// Runs or Slots is an error.
 type Options struct {
 	// Runs is the number of independent simulation runs per plotted
 	// point (the paper uses 100).
@@ -44,17 +45,22 @@ type Options struct {
 	Progress ProgressMeter
 }
 
-func (o Options) normal() Options {
-	if o.Runs <= 0 {
+// normal returns o with its zero fields set to the defaults, or an error
+// for a negative Runs or Slots.
+func (o Options) normal() (Options, error) {
+	if o.Runs < 0 || o.Slots < 0 {
+		return o, fmt.Errorf("experiments: Runs and Slots must not be negative (runs=%d slots=%d)", o.Runs, o.Slots)
+	}
+	if o.Runs == 0 {
 		o.Runs = 100
 	}
-	if o.Slots <= 0 {
+	if o.Slots == 0 {
 		o.Slots = 10000
 	}
 	if len(o.Protocols) == 0 {
 		o.Protocols = PaperProtocols
 	}
-	return o
+	return o, nil
 }
 
 // DensityPoints are the node counts swept for Figures 6(a), 9(a), 10(a);
@@ -112,7 +118,10 @@ func fig7(o Options) ([]Output, error) {
 // fig8 runs the default workload once per protocol and re-applies the
 // success criterion at each reliability threshold (Figure 8).
 func fig8(o Options) ([]Output, error) {
-	o = o.normal()
+	o, err := o.normal()
+	if err != nil {
+		return nil, err
+	}
 	results, err := Sweep(o, 1, func(int, *RunConfig) {}, true)
 	if err != nil {
 		return nil, err

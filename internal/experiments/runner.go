@@ -381,7 +381,10 @@ func (pm ProgressMeter) clock() func() time.Time {
 // once the pool drains, so the aggregate floats do not depend on which
 // worker finished first.
 func Sweep(o Options, points int, mutate func(point int, cfg *RunConfig), keepCollectors bool) ([][]PointStats, error) {
-	o = o.normal()
+	o, err := o.normal()
+	if err != nil {
+		return nil, err
+	}
 	protocols, runs, progress := o.Protocols, o.Runs, o.Progress
 
 	// One entry per run, indexed (point, proto, run); workers write

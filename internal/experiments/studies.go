@@ -137,7 +137,10 @@ type plot struct {
 func sweepAxis(o Options, points int, set func(p int, cfg *RunConfig),
 	xName string, label func(p int, cell *PointStats) string, plots ...plot) ([]Output, error) {
 
-	o = o.normal()
+	o, err := o.normal()
+	if err != nil {
+		return nil, err
+	}
 	results, err := Sweep(o, points, set, false)
 	if err != nil {
 		return nil, err

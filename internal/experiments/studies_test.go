@@ -105,3 +105,39 @@ func TestKnownListsEveryName(t *testing.T) {
 		}
 	}
 }
+
+// TestOptionsNormal: zero fields take the full-fidelity defaults, set
+// fields are kept, and a negative run count or duration is rejected —
+// by normal and by every study, which all sweep through it.
+func TestOptionsNormal(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		in          Options
+		runs, slots int
+		wantErr     bool
+	}{
+		{"zero value", Options{}, 100, 10000, false},
+		{"set fields kept", Options{Runs: 3, Slots: 50}, 3, 50, false},
+		{"negative runs", Options{Runs: -3, Slots: 50}, 0, 0, true},
+		{"negative slots", Options{Runs: 2, Slots: -1}, 0, 0, true},
+	} {
+		got, err := c.in.normal()
+		if (err != nil) != c.wantErr {
+			t.Errorf("%s: normal() error = %v, want error %v", c.name, err, c.wantErr)
+			continue
+		}
+		if c.wantErr {
+			if _, err := Sweep(c.in, 1, func(int, *RunConfig) {}, false); err == nil {
+				t.Errorf("%s: Sweep ran with %+v", c.name, c.in)
+			}
+			continue
+		}
+		if got.Runs != c.runs || got.Slots != c.slots || len(got.Protocols) == 0 {
+			t.Errorf("%s: normal() = runs %d slots %d protocols %v, want runs %d slots %d and the paper protocols",
+				c.name, got.Runs, got.Slots, got.Protocols, c.runs, c.slots)
+		}
+	}
+	if _, err := fig8(Options{Runs: -3, Slots: 50}); err == nil {
+		t.Error("fig8 ran with Runs -3")
+	}
+}

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -17,7 +18,8 @@ import (
 // Package is one loaded, parsed and type-checked package, the unit every
 // analyzer operates on. Test files (*_test.go) are never loaded: the lint
 // invariants guard the simulation path, and tests are free to use wall
-// clocks and throwaway seeds.
+// clocks and throwaway seeds. Nor are files the default build excludes
+// by a build constraint (the framescribble checker's files).
 type Package struct {
 	// Path is the import path ("relmac/internal/sim").
 	Path string
@@ -221,6 +223,9 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	var names []string
 	for _, e := range ents {
 		if !goSource(e) {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, e.Name()); err != nil || !ok {
 			continue
 		}
 		names = append(names, e.Name())

@@ -72,14 +72,14 @@ type Backoff struct {
 }
 
 // NewBackoff builds a Backoff with the given window bounds.
-func NewBackoff(cwMin, cwMax int) *Backoff {
+func NewBackoff(cwMin, cwMax int) Backoff {
 	if cwMin < 1 {
 		cwMin = 1
 	}
 	if cwMax < cwMin {
 		cwMax = cwMin
 	}
-	return &Backoff{cwMin: cwMin, cwMax: cwMax, cw: cwMin}
+	return Backoff{cwMin: cwMin, cwMax: cwMax, cw: cwMin}
 }
 
 // Begin enters a new contention phase. The contention window keeps its
@@ -225,46 +225,70 @@ func (q *Queue) DropExpired(now sim.Slot, onAbort func(*sim.Request)) {
 // Responder schedules receiver-side control responses (CTS, ACK, NAK)
 // for transmission in a future slot. The paper's receivers reply a SIFS
 // after the eliciting frame; in the slotted model that is the next slot.
+//
+// Scheduled frames are held by value. Each entry's Missing list lives in
+// storage the entry owns and reuses; a removed entry is parked just past
+// the end with its storage, so no two entries ever share a backing array.
 type Responder struct {
-	when  []sim.Slot
-	frame []*frames.Frame
+	q []response
 }
 
-// ScheduleAt queues f for transmission at slot t. Multiple frames may be
-// scheduled; Due returns them in schedule order.
-func (r *Responder) ScheduleAt(t sim.Slot, f *frames.Frame) {
-	r.when = append(r.when, t)
-	r.frame = append(r.frame, f)
+// response is one scheduled frame.
+type response struct {
+	when  sim.Slot
+	frame frames.Frame
 }
 
-// Due returns a frame scheduled for the given slot (removing it), or nil.
-// Frames scheduled for earlier slots that were never sent (station busy)
-// are discarded — a stale CTS/ACK is worse than none — and, when dropped
-// is non-nil, handed to it first, so the responses that silently died
-// waiting for the medium stay visible.
-func (r *Responder) Due(now sim.Slot, dropped func(*frames.Frame)) *frames.Frame {
-	for i := 0; i < len(r.when); {
+// ScheduleAt queues a copy of *f for transmission at slot t and returns
+// the queued frame, valid until the Responder next changes. Its Missing
+// is f.Missing copied into the entry's own storage, so a caller may
+// append to it instead of building a list of its own. Multiple frames
+// may be scheduled; Due returns them in schedule order.
+func (r *Responder) ScheduleAt(t sim.Slot, f *frames.Frame) *frames.Frame {
+	if len(r.q) == cap(r.q) {
+		r.q = append(r.q, response{})
+	} else {
+		r.q = r.q[:len(r.q)+1]
+	}
+	e := &r.q[len(r.q)-1]
+	missing := append(e.frame.Missing[:0], f.Missing...)
+	e.when, e.frame = t, *f
+	e.frame.Missing = missing
+	return &e.frame
+}
+
+// Due fills out with the frame scheduled for the given slot, removing it,
+// and reports whether there was one. out's Missing then shares the
+// removed entry's storage, which the next ScheduleAt reuses: a station
+// schedules nothing while its response is on the air, because a
+// transmitting station decodes nothing. Frames scheduled for earlier
+// slots that were never sent (station busy) are discarded — a stale
+// CTS/ACK is worse than none — and, when dropped is non-nil, handed to it
+// first, so the responses that silently died waiting for the medium stay
+// visible.
+func (r *Responder) Due(now sim.Slot, dropped func(*frames.Frame), out *frames.Frame) bool {
+	for i := 0; i < len(r.q); {
 		switch {
-		case r.when[i] < now:
+		case r.q[i].when < now:
 			if dropped != nil {
-				dropped(r.frame[i])
+				dropped(&r.q[i].frame)
 			}
 			r.drop(i)
-		case r.when[i] == now:
-			f := r.frame[i]
+		case r.q[i].when == now:
+			*out = r.q[i].frame
 			r.drop(i)
-			return f
+			return true
 		default:
 			i++
 		}
 	}
-	return nil
+	return false
 }
 
 // Pending reports whether any response is scheduled at or after now.
 func (r *Responder) Pending(now sim.Slot) bool {
-	for _, t := range r.when {
-		if t >= now {
+	for i := range r.q {
+		if r.q[i].when >= now {
 			return true
 		}
 	}
@@ -276,8 +300,8 @@ func (r *Responder) Pending(now sim.Slot) bool {
 // pending NAK when the awaited data frame finally arrives.
 func (r *Responder) CancelIf(pred func(*frames.Frame) bool) int {
 	n := 0
-	for i := 0; i < len(r.frame); {
-		if pred(r.frame[i]) {
+	for i := 0; i < len(r.q); {
+		if pred(&r.q[i].frame) {
 			r.drop(i)
 			n++
 			continue
@@ -288,16 +312,16 @@ func (r *Responder) CancelIf(pred func(*frames.Frame) bool) int {
 }
 
 // Clear drops all scheduled responses.
-func (r *Responder) Clear() {
-	r.when = r.when[:0]
-	for i := range r.frame {
-		r.frame[i] = nil
-	}
-	r.frame = r.frame[:0]
-}
+func (r *Responder) Clear() { r.q = r.q[:0] }
 
+// drop removes entry i, keeping the others in order, and parks it with
+// its Missing storage just past the end.
 func (r *Responder) drop(i int) {
-	r.when = append(r.when[:i], r.when[i+1:]...)
-	r.frame[i] = nil
-	r.frame = append(r.frame[:i], r.frame[i+1:]...)
+	last := len(r.q) - 1
+	if i != last {
+		e := r.q[i]
+		copy(r.q[i:], r.q[i+1:])
+		r.q[last] = e
+	}
+	r.q = r.q[:last]
 }

@@ -178,18 +178,19 @@ func TestQueuePopPreservesCapacity(t *testing.T) {
 
 func TestResponderDelivery(t *testing.T) {
 	var r Responder
-	f := &frames.Frame{Type: frames.CTS}
-	r.ScheduleAt(5, f)
-	if r.Due(4, nil) != nil {
+	f := frames.Frame{Type: frames.CTS, MsgID: 7}
+	r.ScheduleAt(5, &f)
+	var out frames.Frame
+	if r.Due(4, nil, &out) {
 		t.Error("frame delivered early")
 	}
 	if !r.Pending(4) {
 		t.Error("Pending should see the scheduled frame")
 	}
-	if got := r.Due(5, nil); got != f {
-		t.Errorf("Due(5) = %v", got)
+	if !r.Due(5, nil, &out) || out.Type != f.Type || out.MsgID != f.MsgID {
+		t.Errorf("Due(5) = %v", out)
 	}
-	if r.Due(5, nil) != nil {
+	if r.Due(5, nil, &out) {
 		t.Error("frame delivered twice")
 	}
 }
@@ -197,8 +198,13 @@ func TestResponderDelivery(t *testing.T) {
 func TestResponderDropsStale(t *testing.T) {
 	var r Responder
 	r.ScheduleAt(5, &frames.Frame{Type: frames.CTS})
-	if r.Due(7, nil) != nil {
+	var dropped []frames.Type
+	var out frames.Frame
+	if r.Due(7, func(f *frames.Frame) { dropped = append(dropped, f.Type) }, &out) {
 		t.Error("stale response must be dropped, not sent late")
+	}
+	if len(dropped) != 1 || dropped[0] != frames.CTS {
+		t.Errorf("dropped = %v, want [CTS]", dropped)
 	}
 	if r.Pending(7) {
 		t.Error("stale response still pending")
@@ -207,20 +213,51 @@ func TestResponderDropsStale(t *testing.T) {
 
 func TestResponderMultiple(t *testing.T) {
 	var r Responder
-	a := &frames.Frame{Type: frames.CTS}
-	b := &frames.Frame{Type: frames.ACK}
-	r.ScheduleAt(3, a)
-	r.ScheduleAt(4, b)
-	if got := r.Due(3, nil); got != a {
-		t.Errorf("Due(3) = %v", got)
+	r.ScheduleAt(3, &frames.Frame{Type: frames.CTS})
+	r.ScheduleAt(4, &frames.Frame{Type: frames.ACK})
+	var out frames.Frame
+	if !r.Due(3, nil, &out) || out.Type != frames.CTS {
+		t.Errorf("Due(3) = %v", out)
 	}
-	if got := r.Due(4, nil); got != b {
-		t.Errorf("Due(4) = %v", got)
+	if !r.Due(4, nil, &out) || out.Type != frames.ACK {
+		t.Errorf("Due(4) = %v", out)
 	}
-	r.ScheduleAt(9, a)
+	r.ScheduleAt(9, &frames.Frame{Type: frames.NAK})
 	r.Clear()
 	if r.Pending(0) {
 		t.Error("Clear left responses pending")
+	}
+}
+
+// TestResponderMissingStorage pins the per-entry Missing storage: a
+// scheduled frame's list is a copy in the entry's own storage, entries
+// never share it, and a removed entry's storage is reused without
+// allocating.
+func TestResponderMissingStorage(t *testing.T) {
+	var r Responder
+	src := []int{4}
+	a := r.ScheduleAt(3, &frames.Frame{Type: frames.CTS, Missing: src})
+	src[0] = 99
+	if len(a.Missing) != 1 || a.Missing[0] != 4 {
+		t.Fatalf("scheduled Missing = %v, want a copy [4]", a.Missing)
+	}
+	b := r.ScheduleAt(4, &frames.Frame{Type: frames.CTS})
+	b.Missing = append(b.Missing, 5)
+	r.CancelIf(func(f *frames.Frame) bool { return f.Type == frames.CTS && len(f.Missing) == 1 && f.Missing[0] == 4 })
+	var out frames.Frame
+	if !r.Due(4, nil, &out) || len(out.Missing) != 1 || out.Missing[0] != 5 {
+		t.Fatalf("Due(4) = %v, want Missing [5]", out)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		f := r.ScheduleAt(10, &frames.Frame{Type: frames.CTS})
+		f.Missing = append(f.Missing, 6)
+		r.ScheduleAt(11, &frames.Frame{Type: frames.ACK})
+		if !r.Due(10, nil, &out) || out.Missing[0] != 6 || !r.Due(11, nil, &out) {
+			t.Fatal("rescheduled frames not due")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("reusing the Responder allocated %.1f times per round", allocs)
 	}
 }
 

@@ -153,7 +153,9 @@ type Event struct {
 	// for EvFrameTx, the receiver for EvDataRx, EvRxOK and EvRxLost.
 	Station int
 	Req     *Request
-	Frame   *frames.Frame
+	// Frame lives until the end of the slot that completes its airtime
+	// (DESIGN.md, "Frame lifetime"); an observer that keeps it copies it.
+	Frame *frames.Frame
 	// Start and End are the inclusive slot range of EvFrameTx's airtime
 	// or of EvIdleSpan's skipped stretch.
 	Start, End Slot

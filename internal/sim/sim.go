@@ -129,12 +129,15 @@ type MAC interface {
 	// by returning a non-nil frame; the engine derives its airtime from
 	// the frame type. Tick must return nil while the station is already
 	// transmitting (the engine panics otherwise, as that is a protocol
-	// implementation bug).
+	// implementation bug). The frame, and the lists it names, must stay
+	// unchanged until the end of the slot that completes its airtime;
+	// after that the MAC may reuse them (DESIGN.md, "Frame lifetime").
 	Tick(env *Env) *frames.Frame
 	// Deliver is invoked at the end of the slot in which the station
 	// successfully decoded a frame it has a role in (rx non-zero), after
 	// the engine raised the station's NAV for it if it is due (see
-	// Env.Yielding). Overheard frames are never delivered.
+	// Env.Yielding). Overheard frames are never delivered. f is its
+	// sender's; a MAC that keeps it copies it.
 	Deliver(env *Env, f *frames.Frame, rx Rx)
 	// Submit hands a new service request to the MAC.
 	Submit(env *Env, req *Request)
@@ -957,14 +960,20 @@ func (e *Engine) emitSlot() {
 // completeSlot delivers every frame whose last slot is the current one,
 // compacting the tx table in place. Live rows keep their relative order
 // (the resolution order the reference path produces); completed rows'
-// corruption masks are swapped toward the tail for recycling.
+// frames and corruption masks are swapped toward the tail.
+//
+// A completed frame's lifetime ends with this slot (DESIGN.md, "Frame
+// lifetime"): its MAC reuses the frame and the lists it names for its
+// next transmission, so whoever keeps one copies it. The framescribble
+// build tag makes scribble overwrite each of them once every delivery
+// of the slot is done, so a stale read changes the goldens.
 func (e *Engine) completeSlot() {
 	now := e.now
 	w := 0
 	for r := 0; r < e.txN; r++ {
 		if e.txEnd[r] != now {
 			if w != r {
-				e.txFrame[w], e.txFrame[r] = e.txFrame[r], nil
+				e.txFrame[w], e.txFrame[r] = e.txFrame[r], e.txFrame[w]
 				e.txSender[w] = e.txSender[r]
 				e.txStart[w] = e.txStart[r]
 				e.txEnd[w] = e.txEnd[r]
@@ -1011,12 +1020,14 @@ func (e *Engine) completeSlot() {
 				}
 			}
 		}
-		// The row is done: break the references it holds. The frame
-		// itself is never pooled — MACs and observers may
-		// retain it indefinitely. Its corruption mask stays parked in
-		// the tail for the next startTx to recycle.
-		e.txFrame[r] = nil
+		// The row is done: its corruption mask stays parked in the tail
+		// for the next startTx to recycle, its frame until the slot's
+		// deliveries are over.
 		e.txRecv[r] = nil
+	}
+	for r := w; r < e.txN; r++ {
+		scribble(e.txFrame[r])
+		e.txFrame[r] = nil
 	}
 	e.txN = w
 }

@@ -154,8 +154,14 @@ func (t *Topology) buildNeighbors() {
 		items[cursor[c]] = int32(i)
 		cursor[c]++
 	}
+	// The lists share one flat backing array: station i's list is
+	// flat[end[i-1]:end[i]], capped so that no list can grow into the
+	// next. They are cut only after the last append, which may move it.
 	r2 := t.radius * t.radius
+	flat := make([]int, 0, 8*n)
+	end := make([]int, n)
 	for i, p := range t.pos {
+		from := len(flat)
 		c := cellOf(p)
 		cx, cy := c%cols, c/cols
 		for dy := -1; dy <= 1; dy++ {
@@ -172,12 +178,20 @@ func (t *Topology) buildNeighbors() {
 				for _, j32 := range items[start[nc]:start[nc+1]] {
 					j := int(j32)
 					if j != i && p.Dist2(t.pos[j]) <= r2 {
-						t.neighbors[i] = append(t.neighbors[i], j)
+						flat = append(flat, j)
 					}
 				}
 			}
 		}
-		sortInts(t.neighbors[i])
+		sortInts(flat[from:])
+		end[i] = len(flat)
+	}
+	from := 0
+	for i, to := range end {
+		if to > from {
+			t.neighbors[i] = flat[from:to:to]
+		}
+		from = to
 	}
 }
 
